@@ -11,6 +11,12 @@ to it at low SNR.
 
 Estimators time-average the projected series over a commensurate window (a
 whole number of least common periods), which removes leakage between bins.
+They work on the equivalent real problem: the augmented vector is U z(t) for
+the unitary U = (1/sqrt 2) [[I, jI], [I, -jI]] and the real "managed-asset"
+panel z(t) = (1/sqrt M) [cos(w_m t) x(t); -sin(w_m t) x(t)] of 2MN columns, so
+the augmented mean and covariance are U mean(z) and U cov(z) U^H (Brandt and
+Santa-Clara 2006; Schreier and Scharf 2010).
+
 Two output scales are supported:
 
 * ``"paper-literal"`` (default): the raw projection average.  A pure harmonic
@@ -23,7 +29,9 @@ Two output scales are supported:
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,6 +55,8 @@ __all__ = [
 ]
 
 MODES = ("paper-literal", "consistent")
+
+logger = logging.getLogger(__name__)
 
 
 def _panel_values(x) -> np.ndarray:
@@ -73,30 +83,121 @@ def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int, snap: bool):
     """Trim to a commensurate window, discarding the oldest samples.
 
     The absolute time origin advances with the trim so the basis phase stays
-    aligned with the retained rows.
+    aligned with the retained rows.  The snap is logged (kept and discarded
+    counts) and, when it discards samples, also raised as a ``UserWarning``.
     """
     if not snap:
         return values, t0
     snapped, discarded = commensurate_length(values.shape[0], grid)
+    logger.info(
+        "window snap: kept %d samples, discarded %d oldest",
+        snapped,
+        discarded,
+        extra={"snap_kept": snapped, "snap_discarded": discarded},
+    )
     if discarded:
         warnings.warn(
             f"window snapped from {values.shape[0]} to {snapped} samples "
             f"({discarded} oldest discarded) to cover whole grid periods",
-            stacklevel=3,
+            stacklevel=4,
         )
         return values[discarded:], t0 + discarded
     return values, t0
 
 
-def _projected_series(values: np.ndarray, grid: FrequencyGrid, t0: int) -> np.ndarray:
-    """Rows u(t)^T of the upper-half projection, shape (T, M*N), bin-major."""
+def _managed_panel(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool) -> np.ndarray:
+    """The real managed-asset panel z on the (snapped) window, shape (T, 2MN).
+
+    Row t is c [cos(w_m t) x(t); -sin(w_m t) x(t)], each half bin-major, with
+    c = 1/sqrt(M) in "paper-literal" mode and 2M/sqrt(M) in "consistent" mode.
+    The augmented projected vector is then exactly U z(t) (see
+    :func:`_to_augmented`).
+    """
+    _check_mode(mode)
+    values = _panel_values(x)
+    if values.shape[0] < 2:
+        raise ValidationError("need at least 2 samples to estimate spectral moments")
+    values, t0 = _snap_window(values, grid, t0, snap)
     n_samples, n_assets = values.shape
-    t = np.arange(t0, t0 + n_samples, dtype=np.float64)
-    phases = np.exp(-1j * np.outer(t, np.asarray(grid.omegas)))  # (T, M)
-    scale = 1.0 / math.sqrt(2 * grid.n_bins)
-    out = np.einsum("tm,ti->tmi", phases, values).reshape(n_samples, grid.n_bins * n_assets)
-    out *= scale
+    n_bins = grid.n_bins
+    scale = (2 * n_bins if mode == "consistent" else 1) / math.sqrt(n_bins)
+    angles = np.outer(np.arange(t0, t0 + n_samples, dtype=np.float64), grid.omegas)
+    phases = scale * np.stack([np.cos(angles), -np.sin(angles)], axis=1)  # (T, 2, M)
+    panel = phases[:, :, :, np.newaxis] * values[:, np.newaxis, np.newaxis, :]  # one (T, 2, M, N) array
+    return panel.reshape(n_samples, 2 * n_bins * n_assets)
+
+
+def _to_augmented(managed: np.ndarray) -> np.ndarray:
+    """Map a managed-asset vector or covariance to the augmented complex form.
+
+    With U = (1/sqrt 2) [[I, jI], [I, -jI]] (unitary), a real vector theta
+    maps to U theta = [v; conj(v)], v = (theta_a + j theta_b) / sqrt 2, and a
+    real symmetric K maps to U K U^H = [[R, P], [conj(P), conj(R)]] with
+    R = (K_aa + K_bb + j (K_ba - K_ab)) / 2 and P = (K_aa - K_bb + j (K_ba + K_ab)) / 2.
+    For an exactly symmetric K the result has the augmented block structure
+    exactly (R Hermitian, P symmetric, conjugate blocks bit-equal).  Trace,
+    eigenvalues and norms carry over unchanged.
+    """
+    managed = np.asarray(managed, dtype=np.float64)
+    half = managed.shape[0] // 2
+    if managed.ndim == 1:
+        upper = (managed[:half] + 1j * managed[half:]) / math.sqrt(2)
+        return np.concatenate([upper, np.conj(upper)])
+    k_aa, k_ab = managed[:half, :half], managed[:half, half:]
+    k_ba, k_bb = managed[half:, :half], managed[half:, half:]
+    out = np.empty(managed.shape, dtype=np.complex128)
+    r_grid, p_grid = out[:half, :half], out[:half, half:]
+    r_grid.real = 0.5 * (k_aa + k_bb)
+    r_grid.imag = 0.5 * (k_ba - k_ab)
+    p_grid.real = 0.5 * (k_aa - k_bb)
+    p_grid.imag = 0.5 * (k_ba + k_ab)
+    np.conjugate(r_grid, out=out[half:, half:])
+    np.conjugate(p_grid, out=out[half:, :half])
     return out
+
+
+def _to_managed(augmented: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_to_augmented`: the real U^H y or U^H Sigma U.
+
+    Reads only the upper half of a vector and the upper block row [R, P] of a
+    matrix, which determine a conjugate-symmetric vector and an augmented
+    covariance completely.
+    """
+    augmented = np.asarray(augmented, dtype=np.complex128)
+    half = augmented.shape[0] // 2
+    if augmented.ndim == 1:
+        upper = augmented[:half] * math.sqrt(2)
+        return np.concatenate([upper.real, upper.imag])
+    r_grid, p_grid = augmented[:half, :half], augmented[:half, half:]
+    return np.block(
+        [
+            [(r_grid + p_grid).real, (p_grid - r_grid).imag],
+            [(r_grid + p_grid).imag, (r_grid - p_grid).real],
+        ]
+    )
+
+
+def _centred_moments(centred: np.ndarray, grid: FrequencyGrid, mean: AugmentedVector, mode: str):
+    """SpectralMoments from a managed panel already centred on ``mean``.
+
+    K = z^T z / T is formed by a symmetric rank-k product, which is exactly
+    symmetric, so the augmented covariance U K U^H is exactly structured.
+    """
+    n_samples = centred.shape[0]
+    cov = centred.T @ centred
+    cov /= n_samples
+    return SpectralMoments(
+        grid=grid,
+        n_assets=mean.half_size // grid.n_bins,
+        mean=mean,
+        covariance=_to_augmented(cov),
+        sample_count=n_samples,
+        mode=mode,
+    )
+
+
+def _augmented_mean(managed_mean: np.ndarray) -> AugmentedVector:
+    return AugmentedVector.from_upper(_to_augmented(managed_mean)[: managed_mean.shape[0] // 2])
 
 
 def estimate_spectral_mean(
@@ -122,15 +223,7 @@ def estimate_spectral_mean(
     AugmentedVector
         Conjugate-symmetric by construction; deterministic given input.
     """
-    _check_mode(mode)
-    values = _panel_values(x)
-    if values.shape[0] < 2:
-        raise ValidationError("need at least 2 samples to estimate the spectral mean")
-    values, t0 = _snap_window(values, grid, t0, snap)
-    upper = _projected_series(values, grid, t0).mean(axis=0)
-    if mode == "consistent":
-        upper = upper * (2 * grid.n_bins)
-    return AugmentedVector.from_upper(upper)
+    return _augmented_mean(_managed_panel(x, grid, mode, t0, snap).mean(axis=0))
 
 
 def estimate_spectral_covariance(
@@ -141,52 +234,34 @@ def estimate_spectral_covariance(
     t0: int = 0,
     snap: bool = True,
 ) -> "SpectralMoments":
-    """Sample covariance of the projected series around the estimated mean.
+    """Sample covariance of the projected series around a given mean.
 
     Computes (1/T) sum_t (u(t) - mean)(u(t) - mean)^H on the augmented vector
     u(t) = B(t)^H x(t), which is the time-average approximation of the
-    expectation defining the augmented spectral covariance.  The outer-product
-    form makes the augmented block structure, Hermitian symmetry and the
-    per-bin bound ||P(w_m)||_2 <= ||R(w_m)||_2 hold exactly.
+    expectation defining the augmented spectral covariance.  It is formed as
+    U K U^H from the real covariance K of the managed panel, which makes the
+    augmented block structure, Hermitian symmetry and the per-bin bound
+    ||P(w_m)||_2 <= ||R(w_m)||_2 hold exactly.
 
     ``mean`` must have been estimated on the same panel, grid and mode.
     """
-    _check_mode(mode)
-    values = _panel_values(x)
-    values, t0 = _snap_window(values, grid, t0, snap)
-    n_samples, n_assets = values.shape
-    half = grid.n_bins * n_assets
-    if mean.half_size != half:
+    panel = _managed_panel(x, grid, mode, t0, snap)
+    if mean.half_size != panel.shape[1] // 2:
         raise ValidationError(
-            f"mean half-size {mean.half_size} does not match grid x assets ({half})"
+            f"mean half-size {mean.half_size} does not match grid x assets ({panel.shape[1] // 2})"
         )
-    centered_scale = 2 * grid.n_bins if mode == "consistent" else 1
-    literal_mean = mean.upper / centered_scale
-    deviations = _projected_series(values, grid, t0) - literal_mean
-    r_block = deviations.T @ np.conj(deviations) / n_samples
-    p_block = deviations.T @ deviations / n_samples
-    cov = np.block([[r_block, p_block], [np.conj(p_block), np.conj(r_block)]])
-    cov = structure_project(cov)
-    if mode == "consistent":
-        cov = cov * (2 * grid.n_bins) ** 2
-    return SpectralMoments(
-        grid=grid,
-        n_assets=n_assets,
-        mean=mean,
-        covariance=cov,
-        sample_count=n_samples,
-        mode=mode,
-    )
+    panel -= _to_managed(mean.full())
+    return _centred_moments(panel, grid, mean, mode)
 
 
 def estimate_moments(
     x, grid: FrequencyGrid, mode: str = "paper-literal", t0: int = 0, snap: bool = True
 ) -> "SpectralMoments":
-    """Two-pass mean-then-covariance estimation on one window."""
-    mean = estimate_spectral_mean(x, grid, mode=mode, t0=t0, snap=snap)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # snap warning already fired in the mean pass
-        return estimate_spectral_covariance(x, grid, mean, mode=mode, t0=t0, snap=snap)
+    """Mean and covariance of the projected series on one window, from one managed panel."""
+    panel = _managed_panel(x, grid, mode, t0, snap)
+    managed_mean = panel.mean(axis=0)
+    panel -= managed_mean
+    return _centred_moments(panel, grid, _augmented_mean(managed_mean), mode)
 
 
 def structure_project(raw: np.ndarray) -> np.ndarray:
@@ -337,6 +412,79 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _grid_meta_rows(format_tag: str, grid: FrequencyGrid, n_assets: int) -> list[list[str]]:
+    """The leading ``meta`` rows shared by the moments and weights files."""
+    periods = ";".join(str(p) for p in grid.periods) if grid.periods else ""
+    return [
+        ["record", "i", "j", "re", "im"],
+        ["meta", "format", format_tag, "", ""],
+        ["meta", "omegas", ";".join(_fmt(w) for w in grid.omegas), "", ""],
+        ["meta", "periods", periods, "", ""],
+        ["meta", "label", grid.sample_period_label, "", ""],
+        ["meta", "n_assets", str(n_assets), "", ""],
+    ]
+
+
+@contextlib.contextmanager
+def _artifact_errors(path):
+    """Re-raise parse failures of a flat CSV artifact as ValidationError naming the file."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (KeyError, IndexError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
+
+
+def _read_records(path, format_tag: str, kinds: tuple[str, ...]):
+    """Parse a flat CSV artifact into (meta, grid, n_assets, entries).
+
+    ``entries[kind]`` holds (indices, re, im) lists for each numeric record
+    kind.  Call inside :func:`_artifact_errors`.
+    """
+    meta: dict[str, str] = {}
+    entries: dict[str, tuple[list, list, list]] = {kind: ([], [], []) for kind in kinds}
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if not header or header[0] != "record":
+            raise ValidationError(f"{path}: not a {format_tag} CSV (missing header)")
+        for row in reader:
+            if row[0] == "meta":
+                meta[row[1]] = row[2]
+            elif row[0] in entries:
+                indices, re, im = entries[row[0]]
+                indices.append(tuple(int(tok) for tok in row[1:3] if tok))
+                re.append(float(row[3]))
+                im.append(float(row[4]))
+            else:
+                raise ValidationError(f"{path}: unknown record kind {row[0]!r}")
+    if meta.get("format") != format_tag:
+        raise ValidationError(f"{path}: unsupported format tag {meta.get('format')!r}")
+    omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
+    periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
+    grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
+    return meta, grid, int(meta["n_assets"]), entries
+
+
+def _place(kind: str, entries: tuple[list, list, list], shape: tuple[int, ...]) -> np.ndarray:
+    """Complex array of ``shape`` from parsed entries; each index must occur exactly once.
+
+    Raises ValueError, which :func:`_artifact_errors` reports with the file name.
+    """
+    indices, re, im = entries
+    size = math.prod(shape)
+    if len(indices) != size:
+        raise ValueError(f"expected {size} {kind} entries, found {len(indices)}")
+    flat = np.ravel_multi_index(tuple(np.array(indices).T), shape)  # ValueError when out of range
+    if np.unique(flat).size != size:
+        raise ValueError(f"duplicate {kind} entries")
+    out = np.zeros(size, dtype=np.complex128)
+    out.real[flat] = re
+    out.imag[flat] = im
+    return out.reshape(shape)
+
+
 def write_moments_csv(moments: SpectralMoments, path) -> None:
     """Write moments to a flat CSV.
 
@@ -348,15 +496,7 @@ def write_moments_csv(moments: SpectralMoments, path) -> None:
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["record", "i", "j", "re", "im"])
-        writer.writerow(["meta", "format", _FORMAT_TAG, "", ""])
-        writer.writerow(["meta", "omegas", ";".join(_fmt(w) for w in moments.grid.omegas), "", ""])
-        periods = moments.grid.periods
-        writer.writerow(
-            ["meta", "periods", ";".join(str(p) for p in periods) if periods else "", "", ""]
-        )
-        writer.writerow(["meta", "label", moments.grid.sample_period_label, "", ""])
-        writer.writerow(["meta", "n_assets", str(moments.n_assets), "", ""])
+        writer.writerows(_grid_meta_rows(_FORMAT_TAG, moments.grid, moments.n_assets))
         writer.writerow(["meta", "n_bins", str(moments.grid.n_bins), "", ""])
         writer.writerow(["meta", "sample_count", str(moments.sample_count), "", ""])
         writer.writerow(["meta", "mode", moments.mode, "", ""])
@@ -370,45 +510,21 @@ def write_moments_csv(moments: SpectralMoments, path) -> None:
 
 
 def read_moments_csv(path) -> SpectralMoments:
-    """Inverse of :func:`write_moments_csv`."""
-    path = Path(path)
-    meta: dict[str, str] = {}
-    mean_entries: dict[int, complex] = {}
-    cov_entries: list[tuple[int, int, complex]] = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[0] != "record":
-            raise ValidationError(f"{path}: not a moments CSV (missing header)")
-        for row in reader:
-            kind = row[0]
-            if kind == "meta":
-                meta[row[1]] = row[2]
-            elif kind == "mean":
-                mean_entries[int(row[1])] = complex(float(row[3]), float(row[4]))
-            elif kind == "cov":
-                cov_entries.append((int(row[1]), int(row[2]), complex(float(row[3]), float(row[4]))))
-            else:
-                raise ValidationError(f"{path}: unknown record kind {kind!r}")
-    if meta.get("format") != _FORMAT_TAG:
-        raise ValidationError(f"{path}: unsupported format tag {meta.get('format')!r}")
-    omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
-    periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
-    grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
-    n_assets = int(meta["n_assets"])
-    half = grid.n_bins * n_assets
-    full_mean = np.zeros(2 * half, dtype=np.complex128)
-    for i, value in mean_entries.items():
-        full_mean[i] = value
-    cov = np.zeros((2 * half, 2 * half), dtype=np.complex128)
-    for i, j, value in cov_entries:
-        cov[i, j] = value
-    mean = AugmentedVector(upper=full_mean[:half], lower=full_mean[half:], enforced=True)
-    return SpectralMoments(
-        grid=grid,
-        n_assets=n_assets,
-        mean=mean,
-        covariance=cov,
-        sample_count=int(meta["sample_count"]),
-        mode=meta["mode"],
-    )
+    """Inverse of :func:`write_moments_csv`.
+
+    Raises ValidationError for a foreign, truncated or otherwise malformed file.
+    """
+    with _artifact_errors(path):
+        meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("mean", "cov"))
+        dim = 2 * grid.n_bins * n_assets
+        full_mean = _place("mean", entries["mean"], (dim,))
+        cov = _place("cov", entries["cov"], (dim, dim))
+        half = dim // 2
+        return SpectralMoments(
+            grid=grid,
+            n_assets=n_assets,
+            mean=AugmentedVector(upper=full_mean[:half], lower=full_mean[half:], enforced=True),
+            covariance=cov,
+            sample_count=int(meta["sample_count"]),
+            mode=meta["mode"],
+        )

@@ -23,11 +23,18 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .basis import AugmentedVector, FrequencyGrid, synthesize_series
 from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError
-from .moments import SpectralMoments
+from .moments import (
+    SpectralMoments,
+    _artifact_errors,
+    _grid_meta_rows,
+    _place,
+    _read_records,
+    _to_augmented,
+    _to_managed,
+)
 
 __all__ = [
     "RiskSpec",
@@ -105,10 +112,11 @@ class StaticWeights:
         object.__setattr__(self, "weights", weights)
 
 
-def _targeted_solve(matrix: np.ndarray, mean: np.ndarray, risk: RiskSpec, hermitian_complex: bool):
-    """Shared core: z = (matrix + ridge I)^{-1} mean via Cholesky, scaled to the target.
+def _targeted_solve(matrix: np.ndarray, mean: np.ndarray, risk: RiskSpec):
+    """Shared real core: z = (matrix + ridge I)^{-1} mean, scaled to the target.
 
-    Returns (weights, multiplier, ridge_used).
+    A Cholesky factorization checks that the regularized matrix is positive
+    definite.  Returns (weights, multiplier, ridge_used).
     """
     if float(np.linalg.norm(mean)) <= _MEAN_EPS:
         raise DegenerateMeanError(
@@ -116,29 +124,35 @@ def _targeted_solve(matrix: np.ndarray, mean: np.ndarray, risk: RiskSpec, hermit
             "problem is unbounded below in the multiplier"
         )
     ridge = risk.ridge_for(matrix)
-    regularized = matrix + ridge * np.eye(matrix.shape[0], dtype=matrix.dtype)
+    regularized = matrix.copy()
+    regularized[np.diag_indices_from(regularized)] += ridge
     try:
-        factor = cho_factor(regularized, lower=True, check_finite=False)
-    except LinAlgError as exc:
+        np.linalg.cholesky(regularized)
+    except np.linalg.LinAlgError as exc:
         hint = "covariance is singular or indefinite"
         if ridge == 0.0:
             hint += "; retry with a positive ridge (RiskSpec.ridge)"
         raise SingularCovarianceError(hint) from exc
-    z = cho_solve(factor, mean, check_finite=False)
-    quad = np.vdot(mean, z) if hermitian_complex else float(mean @ z)
-    quad_real = float(np.real(quad))
-    if quad_real <= 0.0:
+    z = np.linalg.solve(regularized, mean)
+    quad = float(mean @ z)
+    if quad <= 0.0:
         raise SingularCovarianceError(
-            f"m^H R^{{-1}} m = {quad_real:.3e} is not positive; covariance is not "
+            f"m^H R^{{-1}} m = {quad:.3e} is not positive; covariance is not "
             "positive definite at this ridge"
         )
-    multiplier = math.sqrt(quad_real) / (2.0 * risk.sigma0)
-    weights = risk.sigma0 * z / math.sqrt(quad_real)
+    multiplier = math.sqrt(quad) / (2.0 * risk.sigma0)
+    weights = risk.sigma0 * z / math.sqrt(quad)
     return weights, multiplier, ridge
 
 
 def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeights:
     """Closed-form solution of the variance-targeted frequency-domain problem.
+
+    The augmented problem is solved as the equivalent real one on 2MN managed
+    assets: with the unitary map of :mod:`specport.moments`, (m, Sigma) become
+    (mu, K) = (U^H m, U^H Sigma U), the real weights theta solve the classical
+    variance-targeted problem, and w = U theta.  Multiplier, ridge and the
+    constraint value are the same in both coordinates.
 
     Parameters
     ----------
@@ -151,21 +165,29 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     Returns
     -------
     SpectralWeights
-        Satisfying w^H (R + ridge I) w = sigma0^2 to numerical precision, with
-        conjugate symmetry repaired against float drift (mathematically a
-        no-op: the structured covariance maps conjugate-symmetric vectors to
-        conjugate-symmetric vectors).
+        Conjugate-symmetric by construction, satisfying
+        w^H (Sigma + ridge I) w = sigma0^2 to numerical precision.
+
+    Raises
+    ------
+    SingularCovarianceError
+        If the sample count does not exceed 2MN (the sample covariance is then
+        singular) and ``risk.ridge`` is not set to a positive value.
     """
-    mean_full = moments.mean.full()
-    cov = np.asarray(moments.covariance)
-    cov = 0.5 * (cov + np.conj(cov.T))
-    raw, multiplier, ridge = _targeted_solve(cov, mean_full, risk, hermitian_complex=True)
-    half = moments.half_size
-    upper = 0.5 * (raw[:half] + np.conj(raw[half:]))
+    dim = 2 * moments.half_size
+    if moments.sample_count <= dim and (risk.ridge is None or risk.ridge == 0.0):
+        raise SingularCovarianceError(
+            f"T = {moments.sample_count} samples do not exceed 2MN = {dim}: the sample "
+            "covariance is singular and the solution would be arbitrarily levered; "
+            "use a longer window, fewer bins or assets, or set a positive RiskSpec.ridge"
+        )
+    theta, multiplier, ridge = _targeted_solve(
+        _to_managed(moments.covariance), _to_managed(moments.mean.full()), risk
+    )
     return SpectralWeights(
         grid=moments.grid,
         n_assets=moments.n_assets,
-        weights=AugmentedVector.from_upper(upper),
+        weights=AugmentedVector.from_upper(_to_augmented(theta)[: moments.half_size]),
         lagrange_multiplier=multiplier,
         sigma0=risk.sigma0,
         ridge_used=ridge,
@@ -180,7 +202,7 @@ def solve_classical_mvo(mean, cov, risk: RiskSpec) -> StaticWeights:
     if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
         raise ValidationError("mean must be a vector and cov a matching square matrix")
     cov = 0.5 * (cov + cov.T)
-    weights, _, _ = _targeted_solve(cov, mean, risk, hermitian_complex=False)
+    weights, _, _ = _targeted_solve(cov, mean, risk)
     return StaticWeights(weights=weights, scheme="classical-mvo")
 
 
@@ -219,15 +241,7 @@ def write_weights_csv(weights: SpectralWeights, path) -> None:
     path = Path(path)
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["record", "i", "j", "re", "im"])
-        writer.writerow(["meta", "format", _FORMAT_TAG, "", ""])
-        writer.writerow(["meta", "omegas", ";".join(repr(float(w)) for w in weights.grid.omegas), "", ""])
-        periods = weights.grid.periods
-        writer.writerow(
-            ["meta", "periods", ";".join(str(p) for p in periods) if periods else "", "", ""]
-        )
-        writer.writerow(["meta", "label", weights.grid.sample_period_label, "", ""])
-        writer.writerow(["meta", "n_assets", str(weights.n_assets), "", ""])
+        writer.writerows(_grid_meta_rows(_FORMAT_TAG, weights.grid, weights.n_assets))
         writer.writerow(["meta", "lagrange_multiplier", repr(float(weights.lagrange_multiplier)), "", ""])
         writer.writerow(["meta", "sigma0", repr(float(weights.sigma0)), "", ""])
         writer.writerow(["meta", "ridge_used", repr(float(weights.ridge_used)), "", ""])
@@ -237,38 +251,20 @@ def write_weights_csv(weights: SpectralWeights, path) -> None:
 
 
 def read_weights_csv(path) -> SpectralWeights:
-    """Inverse of :func:`write_weights_csv`."""
-    path = Path(path)
-    meta: dict[str, str] = {}
-    entries: dict[int, complex] = {}
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[0] != "record":
-            raise ValidationError(f"{path}: not a weights CSV (missing header)")
-        for row in reader:
-            if row[0] == "meta":
-                meta[row[1]] = row[2]
-            elif row[0] == "weight":
-                entries[int(row[1])] = complex(float(row[3]), float(row[4]))
-            else:
-                raise ValidationError(f"{path}: unknown record kind {row[0]!r}")
-    if meta.get("format") != _FORMAT_TAG:
-        raise ValidationError(f"{path}: unsupported format tag {meta.get('format')!r}")
-    omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
-    periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
-    grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
-    n_assets = int(meta["n_assets"])
-    half = grid.n_bins * n_assets
-    full = np.zeros(2 * half, dtype=np.complex128)
-    for i, value in entries.items():
-        full[i] = value
-    return SpectralWeights(
-        grid=grid,
-        n_assets=n_assets,
-        weights=AugmentedVector(upper=full[:half], lower=full[half:], enforced=True),
-        lagrange_multiplier=float(meta["lagrange_multiplier"]),
-        sigma0=float(meta["sigma0"]),
-        ridge_used=float(meta["ridge_used"]),
-        mode=meta["mode"],
-    )
+    """Inverse of :func:`write_weights_csv`.
+
+    Raises ValidationError for a foreign, truncated or otherwise malformed file.
+    """
+    with _artifact_errors(path):
+        meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("weight",))
+        half = grid.n_bins * n_assets
+        full = _place("weight", entries["weight"], (2 * half,))
+        return SpectralWeights(
+            grid=grid,
+            n_assets=n_assets,
+            weights=AugmentedVector(upper=full[:half], lower=full[half:], enforced=True),
+            lagrange_multiplier=float(meta["lagrange_multiplier"]),
+            sigma0=float(meta["sigma0"]),
+            ridge_used=float(meta["ridge_used"]),
+            mode=meta["mode"],
+        )

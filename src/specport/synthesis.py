@@ -22,7 +22,7 @@ import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, synthesize_series
 from .errors import FactorizationError, ValidationError
-from .moments import structure_project
+from .moments import _to_managed, structure_project
 
 __all__ = [
     "SynthSpec",
@@ -84,18 +84,13 @@ class SynthSpec:
 def _composite_factor(spec: SynthSpec) -> np.ndarray:
     """Factor F of the real-composite covariance: cov([Re s; Im s]) = F F^T.
 
-    The complex covariance R and pseudo-covariance P map to the symmetric real
-    matrix [[Re(R+P)/2, (Im P - Im R)/2], [(Im P + Im R)/2, Re(R-P)/2]], which
-    is factored by eigendecomposition.  Eigenvalues in [-1e-10, 0) are clipped
-    to zero with a warning; anything more negative raises.
+    [Re s; Im s] is the managed-asset vector U^H [s; conj(s)] scaled by
+    1/sqrt(2), so its covariance is half the managed-asset covariance of the
+    augmented ``spectral_cov``; it is factored by eigendecomposition.
+    Eigenvalues in [-1e-10, 0) are clipped to zero with a warning; anything
+    more negative raises.
     """
-    half = spec.half_size
-    r_grid = spec.spectral_cov[:half, :half]
-    p_grid = spec.spectral_cov[:half, half:]
-    top = np.hstack([(r_grid + p_grid).real, (p_grid - r_grid).imag])
-    bottom = np.hstack([(p_grid + r_grid).imag, (r_grid - p_grid).real])
-    composite = 0.5 * np.vstack([top, bottom])
-    composite = 0.5 * (composite + composite.T)
+    composite = 0.5 * _to_managed(spec.spectral_cov)
     eigvals, eigvecs = np.linalg.eigh(composite)
     worst = float(eigvals.min()) if eigvals.size else 0.0
     if worst < -_EIG_CLIP:

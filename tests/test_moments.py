@@ -1,5 +1,6 @@
 """Moment estimators: calibration, structure, the absolute-moment identity, serialization."""
 
+import logging
 import math
 
 import numpy as np
@@ -81,6 +82,18 @@ class TestSpectralMean:
         # equivalent to estimating on rows 6..29 with origin t0=6
         direct = estimate_spectral_mean(x[6:], grid, t0=6, snap=False)
         assert np.allclose(snapped.upper, direct.upper, atol=1e-15)
+
+    def test_snap_logged_and_warned_once_per_estimate(self, caplog):
+        grid = FrequencyGrid.from_periods((12,))
+        x = np.random.default_rng(3).standard_normal((30, 2))
+        with caplog.at_level(logging.INFO, logger="specport.moments"):
+            with pytest.warns(UserWarning, match="snapped") as caught:
+                moments = estimate_moments(x, grid)
+        assert len(caught) == 1
+        assert moments.sample_count == 24
+        (record,) = [r for r in caplog.records if r.name == "specport.moments"]
+        assert (record.snap_kept, record.snap_discarded) == (24, 6)
+        assert "kept 24" in record.getMessage() and "discarded 6" in record.getMessage()
 
     def test_unknown_mode(self):
         grid = FrequencyGrid.from_periods((12,))
@@ -261,6 +274,27 @@ class TestSerialization:
         assert loaded.mode == moments.mode
         assert np.array_equal(loaded.mean.full(), moments.mean.full())
         assert np.array_equal(loaded.covariance, moments.covariance)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: text.rindex(",")],  # truncated mid-row: a short cov row
+            lambda text: "\n".join(text.splitlines()[:-3]) + "\n",  # truncated at a row end
+            lambda text: text.replace("meta,omegas,", "meta,frequencies,"),  # missing meta row
+            lambda text: text.replace("meta,n_assets,", "meta,assets,"),  # missing meta row
+            lambda text: text.replace("cov,0,1,", "cov,0,x,"),  # non-integer index
+            lambda text: text.replace("cov,0,1,", "cov,0,-1,"),  # index out of range
+            lambda text: text.replace("mean,1,,", "mean,0,,"),  # duplicate index
+        ],
+    )
+    def test_malformed_file_raises_validation_error(self, tmp_path, damage):
+        rng = np.random.default_rng(18)
+        grid = FrequencyGrid.from_periods((12, 6))
+        path = tmp_path / "moments.csv"
+        write_moments_csv(estimate_moments(rng.standard_normal((24, 2)), grid), path)
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(ValidationError, match="moments.csv"):
+            read_moments_csv(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.csv"

@@ -14,6 +14,7 @@ from specport import (
     SpectralMoments,
     ValidationError,
     equal_weight,
+    estimate_moments,
     read_weights_csv,
     retrieve_allocation,
     solve_classical_mvo,
@@ -157,6 +158,21 @@ class TestSpectralSolver:
         assert solved.ridge_used > 0
 
 
+    def test_fewer_samples_than_managed_assets_raises(self):
+        # N=50, M=4, T=120: 2MN=400 > T, so the sample covariance is singular; with
+        # only the tiny default ridge the solve would return a gross leverage of ~1e4
+        rng = np.random.default_rng(120)
+        grid = FrequencyGrid.from_periods((12, 6, 4, 3))
+        moments = estimate_moments(0.02 * rng.standard_normal((120, 50)), grid)
+        for ridge in (None, 0.0):
+            with pytest.raises(SingularCovarianceError, match=r"T = 120 .* 2MN = 400"):
+                solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=ridge))
+        # an explicit positive ridge is a documented regularization and is honoured
+        solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=1e-4))
+        assert solved.ridge_used == 1e-4
+        assert constraint_value(solved, moments.covariance) == pytest.approx(1e-4, rel=1e-10)
+
+
 class TestRiskSpec:
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -253,3 +269,22 @@ class TestWeightsSerialization:
         assert loaded.sigma0 == solved.sigma0
         assert loaded.ridge_used == solved.ridge_used
         assert loaded.grid.omegas == solved.grid.omegas
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: text.rindex(",")],  # truncated mid-row: a short row
+            lambda text: "\n".join(text.splitlines()[:-1]) + "\n",  # last entry missing
+            lambda text: text.replace("meta,sigma0,", "meta,sigma_zero,"),  # missing meta row
+            lambda text: text.replace("weight,3,", "weight,three,"),  # non-integer index
+            lambda text: text.replace("weight,3,", "weight,99,"),  # index out of range
+            lambda text: text.replace("weight,3,", "weight,2,"),  # duplicate index
+        ],
+    )
+    def test_malformed_file_raises_validation_error(self, tmp_path, damage):
+        moments = random_structured_moments(36, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
+        path = tmp_path / "weights.csv"
+        write_weights_csv(solve_spectral_mvo(moments, RiskSpec(sigma0=0.01)), path)
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(ValidationError, match="weights.csv"):
+            read_weights_csv(path)

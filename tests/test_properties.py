@@ -1,0 +1,109 @@
+"""Property tests: the augmented <-> managed-asset map, the estimator and the real solver.
+
+The complex augmented statistics are a unitary change of coordinates of a real
+mean-variance problem on 2MN managed assets.  These properties pin that map
+and check the real code path against direct complex computations.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specport import (
+    FrequencyGrid,
+    RiskSpec,
+    build_basis,
+    estimate_moments,
+    project_spectrum,
+    solve_spectral_mvo,
+    structure_project,
+)
+from specport.moments import _to_augmented, _to_managed
+
+from conftest import random_structured_moments
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+grids = st.lists(
+    st.sampled_from((24, 12, 10, 8, 6, 5, 4, 3)), min_size=1, max_size=3, unique=True
+).map(FrequencyGrid.from_periods)
+asset_counts = st.integers(min_value=1, max_value=3)
+
+
+def random_symmetric(seed, dim):
+    """An exactly symmetric real matrix of mixed sign and scale."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-3, 3)
+    return raw + raw.T
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, half=st.integers(min_value=1, max_value=12))
+def test_managed_augmented_round_trip(seed, half):
+    managed = random_symmetric(seed, 2 * half)
+    augmented = _to_augmented(managed)
+    scale = np.max(np.abs(managed))
+    assert np.max(np.abs(_to_managed(augmented) - managed)) <= 4e-16 * scale
+    # unitary: trace and eigenvalues carry over
+    assert abs(np.trace(augmented) - np.trace(managed)) <= 1e-13 * scale * half
+    assert np.allclose(
+        np.linalg.eigvalsh(augmented), np.linalg.eigvalsh(managed), rtol=0, atol=1e-12 * scale * half
+    )
+    theta = np.random.default_rng(seed + 1).standard_normal(2 * half)
+    vector = _to_augmented(theta)
+    assert np.array_equal(vector[half:], np.conj(vector[:half]))
+    assert np.max(np.abs(_to_managed(vector) - theta)) <= 4e-16 * np.max(np.abs(theta))
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, half=st.integers(min_value=1, max_value=12))
+def test_augmented_form_is_exactly_structured(seed, half):
+    augmented = _to_augmented(random_symmetric(seed, 2 * half))
+    assert np.array_equal(structure_project(augmented), augmented)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, grid=grids, n_assets=asset_counts, periods=st.integers(min_value=1, max_value=3))
+def test_estimator_matches_per_sample_projection(seed, grid, n_assets, periods):
+    """Mean and covariance equal the averages of B(t)^H x(t) and its centred outer products."""
+    rng = np.random.default_rng(seed)
+    n_samples = periods * grid.least_common_period()
+    panel = rng.standard_normal((n_samples, n_assets))
+    moments = estimate_moments(panel, grid)
+    projected = np.array(
+        [project_spectrum(build_basis(t, grid, n_assets), panel[t]).full() for t in range(n_samples)]
+    )
+    mean = projected.mean(axis=0)
+    deviations = projected - mean
+    cov = deviations.T @ deviations.conj() / n_samples
+    assert np.max(np.abs(moments.mean.full() - mean)) <= 1e-13
+    assert np.max(np.abs(moments.covariance - cov)) <= 1e-13 * max(1.0, np.max(np.abs(cov)))
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, grid=grids, n_assets=asset_counts, sigma0=st.floats(min_value=1e-4, max_value=1.0))
+def test_real_solver_matches_complex_closed_form(seed, grid, n_assets, sigma0):
+    moments = random_structured_moments(seed, grid=grid, n_assets=n_assets)
+    solved = solve_spectral_mvo(moments, RiskSpec(sigma0=sigma0))
+    mean = moments.mean.full()
+    regularized = moments.covariance + solved.ridge_used * np.eye(2 * moments.half_size)
+    direction = np.linalg.solve(regularized, mean)
+    quad = float(np.vdot(mean, direction).real)
+    expected = sigma0 * direction / math.sqrt(quad)
+    assert np.max(np.abs(solved.weights.full() - expected)) <= 1e-9 * np.max(np.abs(expected))
+    assert math.isclose(solved.lagrange_multiplier, math.sqrt(quad) / (2 * sigma0), rel_tol=1e-9)
+    assert solved.weights.is_conjugate_symmetric(0.0)
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, grid=grids, n_assets=asset_counts, factor=st.floats(min_value=1e-3, max_value=1e3))
+def test_direction_invariant_to_sigma0_scale(seed, grid, n_assets, factor):
+    moments = random_structured_moments(seed, grid=grid, n_assets=n_assets)
+    base = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
+    scaled = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01 * factor))
+    assert scaled.ridge_used == base.ridge_used
+    assert np.allclose(scaled.weights.full(), factor * base.weights.full(), rtol=1e-12, atol=0)
+    assert math.isclose(scaled.lagrange_multiplier * factor, base.lagrange_multiplier, rel_tol=1e-12)
