@@ -417,28 +417,19 @@ class BacktestReport:
         paths["report"] = report_path
 
         cum_path = out_dir / "cumulative_returns.csv"
-        with cum_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["timestamp"] + [s.slug for s in self.strategies])
-            for i, ts in enumerate(self.out_timestamps):
-                writer.writerow([ts] + [repr(float(s.cumulative[i])) for s in self.strategies])
+        cumulative = np.column_stack([s.cumulative for s in self.strategies])
+        slugs = [s.slug for s in self.strategies]
+        _write_table(cum_path, ["timestamp"] + slugs, self.out_timestamps, cumulative)
         paths["cumulative_returns"] = cum_path
 
         sharpe_path = out_dir / "plot_sharpe.csv"
-        with sharpe_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["strategy", "sharpe"])
-            for s in self.strategies:
-                writer.writerow([s.name, repr(float(s.sharpe))])
+        sharpes = np.array([[s.sharpe] for s in self.strategies])
+        _write_table(sharpe_path, ["strategy", "sharpe"], [s.name for s in self.strategies], sharpes)
         paths["plot_sharpe"] = sharpe_path
 
         for s in self.strategies:
             alloc_path = out_dir / f"allocations_{s.slug}.csv"
-            with alloc_path.open("w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["timestamp"] + list(asset_names))
-                for i, ts in enumerate(self.out_timestamps):
-                    writer.writerow([ts] + [repr(float(v)) for v in s.allocations[i]])
+            _write_table(alloc_path, ["timestamp"] + list(asset_names), self.out_timestamps, s.allocations)
             paths[f"allocations_{s.slug}"] = alloc_path
 
         spectral = [s for s in self.strategies if s.slug.startswith("spectral")]
@@ -447,15 +438,9 @@ class BacktestReport:
             ppy = int(self.metadata.get("periods_per_year", 12))
             target = spectral[-1]
             months = np.array([_month_of_year(ts, ppy) for ts in self.out_timestamps])
-            with month_path.open("w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["month"] + list(asset_names))
-                for month in range(1, ppy + 1):
-                    mask = months == month
-                    if not np.any(mask):
-                        continue
-                    means = target.allocations[mask].mean(axis=0)
-                    writer.writerow([month] + [repr(float(v)) for v in means])
+            present = [month for month in range(1, ppy + 1) if np.any(months == month)]
+            means = np.array([target.allocations[months == month].mean(axis=0) for month in present])
+            _write_table(month_path, ["month"] + list(asset_names), present, means)
             paths["allocation_by_month"] = month_path
 
         if self.moments is not None:
@@ -463,6 +448,18 @@ class BacktestReport:
             write_moments_csv(self.moments, moments_path)
             paths["spectral_moments"] = moments_path
         return paths
+
+
+def _write_table(path: Path, header: Sequence[str], labels: Sequence, values: np.ndarray) -> None:
+    """CSV with ``header``, then one row per label: the label and that row of ``values``.
+
+    The whole table goes through one ``writerows`` call; ``csv`` writes the
+    Python floats from ``tolist`` with ``repr``, so values round-trip exactly.
+    """
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(labels, *np.asarray(values, dtype=np.float64).T.tolist()))
 
 
 def _month_of_year(ts, periods_per_year: int) -> int:

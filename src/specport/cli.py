@@ -12,6 +12,7 @@ periods in samples, with A/S/Q shortcuts for 12/6/3 on monthly data.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from . import __version__
 from .backtest import (
     PERIOD_LETTERS,
     ProtocolConfig,
+    _write_table,
     compute_returns,
     ingest_csv,
     read_returns_csv,
@@ -85,16 +87,6 @@ def _month_sequence(start: str, count: int) -> list[str]:
     return out
 
 
-def _write_panel_csv(path: Path, timestamps, names, values) -> None:
-    import csv
-
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["date"] + list(names))
-        for ts, row in zip(timestamps, values):
-            writer.writerow([ts] + [repr(float(v)) for v in row])
-
-
 def _cmd_synth(args) -> int:
     if args.horizon < 1:
         raise ValidationError("horizon (-T) must be >= 1")
@@ -122,10 +114,10 @@ def _cmd_synth(args) -> int:
         prices = 100.0 * np.cumprod(1.0 + values, axis=0)
         prices = np.vstack([np.full((1, spec.n_assets), 100.0), prices])
         timestamps = _month_sequence(args.start_date, prices.shape[0])
-        _write_panel_csv(out, timestamps, names, prices)
+        _write_table(out, ["date"] + names, timestamps, prices)
     else:
         timestamps = list(range(values.shape[0]))
-        _write_panel_csv(out, timestamps, names, values)
+        _write_table(out, ["date"] + names, timestamps, values)
 
     _write_config_echo(
         out.with_name(out.name + ".config.json"),
@@ -178,13 +170,10 @@ def _cmd_estimate(args) -> int:
         rows.append((m, periods[m] if periods else "", mean_norm, r_norm, p_norm, psd_trace))
         print(f"{m:>3} {rows[-1][1]:>7} {mean_norm:>12.6e} {r_norm:>12.6e} {p_norm:>12.6e} {psd_trace:>12.6e}")
 
-    import csv
-
     with (out_dir / "moments_summary.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bin", "period", "mean_norm", "cov_norm", "pseudo_norm", "psd_trace"])
-        for row in rows:
-            writer.writerow([row[0], row[1]] + [repr(v) for v in row[2:]])
+        writer.writerows(rows)
 
     _write_config_echo(
         out_dir / "estimate_config.json",

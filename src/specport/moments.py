@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import logging
 import math
 import warnings
@@ -405,24 +406,45 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
 
 # --- flat CSV serialization (lossless at double precision) ---------------------
 
-_FORMAT_TAG = "specport-moments-v1"
+_FORMAT_TAG = "specport-moments-v2"
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _grid_meta_rows(format_tag: str, grid: FrequencyGrid, n_assets: int) -> list[list[str]]:
-    """The leading ``meta`` rows shared by the moments and weights files."""
+def _write_records(path, format_tag: str, grid: FrequencyGrid, n_assets: int, meta, blocks) -> None:
+    """Write a flat CSV artifact: header, ``meta`` rows, numeric rows, then the ``end`` row.
+
+    ``meta`` lists (key, value) string pairs that follow the shared grid rows;
+    ``blocks`` holds the numeric rows, one list per record kind, each written
+    with one ``writerows`` call.  The closing ``end,<count>,,,`` row counts
+    every row between the header and itself, so a reader detects a file cut
+    short anywhere, even inside the last number.  ``csv`` writes Python floats
+    with ``repr``, so round trips are bit-exact.
+    """
     periods = ";".join(str(p) for p in grid.periods) if grid.periods else ""
-    return [
-        ["record", "i", "j", "re", "im"],
-        ["meta", "format", format_tag, "", ""],
-        ["meta", "omegas", ";".join(_fmt(w) for w in grid.omegas), "", ""],
-        ["meta", "periods", periods, "", ""],
-        ["meta", "label", grid.sample_period_label, "", ""],
-        ["meta", "n_assets", str(n_assets), "", ""],
+    meta = [
+        ("format", format_tag),
+        ("omegas", ";".join(_fmt(w) for w in grid.omegas)),
+        ("periods", periods),
+        ("label", grid.sample_period_label),
+        ("n_assets", str(n_assets)),
+        *meta,
     ]
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["record", "i", "j", "re", "im"])
+        writer.writerows(["meta", key, value, "", ""] for key, value in meta)
+        for rows in blocks:
+            writer.writerows(rows)
+        writer.writerow(["end", len(meta) + sum(map(len, blocks)), "", "", ""])
+
+
+def _vector_rows(kind: str, values: np.ndarray) -> list[tuple]:
+    """``kind,index,,re,im`` rows for a complex vector."""
+    kinds, blanks = itertools.repeat(kind), itertools.repeat("")
+    return list(zip(kinds, range(values.size), blanks, values.real.tolist(), values.imag.tolist()))
 
 
 @contextlib.contextmanager
@@ -440,16 +462,26 @@ def _read_records(path, format_tag: str, kinds: tuple[str, ...]):
     """Parse a flat CSV artifact into (meta, grid, n_assets, entries).
 
     ``entries[kind]`` holds (indices, re, im) lists for each numeric record
-    kind.  Call inside :func:`_artifact_errors`.
+    kind.  The file must close with the ``end`` row written by
+    :func:`_write_records`, carrying the count of rows before it.  Call inside
+    :func:`_artifact_errors`.
     """
     meta: dict[str, str] = {}
     entries: dict[str, tuple[list, list, list]] = {kind: ([], [], []) for kind in kinds}
+    count = 0
+    end = None
     with Path(path).open(newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header or header[0] != "record":
             raise ValidationError(f"{path}: not a {format_tag} CSV (missing header)")
         for row in reader:
+            if end is not None:
+                raise ValidationError(f"{path}: rows after the end row")
+            if row[0] == "end":
+                end = row
+                continue
+            count += 1
             if row[0] == "meta":
                 meta[row[1]] = row[2]
             elif row[0] in entries:
@@ -461,28 +493,42 @@ def _read_records(path, format_tag: str, kinds: tuple[str, ...]):
                 raise ValidationError(f"{path}: unknown record kind {row[0]!r}")
     if meta.get("format") != format_tag:
         raise ValidationError(f"{path}: unsupported format tag {meta.get('format')!r}")
+    if end is None:
+        raise ValidationError(f"{path}: truncated file (no end row)")
+    if end[1:] != [str(count), "", "", ""]:
+        raise ValidationError(f"{path}: truncated file (end row {end!r} after {count} rows)")
     omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
     periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
     grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
     return meta, grid, int(meta["n_assets"]), entries
 
 
-def _place(kind: str, entries: tuple[list, list, list], shape: tuple[int, ...]) -> np.ndarray:
-    """Complex array of ``shape`` from parsed entries; each index must occur exactly once.
+def _place(kind: str, entries: tuple[list, list, list], shape: tuple[int, ...], expected=None) -> np.ndarray:
+    """Complex array of ``shape`` from parsed entries.
 
-    Raises ValueError, which :func:`_artifact_errors` reports with the file name.
+    The entries' flat indices must be exactly ``expected`` (sorted; default:
+    every index of ``shape``), each once; other positions stay zero.  Raises
+    ValueError, which :func:`_artifact_errors` reports with the file name.
     """
     indices, re, im = entries
     size = math.prod(shape)
-    if len(indices) != size:
-        raise ValueError(f"expected {size} {kind} entries, found {len(indices)}")
+    if expected is None:
+        expected = np.arange(size)
+    if len(indices) != expected.size:
+        raise ValueError(f"expected {expected.size} {kind} entries, found {len(indices)}")
     flat = np.ravel_multi_index(tuple(np.array(indices).T), shape)  # ValueError when out of range
-    if np.unique(flat).size != size:
-        raise ValueError(f"duplicate {kind} entries")
+    if not np.array_equal(np.sort(flat), expected):
+        raise ValueError(f"duplicate or misplaced {kind} entries")
     out = np.zeros(size, dtype=np.complex128)
     out.real[flat] = re
     out.imag[flat] = im
     return out.reshape(shape)
+
+
+def _stored_cov_indices(half: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the stored covariance entries: the upper triangles of R, then of P."""
+    rows, cols = np.triu_indices(half)
+    return np.concatenate([rows, rows]), np.concatenate([cols, cols + half])
 
 
 def write_moments_csv(moments: SpectralMoments, path) -> None:
@@ -490,41 +536,58 @@ def write_moments_csv(moments: SpectralMoments, path) -> None:
 
     Layout: ``meta`` rows (grid frequencies/periods, label, n_assets, n_bins,
     sample_count, mode), then ``mean,index,,re,im`` rows for the full stacked
-    mean, then ``cov,row,col,re,im`` rows.  Floats are written with repr so the
-    round trip is bit-exact.
+    mean, then ``cov,row,col,re,im`` rows for the upper triangles (diagonal
+    included) of R and of P only, then the ``end`` row.  The rest of the
+    augmented covariance [[R, P], [conj(P), conj(R)]] follows from R being
+    Hermitian and P symmetric.
+
+    Raises ValidationError when the covariance does not have that structure
+    exactly, since the omitted entries would then be lost.
     """
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerows(_grid_meta_rows(_FORMAT_TAG, moments.grid, moments.n_assets))
-        writer.writerow(["meta", "n_bins", str(moments.grid.n_bins), "", ""])
-        writer.writerow(["meta", "sample_count", str(moments.sample_count), "", ""])
-        writer.writerow(["meta", "mode", moments.mode, "", ""])
-        full_mean = moments.mean.full()
-        for i, value in enumerate(full_mean):
-            writer.writerow(["mean", str(i), "", _fmt(value.real), _fmt(value.imag)])
-        cov = moments.covariance
-        for i in range(cov.shape[0]):
-            for j in range(cov.shape[1]):
-                writer.writerow(["cov", str(i), str(j), _fmt(cov[i, j].real), _fmt(cov[i, j].imag)])
+    cov = moments.covariance
+    if not np.array_equal(cov, structure_project(cov)):
+        raise ValidationError(
+            "covariance is not exactly [[R, P], [conj(P), conj(R)]] with R Hermitian and "
+            "P symmetric; apply structure_project before writing"
+        )
+    rows, cols = _stored_cov_indices(moments.half_size)
+    stored = cov[rows, cols]
+    cov_rows = list(
+        zip(itertools.repeat("cov"), rows.tolist(), cols.tolist(), stored.real.tolist(), stored.imag.tolist())
+    )
+    meta = [
+        ("n_bins", str(moments.grid.n_bins)),
+        ("sample_count", str(moments.sample_count)),
+        ("mode", moments.mode),
+    ]
+    blocks = [_vector_rows("mean", moments.mean.full()), cov_rows]
+    _write_records(path, _FORMAT_TAG, moments.grid, moments.n_assets, meta, blocks)
 
 
 def read_moments_csv(path) -> SpectralMoments:
-    """Inverse of :func:`write_moments_csv`.
+    """Inverse of :func:`write_moments_csv`, bit-exact.
 
-    Raises ValidationError for a foreign, truncated or otherwise malformed file.
+    Rebuilds the covariance by mirroring the stored triangles: R's lower
+    triangle as conj(R^T), P's as P^T, and the lower block row as
+    [conj(P), conj(R)].  Raises ValidationError for a foreign, truncated or
+    otherwise malformed file, including one whose ``cov`` rows are not exactly
+    the stored index set.
     """
     with _artifact_errors(path):
         meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("mean", "cov"))
-        dim = 2 * grid.n_bins * n_assets
-        full_mean = _place("mean", entries["mean"], (dim,))
-        cov = _place("cov", entries["cov"], (dim, dim))
-        half = dim // 2
+        half = grid.n_bins * n_assets
+        full_mean = _place("mean", entries["mean"], (2 * half,))
+        expected = np.sort(np.ravel_multi_index(_stored_cov_indices(half), (half, 2 * half)))
+        upper = _place("cov", entries["cov"], (half, 2 * half), expected)
+        r_grid, p_grid = upper[:, :half], upper[:, half:]
+        lower = np.tril_indices(half, -1)
+        r_grid[lower] = np.conj(r_grid.T[lower])
+        p_grid[lower] = p_grid.T[lower]
         return SpectralMoments(
             grid=grid,
             n_assets=n_assets,
             mean=AugmentedVector(upper=full_mean[:half], lower=full_mean[half:], enforced=True),
-            covariance=cov,
+            covariance=np.block([[r_grid, p_grid], [np.conj(p_grid), np.conj(r_grid)]]),
             sample_count=int(meta["sample_count"]),
             mode=meta["mode"],
         )

@@ -17,10 +17,8 @@ comparisons isolate the change of statistics, not the constraint style.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,11 +27,12 @@ from .errors import DegenerateMeanError, SingularCovarianceError, ValidationErro
 from .moments import (
     SpectralMoments,
     _artifact_errors,
-    _grid_meta_rows,
     _place,
     _read_records,
     _to_augmented,
     _to_managed,
+    _vector_rows,
+    _write_records,
 )
 
 __all__ = [
@@ -233,21 +232,19 @@ def predicted_variance(weights: SpectralWeights, moments: SpectralMoments) -> fl
 
 # --- serialization (same flat-CSV conventions as the moments) ------------------
 
-_FORMAT_TAG = "specport-weights-v1"
+_FORMAT_TAG = "specport-weights-v2"
 
 
 def write_weights_csv(weights: SpectralWeights, path) -> None:
-    """Flat CSV: meta rows then ``weight,index,,re,im`` rows for the stacked vector."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerows(_grid_meta_rows(_FORMAT_TAG, weights.grid, weights.n_assets))
-        writer.writerow(["meta", "lagrange_multiplier", repr(float(weights.lagrange_multiplier)), "", ""])
-        writer.writerow(["meta", "sigma0", repr(float(weights.sigma0)), "", ""])
-        writer.writerow(["meta", "ridge_used", repr(float(weights.ridge_used)), "", ""])
-        writer.writerow(["meta", "mode", weights.mode, "", ""])
-        for i, value in enumerate(weights.weights.full()):
-            writer.writerow(["weight", str(i), "", repr(float(value.real)), repr(float(value.imag))])
+    """Flat CSV: meta rows, ``weight,index,,re,im`` rows for the stacked vector, the ``end`` row."""
+    meta = [
+        ("lagrange_multiplier", repr(float(weights.lagrange_multiplier))),
+        ("sigma0", repr(float(weights.sigma0))),
+        ("ridge_used", repr(float(weights.ridge_used))),
+        ("mode", weights.mode),
+    ]
+    blocks = [_vector_rows("weight", weights.weights.full())]
+    _write_records(path, _FORMAT_TAG, weights.grid, weights.n_assets, meta, blocks)
 
 
 def read_weights_csv(path) -> SpectralWeights:

@@ -1,5 +1,6 @@
-"""Ingestion, returns, splitting, strategy evaluation, and the full protocol."""
+"""Ingestion, returns, splitting, strategy evaluation, the full protocol and its artifacts."""
 
+import csv
 import datetime
 import logging
 import math
@@ -272,6 +273,38 @@ class TestProtocol:
             assert paths[key].exists()
         month_rows = paths["allocation_by_month"].read_text().strip().splitlines()
         assert len(month_rows) == 13  # header + one row per calendar month
+
+    def test_written_artifacts_read_back_exactly(self, tmp_path):
+        market = self.make_market(seed=4)
+        report = run_protocol(ProtocolConfig(data=market, boundary=60, grids=((12,), (12, 6))))
+        names = ["A,1", 'B "two"', "C", "D"]  # names that csv must quote
+        paths = report.write_outputs(tmp_path, names)
+
+        def read(key):
+            with paths[key].open(newline="") as handle:
+                rows = list(csv.reader(handle))
+            values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+            return rows[0], [row[0] for row in rows[1:]], values
+
+        stamps = [str(ts) for ts in report.out_timestamps]
+        header, labels, values = read("cumulative_returns")
+        assert header == ["timestamp"] + [s.slug for s in report.strategies]
+        assert labels == stamps
+        assert np.array_equal(values, np.column_stack([s.cumulative for s in report.strategies]))
+        for s in report.strategies:
+            header, labels, values = read(f"allocations_{s.slug}")
+            assert header == ["timestamp"] + names
+            assert labels == stamps
+            assert np.array_equal(values, s.allocations)
+        header, labels, values = read("plot_sharpe")
+        assert labels == [s.name for s in report.strategies]
+        assert np.array_equal(values[:, 0], [s.sharpe for s in report.strategies])
+        header, labels, values = read("allocation_by_month")
+        assert header == ["month"] + names
+        months = (np.array(report.out_timestamps) % 12) + 1
+        target = report.strategies[1].allocations
+        assert labels == [str(m) for m in range(1, 13)]
+        assert np.array_equal(values, [target[months == m].mean(axis=0) for m in range(1, 13)])
 
     def test_demean_flag_changes_estimation_only(self):
         market = self.make_market(seed=12)

@@ -296,6 +296,36 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="moments.csv"):
             read_moments_csv(path)
 
+    def test_truncation_inside_last_number_raises(self, tmp_path):
+        rng = np.random.default_rng(19)
+        path = tmp_path / "moments.csv"
+        grid = FrequencyGrid.from_periods((12, 6))
+        write_moments_csv(estimate_moments(rng.standard_normal((24, 2)), grid), path)
+        text = path.read_text()
+        last_row_end = text.rindex("\nend,")
+        assert text[last_row_end - 3].isdigit()  # the cut lands inside the last cov number
+        path.write_text(text[: last_row_end - 2])
+        with pytest.raises(ValidationError, match="moments.csv.*no end row"):
+            read_moments_csv(path)
+
+    def test_write_rejects_inexact_structure(self, tmp_path):
+        rng = np.random.default_rng(20)
+        moments = estimate_moments(rng.standard_normal((24, 2)), FrequencyGrid.from_periods((12, 6)))
+        cov = np.array(moments.covariance)
+        half = moments.half_size
+        cov[half + 1, 0] = complex(np.nextafter(cov[half + 1, 0].real, np.inf), cov[half + 1, 0].imag)
+        perturbed = SpectralMoments(
+            grid=moments.grid,
+            n_assets=moments.n_assets,
+            mean=moments.mean,
+            covariance=cov,
+            sample_count=moments.sample_count,
+        )
+        path = tmp_path / "moments.csv"
+        with pytest.raises(ValidationError, match="structure_project"):
+            write_moments_csv(perturbed, path)
+        assert not path.exists()
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.csv"
         path.write_text("a,b,c\n1,2,3\n")

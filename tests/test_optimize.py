@@ -288,3 +288,14 @@ class TestWeightsSerialization:
         path.write_text(damage(path.read_text()))
         with pytest.raises(ValidationError, match="weights.csv"):
             read_weights_csv(path)
+
+    def test_truncation_inside_last_number_raises(self, tmp_path):
+        moments = random_structured_moments(37, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
+        path = tmp_path / "weights.csv"
+        write_weights_csv(solve_spectral_mvo(moments, RiskSpec(sigma0=0.01)), path)
+        text = path.read_text()
+        # the end row is shorter than 20 bytes, so the cut lands inside the last weight
+        assert len(text) - text.rindex("\nend,") < 20 and text[-21].isdigit()
+        path.write_text(text[:-20])
+        with pytest.raises(ValidationError, match="weights.csv.*no end row"):
+            read_weights_csv(path)

@@ -1,4 +1,5 @@
-"""Property tests: the augmented <-> managed-asset map, the estimator and the real solver.
+"""Property tests: the augmented <-> managed-asset map, the estimator, the real solver,
+the artifact round trips and the allocation path.
 
 The complex augmented statistics are a unitary change of coordinates of a real
 mean-variance problem on 2MN managed assets.  These properties pin that map
@@ -6,9 +7,11 @@ and check the real code path against direct complex computations.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specport import (
@@ -17,8 +20,13 @@ from specport import (
     build_basis,
     estimate_moments,
     project_spectrum,
+    read_moments_csv,
+    read_weights_csv,
+    retrieve_allocation,
     solve_spectral_mvo,
     structure_project,
+    write_moments_csv,
+    write_weights_csv,
 )
 from specport.moments import _to_augmented, _to_managed
 
@@ -107,3 +115,73 @@ def test_direction_invariant_to_sigma0_scale(seed, grid, n_assets, factor):
     assert scaled.ridge_used == base.ridge_used
     assert np.allclose(scaled.weights.full(), factor * base.weights.full(), rtol=1e-12, atol=0)
     assert math.isclose(scaled.lagrange_multiplier * factor, base.lagrange_multiplier, rel_tol=1e-12)
+
+
+# Periods include 7, so grids such as (12, 7, 5) whose periods do not divide
+# one another (least common period 420) occur.
+serial_grids = st.lists(
+    st.sampled_from((24, 12, 10, 8, 7, 6, 5, 4, 3)), min_size=1, max_size=3, unique=True
+).map(FrequencyGrid.from_periods)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    grid=serial_grids,
+    n_assets=asset_counts,
+    n_samples=st.integers(min_value=2, max_value=60),
+    mode=st.sampled_from(("paper-literal", "consistent")),
+)
+@example(seed=0, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=3, n_samples=17, mode="consistent")
+def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, n_samples, mode):
+    panel = np.random.default_rng(seed).standard_normal((n_samples, n_assets))
+    moments = estimate_moments(panel, grid, mode=mode, snap=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "moments.csv"
+        write_moments_csv(moments, path)
+        loaded = read_moments_csv(path)
+    assert np.array_equal(loaded.mean.full(), moments.mean.full())
+    assert np.array_equal(loaded.covariance, moments.covariance)
+    assert (loaded.grid, loaded.n_assets, loaded.sample_count, loaded.mode) == (
+        moments.grid,
+        moments.n_assets,
+        moments.sample_count,
+        moments.mode,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, grid=serial_grids, n_assets=asset_counts, sigma0=st.floats(min_value=1e-4, max_value=1.0))
+def test_weights_file_round_trip_is_bit_exact(seed, grid, n_assets, sigma0):
+    moments = random_structured_moments(seed, grid=grid, n_assets=n_assets)
+    solved = solve_spectral_mvo(moments, RiskSpec(sigma0=sigma0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights.csv"
+        write_weights_csv(solved, path)
+        loaded = read_weights_csv(path)
+    assert np.array_equal(loaded.weights.full(), solved.weights.full())
+    assert (loaded.lagrange_multiplier, loaded.sigma0, loaded.ridge_used) == (
+        solved.lagrange_multiplier,
+        solved.sigma0,
+        solved.ridge_used,
+    )
+    assert (loaded.grid, loaded.n_assets, loaded.mode) == (solved.grid, solved.n_assets, solved.mode)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    grid=serial_grids,
+    n_assets=asset_counts,
+    start=st.integers(min_value=0, max_value=500),
+    length=st.integers(min_value=1, max_value=40),
+)
+def test_allocation_path_is_real_finite_and_periodic(seed, grid, n_assets, start, length):
+    moments = random_structured_moments(seed, grid=grid, n_assets=n_assets)
+    solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
+    t = np.arange(start, start + length)
+    path = retrieve_allocation(solved, t)
+    shifted = retrieve_allocation(solved, t + grid.least_common_period())
+    assert path.shape == (length, n_assets)
+    assert np.isrealobj(path) and np.all(np.isfinite(path))
+    assert np.allclose(shifted, path, rtol=0, atol=1e-9 * np.max(np.abs(path)))
