@@ -162,7 +162,9 @@ def _to_managed(augmented: np.ndarray) -> np.ndarray:
 
     Reads only the upper half of a vector and the upper block row [R, P] of a
     matrix, which determine a conjugate-symmetric vector and an augmented
-    covariance completely.
+    covariance completely.  The matrix blocks [[Re(R + P), Im(P - R)],
+    [Im(R + P), Re(R - P)]] are summed part by part straight into one real
+    array, with the same roundings as the complex sums.
     """
     augmented = np.asarray(augmented, dtype=np.complex128)
     half = augmented.shape[0] // 2
@@ -170,12 +172,12 @@ def _to_managed(augmented: np.ndarray) -> np.ndarray:
         upper = augmented[:half] * math.sqrt(2)
         return np.concatenate([upper.real, upper.imag])
     r_grid, p_grid = augmented[:half, :half], augmented[:half, half:]
-    return np.block(
-        [
-            [(r_grid + p_grid).real, (p_grid - r_grid).imag],
-            [(r_grid + p_grid).imag, (r_grid - p_grid).real],
-        ]
-    )
+    out = np.empty(augmented.shape, dtype=np.float64)
+    np.add(r_grid.real, p_grid.real, out=out[:half, :half])
+    np.subtract(p_grid.imag, r_grid.imag, out=out[:half, half:])
+    np.add(r_grid.imag, p_grid.imag, out=out[half:, :half])
+    np.subtract(r_grid.real, p_grid.real, out=out[half:, half:])
+    return out
 
 
 def _centred_moments(centred: np.ndarray, grid: FrequencyGrid, mean: AugmentedVector, mode: str):

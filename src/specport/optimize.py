@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 _MEAN_EPS = 1e-14
+# Rows per diagonal block in the triangular substitutions; off-diagonal
+# updates are matrix-vector products, so the block size only bounds the
+# small dense solves.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -63,10 +67,10 @@ class RiskSpec:
     ridge: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.sigma0 > 0.0):
-            raise ValidationError("sigma0 must be positive")
-        if self.ridge is not None and self.ridge < 0.0:
-            raise ValidationError("ridge must be >= 0")
+        if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
+            raise ValidationError(f"sigma0 must be positive and finite, got {self.sigma0!r}")
+        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0.0):
+            raise ValidationError(f"ridge must be finite and >= 0, got {self.ridge!r}")
 
     def ridge_for(self, covariance: np.ndarray) -> float:
         if self.ridge is not None:
@@ -111,11 +115,32 @@ class StaticWeights:
         object.__setattr__(self, "weights", weights)
 
 
+def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L y = rhs for lower-triangular L, one block of rows at a time."""
+    y = np.empty_like(rhs)
+    for start in range(0, rhs.shape[0], _BLOCK):
+        stop = min(start + _BLOCK, rhs.shape[0])
+        partial = rhs[start:stop] - lower[start:stop, :start] @ y[:start]
+        y[start:stop] = np.linalg.solve(lower[start:stop, start:stop], partial)
+    return y
+
+
+def _backward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L^T z = rhs for lower-triangular L, last block of rows first."""
+    z = np.empty_like(rhs)
+    for start in reversed(range(0, rhs.shape[0], _BLOCK)):
+        stop = min(start + _BLOCK, rhs.shape[0])
+        partial = rhs[start:stop] - lower[stop:, start:stop].T @ z[stop:]
+        z[start:stop] = np.linalg.solve(lower[start:stop, start:stop].T, partial)
+    return z
+
+
 def _targeted_solve(matrix: np.ndarray, mean: np.ndarray, risk: RiskSpec):
     """Shared real core: z = (matrix + ridge I)^{-1} mean, scaled to the target.
 
-    A Cholesky factorization checks that the regularized matrix is positive
-    definite.  Returns (weights, multiplier, ridge_used).
+    One Cholesky factorization L L^T of the regularized matrix both checks that
+    it is positive definite and solves: z comes from a forward and a backward
+    substitution with L.  Returns (weights, multiplier, ridge_used).
     """
     if float(np.linalg.norm(mean)) <= _MEAN_EPS:
         raise DegenerateMeanError(
@@ -126,13 +151,13 @@ def _targeted_solve(matrix: np.ndarray, mean: np.ndarray, risk: RiskSpec):
     regularized = matrix.copy()
     regularized[np.diag_indices_from(regularized)] += ridge
     try:
-        np.linalg.cholesky(regularized)
+        lower = np.linalg.cholesky(regularized)
     except np.linalg.LinAlgError as exc:
         hint = "covariance is singular or indefinite"
         if ridge == 0.0:
             hint += "; retry with a positive ridge (RiskSpec.ridge)"
         raise SingularCovarianceError(hint) from exc
-    z = np.linalg.solve(regularized, mean)
+    z = _backward_substitute(lower, _forward_substitute(lower, mean))
     quad = float(mean @ z)
     if quad <= 0.0:
         raise SingularCovarianceError(

@@ -148,6 +148,21 @@ class TestBacktest:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value", [("--sigma0-annual", "inf"), ("--ridge", "nan")])
+    def test_non_finite_risk_target_exit_2(self, tmp_path, capsys, flag, value):
+        code = main(
+            [
+                "backtest",
+                "--data", str(DATA),
+                "--boundary", "2015-01",
+                flag, value,
+                "--out-dir", str(tmp_path / "bt"),
+            ]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "bt").exists()
+
     def test_missing_data_exit_2(self, tmp_path):
         code = main(
             [

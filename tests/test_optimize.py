@@ -22,6 +22,7 @@ from specport import (
     synthesize_series,
     write_weights_csv,
 )
+from specport.optimize import _targeted_solve
 
 from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments
 
@@ -180,11 +181,79 @@ class TestRiskSpec:
         with pytest.raises(ValidationError):
             RiskSpec(sigma0=0.01, ridge=-1e-9)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigma0": math.inf},
+            {"sigma0": -math.inf},
+            {"sigma0": math.nan},
+            {"sigma0": 0.01, "ridge": math.nan},
+            {"sigma0": 0.01, "ridge": math.inf},
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match="finite"):
+            RiskSpec(**kwargs)
+
     def test_default_ridge_is_scale_invariant(self):
         risk = RiskSpec(sigma0=0.01)
         cov = np.eye(4) * 3.0
         assert risk.ridge_for(cov) == pytest.approx(1e-8 * 3.0)
         assert risk.ridge_for(10 * cov) == pytest.approx(1e-7 * 3.0)
+
+
+def spd_matrix(rng, dim, condition):
+    """A random symmetric positive-definite matrix with eigenvalues log-spaced in [1/condition, 1]."""
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    eigenvalues = np.logspace(0.0, -math.log10(condition), dim)
+    matrix = (basis * eigenvalues) @ basis.T
+    return 0.5 * (matrix + matrix.T)
+
+
+def lu_reference(matrix, mean, sigma0):
+    """Targeted weights and multiplier from a dense LU solve."""
+    z = np.linalg.solve(matrix, mean)
+    quad = float(mean @ z)
+    return sigma0 * z / math.sqrt(quad), math.sqrt(quad) / (2.0 * sigma0)
+
+
+class TestFactorOnceSolve:
+    """The Cholesky-substitution core against a dense solve, across substitution block edges."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 127, 128, 129, 257, 300])
+    def test_matches_lu_reference(self, dim):
+        rng = np.random.default_rng(dim)
+        risk = RiskSpec(sigma0=0.01, ridge=0.0)
+        for condition in (1e2, 1e6, 1e10):
+            matrix = spd_matrix(rng, dim, condition)
+            mean = rng.standard_normal(dim)
+            weights, multiplier, _ = _targeted_solve(matrix, mean, risk)
+            expected_weights, expected_multiplier = lu_reference(matrix, mean, risk.sigma0)
+            # two backward-stable solves agree to a multiple of condition * eps
+            tol = 16 * np.finfo(float).eps * condition
+            error = np.linalg.norm(weights - expected_weights) / np.linalg.norm(expected_weights)
+            assert error <= tol, (condition, error)
+            assert multiplier == pytest.approx(expected_multiplier, rel=tol)
+
+    @pytest.mark.parametrize("ridge", [None, 0.0])
+    def test_one_negative_eigenvalue_raises(self, ridge):
+        rng = np.random.default_rng(5)
+        basis, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+        eigenvalues = np.linspace(1.0, 1e-3, 300)
+        eigenvalues[150] = -1e-2
+        matrix = (basis * eigenvalues) @ basis.T
+        with pytest.raises(SingularCovarianceError):
+            _targeted_solve(0.5 * (matrix + matrix.T), rng.standard_normal(300), RiskSpec(0.01, ridge=ridge))
+
+    def test_classical_200_assets_meets_variance_target(self):
+        rng = np.random.default_rng(200)
+        factors = rng.standard_normal((200, 5)) * 0.03
+        cov = factors @ factors.T + np.diag(rng.uniform(1e-4, 4e-4, 200))
+        mean = rng.standard_normal(200) * 1e-3
+        risk = RiskSpec(sigma0=0.01)
+        weights = solve_classical_mvo(mean, cov, risk).weights
+        regularized = cov + risk.ridge_for(cov) * np.eye(200)
+        assert float(weights @ regularized @ weights) == pytest.approx(risk.sigma0**2, rel=1e-10)
 
 
 class TestClassicalAndEqualWeight:

@@ -66,6 +66,35 @@ def test_managed_augmented_round_trip(seed, half):
     assert np.max(np.abs(_to_managed(vector) - theta)) <= 4e-16 * np.max(np.abs(theta))
 
 
+def block_to_managed(augmented):
+    """The earlier ``np.block`` form of :func:`_to_managed`, kept as the bit-exact reference."""
+    half = augmented.shape[0] // 2
+    if augmented.ndim == 1:
+        upper = augmented[:half] * math.sqrt(2)
+        return np.concatenate([upper.real, upper.imag])
+    r_grid, p_grid = augmented[:half, :half], augmented[:half, half:]
+    return np.block(
+        [
+            [(r_grid + p_grid).real, (p_grid - r_grid).imag],
+            [(r_grid + p_grid).imag, (r_grid - p_grid).real],
+        ]
+    )
+
+
+@PROPERTY_SETTINGS
+@given(seed=seeds, half=st.integers(min_value=1, max_value=40), zero_share=st.sampled_from((0.0, 0.5)))
+def test_to_managed_is_bit_identical_to_block_form(seed, half, zero_share):
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((2 * half, 2 * half)) * 10.0 ** rng.uniform(-3, 3)
+    raw[rng.random(raw.shape) < zero_share] = 0.0  # exact zeros give R, P parts that cancel
+    augmented = _to_augmented(raw + raw.T)
+    theta = rng.standard_normal(2 * half)
+    for value in (augmented, _to_augmented(theta)):
+        expected, got = block_to_managed(value), _to_managed(value)
+        assert np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()  # signed zeros included
+
+
 @PROPERTY_SETTINGS
 @given(seed=seeds, half=st.integers(min_value=1, max_value=12))
 def test_augmented_form_is_exactly_structured(seed, half):
