@@ -48,7 +48,6 @@ from .moments import (
     SpectralMoments,
     compute_psd,
     estimate_moments,
-    estimate_spectral_covariance,
     estimate_spectral_mean,
     read_moments_csv,
     structure_project,
@@ -91,7 +90,6 @@ __all__ = [
     "SpectralMoments",
     "PsdMatrix",
     "estimate_spectral_mean",
-    "estimate_spectral_covariance",
     "estimate_moments",
     "structure_project",
     "compute_psd",

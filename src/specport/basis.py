@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +89,7 @@ class FrequencyGrid:
         Periods must be distinct integers >= 2; they are sorted so frequencies
         2*pi/period come out strictly increasing.
         """
+        periods = tuple(periods)
         plist = [int(p) for p in periods]
         if any(p != float(q) for p, q in zip(periods, plist)):
             raise ValidationError("periods must be integers (samples per cycle)")
@@ -151,13 +152,11 @@ class AugmentedVector:
     ``upper`` holds the M*N coefficients (bin-major: bin 0 assets, bin 1
     assets, ...), ``lower`` the second half.  The vector is conjugate-symmetric
     iff lower == conj(upper), which is what makes the synthesized time-domain
-    value real.  ``enforced`` records whether that invariant was imposed at
-    construction.
+    value real.
     """
 
     upper: np.ndarray
     lower: np.ndarray
-    enforced: bool = field(default=False)
 
     def __post_init__(self) -> None:
         upper = np.asarray(self.upper, dtype=np.complex128)
@@ -172,7 +171,7 @@ class AugmentedVector:
     @classmethod
     def from_upper(cls, upper) -> "AugmentedVector":
         upper = np.asarray(upper, dtype=np.complex128)
-        return cls(upper=upper, lower=np.conj(upper), enforced=True)
+        return cls(upper=upper, lower=np.conj(upper))
 
     @classmethod
     def zeros(cls, half_size: int) -> "AugmentedVector":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -75,8 +76,11 @@ def _write_config_echo(path: Path, command: str, params: dict) -> None:
 
 
 def _month_sequence(start: str, count: int) -> list[str]:
-    """ISO first-of-month dates starting at YYYY-MM."""
-    year, month = (int(tok) for tok in start.split("-")[:2])
+    """ISO first-of-month dates starting at ``start``, an ISO month ``YYYY-MM``."""
+    match = re.fullmatch(r"(\d{4})-(\d{2})", start)
+    if match is None or not 1 <= int(match[2]) <= 12:
+        raise ValidationError(f"--start-date must be an ISO month YYYY-MM, got {start!r}")
+    year, month = int(match[1]), int(match[2])
     out = []
     for _ in range(count):
         out.append(f"{year:04d}-{month:02d}-01")
@@ -107,17 +111,16 @@ def _cmd_synth(args) -> int:
 
     values = synthesize_values(spec)
     names = [f"SYN{i + 1}" for i in range(spec.n_assets)]
+    if out_format == "prices":
+        table = 100.0 * np.cumprod(1.0 + values, axis=0)
+        table = np.vstack([np.full((1, spec.n_assets), 100.0), table])
+        timestamps = _month_sequence(args.start_date, table.shape[0])
+    else:
+        table = values
+        timestamps = list(range(values.shape[0]))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-
-    if out_format == "prices":
-        prices = 100.0 * np.cumprod(1.0 + values, axis=0)
-        prices = np.vstack([np.full((1, spec.n_assets), 100.0), prices])
-        timestamps = _month_sequence(args.start_date, prices.shape[0])
-        _write_table(out, ["date"] + names, timestamps, prices)
-    else:
-        timestamps = list(range(values.shape[0]))
-        _write_table(out, ["date"] + names, timestamps, values)
+    _write_table(out, ["date"] + names, timestamps, table)
 
     _write_config_echo(
         out.with_name(out.name + ".config.json"),
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output kind (default: returns for --example1, prices otherwise)",
     )
-    synth.add_argument("--start-date", default="2010-01", help="first month for price output")
+    synth.add_argument("--start-date", default="2010-01", help="first month for price output, ISO YYYY-MM")
     synth.set_defaults(func=_cmd_synth)
 
     estimate = sub.add_parser("estimate", help="estimate spectral moments from a panel CSV")

@@ -15,7 +15,9 @@ They work on the equivalent real problem: the augmented vector is U z(t) for
 the unitary U = (1/sqrt 2) [[I, jI], [I, -jI]] and the real "managed-asset"
 panel z(t) = (1/sqrt M) [cos(w_m t) x(t); -sin(w_m t) x(t)] of 2MN columns, so
 the augmented mean and covariance are U mean(z) and U cov(z) U^H (Brandt and
-Santa-Clara 2006; Schreier and Scharf 2010).
+Santa-Clara 2006; Schreier and Scharf 2010).  :class:`SpectralMoments` stores
+the real pair (mean(z), cov(z)), which the solver and the moments file use;
+the augmented complex forms are views derived from it.
 
 Two output scales are supported:
 
@@ -36,6 +38,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +50,6 @@ __all__ = [
     "SpectralMoments",
     "PsdMatrix",
     "estimate_spectral_mean",
-    "estimate_spectral_covariance",
     "estimate_moments",
     "structure_project",
     "compute_psd",
@@ -128,12 +130,12 @@ def _managed_panel(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool) -> np
     return panel.reshape(n_samples, 2 * n_bins * n_assets)
 
 
-def _to_augmented(managed: np.ndarray) -> np.ndarray:
+def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
     """Map a managed-asset vector or covariance to the augmented complex form.
 
     With U = (1/sqrt 2) [[I, jI], [I, -jI]] (unitary), a real vector theta
-    maps to U theta = [v; conj(v)], v = (theta_a + j theta_b) / sqrt 2, and a
-    real symmetric K maps to U K U^H = [[R, P], [conj(P), conj(R)]] with
+    maps to the AugmentedVector U theta = [v; conj(v)], v = (theta_a + j theta_b) / sqrt 2,
+    and a real symmetric K maps to the array U K U^H = [[R, P], [conj(P), conj(R)]] with
     R = (K_aa + K_bb + j (K_ba - K_ab)) / 2 and P = (K_aa - K_bb + j (K_ba + K_ab)) / 2.
     For an exactly symmetric K the result has the augmented block structure
     exactly (R Hermitian, P symmetric, conjugate blocks bit-equal).  Trace,
@@ -142,8 +144,7 @@ def _to_augmented(managed: np.ndarray) -> np.ndarray:
     managed = np.asarray(managed, dtype=np.float64)
     half = managed.shape[0] // 2
     if managed.ndim == 1:
-        upper = (managed[:half] + 1j * managed[half:]) / math.sqrt(2)
-        return np.concatenate([upper, np.conj(upper)])
+        return AugmentedVector.from_upper((managed[:half] + 1j * managed[half:]) / math.sqrt(2))
     k_aa, k_ab = managed[:half, :half], managed[:half, half:]
     k_ba, k_bb = managed[half:, :half], managed[half:, half:]
     out = np.empty(managed.shape, dtype=np.complex128)
@@ -158,19 +159,15 @@ def _to_augmented(managed: np.ndarray) -> np.ndarray:
 
 
 def _to_managed(augmented: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_to_augmented`: the real U^H y or U^H Sigma U.
+    """Inverse of :func:`_to_augmented` on matrices: the real U^H Sigma U.
 
-    Reads only the upper half of a vector and the upper block row [R, P] of a
-    matrix, which determine a conjugate-symmetric vector and an augmented
-    covariance completely.  The matrix blocks [[Re(R + P), Im(P - R)],
+    Reads only the upper block row [R, P], which determines an augmented
+    covariance completely.  The blocks [[Re(R + P), Im(P - R)],
     [Im(R + P), Re(R - P)]] are summed part by part straight into one real
     array, with the same roundings as the complex sums.
     """
     augmented = np.asarray(augmented, dtype=np.complex128)
     half = augmented.shape[0] // 2
-    if augmented.ndim == 1:
-        upper = augmented[:half] * math.sqrt(2)
-        return np.concatenate([upper.real, upper.imag])
     r_grid, p_grid = augmented[:half, :half], augmented[:half, half:]
     out = np.empty(augmented.shape, dtype=np.float64)
     np.add(r_grid.real, p_grid.real, out=out[:half, :half])
@@ -178,29 +175,6 @@ def _to_managed(augmented: np.ndarray) -> np.ndarray:
     np.add(r_grid.imag, p_grid.imag, out=out[half:, :half])
     np.subtract(r_grid.real, p_grid.real, out=out[half:, half:])
     return out
-
-
-def _centred_moments(centred: np.ndarray, grid: FrequencyGrid, mean: AugmentedVector, mode: str):
-    """SpectralMoments from a managed panel already centred on ``mean``.
-
-    K = z^T z / T is formed by a symmetric rank-k product, which is exactly
-    symmetric, so the augmented covariance U K U^H is exactly structured.
-    """
-    n_samples = centred.shape[0]
-    cov = centred.T @ centred
-    cov /= n_samples
-    return SpectralMoments(
-        grid=grid,
-        n_assets=mean.half_size // grid.n_bins,
-        mean=mean,
-        covariance=_to_augmented(cov),
-        sample_count=n_samples,
-        mode=mode,
-    )
-
-
-def _augmented_mean(managed_mean: np.ndarray) -> AugmentedVector:
-    return AugmentedVector.from_upper(_to_augmented(managed_mean)[: managed_mean.shape[0] // 2])
 
 
 def estimate_spectral_mean(
@@ -226,45 +200,33 @@ def estimate_spectral_mean(
     AugmentedVector
         Conjugate-symmetric by construction; deterministic given input.
     """
-    return _augmented_mean(_managed_panel(x, grid, mode, t0, snap).mean(axis=0))
-
-
-def estimate_spectral_covariance(
-    x,
-    grid: FrequencyGrid,
-    mean: AugmentedVector,
-    mode: str = "paper-literal",
-    t0: int = 0,
-    snap: bool = True,
-) -> "SpectralMoments":
-    """Sample covariance of the projected series around a given mean.
-
-    Computes (1/T) sum_t (u(t) - mean)(u(t) - mean)^H on the augmented vector
-    u(t) = B(t)^H x(t), which is the time-average approximation of the
-    expectation defining the augmented spectral covariance.  It is formed as
-    U K U^H from the real covariance K of the managed panel, which makes the
-    augmented block structure, Hermitian symmetry and the per-bin bound
-    ||P(w_m)||_2 <= ||R(w_m)||_2 hold exactly.
-
-    ``mean`` must have been estimated on the same panel, grid and mode.
-    """
-    panel = _managed_panel(x, grid, mode, t0, snap)
-    if mean.half_size != panel.shape[1] // 2:
-        raise ValidationError(
-            f"mean half-size {mean.half_size} does not match grid x assets ({panel.shape[1] // 2})"
-        )
-    panel -= _to_managed(mean.full())
-    return _centred_moments(panel, grid, mean, mode)
+    return _to_augmented(_managed_panel(x, grid, mode, t0, snap).mean(axis=0))
 
 
 def estimate_moments(
     x, grid: FrequencyGrid, mode: str = "paper-literal", t0: int = 0, snap: bool = True
 ) -> "SpectralMoments":
-    """Mean and covariance of the projected series on one window, from one managed panel."""
+    """Mean and covariance of the projected series on one window, from one managed panel.
+
+    The covariance is the sample covariance (1/T) sum_t (u(t) - mean)(u(t) - mean)^H
+    of the augmented vector u(t) = B(t)^H x(t) around the estimated mean.  It
+    is held as the real K = z^T z / T of the centred managed panel, formed by
+    a symmetric rank-k product and so exactly symmetric.
+    """
     panel = _managed_panel(x, grid, mode, t0, snap)
+    n_samples, dim = panel.shape
     managed_mean = panel.mean(axis=0)
     panel -= managed_mean
-    return _centred_moments(panel, grid, _augmented_mean(managed_mean), mode)
+    covariance = panel.T @ panel
+    covariance /= n_samples
+    return SpectralMoments(
+        grid=grid,
+        n_assets=dim // (2 * grid.n_bins),
+        managed_mean=managed_mean,
+        managed_covariance=covariance,
+        sample_count=n_samples,
+        mode=mode,
+    )
 
 
 def structure_project(raw: np.ndarray) -> np.ndarray:
@@ -289,31 +251,52 @@ def structure_project(raw: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralMoments:
-    """Estimated augmented spectral mean and covariance on one grid.
+    """Estimated spectral mean and covariance on one grid.
 
-    ``covariance`` is 2MN x 2MN with block layout [[R, P], [conj(P), conj(R)]];
-    R and P are themselves M x M grids of N x N blocks whose off-diagonal
-    entries are the dual-frequency statistics.
+    Stored as the real managed-asset pair: ``managed_mean`` (2MN) and
+    ``managed_covariance`` K (2MN x 2MN, exactly symmetric), the mean and
+    covariance of the managed panel z(t).  The augmented complex ``mean`` and
+    ``covariance`` = U K U^H are read-only views built on first access.
+    ``covariance`` has block layout [[R, P], [conj(P), conj(R)]]; R and P are
+    themselves M x M grids of N x N blocks whose off-diagonal entries are the
+    dual-frequency statistics.
     """
 
     grid: FrequencyGrid
     n_assets: int
-    mean: AugmentedVector
-    covariance: np.ndarray
+    managed_mean: np.ndarray
+    managed_covariance: np.ndarray
     sample_count: int
     mode: str = "paper-literal"
 
     def __post_init__(self) -> None:
-        cov = np.asarray(self.covariance, dtype=np.complex128)
-        half = self.grid.n_bins * self.n_assets
-        if cov.shape != (2 * half, 2 * half):
-            raise ValidationError(
-                f"covariance shape {cov.shape} does not match 2MN = {2 * half}"
-            )
-        if self.mean.half_size != half:
-            raise ValidationError("mean size does not match grid x assets")
+        dim = 2 * self.half_size
+        if np.iscomplexobj(self.managed_mean) or np.iscomplexobj(self.managed_covariance):
+            raise ValidationError("managed mean and covariance must be real")
+        mean = np.asarray(self.managed_mean, dtype=np.float64)
+        cov = np.asarray(self.managed_covariance, dtype=np.float64)
+        if mean.shape != (dim,):
+            raise ValidationError(f"managed mean shape {mean.shape} does not match 2MN = {dim}")
+        if cov.shape != (dim, dim):
+            raise ValidationError(f"managed covariance shape {cov.shape} does not match 2MN = {dim}")
+        if not np.array_equal(cov, cov.T):
+            raise ValidationError("managed covariance is not exactly symmetric")
+        mean.flags.writeable = False
         cov.flags.writeable = False
-        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "managed_mean", mean)
+        object.__setattr__(self, "managed_covariance", cov)
+
+    @cached_property
+    def mean(self) -> AugmentedVector:
+        """The augmented spectral mean U mu, conjugate-symmetric by construction."""
+        return _to_augmented(self.managed_mean)
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """The augmented covariance U K U^H, exactly structured; read-only."""
+        cov = _to_augmented(self.managed_covariance)
+        cov.flags.writeable = False
+        return cov
 
     @property
     def half_size(self) -> int:
@@ -408,7 +391,7 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
 
 # --- flat CSV serialization (lossless at double precision) ---------------------
 
-_FORMAT_TAG = "specport-moments-v2"
+_FORMAT_TAG = "specport-moments-v3"
 
 
 def _fmt(value: float) -> str:
@@ -444,9 +427,10 @@ def _write_records(path, format_tag: str, grid: FrequencyGrid, n_assets: int, me
 
 
 def _vector_rows(kind: str, values: np.ndarray) -> list[tuple]:
-    """``kind,index,,re,im`` rows for a complex vector."""
+    """``kind,index,,re,im`` rows for a vector; ``im`` is blank for a real one."""
     kinds, blanks = itertools.repeat(kind), itertools.repeat("")
-    return list(zip(kinds, range(values.size), blanks, values.real.tolist(), values.imag.tolist()))
+    imag = values.imag.tolist() if np.iscomplexobj(values) else blanks
+    return list(zip(kinds, range(values.size), blanks, values.real.tolist(), imag))
 
 
 @contextlib.contextmanager
@@ -460,16 +444,17 @@ def _artifact_errors(path):
         raise ValidationError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 
-def _read_records(path, format_tag: str, kinds: tuple[str, ...]):
+def _read_records(path, format_tag: str, kinds: tuple[str, ...], real: bool = False):
     """Parse a flat CSV artifact into (meta, grid, n_assets, entries).
 
-    ``entries[kind]`` holds (indices, re, im) lists for each numeric record
-    kind.  The file must close with the ``end`` row written by
-    :func:`_write_records`, carrying the count of rows before it.  Call inside
-    :func:`_artifact_errors`.
+    ``entries[kind]`` holds (indices, values) lists for each numeric record
+    kind; the values are complex, or float when ``real`` is set, in which case
+    every ``im`` field must be blank.  The file must close with the ``end`` row
+    written by :func:`_write_records`, carrying the count of rows before it.
+    Call inside :func:`_artifact_errors`.
     """
     meta: dict[str, str] = {}
-    entries: dict[str, tuple[list, list, list]] = {kind: ([], [], []) for kind in kinds}
+    entries: dict[str, tuple[list, list]] = {kind: ([], []) for kind in kinds}
     count = 0
     end = None
     with Path(path).open(newline="") as handle:
@@ -487,10 +472,14 @@ def _read_records(path, format_tag: str, kinds: tuple[str, ...]):
             if row[0] == "meta":
                 meta[row[1]] = row[2]
             elif row[0] in entries:
-                indices, re, im = entries[row[0]]
+                indices, values = entries[row[0]]
                 indices.append(tuple(int(tok) for tok in row[1:3] if tok))
-                re.append(float(row[3]))
-                im.append(float(row[4]))
+                if not real:
+                    values.append(complex(float(row[3]), float(row[4])))
+                elif row[4]:
+                    raise ValueError(f"real {row[0]} record has an imaginary part {row[4]!r}")
+                else:
+                    values.append(float(row[3]))
             else:
                 raise ValidationError(f"{path}: unknown record kind {row[0]!r}")
     if meta.get("format") != format_tag:
@@ -505,14 +494,14 @@ def _read_records(path, format_tag: str, kinds: tuple[str, ...]):
     return meta, grid, int(meta["n_assets"]), entries
 
 
-def _place(kind: str, entries: tuple[list, list, list], shape: tuple[int, ...], expected=None) -> np.ndarray:
-    """Complex array of ``shape`` from parsed entries.
+def _place(kind: str, entries: tuple[list, list], shape: tuple[int, ...], dtype, expected=None) -> np.ndarray:
+    """Array of ``shape`` and ``dtype`` from parsed entries.
 
     The entries' flat indices must be exactly ``expected`` (sorted; default:
     every index of ``shape``), each once; other positions stay zero.  Raises
     ValueError, which :func:`_artifact_errors` reports with the file name.
     """
-    indices, re, im = entries
+    indices, values = entries
     size = math.prod(shape)
     if expected is None:
         expected = np.arange(size)
@@ -521,75 +510,52 @@ def _place(kind: str, entries: tuple[list, list, list], shape: tuple[int, ...], 
     flat = np.ravel_multi_index(tuple(np.array(indices).T), shape)  # ValueError when out of range
     if not np.array_equal(np.sort(flat), expected):
         raise ValueError(f"duplicate or misplaced {kind} entries")
-    out = np.zeros(size, dtype=np.complex128)
-    out.real[flat] = re
-    out.imag[flat] = im
+    out = np.zeros(size, dtype=dtype)
+    out[flat] = values
     return out.reshape(shape)
-
-
-def _stored_cov_indices(half: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) of the stored covariance entries: the upper triangles of R, then of P."""
-    rows, cols = np.triu_indices(half)
-    return np.concatenate([rows, rows]), np.concatenate([cols, cols + half])
 
 
 def write_moments_csv(moments: SpectralMoments, path) -> None:
     """Write moments to a flat CSV.
 
     Layout: ``meta`` rows (grid frequencies/periods, label, n_assets, n_bins,
-    sample_count, mode), then ``mean,index,,re,im`` rows for the full stacked
-    mean, then ``cov,row,col,re,im`` rows for the upper triangles (diagonal
-    included) of R and of P only, then the ``end`` row.  The rest of the
-    augmented covariance [[R, P], [conj(P), conj(R)]] follows from R being
-    Hermitian and P symmetric.
-
-    Raises ValidationError when the covariance does not have that structure
-    exactly, since the omitted entries would then be lost.
+    sample_count, mode), then ``mean,index,,value,`` rows for the real 2MN
+    managed mean, then ``cov,row,col,value,`` rows for the upper triangle,
+    diagonal included, of the managed covariance K, then the ``end`` row.
+    K is exactly symmetric, so its lower triangle is the mirror.
     """
-    cov = moments.covariance
-    if not np.array_equal(cov, structure_project(cov)):
-        raise ValidationError(
-            "covariance is not exactly [[R, P], [conj(P), conj(R)]] with R Hermitian and "
-            "P symmetric; apply structure_project before writing"
-        )
-    rows, cols = _stored_cov_indices(moments.half_size)
-    stored = cov[rows, cols]
-    cov_rows = list(
-        zip(itertools.repeat("cov"), rows.tolist(), cols.tolist(), stored.real.tolist(), stored.imag.tolist())
-    )
+    rows, cols = np.triu_indices(2 * moments.half_size)
+    values = moments.managed_covariance[rows, cols].tolist()
+    cov_rows = list(zip(itertools.repeat("cov"), rows.tolist(), cols.tolist(), values, itertools.repeat("")))
     meta = [
         ("n_bins", str(moments.grid.n_bins)),
         ("sample_count", str(moments.sample_count)),
         ("mode", moments.mode),
     ]
-    blocks = [_vector_rows("mean", moments.mean.full()), cov_rows]
+    blocks = [_vector_rows("mean", moments.managed_mean), cov_rows]
     _write_records(path, _FORMAT_TAG, moments.grid, moments.n_assets, meta, blocks)
 
 
 def read_moments_csv(path) -> SpectralMoments:
     """Inverse of :func:`write_moments_csv`, bit-exact.
 
-    Rebuilds the covariance by mirroring the stored triangles: R's lower
-    triangle as conj(R^T), P's as P^T, and the lower block row as
-    [conj(P), conj(R)].  Raises ValidationError for a foreign, truncated or
-    otherwise malformed file, including one whose ``cov`` rows are not exactly
-    the stored index set.
+    Rebuilds the managed covariance by mirroring the stored upper triangle.
+    Raises ValidationError for a foreign, truncated or otherwise malformed
+    file, including one whose ``cov`` rows are not exactly that triangle.
     """
     with _artifact_errors(path):
-        meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("mean", "cov"))
-        half = grid.n_bins * n_assets
-        full_mean = _place("mean", entries["mean"], (2 * half,))
-        expected = np.sort(np.ravel_multi_index(_stored_cov_indices(half), (half, 2 * half)))
-        upper = _place("cov", entries["cov"], (half, 2 * half), expected)
-        r_grid, p_grid = upper[:, :half], upper[:, half:]
-        lower = np.tril_indices(half, -1)
-        r_grid[lower] = np.conj(r_grid.T[lower])
-        p_grid[lower] = p_grid.T[lower]
+        meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("mean", "cov"), real=True)
+        dim = 2 * grid.n_bins * n_assets
+        mean = _place("mean", entries["mean"], (dim,), np.float64)
+        upper = np.ravel_multi_index(np.triu_indices(dim), (dim, dim))
+        cov = _place("cov", entries["cov"], (dim, dim), np.float64, upper)
+        lower = np.tril_indices(dim, -1)
+        cov[lower] = cov.T[lower]
         return SpectralMoments(
             grid=grid,
             n_assets=n_assets,
-            mean=AugmentedVector(upper=full_mean[:half], lower=full_mean[half:], enforced=True),
-            covariance=np.block([[r_grid, p_grid], [np.conj(p_grid), np.conj(r_grid)]]),
+            managed_mean=mean,
+            managed_covariance=cov,
             sample_count=int(meta["sample_count"]),
             mode=meta["mode"],
         )

@@ -30,7 +30,6 @@ from .moments import (
     _place,
     _read_records,
     _to_augmented,
-    _to_managed,
     _vector_rows,
     _write_records,
 )
@@ -173,15 +172,15 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     """Closed-form solution of the variance-targeted frequency-domain problem.
 
     The augmented problem is solved as the equivalent real one on 2MN managed
-    assets: with the unitary map of :mod:`specport.moments`, (m, Sigma) become
-    (mu, K) = (U^H m, U^H Sigma U), the real weights theta solve the classical
-    variance-targeted problem, and w = U theta.  Multiplier, ridge and the
-    constraint value are the same in both coordinates.
+    assets: the stored real pair (mu, K) = (U^H m, U^H Sigma U) of the moments
+    (see :mod:`specport.moments`) goes straight to the classical
+    variance-targeted solver, and the real weights theta map back to w = U theta.
+    Multiplier, ridge and the constraint value are the same in both coordinates.
 
     Parameters
     ----------
     moments : SpectralMoments
-        Estimated mean and augmented covariance (any estimator mode; the
+        Estimated managed mean and covariance (any estimator mode; the
         solution direction is scale-invariant, the magnitude pairs with the
         mode's covariance scale).
     risk : RiskSpec
@@ -205,13 +204,11 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
             "covariance is singular and the solution would be arbitrarily levered; "
             "use a longer window, fewer bins or assets, or set a positive RiskSpec.ridge"
         )
-    theta, multiplier, ridge = _targeted_solve(
-        _to_managed(moments.covariance), _to_managed(moments.mean.full()), risk
-    )
+    theta, multiplier, ridge = _targeted_solve(moments.managed_covariance, moments.managed_mean, risk)
     return SpectralWeights(
         grid=moments.grid,
         n_assets=moments.n_assets,
-        weights=AugmentedVector.from_upper(_to_augmented(theta)[: moments.half_size]),
+        weights=_to_augmented(theta),
         lagrange_multiplier=multiplier,
         sigma0=risk.sigma0,
         ridge_used=ridge,
@@ -275,16 +272,19 @@ def write_weights_csv(weights: SpectralWeights, path) -> None:
 def read_weights_csv(path) -> SpectralWeights:
     """Inverse of :func:`write_weights_csv`.
 
-    Raises ValidationError for a foreign, truncated or otherwise malformed file.
+    Raises ValidationError for a foreign, truncated or otherwise malformed
+    file, including one whose lower half is not exactly conj(upper).
     """
     with _artifact_errors(path):
         meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("weight",))
         half = grid.n_bins * n_assets
-        full = _place("weight", entries["weight"], (2 * half,))
+        full = _place("weight", entries["weight"], (2 * half,), np.complex128)
+        if not np.array_equal(full[half:], np.conj(full[:half])):
+            raise ValidationError(f"{path}: weight lower half is not exactly conj(upper)")
         return SpectralWeights(
             grid=grid,
             n_assets=n_assets,
-            weights=AugmentedVector(upper=full[:half], lower=full[half:], enforced=True),
+            weights=AugmentedVector(upper=full[:half], lower=full[half:]),
             lagrange_multiplier=float(meta["lagrange_multiplier"]),
             sigma0=float(meta["sigma0"]),
             ridge_used=float(meta["ridge_used"]),

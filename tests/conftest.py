@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from specport import AugmentedVector, FrequencyGrid, SpectralMoments, estimate_moments
+from specport import FrequencyGrid, SpectralMoments, estimate_moments
 
 CANDIDATE_PERIODS = (24, 18, 16, 12, 10, 9, 8, 7, 6, 5, 4, 3)
 
@@ -15,8 +15,8 @@ def random_grid(rng, max_bins=4, candidates=CANDIDATE_PERIODS) -> FrequencyGrid:
 
 def random_structured_moments(seed, grid=None, n_assets=None, mean_scale=1.0, n_samples=None):
     """A valid SpectralMoments instance: covariance estimated from a random panel
-    (which guarantees every structural invariant), mean replaced by a random
-    conjugate-symmetric vector of the requested scale."""
+    (which guarantees every structural invariant), managed mean replaced by a
+    random real vector of the requested scale."""
     rng = np.random.default_rng(seed)
     if grid is None:
         grid = random_grid(rng)
@@ -26,13 +26,11 @@ def random_structured_moments(seed, grid=None, n_assets=None, mean_scale=1.0, n_
         n_samples = 20 * grid.least_common_period()
     panel = rng.standard_normal((n_samples, n_assets))
     estimated = estimate_moments(panel, grid)
-    half = grid.n_bins * n_assets
-    upper = mean_scale * (rng.standard_normal(half) + 1j * rng.standard_normal(half))
     return SpectralMoments(
         grid=grid,
         n_assets=n_assets,
-        mean=AugmentedVector.from_upper(upper),
-        covariance=estimated.covariance,
+        managed_mean=mean_scale * rng.standard_normal(2 * grid.n_bins * n_assets),
+        managed_covariance=estimated.managed_covariance,
         sample_count=estimated.sample_count,
         mode=estimated.mode,
     )

