@@ -438,7 +438,7 @@ class BacktestReport:
             ppy = int(self.metadata.get("periods_per_year", 12))
             target = spectral[-1]
             months = np.array([_month_of_year(ts, ppy) for ts in self.out_timestamps])
-            present = [month for month in range(1, ppy + 1) if np.any(months == month)]
+            present = sorted(set(months.tolist()))  # np.unique would import numpy.ma on every CLI run
             means = np.array([target.allocations[months == month].mean(axis=0) for month in present])
             _write_table(month_path, ["month"] + list(asset_names), present, means)
             paths["allocation_by_month"] = month_path

@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 computation error, 2 input or usage error.  Every run
 writes a ``*_config.json`` echo sufficient to reproduce it; all randomness
 flows from --seed.
 
-Allocation retrieval uses the full augmented (conjugate-paired) basis, which
-is what makes the weight path real-valued; grids are specified as integer
-periods in samples, with A/S/Q shortcuts for 12/6/3 on monthly data.
+The allocation path is read back as w(t) = Phi(t) theta: the solver's real
+managed-asset weights theta times the phases (1/sqrt M) [cos(w_m t), -sin(w_m t)]
+of the grid, so it is real and periodic by construction.  Grids are specified
+as integer periods in samples, with A/S/Q shortcuts for 12/6/3 on monthly data.
 """
 
 from __future__ import annotations
@@ -283,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         "backtest",
         help="run the in/out-of-sample protocol",
         epilog=(
-            "Allocation paths are retrieved through the full augmented "
-            "(conjugate-paired) basis so weights are real-valued; the time "
+            "Allocation paths are the real product of the solver's managed-asset "
+            "weights with the grid's cosine and sine phases; the time "
             "origin is the first in-sample return and the index runs unbroken "
             "into the out-of-sample window, keeping seasonal phase aligned."
         ),

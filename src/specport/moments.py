@@ -82,6 +82,23 @@ def _check_mode(mode: str) -> None:
         raise ValidationError(f"unknown estimator mode {mode!r}; expected one of {MODES}")
 
 
+def _frozen_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a read-only float64 array of ``shape``.
+
+    Raises ValidationError naming ``name`` when it is complex, has another
+    shape or holds a non-finite entry.
+    """
+    if np.iscomplexobj(value):
+        raise ValidationError(f"{name} must be real")
+    array = np.asarray(value, dtype=np.float64)
+    if array.shape != shape:
+        raise ValidationError(f"{name} shape {array.shape} does not match {shape}")
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    array.flags.writeable = False
+    return array
+
+
 def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int, snap: bool):
     """Trim to a commensurate window, discarding the oldest samples.
 
@@ -108,12 +125,22 @@ def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int, snap: bool):
     return values, t0
 
 
+def _phases(t, grid: FrequencyGrid, scale: float = 1.0) -> np.ndarray:
+    """The managed-asset phases (scale/sqrt M) [cos(w_m t), -sin(w_m t)], shape (T, 2M).
+
+    With scale 1, row t is the basis in managed coordinates: B(t) U = row (x) I_N.
+    """
+    angles = np.outer(np.asarray(t, dtype=np.float64), grid.omegas)
+    phases = (scale / math.sqrt(grid.n_bins)) * np.stack([np.cos(angles), -np.sin(angles)], axis=1)
+    return phases.reshape(angles.shape[0], 2 * grid.n_bins)
+
+
 def _managed_panel(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool) -> np.ndarray:
     """The real managed-asset panel z on the (snapped) window, shape (T, 2MN).
 
-    Row t is c [cos(w_m t) x(t); -sin(w_m t) x(t)], each half bin-major, with
-    c = 1/sqrt(M) in "paper-literal" mode and 2M/sqrt(M) in "consistent" mode.
-    The augmented projected vector is then exactly U z(t) (see
+    Row t is the outer product of :func:`_phases` at t with x(t), flattened
+    bin-major, with scale 1 in "paper-literal" mode and 2M in "consistent"
+    mode.  The augmented projected vector is then exactly U z(t) (see
     :func:`_to_augmented`).
     """
     _check_mode(mode)
@@ -122,12 +149,10 @@ def _managed_panel(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool) -> np
         raise ValidationError("need at least 2 samples to estimate spectral moments")
     values, t0 = _snap_window(values, grid, t0, snap)
     n_samples, n_assets = values.shape
-    n_bins = grid.n_bins
-    scale = (2 * n_bins if mode == "consistent" else 1) / math.sqrt(n_bins)
-    angles = np.outer(np.arange(t0, t0 + n_samples, dtype=np.float64), grid.omegas)
-    phases = scale * np.stack([np.cos(angles), -np.sin(angles)], axis=1)  # (T, 2, M)
-    panel = phases[:, :, :, np.newaxis] * values[:, np.newaxis, np.newaxis, :]  # one (T, 2, M, N) array
-    return panel.reshape(n_samples, 2 * n_bins * n_assets)
+    scale = 2 * grid.n_bins if mode == "consistent" else 1
+    phases = _phases(np.arange(t0, t0 + n_samples), grid, scale)
+    panel = phases[:, :, np.newaxis] * values[:, np.newaxis, :]  # one (T, 2M, N) array
+    return panel.reshape(n_samples, 2 * grid.n_bins * n_assets)
 
 
 def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
@@ -256,7 +281,9 @@ class SpectralMoments:
     Stored as the real managed-asset pair: ``managed_mean`` (2MN) and
     ``managed_covariance`` K (2MN x 2MN, exactly symmetric), the mean and
     covariance of the managed panel z(t).  The augmented complex ``mean`` and
-    ``covariance`` = U K U^H are read-only views built on first access.
+    ``covariance`` = U K U^H are read-only views built on first access.  The
+    constructor rejects complex, misshapen or non-finite arrays, a K that is
+    not exactly symmetric, an unknown mode and counts below 1.
     ``covariance`` has block layout [[R, P], [conj(P), conj(R)]]; R and P are
     themselves M x M grids of N x N blocks whose off-diagonal entries are the
     dual-frequency statistics.
@@ -270,19 +297,16 @@ class SpectralMoments:
     mode: str = "paper-literal"
 
     def __post_init__(self) -> None:
+        if self.n_assets < 1:
+            raise ValidationError(f"n_assets must be >= 1, got {self.n_assets!r}")
+        if self.sample_count < 1:
+            raise ValidationError(f"sample_count must be >= 1, got {self.sample_count!r}")
+        _check_mode(self.mode)
         dim = 2 * self.half_size
-        if np.iscomplexobj(self.managed_mean) or np.iscomplexobj(self.managed_covariance):
-            raise ValidationError("managed mean and covariance must be real")
-        mean = np.asarray(self.managed_mean, dtype=np.float64)
-        cov = np.asarray(self.managed_covariance, dtype=np.float64)
-        if mean.shape != (dim,):
-            raise ValidationError(f"managed mean shape {mean.shape} does not match 2MN = {dim}")
-        if cov.shape != (dim, dim):
-            raise ValidationError(f"managed covariance shape {cov.shape} does not match 2MN = {dim}")
+        mean = _frozen_real("managed mean", self.managed_mean, (dim,))
+        cov = _frozen_real("managed covariance", self.managed_covariance, (dim, dim))
         if not np.array_equal(cov, cov.T):
             raise ValidationError("managed covariance is not exactly symmetric")
-        mean.flags.writeable = False
-        cov.flags.writeable = False
         object.__setattr__(self, "managed_mean", mean)
         object.__setattr__(self, "managed_covariance", cov)
 
@@ -427,29 +451,28 @@ def _write_records(path, format_tag: str, grid: FrequencyGrid, n_assets: int, me
 
 
 def _vector_rows(kind: str, values: np.ndarray) -> list[tuple]:
-    """``kind,index,,re,im`` rows for a vector; ``im`` is blank for a real one."""
+    """``kind,index,,value,`` rows for a real vector."""
     kinds, blanks = itertools.repeat(kind), itertools.repeat("")
-    imag = values.imag.tolist() if np.iscomplexobj(values) else blanks
-    return list(zip(kinds, range(values.size), blanks, values.real.tolist(), imag))
+    return list(zip(kinds, range(values.size), blanks, values.tolist(), blanks))
 
 
 @contextlib.contextmanager
 def _artifact_errors(path):
-    """Re-raise parse failures of a flat CSV artifact as ValidationError naming the file."""
+    """Re-raise parse and constructor failures of a flat CSV artifact as ValidationError naming the file."""
     try:
         yield
-    except ValidationError:
-        raise
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     except (KeyError, IndexError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 
-def _read_records(path, format_tag: str, kinds: tuple[str, ...], real: bool = False):
+def _read_records(path, format_tag: str, kinds: tuple[str, ...]):
     """Parse a flat CSV artifact into (meta, grid, n_assets, entries).
 
     ``entries[kind]`` holds (indices, values) lists for each numeric record
-    kind; the values are complex, or float when ``real`` is set, in which case
-    every ``im`` field must be blank.  The file must close with the ``end`` row
+    kind; the values are floats, and every ``im`` field must be blank.  The
+    file must close with the ``end`` row
     written by :func:`_write_records`, carrying the count of rows before it.
     Call inside :func:`_artifact_errors`.
     """
@@ -461,10 +484,10 @@ def _read_records(path, format_tag: str, kinds: tuple[str, ...], real: bool = Fa
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header or header[0] != "record":
-            raise ValidationError(f"{path}: not a {format_tag} CSV (missing header)")
+            raise ValidationError(f"not a {format_tag} CSV (missing header)")
         for row in reader:
             if end is not None:
-                raise ValidationError(f"{path}: rows after the end row")
+                raise ValidationError("rows after the end row")
             if row[0] == "end":
                 end = row
                 continue
@@ -474,28 +497,25 @@ def _read_records(path, format_tag: str, kinds: tuple[str, ...], real: bool = Fa
             elif row[0] in entries:
                 indices, values = entries[row[0]]
                 indices.append(tuple(int(tok) for tok in row[1:3] if tok))
-                if not real:
-                    values.append(complex(float(row[3]), float(row[4])))
-                elif row[4]:
+                if row[4]:
                     raise ValueError(f"real {row[0]} record has an imaginary part {row[4]!r}")
-                else:
-                    values.append(float(row[3]))
+                values.append(float(row[3]))
             else:
-                raise ValidationError(f"{path}: unknown record kind {row[0]!r}")
+                raise ValidationError(f"unknown record kind {row[0]!r}")
     if meta.get("format") != format_tag:
-        raise ValidationError(f"{path}: unsupported format tag {meta.get('format')!r}")
+        raise ValidationError(f"unsupported format tag {meta.get('format')!r}")
     if end is None:
-        raise ValidationError(f"{path}: truncated file (no end row)")
+        raise ValidationError("truncated file (no end row)")
     if end[1:] != [str(count), "", "", ""]:
-        raise ValidationError(f"{path}: truncated file (end row {end!r} after {count} rows)")
+        raise ValidationError(f"truncated file (end row {end!r} after {count} rows)")
     omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
     periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
     grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
     return meta, grid, int(meta["n_assets"]), entries
 
 
-def _place(kind: str, entries: tuple[list, list], shape: tuple[int, ...], dtype, expected=None) -> np.ndarray:
-    """Array of ``shape`` and ``dtype`` from parsed entries.
+def _place(kind: str, entries: tuple[list, list], shape: tuple[int, ...], expected=None) -> np.ndarray:
+    """Float array of ``shape`` from parsed entries.
 
     The entries' flat indices must be exactly ``expected`` (sorted; default:
     every index of ``shape``), each once; other positions stay zero.  Raises
@@ -510,7 +530,7 @@ def _place(kind: str, entries: tuple[list, list], shape: tuple[int, ...], dtype,
     flat = np.ravel_multi_index(tuple(np.array(indices).T), shape)  # ValueError when out of range
     if not np.array_equal(np.sort(flat), expected):
         raise ValueError(f"duplicate or misplaced {kind} entries")
-    out = np.zeros(size, dtype=dtype)
+    out = np.zeros(size)
     out[flat] = values
     return out.reshape(shape)
 
@@ -540,15 +560,17 @@ def read_moments_csv(path) -> SpectralMoments:
     """Inverse of :func:`write_moments_csv`, bit-exact.
 
     Rebuilds the managed covariance by mirroring the stored upper triangle.
-    Raises ValidationError for a foreign, truncated or otherwise malformed
-    file, including one whose ``cov`` rows are not exactly that triangle.
+    Raises ValidationError naming the file for a foreign, truncated or
+    otherwise malformed file, including one whose ``cov`` rows are not exactly
+    that triangle, and for values the :class:`SpectralMoments` constructor
+    rejects (non-finite entries, an unknown mode, a sample count below 1).
     """
     with _artifact_errors(path):
-        meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("mean", "cov"), real=True)
+        meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("mean", "cov"))
         dim = 2 * grid.n_bins * n_assets
-        mean = _place("mean", entries["mean"], (dim,), np.float64)
+        mean = _place("mean", entries["mean"], (dim,))
         upper = np.ravel_multi_index(np.triu_indices(dim), (dim, dim))
-        cov = _place("cov", entries["cov"], (dim, dim), np.float64, upper)
+        cov = _place("cov", entries["cov"], (dim, dim), upper)
         lower = np.tril_indices(dim, -1)
         cov[lower] = cov.T[lower]
         return SpectralMoments(

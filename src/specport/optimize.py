@@ -7,8 +7,10 @@ hard variance target sigma0^2:
 
 whose stationary conditions give the multiplier
 lambda = sqrt(m^H R^{-1} m) / (2 sigma0) and the optimal coefficients
-w = sigma0 R^{-1} m / sqrt(m^H R^{-1} m).  The time-varying allocation is then
-read back through the augmented basis, giving a real, periodic weight path.
+w = sigma0 R^{-1} m / sqrt(m^H R^{-1} m).  It is solved as the equivalent real
+problem on 2MN managed assets, whose weights theta are stored, and the
+time-varying allocation is the real, periodic product w(t) = Phi(t) theta with
+the estimator's phases (see :func:`retrieve_allocation`).
 
 The classical (time-domain) baseline is solved in the same variance-targeted
 form — rather than with a free risk-aversion penalty — so that backtest
@@ -19,14 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .basis import AugmentedVector, FrequencyGrid, synthesize_series
+from .basis import AugmentedVector, FrequencyGrid
 from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError
 from .moments import (
     SpectralMoments,
     _artifact_errors,
+    _check_mode,
+    _frozen_real,
+    _phases,
     _place,
     _read_records,
     _to_augmented,
@@ -82,19 +88,34 @@ class RiskSpec:
 class SpectralWeights:
     """Optimal frequency-domain portfolio coefficients.
 
-    Conjugate-symmetric, so the retrieved time-domain allocation is real.
-    ``lagrange_multiplier`` is the realized multiplier; ``ridge_used`` the
-    diagonal regularization actually applied, so the constraint
-    w^H (R + ridge I) w = sigma0^2 can be re-checked.
+    Stored as the real managed-asset weights theta (``managed_weights``, 2MN,
+    read-only, finite); ``weights`` is the augmented complex view U theta,
+    built on first access.  ``lagrange_multiplier`` is the realized
+    multiplier; ``ridge_used`` the diagonal regularization actually applied,
+    so the constraint theta^T (K + ridge I) theta = sigma0^2 can be
+    re-checked.  ``sigma0`` and ``ridge_used`` obey :class:`RiskSpec`'s rules.
     """
 
     grid: FrequencyGrid
     n_assets: int
-    weights: AugmentedVector
+    managed_weights: np.ndarray
     lagrange_multiplier: float
     sigma0: float
     ridge_used: float
     mode: str = "paper-literal"
+
+    def __post_init__(self) -> None:
+        if self.n_assets < 1:
+            raise ValidationError(f"n_assets must be >= 1, got {self.n_assets!r}")
+        RiskSpec(sigma0=self.sigma0, ridge=self.ridge_used)
+        _check_mode(self.mode)
+        theta = _frozen_real("managed weights", self.managed_weights, (2 * self.grid.n_bins * self.n_assets,))
+        object.__setattr__(self, "managed_weights", theta)
+
+    @cached_property
+    def weights(self) -> AugmentedVector:
+        """The augmented spectral weights U theta, conjugate-symmetric by construction."""
+        return _to_augmented(self.managed_weights)
 
 
 @dataclass(frozen=True)
@@ -174,8 +195,9 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     The augmented problem is solved as the equivalent real one on 2MN managed
     assets: the stored real pair (mu, K) = (U^H m, U^H Sigma U) of the moments
     (see :mod:`specport.moments`) goes straight to the classical
-    variance-targeted solver, and the real weights theta map back to w = U theta.
-    Multiplier, ridge and the constraint value are the same in both coordinates.
+    variance-targeted solver, and its real weights theta are stored; the
+    augmented w = U theta is their view.  Multiplier, ridge and the constraint
+    value are the same in both coordinates.
 
     Parameters
     ----------
@@ -188,8 +210,8 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     Returns
     -------
     SpectralWeights
-        Conjugate-symmetric by construction, satisfying
-        w^H (Sigma + ridge I) w = sigma0^2 to numerical precision.
+        Satisfying theta^T (K + ridge I) theta = w^H (Sigma + ridge I) w = sigma0^2
+        to numerical precision.
 
     Raises
     ------
@@ -208,7 +230,7 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     return SpectralWeights(
         grid=moments.grid,
         n_assets=moments.n_assets,
-        weights=_to_augmented(theta),
+        managed_weights=theta,
         lagrange_multiplier=multiplier,
         sigma0=risk.sigma0,
         ridge_used=ridge,
@@ -235,56 +257,57 @@ def equal_weight(n_assets: int) -> StaticWeights:
 
 
 def retrieve_allocation(weights: SpectralWeights, t_range) -> np.ndarray:
-    """Time-domain allocation path w(t) = B(t) @ [u; conj(u)] over the given indices.
+    """Time-domain allocation path w(t) = Phi(t) theta over the given indices.
 
-    Returns a real (len(t_range), n_assets) array.  The path is periodic with
-    the least common period of the grid.
+    Phi(t) = (1/sqrt M) [cos(w_m t), -sin(w_m t)] are the estimator's phases
+    and theta the managed weights as a 2M x N matrix, which equals the
+    augmented synthesis B(t) @ [v; conj(v)].  Returns a real
+    (len(t_range), n_assets) array, periodic with the grid's least common period.
     """
     t = np.asarray(list(t_range) if not isinstance(t_range, np.ndarray) else t_range)
     if t.ndim != 1:
         raise ValidationError("t_range must be one-dimensional")
-    return synthesize_series(weights.weights, weights.grid, t, weights.n_assets)
+    theta = weights.managed_weights.reshape(2 * weights.grid.n_bins, weights.n_assets)
+    return _phases(t, weights.grid) @ theta
 
 
 def predicted_variance(weights: SpectralWeights, moments: SpectralMoments) -> float:
-    """w^H R w under the given moments (without ridge)."""
-    full = weights.weights.full()
-    return float(np.real(np.vdot(full, moments.covariance @ full)))
+    """theta^T K theta = w^H Sigma w under the given moments (without ridge)."""
+    theta = weights.managed_weights
+    return float(theta @ moments.managed_covariance @ theta)
 
 
 # --- serialization (same flat-CSV conventions as the moments) ------------------
 
-_FORMAT_TAG = "specport-weights-v2"
+_FORMAT_TAG = "specport-weights-v3"
 
 
 def write_weights_csv(weights: SpectralWeights, path) -> None:
-    """Flat CSV: meta rows, ``weight,index,,re,im`` rows for the stacked vector, the ``end`` row."""
+    """Flat CSV: meta rows, ``weight,index,,value,`` rows for theta, the ``end`` row."""
     meta = [
         ("lagrange_multiplier", repr(float(weights.lagrange_multiplier))),
         ("sigma0", repr(float(weights.sigma0))),
         ("ridge_used", repr(float(weights.ridge_used))),
         ("mode", weights.mode),
     ]
-    blocks = [_vector_rows("weight", weights.weights.full())]
+    blocks = [_vector_rows("weight", weights.managed_weights)]
     _write_records(path, _FORMAT_TAG, weights.grid, weights.n_assets, meta, blocks)
 
 
 def read_weights_csv(path) -> SpectralWeights:
-    """Inverse of :func:`write_weights_csv`.
+    """Inverse of :func:`write_weights_csv`, bit-exact.
 
-    Raises ValidationError for a foreign, truncated or otherwise malformed
-    file, including one whose lower half is not exactly conj(upper).
+    Raises ValidationError naming the file for a foreign, truncated or
+    otherwise malformed file, and for values the :class:`SpectralWeights`
+    constructor rejects.
     """
     with _artifact_errors(path):
         meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("weight",))
-        half = grid.n_bins * n_assets
-        full = _place("weight", entries["weight"], (2 * half,), np.complex128)
-        if not np.array_equal(full[half:], np.conj(full[:half])):
-            raise ValidationError(f"{path}: weight lower half is not exactly conj(upper)")
+        theta = _place("weight", entries["weight"], (2 * grid.n_bins * n_assets,))
         return SpectralWeights(
             grid=grid,
             n_assets=n_assets,
-            weights=AugmentedVector(upper=full[:half], lower=full[half:]),
+            managed_weights=theta,
             lagrange_multiplier=float(meta["lagrange_multiplier"]),
             sigma0=float(meta["sigma0"]),
             ridge_used=float(meta["ridge_used"]),

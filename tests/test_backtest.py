@@ -306,6 +306,17 @@ class TestProtocol:
         assert labels == [str(m) for m in range(1, 13)]
         assert np.array_equal(values, [target[months == m].mean(axis=0) for m in range(1, 13)])
 
+    def test_allocation_by_month_groups_dates_by_calendar_month(self, tmp_path):
+        # with dates the month is the calendar month, whatever periods_per_year says
+        report = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01", periods_per_year=4))
+        paths = report.write_outputs(tmp_path, report.metadata["assets"].split(","))
+        rows = list(csv.reader(paths["allocation_by_month"].read_text().splitlines()))
+        months = np.array([ts.month for ts in report.out_timestamps])
+        target = report.strategy("spectral_mvo_12_6_3").allocations  # the last spectral grid
+        assert [row[0] for row in rows[1:]] == [str(m) for m in range(1, 13)]
+        values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        assert np.array_equal(values, [target[months == m].mean(axis=0) for m in range(1, 13)])
+
     def test_protocol_never_builds_the_complex_covariance(self, tmp_path):
         # the solver and the moments writer use the stored real pair; the
         # augmented complex covariance is a view built only on access

@@ -4,11 +4,15 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specport.cli import main
 
-DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_monthly_prices.csv"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data" / "synthetic_monthly_prices.csv"
+# Sharpe table and cumulative returns of the bundled backtest, shared with the benchmark's check
+REFERENCE = ROOT / "perfbench" / "reference" / "bundled_backtest.json"
 
 
 def read_rows(path):
@@ -133,6 +137,21 @@ class TestBacktest:
             "EW",
         ]
         assert (out_dir / "backtest_config.json").exists()
+
+    def test_bundled_report_matches_reference_to_1e_10(self, tmp_path):
+        out_dir = tmp_path / "bt"
+        assert main(["backtest", "--data", str(DATA), "--boundary", "2015-01", "--out-dir", str(out_dir)]) == 0
+        reference = json.loads(REFERENCE.read_text())
+        sharpe_rows = read_rows(out_dir / "plot_sharpe.csv")
+        assert [row[0] for row in sharpe_rows[1:]] == list(reference["sharpe"])
+        sharpe = np.array([float(row[1]) for row in sharpe_rows[1:]])
+        assert np.allclose(sharpe, list(reference["sharpe"].values()), rtol=0, atol=1e-10)
+        cumulative_rows = read_rows(out_dir / "cumulative_returns.csv")
+        expected = reference["cumulative"]
+        assert cumulative_rows[0] == expected["header"]
+        assert [row[0] for row in cumulative_rows[1:]] == expected["timestamps"]
+        cumulative = np.array([[float(v) for v in row[1:]] for row in cumulative_rows[1:]])
+        assert np.allclose(cumulative, expected["values"], rtol=0, atol=1e-10)
 
     def test_boundary_outside_range_exit_2(self, tmp_path, capsys):
         code = main(

@@ -193,6 +193,21 @@ class TestSpectralMomentsType:
         with pytest.raises(ValidationError, match="managed"):
             dataclasses.replace(self.estimate(), **fields)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"managed_mean": np.full(8, np.nan)}, "managed mean has non-finite"),
+            ({"managed_covariance": np.full((8, 8), np.inf)}, "managed covariance has non-finite"),
+            ({"mode": "bogus"}, "unknown estimator mode"),
+            ({"sample_count": 0}, "sample_count"),
+            ({"sample_count": -3}, "sample_count"),
+            ({"n_assets": 0}, "n_assets"),
+        ],
+    )
+    def test_constructor_rejects_bad_values(self, fields, match):
+        with pytest.raises(ValidationError, match=match):
+            dataclasses.replace(self.estimate(), **fields)
+
     def test_complex_views_are_read_only_and_derived(self):
         moments = self.estimate()
         cov = moments.covariance
@@ -344,6 +359,28 @@ class TestSerialization:
         path.write_text(text[: last_number_end - 1])  # cut inside the last cov number
         # the cut row lost its im field, so the reader stops there, before the end-row check
         with pytest.raises(ValidationError, match="moments.csv: malformed file"):
+            read_moments_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ((r"^mean,0,,[^,]*,", "mean,0,,nan,"), "non-finite"),
+            ((r"^cov,1,1,[^,]*,", "cov,1,1,inf,"), "non-finite"),
+            ((r"^meta,mode,[^,]*,", "meta,mode,bogus,"), "unknown estimator mode"),
+            ((r"^meta,sample_count,[^,]*,", "meta,sample_count,-3,"), "sample_count"),
+            # zero assets leave no room for the stored rows, so the entry count fails first
+            ((r"^meta,n_assets,[^,]*,", "meta,n_assets,0,"), "expected 0 mean entries"),
+        ],
+    )
+    def test_rejected_values_name_the_file(self, tmp_path, edit, match):
+        rng = np.random.default_rng(21)
+        path = tmp_path / "moments.csv"
+        write_moments_csv(estimate_moments(rng.standard_normal((24, 2)), FrequencyGrid.from_periods((12, 6))), path)
+        pattern, replacement = edit
+        text, count = re.subn(pattern, replacement, path.read_text(), flags=re.M)
+        assert count == 1
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"moments.csv: .*{match}"):
             read_moments_csv(path)
 
     def test_rejects_foreign_file(self, tmp_path):

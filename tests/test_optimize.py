@@ -1,5 +1,6 @@
 """Closed-form solvers: exactness, equivariance, optimality, baselines, retrieval."""
 
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from specport import (
-    AugmentedVector,
     DegenerateMeanError,
     FrequencyGrid,
     RiskSpec,
@@ -16,6 +16,7 @@ from specport import (
     ValidationError,
     equal_weight,
     estimate_moments,
+    predicted_variance,
     read_weights_csv,
     retrieve_allocation,
     solve_classical_mvo,
@@ -23,6 +24,7 @@ from specport import (
     synthesize_series,
     write_weights_csv,
 )
+from specport.moments import _to_augmented
 from specport.optimize import _targeted_solve
 
 from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments
@@ -286,14 +288,7 @@ class TestRetrieveAllocation:
     def test_zero_weights_zero_path(self):
         moments = random_structured_moments(31, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
-        zeroed = type(solved)(
-            grid=solved.grid,
-            n_assets=solved.n_assets,
-            weights=AugmentedVector.zeros(solved.weights.half_size),
-            lagrange_multiplier=solved.lagrange_multiplier,
-            sigma0=solved.sigma0,
-            ridge_used=solved.ridge_used,
-        )
+        zeroed = dataclasses.replace(solved, managed_weights=np.zeros_like(solved.managed_weights))
         path = retrieve_allocation(zeroed, range(10))
         assert np.array_equal(path, np.zeros((10, 2)))
 
@@ -322,7 +317,51 @@ class TestRetrieveAllocation:
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
         t = np.arange(17, 40)
         direct = synthesize_series(solved.weights, solved.grid, t, solved.n_assets)
-        assert np.array_equal(retrieve_allocation(solved, t), direct)
+        path = retrieve_allocation(solved, t)
+        assert np.max(np.abs(path - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+    def test_retrieval_and_variance_never_build_the_complex_view(self):
+        moments = random_structured_moments(38, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
+        solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
+        retrieve_allocation(solved, range(24))
+        variance = predicted_variance(solved, moments)
+        assert "weights" not in vars(solved) and "covariance" not in vars(moments)
+        full = solved.weights.full()
+        assert variance == pytest.approx(np.vdot(full, moments.covariance @ full).real, rel=1e-12)
+
+
+class TestSpectralWeightsType:
+    def solved(self):
+        moments = random_structured_moments(39, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
+        return solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
+
+    def test_stores_theta_with_a_cached_complex_view(self):
+        solved = self.solved()
+        assert solved.managed_weights.shape == (8,) and solved.managed_weights.dtype == np.float64
+        view = solved.weights
+        assert view is solved.weights
+        assert np.array_equal(view.full(), _to_augmented(solved.managed_weights).full())
+        with pytest.raises(ValueError, match="read-only"):
+            solved.managed_weights[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"managed_weights": np.zeros(6)}, "managed weights shape"),
+            ({"managed_weights": np.zeros(8, dtype=complex)}, "managed weights must be real"),
+            ({"managed_weights": np.full(8, np.nan)}, "managed weights has non-finite"),
+            ({"sigma0": 0.0}, "sigma0"),
+            ({"sigma0": -0.01}, "sigma0"),
+            ({"sigma0": math.inf}, "sigma0"),
+            ({"ridge_used": -1.0}, "ridge"),
+            ({"ridge_used": math.nan}, "ridge"),
+            ({"mode": "bogus"}, "unknown estimator mode"),
+            ({"n_assets": 0}, "n_assets"),
+        ],
+    )
+    def test_constructor_rejects(self, fields, match):
+        with pytest.raises(ValidationError, match=match):
+            dataclasses.replace(self.solved(), **fields)
 
 
 class TestWeightsSerialization:
@@ -347,8 +386,7 @@ class TestWeightsSerialization:
             lambda text: text.replace("weight,3,", "weight,three,"),  # non-integer index
             lambda text: text.replace("weight,3,", "weight,99,"),  # index out of range
             lambda text: text.replace("weight,3,", "weight,2,"),  # duplicate index
-            # one lower-half imaginary part no longer the negated upper one
-            lambda text: re.sub(r"^(weight,5,,[^,]*,)-?", r"\g<1>1", text, flags=re.M),
+            lambda text: re.sub(r"^(weight,5,,[^,]*,)$", r"\g<1>1", text, flags=re.M),  # imaginary part
         ],
     )
     def test_malformed_file_raises_validation_error(self, tmp_path, damage):
@@ -364,8 +402,31 @@ class TestWeightsSerialization:
         path = tmp_path / "weights.csv"
         write_weights_csv(solve_spectral_mvo(moments, RiskSpec(sigma0=0.01)), path)
         text = path.read_text()
-        # the end row is shorter than 20 bytes, so the cut lands inside the last weight
-        assert len(text) - text.rindex("\nend,") < 20 and text[-21].isdigit()
-        path.write_text(text[:-20])
-        with pytest.raises(ValidationError, match="weights.csv.*no end row"):
+        last_number_end = text.rindex(",\nend,")  # the last weight row ends in a blank im field
+        assert text[last_number_end - 2 : last_number_end].isdigit()
+        path.write_text(text[: last_number_end - 1])  # cut inside the last weight
+        # the cut row lost its im field, so the reader stops there, before the end-row check
+        with pytest.raises(ValidationError, match="weights.csv: malformed file"):
+            read_weights_csv(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            ((r"^meta,sigma0,[^,]*,", "meta,sigma0,nan,"), "sigma0"),
+            ((r"^meta,sigma0,[^,]*,", "meta,sigma0,0.0,"), "sigma0"),
+            ((r"^meta,ridge_used,[^,]*,", "meta,ridge_used,-1.0,"), "ridge"),
+            ((r"^meta,ridge_used,[^,]*,", "meta,ridge_used,inf,"), "ridge"),
+            ((r"^meta,mode,[^,]*,", "meta,mode,bogus,"), "unknown estimator mode"),
+            ((r"^weight,3,,[^,]*,", "weight,3,,nan,"), "non-finite"),
+        ],
+    )
+    def test_rejected_values_name_the_file(self, tmp_path, edit, match):
+        moments = random_structured_moments(40, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
+        path = tmp_path / "weights.csv"
+        write_weights_csv(solve_spectral_mvo(moments, RiskSpec(sigma0=0.01)), path)
+        pattern, replacement = edit
+        text, count = re.subn(pattern, replacement, path.read_text(), flags=re.M)
+        assert count == 1
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"weights.csv: .*{match}"):
             read_weights_csv(path)

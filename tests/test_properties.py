@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from specport import (
     FrequencyGrid,
     RiskSpec,
+    SpectralWeights,
     build_basis,
     estimate_moments,
     project_spectrum,
@@ -25,10 +26,11 @@ from specport import (
     retrieve_allocation,
     solve_spectral_mvo,
     structure_project,
+    synthesize_series,
     write_moments_csv,
     write_weights_csv,
 )
-from specport.moments import _to_augmented, _to_managed
+from specport.moments import _phases, _to_augmented, _to_managed
 
 from conftest import random_structured_moments
 
@@ -211,3 +213,32 @@ def test_allocation_path_is_real_finite_and_periodic(seed, grid, n_assets, start
     assert path.shape == (length, n_assets)
     assert np.isrealobj(path) and np.all(np.isfinite(path))
     assert np.allclose(shifted, path, rtol=0, atol=1e-9 * np.max(np.abs(path)))
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    grid=grids,
+    n_assets=st.integers(min_value=1, max_value=6),
+    start=st.integers(min_value=-(10**7), max_value=10**7),
+    length=st.integers(min_value=1, max_value=40),
+)
+@example(seed=0, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=5, start=-(10**7), length=1)
+def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, length):
+    """Phi(t) theta equals the complex synthesis B(t) [v; conj(v)] to rounding, at any t.
+
+    The error is measured against |Phi(t)| |theta|, the scale of the terms
+    summed: at a single sample the terms can cancel, so |w(t)| alone is no
+    bound on the rounding.
+    """
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(2 * grid.n_bins * n_assets) * 10.0 ** rng.uniform(-3, 3)
+    weights = SpectralWeights(
+        grid=grid, n_assets=n_assets, managed_weights=theta, lagrange_multiplier=1.0, sigma0=1.0, ridge_used=0.0
+    )
+    t = np.arange(start, start + length)
+    path = retrieve_allocation(weights, t)
+    expected = synthesize_series(weights.weights, grid, t, n_assets)
+    assert path.shape == expected.shape == (length, n_assets)
+    scale = np.abs(_phases(t, grid)) @ np.abs(theta.reshape(2 * grid.n_bins, n_assets))
+    assert np.max(np.abs(path - expected)) <= 1e-14 * np.max(scale)
