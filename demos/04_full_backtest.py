@@ -24,7 +24,7 @@ report = run_protocol(
 print(report.render_text())
 
 out_dir = Path(__file__).resolve().parent / "backtest_output"
-paths = report.write_outputs(out_dir, report.metadata["assets"].split(","))
+paths = report.write_outputs(out_dir)
 print("artifacts:")
 for key in sorted(paths):
     print(f"  {key}: {paths[key]}")

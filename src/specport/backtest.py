@@ -353,6 +353,10 @@ class ProtocolConfig:
     periods_per_year: int = 12
     input_type: str = "prices"
 
+    def __post_init__(self) -> None:
+        if self.input_type not in ("prices", "returns"):
+            raise ValidationError(f"input_type must be 'prices' or 'returns', got {self.input_type!r}")
+
 
 @dataclass(frozen=True)
 class StrategyResult:
@@ -374,6 +378,7 @@ class StrategyResult:
 class BacktestReport:
     strategies: tuple[StrategyResult, ...]
     out_timestamps: tuple
+    asset_names: tuple[str, ...]
     metadata: dict = field(default_factory=dict)
     moments: SpectralMoments | None = None
 
@@ -385,8 +390,9 @@ class BacktestReport:
 
     def render_text(self) -> str:
         lines = ["backtest report", "=" * 15, ""]
-        for key in sorted(self.metadata):
-            lines.append(f"{key}: {self.metadata[key]}")
+        header = {**self.metadata, "assets": ",".join(self.asset_names)}
+        for key in sorted(header):
+            lines.append(f"{key}: {header[key]}")
         lines.append("")
         names = [s.name for s in self.strategies]
         sharpes = [
@@ -406,8 +412,11 @@ class BacktestReport:
         lines.append("")
         return "\n".join(lines)
 
-    def write_outputs(self, out_dir, asset_names: Sequence[str]) -> dict[str, Path]:
-        """Write report.txt plus the CSV artifacts; returns the paths written."""
+    def write_outputs(self, out_dir) -> dict[str, Path]:
+        """Write report.txt plus the CSV artifacts; returns the paths written.
+
+        The allocation tables have one column per name in ``asset_names``.
+        """
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         paths: dict[str, Path] = {}
@@ -429,7 +438,7 @@ class BacktestReport:
 
         for s in self.strategies:
             alloc_path = out_dir / f"allocations_{s.slug}.csv"
-            _write_table(alloc_path, ["timestamp"] + list(asset_names), self.out_timestamps, s.allocations)
+            _write_table(alloc_path, ["timestamp", *self.asset_names], self.out_timestamps, s.allocations)
             paths[f"allocations_{s.slug}"] = alloc_path
 
         spectral = [s for s in self.strategies if s.slug.startswith("spectral")]
@@ -440,7 +449,7 @@ class BacktestReport:
             months = np.array([_month_of_year(ts, ppy) for ts in self.out_timestamps])
             present = sorted(set(months.tolist()))  # np.unique would import numpy.ma on every CLI run
             means = np.array([target.allocations[months == month].mean(axis=0) for month in present])
-            _write_table(month_path, ["month"] + list(asset_names), present, means)
+            _write_table(month_path, ["month", *self.asset_names], present, means)
             paths["allocation_by_month"] = month_path
 
         if self.moments is not None:
@@ -573,11 +582,11 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
         "periods_per_year": str(ppy),
         "in_sample_returns": str(n_in),
         "out_sample_returns": str(n_out),
-        "assets": ",".join(returns.asset_names),
     }
     return BacktestReport(
         strategies=tuple(strategies),
         out_timestamps=out_panel.timestamps,
+        asset_names=returns.asset_names,
         metadata=metadata,
         moments=last_moments,
     )

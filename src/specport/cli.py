@@ -213,8 +213,7 @@ def _cmd_backtest(args) -> int:
     )
     report = run_protocol(config)
     out_dir = Path(args.out_dir)
-    asset_names = report.metadata["assets"].split(",")
-    paths = report.write_outputs(out_dir, asset_names)
+    paths = report.write_outputs(out_dir)
     _write_config_echo(
         out_dir / "backtest_config.json",
         "backtest",

@@ -125,11 +125,15 @@ def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int, snap: bool):
     return values, t0
 
 
-def _phases(t, grid: FrequencyGrid, scale: float = 1.0) -> np.ndarray:
-    """The managed-asset phases (scale/sqrt M) [cos(w_m t), -sin(w_m t)], shape (T, 2M).
+def _phases(t, grid: FrequencyGrid, mode: str = "paper-literal") -> np.ndarray:
+    """The managed-asset phases (s/sqrt M) [cos(w_m t), -sin(w_m t)], shape (T, 2M).
 
-    With scale 1, row t is the basis in managed coordinates: B(t) U = row (x) I_N.
+    The scale s is the mode's: 1 in "paper-literal" mode and 2M in
+    "consistent" mode, so the estimator's panel and the retrieved allocation
+    always agree.  With s = 1, row t is the basis in managed coordinates:
+    B(t) U = row (x) I_N.
     """
+    scale = 2 * grid.n_bins if mode == "consistent" else 1
     angles = np.outer(np.asarray(t, dtype=np.float64), grid.omegas)
     phases = (scale / math.sqrt(grid.n_bins)) * np.stack([np.cos(angles), -np.sin(angles)], axis=1)
     return phases.reshape(angles.shape[0], 2 * grid.n_bins)
@@ -138,10 +142,9 @@ def _phases(t, grid: FrequencyGrid, scale: float = 1.0) -> np.ndarray:
 def _managed_panel(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool) -> np.ndarray:
     """The real managed-asset panel z on the (snapped) window, shape (T, 2MN).
 
-    Row t is the outer product of :func:`_phases` at t with x(t), flattened
-    bin-major, with scale 1 in "paper-literal" mode and 2M in "consistent"
-    mode.  The augmented projected vector is then exactly U z(t) (see
-    :func:`_to_augmented`).
+    Row t is the outer product of :func:`_phases` at t, in the given mode,
+    with x(t), flattened bin-major.  The augmented projected vector is then
+    exactly U z(t) (see :func:`_to_augmented`).
     """
     _check_mode(mode)
     values = _panel_values(x)
@@ -149,8 +152,7 @@ def _managed_panel(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool) -> np
         raise ValidationError("need at least 2 samples to estimate spectral moments")
     values, t0 = _snap_window(values, grid, t0, snap)
     n_samples, n_assets = values.shape
-    scale = 2 * grid.n_bins if mode == "consistent" else 1
-    phases = _phases(np.arange(t0, t0 + n_samples), grid, scale)
+    phases = _phases(np.arange(t0, t0 + n_samples), grid, mode)
     panel = phases[:, :, np.newaxis] * values[:, np.newaxis, :]  # one (T, 2M, N) array
     return panel.reshape(n_samples, 2 * grid.n_bins * n_assets)
 

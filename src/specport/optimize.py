@@ -259,16 +259,18 @@ def equal_weight(n_assets: int) -> StaticWeights:
 def retrieve_allocation(weights: SpectralWeights, t_range) -> np.ndarray:
     """Time-domain allocation path w(t) = Phi(t) theta over the given indices.
 
-    Phi(t) = (1/sqrt M) [cos(w_m t), -sin(w_m t)] are the estimator's phases
-    and theta the managed weights as a 2M x N matrix, which equals the
-    augmented synthesis B(t) @ [v; conj(v)].  Returns a real
-    (len(t_range), n_assets) array, periodic with the grid's least common period.
+    Phi(t) are the estimator's phases in the weights' mode (see
+    :func:`specport.moments._phases`) and theta the managed weights as a
+    2M x N matrix; in "paper-literal" mode this equals the augmented synthesis
+    B(t) @ [v; conj(v)], and in "consistent" mode 2M times it, the scale at
+    which the moments were estimated.  Returns a real (len(t_range),
+    n_assets) array, periodic with the grid's least common period.
     """
     t = np.asarray(list(t_range) if not isinstance(t_range, np.ndarray) else t_range)
     if t.ndim != 1:
         raise ValidationError("t_range must be one-dimensional")
     theta = weights.managed_weights.reshape(2 * weights.grid.n_bins, weights.n_assets)
-    return _phases(t, weights.grid) @ theta
+    return _phases(t, weights.grid, weights.mode) @ theta
 
 
 def predicted_variance(weights: SpectralWeights, moments: SpectralMoments) -> float:

@@ -208,9 +208,9 @@ class TestSharpe:
 
 
 class TestProtocol:
-    def make_market(self, seed=5):
+    def make_market(self, seed=5, asset_names=None):
         spec = seasonal_market_spec(n_assets=4, periods=(12, 6), seed=seed, horizon=120)
-        return synthesize_panel(spec)
+        return synthesize_panel(spec, asset_names=asset_names)
 
     def test_spectral_beats_classical_on_seasonal_market(self):
         report = run_protocol(
@@ -259,7 +259,7 @@ class TestProtocol:
         for name in ("Spectral MVO (A)", "Spectral MVO (A,S)", "Spectral MVO (A,S,Q)", "MVO", "EW"):
             assert name in text
         assert report.metadata["sigma0_per_period"] == repr(0.01 / math.sqrt(12))
-        paths = report.write_outputs(tmp_path, report.metadata["assets"].split(","))
+        paths = report.write_outputs(tmp_path)
         for key in (
             "report",
             "cumulative_returns",
@@ -275,10 +275,10 @@ class TestProtocol:
         assert len(month_rows) == 13  # header + one row per calendar month
 
     def test_written_artifacts_read_back_exactly(self, tmp_path):
-        market = self.make_market(seed=4)
-        report = run_protocol(ProtocolConfig(data=market, boundary=60, grids=((12,), (12, 6))))
         names = ["A,1", 'B "two"', "C", "D"]  # names that csv must quote
-        paths = report.write_outputs(tmp_path, names)
+        market = self.make_market(seed=4, asset_names=names)
+        report = run_protocol(ProtocolConfig(data=market, boundary=60, grids=((12,), (12, 6))))
+        paths = report.write_outputs(tmp_path)
 
         def read(key):
             with paths[key].open(newline="") as handle:
@@ -309,7 +309,7 @@ class TestProtocol:
     def test_allocation_by_month_groups_dates_by_calendar_month(self, tmp_path):
         # with dates the month is the calendar month, whatever periods_per_year says
         report = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01", periods_per_year=4))
-        paths = report.write_outputs(tmp_path, report.metadata["assets"].split(","))
+        paths = report.write_outputs(tmp_path)
         rows = list(csv.reader(paths["allocation_by_month"].read_text().splitlines()))
         months = np.array([ts.month for ts in report.out_timestamps])
         target = report.strategy("spectral_mvo_12_6_3").allocations  # the last spectral grid
@@ -321,7 +321,7 @@ class TestProtocol:
         # the solver and the moments writer use the stored real pair; the
         # augmented complex covariance is a view built only on access
         report = run_protocol(ProtocolConfig(data=self.make_market(seed=6), boundary=60, grids=((12, 6),)))
-        report.write_outputs(tmp_path, ["A", "B", "C", "D"])
+        report.write_outputs(tmp_path)
         assert "covariance" not in vars(report.moments)
         assert report.moments.covariance.dtype == np.complex128
         assert "covariance" in vars(report.moments)
@@ -332,6 +332,20 @@ class TestProtocol:
         demeaned = run_protocol(ProtocolConfig(data=market, boundary=60, grids=((12,),), demean=True))
         # classical baseline is untouched by the flag
         assert plain.strategy("mvo").sharpe == demeaned.strategy("mvo").sharpe
+
+    def test_consistent_mode_allocations_equal_paper_literal(self):
+        # consistent mode scales the mean by 2M and K by (2M)^2, so theta shrinks by 2M
+        # and retrieval must scale the phases back up by 2M
+        market = self.make_market(seed=8)
+        literal = run_protocol(ProtocolConfig(data=market, boundary=60))
+        consistent = run_protocol(ProtocolConfig(data=market, boundary=60, mode="consistent"))
+        for a, b in zip(literal.strategies, consistent.strategies):
+            scale = np.max(np.abs(a.allocations))
+            assert np.max(np.abs(b.allocations - a.allocations)) <= 1e-12 * scale, a.name
+
+    def test_unknown_input_type_rejected(self):
+        with pytest.raises(ValidationError, match="input_type"):
+            ProtocolConfig(data=str(DATA), boundary="2015-01", input_type="return")
 
     def test_stage_labels_on_errors(self):
         panel = self.make_market()

@@ -320,6 +320,14 @@ class TestRetrieveAllocation:
         path = retrieve_allocation(solved, t)
         assert np.max(np.abs(path - direct)) <= 1e-14 * np.max(np.abs(direct))
 
+    def test_consistent_mode_scales_the_phases_by_2m(self):
+        # the consistent-mode estimator scales the phases by 2M, so retrieval must too;
+        # 2M = 4 is a power of two, so the scaled path is exact
+        moments = random_structured_moments(41, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
+        solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
+        consistent = dataclasses.replace(solved, mode="consistent")
+        assert np.array_equal(retrieve_allocation(consistent, range(24)), 4 * retrieve_allocation(solved, range(24)))
+
     def test_retrieval_and_variance_never_build_the_complex_view(self):
         moments = random_structured_moments(38, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
