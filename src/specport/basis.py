@@ -75,6 +75,9 @@ class FrequencyGrid:
             prev = w
         if self.periods is not None and len(self.periods) != len(self.omegas):
             raise ValidationError("periods metadata does not match number of bins")
+        # the estimators group samples by t mod lcm(periods), so the periods must be the omegas'
+        if self.periods is not None and any(_as_period(w) != p for w, p in zip(self.omegas, self.periods)):
+            raise ValidationError(f"periods {self.periods} do not match the frequencies {self.omegas}")
         if any(abs(w - math.pi) <= 1e-12 for w in self.omegas):
             warnings.warn(
                 "grid contains the Nyquist frequency pi; its conjugate pair is "

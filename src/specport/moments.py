@@ -17,7 +17,11 @@ panel z(t) = (1/sqrt M) [cos(w_m t) x(t); -sin(w_m t) x(t)] of 2MN columns, so
 the augmented mean and covariance are U mean(z) and U cov(z) U^H (Brandt and
 Santa-Clara 2006; Schreier and Scharf 2010).  :class:`SpectralMoments` stores
 the real pair (mean(z), cov(z)), which the solver and the moments file use;
-the augmented complex forms are views derived from it.
+the augmented complex forms are views derived from it.  On a window of 16 or
+more least common periods L the T x 2MN panel z is never formed: its phases
+repeat with period L, so both moments follow from the count, mean and scatter
+of x in each phase class t mod L, at O(N^2 T + L (2MN)^2) instead of
+O(T (2MN)^2).
 
 Two output scales are supported:
 
@@ -99,6 +103,30 @@ def _frozen_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return array
 
 
+_SYMMETRY_BLOCK = 128
+
+# Fewest samples per phase class for the estimators to group by class.  Each
+# class costs an N x N scatter and a row of G, so grouping pays only once the
+# classes hold many samples: on a 2-core x86 VM the break-even was about 13
+# per class for the grid (12, 7, 5) with N = 200.
+_MIN_CLASS_SIZE = 16
+
+
+def _is_exactly_symmetric(matrix: np.ndarray) -> bool:
+    """Whether the square ``matrix`` equals its transpose bit for bit.
+
+    Compares in strips of ``_SYMMETRY_BLOCK`` rows: the strip right of the
+    diagonal against the transposed column strip below it, so the transposed
+    side is read a few cache lines per row instead of one element per row.
+    """
+    size = matrix.shape[0]
+    for start in range(0, size, _SYMMETRY_BLOCK):
+        stop = start + _SYMMETRY_BLOCK
+        if not np.array_equal(matrix[start:stop, start:], matrix[start:, start:stop].T):
+            return False
+    return True
+
+
 def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int, snap: bool):
     """Trim to a commensurate window, discarding the oldest samples.
 
@@ -139,12 +167,30 @@ def _phases(t, grid: FrequencyGrid, mode: str = "paper-literal") -> np.ndarray:
     return phases.reshape(angles.shape[0], 2 * grid.n_bins)
 
 
-def _managed_panel(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool) -> np.ndarray:
-    """The real managed-asset panel z on the (snapped) window, shape (T, 2MN).
+def _managed_moments(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool, covariance: bool):
+    """Mean and, if ``covariance``, covariance K of the managed panel z on the (snapped) window.
 
-    Row t is the outer product of :func:`_phases` at t, in the given mode,
-    with x(t), flattened bin-major.  The augmented projected vector is then
-    exactly U z(t) (see :func:`_to_augmented`).
+    Returns (mean (2MN,), K (2MN, 2MN) or None, T).  Row t of z is
+    phi(t) (x) x(t), flattened bin-major, for the phases phi of
+    :func:`_phases` in the given mode; the augmented projected vector is
+    exactly U z(t) (see :func:`_to_augmented`).  phi repeats with the grid's
+    least common period L, so the window splits into the phase classes
+    r = t mod L, read as the strided views ``values[r::L]``.  With n_r
+    samples, mean xbar_r and within-class scatter
+    D_r = sum (x_t - xbar_r)(x_t - xbar_r)^T in class r,
+
+        mean = (1/T) sum_r n_r phi_r (x) xbar_r,
+        T K  = sum_r (phi_r phi_r^T) (x) D_r + G^T G,
+
+    where row r of G is sqrt(n_r) (phi_r (x) xbar_r - mean); the cross terms
+    vanish inside each class, so z is never formed.  A grid without an
+    integer least common period, or a window of fewer than
+    ``_MIN_CLASS_SIZE`` L samples, makes every sample its own class: every
+    D_r is zero, G is the centred panel and K = G^T G / T.  Otherwise K is
+    assembled N rows at a time: the blocks right of
+    the diagonal come from products, the diagonal block is averaged with its
+    transpose and the blocks below are copied from their mirror, so K is
+    exactly symmetric.
     """
     _check_mode(mode)
     values = _panel_values(x)
@@ -152,9 +198,55 @@ def _managed_panel(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool) -> np
         raise ValidationError("need at least 2 samples to estimate spectral moments")
     values, t0 = _snap_window(values, grid, t0, snap)
     n_samples, n_assets = values.shape
-    phases = _phases(np.arange(t0, t0 + n_samples), grid, mode)
-    panel = phases[:, :, np.newaxis] * values[:, np.newaxis, :]  # one (T, 2M, N) array
-    return panel.reshape(n_samples, 2 * grid.n_bins * n_assets)
+    periods = grid.bin_periods()
+    period = math.lcm(*periods) if periods else None
+    if period is not None and n_samples >= _MIN_CLASS_SIZE * period:
+        t = (t0 + np.arange(period)) % period
+    else:  # one class per sample
+        t = t0 + np.arange(n_samples)
+    n_classes = t.size
+    phases = _phases(t, grid, mode)  # row r is phi_r
+    repeats, extra = divmod(n_samples, n_classes)
+    sums = values[: repeats * n_classes].reshape(repeats, n_classes, n_assets).sum(axis=0)
+    sums[:extra] += values[repeats * n_classes :]
+    mean = (phases.T @ sums).ravel() / n_samples
+    if not covariance:
+        return mean, None, n_samples
+    counts = np.full(n_classes, repeats)
+    counts[:extra] += 1
+    class_means = np.divide(sums, counts[:, np.newaxis], out=sums)
+    between = phases[:, :, np.newaxis] * class_means[:, np.newaxis, :]
+    between = between.reshape(n_classes, mean.size)
+    between -= mean
+    between *= np.sqrt(counts / n_samples)[:, np.newaxis]  # G / sqrt(T)
+    if repeats == 1:  # one sample per class: the symmetric rank-k product G^T G is exact
+        return mean, between.T @ between, n_samples
+    # K right of its diagonal, N rows (one phase a) at a time: first G^T G ...
+    dim = 2 * grid.n_bins
+    cov = np.empty((mean.size, mean.size))
+    for a in range(dim):
+        lo, hi = a * n_assets, (a + 1) * n_assets
+        np.matmul(between[:, lo:hi].T, between[:, lo:], out=cov[lo:hi, lo:])
+    # ... then the class scatters, at most (2M)^2 of them (the size of K) at a time ...
+    for first in range(0, n_classes, dim * dim):
+        stop = min(first + dim * dim, n_classes)
+        scatter = np.empty((stop - first, n_assets, n_assets))
+        for r in range(first, stop):
+            deviations = values[r::n_classes] - class_means[r]
+            scatter[r - first] = deviations.T @ deviations
+        scatter = scatter.reshape(stop - first, n_assets * n_assets)
+        for a in range(dim):
+            lo, hi = a * n_assets, (a + 1) * n_assets
+            products = phases[first:stop, a:] * phases[first:stop, a, np.newaxis] / n_samples
+            within = (products.T @ scatter).reshape(dim - a, n_assets, n_assets)
+            blocks = cov[lo:hi].reshape(n_assets, dim, n_assets)[:, a:]
+            blocks += within.transpose(1, 0, 2)
+    # ... and last the diagonal blocks averaged with their transposes, the rest mirrored.
+    for a in range(dim):
+        lo, hi = a * n_assets, (a + 1) * n_assets
+        cov[lo:hi, lo:hi] = 0.5 * (cov[lo:hi, lo:hi] + cov[lo:hi, lo:hi].T)
+        cov[hi:, lo:hi] = cov[lo:hi, hi:].T
+    return mean, cov, n_samples
 
 
 def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
@@ -227,28 +319,25 @@ def estimate_spectral_mean(
     AugmentedVector
         Conjugate-symmetric by construction; deterministic given input.
     """
-    return _to_augmented(_managed_panel(x, grid, mode, t0, snap).mean(axis=0))
+    mean, _, _ = _managed_moments(x, grid, mode, t0, snap, covariance=False)
+    return _to_augmented(mean)
 
 
 def estimate_moments(
     x, grid: FrequencyGrid, mode: str = "paper-literal", t0: int = 0, snap: bool = True
 ) -> "SpectralMoments":
-    """Mean and covariance of the projected series on one window, from one managed panel.
+    """Mean and covariance of the projected series on one window, from its phase classes.
 
     The covariance is the sample covariance (1/T) sum_t (u(t) - mean)(u(t) - mean)^H
     of the augmented vector u(t) = B(t)^H x(t) around the estimated mean.  It
-    is held as the real K = z^T z / T of the centred managed panel, formed by
-    a symmetric rank-k product and so exactly symmetric.
+    is held as the real, exactly symmetric K, the covariance of the managed
+    panel z, which is built from the per-class means and scatters of the
+    window without forming z (see :func:`_managed_moments`).
     """
-    panel = _managed_panel(x, grid, mode, t0, snap)
-    n_samples, dim = panel.shape
-    managed_mean = panel.mean(axis=0)
-    panel -= managed_mean
-    covariance = panel.T @ panel
-    covariance /= n_samples
+    managed_mean, covariance, n_samples = _managed_moments(x, grid, mode, t0, snap, covariance=True)
     return SpectralMoments(
         grid=grid,
-        n_assets=dim // (2 * grid.n_bins),
+        n_assets=managed_mean.size // (2 * grid.n_bins),
         managed_mean=managed_mean,
         managed_covariance=covariance,
         sample_count=n_samples,
@@ -307,7 +396,7 @@ class SpectralMoments:
         dim = 2 * self.half_size
         mean = _frozen_real("managed mean", self.managed_mean, (dim,))
         cov = _frozen_real("managed covariance", self.managed_covariance, (dim, dim))
-        if not np.array_equal(cov, cov.T):
+        if not _is_exactly_symmetric(cov):
             raise ValidationError("managed covariance is not exactly symmetric")
         object.__setattr__(self, "managed_mean", mean)
         object.__setattr__(self, "managed_covariance", cov)

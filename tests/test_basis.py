@@ -33,6 +33,13 @@ class TestFrequencyGrid:
             FrequencyGrid.from_periods(as_input((12.5, 6)))
         assert FrequencyGrid.from_periods(as_input((12.0, 6))).periods == (12, 6)
 
+    def test_periods_must_match_frequencies(self):
+        assert FrequencyGrid(omegas=(2 * np.pi / 12,), periods=(12,)).least_common_period() == 12
+        with pytest.raises(ValidationError, match="do not match the frequencies"):
+            FrequencyGrid(omegas=(0.5,), periods=(12,))
+        with pytest.raises(ValidationError, match="do not match the frequencies"):
+            FrequencyGrid(omegas=(2 * np.pi / 12, 2 * np.pi / 6), periods=(6, 12))
+
     def test_dc_rejected(self):
         with pytest.raises(ValidationError):
             FrequencyGrid(omegas=(0.0, 1.0))

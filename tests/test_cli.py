@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +155,20 @@ class TestBacktest:
         assert [row[0] for row in cumulative_rows[1:]] == expected["timestamps"]
         cumulative = np.array([[float(v) for v in row[1:]] for row in cumulative_rows[1:]])
         assert np.allclose(cumulative, expected["values"], rtol=0, atol=1e-10)
+
+    def test_bundled_backtest_imports_neither_numpy_ma_nor_scipy(self, tmp_path):
+        # numpy.ma costs about 19 ms of import on every CLI run; scipy far more
+        script = (
+            "import sys\n"
+            "from specport.cli import main\n"
+            f"assert main(['backtest', '--data', {str(DATA)!r}, '--boundary', '2015-01',"
+            f" '--out-dir', {str(tmp_path / 'bt')!r}]) == 0\n"
+            "print(sorted(name for name in ('numpy.ma', 'scipy') if name in sys.modules))\n"
+        )
+        paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_boundary_outside_range_exit_2(self, tmp_path, capsys):
         code = main(

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from specport import (
     structure_project,
     write_moments_csv,
 )
-from specport.moments import _to_augmented
+from specport.moments import _SYMMETRY_BLOCK, _is_exactly_symmetric, _to_augmented
 
 
 class TestSpectralMean:
@@ -101,6 +102,17 @@ class TestSpectralMean:
         with pytest.raises(ValidationError):
             estimate_spectral_mean(np.zeros((24, 1)), grid, mode="bogus")
 
+    @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
+    def test_snap_warning_names_the_caller_and_log_keeps_counts(self, estimator, caplog):
+        grid = FrequencyGrid.from_periods((12, 4))
+        x = np.random.default_rng(5).standard_normal((40, 2))
+        with caplog.at_level(logging.INFO, logger="specport.moments"):
+            with pytest.warns(UserWarning, match="snapped") as caught:
+                estimator(x, grid)
+        assert [record.filename for record in caught] == [__file__]
+        (record,) = [r for r in caplog.records if r.name == "specport.moments"]
+        assert (record.snap_kept, record.snap_discarded) == (36, 4)
+
 
 class TestSpectralCovariance:
     def test_zero_panel(self):
@@ -160,6 +172,18 @@ class TestSpectralCovariance:
                 p_norm = np.linalg.norm(moments.bin_pseudo_covariance(m), 2)
                 assert p_norm <= r_norm + 1e-12
 
+    def test_no_managed_panel_is_formed(self):
+        # T x 2MN panel: 2400 x 400 doubles, 7.7 MB; K is 1.3 MB and the returns 1 MB
+        grid = FrequencyGrid.from_periods((12, 6, 4, 3))
+        x = np.random.default_rng(8).standard_normal((2400, 50))
+        tracemalloc.start()
+        try:
+            estimate_moments(x, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.shape[0] * 2 * grid.n_bins * x.shape[1] * 8 / 2
+
     def test_invariants_pass_on_estimates(self):
         rng = np.random.default_rng(6)
         grid = FrequencyGrid.from_periods((10, 5, 4))
@@ -178,6 +202,28 @@ class TestSpectralMomentsType:
         cov[5, 0] = np.nextafter(cov[5, 0], np.inf)  # one ulp off its mirror entry
         with pytest.raises(ValidationError, match="exactly symmetric"):
             dataclasses.replace(moments, managed_covariance=cov)
+
+    @pytest.mark.parametrize("size", [1, 127, 128, 129, 300])
+    def test_symmetry_check_is_exact_in_every_tile(self, size):
+        raw = np.random.default_rng(size).standard_normal((size, size))
+        matrix = raw + raw.T
+        assert _is_exactly_symmetric(matrix)
+        edge = _SYMMETRY_BLOCK
+        cells = {
+            (1, 0),  # first diagonal tile
+            (edge - 1, edge - 2),  # last row of a tile, beside the edge
+            (edge, edge - 1),  # first row of the next tile, across the edge
+            (edge + 1, edge),  # next diagonal tile
+            (size - 1, 0),  # far off-diagonal tile
+            (size - 1, size - 2),  # last diagonal tile
+        }
+        for row, col in cells:
+            if not 0 <= col < row < size:
+                continue
+            for i, j in ((row, col), (col, row)):
+                bumped = matrix.copy()
+                bumped[i, j] = np.nextafter(bumped[i, j], np.inf)  # one ulp off its mirror entry
+                assert not _is_exactly_symmetric(bumped), (i, j)
 
     @pytest.mark.parametrize(
         "fields",

@@ -8,6 +8,7 @@ and check the real code path against direct complex computations.
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,78 @@ def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, n_samples, m
         moments.sample_count,
         moments.mode,
     )
+
+
+# Frequencies drawn as floats: their periods are not integers, so such a grid has
+# no least common period and every sample is a phase class of its own.
+free_grids = st.lists(st.floats(min_value=0.05, max_value=3.1), min_size=1, max_size=3, unique=True).map(
+    lambda omegas: FrequencyGrid(omegas=tuple(sorted(omegas)))
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    grid=st.one_of(serial_grids, free_grids),
+    n_assets=st.integers(min_value=1, max_value=6),
+    n_samples=st.integers(min_value=2, max_value=300),
+    t0=st.integers(min_value=-1000, max_value=1000),
+    mode=st.sampled_from(("paper-literal", "consistent")),
+    snap=st.booleans(),
+)
+@example(  # 16 or 17 samples in each of the L = 12 classes
+    seed=1, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=199, t0=7, mode="paper-literal", snap=False
+)
+@example(  # L < T < 16 L: one class per sample
+    seed=6, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=29, t0=7, mode="consistent", snap=False
+)
+@example(  # T < L = 420
+    seed=2, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=2, n_samples=50, t0=-3, mode="consistent", snap=False
+)
+@example(  # no integer periods
+    seed=3, grid=FrequencyGrid(omegas=(0.5, 1.3)), n_assets=4, n_samples=40, t0=11, mode="paper-literal", snap=False
+)
+@example(  # the snap discards 4 samples
+    seed=4, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=6, n_samples=196, t0=5, mode="consistent", snap=True
+)
+@example(  # L beyond int64
+    seed=5,
+    grid=FrequencyGrid.from_periods((151, 149, 139, 137, 131, 127, 113, 109, 107, 103)),
+    n_assets=1,
+    n_samples=30,
+    t0=-9,
+    mode="paper-literal",
+    snap=False,
+)
+def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, t0, mode, snap):
+    """The phase-class moments equal the mean and z^T z / T of the centred panel z = phi(t) (x) x(t).
+
+    Covers both modes, grids with and without a least common period L, t0 != 0,
+    windows grouped by class and not, and unsnapped windows shorter than L or not
+    a multiple of it.
+    """
+    periods = grid.bin_periods()
+    period = math.lcm(*periods) if periods else None
+    snap = snap and period is not None and n_samples >= period
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    panel = scale * (rng.standard_normal((n_samples, n_assets)) + 3.0 * rng.standard_normal(n_assets))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the snap's warning
+        moments = estimate_moments(panel, grid, mode=mode, t0=t0, snap=snap)
+    kept = moments.sample_count
+    t = np.arange(t0 + n_samples - kept, t0 + n_samples)
+    z = (_phases(t, grid, mode)[:, :, np.newaxis] * panel[-kept:, np.newaxis, :]).reshape(kept, -1)
+    mean = z.mean(axis=0)
+    cov = (z - mean).T @ (z - mean) / kept
+    assert kept == (n_samples // period * period if snap else n_samples)
+    # phi(t) here carries the rounding of the angle w t, up to eps |w t|; the estimator
+    # evaluates phi at t mod L.
+    tol = 64 * np.finfo(np.float64).eps * (1.0 + grid.omegas[-1] * float(np.max(np.abs(t))))
+    size = float(np.max(np.abs(z)))
+    assert np.max(np.abs(moments.managed_mean - mean)) <= tol * size
+    assert np.max(np.abs(moments.managed_covariance - cov)) <= tol * size**2
+    assert np.array_equal(moments.managed_covariance, moments.managed_covariance.T)
 
 
 @PROPERTY_SETTINGS
