@@ -8,6 +8,24 @@ frequencies through the row-orthonormal matrix
 so that x(t) = B(t) @ [u; conj(u)] = 2 Re(C(t) @ u) for any complex
 coefficient vector u of length M*N.  B(t) B(t)^H = I_N exactly, which makes
 B(t)^H a right inverse and the per-sample least-squares projection trivial.
+
+The same basis in real "managed-asset" coordinates: the unitary
+U = (1/sqrt 2) [[I, jI], [I, -jI]] maps a real 2MN vector theta to the
+augmented vector U theta = [v; conj(v)], v = (theta_a + j theta_b) / sqrt 2,
+and
+
+    B(t) U = phi(t) (x) I_N,
+    phi(t) = (1/sqrt M) [cos(w_1 t), ..., cos(w_M t), -sin(w_1 t), ..., -sin(w_M t)].
+
+So a synthesis is the real product x(t) = phi(t) theta.reshape(2M, N) with
+theta = U^H [u; conj(u)] = sqrt 2 [Re u; Im u], and a projection is
+B(t)^H x(t) = U z(t) with the managed panel row z(t) = phi(t) (x) x(t)
+(Schreier and Scharf 2010).  :func:`_phases` evaluates phi(t) for many t, and
+:func:`_to_augmented` and :func:`_to_managed` apply U and U^H; the
+estimators, the solver's weights, allocation retrieval and the synthesis
+kernels all go through them.  :func:`build_basis`,
+:func:`synthesize_time_value` and :func:`project_spectrum` keep the literal
+complex definition, the reference that the real kernels are tested against.
 """
 
 from __future__ import annotations
@@ -244,6 +262,70 @@ def build_basis(t: int, grid: FrequencyGrid, n_assets: int) -> AugmentedSpectral
     return AugmentedSpectralBasis(t=int(t), grid=grid, n_assets=n_assets, values=values)
 
 
+def _phases(t, grid: FrequencyGrid, mode: str = "paper-literal") -> np.ndarray:
+    """The managed-asset phases (s/sqrt M) [cos(w_m t), -sin(w_m t)], shape (T, 2M).
+
+    The scale s is the mode's: 1 in "paper-literal" mode and 2M in
+    "consistent" mode, so the estimator's panel and the retrieved allocation
+    always agree.  With s = 1, row t is the basis in managed coordinates:
+    B(t) U = row (x) I_N.
+    """
+    scale = 2 * grid.n_bins if mode == "consistent" else 1
+    angles = np.outer(np.asarray(t, dtype=np.float64), grid.omegas)
+    phases = (scale / math.sqrt(grid.n_bins)) * np.stack([np.cos(angles), -np.sin(angles)], axis=1)
+    return phases.reshape(angles.shape[0], 2 * grid.n_bins)
+
+
+def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
+    """Map a managed-asset vector or covariance to the augmented complex form.
+
+    With U = (1/sqrt 2) [[I, jI], [I, -jI]] (unitary), a real vector theta
+    maps to the AugmentedVector U theta = [v; conj(v)], v = (theta_a + j theta_b) / sqrt 2,
+    and a real symmetric K maps to the array U K U^H = [[R, P], [conj(P), conj(R)]] with
+    R = (K_aa + K_bb + j (K_ba - K_ab)) / 2 and P = (K_aa - K_bb + j (K_ba + K_ab)) / 2.
+    For an exactly symmetric K the result has the augmented block structure
+    exactly (R Hermitian, P symmetric, conjugate blocks bit-equal).  Trace,
+    eigenvalues and norms carry over unchanged.
+    """
+    managed = np.asarray(managed, dtype=np.float64)
+    half = managed.shape[0] // 2
+    if managed.ndim == 1:
+        return AugmentedVector.from_upper((managed[:half] + 1j * managed[half:]) / math.sqrt(2))
+    k_aa, k_ab = managed[:half, :half], managed[:half, half:]
+    k_ba, k_bb = managed[half:, :half], managed[half:, half:]
+    out = np.empty(managed.shape, dtype=np.complex128)
+    r_grid, p_grid = out[:half, :half], out[:half, half:]
+    r_grid.real = 0.5 * (k_aa + k_bb)
+    r_grid.imag = 0.5 * (k_ba - k_ab)
+    p_grid.real = 0.5 * (k_aa - k_bb)
+    p_grid.imag = 0.5 * (k_ba + k_ab)
+    np.conjugate(r_grid, out=out[half:, half:])
+    np.conjugate(p_grid, out=out[half:, :half])
+    return out
+
+
+def _to_managed(augmented: AugmentedVector | np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_to_augmented`: the real U^H [u; conj(u)] or U^H Sigma U.
+
+    An AugmentedVector maps to theta = sqrt 2 [Re u; Im u] from its upper
+    half.  A matrix is read only in its upper block row [R, P], which
+    determines an augmented covariance completely.  The blocks
+    [[Re(R + P), Im(P - R)], [Im(R + P), Re(R - P)]] are summed part by part
+    straight into one real array, with the same roundings as the complex sums.
+    """
+    if isinstance(augmented, AugmentedVector):
+        return math.sqrt(2) * np.concatenate([augmented.upper.real, augmented.upper.imag])
+    augmented = np.asarray(augmented, dtype=np.complex128)
+    half = augmented.shape[0] // 2
+    r_grid, p_grid = augmented[:half, :half], augmented[:half, half:]
+    out = np.empty(augmented.shape, dtype=np.float64)
+    np.add(r_grid.real, p_grid.real, out=out[:half, :half])
+    np.subtract(p_grid.imag, r_grid.imag, out=out[:half, half:])
+    np.add(r_grid.imag, p_grid.imag, out=out[half:, :half])
+    np.subtract(r_grid.real, p_grid.real, out=out[half:, half:])
+    return out
+
+
 def _check_spectrum(basis_half: int, spectrum: AugmentedVector) -> None:
     if spectrum.half_size != basis_half:
         raise ValidationError(
@@ -278,17 +360,15 @@ def synthesize_series(
     """Evaluate the synthesis at many sample indices at once.
 
     Equivalent to stacking ``synthesize_time_value(build_basis(t, ...), spectrum)``
-    over t, computed as (2/sqrt(2M)) Re(sum_m e^{j w_m t} u_m), which is exactly
-    real by construction.
+    over t, computed in managed coordinates as phi(t) theta with
+    theta = sqrt 2 [Re u; Im u] (see the module docstring), which is real by
+    construction.  Raises SymmetryViolationError for a spectrum that is not
+    conjugate-symmetric.
 
     Returns a (len(t_indices), n_assets) float array.
     """
     _check_spectrum(grid.n_bins * n_assets, spectrum)
-    t = np.asarray(t_indices, dtype=np.float64)
-    phases = np.exp(1j * np.outer(t, np.asarray(grid.omegas)))  # (T, M)
-    coeff = spectrum.upper.reshape(grid.n_bins, n_assets)
-    scale = 2.0 / math.sqrt(2 * grid.n_bins)
-    return scale * np.real(phases @ coeff)
+    return _phases(t_indices, grid) @ _to_managed(spectrum).reshape(2 * grid.n_bins, n_assets)
 
 
 def project_spectrum(basis: AugmentedSpectralBasis, x) -> AugmentedVector:

@@ -71,8 +71,10 @@ def _parse_grids(token: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_periods(part) for part in token.split(";") if part.strip())
 
 
-def _write_config_echo(path: Path, command: str, params: dict) -> None:
-    payload = {"tool": "specport", "version": __version__, "command": command, **params}
+def _write_config_echo(path: Path, args, **resolved) -> None:
+    """Echo every parsed argument, with ``resolved`` overriding the values the command normalized."""
+    params = {key: value for key, value in vars(args).items() if key != "func"}
+    payload = {"tool": "specport", "version": __version__, **params, **resolved}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -123,22 +125,7 @@ def _cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_table(out, ["date"] + names, timestamps, table)
 
-    _write_config_echo(
-        out.with_name(out.name + ".config.json"),
-        "synth",
-        {
-            "out": str(out),
-            "horizon": args.horizon,
-            "seed": args.seed,
-            "example1": bool(args.example1),
-            "periods": args.periods,
-            "n_assets": args.n_assets,
-            "mean_amp": args.mean_amp,
-            "noise_vol": args.noise_vol,
-            "format": out_format,
-            "start_date": args.start_date,
-        },
-    )
+    _write_config_echo(out.with_name(out.name + ".config.json"), args, out=str(out), format=out_format)
     print(f"wrote {values.shape[0]} samples x {spec.n_assets} assets to {out}")
     return 0
 
@@ -179,19 +166,7 @@ def _cmd_estimate(args) -> int:
         writer.writerow(["bin", "period", "mean_norm", "cov_norm", "pseudo_norm", "psd_trace"])
         writer.writerows(rows)
 
-    _write_config_echo(
-        out_dir / "estimate_config.json",
-        "estimate",
-        {
-            "data": str(data),
-            "periods": args.periods,
-            "mode": args.mode,
-            "demean": bool(args.demean),
-            "input_type": args.input_type,
-            "periods_per_year": args.periods_per_year,
-            "out_dir": str(out_dir),
-        },
-    )
+    _write_config_echo(out_dir / "estimate_config.json", args, data=str(data), out_dir=str(out_dir))
     print(f"wrote {out_dir / 'spectral_moments.csv'}")
     return 0
 
@@ -214,22 +189,7 @@ def _cmd_backtest(args) -> int:
     report = run_protocol(config)
     out_dir = Path(args.out_dir)
     paths = report.write_outputs(out_dir)
-    _write_config_echo(
-        out_dir / "backtest_config.json",
-        "backtest",
-        {
-            "data": str(data),
-            "boundary": args.boundary,
-            "grids": args.grids,
-            "sigma0_annual": args.sigma0_annual,
-            "ridge": args.ridge,
-            "mode": args.mode,
-            "demean": bool(args.demean),
-            "periods_per_year": args.periods_per_year,
-            "input_type": args.input_type,
-            "out_dir": str(out_dir),
-        },
-    )
+    _write_config_echo(out_dir / "backtest_config.json", args, data=str(data), out_dir=str(out_dir))
     print(report.render_text())
     print(f"report written to {paths['report']}")
     return 0

@@ -11,10 +11,10 @@ to it at low SNR.
 
 Estimators time-average the projected series over a commensurate window (a
 whole number of least common periods), which removes leakage between bins.
-They work on the equivalent real problem: the augmented vector is U z(t) for
-the unitary U = (1/sqrt 2) [[I, jI], [I, -jI]] and the real "managed-asset"
-panel z(t) = (1/sqrt M) [cos(w_m t) x(t); -sin(w_m t) x(t)] of 2MN columns, so
-the augmented mean and covariance are U mean(z) and U cov(z) U^H (Brandt and
+They work on the equivalent real problem in the managed-asset coordinates
+documented in :mod:`specport.basis`: the augmented vector is U z(t) for the
+unitary U and the real panel z(t) = phi(t) (x) x(t) of 2MN columns, so the
+augmented mean and covariance are U mean(z) and U cov(z) U^H (Brandt and
 Santa-Clara 2006; Schreier and Scharf 2010).  :class:`SpectralMoments` stores
 the real pair (mean(z), cov(z)), which the solver and the moments file use;
 the augmented complex forms are views derived from it.  On a window of 16 or
@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import AugmentedVector, FrequencyGrid, commensurate_length
+from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented, commensurate_length
 from .errors import ValidationError
 
 __all__ = [
@@ -153,30 +153,16 @@ def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int, snap: bool):
     return values, t0
 
 
-def _phases(t, grid: FrequencyGrid, mode: str = "paper-literal") -> np.ndarray:
-    """The managed-asset phases (s/sqrt M) [cos(w_m t), -sin(w_m t)], shape (T, 2M).
-
-    The scale s is the mode's: 1 in "paper-literal" mode and 2M in
-    "consistent" mode, so the estimator's panel and the retrieved allocation
-    always agree.  With s = 1, row t is the basis in managed coordinates:
-    B(t) U = row (x) I_N.
-    """
-    scale = 2 * grid.n_bins if mode == "consistent" else 1
-    angles = np.outer(np.asarray(t, dtype=np.float64), grid.omegas)
-    phases = (scale / math.sqrt(grid.n_bins)) * np.stack([np.cos(angles), -np.sin(angles)], axis=1)
-    return phases.reshape(angles.shape[0], 2 * grid.n_bins)
-
-
 def _managed_moments(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool, covariance: bool):
     """Mean and, if ``covariance``, covariance K of the managed panel z on the (snapped) window.
 
     Returns (mean (2MN,), K (2MN, 2MN) or None, T).  Row t of z is
     phi(t) (x) x(t), flattened bin-major, for the phases phi of
-    :func:`_phases` in the given mode; the augmented projected vector is
-    exactly U z(t) (see :func:`_to_augmented`).  phi repeats with the grid's
-    least common period L, so the window splits into the phase classes
-    r = t mod L, read as the strided views ``values[r::L]``.  With n_r
-    samples, mean xbar_r and within-class scatter
+    :func:`specport.basis._phases` in the given mode; the augmented projected
+    vector is exactly U z(t) (see :func:`specport.basis._to_augmented`).  phi
+    repeats with the grid's least common period L, so the window splits into
+    the phase classes r = t mod L, read as the strided views ``values[r::L]``.
+    With n_r samples, mean xbar_r and within-class scatter
     D_r = sum (x_t - xbar_r)(x_t - xbar_r)^T in class r,
 
         mean = (1/T) sum_r n_r phi_r (x) xbar_r,
@@ -207,14 +193,17 @@ def _managed_moments(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool, cov
     n_classes = t.size
     phases = _phases(t, grid, mode)  # row r is phi_r
     repeats, extra = divmod(n_samples, n_classes)
-    sums = values[: repeats * n_classes].reshape(repeats, n_classes, n_assets).sum(axis=0)
-    sums[:extra] += values[repeats * n_classes :]
+    if repeats == 1:  # one sample per class: the window is its own class sums, read only
+        sums = values
+    else:
+        sums = values[: repeats * n_classes].reshape(repeats, n_classes, n_assets).sum(axis=0)
+        sums[:extra] += values[repeats * n_classes :]
     mean = (phases.T @ sums).ravel() / n_samples
     if not covariance:
         return mean, None, n_samples
     counts = np.full(n_classes, repeats)
     counts[:extra] += 1
-    class_means = np.divide(sums, counts[:, np.newaxis], out=sums)
+    class_means = sums if repeats == 1 else np.divide(sums, counts[:, np.newaxis], out=sums)
     between = phases[:, :, np.newaxis] * class_means[:, np.newaxis, :]
     between = between.reshape(n_classes, mean.size)
     between -= mean
@@ -247,53 +236,6 @@ def _managed_moments(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool, cov
         cov[lo:hi, lo:hi] = 0.5 * (cov[lo:hi, lo:hi] + cov[lo:hi, lo:hi].T)
         cov[hi:, lo:hi] = cov[lo:hi, hi:].T
     return mean, cov, n_samples
-
-
-def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
-    """Map a managed-asset vector or covariance to the augmented complex form.
-
-    With U = (1/sqrt 2) [[I, jI], [I, -jI]] (unitary), a real vector theta
-    maps to the AugmentedVector U theta = [v; conj(v)], v = (theta_a + j theta_b) / sqrt 2,
-    and a real symmetric K maps to the array U K U^H = [[R, P], [conj(P), conj(R)]] with
-    R = (K_aa + K_bb + j (K_ba - K_ab)) / 2 and P = (K_aa - K_bb + j (K_ba + K_ab)) / 2.
-    For an exactly symmetric K the result has the augmented block structure
-    exactly (R Hermitian, P symmetric, conjugate blocks bit-equal).  Trace,
-    eigenvalues and norms carry over unchanged.
-    """
-    managed = np.asarray(managed, dtype=np.float64)
-    half = managed.shape[0] // 2
-    if managed.ndim == 1:
-        return AugmentedVector.from_upper((managed[:half] + 1j * managed[half:]) / math.sqrt(2))
-    k_aa, k_ab = managed[:half, :half], managed[:half, half:]
-    k_ba, k_bb = managed[half:, :half], managed[half:, half:]
-    out = np.empty(managed.shape, dtype=np.complex128)
-    r_grid, p_grid = out[:half, :half], out[:half, half:]
-    r_grid.real = 0.5 * (k_aa + k_bb)
-    r_grid.imag = 0.5 * (k_ba - k_ab)
-    p_grid.real = 0.5 * (k_aa - k_bb)
-    p_grid.imag = 0.5 * (k_ba + k_ab)
-    np.conjugate(r_grid, out=out[half:, half:])
-    np.conjugate(p_grid, out=out[half:, :half])
-    return out
-
-
-def _to_managed(augmented: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_to_augmented` on matrices: the real U^H Sigma U.
-
-    Reads only the upper block row [R, P], which determines an augmented
-    covariance completely.  The blocks [[Re(R + P), Im(P - R)],
-    [Im(R + P), Re(R - P)]] are summed part by part straight into one real
-    array, with the same roundings as the complex sums.
-    """
-    augmented = np.asarray(augmented, dtype=np.complex128)
-    half = augmented.shape[0] // 2
-    r_grid, p_grid = augmented[:half, :half], augmented[:half, half:]
-    out = np.empty(augmented.shape, dtype=np.float64)
-    np.add(r_grid.real, p_grid.real, out=out[:half, :half])
-    np.subtract(p_grid.imag, r_grid.imag, out=out[:half, half:])
-    np.add(r_grid.imag, p_grid.imag, out=out[half:, :half])
-    np.subtract(r_grid.real, p_grid.real, out=out[half:, half:])
-    return out
 
 
 def estimate_spectral_mean(

@@ -25,17 +25,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import AugmentedVector, FrequencyGrid
+from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented
 from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError
 from .moments import (
     SpectralMoments,
     _artifact_errors,
     _check_mode,
     _frozen_real,
-    _phases,
     _place,
     _read_records,
-    _to_augmented,
     _vector_rows,
     _write_records,
 )
@@ -260,7 +258,7 @@ def retrieve_allocation(weights: SpectralWeights, t_range) -> np.ndarray:
     """Time-domain allocation path w(t) = Phi(t) theta over the given indices.
 
     Phi(t) are the estimator's phases in the weights' mode (see
-    :func:`specport.moments._phases`) and theta the managed weights as a
+    :func:`specport.basis._phases`) and theta the managed weights as a
     2M x N matrix; in "paper-literal" mode this equals the augmented synthesis
     B(t) @ [v; conj(v)], and in "consistent" mode 2M times it, the scale at
     which the moments were estimated.  Returns a real (len(t_range),

@@ -20,9 +20,9 @@ import warnings
 
 import numpy as np
 
-from .basis import AugmentedVector, FrequencyGrid, synthesize_series
+from .basis import AugmentedVector, FrequencyGrid, _check_spectrum, _phases, _to_managed
 from .errors import FactorizationError, ValidationError
-from .moments import _to_managed, structure_project
+from .moments import structure_project
 
 __all__ = [
     "SynthSpec",
@@ -107,25 +107,34 @@ def _composite_factor(spec: SynthSpec) -> np.ndarray:
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def sample_noise_series(spec: SynthSpec, n_samples: int) -> np.ndarray:
-    """Draw the complex noise coefficients for t = 0..n_samples-1, shape (T, M*N).
+def _composite_noise(spec: SynthSpec, n_samples: int) -> np.ndarray:
+    """The real composite noise draws [Re s(t); Im s(t)] for t = 0..n_samples-1, shape (T, 2*M*N).
 
     One sequential RNG stream seeded by ``spec.seed`` defines determinism;
     each row has the prescribed covariance/pseudo-covariance, rows are
     independent unless ``ar_coeff`` > 0 (AR(1) filtering, which preserves the
     per-sample moments).
     """
-    half = spec.half_size
     factor = _composite_factor(spec)
     rng = np.random.default_rng(spec.seed)
-    composite = rng.standard_normal((n_samples, 2 * half)) @ factor.T
-    series = composite[:, :half] + 1j * composite[:, half:]
+    composite = rng.standard_normal((n_samples, 2 * spec.half_size)) @ factor.T
     rho = spec.ar_coeff
     if rho > 0.0:
         fresh_scale = math.sqrt(1.0 - rho * rho)
         for t in range(1, n_samples):
-            series[t] = rho * series[t - 1] + fresh_scale * series[t]
-    return series
+            composite[t] = rho * composite[t - 1] + fresh_scale * composite[t]
+    return composite
+
+
+def sample_noise_series(spec: SynthSpec, n_samples: int) -> np.ndarray:
+    """Draw the complex noise coefficients s(t) for t = 0..n_samples-1, shape (T, M*N).
+
+    The complex form of the composite draws that :func:`synthesize_values`
+    uses, so both see the same noise.
+    """
+    composite = _composite_noise(spec, n_samples)
+    half = spec.half_size
+    return composite[:, :half] + 1j * composite[:, half:]
 
 
 def sample_spectral_noise(spec: SynthSpec, t: int) -> AugmentedVector:
@@ -140,15 +149,18 @@ def sample_spectral_noise(spec: SynthSpec, t: int) -> AugmentedVector:
 
 
 def synthesize_values(spec: SynthSpec) -> np.ndarray:
-    """Real (horizon, n_assets) panel values for the generative description."""
-    t = np.arange(spec.horizon)
-    deterministic = synthesize_series(spec.spectral_mean, spec.grid, t, spec.n_assets)
-    noise_coeff = sample_noise_series(spec, spec.horizon)
-    phases = np.exp(1j * np.outer(t, np.asarray(spec.grid.omegas)))
-    blocks = noise_coeff.reshape(spec.horizon, spec.grid.n_bins, spec.n_assets)
-    scale = 2.0 / math.sqrt(2 * spec.grid.n_bins)
-    noise = scale * np.real(np.einsum("tm,tmn->tn", phases, blocks))
-    return deterministic + noise
+    """Real (horizon, n_assets) panel values for the generative description.
+
+    Row t is x(t) = B(t) (m + s(t)), computed in managed coordinates (see
+    :mod:`specport.basis`) as the one real product phi(t) (theta_m + theta_s(t))
+    with theta_m = sqrt 2 [Re m; Im m] and theta_s(t) = sqrt 2 [Re s(t); Im s(t)]
+    from the composite noise draw.  Raises SymmetryViolationError for a
+    spectral mean that is not conjugate-symmetric.
+    """
+    _check_spectrum(spec.half_size, spec.spectral_mean)
+    theta = _to_managed(spec.spectral_mean) + math.sqrt(2) * _composite_noise(spec, spec.horizon)
+    theta = theta.reshape(spec.horizon, 2 * spec.grid.n_bins, spec.n_assets)
+    return np.einsum("tk,tkn->tn", _phases(np.arange(spec.horizon), spec.grid), theta)
 
 
 def synthesize_panel(spec: SynthSpec, periods_per_year: int = 12, asset_names=None):

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specport.cli import main
+from specport.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "synthetic_monthly_prices.csv"
@@ -248,3 +249,30 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         main(["backtest"])  # missing required flags
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate", "backtest"])
+def test_config_echo_holds_every_parsed_argument(tmp_path, command):
+    """The echo is written from the parsed arguments, so a new flag is echoed without another edit."""
+    runs = {
+        "synth": (["synth", "--out", str(tmp_path / "p.csv"), "-T", "24"], tmp_path / "p.csv.config.json"),
+        "estimate": (
+            ["estimate", "--data", str(DATA), "--out-dir", str(tmp_path / "est")],
+            tmp_path / "est" / "estimate_config.json",
+        ),
+        "backtest": (
+            ["backtest", "--data", str(DATA), "--boundary", "2015-01", "--out-dir", str(tmp_path / "bt")],
+            tmp_path / "bt" / "backtest_config.json",
+        ),
+    }
+    argv, echo_path = runs[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the window snap
+        assert main(argv) == 0
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["func"]
+    echo = json.loads(echo_path.read_text())
+    assert set(parsed) <= set(echo)
+    # synth resolves --format from --example1; every other value is echoed as parsed
+    resolved = {"format": "prices"} if command == "synth" else {}
+    assert {key: echo[key] for key in parsed} == {**parsed, **resolved}

@@ -21,7 +21,8 @@ from specport import (
     structure_project,
     write_moments_csv,
 )
-from specport.moments import _SYMMETRY_BLOCK, _is_exactly_symmetric, _to_augmented
+from specport.basis import _to_augmented
+from specport.moments import _SYMMETRY_BLOCK, _is_exactly_symmetric
 
 
 class TestSpectralMean:
@@ -183,6 +184,28 @@ class TestSpectralCovariance:
         finally:
             tracemalloc.stop()
         assert peak < x.shape[0] * 2 * grid.n_bins * x.shape[1] * 8 / 2
+
+    def test_one_class_per_sample_does_not_copy_the_window(self):
+        # 4200 < 16 L = 6720 samples: every sample is its own class, and the centred
+        # T x 2MN panel (10.1 MB) plus K (0.7 MB) is the whole need; the window is 1.7 MB
+        grid = FrequencyGrid.from_periods((12, 7, 5))
+        x = np.random.default_rng(9).standard_normal((4200, 50))
+        panel_bytes = x.shape[0] * 2 * grid.n_bins * x.shape[1] * 8
+        cov_bytes = (2 * grid.n_bins * x.shape[1]) ** 2 * 8
+        tracemalloc.start()
+        try:
+            moments = estimate_moments(x, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < panel_bytes + cov_bytes + x.nbytes / 2
+        # a read-only window is read, never written, and gives the same K bit for bit
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        again = estimate_moments(frozen, grid)
+        assert np.array_equal(frozen, x)
+        assert again.managed_covariance.tobytes() == moments.managed_covariance.tobytes()
+        assert again.managed_mean.tobytes() == moments.managed_mean.tobytes()
 
     def test_invariants_pass_on_estimates(self):
         rng = np.random.default_rng(6)

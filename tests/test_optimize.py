@@ -14,6 +14,7 @@ from specport import (
     SingularCovarianceError,
     SpectralMoments,
     ValidationError,
+    build_basis,
     equal_weight,
     estimate_moments,
     predicted_variance,
@@ -21,10 +22,10 @@ from specport import (
     retrieve_allocation,
     solve_classical_mvo,
     solve_spectral_mvo,
-    synthesize_series,
+    synthesize_time_value,
     write_weights_csv,
 )
-from specport.moments import _to_augmented
+from specport.basis import _to_augmented
 from specport.optimize import _targeted_solve
 
 from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments
@@ -312,11 +313,13 @@ class TestRetrieveAllocation:
         assert np.max(np.abs(path_a - path_b)) <= 1e-12
         assert path_a.dtype == np.float64
 
-    def test_matches_synthesize_series(self):
+    def test_matches_per_sample_synthesis(self):
         moments = random_structured_moments(34)
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
         t = np.arange(17, 40)
-        direct = synthesize_series(solved.weights, solved.grid, t, solved.n_assets)
+        direct = np.array(
+            [synthesize_time_value(build_basis(s, solved.grid, solved.n_assets), solved.weights) for s in t]
+        )
         path = retrieve_allocation(solved, t)
         assert np.max(np.abs(path - direct)) <= 1e-14 * np.max(np.abs(direct))
 

@@ -27,11 +27,11 @@ from specport import (
     retrieve_allocation,
     solve_spectral_mvo,
     structure_project,
-    synthesize_series,
+    synthesize_time_value,
     write_moments_csv,
     write_weights_csv,
 )
-from specport.moments import _phases, _to_augmented, _to_managed
+from specport.basis import _phases, _to_augmented, _to_managed
 
 from conftest import random_structured_moments
 
@@ -311,7 +311,7 @@ def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, leng
     )
     t = np.arange(start, start + length)
     path = retrieve_allocation(weights, t)
-    expected = synthesize_series(weights.weights, grid, t, n_assets)
+    expected = np.array([synthesize_time_value(build_basis(s, grid, n_assets), weights.weights) for s in t])
     assert path.shape == expected.shape == (length, n_assets)
     scale = np.abs(_phases(t, grid)) @ np.abs(theta.reshape(2 * grid.n_bins, n_assets))
     assert np.max(np.abs(path - expected)) <= 1e-14 * np.max(scale)

@@ -9,6 +9,7 @@ from specport import (
     AugmentedVector,
     FactorizationError,
     FrequencyGrid,
+    SymmetryViolationError,
     SynthSpec,
     ValidationError,
     build_basis,
@@ -143,6 +144,43 @@ class TestPanels:
         for t in range(48):
             expected = synthesize_time_value(build_basis(t, grid, 2), mean)
             assert np.max(np.abs(panel[t] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("ar_coeff", [0.0, 0.5])
+    def test_noisy_panel_matches_basis_synthesis_pointwise(self, ar_coeff):
+        rng = np.random.default_rng(17)
+        grid = FrequencyGrid.from_periods((12, 8))
+        half = grid.n_bins * 2
+        factor = rng.standard_normal((2 * half, 2 * half)) * 0.4
+        mean = AugmentedVector.from_upper(rng.standard_normal(half) + 1j * rng.standard_normal(half))
+        spec = SynthSpec(
+            grid=grid,
+            n_assets=2,
+            spectral_mean=mean,
+            spectral_cov=composite_to_augmented(factor @ factor.T),
+            horizon=48,
+            seed=18,
+            ar_coeff=ar_coeff,
+        )
+        assert np.max(np.abs(spec.spectral_cov[:half, half:])) > 0.1  # improper noise
+        panel = synthesize_values(spec)
+        scale = np.max(np.abs(panel))
+        for t in range(48):
+            noise = sample_spectral_noise(spec, t)
+            coefficients = AugmentedVector(upper=mean.upper + noise.upper, lower=mean.lower + noise.lower)
+            expected = synthesize_time_value(build_basis(t, grid, 2), coefficients)
+            assert np.max(np.abs(panel[t] - expected)) <= 1e-12 * scale
+
+    def test_rejects_non_conjugate_symmetric_mean(self):
+        spec = SynthSpec(
+            grid=FrequencyGrid.from_periods((12,)),
+            n_assets=1,
+            spectral_mean=AugmentedVector(upper=[1 + 1j], lower=[1 + 1j]),
+            spectral_cov=np.zeros((2, 2)),
+            horizon=4,
+            seed=0,
+        )
+        with pytest.raises(SymmetryViolationError):
+            synthesize_values(spec)
 
     def test_determinism_bit_identical(self):
         spec = example1_scenario(seed=11, horizon=600)
