@@ -15,6 +15,7 @@ import datetime
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -153,77 +154,61 @@ class ReturnsPanel:
         )
 
 
-def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    path = Path(path)
+def _read_panel(path, require_positive: bool, min_rows: int):
+    """Read a panel CSV; returns (timestamps, values, asset names).
+
+    Each row is parsed once, its timestamp by ``parse_timestamp`` and its
+    cells by ``float``, which rejects blank and non-numeric tokens and
+    ignores padding.  A row with the wrong cell count, an unparseable
+    timestamp or cell, or a non-finite (or, with ``require_positive``,
+    non-positive) value is dropped with a logged warning naming its source
+    row, then a count.  Duplicate or non-increasing timestamps among the kept
+    rows are an error naming the offending source row, as are fewer than
+    ``min_rows`` kept rows.
+    """
+    source = Path(path)
     try:
-        with path.open(newline="") as handle:
-            reader = csv.reader(handle)
-            rows = [(line_no, row) for line_no, row in enumerate(reader, start=1) if row]
+        with source.open(newline="") as handle:
+            rows = [(line_no, row) for line_no, row in enumerate(csv.reader(handle), start=1) if row]
     except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
+        raise IngestionError(f"cannot read {source}: {exc}") from exc
     if not rows:
-        raise IngestionError(f"{path}: empty file")
+        raise IngestionError(f"{source}: empty file")
     header = rows[0][1]
     if len(header) < 2:
-        raise IngestionError(f"{path}: header must have a timestamp column plus assets")
-    return header, rows[1:]
+        raise IngestionError(f"{source}: header must have a timestamp column plus assets")
 
-
-def _parse_panel_rows(path, rows, n_cells: int, require_positive: bool):
-    """Shared row parsing: returns (timestamps, values, dropped_count).
-
-    Rows with any missing, non-numeric, non-finite (or non-positive, for
-    prices) cell are dropped with a logged warning.  Duplicate or
-    non-increasing timestamps among the kept rows are an error naming the
-    offending source row.
-    """
-    timestamps: list = []
-    values: list[list[float]] = []
-    line_numbers: list[int] = []
-    dropped = 0
-    for line_no, row in rows:
-        ok = len(row) == n_cells + 1
-        ts = None
-        if ok:
+    parsed = []  # (source row, timestamp, cells)
+    dropped = []
+    for line_no, row in rows[1:]:
+        if len(row) == len(header):
             try:
-                ts = parse_timestamp(row[0])
-            except IngestionError:
-                ok = False
-        cells: list[float] = []
-        if ok:
-            for token in row[1:]:
-                token = token.strip()
-                if not token:
-                    ok = False
-                    break
-                try:
-                    value = float(token)
-                except ValueError:
-                    ok = False
-                    break
-                if not math.isfinite(value) or (require_positive and value <= 0.0):
-                    ok = False
-                    break
-                cells.append(value)
-        if not ok:
-            dropped += 1
-            logger.warning("%s: dropping unusable row %d", path, line_no)
-            continue
-        timestamps.append(ts)
-        values.append(cells)
-        line_numbers.append(line_no)
+                parsed.append((line_no, parse_timestamp(row[0]), list(map(float, row[1:]))))
+                continue
+            except (ValueError, IngestionError):
+                pass
+        dropped.append(line_no)
+    values = np.array([cells for _, _, cells in parsed], dtype=np.float64)
+    values = values.reshape(len(parsed), len(header) - 1)
+    usable = np.isfinite(values).all(axis=1)
+    if require_positive:
+        usable &= (values > 0.0).all(axis=1)
+    dropped = sorted(dropped + [line_no for line_no, _, _ in compress(parsed, ~usable)])
+    for line_no in dropped:
+        logger.warning("%s: dropping unusable row %d", path, line_no)
     if dropped:
-        logger.warning("%s: dropped %d unusable row(s)", path, dropped)
-    for i in range(1, len(timestamps)):
-        if timestamps[i] == timestamps[i - 1]:
-            raise IngestionError(
-                f"{path}: duplicate timestamp {timestamps[i]} at row {line_numbers[i]}"
-            )
-        if type(timestamps[i]) is type(timestamps[i - 1]) and timestamps[i] < timestamps[i - 1]:
-            raise IngestionError(
-                f"{path}: non-increasing timestamp {timestamps[i]} at row {line_numbers[i]}"
-            )
-    return timestamps, values, dropped
+        logger.warning("%s: dropped %d unusable row(s)", path, len(dropped))
+
+    kept = list(compress(parsed, usable))
+    for (_, prev, _), (line_no, stamp, _) in zip(kept, kept[1:]):
+        if stamp == prev:
+            raise IngestionError(f"{path}: duplicate timestamp {stamp} at row {line_no}")
+        if type(stamp) is type(prev) and stamp < prev:
+            raise IngestionError(f"{path}: non-increasing timestamp {stamp} at row {line_no}")
+    if len(kept) < min_rows:
+        raise IngestionError(f"{path}: only {len(kept)} usable rows; need at least {min_rows}")
+    timestamps = tuple(stamp for _, stamp, _ in kept)
+    return timestamps, values[usable], tuple(name.strip() for name in header[1:])
 
 
 def ingest_csv(path) -> PricePanel:
@@ -233,28 +218,15 @@ def ingest_csv(path) -> PricePanel:
     and count; fewer than 3 usable rows, duplicate timestamps or non-increasing
     dates are errors with row context.
     """
-    header, rows = _read_rows(path)
-    timestamps, values, _ = _parse_panel_rows(path, rows, len(header) - 1, require_positive=True)
-    if len(values) < 3:
-        raise IngestionError(f"{path}: only {len(values)} usable rows; need at least 3")
-    return PricePanel(
-        timestamps=tuple(timestamps),
-        prices=np.asarray(values, dtype=np.float64),
-        asset_names=tuple(name.strip() for name in header[1:]),
-    )
+    timestamps, prices, names = _read_panel(path, require_positive=True, min_rows=3)
+    return PricePanel(timestamps=timestamps, prices=prices, asset_names=names)
 
 
 def read_returns_csv(path, periods_per_year: int = 12) -> ReturnsPanel:
     """Read a panel CSV of returns (same layout as the price format)."""
-    header, rows = _read_rows(path)
-    timestamps, values, _ = _parse_panel_rows(path, rows, len(header) - 1, require_positive=False)
-    if len(values) < 2:
-        raise IngestionError(f"{path}: only {len(values)} usable rows; need at least 2")
+    timestamps, returns, names = _read_panel(path, require_positive=False, min_rows=2)
     return ReturnsPanel(
-        timestamps=tuple(timestamps),
-        returns=np.asarray(values, dtype=np.float64),
-        periods_per_year=periods_per_year,
-        asset_names=tuple(name.strip() for name in header[1:]),
+        timestamps=timestamps, returns=returns, periods_per_year=periods_per_year, asset_names=names
     )
 
 
@@ -338,9 +310,10 @@ class ProtocolConfig:
     """Configuration for one full backtest run.
 
     ``data`` may be a CSV path, a PricePanel, or a ReturnsPanel.  ``grids``
-    lists the period subsets to solve, one spectral strategy each.
-    ``sigma0_annual`` is converted to a per-period target by dividing by
-    sqrt(periods_per_year).
+    lists the period subsets to solve, one spectral strategy each; it must be
+    non-empty and no two subsets may hold the same set of periods.
+    ``sigma0_annual`` obeys :class:`RiskSpec`'s rules and is converted to a
+    per-period target by dividing by sqrt(periods_per_year).
     """
 
     data: object
@@ -356,6 +329,16 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.input_type not in ("prices", "returns"):
             raise ValidationError(f"input_type must be 'prices' or 'returns', got {self.input_type!r}")
+        RiskSpec(sigma0=self.sigma0_annual, ridge=self.ridge)
+        if not self.grids:
+            raise ValidationError("grids must list at least one period subset")
+        seen = {}
+        for periods in self.grids:
+            label = grid_label(periods, self.periods_per_year)
+            key = frozenset(periods)
+            if key in seen:
+                raise ValidationError(f"grid subsets {seen[key]!r} and {label!r} hold the same periods")
+            seen[key] = label
 
 
 @dataclass(frozen=True)
@@ -492,17 +475,16 @@ def _slugify(label: str) -> str:
     return label.lower().replace(",", "_").replace(" ", "")
 
 
-def _resolve_returns(config: ProtocolConfig) -> ReturnsPanel:
-    data = config.data
+def _load_returns(data, input_type: str, periods_per_year: int) -> ReturnsPanel:
+    """The returns behind ``data``: a ReturnsPanel, a PricePanel, or a CSV path of ``input_type``."""
+    if isinstance(data, (str, Path)):
+        if input_type == "returns":
+            return read_returns_csv(data, periods_per_year)
+        data = ingest_csv(data)
+    if isinstance(data, PricePanel):
+        return compute_returns(data, periods_per_year)
     if isinstance(data, ReturnsPanel):
         return data
-    if isinstance(data, PricePanel):
-        return compute_returns(data, config.periods_per_year)
-    if isinstance(data, (str, Path)):
-        if config.input_type == "returns":
-            return read_returns_csv(data, config.periods_per_year)
-        panel = ingest_csv(data)
-        return compute_returns(panel, config.periods_per_year)
     raise ValidationError(f"unsupported data source type {type(data).__name__}")
 
 
@@ -518,7 +500,7 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
     stage are re-raised with a stage label.
     """
     try:
-        returns = _resolve_returns(config)
+        returns = _load_returns(config.data, config.input_type, config.periods_per_year)
     except SpecportError as exc:
         raise _stage("ingest", exc) from exc
 

@@ -25,10 +25,8 @@ from . import __version__
 from .backtest import (
     PERIOD_LETTERS,
     ProtocolConfig,
+    _load_returns,
     _write_table,
-    compute_returns,
-    ingest_csv,
-    read_returns_csv,
     run_protocol,
 )
 from .basis import FrequencyGrid
@@ -132,13 +130,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_estimate(args) -> int:
     data = Path(args.data)
-    if not data.exists():
-        raise IngestionError(f"input file {data} does not exist")
-    if args.input_type == "prices":
-        returns = compute_returns(ingest_csv(data), args.periods_per_year)
-    else:
-        returns = read_returns_csv(data, args.periods_per_year)
-    values = returns.returns
+    values = _load_returns(data, args.input_type, args.periods_per_year).returns
     if args.demean:
         values = values - values.mean(axis=0, keepdims=True)
     grid = FrequencyGrid.from_periods(_parse_periods(args.periods))
@@ -173,8 +165,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_backtest(args) -> int:
     data = Path(args.data)
-    if not data.exists():
-        raise IngestionError(f"input file {data} does not exist")
     config = ProtocolConfig(
         data=str(data),
         boundary=args.boundary,

@@ -41,8 +41,10 @@ _EIG_CLIP = 1e-10
 class SynthSpec:
     """Generative description of a synthetic panel.
 
-    ``spectral_cov`` must satisfy the augmented covariance invariants (block
-    structure, Hermitian, PSD up to the documented clipping tolerance).
+    ``spectral_mean`` must be conjugate-symmetric (SymmetryViolationError
+    otherwise) and ``spectral_cov`` must satisfy the augmented covariance
+    invariants (block structure, Hermitian, PSD up to the documented clipping
+    tolerance).
     Fixed seed implies a bit-identical panel.
     """
 
@@ -62,8 +64,7 @@ class SynthSpec:
         if not (0.0 <= self.ar_coeff < 1.0):
             raise ValidationError("ar_coeff must lie in [0, 1)")
         half = self.grid.n_bins * self.n_assets
-        if self.spectral_mean.half_size != half:
-            raise ValidationError("spectral_mean size does not match grid x assets")
+        _check_spectrum(half, self.spectral_mean)
         cov = np.asarray(self.spectral_cov, dtype=np.complex128)
         if cov.shape != (2 * half, 2 * half):
             raise ValidationError(f"spectral_cov must be {2 * half} x {2 * half}")
@@ -154,10 +155,8 @@ def synthesize_values(spec: SynthSpec) -> np.ndarray:
     Row t is x(t) = B(t) (m + s(t)), computed in managed coordinates (see
     :mod:`specport.basis`) as the one real product phi(t) (theta_m + theta_s(t))
     with theta_m = sqrt 2 [Re m; Im m] and theta_s(t) = sqrt 2 [Re s(t); Im s(t)]
-    from the composite noise draw.  Raises SymmetryViolationError for a
-    spectral mean that is not conjugate-symmetric.
+    from the composite noise draw.
     """
-    _check_spectrum(spec.half_size, spec.spectral_mean)
     theta = _to_managed(spec.spectral_mean) + math.sqrt(2) * _composite_noise(spec, spec.horizon)
     theta = theta.reshape(spec.horizon, 2 * spec.grid.n_bins, spec.n_assets)
     return np.einsum("tk,tkn->tn", _phases(np.arange(spec.horizon), spec.grid), theta)

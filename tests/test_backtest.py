@@ -4,6 +4,7 @@ import csv
 import datetime
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from specport import (
     compute_returns,
     equal_weight,
     ingest_csv,
+    read_returns_csv,
     run_protocol,
     run_strategy,
     seasonal_market_spec,
@@ -92,6 +94,79 @@ class TestIngest:
         path = write_csv(tmp_path, "t,AA\n0,100\n1,101\n2,103\n")
         panel = ingest_csv(path)
         assert panel.timestamps == (0, 1, 2)
+
+
+CLEAN_ROWS = ["2020-01-01,100,200", "2020-02-01,110,190", "2020-04-01,99,210", "2020-05-01,98,205"]
+HEADER = "date,AA,BB"
+
+
+def dropped_rows(caplog):
+    """The source row named by each 'dropping unusable row <n>' warning, in order."""
+    messages = [r.getMessage() for r in caplog.records]
+    return [m.rsplit(" ", 1)[1] for m in messages if "dropping unusable row" in m]
+
+
+class TestDropPolicy:
+    """Each unusable row is dropped with one warning naming its source row, then a count."""
+
+    @pytest.mark.parametrize(
+        "damaged",
+        [
+            "2020-03-01,,190",
+            "2020-03-01,   ,190",
+            "2020-03-01,abc,190",
+            "2020-03-01,nan,190",
+            "2020-03-01,inf,190",
+            "2020-03-01,-inf,190",
+            "2020-03-01,0,190",
+            "2020-03-01,-5,190",
+            "2020-03-01,100",
+            "2020-03-01,100,190,5",
+            "2020-13-01,100,190",
+        ],
+        ids=[
+            "blank", "whitespace", "abc", "nan", "inf", "-inf", "zero", "negative", "short", "long", "timestamp"
+        ],
+    )
+    def test_one_damaged_row(self, tmp_path, caplog, damaged):
+        rows = CLEAN_ROWS[:2] + [damaged] + CLEAN_ROWS[2:]
+        path = write_csv(tmp_path, "\n".join([HEADER, *rows]) + "\n")
+        with caplog.at_level(logging.WARNING, logger="specport.backtest"):
+            panel = ingest_csv(path)
+        assert dropped_rows(caplog) == ["4"]
+        assert sum("dropped 1 unusable row(s)" in r.getMessage() for r in caplog.records) == 1
+        clean = ingest_csv(write_csv(tmp_path, "\n".join([HEADER, *CLEAN_ROWS]) + "\n", "clean.csv"))
+        assert panel.timestamps == clean.timestamps
+        assert np.array_equal(panel.prices, clean.prices)
+
+    def test_padded_cell_kept(self, tmp_path, caplog):
+        path = write_csv(tmp_path, "date,AA\n2020-01-01,100\n2020-02-01, 101.5 \n2020-03-01,99\n")
+        with caplog.at_level(logging.WARNING, logger="specport.backtest"):
+            panel = ingest_csv(path)
+        assert panel.prices[:, 0].tolist() == [100.0, 101.5, 99.0]
+        assert caplog.records == []
+
+    def test_returns_keep_negative_drop_nan_reject_total_loss(self, tmp_path, caplog):
+        path = write_csv(tmp_path, "t,AA\n0,0.1\n1,-0.5\n2,nan\n3,0.2\n")
+        with caplog.at_level(logging.WARNING, logger="specport.backtest"):
+            returns = read_returns_csv(path)
+        assert returns.returns[:, 0].tolist() == [0.1, -0.5, 0.2]
+        assert dropped_rows(caplog) == ["4"]
+        path = write_csv(tmp_path, "t,AA\n0,0.1\n1,-1.5\n2,0.2\n", "loss.csv")
+        with pytest.raises(ValidationError, match="exceed -1"):
+            read_returns_csv(path)
+
+    def test_warnings_in_source_order(self, tmp_path, caplog):
+        # rows 3 and 6 parse but fail the value check; rows 4 and 7 fail to parse
+        text = (
+            "date,AA\n2020-01-01,100\n2020-02-01,nan\n2020-03-01,\n2020-04-01,101\n"
+            "2020-05-01,-1\n2020-06-01,1,2\n2020-07-01,102\n2020-08-01,103\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="specport.backtest"):
+            panel = ingest_csv(write_csv(tmp_path, text))
+        assert dropped_rows(caplog) == ["3", "4", "6", "7"]
+        assert caplog.records[-1].getMessage().endswith("dropped 4 unusable row(s)")
+        assert panel.prices[:, 0].tolist() == [100.0, 101.0, 102.0, 103.0]
 
 
 class TestReturns:
@@ -346,6 +421,18 @@ class TestProtocol:
     def test_unknown_input_type_rejected(self):
         with pytest.raises(ValidationError, match="input_type"):
             ProtocolConfig(data=str(DATA), boundary="2015-01", input_type="return")
+
+    @pytest.mark.parametrize(
+        "grids, named",
+        [((), "at least one"), (((12,), (12,)), "'A' and 'A'"), (((12, 6), (6, 12)), "'A,S' and 'S,A'")],
+    )
+    def test_empty_or_repeated_grids_rejected(self, grids, named):
+        with pytest.raises(ValidationError, match=re.escape(named)):
+            ProtocolConfig(data=str(DATA), boundary="2015-01", grids=grids)
+
+    def test_risk_target_checked_as_given(self):
+        with pytest.raises(ValidationError, match=r"got -1\.0$"):
+            ProtocolConfig(data=str(DATA), boundary="2015-01", sigma0_annual=-1.0)
 
     def test_stage_labels_on_errors(self):
         panel = self.make_market()

@@ -214,6 +214,21 @@ class TestBacktest:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "bt").exists()
 
+    @pytest.mark.parametrize("grids", ["A;12", "A,S;S,A", ";"])
+    def test_empty_or_repeated_grids_exit_2(self, tmp_path, capsys, grids):
+        argv = ["backtest", "--data", str(DATA), "--boundary", "2015-01", "--grids", grids]
+        code = main(argv + ["--out-dir", str(tmp_path / "bt")])
+        assert code == 2
+        assert "grid" in capsys.readouterr().err
+        assert not (tmp_path / "bt").exists()
+
+    def test_negative_risk_target_named_before_ingest(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        argv = ["backtest", "--data", str(missing), "--boundary", "2015-01", "--sigma0-annual", "-1"]
+        assert main(argv + ["--out-dir", str(tmp_path / "bt")]) == 2
+        err = capsys.readouterr().err
+        assert "got -1.0" in err and str(missing) not in err
+
     def test_missing_data_exit_2(self, tmp_path):
         code = main(
             [

@@ -171,16 +171,15 @@ class TestPanels:
             assert np.max(np.abs(panel[t] - expected)) <= 1e-12 * scale
 
     def test_rejects_non_conjugate_symmetric_mean(self):
-        spec = SynthSpec(
-            grid=FrequencyGrid.from_periods((12,)),
-            n_assets=1,
-            spectral_mean=AugmentedVector(upper=[1 + 1j], lower=[1 + 1j]),
-            spectral_cov=np.zeros((2, 2)),
-            horizon=4,
-            seed=0,
-        )
         with pytest.raises(SymmetryViolationError):
-            synthesize_values(spec)
+            SynthSpec(
+                grid=FrequencyGrid.from_periods((12,)),
+                n_assets=1,
+                spectral_mean=AugmentedVector(upper=[1 + 1j], lower=[1 + 1j]),
+                spectral_cov=np.zeros((2, 2)),
+                horizon=4,
+                seed=0,
+            )
 
     def test_determinism_bit_identical(self):
         spec = example1_scenario(seed=11, horizon=600)
