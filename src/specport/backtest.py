@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import FrequencyGrid
 from .errors import IngestionError, SpecportError, ValidationError
-from .moments import SpectralMoments, estimate_moments, write_moments_csv
+from .moments import SpectralMoments, _check_mode, estimate_moments, write_moments_csv
 from .optimize import (
     RiskSpec,
     SpectralWeights,
@@ -313,7 +313,9 @@ class ProtocolConfig:
     lists the period subsets to solve, one spectral strategy each; it must be
     non-empty and no two subsets may hold the same set of periods.
     ``sigma0_annual`` obeys :class:`RiskSpec`'s rules and is converted to a
-    per-period target by dividing by sqrt(periods_per_year).
+    per-period target by dividing by sqrt(periods_per_year).  Every field is
+    checked here, before any data is read; ``frequency_grids`` holds the
+    :class:`FrequencyGrid` of each subset of ``grids``, in order.
     """
 
     data: object
@@ -325,20 +327,29 @@ class ProtocolConfig:
     demean: bool = False
     periods_per_year: int = 12
     input_type: str = "prices"
+    frequency_grids: tuple[FrequencyGrid, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.input_type not in ("prices", "returns"):
             raise ValidationError(f"input_type must be 'prices' or 'returns', got {self.input_type!r}")
+        _check_mode(self.mode)
+        if self.periods_per_year < 1:
+            raise ValidationError(f"periods_per_year must be >= 1, got {self.periods_per_year!r}")
         RiskSpec(sigma0=self.sigma0_annual, ridge=self.ridge)
         if not self.grids:
             raise ValidationError("grids must list at least one period subset")
-        seen = {}
+        seen, grids = {}, []
         for periods in self.grids:
             label = grid_label(periods, self.periods_per_year)
-            key = frozenset(periods)
+            try:
+                grids.append(FrequencyGrid.from_periods(periods))
+            except ValidationError as exc:
+                raise ValidationError(f"grid subset {label!r}: {exc}") from exc
+            key = grids[-1].periods
             if key in seen:
                 raise ValidationError(f"grid subsets {seen[key]!r} and {label!r} hold the same periods")
             seen[key] = label
+        object.__setattr__(self, "frequency_grids", tuple(grids))
 
 
 @dataclass(frozen=True)
@@ -523,11 +534,10 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
     strategies: list[StrategyResult] = []
     last_moments: SpectralMoments | None = None
 
-    for periods in config.grids:
+    for periods, grid in zip(config.grids, config.frequency_grids):
         label = grid_label(periods, ppy)
         name = f"Spectral MVO ({label})"
         try:
-            grid = FrequencyGrid.from_periods(periods)
             moments = estimate_moments(est_values, grid, mode=config.mode)
             weights: SpectralWeights = solve_spectral_mvo(moments, risk)
             allocation = retrieve_allocation(weights, out_t)

@@ -314,12 +314,12 @@ class SpectralMoments:
     Stored as the real managed-asset pair: ``managed_mean`` (2MN) and
     ``managed_covariance`` K (2MN x 2MN, exactly symmetric), the mean and
     covariance of the managed panel z(t).  The augmented complex ``mean`` and
-    ``covariance`` = U K U^H are read-only views built on first access.  The
-    constructor rejects complex, misshapen or non-finite arrays, a K that is
-    not exactly symmetric, an unknown mode and counts below 1.
-    ``covariance`` has block layout [[R, P], [conj(P), conj(R)]]; R and P are
-    themselves M x M grids of N x N blocks whose off-diagonal entries are the
-    dual-frequency statistics.
+    ``covariance`` = U K U^H, of block layout [[R, P], [conj(P), conj(R)]],
+    are read-only views built on first access.  The per-bin accessors read
+    the N x N blocks R(w_m, w_n) and P(w_m, w_n) from four N x N blocks of K
+    without building ``covariance``.  The constructor rejects complex,
+    misshapen or non-finite arrays, a K that is not exactly symmetric, an
+    unknown mode and counts below 1.
     """
 
     grid: FrequencyGrid
@@ -359,56 +359,53 @@ class SpectralMoments:
     def half_size(self) -> int:
         return self.grid.n_bins * self.n_assets
 
-    def covariance_grid(self) -> np.ndarray:
-        """Upper-left MN x MN block: R(w_m, w_n) blocks."""
-        h = self.half_size
-        return self.covariance[:h, :h]
+    def _bin_index(self, m: int) -> int:
+        if not 0 <= m < self.grid.n_bins:
+            raise ValidationError(f"bin index {m!r} is outside [0, M) for M = {self.grid.n_bins}")
+        return m
 
-    def pseudo_covariance_grid(self) -> np.ndarray:
-        """Upper-right MN x MN block: P(w_m, w_n) blocks."""
-        h = self.half_size
-        return self.covariance[:h, h:]
+    def _bin_block(self, m: int, n: int | None) -> np.ndarray:
+        """Read-only [[R(w_m, w_n), P(w_m, w_n)], [conj(P), conj(R)]], entry for entry as in ``covariance``.
 
-    def _block(self, matrix: np.ndarray, row_bin: int, col_bin: int) -> np.ndarray:
-        n = self.n_assets
-        return matrix[row_bin * n : (row_bin + 1) * n, col_bin * n : (col_bin + 1) * n]
+        Maps the 2N x 2N sub-block of K that holds the cosine and sine rows of
+        bin m against the cosine and sine columns of bin n.
+        """
+        m = self._bin_index(m)
+        n = m if n is None else self._bin_index(n)
+        size, n_bins = self.n_assets, self.grid.n_bins
+        sub = self.managed_covariance.reshape(2, n_bins, size, 2, n_bins, size)[:, m, :, :, n]
+        block = _to_augmented(sub.reshape(2 * size, 2 * size))
+        block.flags.writeable = False
+        return block
 
     def bin_covariance(self, m: int, n: int | None = None) -> np.ndarray:
         """R(w_m) for n omitted, else the dual-frequency block R(w_m, w_n)."""
-        return self._block(self.covariance_grid(), m, m if n is None else n)
+        return self._bin_block(m, n)[: self.n_assets, : self.n_assets]
 
     def bin_pseudo_covariance(self, m: int, n: int | None = None) -> np.ndarray:
         """P(w_m) for n omitted, else the dual-frequency block P(w_m, w_n)."""
-        return self._block(self.pseudo_covariance_grid(), m, m if n is None else n)
+        return self._bin_block(m, n)[: self.n_assets, self.n_assets :]
 
     def bin_mean(self, m: int) -> np.ndarray:
-        n = self.n_assets
-        return self.mean.upper[m * n : (m + 1) * n]
+        start = self._bin_index(m) * self.n_assets
+        return self.mean.upper[start : start + self.n_assets]
 
     def check_invariants(self, tol: float = 1e-10) -> None:
-        """Raise ValidationError if any structural invariant is violated.
+        """Raise ValidationError if K has an eigenvalue below -tol * max(1, max |K|).
 
-        Checks: conjugate symmetry of the mean, augmented block structure,
-        Hermitian symmetry, positive semi-definiteness of the R grid, and the
-        per-bin Cauchy-Schwarz bound ||P(w_m)||_2 <= ||R(w_m)||_2.
+        No other invariant can fail.  The constructor makes K exactly
+        symmetric, so U K U^H has the augmented block structure with R
+        Hermitian and P symmetric exactly, and the mean U mu is
+        conjugate-symmetric by construction.  U is unitary, so U K U^H has K's
+        eigenvalues: a positive semi-definite K makes the R grid and every
+        per-bin [[R, P], [conj(P), conj(R)]] positive semi-definite, which
+        gives ||P(w_m)||_2 <= ||R(w_m)||_2.
         """
-        if not self.mean.is_conjugate_symmetric(tol):
-            raise ValidationError("mean is not conjugate-symmetric")
-        cov = self.covariance
+        cov = self.managed_covariance
         scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - structure_project(cov))) > tol * scale:
-            raise ValidationError("covariance violates the augmented block structure")
-        r_grid = self.covariance_grid()
-        eigvals = np.linalg.eigvalsh(0.5 * (r_grid + np.conj(r_grid.T)))
-        if eigvals.size and eigvals[0] < -tol * scale:
-            raise ValidationError(f"covariance grid has negative eigenvalue {eigvals[0]:.3e}")
-        for m in range(self.grid.n_bins):
-            r_norm = float(np.linalg.norm(self.bin_covariance(m), 2))
-            p_norm = float(np.linalg.norm(self.bin_pseudo_covariance(m), 2))
-            if p_norm > r_norm + tol * scale:
-                raise ValidationError(
-                    f"bin {m}: ||P||_2 = {p_norm:.3e} exceeds ||R||_2 = {r_norm:.3e}"
-                )
+        smallest = float(np.linalg.eigvalsh(cov)[0])
+        if smallest < -tol * scale:
+            raise ValidationError(f"managed covariance has negative eigenvalue {smallest:.3e}")
 
 
 @dataclass(frozen=True)

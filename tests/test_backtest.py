@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from specport import (
+    FrequencyGrid,
     IngestionError,
     ProtocolConfig,
     ReturnsPanel,
@@ -429,6 +430,24 @@ class TestProtocol:
     def test_empty_or_repeated_grids_rejected(self, grids, named):
         with pytest.raises(ValidationError, match=re.escape(named)):
             ProtocolConfig(data=str(DATA), boundary="2015-01", grids=grids)
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"grids": ((12, 12),)}, "grid subset 'A,A': duplicate periods"),
+            ({"grids": ((12,), (0,))}, "grid subset '0': periods must be >= 2"),
+            ({"mode": "bogus"}, "unknown estimator mode"),
+            ({"periods_per_year": 0}, "periods_per_year must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_fields_rejected_at_construction(self, tmp_path, fields, match):
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            ProtocolConfig(data=str(tmp_path / "missing.csv"), boundary="2015-01", **fields)
+
+    def test_frequency_grids_follow_grids(self):
+        config = ProtocolConfig(data=str(DATA), boundary="2015-01", grids=((12,), (3, 12, 6)))
+        expected = (FrequencyGrid.from_periods((12,)), FrequencyGrid.from_periods((12, 6, 3)))
+        assert config.frequency_grids == expected
 
     def test_risk_target_checked_as_given(self):
         with pytest.raises(ValidationError, match=r"got -1\.0$"):

@@ -229,6 +229,21 @@ class TestBacktest:
         err = capsys.readouterr().err
         assert "got -1.0" in err and str(missing) not in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grids", "A,A"], "duplicate periods"),
+            (["--grids", "A;0"], "periods must be >= 2"),
+            (["--periods-per-year", "0"], "periods_per_year must be >= 1"),
+        ],
+    )
+    def test_bad_config_named_before_ingest(self, tmp_path, capsys, flags, message):
+        missing = tmp_path / "missing.csv"
+        argv = ["backtest", "--data", str(missing), "--boundary", "2015-01", *flags]
+        assert main(argv + ["--out-dir", str(tmp_path / "bt")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(missing) not in err and "stage" not in err
+
     def test_missing_data_exit_2(self, tmp_path):
         code = main(
             [

@@ -277,6 +277,44 @@ class TestSpectralMomentsType:
         with pytest.raises(ValidationError, match=match):
             dataclasses.replace(self.estimate(), **fields)
 
+    @pytest.mark.parametrize(
+        "accessor, args",
+        [
+            ("bin_mean", (2,)),
+            ("bin_mean", (5,)),
+            ("bin_mean", (-1,)),
+            ("bin_covariance", (2,)),
+            ("bin_covariance", (0, 2)),
+            ("bin_covariance", (-1, 0)),
+            ("bin_pseudo_covariance", (5,)),
+            ("bin_pseudo_covariance", (1, -1)),
+        ],
+    )
+    def test_bin_index_outside_grid_rejected(self, accessor, args):
+        x = np.random.default_rng(21).standard_normal((24, 3))
+        moments = estimate_moments(x, FrequencyGrid.from_periods((12, 6)))
+        bad = next(index for index in args if not 0 <= index < 2)
+        with pytest.raises(ValidationError, match=re.escape(f"bin index {bad} is outside [0, M) for M = 2")):
+            getattr(moments, accessor)(*args)
+
+    @pytest.mark.parametrize("sine_variance, fails", [(-0.5, True), (-1e-12, False)])
+    def test_invariants_fail_on_indefinite_covariance(self, sine_variance, fails):
+        # K_aa = I and K_bb = sine_variance I: symmetric and finite, so the constructor
+        # takes it; R = (1 + sine_variance) I / 2 but P = (1 - sine_variance) I / 2
+        grid = FrequencyGrid.from_periods((12, 6))
+        moments = SpectralMoments(
+            grid=grid,
+            n_assets=2,
+            managed_mean=np.zeros(8),
+            managed_covariance=np.diag([1.0] * 4 + [sine_variance] * 4),
+            sample_count=24,
+        )
+        if fails:
+            with pytest.raises(ValidationError):
+                moments.check_invariants()
+        else:
+            moments.check_invariants()
+
     def test_complex_views_are_read_only_and_derived(self):
         moments = self.estimate()
         cov = moments.covariance

@@ -20,6 +20,7 @@ from specport import (
     RiskSpec,
     SpectralWeights,
     build_basis,
+    compute_psd,
     estimate_moments,
     project_spectrum,
     read_moments_csv,
@@ -161,8 +162,18 @@ serial_grids = st.lists(
 )
 @example(seed=0, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=3, n_samples=17, mode="consistent")
 def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, n_samples, mode):
+    """The file round trip is bit-exact, and the per-bin blocks read from K equal slices of U K U^H."""
     panel = np.random.default_rng(seed).standard_normal((n_samples, n_assets))
     moments = estimate_moments(panel, grid, mode=mode, snap=False)
+    compute_psd(moments)
+    pairs = [(m, n) for m in range(grid.n_bins) for n in range(grid.n_bins)]
+    blocks = {pair: (moments.bin_covariance(*pair), moments.bin_pseudo_covariance(*pair)) for pair in pairs}
+    assert "covariance" not in vars(moments)
+    half = moments.half_size
+    for (m, n), (r_block, p_block) in blocks.items():
+        rows, cols = slice(m * n_assets, (m + 1) * n_assets), slice(n * n_assets, (n + 1) * n_assets)
+        assert r_block.tobytes() == moments.covariance[rows, cols].tobytes()
+        assert p_block.tobytes() == moments.covariance[rows, half:][:, cols].tobytes()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "moments.csv"
         write_moments_csv(moments, path)
