@@ -313,9 +313,11 @@ class ProtocolConfig:
     lists the period subsets to solve, one spectral strategy each; it must be
     non-empty and no two subsets may hold the same set of periods.
     ``sigma0_annual`` obeys :class:`RiskSpec`'s rules and is converted to a
-    per-period target by dividing by sqrt(periods_per_year).  Every field is
-    checked here, before any data is read; ``frequency_grids`` holds the
-    :class:`FrequencyGrid` of each subset of ``grids``, in order.
+    per-period target by dividing by sqrt(periods_per_year).  A string
+    ``boundary`` must parse as an integer index or an ISO date; it is kept as
+    given.  Every field is checked here, before any data is read;
+    ``frequency_grids`` holds the :class:`FrequencyGrid` of each subset of
+    ``grids``, in order.
     """
 
     data: object
@@ -333,6 +335,11 @@ class ProtocolConfig:
         if self.input_type not in ("prices", "returns"):
             raise ValidationError(f"input_type must be 'prices' or 'returns', got {self.input_type!r}")
         _check_mode(self.mode)
+        if isinstance(self.boundary, str):
+            try:
+                parse_timestamp(self.boundary)
+            except IngestionError as exc:
+                raise ValidationError(f"boundary: {exc}") from exc
         if self.periods_per_year < 1:
             raise ValidationError(f"periods_per_year must be >= 1, got {self.periods_per_year!r}")
         RiskSpec(sigma0=self.sigma0_annual, ridge=self.ridge)

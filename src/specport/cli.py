@@ -130,12 +130,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_estimate(args) -> int:
     data = Path(args.data)
+    grid = FrequencyGrid.from_periods(_parse_periods(args.periods))
+    if args.periods_per_year < 1:
+        raise ValidationError(f"periods_per_year must be >= 1, got {args.periods_per_year!r}")
     values = _load_returns(data, args.input_type, args.periods_per_year).returns
     if args.demean:
         values = values - values.mean(axis=0, keepdims=True)
-    grid = FrequencyGrid.from_periods(_parse_periods(args.periods))
     moments = estimate_moments(values, grid, mode=args.mode)
-    psd = compute_psd(moments)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -145,11 +146,10 @@ def _cmd_estimate(args) -> int:
     header = f"{'bin':>3} {'period':>7} {'|mean|':>12} {'||R||':>12} {'||P||':>12} {'psd':>12}"
     print(header)
     rows = []
-    for m in range(grid.n_bins):
+    for m, psd_trace in enumerate(compute_psd(moments).trace_per_bin().tolist()):
         mean_norm = float(np.linalg.norm(moments.bin_mean(m)))
         r_norm = float(np.linalg.norm(moments.bin_covariance(m), 2))
         p_norm = float(np.linalg.norm(moments.bin_pseudo_covariance(m), 2))
-        psd_trace = float(np.trace(psd.matrices[m]).real)
         rows.append((m, periods[m] if periods else "", mean_norm, r_norm, p_norm, psd_trace))
         print(f"{m:>3} {rows[-1][1]:>7} {mean_norm:>12.6e} {r_norm:>12.6e} {p_norm:>12.6e} {psd_trace:>12.6e}")
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import logging
 import math
 import warnings
@@ -448,42 +447,53 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
 _FORMAT_TAG = "specport-moments-v3"
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _layout(kind: str, size: int, is_matrix: bool):
+    """The ``kind,i,j`` key of every numeric row of one record kind, in file order.
+
+    A vector of ``size`` gives ``kind,i,`` for each index; a ``size`` x ``size``
+    matrix gives ``kind,i,j`` for its upper triangle, diagonal included, row by
+    row.
+    """
+    for i in range(size):
+        if is_matrix:
+            for j in range(i, size):
+                yield f"{kind},{i},{j}"
+        else:
+            yield f"{kind},{i},"
 
 
-def _write_records(path, format_tag: str, grid: FrequencyGrid, n_assets: int, meta, blocks) -> None:
+def _write_records(path, format_tag: str, grid: FrequencyGrid, n_assets: int, meta, records) -> None:
     """Write a flat CSV artifact: header, ``meta`` rows, numeric rows, then the ``end`` row.
 
     ``meta`` lists (key, value) string pairs that follow the shared grid rows;
-    ``blocks`` holds the numeric rows, one list per record kind, each written
-    with one ``writerows`` call.  The closing ``end,<count>,,,`` row counts
-    every row between the header and itself, so a reader detects a file cut
-    short anywhere, even inside the last number.  ``csv`` writes Python floats
-    with ``repr``, so round trips are bit-exact.
+    ``records`` lists (kind, array) pairs, each a vector or a square matrix,
+    whose rows follow :func:`_layout` and are written one matrix row at a time.
+    The closing ``end,<count>,,,`` row counts every row between the header and
+    itself, so a reader detects a file cut short anywhere, even inside the
+    last number.  Floats are written with ``repr``, as ``csv`` writes them, so
+    round trips are bit-exact.
     """
     periods = ";".join(str(p) for p in grid.periods) if grid.periods else ""
     meta = [
         ("format", format_tag),
-        ("omegas", ";".join(_fmt(w) for w in grid.omegas)),
+        ("omegas", ";".join(repr(float(w)) for w in grid.omegas)),
         ("periods", periods),
         ("label", grid.sample_period_label),
         ("n_assets", str(n_assets)),
         *meta,
     ]
+    count = len(meta)
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record", "i", "j", "re", "im"])
         writer.writerows(["meta", key, value, "", ""] for key, value in meta)
-        for rows in blocks:
-            writer.writerows(rows)
-        writer.writerow(["end", len(meta) + sum(map(len, blocks)), "", "", ""])
-
-
-def _vector_rows(kind: str, values: np.ndarray) -> list[tuple]:
-    """``kind,index,,value,`` rows for a real vector."""
-    kinds, blanks = itertools.repeat(kind), itertools.repeat("")
-    return list(zip(kinds, range(values.size), blanks, values.tolist(), blanks))
+        for kind, array in records:
+            keys = _layout(kind, array.shape[0], array.ndim == 2)
+            lines = (row[i:].tolist() for i, row in enumerate(array)) if array.ndim == 2 else [array.tolist()]
+            for values in lines:
+                handle.write("".join(f"{key},{value!r},\r\n" for value, key in zip(values, keys)))
+                count += len(values)
+        writer.writerow(["end", count, "", "", ""])
 
 
 @contextlib.contextmanager
@@ -497,72 +507,66 @@ def _artifact_errors(path):
         raise ValidationError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
 
 
-def _read_records(path, format_tag: str, kinds: tuple[str, ...]):
-    """Parse a flat CSV artifact into (meta, grid, n_assets, entries).
+def _read_records(path, format_tag: str, kinds):
+    """Stream a flat CSV artifact into (meta, grid, n_assets, arrays).
 
-    ``entries[kind]`` holds (indices, values) lists for each numeric record
-    kind; the values are floats, and every ``im`` field must be blank.  The
-    file must close with the ``end`` row
-    written by :func:`_write_records`, carrying the count of rows before it.
-    Call inside :func:`_artifact_errors`.
+    ``kinds`` lists the (kind, is_matrix) pairs of the numeric records in file
+    order, each of size 2MN.  After the ``meta`` rows every numeric row must
+    carry the next key of :func:`_layout` and a blank ``im`` field; its value
+    is parsed into a preallocated array.  ``arrays`` holds one array per kind,
+    a matrix mirrored from its stored upper triangle.  The file must close
+    with the ``end`` row written by :func:`_write_records`, carrying the count
+    of rows before it.  Call inside :func:`_artifact_errors`.
     """
     meta: dict[str, str] = {}
-    entries: dict[str, tuple[list, list]] = {kind: ([], []) for kind in kinds}
-    count = 0
-    end = None
+    arrays, expected = [], []
     with Path(path).open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        rows = csv.reader(handle)
+        header = next(rows, None)
         if not header or header[0] != "record":
             raise ValidationError(f"not a {format_tag} CSV (missing header)")
-        for row in reader:
-            if end is not None:
-                raise ValidationError("rows after the end row")
-            if row[0] == "end":
-                end = row
-                continue
+        count = 0
+        row = next(rows, None)
+        while row and row[0] == "meta":
+            meta[row[1]] = row[2]
             count += 1
-            if row[0] == "meta":
-                meta[row[1]] = row[2]
-            elif row[0] in entries:
-                indices, values = entries[row[0]]
-                indices.append(tuple(int(tok) for tok in row[1:3] if tok))
+            row = next(rows, None)
+        if meta.get("format") != format_tag:
+            raise ValidationError(f"unsupported format tag {meta.get('format')!r}")
+        omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
+        periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
+        grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
+        n_assets = int(meta["n_assets"])
+        size = 2 * grid.n_bins * n_assets
+        for kind, is_matrix in kinds:
+            values = np.empty(size * (size + 1) // 2 if is_matrix else size)
+            for index, key in enumerate(_layout(kind, size, is_matrix)):
+                if row is None:
+                    raise ValidationError("truncated file (no end row)")
+                if f"{row[0]},{row[1]},{row[2]}" != key:
+                    raise ValueError(f"found row {row[:3]} where {key!r} belongs")
                 if row[4]:
-                    raise ValueError(f"real {row[0]} record has an imaginary part {row[4]!r}")
-                values.append(float(row[3]))
-            else:
-                raise ValidationError(f"unknown record kind {row[0]!r}")
-    if meta.get("format") != format_tag:
-        raise ValidationError(f"unsupported format tag {meta.get('format')!r}")
-    if end is None:
-        raise ValidationError("truncated file (no end row)")
-    if end[1:] != [str(count), "", "", ""]:
-        raise ValidationError(f"truncated file (end row {end!r} after {count} rows)")
-    omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
-    periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
-    grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
-    return meta, grid, int(meta["n_assets"]), entries
-
-
-def _place(kind: str, entries: tuple[list, list], shape: tuple[int, ...], expected=None) -> np.ndarray:
-    """Float array of ``shape`` from parsed entries.
-
-    The entries' flat indices must be exactly ``expected`` (sorted; default:
-    every index of ``shape``), each once; other positions stay zero.  Raises
-    ValueError, which :func:`_artifact_errors` reports with the file name.
-    """
-    indices, values = entries
-    size = math.prod(shape)
-    if expected is None:
-        expected = np.arange(size)
-    if len(indices) != expected.size:
-        raise ValueError(f"expected {expected.size} {kind} entries, found {len(indices)}")
-    flat = np.ravel_multi_index(tuple(np.array(indices).T), shape)  # ValueError when out of range
-    if not np.array_equal(np.sort(flat), expected):
-        raise ValueError(f"duplicate or misplaced {kind} entries")
-    out = np.zeros(size)
-    out[flat] = values
-    return out.reshape(shape)
+                    raise ValueError(f"real {kind} record has an imaginary part {row[4]!r}")
+                values[index] = float(row[3])
+                row = next(rows, None)
+            count += values.size
+            expected.append(f"{values.size} {kind} entries")
+            if is_matrix:  # mirror the upper triangle, one row and column at a time
+                upper, values = values, np.empty((size, size))
+                start = 0
+                for i in range(size):
+                    values[i, i:] = values[i:, i] = upper[start : start + size - i]
+                    start += size - i
+            arrays.append(values)
+        if row is None:
+            raise ValidationError("truncated file (no end row)")
+        if row[0] != "end":
+            raise ValueError(f"expected {' and '.join(expected)}, then the end row; found row {row[:3]}")
+        if row[1:] != [str(count), "", "", ""]:
+            raise ValidationError(f"truncated file (end row {row!r} after {count} rows)")
+        if next(rows, None) is not None:
+            raise ValidationError("rows after the end row")
+    return meta, grid, n_assets, arrays
 
 
 def write_moments_csv(moments: SpectralMoments, path) -> None:
@@ -571,38 +575,29 @@ def write_moments_csv(moments: SpectralMoments, path) -> None:
     Layout: ``meta`` rows (grid frequencies/periods, label, n_assets, n_bins,
     sample_count, mode), then ``mean,index,,value,`` rows for the real 2MN
     managed mean, then ``cov,row,col,value,`` rows for the upper triangle,
-    diagonal included, of the managed covariance K, then the ``end`` row.
-    K is exactly symmetric, so its lower triangle is the mirror.
+    diagonal included, of the managed covariance K, row by row, then the
+    ``end`` row.  K is exactly symmetric, so its lower triangle is the mirror.
     """
-    rows, cols = np.triu_indices(2 * moments.half_size)
-    values = moments.managed_covariance[rows, cols].tolist()
-    cov_rows = list(zip(itertools.repeat("cov"), rows.tolist(), cols.tolist(), values, itertools.repeat("")))
     meta = [
         ("n_bins", str(moments.grid.n_bins)),
         ("sample_count", str(moments.sample_count)),
         ("mode", moments.mode),
     ]
-    blocks = [_vector_rows("mean", moments.managed_mean), cov_rows]
-    _write_records(path, _FORMAT_TAG, moments.grid, moments.n_assets, meta, blocks)
+    records = [("mean", moments.managed_mean), ("cov", moments.managed_covariance)]
+    _write_records(path, _FORMAT_TAG, moments.grid, moments.n_assets, meta, records)
 
 
 def read_moments_csv(path) -> SpectralMoments:
     """Inverse of :func:`write_moments_csv`, bit-exact.
 
-    Rebuilds the managed covariance by mirroring the stored upper triangle.
     Raises ValidationError naming the file for a foreign, truncated or
-    otherwise malformed file, including one whose ``cov`` rows are not exactly
-    that triangle, and for values the :class:`SpectralMoments` constructor
-    rejects (non-finite entries, an unknown mode, a sample count below 1).
+    otherwise malformed file, including one whose rows are not exactly the
+    mean and then the triangle in the written order, and for values the
+    :class:`SpectralMoments` constructor rejects (non-finite entries, an
+    unknown mode, a sample count below 1).
     """
     with _artifact_errors(path):
-        meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("mean", "cov"))
-        dim = 2 * grid.n_bins * n_assets
-        mean = _place("mean", entries["mean"], (dim,))
-        upper = np.ravel_multi_index(np.triu_indices(dim), (dim, dim))
-        cov = _place("cov", entries["cov"], (dim, dim), upper)
-        lower = np.tril_indices(dim, -1)
-        cov[lower] = cov.T[lower]
+        meta, grid, n_assets, (mean, cov) = _read_records(path, _FORMAT_TAG, (("mean", False), ("cov", True)))
         return SpectralMoments(
             grid=grid,
             n_assets=n_assets,

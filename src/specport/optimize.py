@@ -32,9 +32,7 @@ from .moments import (
     _artifact_errors,
     _check_mode,
     _frozen_real,
-    _place,
     _read_records,
-    _vector_rows,
     _write_records,
 )
 
@@ -290,8 +288,8 @@ def write_weights_csv(weights: SpectralWeights, path) -> None:
         ("ridge_used", repr(float(weights.ridge_used))),
         ("mode", weights.mode),
     ]
-    blocks = [_vector_rows("weight", weights.managed_weights)]
-    _write_records(path, _FORMAT_TAG, weights.grid, weights.n_assets, meta, blocks)
+    records = [("weight", weights.managed_weights)]
+    _write_records(path, _FORMAT_TAG, weights.grid, weights.n_assets, meta, records)
 
 
 def read_weights_csv(path) -> SpectralWeights:
@@ -302,8 +300,7 @@ def read_weights_csv(path) -> SpectralWeights:
     constructor rejects.
     """
     with _artifact_errors(path):
-        meta, grid, n_assets, entries = _read_records(path, _FORMAT_TAG, ("weight",))
-        theta = _place("weight", entries["weight"], (2 * grid.n_bins * n_assets,))
+        meta, grid, n_assets, (theta,) = _read_records(path, _FORMAT_TAG, (("weight", False),))
         return SpectralWeights(
             grid=grid,
             n_assets=n_assets,

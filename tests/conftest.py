@@ -13,6 +13,14 @@ def random_grid(rng, max_bins=4, candidates=CANDIDATE_PERIODS) -> FrequencyGrid:
     return FrequencyGrid.from_periods(sorted(int(p) for p in periods), "month")
 
 
+def swap_lines(text: str, prefix: str) -> str:
+    """``text`` with its first line that starts with ``prefix`` and the line after it swapped."""
+    lines = text.splitlines(keepends=True)
+    first = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    return "".join(lines)
+
+
 def random_structured_moments(seed, grid=None, n_assets=None, mean_scale=1.0, n_samples=None):
     """A valid SpectralMoments instance: covariance estimated from a random panel
     (which guarantees every structural invariant), managed mean replaced by a

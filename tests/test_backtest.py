@@ -438,11 +438,13 @@ class TestProtocol:
             ({"grids": ((12,), (0,))}, "grid subset '0': periods must be >= 2"),
             ({"mode": "bogus"}, "unknown estimator mode"),
             ({"periods_per_year": 0}, "periods_per_year must be >= 1, got 0"),
+            ({"boundary": "2015-13"}, "boundary: cannot parse timestamp '2015-13'"),
+            ({"boundary": "garbage"}, "boundary: cannot parse timestamp 'garbage'"),
         ],
     )
     def test_bad_fields_rejected_at_construction(self, tmp_path, fields, match):
         with pytest.raises(ValidationError, match=re.escape(match)):
-            ProtocolConfig(data=str(tmp_path / "missing.csv"), boundary="2015-01", **fields)
+            ProtocolConfig(**{"data": str(tmp_path / "missing.csv"), "boundary": "2015-01", **fields})
 
     def test_frequency_grids_follow_grids(self):
         config = ProtocolConfig(data=str(DATA), boundary="2015-01", grids=((12,), (3, 12, 6)))

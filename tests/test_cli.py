@@ -85,6 +85,22 @@ class TestEstimate:
         code = main(["estimate", "--data", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--periods", "A,A"], "duplicate periods"),
+            (["--periods", "0"], "periods must be >= 2"),
+            (["--periods-per-year", "0"], "periods_per_year must be >= 1"),
+        ],
+    )
+    def test_bad_input_named_before_ingest(self, tmp_path, capsys, flags, message):
+        missing = tmp_path / "missing.csv"
+        code = main(["estimate", "--data", str(missing), *flags, "--out-dir", str(tmp_path / "est")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and str(missing) not in err
+        assert not (tmp_path / "est").exists()
+
     def test_example1_pipeline_ranks_harmonics(self, tmp_path):
         panel = tmp_path / "ex1.csv"
         assert main(["synth", "--example1", "--seed", "7", "-T", "12000", "--out", str(panel)]) == 0
@@ -235,6 +251,7 @@ class TestBacktest:
             (["--grids", "A,A"], "duplicate periods"),
             (["--grids", "A;0"], "periods must be >= 2"),
             (["--periods-per-year", "0"], "periods_per_year must be >= 1"),
+            (["--boundary", "2015-13"], "boundary: cannot parse timestamp '2015-13'"),
         ],
     )
     def test_bad_config_named_before_ingest(self, tmp_path, capsys, flags, message):

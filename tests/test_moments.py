@@ -24,6 +24,8 @@ from specport import (
 from specport.basis import _to_augmented
 from specport.moments import _SYMMETRY_BLOCK, _is_exactly_symmetric
 
+from conftest import swap_lines
+
 
 class TestSpectralMean:
     def test_zero_panel(self):
@@ -444,6 +446,7 @@ class TestSerialization:
             lambda text: text.replace("mean,1,,", "mean,0,,"),  # duplicate index
             lambda text: re.sub(r"^(mean,0,,[^,]*,)$", r"\g<1>0.5", text, flags=re.M),  # imaginary part
             lambda text: text.replace("cov,0,1,", "cov,1,0,"),  # lower-triangle entry
+            lambda text: swap_lines(text, "cov,0,1,"),  # two adjacent cov rows swapped
         ],
     )
     def test_malformed_file_raises_validation_error(self, tmp_path, damage):
@@ -454,6 +457,54 @@ class TestSerialization:
         path.write_text(damage(path.read_text()))
         with pytest.raises(ValidationError, match="moments.csv"):
             read_moments_csv(path)
+
+    def test_golden_bytes(self, tmp_path):
+        grid = FrequencyGrid.from_periods((4,), "month, end")
+        moments = SpectralMoments(
+            grid=grid,
+            n_assets=1,
+            managed_mean=np.array([0.5, -0.25]),
+            managed_covariance=np.array([[2.0, 0.125], [0.125, 1e-3]]),
+            sample_count=8,
+        )
+        path = tmp_path / "moments.csv"
+        write_moments_csv(moments, path)
+        assert path.read_bytes() == (
+            b"record,i,j,re,im\r\n"
+            b"meta,format,specport-moments-v3,,\r\n"
+            b"meta,omegas,1.5707963267948966,,\r\n"
+            b"meta,periods,4,,\r\n"
+            b'meta,label,"month, end",,\r\n'
+            b"meta,n_assets,1,,\r\n"
+            b"meta,n_bins,1,,\r\n"
+            b"meta,sample_count,8,,\r\n"
+            b"meta,mode,paper-literal,,\r\n"
+            b"mean,0,,0.5,\r\n"
+            b"mean,1,,-0.25,\r\n"
+            b"cov,0,0,2.0,\r\n"
+            b"cov,0,1,0.125,\r\n"
+            b"cov,1,1,0.001,\r\n"
+            b"end,13,,,\r\n"
+        )
+        loaded = read_moments_csv(path)
+        assert loaded.grid == grid
+        assert np.array_equal(loaded.managed_covariance, moments.managed_covariance)
+
+    def test_write_and_read_stream_the_rows(self, tmp_path):
+        # 2MN = 300: K is 0.72 MB; a list of every row, or of the triangle's indices, is several times that
+        grid = FrequencyGrid.from_periods((12, 6, 3))
+        moments = estimate_moments(np.random.default_rng(22).standard_normal((480, 50)), grid)
+        budget = 4 * moments.managed_covariance.nbytes
+        path = tmp_path / "moments.csv"
+        for call in (lambda: write_moments_csv(moments, path), lambda: read_moments_csv(path)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget
+        assert np.array_equal(read_moments_csv(path).managed_covariance, moments.managed_covariance)
 
     def test_truncation_inside_last_number_raises(self, tmp_path):
         rng = np.random.default_rng(19)

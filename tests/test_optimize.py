@@ -13,6 +13,7 @@ from specport import (
     RiskSpec,
     SingularCovarianceError,
     SpectralMoments,
+    SpectralWeights,
     ValidationError,
     build_basis,
     equal_weight,
@@ -28,7 +29,7 @@ from specport import (
 from specport.basis import _to_augmented
 from specport.optimize import _targeted_solve
 
-from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments
+from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments, swap_lines
 
 
 def constraint_value(weights, covariance):
@@ -398,6 +399,7 @@ class TestWeightsSerialization:
             lambda text: text.replace("weight,3,", "weight,99,"),  # index out of range
             lambda text: text.replace("weight,3,", "weight,2,"),  # duplicate index
             lambda text: re.sub(r"^(weight,5,,[^,]*,)$", r"\g<1>1", text, flags=re.M),  # imaginary part
+            lambda text: swap_lines(text, "weight,3,"),  # two weight rows swapped
         ],
     )
     def test_malformed_file_raises_validation_error(self, tmp_path, damage):
@@ -407,6 +409,34 @@ class TestWeightsSerialization:
         path.write_text(damage(path.read_text()))
         with pytest.raises(ValidationError, match="weights.csv"):
             read_weights_csv(path)
+
+    def test_golden_bytes(self, tmp_path):
+        weights = SpectralWeights(
+            grid=FrequencyGrid.from_periods((4,), "month"),
+            n_assets=1,
+            managed_weights=np.array([0.1, -3.0]),
+            lagrange_multiplier=2.5,
+            sigma0=0.01,
+            ridge_used=0.0,
+        )
+        path = tmp_path / "weights.csv"
+        write_weights_csv(weights, path)
+        assert path.read_bytes() == (
+            b"record,i,j,re,im\r\n"
+            b"meta,format,specport-weights-v3,,\r\n"
+            b"meta,omegas,1.5707963267948966,,\r\n"
+            b"meta,periods,4,,\r\n"
+            b"meta,label,month,,\r\n"
+            b"meta,n_assets,1,,\r\n"
+            b"meta,lagrange_multiplier,2.5,,\r\n"
+            b"meta,sigma0,0.01,,\r\n"
+            b"meta,ridge_used,0.0,,\r\n"
+            b"meta,mode,paper-literal,,\r\n"
+            b"weight,0,,0.1,\r\n"
+            b"weight,1,,-3.0,\r\n"
+            b"end,11,,,\r\n"
+        )
+        assert np.array_equal(read_weights_csv(path).managed_weights, weights.managed_weights)
 
     def test_truncation_inside_last_number_raises(self, tmp_path):
         moments = random_structured_moments(37, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
