@@ -49,9 +49,10 @@ __all__ = [
 ]
 
 _MEAN_EPS = 1e-14
-# Rows per diagonal block in the triangular substitutions; off-diagonal
-# updates are matrix-vector products, so the block size only bounds the
-# small dense solves.
+# Columns per block of the Cholesky factor in `_factor_solve`: wide enough
+# that the block-column updates are GEMMs, narrow enough that each diagonal
+# block's own Cholesky factor and inverse stay cheap and the column buffer
+# (2MN x 128) stays small next to the matrix.
 _BLOCK = 128
 
 
@@ -131,32 +132,52 @@ class StaticWeights:
         object.__setattr__(self, "weights", weights)
 
 
-def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L y = rhs for lower-triangular L, one block of rows at a time."""
+def _factor_solve(matrix: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (matrix + ridge I) z = rhs by a blocked left-looking Cholesky factorization.
+
+    Block column j of the factor is formed in one buffer as
+    ``matrix[j:, j] - L[j:, :j] L[j, :j]^T``; the ridge goes on its diagonal
+    block, which ``np.linalg.cholesky`` factors as L_jj (a failure there is
+    the positive-definiteness check), and the panel below is that column times
+    inv(L_jj)^T.  ``lower`` keeps inv(L_jj) on its diagonal blocks, so the
+    forward substitution L y = rhs runs inside the factor loop and the
+    backward one L^T z = y, overwriting y from the last block up, is
+    matrix-vector products.  ``matrix`` is only read.  Raises
+    np.linalg.LinAlgError when the regularized matrix is not positive definite.
+    """
+    dim = rhs.shape[0]
+    lower = np.empty_like(matrix)
+    column = np.empty(dim * min(_BLOCK, dim))
     y = np.empty_like(rhs)
-    for start in range(0, rhs.shape[0], _BLOCK):
-        stop = min(start + _BLOCK, rhs.shape[0])
-        partial = rhs[start:stop] - lower[start:stop, :start] @ y[:start]
-        y[start:stop] = np.linalg.solve(lower[start:stop, start:stop], partial)
+    starts = range(0, dim, _BLOCK)
+    for start in starts:
+        stop = min(start + _BLOCK, dim)
+        width = stop - start
+        panel = column[: (dim - start) * width].reshape(dim - start, width)
+        np.matmul(lower[start:, :start], lower[start:stop, :start].T, out=panel)
+        np.subtract(matrix[start:, start:stop], panel, out=panel)
+        panel[:width].flat[:: width + 1] += ridge
+        inverse = np.linalg.inv(np.linalg.cholesky(panel[:width]))
+        lower[start:stop, start:stop] = inverse
+        np.matmul(panel[width:], inverse.T, out=lower[stop:, start:stop])
+        y[start:stop] = inverse @ (rhs[start:stop] - lower[start:stop, :start] @ y[:start])
+    for start in reversed(starts):
+        stop = min(start + _BLOCK, dim)
+        inverse = lower[start:stop, start:stop]
+        y[start:stop] = inverse.T @ (y[start:stop] - lower[stop:, start:stop].T @ y[stop:])
     return y
-
-
-def _backward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L^T z = rhs for lower-triangular L, last block of rows first."""
-    z = np.empty_like(rhs)
-    for start in reversed(range(0, rhs.shape[0], _BLOCK)):
-        stop = min(start + _BLOCK, rhs.shape[0])
-        partial = rhs[start:stop] - lower[stop:, start:stop].T @ z[stop:]
-        z[start:stop] = np.linalg.solve(lower[start:stop, start:stop].T, partial)
-    return z
 
 
 def _targeted_solve(matrix: np.ndarray, mean: np.ndarray, risk: RiskSpec):
     """Shared real core: z = (matrix + ridge I)^{-1} mean, scaled to the target.
 
-    One Cholesky factorization L L^T of the regularized matrix both checks that
-    it is positive definite and solves: z comes from a forward and a backward
-    substitution with L.  Returns (weights, multiplier, ridge_used).
+    One blocked left-looking Cholesky factorization L L^T of the regularized
+    matrix both checks that it is positive definite and solves (see
+    :func:`_factor_solve`): the ridge is added to each diagonal block as that
+    block is factored, so ``matrix`` is neither copied nor written, and the
+    inverses of the diagonal blocks of L, kept from the factorization, serve
+    the forward and the backward substitution.  Returns (weights, multiplier,
+    ridge_used).
     """
     if float(np.linalg.norm(mean)) <= _MEAN_EPS:
         raise DegenerateMeanError(
@@ -164,16 +185,13 @@ def _targeted_solve(matrix: np.ndarray, mean: np.ndarray, risk: RiskSpec):
             "problem is unbounded below in the multiplier"
         )
     ridge = risk.ridge_for(matrix)
-    regularized = matrix.copy()
-    regularized[np.diag_indices_from(regularized)] += ridge
     try:
-        lower = np.linalg.cholesky(regularized)
+        z = _factor_solve(matrix, ridge, mean)
     except np.linalg.LinAlgError as exc:
         hint = "covariance is singular or indefinite"
         if ridge == 0.0:
             hint += "; retry with a positive ridge (RiskSpec.ridge)"
         raise SingularCovarianceError(hint) from exc
-    z = _backward_substitute(lower, _forward_substitute(lower, mean))
     quad = float(mean @ z)
     if quad <= 0.0:
         raise SingularCovarianceError(
@@ -240,6 +258,9 @@ def solve_classical_mvo(mean, cov, risk: RiskSpec) -> StaticWeights:
     cov = np.asarray(cov, dtype=np.float64)
     if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
         raise ValidationError("mean must be a vector and cov a matching square matrix")
+    for name, value in (("mean", mean), ("cov", cov)):
+        if not np.all(np.isfinite(value)):
+            raise ValidationError(f"{name} must be finite")
     cov = 0.5 * (cov + cov.T)
     weights, _, _ = _targeted_solve(cov, mean, risk)
     return StaticWeights(weights=weights, scheme="classical-mvo")

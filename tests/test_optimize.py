@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ def lu_reference(matrix, mean, sigma0):
 
 
 class TestFactorOnceSolve:
-    """The Cholesky-substitution core against a dense solve, across substitution block edges."""
+    """The blocked Cholesky factor-and-solve core against a dense solve, across block edges."""
 
     @pytest.mark.parametrize("dim", [1, 2, 127, 128, 129, 257, 300])
     def test_matches_lu_reference(self, dim):
@@ -247,6 +248,44 @@ class TestFactorOnceSolve:
         matrix = (basis * eigenvalues) @ basis.T
         with pytest.raises(SingularCovarianceError):
             _targeted_solve(0.5 * (matrix + matrix.T), rng.standard_normal(300), RiskSpec(0.01, ridge=ridge))
+
+    @pytest.mark.parametrize("ridge", [None, 0.0])
+    def test_later_block_not_positive_definite_raises(self, ridge):
+        # the leading 128 x 128 block is I, but [[I, 2I], [2I, I]] has eigenvalue -1:
+        # only the second block's Schur complement I - 4I shows it
+        eye = np.eye(128)
+        matrix = np.block([[eye, 2 * eye], [2 * eye, eye]])
+        with pytest.raises(SingularCovarianceError):
+            _targeted_solve(matrix, np.ones(256), RiskSpec(0.01, ridge=ridge))
+
+    def test_ridge_on_every_diagonal_block_input_unchanged(self):
+        rng = np.random.default_rng(385)
+        dim, condition, ridge = 385, 1e6, 0.1
+        matrix = spd_matrix(rng, dim, condition)
+        matrix.flags.writeable = False
+        snapshot = matrix.tobytes()
+        mean = rng.standard_normal(dim)
+        weights, multiplier, ridge_used = _targeted_solve(matrix, mean, RiskSpec(sigma0=0.01, ridge=ridge))
+        assert ridge_used == ridge
+        expected_weights, expected_multiplier = lu_reference(matrix + ridge * np.eye(dim), mean, 0.01)
+        tol = 16 * np.finfo(float).eps * (1.0 + ridge) / (1.0 / condition + ridge)
+        error = np.linalg.norm(weights - expected_weights) / np.linalg.norm(expected_weights)
+        assert error <= tol, error
+        assert multiplier == pytest.approx(expected_multiplier, rel=tol)
+        assert matrix.tobytes() == snapshot
+
+    def test_peak_memory_is_one_factor(self):
+        # the factor itself is matrix.nbytes; a copy of the regularized matrix would double it
+        rng = np.random.default_rng(1024)
+        matrix = spd_matrix(rng, 1024, 1e2)
+        mean = rng.standard_normal(1024)
+        tracemalloc.start()
+        try:
+            _targeted_solve(matrix, mean, RiskSpec(sigma0=0.01))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * matrix.nbytes, peak / matrix.nbytes
 
     def test_classical_200_assets_meets_variance_target(self):
         rng = np.random.default_rng(200)
@@ -276,6 +315,18 @@ class TestClassicalAndEqualWeight:
     def test_degenerate_mean(self):
         with pytest.raises(DegenerateMeanError):
             solve_classical_mvo([0.0, 0.0], np.eye(2), RiskSpec(sigma0=0.01))
+
+    @pytest.mark.parametrize(
+        ("mean", "cov", "name"),
+        [
+            ([math.nan, 1.0], np.eye(2), "mean"),
+            ([1.0, 1.0], np.diag([1.0, math.inf]), "cov"),
+            ([1.0, 1.0], np.full((2, 2), math.nan), "cov"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, mean, cov, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+            solve_classical_mvo(mean, cov, RiskSpec(sigma0=0.01))
 
     def test_equal_weight(self):
         assert np.allclose(equal_weight(4).weights, [0.25, 0.25, 0.25, 0.25])
