@@ -85,9 +85,32 @@ def _validate_timestamps(timestamps) -> tuple:
     return timestamps
 
 
+def _name_clashes(names: Sequence[str], unit: str, first: int) -> str:
+    """The blank and the repeated names among ``names``, numbered from ``first``; '' if none.
+
+    For example "'AA' at columns 2, 4; blank at columns 3".
+    """
+    numbers: dict[str, list[int]] = {}
+    for number, name in enumerate(names, start=first):
+        numbers.setdefault(name if name.strip() else "", []).append(number)
+    return "; ".join(
+        f"{repr(name) if name else 'blank'} at {unit} {', '.join(map(str, found))}"
+        for name, found in numbers.items()
+        if not name or len(found) > 1
+    )
+
+
+def _validate_asset_names(names) -> tuple[str, ...]:
+    names = tuple(names)
+    clashes = _name_clashes(names, "positions", 0)
+    if clashes:
+        raise ValidationError(f"asset names must be distinct and non-blank: {clashes}")
+    return names
+
+
 @dataclass(frozen=True)
 class PricePanel:
-    """Strictly positive prices on strictly increasing timestamps."""
+    """Strictly positive prices on strictly increasing timestamps, one distinct non-blank name per asset."""
 
     timestamps: tuple
     prices: np.ndarray
@@ -96,16 +119,17 @@ class PricePanel:
     def __post_init__(self) -> None:
         prices = np.asarray(self.prices, dtype=np.float64)
         timestamps = _validate_timestamps(self.timestamps)
+        asset_names = _validate_asset_names(self.asset_names)
         if prices.ndim != 2:
             raise ValidationError("prices must be a (T, N) matrix")
-        if prices.shape != (len(timestamps), len(self.asset_names)):
+        if prices.shape != (len(timestamps), len(asset_names)):
             raise ValidationError("prices shape does not match timestamps/asset names")
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             raise ValidationError("prices must be finite and strictly positive")
         prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "timestamps", timestamps)
-        object.__setattr__(self, "asset_names", tuple(self.asset_names))
+        object.__setattr__(self, "asset_names", asset_names)
 
     @property
     def n_assets(self) -> int:
@@ -114,7 +138,7 @@ class PricePanel:
 
 @dataclass(frozen=True)
 class ReturnsPanel:
-    """Simple returns per period; each entry > -1 (prices are positive)."""
+    """Simple returns per period; each entry > -1 (prices are positive); names as in :class:`PricePanel`."""
 
     timestamps: tuple
     returns: np.ndarray
@@ -124,7 +148,8 @@ class ReturnsPanel:
     def __post_init__(self) -> None:
         returns = np.asarray(self.returns, dtype=np.float64)
         timestamps = _validate_timestamps(self.timestamps)
-        if returns.ndim != 2 or returns.shape != (len(timestamps), len(self.asset_names)):
+        asset_names = _validate_asset_names(self.asset_names)
+        if returns.ndim != 2 or returns.shape != (len(timestamps), len(asset_names)):
             raise ValidationError("returns shape does not match timestamps/asset names")
         if not np.all(np.isfinite(returns)):
             raise ValidationError("returns contain non-finite values")
@@ -135,7 +160,7 @@ class ReturnsPanel:
         returns.flags.writeable = False
         object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "timestamps", timestamps)
-        object.__setattr__(self, "asset_names", tuple(self.asset_names))
+        object.__setattr__(self, "asset_names", asset_names)
 
     @property
     def n_assets(self) -> int:
@@ -162,9 +187,10 @@ def _read_panel(path, require_positive: bool, min_rows: int):
     ignores padding.  A row with the wrong cell count, an unparseable
     timestamp or cell, or a non-finite (or, with ``require_positive``,
     non-positive) value is dropped with a logged warning naming its source
-    row, then a count.  Duplicate or non-increasing timestamps among the kept
-    rows are an error naming the offending source row, as are fewer than
-    ``min_rows`` kept rows.
+    row, then a count.  Blank or repeated asset names in the header are an
+    error naming their columns; duplicate or non-increasing timestamps among
+    the kept rows are an error naming the offending source row, as are fewer
+    than ``min_rows`` kept rows.
     """
     source = Path(path)
     try:
@@ -177,6 +203,10 @@ def _read_panel(path, require_positive: bool, min_rows: int):
     header = rows[0][1]
     if len(header) < 2:
         raise IngestionError(f"{source}: header must have a timestamp column plus assets")
+    names = tuple(name.strip() for name in header[1:])
+    clashes = _name_clashes(names, "columns", 2)
+    if clashes:
+        raise IngestionError(f"{source}: asset names in the header must be distinct and non-blank: {clashes}")
 
     parsed = []  # (source row, timestamp, cells)
     dropped = []
@@ -208,7 +238,7 @@ def _read_panel(path, require_positive: bool, min_rows: int):
     if len(kept) < min_rows:
         raise IngestionError(f"{path}: only {len(kept)} usable rows; need at least {min_rows}")
     timestamps = tuple(stamp for _, stamp, _ in kept)
-    return timestamps, values[usable], tuple(name.strip() for name in header[1:])
+    return timestamps, values[usable], names
 
 
 def ingest_csv(path) -> PricePanel:

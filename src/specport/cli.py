@@ -13,6 +13,7 @@ as integer periods in samples, with A/S/Q shortcuts for 12/6/3 on monthly data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import re
@@ -69,6 +70,29 @@ def _parse_grids(token: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_periods(part) for part in token.split(";") if part.strip())
 
 
+def _check_output(option: str, path: Path, directory: Path) -> None:
+    """Usage error when ``directory``, where ``path`` goes, cannot be made a directory.
+
+    The nearest of ``directory`` and its parents that exists must be a
+    directory; a regular file there would otherwise fail only at the first
+    write, after the command's work.
+    """
+    for ancestor in (directory, *directory.parents):
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise ValidationError(f"{option} {path}: {ancestor} exists and is not a directory")
+            return
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """Report an OSError from the writers as a usage error naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
+
+
 def _write_config_echo(path: Path, args, **resolved) -> None:
     """Echo every parsed argument, with ``resolved`` overriding the values the command normalized."""
     params = {key: value for key, value in vars(args).items() if key != "func"}
@@ -95,6 +119,8 @@ def _month_sequence(start: str, count: int) -> list[str]:
 def _cmd_synth(args) -> int:
     if args.horizon < 1:
         raise ValidationError("horizon (-T) must be >= 1")
+    out = Path(args.out)
+    _check_output("--out", out, out.parent)
     if args.example1:
         spec = example1_scenario(seed=args.seed, horizon=args.horizon)
         default_format = "returns"
@@ -119,11 +145,10 @@ def _cmd_synth(args) -> int:
     else:
         table = values
         timestamps = list(range(values.shape[0]))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_table(out, ["date"] + names, timestamps, table)
-
-    _write_config_echo(out.with_name(out.name + ".config.json"), args, out=str(out), format=out_format)
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write_table(out, ["date"] + names, timestamps, table)
+        _write_config_echo(out.with_name(out.name + ".config.json"), args, out=str(out), format=out_format)
     print(f"wrote {values.shape[0]} samples x {spec.n_assets} assets to {out}")
     return 0
 
@@ -133,14 +158,16 @@ def _cmd_estimate(args) -> int:
     grid = FrequencyGrid.from_periods(_parse_periods(args.periods))
     if args.periods_per_year < 1:
         raise ValidationError(f"periods_per_year must be >= 1, got {args.periods_per_year!r}")
+    out_dir = Path(args.out_dir)
+    _check_output("--out-dir", out_dir, out_dir)
     values = _load_returns(data, args.input_type, args.periods_per_year).returns
     if args.demean:
         values = values - values.mean(axis=0, keepdims=True)
     moments = estimate_moments(values, grid, mode=args.mode)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_moments_csv(moments, out_dir / "spectral_moments.csv")
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_moments_csv(moments, out_dir / "spectral_moments.csv")
 
     periods = grid.bin_periods()
     header = f"{'bin':>3} {'period':>7} {'|mean|':>12} {'||R||':>12} {'||P||':>12} {'psd':>12}"
@@ -153,12 +180,12 @@ def _cmd_estimate(args) -> int:
         rows.append((m, periods[m] if periods else "", mean_norm, r_norm, p_norm, psd_trace))
         print(f"{m:>3} {rows[-1][1]:>7} {mean_norm:>12.6e} {r_norm:>12.6e} {p_norm:>12.6e} {psd_trace:>12.6e}")
 
-    with (out_dir / "moments_summary.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin", "period", "mean_norm", "cov_norm", "pseudo_norm", "psd_trace"])
-        writer.writerows(rows)
-
-    _write_config_echo(out_dir / "estimate_config.json", args, data=str(data), out_dir=str(out_dir))
+    with _writing(out_dir):
+        with (out_dir / "moments_summary.csv").open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["bin", "period", "mean_norm", "cov_norm", "pseudo_norm", "psd_trace"])
+            writer.writerows(rows)
+        _write_config_echo(out_dir / "estimate_config.json", args, data=str(data), out_dir=str(out_dir))
     print(f"wrote {out_dir / 'spectral_moments.csv'}")
     return 0
 
@@ -176,10 +203,12 @@ def _cmd_backtest(args) -> int:
         periods_per_year=args.periods_per_year,
         input_type=args.input_type,
     )
-    report = run_protocol(config)
     out_dir = Path(args.out_dir)
-    paths = report.write_outputs(out_dir)
-    _write_config_echo(out_dir / "backtest_config.json", args, data=str(data), out_dir=str(out_dir))
+    _check_output("--out-dir", out_dir, out_dir)
+    report = run_protocol(config)
+    with _writing(out_dir):
+        paths = report.write_outputs(out_dir)
+        _write_config_echo(out_dir / "backtest_config.json", args, data=str(data), out_dir=str(out_dir))
     print(report.render_text())
     print(f"report written to {paths['report']}")
     return 0

@@ -85,17 +85,27 @@ def _check_mode(mode: str) -> None:
         raise ValidationError(f"unknown estimator mode {mode!r}; expected one of {MODES}")
 
 
-def _frozen_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a read-only float64 array of ``shape``.
+def _real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``.
 
-    Raises ValidationError naming ``name`` when it is complex, has another
-    shape or holds a non-finite entry.
+    Raises ValidationError naming ``name`` when it is complex or has another
+    shape.
     """
     if np.iscomplexobj(value):
         raise ValidationError(f"{name} must be real")
     array = np.asarray(value, dtype=np.float64)
     if array.shape != shape:
         raise ValidationError(f"{name} shape {array.shape} does not match {shape}")
+    return array
+
+
+def _frozen_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a read-only float64 array of ``shape``.
+
+    Raises ValidationError naming ``name`` when it is complex, has another
+    shape or holds a non-finite entry.
+    """
+    array = _real_array(name, value, shape)
     if not np.isfinite(array).all():
         raise ValidationError(f"{name} has non-finite entries")
     array.flags.writeable = False
@@ -112,16 +122,20 @@ _MIN_CLASS_SIZE = 16
 
 
 def _is_exactly_symmetric(matrix: np.ndarray) -> bool:
-    """Whether the square ``matrix`` equals its transpose bit for bit.
+    """Whether the square ``matrix`` is finite and equals its transpose bit for bit.
 
-    Compares in strips of ``_SYMMETRY_BLOCK`` rows: the strip right of the
-    diagonal against the transposed column strip below it, so the transposed
-    side is read a few cache lines per row instead of one element per row.
+    One pass in strips of ``_SYMMETRY_BLOCK`` rows: each strip right of the
+    diagonal is checked for finiteness and then, while it is in cache, its
+    transpose is compared with the column strip below the diagonal, read in
+    its own row order, so neither side is read one element per cache line.
+    An entry below the diagonal needs no finiteness test of its own: it must
+    equal its finite mirror, and NaN equals nothing.
     """
     size = matrix.shape[0]
     for start in range(0, size, _SYMMETRY_BLOCK):
         stop = start + _SYMMETRY_BLOCK
-        if not np.array_equal(matrix[start:stop, start:], matrix[start:, start:stop].T):
+        strip = matrix[start:stop, start:]
+        if not (np.isfinite(strip).all() and np.array_equal(matrix[start:, start:stop], strip.T)):
             return False
     return True
 
@@ -318,7 +332,9 @@ class SpectralMoments:
     the N x N blocks R(w_m, w_n) and P(w_m, w_n) from four N x N blocks of K
     without building ``covariance``.  The constructor rejects complex,
     misshapen or non-finite arrays, a K that is not exactly symmetric, an
-    unknown mode and counts below 1.
+    unknown mode and counts below 1.  It reads K once, checking finiteness
+    and symmetry strip by strip; a non-finite K is reported before an
+    asymmetric one.
     """
 
     grid: FrequencyGrid
@@ -336,9 +352,12 @@ class SpectralMoments:
         _check_mode(self.mode)
         dim = 2 * self.half_size
         mean = _frozen_real("managed mean", self.managed_mean, (dim,))
-        cov = _frozen_real("managed covariance", self.managed_covariance, (dim, dim))
-        if not _is_exactly_symmetric(cov):
+        cov = _real_array("managed covariance", self.managed_covariance, (dim, dim))
+        if not _is_exactly_symmetric(cov):  # one pass over K checks finiteness and symmetry
+            if not np.isfinite(cov).all():
+                raise ValidationError("managed covariance has non-finite entries")
             raise ValidationError("managed covariance is not exactly symmetric")
+        cov.flags.writeable = False
         object.__setattr__(self, "managed_mean", mean)
         object.__setattr__(self, "managed_covariance", cov)
 

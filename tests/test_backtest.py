@@ -13,6 +13,7 @@ import pytest
 from specport import (
     FrequencyGrid,
     IngestionError,
+    PricePanel,
     ProtocolConfig,
     ReturnsPanel,
     StaticWeights,
@@ -90,6 +91,36 @@ class TestIngest:
         path = write_csv(tmp_path, "just one column\n")
         with pytest.raises(IngestionError):
             ingest_csv(path)
+
+    @pytest.mark.parametrize(
+        "header, named",
+        [
+            ("date,AA,AA", "'AA' at columns 2, 3"),
+            ("date,,BB", "blank at columns 2"),
+            ("date,AA, ,AA", "'AA' at columns 2, 4; blank at columns 3"),
+            ("date,AA, AA ", "'AA' at columns 2, 3"),  # padding is stripped before the names are compared
+        ],
+    )
+    def test_blank_or_repeated_asset_names_rejected(self, tmp_path, header, named):
+        cells = ",100" * (header.count(","))
+        path = write_csv(tmp_path, f"{header}\n2020-01-01{cells}\n2020-02-01{cells}\n2020-03-01{cells}\n")
+        message = f"{path}: asset names in the header must be distinct and non-blank: {named}"
+        for reader in (ingest_csv, read_returns_csv):
+            with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+                reader(path)
+
+    @pytest.mark.parametrize("panel_type", ["prices", "returns"])
+    @pytest.mark.parametrize(
+        "names, named", [(("AA", "AA"), "'AA' at positions 0, 1"), (("AA", " "), "blank at positions 1")]
+    )
+    def test_panels_reject_blank_or_repeated_asset_names(self, panel_type, names, named):
+        timestamps, values = (0, 1, 2), np.full((3, 2), 0.5)
+        message = f"asset names must be distinct and non-blank: {named}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            if panel_type == "prices":
+                PricePanel(timestamps=timestamps, prices=values, asset_names=names)
+            else:
+                ReturnsPanel(timestamps=timestamps, returns=values, periods_per_year=12, asset_names=names)
 
     def test_integer_timestamps_accepted(self, tmp_path):
         path = write_csv(tmp_path, "t,AA\n0,100\n1,101\n2,103\n")

@@ -323,3 +323,55 @@ def test_config_echo_holds_every_parsed_argument(tmp_path, command):
     # synth resolves --format from --example1; every other value is echoed as parsed
     resolved = {"format": "prices"} if command == "synth" else {}
     assert {key: echo[key] for key in parsed} == {**parsed, **resolved}
+
+
+def output_argv(command, data, out):
+    """argv writing ``command``'s output to ``out`` (a file for synth, a directory otherwise)."""
+    return {
+        "synth": ["synth", "-T", "24", "--out", str(out)],
+        "estimate": ["estimate", "--data", str(data), "--periods", "12,6", "--out-dir", str(out)],
+        "backtest": ["backtest", "--data", str(data), "--boundary", "2015-01", "--out-dir", str(out)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate", "backtest"])
+@pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
+def test_output_path_through_a_file_is_usage_error_before_ingest(tmp_path, capsys, command, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker / "out" if below else blocker
+    if command == "synth":  # --out names a file, so "at" puts the file right inside the blocker
+        out = out / "p.csv"
+    missing = tmp_path / "missing.csv"
+    assert main(output_argv(command, missing, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err and f"{blocker} exists and is not a directory" in err
+    assert str(missing) not in err and "Traceback" not in err
+    assert blocker.read_text() == "a regular file\n"
+
+
+@pytest.mark.parametrize(
+    "command, occupied",
+    [("synth", "p.csv"), ("estimate", "out/spectral_moments.csv"), ("backtest", "out/report.txt")],
+)
+def test_writer_os_error_is_usage_error_naming_the_file(tmp_path, capsys, command, occupied):
+    # a directory where the command writes a file: the write raises IsADirectoryError
+    (tmp_path / occupied).mkdir(parents=True)
+    out = tmp_path / ("p.csv" if command == "synth" else "out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the window snap
+        assert main(output_argv(command, DATA, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / occupied}: ")
+
+
+@pytest.mark.parametrize("header", ["date,SYN1,SYN1,SYN3,SYN4,SYN5", "date,,SYN2,SYN3,SYN4,SYN5"])
+def test_blank_or_repeated_asset_name_exit_2(tmp_path, capsys, header):
+    lines = DATA.read_text().splitlines()
+    data = tmp_path / "panel.csv"
+    data.write_text("\n".join([header, *lines[1:]]) + "\n")
+    assert main(output_argv("backtest", data, tmp_path / "bt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [stage: ingest] ")
+    assert f"{data}: asset names in the header must be distinct and non-blank: " in err
+    assert not (tmp_path / "bt").exists()

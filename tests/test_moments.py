@@ -228,6 +228,28 @@ class TestSpectralMomentsType:
         with pytest.raises(ValidationError, match="exactly symmetric"):
             dataclasses.replace(moments, managed_covariance=cov)
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ({(250, 3): np.nan}, "managed covariance has non-finite entries"),  # below the diagonal only
+            ({(3, 250): np.inf, (250, 3): np.inf}, "managed covariance has non-finite entries"),
+            ({(1, 0): 1.0, (279, 278): np.nan}, "managed covariance has non-finite entries"),
+            ({(1, 0): np.inf, (279, 278): 1.0}, "managed covariance has non-finite entries"),
+            ({(279, 278): 1.0}, "managed covariance is not exactly symmetric"),
+        ],
+    )
+    def test_one_pass_check_keeps_messages_and_precedence(self, cells, message):
+        # 2MN = 280 spans three symmetry strips; a non-finite K is reported before an asymmetric one
+        grid = FrequencyGrid.from_periods((12, 6))
+        raw = np.random.default_rng(280).standard_normal((280, 280))
+        cov = raw + raw.T
+        for (i, j), value in cells.items():
+            cov[i, j] += value
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SpectralMoments(
+                grid=grid, n_assets=70, managed_mean=np.zeros(280), managed_covariance=cov, sample_count=300
+            )
+
     @pytest.mark.parametrize("size", [1, 127, 128, 129, 300])
     def test_symmetry_check_is_exact_in_every_tile(self, size):
         raw = np.random.default_rng(size).standard_normal((size, size))

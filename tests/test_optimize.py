@@ -28,7 +28,7 @@ from specport import (
     write_weights_csv,
 )
 from specport.basis import _to_augmented
-from specport.optimize import _targeted_solve
+from specport.optimize import _BLOCK, _targeted_solve
 
 from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments, swap_lines
 
@@ -224,7 +224,8 @@ def lu_reference(matrix, mean, sigma0):
 class TestFactorOnceSolve:
     """The blocked Cholesky factor-and-solve core against a dense solve, across block edges."""
 
-    @pytest.mark.parametrize("dim", [1, 2, 127, 128, 129, 257, 300])
+    # 3 * _BLOCK + 1 ends in a one-column block; 3 * _BLOCK in a full one
+    @pytest.mark.parametrize("dim", [1, 2, 127, 128, 129, 257, 300, 3 * _BLOCK, 3 * _BLOCK + 1])
     def test_matches_lu_reference(self, dim):
         rng = np.random.default_rng(dim)
         risk = RiskSpec(sigma0=0.01, ridge=0.0)
@@ -252,11 +253,22 @@ class TestFactorOnceSolve:
     @pytest.mark.parametrize("ridge", [None, 0.0])
     def test_later_block_not_positive_definite_raises(self, ridge):
         # the leading 128 x 128 block is I, but [[I, 2I], [2I, I]] has eigenvalue -1:
-        # only the second block's Schur complement I - 4I shows it
+        # only a Schur complement I - 4I in the trailing 128 rows shows it
         eye = np.eye(128)
         matrix = np.block([[eye, 2 * eye], [2 * eye, eye]])
         with pytest.raises(SingularCovarianceError):
             _targeted_solve(matrix, np.ones(256), RiskSpec(0.01, ridge=ridge))
+
+    @pytest.mark.parametrize("ridge", [None, 0.0])
+    def test_middle_block_not_positive_definite_raises(self, ridge):
+        # five blocks, all I but for [[I, 2I], [2I, I]] on blocks 1 and 2: blocks 0 and 1
+        # factor, block 2's Schur complement I - 4I does not, and blocks 3 and 4 are never reached
+        eye = np.eye(_BLOCK)
+        matrix = np.eye(5 * _BLOCK)
+        matrix[_BLOCK : 2 * _BLOCK, 2 * _BLOCK : 3 * _BLOCK] = 2 * eye
+        matrix[2 * _BLOCK : 3 * _BLOCK, _BLOCK : 2 * _BLOCK] = 2 * eye
+        with pytest.raises(SingularCovarianceError):
+            _targeted_solve(matrix, np.ones(5 * _BLOCK), RiskSpec(0.01, ridge=ridge))
 
     def test_ridge_on_every_diagonal_block_input_unchanged(self):
         rng = np.random.default_rng(385)
