@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FrequencyGrid
-from .errors import IngestionError, SpecportError, ValidationError
+from .errors import IngestionError, SpecportError, ValidationError, _count, _frozen_real
 from .moments import SpectralMoments, _check_mode, estimate_moments, write_moments_csv
 from .optimize import (
     RiskSpec,
@@ -117,16 +117,11 @@ class PricePanel:
     asset_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        prices = np.asarray(self.prices, dtype=np.float64)
         timestamps = _validate_timestamps(self.timestamps)
         asset_names = _validate_asset_names(self.asset_names)
-        if prices.ndim != 2:
-            raise ValidationError("prices must be a (T, N) matrix")
-        if prices.shape != (len(timestamps), len(asset_names)):
-            raise ValidationError("prices shape does not match timestamps/asset names")
-        if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
-            raise ValidationError("prices must be finite and strictly positive")
-        prices.flags.writeable = False
+        prices = _frozen_real("prices", self.prices, (len(timestamps), len(asset_names)))
+        if np.any(prices <= 0.0):
+            raise ValidationError("prices must be strictly positive")
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "asset_names", asset_names)
@@ -146,18 +141,12 @@ class ReturnsPanel:
     asset_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        returns = np.asarray(self.returns, dtype=np.float64)
         timestamps = _validate_timestamps(self.timestamps)
         asset_names = _validate_asset_names(self.asset_names)
-        if returns.ndim != 2 or returns.shape != (len(timestamps), len(asset_names)):
-            raise ValidationError("returns shape does not match timestamps/asset names")
-        if not np.all(np.isfinite(returns)):
-            raise ValidationError("returns contain non-finite values")
+        returns = _frozen_real("returns", self.returns, (len(timestamps), len(asset_names)))
         if np.any(returns <= -1.0):
             raise ValidationError("returns must exceed -1 (total loss)")
-        if self.periods_per_year < 1:
-            raise ValidationError("periods_per_year must be >= 1")
-        returns.flags.writeable = False
+        object.__setattr__(self, "periods_per_year", _count("periods_per_year", self.periods_per_year))
         object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "asset_names", asset_names)
@@ -339,9 +328,10 @@ def sharpe_ratio(series, periods_per_year: int) -> float:
 class ProtocolConfig:
     """Configuration for one full backtest run.
 
-    ``data`` may be a CSV path, a PricePanel, or a ReturnsPanel.  ``grids``
-    lists the period subsets to solve, one spectral strategy each; it must be
-    non-empty and no two subsets may hold the same set of periods.
+    ``data`` is a CSV path read as ``input_type``, a PricePanel, or a
+    ReturnsPanel with the config's ``periods_per_year`` (an integer >= 1).
+    ``grids`` lists the period subsets to solve, one spectral strategy each;
+    it must be non-empty and no two subsets may hold the same set of periods.
     ``sigma0_annual`` obeys :class:`RiskSpec`'s rules and is converted to a
     per-period target by dividing by sqrt(periods_per_year).  A string
     ``boundary`` must parse as an integer index or an ISO date; it is kept as
@@ -370,14 +360,19 @@ class ProtocolConfig:
                 parse_timestamp(self.boundary)
             except IngestionError as exc:
                 raise ValidationError(f"boundary: {exc}") from exc
-        if self.periods_per_year < 1:
-            raise ValidationError(f"periods_per_year must be >= 1, got {self.periods_per_year!r}")
+        ppy = _count("periods_per_year", self.periods_per_year)
+        object.__setattr__(self, "periods_per_year", ppy)
+        data = self.data
+        if not isinstance(data, (str, Path, PricePanel, ReturnsPanel)):
+            raise ValidationError(f"data is not a CSV path, PricePanel or ReturnsPanel: {type(data).__name__}")
+        if isinstance(data, ReturnsPanel) and data.periods_per_year != ppy:
+            raise ValidationError(f"data has periods_per_year {data.periods_per_year} but config has {ppy}")
         RiskSpec(sigma0=self.sigma0_annual, ridge=self.ridge)
         if not self.grids:
             raise ValidationError("grids must list at least one period subset")
         seen, grids = {}, []
         for periods in self.grids:
-            label = grid_label(periods, self.periods_per_year)
+            label = grid_label(periods, ppy)
             try:
                 grids.append(FrequencyGrid.from_periods(periods))
             except ValidationError as exc:
@@ -523,17 +518,15 @@ def _slugify(label: str) -> str:
     return label.lower().replace(",", "_").replace(" ", "")
 
 
-def _load_returns(data, input_type: str, periods_per_year: int) -> ReturnsPanel:
+def _load_returns(data, input_type: str, periods_per_year: int = 12) -> ReturnsPanel:
     """The returns behind ``data``: a ReturnsPanel, a PricePanel, or a CSV path of ``input_type``."""
-    if isinstance(data, (str, Path)):
-        if input_type == "returns":
-            return read_returns_csv(data, periods_per_year)
-        data = ingest_csv(data)
-    if isinstance(data, PricePanel):
-        return compute_returns(data, periods_per_year)
     if isinstance(data, ReturnsPanel):
         return data
-    raise ValidationError(f"unsupported data source type {type(data).__name__}")
+    if isinstance(data, PricePanel):
+        return compute_returns(data, periods_per_year)
+    if input_type == "returns":
+        return read_returns_csv(data, periods_per_year)
+    return compute_returns(ingest_csv(data), periods_per_year)
 
 
 def _stage(name: str, exc: SpecportError) -> SpecportError:

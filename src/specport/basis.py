@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SymmetryViolationError, ValidationError
+from .errors import SymmetryViolationError, ValidationError, _count
 
 __all__ = [
     "FrequencyGrid",
@@ -251,8 +251,7 @@ def build_basis(t: int, grid: FrequencyGrid, n_assets: int) -> AugmentedSpectral
     AugmentedSpectralBasis
         With entries exactly (1/sqrt(2M)) e^{+-j w_m t} on identity blocks.
     """
-    if n_assets < 1:
-        raise ValidationError("n_assets must be >= 1")
+    n_assets = _count("n_assets", n_assets)
     m = grid.n_bins
     scale = 1.0 / math.sqrt(2 * m)
     phases = np.exp(1j * np.asarray(grid.omegas) * float(t)) * scale

@@ -39,7 +39,7 @@ from .errors import (
     SpecportError,
     ValidationError,
 )
-from .moments import compute_psd, estimate_moments, write_moments_csv
+from .moments import MODES, compute_psd, estimate_moments, write_moments_csv
 from .synthesis import example1_scenario, seasonal_market_spec, synthesize_values
 
 _LETTER_PERIODS = {letter: period for period, letter in PERIOD_LETTERS.items()}
@@ -117,8 +117,6 @@ def _month_sequence(start: str, count: int) -> list[str]:
 
 
 def _cmd_synth(args) -> int:
-    if args.horizon < 1:
-        raise ValidationError("horizon (-T) must be >= 1")
     out = Path(args.out)
     _check_output("--out", out, out.parent)
     if args.example1:
@@ -156,11 +154,9 @@ def _cmd_synth(args) -> int:
 def _cmd_estimate(args) -> int:
     data = Path(args.data)
     grid = FrequencyGrid.from_periods(_parse_periods(args.periods))
-    if args.periods_per_year < 1:
-        raise ValidationError(f"periods_per_year must be >= 1, got {args.periods_per_year!r}")
     out_dir = Path(args.out_dir)
     _check_output("--out-dir", out_dir, out_dir)
-    values = _load_returns(data, args.input_type, args.periods_per_year).returns
+    values = _load_returns(data, args.input_type).returns
     if args.demean:
         values = values - values.mean(axis=0, keepdims=True)
     moments = estimate_moments(values, grid, mode=args.mode)
@@ -248,18 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--start-date", default="2010-01", help="first month for price output, ISO YYYY-MM")
     synth.set_defaults(func=_cmd_synth)
 
-    estimate = sub.add_parser("estimate", help="estimate spectral moments from a panel CSV")
-    estimate.add_argument("--data", required=True, help="input CSV")
+    panel = argparse.ArgumentParser(add_help=False)
+    panel.add_argument("--data", required=True, help="input CSV")
+    panel.add_argument("--mode", choices=MODES, default=MODES[0])
+    panel.add_argument("--demean", action="store_true", help="subtract the grand mean first")
+    panel.add_argument("--input-type", choices=["prices", "returns"], default="prices")
+
+    estimate = sub.add_parser("estimate", parents=[panel], help="estimate spectral moments from a panel CSV")
     estimate.add_argument("--periods", default="12,6,3", help="comma list of grid periods (or A/S/Q)")
-    estimate.add_argument("--mode", choices=["paper-literal", "consistent"], default="paper-literal")
-    estimate.add_argument("--demean", action="store_true", help="subtract the grand mean first")
-    estimate.add_argument("--input-type", choices=["prices", "returns"], default="prices")
-    estimate.add_argument("--periods-per-year", type=int, default=12)
     estimate.add_argument("--out-dir", default="estimate_out")
     estimate.set_defaults(func=_cmd_estimate)
 
     backtest = sub.add_parser(
         "backtest",
+        parents=[panel],
         help="run the in/out-of-sample protocol",
         epilog=(
             "Allocation paths are the real product of the solver's managed-asset "
@@ -268,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
             "into the out-of-sample window, keeping seasonal phase aligned."
         ),
     )
-    backtest.add_argument("--data", required=True, help="input CSV")
     backtest.add_argument("--boundary", required=True, help="in/out split timestamp (e.g. 2015-01)")
     backtest.add_argument(
         "--grids",
@@ -277,17 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     backtest.add_argument("--sigma0-annual", type=float, default=0.01, help="annual vol target")
     backtest.add_argument("--ridge", type=float, default=None)
-    backtest.add_argument("--mode", choices=["paper-literal", "consistent"], default="paper-literal")
-    backtest.add_argument("--demean", action="store_true")
     backtest.add_argument("--periods-per-year", type=int, default=12)
-    backtest.add_argument("--input-type", choices=["prices", "returns"], default="prices")
     backtest.add_argument("--out-dir", default="backtest_out")
     backtest.set_defaults(func=_cmd_backtest)
 
     return parser
 
 
-_INPUT_ERRORS = (ValidationError, IngestionError, FileNotFoundError)
+_INPUT_ERRORS = (ValidationError, IngestionError)
 _COMPUTE_ERRORS = (FactorizationError, DegenerateMeanError, SingularCovarianceError)
 
 

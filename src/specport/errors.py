@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the shared input checks.
+
+Each rule has one definition: :func:`_count` for counts, :func:`_real_array`
+and :func:`_frozen_real` for real arrays of a known shape.
+"""
+
+import operator
+
+import numpy as np
 
 
 class SpecportError(Exception):
@@ -35,3 +43,47 @@ class SingularCovarianceError(SpecportError):
 
 class IngestionError(SpecportError):
     """A data file could not be ingested; message carries row context."""
+
+
+def _count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an ``int`` >= ``minimum``; ValidationError naming ``name`` otherwise.
+
+    ``int`` and numpy integers are accepted; ``bool`` and floats, even
+    integral ones, are not.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if count < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {count!r}")
+    return count
+
+
+def _real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``.
+
+    Raises ValidationError naming ``name`` when it is complex or has another
+    shape.
+    """
+    if np.iscomplexobj(value):
+        raise ValidationError(f"{name} must be real")
+    array = np.asarray(value, dtype=np.float64)
+    if array.shape != shape:
+        raise ValidationError(f"{name} shape {array.shape} does not match {shape}")
+    return array
+
+
+def _frozen_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a read-only float64 array of ``shape``.
+
+    Raises ValidationError naming ``name`` when it is complex, has another
+    shape or holds a non-finite entry.
+    """
+    array = _real_array(name, value, shape)
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    array.flags.writeable = False
+    return array

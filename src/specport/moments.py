@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented, commensurate_length
-from .errors import ValidationError
+from .errors import ValidationError, _count, _frozen_real, _real_array
 
 __all__ = [
     "SpectralMoments",
@@ -83,33 +83,6 @@ def _panel_values(x) -> np.ndarray:
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValidationError(f"unknown estimator mode {mode!r}; expected one of {MODES}")
-
-
-def _real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a float64 array of ``shape``.
-
-    Raises ValidationError naming ``name`` when it is complex or has another
-    shape.
-    """
-    if np.iscomplexobj(value):
-        raise ValidationError(f"{name} must be real")
-    array = np.asarray(value, dtype=np.float64)
-    if array.shape != shape:
-        raise ValidationError(f"{name} shape {array.shape} does not match {shape}")
-    return array
-
-
-def _frozen_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a read-only float64 array of ``shape``.
-
-    Raises ValidationError naming ``name`` when it is complex, has another
-    shape or holds a non-finite entry.
-    """
-    array = _real_array(name, value, shape)
-    if not np.isfinite(array).all():
-        raise ValidationError(f"{name} has non-finite entries")
-    array.flags.writeable = False
-    return array
 
 
 _SYMMETRY_BLOCK = 128
@@ -332,9 +305,9 @@ class SpectralMoments:
     the N x N blocks R(w_m, w_n) and P(w_m, w_n) from four N x N blocks of K
     without building ``covariance``.  The constructor rejects complex,
     misshapen or non-finite arrays, a K that is not exactly symmetric, an
-    unknown mode and counts below 1.  It reads K once, checking finiteness
-    and symmetry strip by strip; a non-finite K is reported before an
-    asymmetric one.
+    unknown mode and counts that are not integers >= 1.  It reads K once,
+    checking finiteness and symmetry strip by strip; a non-finite K is
+    reported before an asymmetric one.
     """
 
     grid: FrequencyGrid
@@ -345,10 +318,8 @@ class SpectralMoments:
     mode: str = "paper-literal"
 
     def __post_init__(self) -> None:
-        if self.n_assets < 1:
-            raise ValidationError(f"n_assets must be >= 1, got {self.n_assets!r}")
-        if self.sample_count < 1:
-            raise ValidationError(f"sample_count must be >= 1, got {self.sample_count!r}")
+        object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
+        object.__setattr__(self, "sample_count", _count("sample_count", self.sample_count))
         _check_mode(self.mode)
         dim = 2 * self.half_size
         mean = _frozen_real("managed mean", self.managed_mean, (dim,))

@@ -26,15 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented
-from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError
-from .moments import (
-    SpectralMoments,
-    _artifact_errors,
-    _check_mode,
-    _frozen_real,
-    _read_records,
-    _write_records,
-)
+from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError, _count, _frozen_real
+from .moments import SpectralMoments, _artifact_errors, _check_mode, _read_records, _write_records
 
 __all__ = [
     "RiskSpec",
@@ -93,9 +86,10 @@ class SpectralWeights:
     Stored as the real managed-asset weights theta (``managed_weights``, 2MN,
     read-only, finite); ``weights`` is the augmented complex view U theta,
     built on first access.  ``lagrange_multiplier`` is the realized
-    multiplier; ``ridge_used`` the diagonal regularization actually applied,
-    so the constraint theta^T (K + ridge I) theta = sigma0^2 can be
-    re-checked.  ``sigma0`` and ``ridge_used`` obey :class:`RiskSpec`'s rules.
+    multiplier, positive and finite; ``ridge_used`` the diagonal
+    regularization actually applied, so the constraint
+    theta^T (K + ridge I) theta = sigma0^2 can be re-checked.  ``sigma0`` and
+    ``ridge_used`` obey :class:`RiskSpec`'s rules.
     """
 
     grid: FrequencyGrid
@@ -107,8 +101,10 @@ class SpectralWeights:
     mode: str = "paper-literal"
 
     def __post_init__(self) -> None:
-        if self.n_assets < 1:
-            raise ValidationError(f"n_assets must be >= 1, got {self.n_assets!r}")
+        object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
+        multiplier = self.lagrange_multiplier
+        if not (math.isfinite(multiplier) and multiplier > 0.0):
+            raise ValidationError(f"lagrange_multiplier must be positive and finite, got {multiplier!r}")
         RiskSpec(sigma0=self.sigma0, ridge=self.ridge_used)
         _check_mode(self.mode)
         theta = _frozen_real("managed weights", self.managed_weights, (2 * self.grid.n_bins * self.n_assets,))
@@ -277,8 +273,7 @@ def solve_classical_mvo(mean, cov, risk: RiskSpec) -> StaticWeights:
 
 def equal_weight(n_assets: int) -> StaticWeights:
     """The 1/N allocation."""
-    if n_assets < 1:
-        raise ValidationError("n_assets must be >= 1")
+    n_assets = _count("n_assets", n_assets)
     return StaticWeights(weights=np.full(n_assets, 1.0 / n_assets), scheme="equal-weight")
 
 

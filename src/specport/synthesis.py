@@ -14,14 +14,14 @@ knob that preserves those moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 import warnings
 
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _check_spectrum, _phases, _to_managed
-from .errors import FactorizationError, ValidationError
+from .errors import FactorizationError, ValidationError, _count
 from .moments import structure_project
 
 __all__ = [
@@ -57,10 +57,8 @@ class SynthSpec:
     ar_coeff: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_assets < 1:
-            raise ValidationError("n_assets must be >= 1")
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1 sample")
+        object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
+        object.__setattr__(self, "horizon", _count("horizon", self.horizon))
         if not (0.0 <= self.ar_coeff < 1.0):
             raise ValidationError("ar_coeff must lie in [0, 1)")
         half = self.grid.n_bins * self.n_assets
@@ -77,9 +75,6 @@ class SynthSpec:
     @property
     def half_size(self) -> int:
         return self.grid.n_bins * self.n_assets
-
-    def with_horizon(self, horizon: int) -> "SynthSpec":
-        return replace(self, horizon=horizon)
 
 
 def _composite_factor(spec: SynthSpec) -> np.ndarray:

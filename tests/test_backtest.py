@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from specport import (
+    DegenerateMeanError,
     FrequencyGrid,
     IngestionError,
     PricePanel,
@@ -121,6 +122,50 @@ class TestIngest:
                 PricePanel(timestamps=timestamps, prices=values, asset_names=names)
             else:
                 ReturnsPanel(timestamps=timestamps, returns=values, periods_per_year=12, asset_names=names)
+
+    @pytest.mark.parametrize("panel_type", ["prices", "returns"])
+    @pytest.mark.parametrize(
+        "timestamps, values, match",
+        [
+            ((0, datetime.date(2020, 1, 1), 2), np.full((3, 2), 0.5), "timestamps mix integer and date types"),
+            ((0, 2, 1), np.full((3, 2), 0.5), "timestamps not strictly increasing at 1"),
+            ((0, 1, 2), np.full((2, 2), 0.5), r"shape \(2, 2\) does not match \(3, 2\)"),
+            ((0, 1, 2), np.full(3, 0.5), r"shape \(3,\) does not match \(3, 2\)"),
+            ((0, 1, 2), np.where(np.eye(3, 2) == 1.0, np.inf, 0.5), "has non-finite entries"),
+            ((0, 1, 2), np.full((3, 2), 0.5 + 0.5j), "must be real"),
+        ],
+    )
+    def test_panels_reject_bad_timestamps_or_values(self, panel_type, timestamps, values, match):
+        with pytest.raises(ValidationError, match=match):
+            if panel_type == "prices":
+                PricePanel(timestamps=timestamps, prices=values, asset_names=("AA", "BB"))
+            else:
+                ReturnsPanel(timestamps=timestamps, returns=values, periods_per_year=12, asset_names=("AA", "BB"))
+
+    def test_prices_must_be_positive(self):
+        with pytest.raises(ValidationError, match="prices must be strictly positive"):
+            PricePanel(timestamps=(0, 1), prices=[[1.0], [0.0]], asset_names=("AA",))
+
+    @pytest.mark.parametrize(
+        "periods_per_year, match",
+        [
+            (0, "^periods_per_year must be >= 1, got 0$"),
+            (12.0, "^periods_per_year must be an integer, got 12.0$"),
+            (12.5, "^periods_per_year must be an integer, got 12.5$"),
+            (True, "^periods_per_year must be an integer, got True$"),
+        ],
+    )
+    def test_returns_panel_periods_per_year_is_an_integer_count(self, periods_per_year, match):
+        with pytest.raises(ValidationError, match=match):
+            integer_panel(np.zeros(3), ppy=periods_per_year)
+        assert type(integer_panel(np.zeros(3), ppy=np.int64(4)).periods_per_year) is int
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_file(self, tmp_path, text):
+        path = write_csv(tmp_path, text)
+        for reader in (ingest_csv, read_returns_csv):
+            with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: empty file$"):
+                reader(path)
 
     def test_integer_timestamps_accepted(self, tmp_path):
         path = write_csv(tmp_path, "t,AA\n0,100\n1,101\n2,103\n")
@@ -248,6 +293,13 @@ class TestSplit:
         panel = integer_panel(np.zeros(10))
         with pytest.raises(ValidationError):
             split_sample(panel, 100)
+
+    def test_boundary_type_must_match_timestamps(self):
+        message = "boundary datetime.date(2015, 1, 1) does not match the panel's timestamp type (int)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            split_sample(integer_panel(np.zeros(10)), "2015-01")
+        with pytest.raises(ValidationError, match=r"^boundary 60 does not match the panel's timestamp type \(date\)$"):
+            split_sample(compute_returns(ingest_csv(DATA)), 60)
 
     def test_monthly_protocol_split(self):
         # monthly 2010-01..2020-05 prices, boundary 2015-01:
@@ -471,6 +523,11 @@ class TestProtocol:
             ({"periods_per_year": 0}, "periods_per_year must be >= 1, got 0"),
             ({"boundary": "2015-13"}, "boundary: cannot parse timestamp '2015-13'"),
             ({"boundary": "garbage"}, "boundary: cannot parse timestamp 'garbage'"),
+            ({"periods_per_year": 12.5}, "periods_per_year must be an integer, got 12.5"),
+            ({"periods_per_year": 12.0}, "periods_per_year must be an integer, got 12.0"),
+            ({"periods_per_year": True}, "periods_per_year must be an integer, got True"),
+            ({"data": 123}, "data is not a CSV path, PricePanel or ReturnsPanel: int"),
+            ({"data": integer_panel(np.zeros(4), ppy=4)}, "data has periods_per_year 4 but config has 12"),
         ],
     )
     def test_bad_fields_rejected_at_construction(self, tmp_path, fields, match):
@@ -485,6 +542,12 @@ class TestProtocol:
     def test_risk_target_checked_as_given(self):
         with pytest.raises(ValidationError, match=r"got -1\.0$"):
             ProtocolConfig(data=str(DATA), boundary="2015-01", sigma0_annual=-1.0)
+
+    def test_classical_stage_label(self):
+        # a pure annual cosine: the spectral mean is not zero, but the in-sample grand mean is
+        values = 0.01 * np.cos(2 * np.pi * np.arange(84) / 12)
+        with pytest.raises(DegenerateMeanError, match=r"^\[stage: classical-mvo\] mean is numerically zero"):
+            run_protocol(ProtocolConfig(data=integer_panel(values), boundary=60, grids=((12,),)))
 
     def test_stage_labels_on_errors(self):
         panel = self.make_market()

@@ -1,6 +1,7 @@
 """Basis construction, projection, synthesis and their exact identities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ class TestFrequencyGrid:
             FrequencyGrid(omegas=(0.5,), periods=(12,))
         with pytest.raises(ValidationError, match="do not match the frequencies"):
             FrequencyGrid(omegas=(2 * np.pi / 12, 2 * np.pi / 6), periods=(6, 12))
+        with pytest.raises(ValidationError, match="periods metadata does not match number of bins"):
+            FrequencyGrid(omegas=(2 * np.pi / 12, 2 * np.pi / 6), periods=(12,))
+
+    def test_periods_inferred_from_frequencies(self):
+        grid = FrequencyGrid(omegas=(2 * np.pi / 12, 2 * np.pi / 6))
+        assert grid.periods is None
+        assert grid.bin_periods() == (12, 6)
+        assert grid.least_common_period() == 12
 
     def test_dc_rejected(self):
         with pytest.raises(ValidationError):
@@ -120,6 +129,9 @@ class TestBuildBasis:
         grid = FrequencyGrid.from_periods((12,))
         with pytest.raises(ValidationError):
             build_basis(0, grid, 0)
+        for n_assets in (2.0, True, np.float64(1.0)):
+            with pytest.raises(ValidationError, match=f"^n_assets must be an integer, got {re.escape(repr(n_assets))}$"):
+                build_basis(0, grid, n_assets)
 
 
 class TestSynthesize:
@@ -143,6 +155,22 @@ class TestSynthesize:
         for t in range(100):
             value = synthesize_time_value(build_basis(t, grid, 1), spectrum)
             assert value[0] == pytest.approx(math.sin(grid.omegas[0] * t), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "upper, lower",
+        [(np.zeros(2), np.zeros(3)), (np.zeros((2, 1)), np.zeros((2, 1)))],
+    )
+    def test_halves_must_be_equally_long_vectors(self, upper, lower):
+        with pytest.raises(ValidationError, match="upper and lower halves must be 1-d and equally long"):
+            AugmentedVector(upper=upper, lower=lower)
+
+    def test_spectrum_size_must_match_the_basis(self):
+        grid = FrequencyGrid.from_periods((12,))
+        spectrum = AugmentedVector.zeros(2)
+        with pytest.raises(ValidationError, match=r"spectrum half-size 2 does not match basis \(1\)"):
+            synthesize_series(spectrum, grid, range(4), 1)
+        with pytest.raises(ValidationError, match=r"spectrum half-size 2 does not match basis \(3\)"):
+            synthesize_time_value(build_basis(0, grid, 3), spectrum)
 
     def test_symmetry_violation_raises(self):
         grid = FrequencyGrid.from_periods((12,))

@@ -48,9 +48,11 @@ class TestSynth:
         main(["synth", "--seed", "4", "-T", "48", "--out", str(out_b)])
         assert out_a.read_bytes() != out_b.read_bytes()
 
-    def test_zero_horizon_usage_error(self, tmp_path):
+    def test_zero_horizon_usage_error(self, tmp_path, capsys):
         code = main(["synth", "-T", "0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+        assert capsys.readouterr().err == "error: horizon must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_price_format_is_positive(self, tmp_path):
         out = tmp_path / "prices.csv"
@@ -90,7 +92,8 @@ class TestEstimate:
         [
             (["--periods", "A,A"], "duplicate periods"),
             (["--periods", "0"], "periods must be >= 2"),
-            (["--periods-per-year", "0"], "periods_per_year must be >= 1"),
+            (["--periods", "12,x"], "cannot parse grid period 'x'"),
+            (["--periods", ","], "no grid periods in ','"),
         ],
     )
     def test_bad_input_named_before_ingest(self, tmp_path, capsys, flags, message):
@@ -119,6 +122,21 @@ class TestEstimate:
         by_mean = sorted(rows[1:], key=lambda row: float(row[2]), reverse=True)
         assert {by_mean[0][1], by_mean[1][1]} == {"24", "8"}
         assert (out_dir / "spectral_moments.csv").exists()
+
+    def test_demean_estimates_on_demeaned_returns(self, tmp_path):
+        from specport import FrequencyGrid, compute_returns, estimate_moments, ingest_csv, read_moments_csv
+
+        argv = ["estimate", "--data", str(DATA), "--periods", "12,6", "--demean", "--out-dir", str(tmp_path / "est")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the window snap
+            assert main(argv) == 0
+            values, grid = compute_returns(ingest_csv(DATA)).returns, FrequencyGrid.from_periods((12, 6))
+            expected = estimate_moments(values - values.mean(axis=0, keepdims=True), grid)
+            plain = estimate_moments(values, grid)
+        moments = read_moments_csv(tmp_path / "est" / "spectral_moments.csv")
+        assert np.array_equal(moments.managed_mean, expected.managed_mean)
+        assert np.array_equal(moments.managed_covariance, expected.managed_covariance)
+        assert not np.array_equal(moments.managed_mean, plain.managed_mean)
 
     def test_moments_file_round_trips(self, tmp_path):
         out_dir = tmp_path / "est"
@@ -290,6 +308,17 @@ class TestBacktest:
             dirs.append(out_dir)
         for name in ("report.txt", "plot_sharpe.csv", "cumulative_returns.csv", "allocation_by_month.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["estimate", "backtest"])
+def test_panel_options_shared_by_estimate_and_backtest(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--demean subtract the grand mean first" in out
+    assert "--mode {paper-literal,consistent}" in out and "--input-type {prices,returns}" in out
+    # no output of estimate depends on the periods per year
+    assert ("--periods-per-year" in out) == (command == "backtest")
 
 
 def test_usage_error_exits_2():

@@ -11,6 +11,7 @@ import pytest
 
 from specport import (
     FrequencyGrid,
+    PsdMatrix,
     SpectralMoments,
     ValidationError,
     build_basis,
@@ -104,6 +105,26 @@ class TestSpectralMean:
         grid = FrequencyGrid.from_periods((12,))
         with pytest.raises(ValidationError):
             estimate_spectral_mean(np.zeros((24, 1)), grid, mode="bogus")
+
+    def test_one_dimensional_panel_is_one_asset(self):
+        grid = FrequencyGrid.from_periods((12, 6))
+        x = np.random.default_rng(4).standard_normal(24)
+        flat, column = estimate_moments(x, grid), estimate_moments(x[:, np.newaxis], grid)
+        assert flat.n_assets == 1
+        assert np.array_equal(flat.managed_mean, column.managed_mean)
+        assert np.array_equal(flat.managed_covariance, column.managed_covariance)
+
+    @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
+    @pytest.mark.parametrize(
+        "panel, match",
+        [
+            (np.zeros((24, 1, 1)), r"panel must be 2-d \(T, N\); got shape \(24, 1, 1\)"),
+            (np.where(np.arange(24) == 5, np.nan, 0.0)[:, np.newaxis], "panel contains non-finite values"),
+        ],
+    )
+    def test_panel_that_is_not_2d_or_finite_rejected(self, estimator, panel, match):
+        with pytest.raises(ValidationError, match=match):
+            estimator(panel, FrequencyGrid.from_periods((12,)))
 
     @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
     def test_snap_warning_names_the_caller_and_log_keeps_counts(self, estimator, caplog):
@@ -295,6 +316,11 @@ class TestSpectralMomentsType:
             ({"sample_count": 0}, "sample_count"),
             ({"sample_count": -3}, "sample_count"),
             ({"n_assets": 0}, "n_assets"),
+            ({"n_assets": 2.0}, "^n_assets must be an integer, got 2.0$"),
+            ({"n_assets": True}, "^n_assets must be an integer, got True$"),
+            ({"sample_count": 240.5}, "^sample_count must be an integer, got 240.5$"),
+            ({"sample_count": True}, "^sample_count must be an integer, got True$"),
+            ({"sample_count": 0}, "^sample_count must be >= 1, got 0$"),
         ],
     )
     def test_constructor_rejects_bad_values(self, fields, match):
@@ -353,6 +379,11 @@ class TestSpectralMomentsType:
 
 
 class TestPsd:
+    def test_one_matrix_per_bin(self):
+        grid = FrequencyGrid.from_periods((12, 6))
+        with pytest.raises(ValidationError, match="one matrix per grid bin expected"):
+            PsdMatrix(grid=grid, matrices=(np.eye(2),))
+
     def test_zero_mean_reduces_to_covariance(self):
         rng = np.random.default_rng(9)
         grid = FrequencyGrid.from_periods((12, 6))
@@ -550,6 +581,8 @@ class TestSerialization:
             ((r"^meta,sample_count,[^,]*,", "meta,sample_count,-3,"), "sample_count"),
             # zero assets leave no room for the stored rows, so the entry count fails first
             ((r"^meta,n_assets,[^,]*,", "meta,n_assets,0,"), "expected 0 mean entries"),
+            ((r"^meta,format,[^,]*,", "meta,format,specport-moments-v2,"), "unsupported format tag"),
+            ((r"^end,[^,]*,,,$", r"\g<0>\nmean,0,,1.0,"), "rows after the end row"),
         ],
     )
     def test_rejected_values_name_the_file(self, tmp_path, edit, match):

@@ -15,6 +15,7 @@ from specport import (
     SingularCovarianceError,
     SpectralMoments,
     SpectralWeights,
+    StaticWeights,
     ValidationError,
     build_basis,
     equal_weight,
@@ -340,6 +341,22 @@ class TestClassicalAndEqualWeight:
         with pytest.raises(ValidationError, match=f"^{name} must be finite"):
             solve_classical_mvo(mean, cov, RiskSpec(sigma0=0.01))
 
+    @pytest.mark.parametrize(
+        ("mean", "cov"),
+        [([1.0, 1.0], np.eye(3)), ([1.0, 1.0], np.ones((2, 3))), ([[1.0], [1.0]], np.eye(2))],
+    )
+    def test_mismatched_shapes_rejected(self, mean, cov):
+        with pytest.raises(ValidationError, match="mean must be a vector and cov a matching square matrix"):
+            solve_classical_mvo(mean, cov, RiskSpec(sigma0=0.01))
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [(np.ones((2, 2)), "static weights must be a vector"), ([0.5, math.nan], "static weights must be finite")],
+    )
+    def test_static_weights_reject_matrix_or_non_finite(self, weights, match):
+        with pytest.raises(ValidationError, match=match):
+            StaticWeights(weights=weights, scheme="test")
+
     def test_equal_weight(self):
         assert np.allclose(equal_weight(4).weights, [0.25, 0.25, 0.25, 0.25])
         assert np.allclose(equal_weight(1).weights, [1.0])
@@ -347,6 +364,10 @@ class TestClassicalAndEqualWeight:
             assert equal_weight(n).weights.sum() == pytest.approx(1.0)
         with pytest.raises(ValidationError):
             equal_weight(0)
+        for n_assets in (2.5, 2.0, True):
+            with pytest.raises(ValidationError, match=f"^n_assets must be an integer, got {n_assets}$"):
+                equal_weight(n_assets)
+        assert np.array_equal(equal_weight(np.int64(4)).weights, equal_weight(4).weights)
 
 
 class TestRetrieveAllocation:
@@ -395,6 +416,12 @@ class TestRetrieveAllocation:
         consistent = dataclasses.replace(solved, mode="consistent")
         assert np.array_equal(retrieve_allocation(consistent, range(24)), 4 * retrieve_allocation(solved, range(24)))
 
+    def test_two_dimensional_t_range_rejected(self):
+        moments = random_structured_moments(42, grid=FrequencyGrid.from_periods((12,)), n_assets=1)
+        solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
+        with pytest.raises(ValidationError, match="t_range must be one-dimensional"):
+            retrieve_allocation(solved, np.arange(24).reshape(4, 6))
+
     def test_retrieval_and_variance_never_build_the_complex_view(self):
         moments = random_structured_moments(38, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
@@ -432,6 +459,13 @@ class TestSpectralWeightsType:
             ({"ridge_used": math.nan}, "ridge"),
             ({"mode": "bogus"}, "unknown estimator mode"),
             ({"n_assets": 0}, "n_assets"),
+            ({"n_assets": 2.0}, "^n_assets must be an integer, got 2.0$"),
+            ({"n_assets": True}, "^n_assets must be an integer, got True$"),
+            ({"lagrange_multiplier": math.nan}, "^lagrange_multiplier must be positive and finite, got nan$"),
+            ({"lagrange_multiplier": math.inf}, "^lagrange_multiplier must be positive and finite, got inf$"),
+            ({"lagrange_multiplier": -math.inf}, "^lagrange_multiplier must be positive and finite, got -inf$"),
+            ({"lagrange_multiplier": -1.0}, r"^lagrange_multiplier must be positive and finite, got -1\.0$"),
+            ({"lagrange_multiplier": 0.0}, r"^lagrange_multiplier must be positive and finite, got 0\.0$"),
         ],
     )
     def test_constructor_rejects(self, fields, match):
@@ -522,6 +556,9 @@ class TestWeightsSerialization:
             ((r"^meta,ridge_used,[^,]*,", "meta,ridge_used,inf,"), "ridge"),
             ((r"^meta,mode,[^,]*,", "meta,mode,bogus,"), "unknown estimator mode"),
             ((r"^weight,3,,[^,]*,", "weight,3,,nan,"), "non-finite"),
+            ((r"^meta,lagrange_multiplier,[^,]*,", "meta,lagrange_multiplier,nan,"), "lagrange_multiplier"),
+            ((r"^meta,lagrange_multiplier,[^,]*,", "meta,lagrange_multiplier,inf,"), "lagrange_multiplier"),
+            ((r"^meta,lagrange_multiplier,[^,]*,", "meta,lagrange_multiplier,-1.0,"), "lagrange_multiplier"),
         ],
     )
     def test_rejected_values_name_the_file(self, tmp_path, edit, match):

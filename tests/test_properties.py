@@ -7,12 +7,14 @@ and check the real code path against direct complex computations.
 """
 
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specport import (
@@ -33,6 +35,7 @@ from specport import (
     write_weights_csv,
 )
 from specport.basis import _phases, _to_augmented, _to_managed
+from specport.errors import ValidationError, _count
 
 from conftest import random_structured_moments
 
@@ -326,3 +329,42 @@ def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, leng
     assert path.shape == expected.shape == (length, n_assets)
     scale = np.abs(_phases(t, grid)) @ np.abs(theta.reshape(2 * grid.n_bins, n_assets))
     assert np.max(np.abs(path - expected)) <= 1e-14 * np.max(scale)
+
+
+_INT_TYPES = (int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@PROPERTY_SETTINGS
+@given(
+    minimum=st.integers(min_value=-3, max_value=3),
+    value=st.integers(min_value=-3, max_value=100),
+    int_type=st.sampled_from(_INT_TYPES),
+)
+def test_count_accepts_every_integer_at_least_minimum(minimum, value, int_type):
+    assume(value >= minimum and (value >= 0 or not int_type.__name__.startswith("uint")))
+    count = _count("n", int_type(value), minimum)
+    assert type(count) is int and count == value
+
+
+@PROPERTY_SETTINGS
+@given(
+    minimum=st.integers(min_value=-3, max_value=3),
+    value=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        st.booleans(),
+        st.sampled_from((np.True_, np.False_)),
+    ),
+)
+def test_count_rejects_floats_and_bools(minimum, value):
+    """Integral floats and bools are rejected too: a count must have an integer type."""
+    with pytest.raises(ValidationError, match=f"^n must be an integer, got {re.escape(repr(value))}$"):
+        _count("n", value, minimum)
+
+
+@PROPERTY_SETTINGS
+@given(minimum=st.integers(min_value=-3, max_value=3), shortfall=st.integers(min_value=1, max_value=100))
+def test_count_rejects_integers_below_minimum(minimum, shortfall):
+    value = minimum - shortfall
+    with pytest.raises(ValidationError, match=f"^n must be >= {minimum}, got {value}$"):
+        _count("n", np.int64(value), minimum)

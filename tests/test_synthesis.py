@@ -1,5 +1,6 @@
 """Generative model: sampling moments, determinism, ensemble statistics, estimator loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -251,6 +252,29 @@ class TestPanels:
                 horizon=4,
                 seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"n_assets": 0}, "^n_assets must be >= 1, got 0$"),
+            ({"n_assets": 1.0}, "^n_assets must be an integer, got 1.0$"),
+            ({"n_assets": True}, "^n_assets must be an integer, got True$"),
+            ({"horizon": 0}, "^horizon must be >= 1, got 0$"),
+            ({"horizon": 24.0}, "^horizon must be an integer, got 24.0$"),
+            ({"horizon": True}, "^horizon must be an integer, got True$"),
+            ({"ar_coeff": -0.1}, "ar_coeff must lie in"),
+            ({"ar_coeff": 1.0}, "ar_coeff must lie in"),
+            ({"spectral_cov": np.eye(4)}, "spectral_cov must be 2 x 2"),
+        ],
+    )
+    def test_spec_rejects_bad_field(self, fields, match):
+        with pytest.raises(ValidationError, match=match):
+            dataclasses.replace(one_bin_spec(1.0, 0.0, horizon=4), **fields)
+
+    def test_spec_stores_counts_as_int(self):
+        spec = dataclasses.replace(one_bin_spec(1.0, 0.0), n_assets=np.int64(1), horizon=np.int32(24))
+        assert (type(spec.n_assets), type(spec.horizon)) == (int, int)
+        assert synthesize_values(spec).shape == (24, 1)
 
 
 class TestEstimatorConsistencyLoop:
