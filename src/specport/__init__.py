@@ -58,7 +58,6 @@ from .optimize import (
     SpectralWeights,
     StaticWeights,
     equal_weight,
-    predicted_variance,
     read_weights_csv,
     retrieve_allocation,
     solve_classical_mvo,
@@ -69,7 +68,6 @@ from .synthesis import (
     SynthSpec,
     example1_scenario,
     sample_noise_series,
-    sample_spectral_noise,
     seasonal_market_spec,
     synthesize_panel,
     synthesize_values,
@@ -97,7 +95,6 @@ __all__ = [
     "read_moments_csv",
     # synthesis
     "SynthSpec",
-    "sample_spectral_noise",
     "sample_noise_series",
     "synthesize_values",
     "synthesize_panel",
@@ -111,7 +108,6 @@ __all__ = [
     "solve_classical_mvo",
     "equal_weight",
     "retrieve_allocation",
-    "predicted_variance",
     "write_weights_csv",
     "read_weights_csv",
     # backtest

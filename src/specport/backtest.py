@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FrequencyGrid
-from .errors import IngestionError, SpecportError, ValidationError, _count, _frozen_real
-from .moments import SpectralMoments, _check_mode, estimate_moments, write_moments_csv
+from .errors import IngestionError, SpecportError, ValidationError, _count, _finite_real
+from .moments import SpectralMoments, estimate_moments, write_moments_csv
 from .optimize import (
     RiskSpec,
     SpectralWeights,
@@ -119,9 +119,10 @@ class PricePanel:
     def __post_init__(self) -> None:
         timestamps = _validate_timestamps(self.timestamps)
         asset_names = _validate_asset_names(self.asset_names)
-        prices = _frozen_real("prices", self.prices, (len(timestamps), len(asset_names)))
+        prices = _finite_real("prices", self.prices, (len(timestamps), len(asset_names)))
         if np.any(prices <= 0.0):
             raise ValidationError("prices must be strictly positive")
+        prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "asset_names", asset_names)
@@ -143,10 +144,11 @@ class ReturnsPanel:
     def __post_init__(self) -> None:
         timestamps = _validate_timestamps(self.timestamps)
         asset_names = _validate_asset_names(self.asset_names)
-        returns = _frozen_real("returns", self.returns, (len(timestamps), len(asset_names)))
+        returns = _finite_real("returns", self.returns, (len(timestamps), len(asset_names)))
         if np.any(returns <= -1.0):
             raise ValidationError("returns must exceed -1 (total loss)")
         object.__setattr__(self, "periods_per_year", _count("periods_per_year", self.periods_per_year))
+        returns.flags.writeable = False
         object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "asset_names", asset_names)
@@ -345,7 +347,6 @@ class ProtocolConfig:
     grids: tuple[tuple[int, ...], ...] = ((12,), (12, 6), (12, 6, 3))
     sigma0_annual: float = 0.01
     ridge: float | None = None
-    mode: str = "paper-literal"
     demean: bool = False
     periods_per_year: int = 12
     input_type: str = "prices"
@@ -354,7 +355,6 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.input_type not in ("prices", "returns"):
             raise ValidationError(f"input_type must be 'prices' or 'returns', got {self.input_type!r}")
-        _check_mode(self.mode)
         if isinstance(self.boundary, str):
             try:
                 parse_timestamp(self.boundary)
@@ -568,7 +568,7 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
         label = grid_label(periods, ppy)
         name = f"Spectral MVO ({label})"
         try:
-            moments = estimate_moments(est_values, grid, mode=config.mode)
+            moments = estimate_moments(est_values, grid)
             weights: SpectralWeights = solve_spectral_mvo(moments, risk)
             allocation = retrieve_allocation(weights, out_t)
         except SpecportError as exc:
@@ -599,7 +599,6 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
         "sigma0_annual": repr(float(config.sigma0_annual)),
         "sigma0_per_period": repr(float(sigma0_period)),
         "ridge": "auto" if config.ridge is None else repr(float(config.ridge)),
-        "mode": config.mode,
         "demean": str(config.demean),
         "periods_per_year": str(ppy),
         "in_sample_returns": str(n_in),

@@ -261,17 +261,13 @@ def build_basis(t: int, grid: FrequencyGrid, n_assets: int) -> AugmentedSpectral
     return AugmentedSpectralBasis(t=int(t), grid=grid, n_assets=n_assets, values=values)
 
 
-def _phases(t, grid: FrequencyGrid, mode: str = "paper-literal") -> np.ndarray:
-    """The managed-asset phases (s/sqrt M) [cos(w_m t), -sin(w_m t)], shape (T, 2M).
+def _phases(t, grid: FrequencyGrid) -> np.ndarray:
+    """The managed-asset phases (1/sqrt M) [cos(w_m t), -sin(w_m t)], shape (T, 2M).
 
-    The scale s is the mode's: 1 in "paper-literal" mode and 2M in
-    "consistent" mode, so the estimator's panel and the retrieved allocation
-    always agree.  With s = 1, row t is the basis in managed coordinates:
-    B(t) U = row (x) I_N.
+    Row t is the basis in managed coordinates: B(t) U = row (x) I_N.
     """
-    scale = 2 * grid.n_bins if mode == "consistent" else 1
     angles = np.outer(np.asarray(t, dtype=np.float64), grid.omegas)
-    phases = (scale / math.sqrt(grid.n_bins)) * np.stack([np.cos(angles), -np.sin(angles)], axis=1)
+    phases = (1 / math.sqrt(grid.n_bins)) * np.stack([np.cos(angles), -np.sin(angles)], axis=1)
     return phases.reshape(angles.shape[0], 2 * grid.n_bins)
 
 

@@ -194,7 +194,6 @@ def _cmd_backtest(args) -> int:
         grids=_parse_grids(args.grids),
         sigma0_annual=args.sigma0_annual,
         ridge=args.ridge,
-        mode=args.mode,
         demean=args.demean,
         periods_per_year=args.periods_per_year,
         input_type=args.input_type,
@@ -246,11 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     panel = argparse.ArgumentParser(add_help=False)
     panel.add_argument("--data", required=True, help="input CSV")
-    panel.add_argument("--mode", choices=MODES, default=MODES[0])
     panel.add_argument("--demean", action="store_true", help="subtract the grand mean first")
     panel.add_argument("--input-type", choices=["prices", "returns"], default="prices")
 
     estimate = sub.add_parser("estimate", parents=[panel], help="estimate spectral moments from a panel CSV")
+    estimate.add_argument("--mode", choices=MODES, default=MODES[0])
     estimate.add_argument("--periods", default="12,6,3", help="comma list of grid periods (or A/S/Q)")
     estimate.add_argument("--out-dir", default="estimate_out")
     estimate.set_defaults(func=_cmd_estimate)

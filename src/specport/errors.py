@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, and the shared input checks.
 
 Each rule has one definition: :func:`_count` for counts, :func:`_real_array`
-and :func:`_frozen_real` for real arrays of a known shape.
+and :func:`_finite_real` for real arrays of a known shape.
 """
 
 import operator
@@ -76,14 +76,14 @@ def _real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     return array
 
 
-def _frozen_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a read-only float64 array of ``shape``.
+def _finite_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a finite float64 array of ``shape``.
 
     Raises ValidationError naming ``name`` when it is complex, has another
-    shape or holds a non-finite entry.
+    shape or holds a non-finite entry.  It may be the caller's own array, so
+    a constructor freezes it only after all of its checks have passed.
     """
     array = _real_array(name, value, shape)
     if not np.isfinite(array).all():
         raise ValidationError(f"{name} has non-finite entries")
-    array.flags.writeable = False
     return array

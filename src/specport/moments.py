@@ -23,14 +23,19 @@ repeat with period L, so both moments follow from the count, mean and scatter
 of x in each phase class t mod L, at O(N^2 T + L (2MN)^2) instead of
 O(T (2MN)^2).
 
-Two output scales are supported:
+The pair is always stored at the raw, paper-literal scale; a mode sets only
+the scale of the augmented views (``mean``, ``covariance``, the per-bin
+blocks) and of :func:`estimate_spectral_mean`:
 
 * ``"paper-literal"`` (default): the raw projection average.  A pure harmonic
   a*cos(w_m t) yields |mean(w_m)| = a / (2 sqrt(2M)) — attenuated by 1/(2M)
   relative to the representation coefficient, because the time average of
   B^H B is I/(2M).
-* ``"consistent"``: rescales the mean by 2M (recovering coefficient scale
-  exactly for on-grid harmonics) and the covariance by (2M)^2.
+* ``"consistent"``: the mean times 2M (recovering coefficient scale exactly
+  for on-grid harmonics) and the covariance times (2M)^2.
+
+The solver reads only the stored pair, so neither the allocation nor the
+meaning of an explicit ridge depends on the mode.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented, commensurate_length
-from .errors import ValidationError, _count, _frozen_real, _real_array
+from .errors import ValidationError, _count, _finite_real, _real_array
 
 __all__ = [
     "SpectralMoments",
@@ -80,9 +85,28 @@ def _panel_values(x) -> np.ndarray:
     return values
 
 
-def _check_mode(mode: str) -> None:
+def _mode_scale(grid: FrequencyGrid, mode: str) -> int:
+    """The factor of the mean views in ``mode``, 1 or 2M; the covariance views take its square."""
     if mode not in MODES:
         raise ValidationError(f"unknown estimator mode {mode!r}; expected one of {MODES}")
+    return 2 * grid.n_bins if mode == "consistent" else 1
+
+
+def _augmented_view(managed: np.ndarray, factor: int):
+    """The read-only augmented form (see :func:`specport.basis._to_augmented`) of ``managed`` times ``factor``.
+
+    The product is taken on the real and imaginary parts, which keeps signed
+    zeros (a complex product by 1 turns -0.0 into +0.0); a matrix is scaled in
+    place, so no 2MN x 2MN temporary is built.
+    """
+    augmented = _to_augmented(managed)
+    if isinstance(augmented, AugmentedVector):
+        return AugmentedVector.from_upper(np.multiply(augmented.upper.view(np.float64), factor).view(np.complex128))
+    parts = augmented.view(np.float64)
+    if factor != 1:  # skip a pass over a 2MN x 2MN matrix
+        np.multiply(parts, factor, out=parts)
+    augmented.flags.writeable = False
+    return augmented
 
 
 _SYMMETRY_BLOCK = 128
@@ -139,12 +163,12 @@ def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int, snap: bool):
     return values, t0
 
 
-def _managed_moments(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool, covariance: bool):
+def _managed_moments(x, grid: FrequencyGrid, t0: int, snap: bool, covariance: bool):
     """Mean and, if ``covariance``, covariance K of the managed panel z on the (snapped) window.
 
     Returns (mean (2MN,), K (2MN, 2MN) or None, T).  Row t of z is
     phi(t) (x) x(t), flattened bin-major, for the phases phi of
-    :func:`specport.basis._phases` in the given mode; the augmented projected
+    :func:`specport.basis._phases`; the augmented projected
     vector is exactly U z(t) (see :func:`specport.basis._to_augmented`).  phi
     repeats with the grid's least common period L, so the window splits into
     the phase classes r = t mod L, read as the strided views ``values[r::L]``.
@@ -164,7 +188,6 @@ def _managed_moments(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool, cov
     transpose and the blocks below are copied from their mirror, so K is
     exactly symmetric.
     """
-    _check_mode(mode)
     values = _panel_values(x)
     if values.shape[0] < 2:
         raise ValidationError("need at least 2 samples to estimate spectral moments")
@@ -177,7 +200,7 @@ def _managed_moments(x, grid: FrequencyGrid, mode: str, t0: int, snap: bool, cov
     else:  # one class per sample
         t = t0 + np.arange(n_samples)
     n_classes = t.size
-    phases = _phases(t, grid, mode)  # row r is phi_r
+    phases = _phases(t, grid)  # row r is phi_r
     repeats, extra = divmod(n_samples, n_classes)
     if repeats == 1:  # one sample per class: the window is its own class sums, read only
         sums = values
@@ -247,8 +270,9 @@ def estimate_spectral_mean(
     AugmentedVector
         Conjugate-symmetric by construction; deterministic given input.
     """
-    mean, _, _ = _managed_moments(x, grid, mode, t0, snap, covariance=False)
-    return _to_augmented(mean)
+    scale = _mode_scale(grid, mode)
+    mean, _, _ = _managed_moments(x, grid, t0, snap, covariance=False)
+    return _augmented_view(mean, scale)
 
 
 def estimate_moments(
@@ -260,9 +284,11 @@ def estimate_moments(
     of the augmented vector u(t) = B(t)^H x(t) around the estimated mean.  It
     is held as the real, exactly symmetric K, the covariance of the managed
     panel z, which is built from the per-class means and scatters of the
-    window without forming z (see :func:`_managed_moments`).
+    window without forming z (see :func:`_managed_moments`), the same in
+    every mode; ``mode`` sets the scale of the augmented views.
     """
-    managed_mean, covariance, n_samples = _managed_moments(x, grid, mode, t0, snap, covariance=True)
+    _mode_scale(grid, mode)  # rejects an unknown mode before the panel is read
+    managed_mean, covariance, n_samples = _managed_moments(x, grid, t0, snap, covariance=True)
     return SpectralMoments(
         grid=grid,
         n_assets=managed_mean.size // (2 * grid.n_bins),
@@ -299,13 +325,15 @@ class SpectralMoments:
 
     Stored as the real managed-asset pair: ``managed_mean`` (2MN) and
     ``managed_covariance`` K (2MN x 2MN, exactly symmetric), the mean and
-    covariance of the managed panel z(t).  The augmented complex ``mean`` and
-    ``covariance`` = U K U^H, of block layout [[R, P], [conj(P), conj(R)]],
-    are read-only views built on first access.  The per-bin accessors read
-    the N x N blocks R(w_m, w_n) and P(w_m, w_n) from four N x N blocks of K
-    without building ``covariance``.  The constructor rejects complex,
-    misshapen or non-finite arrays, a K that is not exactly symmetric, an
-    unknown mode and counts that are not integers >= 1.  It reads K once,
+    covariance of the managed panel z(t), at the raw scale in every mode.
+    The augmented complex ``mean`` = s U mu and ``covariance`` = s^2 U K U^H,
+    of block layout [[R, P], [conj(P), conj(R)]], for the mode's scale s (1
+    or 2M), are read-only views built on first access.  The per-bin
+    accessors read the N x N blocks R(w_m, w_n) and P(w_m, w_n) from four
+    N x N blocks of K without building ``covariance``.  The constructor
+    rejects complex, misshapen or non-finite arrays, a K that is not exactly
+    symmetric, an unknown mode and counts that are not integers >= 1.  It
+    freezes the arrays it was given only once they pass.  It reads K once,
     checking finiteness and symmetry strip by strip; a non-finite K is
     reported before an asymmetric one.
     """
@@ -320,29 +348,27 @@ class SpectralMoments:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
         object.__setattr__(self, "sample_count", _count("sample_count", self.sample_count))
-        _check_mode(self.mode)
+        _mode_scale(self.grid, self.mode)  # rejects an unknown mode
         dim = 2 * self.half_size
-        mean = _frozen_real("managed mean", self.managed_mean, (dim,))
+        mean = _finite_real("managed mean", self.managed_mean, (dim,))
         cov = _real_array("managed covariance", self.managed_covariance, (dim, dim))
         if not _is_exactly_symmetric(cov):  # one pass over K checks finiteness and symmetry
             if not np.isfinite(cov).all():
                 raise ValidationError("managed covariance has non-finite entries")
             raise ValidationError("managed covariance is not exactly symmetric")
-        cov.flags.writeable = False
+        mean.flags.writeable = cov.flags.writeable = False
         object.__setattr__(self, "managed_mean", mean)
         object.__setattr__(self, "managed_covariance", cov)
 
     @cached_property
     def mean(self) -> AugmentedVector:
-        """The augmented spectral mean U mu, conjugate-symmetric by construction."""
-        return _to_augmented(self.managed_mean)
+        """The augmented spectral mean s U mu, conjugate-symmetric by construction."""
+        return _augmented_view(self.managed_mean, _mode_scale(self.grid, self.mode))
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        """The augmented covariance U K U^H, exactly structured; read-only."""
-        cov = _to_augmented(self.managed_covariance)
-        cov.flags.writeable = False
-        return cov
+        """The augmented covariance s^2 U K U^H, exactly structured; read-only."""
+        return _augmented_view(self.managed_covariance, _mode_scale(self.grid, self.mode) ** 2)
 
     @property
     def half_size(self) -> int:
@@ -363,9 +389,7 @@ class SpectralMoments:
         n = m if n is None else self._bin_index(n)
         size, n_bins = self.n_assets, self.grid.n_bins
         sub = self.managed_covariance.reshape(2, n_bins, size, 2, n_bins, size)[:, m, :, :, n]
-        block = _to_augmented(sub.reshape(2 * size, 2 * size))
-        block.flags.writeable = False
-        return block
+        return _augmented_view(sub.reshape(2 * size, 2 * size), _mode_scale(self.grid, self.mode) ** 2)
 
     def bin_covariance(self, m: int, n: int | None = None) -> np.ndarray:
         """R(w_m) for n omitted, else the dual-frequency block R(w_m, w_n)."""
@@ -434,7 +458,7 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
 
 # --- flat CSV serialization (lossless at double precision) ---------------------
 
-_FORMAT_TAG = "specport-moments-v3"
+_FORMAT_TAG = "specport-moments-v4"
 
 
 def _layout(kind: str, size: int, is_matrix: bool):
@@ -582,7 +606,8 @@ def read_moments_csv(path) -> SpectralMoments:
 
     Raises ValidationError naming the file for a foreign, truncated or
     otherwise malformed file, including one whose rows are not exactly the
-    mean and then the triangle in the written order, and for values the
+    mean and then the triangle in the written order or of another format
+    version (a consistent-mode v3 file stored the pair at scale 2M), and for values the
     :class:`SpectralMoments` constructor rejects (non-finite entries, an
     unknown mode, a sample count below 1).
     """

@@ -10,7 +10,7 @@ lambda = sqrt(m^H R^{-1} m) / (2 sigma0) and the optimal coefficients
 w = sigma0 R^{-1} m / sqrt(m^H R^{-1} m).  It is solved as the equivalent real
 problem on 2MN managed assets, whose weights theta are stored, and the
 time-varying allocation is the real, periodic product w(t) = Phi(t) theta with
-the estimator's phases (see :func:`retrieve_allocation`).
+the basis phases (see :func:`retrieve_allocation`).
 
 The classical (time-domain) baseline is solved in the same variance-targeted
 form — rather than with a free risk-aversion penalty — so that backtest
@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented
-from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError, _count, _frozen_real
-from .moments import SpectralMoments, _artifact_errors, _check_mode, _read_records, _write_records
+from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError, _count, _finite_real
+from .moments import SpectralMoments, _artifact_errors, _read_records, _write_records
 
 __all__ = [
     "RiskSpec",
@@ -98,7 +98,6 @@ class SpectralWeights:
     lagrange_multiplier: float
     sigma0: float
     ridge_used: float
-    mode: str = "paper-literal"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
@@ -106,8 +105,8 @@ class SpectralWeights:
         if not (math.isfinite(multiplier) and multiplier > 0.0):
             raise ValidationError(f"lagrange_multiplier must be positive and finite, got {multiplier!r}")
         RiskSpec(sigma0=self.sigma0, ridge=self.ridge_used)
-        _check_mode(self.mode)
-        theta = _frozen_real("managed weights", self.managed_weights, (2 * self.grid.n_bins * self.n_assets,))
+        theta = _finite_real("managed weights", self.managed_weights, (2 * self.grid.n_bins * self.n_assets,))
+        theta.flags.writeable = False
         object.__setattr__(self, "managed_weights", theta)
 
     @cached_property
@@ -212,18 +211,15 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     """Closed-form solution of the variance-targeted frequency-domain problem.
 
     The augmented problem is solved as the equivalent real one on 2MN managed
-    assets: the stored real pair (mu, K) = (U^H m, U^H Sigma U) of the moments
-    (see :mod:`specport.moments`) goes straight to the classical
-    variance-targeted solver, and its real weights theta are stored; the
-    augmented w = U theta is their view.  Multiplier, ridge and the constraint
-    value are the same in both coordinates.
+    assets: the stored real pair (mu, K) = (U^H m, U^H Sigma U) of the moments,
+    always at the paper-literal scale (see :mod:`specport.moments`), goes
+    straight to the classical variance-targeted solver, and its real weights
+    theta are stored; the augmented w = U theta is their view.  Multiplier,
+    ridge and the constraint value are the same in both coordinates.
 
     Parameters
     ----------
     moments : SpectralMoments
-        Estimated managed mean and covariance (any estimator mode; the
-        solution direction is scale-invariant, the magnitude pairs with the
-        mode's covariance scale).
     risk : RiskSpec
 
     Returns
@@ -253,7 +249,6 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
         lagrange_multiplier=multiplier,
         sigma0=risk.sigma0,
         ridge_used=ridge,
-        mode=moments.mode,
     )
 
 
@@ -280,29 +275,22 @@ def equal_weight(n_assets: int) -> StaticWeights:
 def retrieve_allocation(weights: SpectralWeights, t_range) -> np.ndarray:
     """Time-domain allocation path w(t) = Phi(t) theta over the given indices.
 
-    Phi(t) are the estimator's phases in the weights' mode (see
-    :func:`specport.basis._phases`) and theta the managed weights as a
-    2M x N matrix; in "paper-literal" mode this equals the augmented synthesis
-    B(t) @ [v; conj(v)], and in "consistent" mode 2M times it, the scale at
-    which the moments were estimated.  Returns a real (len(t_range),
-    n_assets) array, periodic with the grid's least common period.
+    Phi(t) are the basis phases of :func:`specport.basis._phases` and theta
+    the managed weights as a 2M x N matrix, so this equals the augmented
+    synthesis B(t) @ [v; conj(v)] of the weights v = U theta.  Returns a real
+    (len(t_range), n_assets) array, periodic with the grid's least common
+    period.
     """
     t = np.asarray(list(t_range) if not isinstance(t_range, np.ndarray) else t_range)
     if t.ndim != 1:
         raise ValidationError("t_range must be one-dimensional")
     theta = weights.managed_weights.reshape(2 * weights.grid.n_bins, weights.n_assets)
-    return _phases(t, weights.grid, weights.mode) @ theta
-
-
-def predicted_variance(weights: SpectralWeights, moments: SpectralMoments) -> float:
-    """theta^T K theta = w^H Sigma w under the given moments (without ridge)."""
-    theta = weights.managed_weights
-    return float(theta @ moments.managed_covariance @ theta)
+    return _phases(t, weights.grid) @ theta
 
 
 # --- serialization (same flat-CSV conventions as the moments) ------------------
 
-_FORMAT_TAG = "specport-weights-v3"
+_FORMAT_TAG = "specport-weights-v4"
 
 
 def write_weights_csv(weights: SpectralWeights, path) -> None:
@@ -311,7 +299,6 @@ def write_weights_csv(weights: SpectralWeights, path) -> None:
         ("lagrange_multiplier", repr(float(weights.lagrange_multiplier))),
         ("sigma0", repr(float(weights.sigma0))),
         ("ridge_used", repr(float(weights.ridge_used))),
-        ("mode", weights.mode),
     ]
     records = [("weight", weights.managed_weights)]
     _write_records(path, _FORMAT_TAG, weights.grid, weights.n_assets, meta, records)
@@ -321,8 +308,8 @@ def read_weights_csv(path) -> SpectralWeights:
     """Inverse of :func:`write_weights_csv`, bit-exact.
 
     Raises ValidationError naming the file for a foreign, truncated or
-    otherwise malformed file, and for values the :class:`SpectralWeights`
-    constructor rejects.
+    otherwise malformed file, one of another format version (v3 weights could
+    be at scale 1/(2M)), and for values the constructor rejects.
     """
     with _artifact_errors(path):
         meta, grid, n_assets, (theta,) = _read_records(path, _FORMAT_TAG, (("weight", False),))
@@ -333,5 +320,4 @@ def read_weights_csv(path) -> SpectralWeights:
             lagrange_multiplier=float(meta["lagrange_multiplier"]),
             sigma0=float(meta["sigma0"]),
             ridge_used=float(meta["ridge_used"]),
-            mode=meta["mode"],
         )

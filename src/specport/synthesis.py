@@ -26,7 +26,6 @@ from .moments import structure_project
 
 __all__ = [
     "SynthSpec",
-    "sample_spectral_noise",
     "sample_noise_series",
     "synthesize_values",
     "synthesize_panel",
@@ -131,17 +130,6 @@ def sample_noise_series(spec: SynthSpec, n_samples: int) -> np.ndarray:
     composite = _composite_noise(spec, n_samples)
     half = spec.half_size
     return composite[:, :half] + 1j * composite[:, half:]
-
-
-def sample_spectral_noise(spec: SynthSpec, t: int) -> AugmentedVector:
-    """The noise draw at sample index t, consistent with :func:`synthesize_panel`.
-
-    Reproduces the sequential stream up to t, so the cost is O(t).
-    """
-    if t < 0:
-        raise ValidationError("t must be non-negative")
-    series = sample_noise_series(spec, t + 1)
-    return AugmentedVector.from_upper(series[t])
 
 
 def synthesize_values(spec: SynthSpec) -> np.ndarray:

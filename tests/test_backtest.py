@@ -147,6 +147,24 @@ class TestIngest:
             PricePanel(timestamps=(0, 1), prices=[[1.0], [0.0]], asset_names=("AA",))
 
     @pytest.mark.parametrize(
+        "panel_type, match", [("prices", "prices must be strictly positive"), ("returns", "returns must exceed -1")]
+    )
+    def test_rejected_panel_leaves_the_callers_array_writeable(self, panel_type, match):
+        # the constructor freezes the caller's own float64 array only once every check has passed
+        def build(values):
+            if panel_type == "prices":
+                return PricePanel(timestamps=(0, 1, 2), prices=values, asset_names=("AA",))
+            return ReturnsPanel(timestamps=(0, 1, 2), returns=values, periods_per_year=12, asset_names=("AA",))
+
+        values = np.full((3, 1), -2.0)
+        with pytest.raises(ValidationError, match=re.escape(match)):
+            build(values)
+        assert values.flags.writeable
+        values[:] = 0.5
+        panel = build(values)
+        assert getattr(panel, panel_type) is values and not values.flags.writeable
+
+    @pytest.mark.parametrize(
         "periods_per_year, match",
         [
             (0, "^periods_per_year must be >= 1, got 0$"),
@@ -492,16 +510,6 @@ class TestProtocol:
         # classical baseline is untouched by the flag
         assert plain.strategy("mvo").sharpe == demeaned.strategy("mvo").sharpe
 
-    def test_consistent_mode_allocations_equal_paper_literal(self):
-        # consistent mode scales the mean by 2M and K by (2M)^2, so theta shrinks by 2M
-        # and retrieval must scale the phases back up by 2M
-        market = self.make_market(seed=8)
-        literal = run_protocol(ProtocolConfig(data=market, boundary=60))
-        consistent = run_protocol(ProtocolConfig(data=market, boundary=60, mode="consistent"))
-        for a, b in zip(literal.strategies, consistent.strategies):
-            scale = np.max(np.abs(a.allocations))
-            assert np.max(np.abs(b.allocations - a.allocations)) <= 1e-12 * scale, a.name
-
     def test_unknown_input_type_rejected(self):
         with pytest.raises(ValidationError, match="input_type"):
             ProtocolConfig(data=str(DATA), boundary="2015-01", input_type="return")
@@ -519,7 +527,7 @@ class TestProtocol:
         [
             ({"grids": ((12, 12),)}, "grid subset 'A,A': duplicate periods"),
             ({"grids": ((12,), (0,))}, "grid subset '0': periods must be >= 2"),
-            ({"mode": "bogus"}, "unknown estimator mode"),
+            ({"ridge": -1.0}, "ridge must be finite and >= 0, got -1.0"),
             ({"periods_per_year": 0}, "periods_per_year must be >= 1, got 0"),
             ({"boundary": "2015-13"}, "boundary: cannot parse timestamp '2015-13'"),
             ({"boundary": "garbage"}, "boundary: cannot parse timestamp 'garbage'"),

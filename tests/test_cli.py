@@ -316,9 +316,17 @@ def test_panel_options_shared_by_estimate_and_backtest(capsys, command):
         main([command, "--help"])
     out = " ".join(capsys.readouterr().out.split())
     assert "--demean subtract the grand mean first" in out
-    assert "--mode {paper-literal,consistent}" in out and "--input-type {prices,returns}" in out
-    # no output of estimate depends on the periods per year
+    assert "--input-type {prices,returns}" in out
+    # no output of estimate depends on the periods per year, and no backtest output on the mode
     assert ("--periods-per-year" in out) == (command == "backtest")
+    assert ("--mode {paper-literal,consistent}" in out) == (command == "estimate")
+
+
+def test_backtest_mode_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["backtest", "--data", str(DATA), "--boundary", "2015-01", "--mode", "consistent"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --mode consistent" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

@@ -105,6 +105,9 @@ class TestSpectralMean:
         grid = FrequencyGrid.from_periods((12,))
         with pytest.raises(ValidationError):
             estimate_spectral_mean(np.zeros((24, 1)), grid, mode="bogus")
+        # the mode is checked before the panel, which here is empty
+        with pytest.raises(ValidationError, match="unknown estimator mode"):
+            estimate_moments(np.zeros((0, 1)), grid, mode="bogus")
 
     def test_one_dimensional_panel_is_one_asset(self):
         grid = FrequencyGrid.from_periods((12, 6))
@@ -377,6 +380,45 @@ class TestSpectralMomentsType:
         with pytest.raises(AttributeError):
             moments.covariance = np.zeros_like(cov)
 
+    def test_consistent_views_scale_the_one_stored_pair(self):
+        # s = 2M = 6 is no power of two, so only a product taken last gives these bytes
+        grid = FrequencyGrid.from_periods((12, 8, 6))
+        x = np.random.default_rng(23).standard_normal((48, 2))
+        literal, consistent = estimate_moments(x, grid), estimate_moments(x, grid, mode="consistent")
+        assert consistent.managed_mean.tobytes() == literal.managed_mean.tobytes()
+        assert consistent.managed_covariance.tobytes() == literal.managed_covariance.tobytes()
+
+        def parts(array):  # real and imaginary parts, so tobytes also compares the signs of zeros
+            return np.stack([np.real(array), np.imag(array)])
+
+        scale = 6
+        pairs = [
+            (consistent.mean.upper, scale * parts(literal.mean.upper)),
+            (estimate_spectral_mean(x, grid, mode="consistent").upper, scale * parts(literal.mean.upper)),
+            (consistent.covariance, scale**2 * parts(literal.covariance)),
+        ]
+        for m in range(grid.n_bins):
+            for n in (None, *range(grid.n_bins)):
+                pairs.append((consistent.bin_covariance(m, n), scale**2 * parts(literal.bin_covariance(m, n))))
+                pairs.append(
+                    (consistent.bin_pseudo_covariance(m, n), scale**2 * parts(literal.bin_pseudo_covariance(m, n)))
+                )
+        for view, expected in pairs:
+            assert parts(view).tobytes() == expected.tobytes()
+            assert not view.flags.writeable
+
+    def test_rejected_construction_leaves_the_callers_arrays_writeable(self):
+        # the constructor freezes the caller's own float64 arrays only once every check has passed
+        grid = FrequencyGrid.from_periods((4,))
+        mean, cov = np.array([0.5, -0.25]), np.array([[2.0, 0.125], [0.25, 1.0]])
+        with pytest.raises(ValidationError, match="not exactly symmetric"):
+            SpectralMoments(grid=grid, n_assets=1, managed_mean=mean, managed_covariance=cov, sample_count=8)
+        assert mean.flags.writeable and cov.flags.writeable
+        cov[1, 0] = 0.125
+        moments = SpectralMoments(grid=grid, n_assets=1, managed_mean=mean, managed_covariance=cov, sample_count=8)
+        assert moments.managed_mean is mean and moments.managed_covariance is cov
+        assert not mean.flags.writeable and not cov.flags.writeable
+
 
 class TestPsd:
     def test_one_matrix_per_bin(self):
@@ -524,7 +566,7 @@ class TestSerialization:
         write_moments_csv(moments, path)
         assert path.read_bytes() == (
             b"record,i,j,re,im\r\n"
-            b"meta,format,specport-moments-v3,,\r\n"
+            b"meta,format,specport-moments-v4,,\r\n"
             b"meta,omegas,1.5707963267948966,,\r\n"
             b"meta,periods,4,,\r\n"
             b'meta,label,"month, end",,\r\n'
@@ -542,6 +584,29 @@ class TestSerialization:
         loaded = read_moments_csv(path)
         assert loaded.grid == grid
         assert np.array_equal(loaded.managed_covariance, moments.managed_covariance)
+
+    def test_previous_format_version_is_refused(self, tmp_path):
+        # a consistent-mode v3 file stored the mean at 2M and K at (2M)^2 times today's scale
+        path = tmp_path / "moments.csv"
+        path.write_bytes(
+            b"record,i,j,re,im\r\n"
+            b"meta,format,specport-moments-v3,,\r\n"
+            b"meta,omegas,1.5707963267948966,,\r\n"
+            b"meta,periods,4,,\r\n"
+            b"meta,label,month,,\r\n"
+            b"meta,n_assets,1,,\r\n"
+            b"meta,n_bins,1,,\r\n"
+            b"meta,sample_count,8,,\r\n"
+            b"meta,mode,consistent,,\r\n"
+            b"mean,0,,1.0,\r\n"
+            b"mean,1,,-0.5,\r\n"
+            b"cov,0,0,8.0,\r\n"
+            b"cov,0,1,0.5,\r\n"
+            b"cov,1,1,0.004,\r\n"
+            b"end,13,,,\r\n"
+        )
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: unsupported format tag 'specport-moments-v3'")):
+            read_moments_csv(path)
 
     def test_write_and_read_stream_the_rows(self, tmp_path):
         # 2MN = 300: K is 0.72 MB; a list of every row, or of the triangle's indices, is several times that

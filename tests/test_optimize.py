@@ -20,7 +20,6 @@ from specport import (
     build_basis,
     equal_weight,
     estimate_moments,
-    predicted_variance,
     read_weights_csv,
     retrieve_allocation,
     solve_classical_mvo,
@@ -140,13 +139,30 @@ class TestSpectralSolver:
         with pytest.raises(DegenerateMeanError):
             solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
 
-    def test_predicted_variance_without_ridge(self):
-        from specport import predicted_variance
-
+    @pytest.mark.parametrize("ridge", [0.0, None])
+    def test_managed_constraint_holds(self, ridge):
+        # theta^T (K + ridge I) theta = sigma0^2, read from the real pair alone
         moments = random_structured_moments(55)
-        risk = RiskSpec(sigma0=0.015, ridge=0.0)
+        risk = RiskSpec(sigma0=0.015, ridge=ridge)
         solved = solve_spectral_mvo(moments, risk)
-        assert predicted_variance(solved, moments) == pytest.approx(risk.sigma0**2, abs=1e-10)
+        theta = solved.managed_weights
+        variance = float(theta @ moments.managed_covariance @ theta)
+        assert variance + solved.ridge_used * float(theta @ theta) == pytest.approx(risk.sigma0**2, rel=1e-10)
+        assert "weights" not in vars(solved) and "covariance" not in vars(moments)
+        full = solved.weights.full()
+        assert variance == pytest.approx(np.vdot(full, moments.covariance @ full).real, rel=1e-12)
+
+    @pytest.mark.parametrize("ridge", [None, 1e-5])
+    def test_consistent_mode_solves_to_the_same_weights(self, ridge):
+        # both modes store the same managed pair, so the solve, an explicit ridge included, ignores the mode
+        panel = np.random.default_rng(43).standard_normal((240, 3))
+        grid = FrequencyGrid.from_periods((12, 6, 3))
+        risk = RiskSpec(sigma0=0.01, ridge=ridge)
+        literal = solve_spectral_mvo(estimate_moments(panel, grid), risk)
+        consistent = solve_spectral_mvo(estimate_moments(panel, grid, mode="consistent"), risk)
+        assert literal.managed_weights.tobytes() == consistent.managed_weights.tobytes()
+        assert literal.lagrange_multiplier == consistent.lagrange_multiplier
+        assert literal.ridge_used == consistent.ridge_used
 
     def test_singular_covariance_without_ridge_advises(self):
         grid = FrequencyGrid.from_periods((12,))
@@ -408,28 +424,17 @@ class TestRetrieveAllocation:
         path = retrieve_allocation(solved, t)
         assert np.max(np.abs(path - direct)) <= 1e-14 * np.max(np.abs(direct))
 
-    def test_consistent_mode_scales_the_phases_by_2m(self):
-        # the consistent-mode estimator scales the phases by 2M, so retrieval must too;
-        # 2M = 4 is a power of two, so the scaled path is exact
-        moments = random_structured_moments(41, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
-        solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
-        consistent = dataclasses.replace(solved, mode="consistent")
-        assert np.array_equal(retrieve_allocation(consistent, range(24)), 4 * retrieve_allocation(solved, range(24)))
-
     def test_two_dimensional_t_range_rejected(self):
         moments = random_structured_moments(42, grid=FrequencyGrid.from_periods((12,)), n_assets=1)
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
         with pytest.raises(ValidationError, match="t_range must be one-dimensional"):
             retrieve_allocation(solved, np.arange(24).reshape(4, 6))
 
-    def test_retrieval_and_variance_never_build_the_complex_view(self):
+    def test_retrieval_never_builds_the_complex_view(self):
         moments = random_structured_moments(38, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
         retrieve_allocation(solved, range(24))
-        variance = predicted_variance(solved, moments)
         assert "weights" not in vars(solved) and "covariance" not in vars(moments)
-        full = solved.weights.full()
-        assert variance == pytest.approx(np.vdot(full, moments.covariance @ full).real, rel=1e-12)
 
 
 class TestSpectralWeightsType:
@@ -457,7 +462,7 @@ class TestSpectralWeightsType:
             ({"sigma0": math.inf}, "sigma0"),
             ({"ridge_used": -1.0}, "ridge"),
             ({"ridge_used": math.nan}, "ridge"),
-            ({"mode": "bogus"}, "unknown estimator mode"),
+            ({"ridge_used": math.inf}, "ridge"),
             ({"n_assets": 0}, "n_assets"),
             ({"n_assets": 2.0}, "^n_assets must be an integer, got 2.0$"),
             ({"n_assets": True}, "^n_assets must be an integer, got True$"),
@@ -520,6 +525,25 @@ class TestWeightsSerialization:
         write_weights_csv(weights, path)
         assert path.read_bytes() == (
             b"record,i,j,re,im\r\n"
+            b"meta,format,specport-weights-v4,,\r\n"
+            b"meta,omegas,1.5707963267948966,,\r\n"
+            b"meta,periods,4,,\r\n"
+            b"meta,label,month,,\r\n"
+            b"meta,n_assets,1,,\r\n"
+            b"meta,lagrange_multiplier,2.5,,\r\n"
+            b"meta,sigma0,0.01,,\r\n"
+            b"meta,ridge_used,0.0,,\r\n"
+            b"weight,0,,0.1,\r\n"
+            b"weight,1,,-3.0,\r\n"
+            b"end,10,,,\r\n"
+        )
+        assert np.array_equal(read_weights_csv(path).managed_weights, weights.managed_weights)
+
+    def test_previous_format_version_is_refused(self, tmp_path):
+        # a v3 file carries a mode row; in consistent mode its weights were 1/(2M) of today's
+        path = tmp_path / "weights.csv"
+        path.write_bytes(
+            b"record,i,j,re,im\r\n"
             b"meta,format,specport-weights-v3,,\r\n"
             b"meta,omegas,1.5707963267948966,,\r\n"
             b"meta,periods,4,,\r\n"
@@ -528,12 +552,13 @@ class TestWeightsSerialization:
             b"meta,lagrange_multiplier,2.5,,\r\n"
             b"meta,sigma0,0.01,,\r\n"
             b"meta,ridge_used,0.0,,\r\n"
-            b"meta,mode,paper-literal,,\r\n"
+            b"meta,mode,consistent,,\r\n"
             b"weight,0,,0.1,\r\n"
             b"weight,1,,-3.0,\r\n"
             b"end,11,,,\r\n"
         )
-        assert np.array_equal(read_weights_csv(path).managed_weights, weights.managed_weights)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: unsupported format tag 'specport-weights-v3'")):
+            read_weights_csv(path)
 
     def test_truncation_inside_last_number_raises(self, tmp_path):
         moments = random_structured_moments(37, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
@@ -554,7 +579,7 @@ class TestWeightsSerialization:
             ((r"^meta,sigma0,[^,]*,", "meta,sigma0,0.0,"), "sigma0"),
             ((r"^meta,ridge_used,[^,]*,", "meta,ridge_used,-1.0,"), "ridge"),
             ((r"^meta,ridge_used,[^,]*,", "meta,ridge_used,inf,"), "ridge"),
-            ((r"^meta,mode,[^,]*,", "meta,mode,bogus,"), "unknown estimator mode"),
+            ((r"^meta,ridge_used,[^,]*,", "meta,ridge_used,nan,"), "ridge"),
             ((r"^weight,3,,[^,]*,", "weight,3,,nan,"), "non-finite"),
             ((r"^meta,lagrange_multiplier,[^,]*,", "meta,lagrange_multiplier,nan,"), "lagrange_multiplier"),
             ((r"^meta,lagrange_multiplier,[^,]*,", "meta,lagrange_multiplier,inf,"), "lagrange_multiplier"),

@@ -237,9 +237,9 @@ free_grids = st.lists(st.floats(min_value=0.05, max_value=3.1), min_size=1, max_
 def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, t0, mode, snap):
     """The phase-class moments equal the mean and z^T z / T of the centred panel z = phi(t) (x) x(t).
 
-    Covers both modes, grids with and without a least common period L, t0 != 0,
-    windows grouped by class and not, and unsnapped windows shorter than L or not
-    a multiple of it.
+    Covers both modes, which store the same pair, grids with and without a least
+    common period L, t0 != 0, windows grouped by class and not, and unsnapped
+    windows shorter than L or not a multiple of it.
     """
     periods = grid.bin_periods()
     period = math.lcm(*periods) if periods else None
@@ -252,7 +252,7 @@ def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, 
         moments = estimate_moments(panel, grid, mode=mode, t0=t0, snap=snap)
     kept = moments.sample_count
     t = np.arange(t0 + n_samples - kept, t0 + n_samples)
-    z = (_phases(t, grid, mode)[:, :, np.newaxis] * panel[-kept:, np.newaxis, :]).reshape(kept, -1)
+    z = (_phases(t, grid)[:, :, np.newaxis] * panel[-kept:, np.newaxis, :]).reshape(kept, -1)
     mean = z.mean(axis=0)
     cov = (z - mean).T @ (z - mean) / kept
     assert kept == (n_samples // period * period if snap else n_samples)
@@ -280,7 +280,7 @@ def test_weights_file_round_trip_is_bit_exact(seed, grid, n_assets, sigma0):
         solved.sigma0,
         solved.ridge_used,
     )
-    assert (loaded.grid, loaded.n_assets, loaded.mode) == (solved.grid, solved.n_assets, solved.mode)
+    assert (loaded.grid, loaded.n_assets) == (solved.grid, solved.n_assets)
 
 
 @PROPERTY_SETTINGS

@@ -18,7 +18,6 @@ from specport import (
     estimate_moments,
     example1_scenario,
     sample_noise_series,
-    sample_spectral_noise,
     synthesize_panel,
     synthesize_time_value,
     synthesize_values,
@@ -55,8 +54,7 @@ def one_bin_spec(r, p, seed=0, horizon=1):
 class TestSampling:
     def test_zero_covariance_gives_zero_noise(self):
         spec = one_bin_spec(0.0, 0.0)
-        draw = sample_spectral_noise(spec, 0)
-        assert np.array_equal(draw.upper, np.zeros(1))
+        assert np.array_equal(sample_noise_series(spec, 1), np.zeros((1, 1)))
 
     def test_proper_monte_carlo_moments(self):
         spec = one_bin_spec(1.0, 0.0, seed=1)
@@ -95,12 +93,11 @@ class TestSampling:
         )
 
     def test_per_t_draw_matches_series(self):
+        # the stream is sequential: a shorter series is a prefix of a longer one
         spec = one_bin_spec(1.0, 0.3, seed=5)
         series = sample_noise_series(spec, 8)
-        draw = sample_spectral_noise(spec, 7)
-        assert np.array_equal(draw.upper, series[7])
-        with pytest.raises(ValidationError):
-            sample_spectral_noise(spec, -1)
+        for t in range(8):
+            assert np.array_equal(sample_noise_series(spec, t + 1)[t], series[t])
 
     def test_non_psd_raises_naming_eigenvalue(self):
         spec_cov = np.diag([-1e-3, -1e-3]).astype(complex)
@@ -166,7 +163,7 @@ class TestPanels:
         panel = synthesize_values(spec)
         scale = np.max(np.abs(panel))
         for t in range(48):
-            noise = sample_spectral_noise(spec, t)
+            noise = AugmentedVector.from_upper(sample_noise_series(spec, t + 1)[t])
             coefficients = AugmentedVector(upper=mean.upper + noise.upper, lower=mean.lower + noise.lower)
             expected = synthesize_time_value(build_basis(t, grid, 2), coefficients)
             assert np.max(np.abs(panel[t] - expected)) <= 1e-12 * scale
