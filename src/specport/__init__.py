@@ -17,7 +17,6 @@ from .basis import (
     build_basis,
     commensurate_length,
     project_spectrum,
-    synthesize_series,
     synthesize_time_value,
 )
 from .backtest import (
@@ -81,7 +80,6 @@ __all__ = [
     "AugmentedSpectralBasis",
     "build_basis",
     "synthesize_time_value",
-    "synthesize_series",
     "project_spectrum",
     "commensurate_length",
     # moments

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -488,13 +489,31 @@ class BacktestReport:
 def _write_table(path: Path, header: Sequence[str], labels: Sequence, values: np.ndarray) -> None:
     """CSV with ``header``, then one row per label: the label and that row of ``values``.
 
-    The whole table goes through one ``writerows`` call; ``csv`` writes the
-    Python floats from ``tolist`` with ``repr``, so values round-trip exactly.
+    The bytes are those of ``csv.writer`` writing each row (``values`` has at
+    least one column).  The header and the labels go through ``csv``, which
+    quotes a label holding a comma, a quote or a line break; its writer hands
+    each row to ``write`` on its own, so a label's text is cut from its row
+    without splitting on line ends.  The values are written with ``repr``, as
+    ``csv`` writes floats, so they round-trip exactly, and each distinct row
+    of ``values`` (by its bytes, so -0.0 and 0.0 differ) is formatted once: a
+    periodic allocation path of L distinct rows costs L formatted rows.  The
+    table goes to the file in one ``write``.
     """
+    values = np.asarray(values, dtype=np.float64)
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append))
+    writer.writerow(header)
+    writer.writerows((label, "") for label in labels)  # each "<label>,\r\n"
+    texts: dict[bytes, str] = {}
+    parts = [lines[0]]
+    for line, row in zip(lines[1:], values):
+        key = row.tobytes()
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = ",".join(map(repr, row.tolist())) + "\r\n"
+        parts += (line[:-2], text)
     with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(labels, *np.asarray(values, dtype=np.float64).T.tolist()))
+        handle.write("".join(parts))
 
 
 def _month_of_year(ts, periods_per_year: int) -> int:

@@ -44,7 +44,6 @@ __all__ = [
     "AugmentedSpectralBasis",
     "build_basis",
     "synthesize_time_value",
-    "synthesize_series",
     "project_spectrum",
     "commensurate_length",
 ]
@@ -347,23 +346,6 @@ def synthesize_time_value(basis: AugmentedSpectralBasis, spectrum: AugmentedVect
     if residual > 1e-12 * scale:
         raise SymmetryViolationError(f"imaginary residual {residual:.3e} exceeds tolerance")
     return value.real.copy()
-
-
-def synthesize_series(
-    spectrum: AugmentedVector, grid: FrequencyGrid, t_indices, n_assets: int
-) -> np.ndarray:
-    """Evaluate the synthesis at many sample indices at once.
-
-    Equivalent to stacking ``synthesize_time_value(build_basis(t, ...), spectrum)``
-    over t, computed in managed coordinates as phi(t) theta with
-    theta = sqrt 2 [Re u; Im u] (see the module docstring), which is real by
-    construction.  Raises SymmetryViolationError for a spectrum that is not
-    conjugate-symmetric.
-
-    Returns a (len(t_indices), n_assets) float array.
-    """
-    _check_spectrum(grid.n_bins * n_assets, spectrum)
-    return _phases(t_indices, grid) @ _to_managed(spectrum).reshape(2 * grid.n_bins, n_assets)
 
 
 def project_spectrum(basis: AugmentedSpectralBasis, x) -> AugmentedVector:

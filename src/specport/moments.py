@@ -44,6 +44,7 @@ import contextlib
 import csv
 import logging
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -462,18 +463,21 @@ _FORMAT_TAG = "specport-moments-v4"
 
 
 def _layout(kind: str, size: int, is_matrix: bool):
-    """The ``kind,i,j`` key of every numeric row of one record kind, in file order.
+    """The keys of one record kind's numeric rows, as (prefix, columns) per line, in file order.
 
-    A vector of ``size`` gives ``kind,i,`` for each index; a ``size`` x ``size``
-    matrix gives ``kind,i,j`` for its upper triangle, diagonal included, row by
-    row.
+    Entry c of a line is the row whose key is ``prefix + columns[c]``, the
+    ``kind,i,j,`` fields before its value.  A vector of ``size`` is one line,
+    prefix ``kind,`` and columns ``i,,`` for each index; a ``size`` x ``size``
+    matrix has one line per row i, prefix ``kind,i,`` and columns ``j,`` for
+    its upper triangle, diagonal included.  Each column key is formed once,
+    and the lines are yielded one at a time.
     """
+    if not is_matrix:
+        yield f"{kind},", [f"{i},," for i in range(size)]
+        return
+    columns = [f"{j}," for j in range(size)]
     for i in range(size):
-        if is_matrix:
-            for j in range(i, size):
-                yield f"{kind},{i},{j}"
-        else:
-            yield f"{kind},{i},"
+        yield f"{kind},{i},", columns[i:]
 
 
 def _write_records(path, format_tag: str, grid: FrequencyGrid, n_assets: int, meta, records) -> None:
@@ -481,11 +485,12 @@ def _write_records(path, format_tag: str, grid: FrequencyGrid, n_assets: int, me
 
     ``meta`` lists (key, value) string pairs that follow the shared grid rows;
     ``records`` lists (kind, array) pairs, each a vector or a square matrix,
-    whose rows follow :func:`_layout` and are written one matrix row at a time.
-    The closing ``end,<count>,,,`` row counts every row between the header and
-    itself, so a reader detects a file cut short anywhere, even inside the
-    last number.  Floats are written with ``repr``, as ``csv`` writes them, so
-    round trips are bit-exact.
+    whose rows follow :func:`_layout`: the text of each of its lines (the
+    vector, or one matrix row right of the diagonal) is built in one join of
+    the column keys with the values.  The closing ``end,<count>,,,`` row
+    counts every row between the header and itself, so a reader detects a
+    file cut short anywhere, even inside the last number.  Floats are written
+    with ``repr``, as ``csv`` writes them, so round trips are bit-exact.
     """
     periods = ";".join(str(p) for p in grid.periods) if grid.periods else ""
     meta = [
@@ -502,11 +507,11 @@ def _write_records(path, format_tag: str, grid: FrequencyGrid, n_assets: int, me
         writer.writerow(["record", "i", "j", "re", "im"])
         writer.writerows(["meta", key, value, "", ""] for key, value in meta)
         for kind, array in records:
-            keys = _layout(kind, array.shape[0], array.ndim == 2)
-            lines = (row[i:].tolist() for i, row in enumerate(array)) if array.ndim == 2 else [array.tolist()]
-            for values in lines:
-                handle.write("".join(f"{key},{value!r},\r\n" for value, key in zip(values, keys)))
-                count += len(values)
+            lines = (row[i:] for i, row in enumerate(array)) if array.ndim == 2 else [array]
+            for (prefix, columns), values in zip(_layout(kind, array.shape[0], array.ndim == 2), lines):
+                text = f",\r\n{prefix}".join(map(operator.add, columns, map(repr, values.tolist())))
+                handle.write(f"{prefix}{text},\r\n")
+                count += values.size
         writer.writerow(["end", count, "", "", ""])
 
 
@@ -554,11 +559,12 @@ def _read_records(path, format_tag: str, kinds):
         size = 2 * grid.n_bins * n_assets
         for kind, is_matrix in kinds:
             values = np.empty(size * (size + 1) // 2 if is_matrix else size)
-            for index, key in enumerate(_layout(kind, size, is_matrix)):
+            keys = (prefix + column for prefix, columns in _layout(kind, size, is_matrix) for column in columns)
+            for index, key in enumerate(keys):
                 if row is None:
                     raise ValidationError("truncated file (no end row)")
-                if f"{row[0]},{row[1]},{row[2]}" != key:
-                    raise ValueError(f"found row {row[:3]} where {key!r} belongs")
+                if f"{row[0]},{row[1]},{row[2]}," != key:
+                    raise ValueError(f"found row {row[:3]} where {key[:-1]!r} belongs")
                 if row[4]:
                     raise ValueError(f"real {kind} record has an imaginary part {row[4]!r}")
                 values[index] = float(row[3])

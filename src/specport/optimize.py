@@ -277,13 +277,21 @@ def retrieve_allocation(weights: SpectralWeights, t_range) -> np.ndarray:
 
     Phi(t) are the basis phases of :func:`specport.basis._phases` and theta
     the managed weights as a 2M x N matrix, so this equals the augmented
-    synthesis B(t) @ [v; conj(v)] of the weights v = U theta.  Returns a real
-    (len(t_range), n_assets) array, periodic with the grid's least common
-    period.
+    synthesis B(t) @ [v; conj(v)] of the weights v = U theta.  When the grid
+    has integer periods, Phi is evaluated at the reduced index t mod L for
+    their least common period L, where B(t) = B(t mod L) exactly: the path
+    is then periodic with period L bit for bit, and holds at most L distinct
+    rows.  A grid without integer periods, or with an L beyond the int64
+    range, is evaluated at t itself.  Returns a real (len(t_range), n_assets)
+    array.
     """
     t = np.asarray(list(t_range) if not isinstance(t_range, np.ndarray) else t_range)
     if t.ndim != 1:
         raise ValidationError("t_range must be one-dimensional")
+    periods = weights.grid.bin_periods()
+    period = math.lcm(*periods) if periods else None
+    if period is not None and period <= np.iinfo(np.int64).max:
+        t = np.mod(t, period)
     theta = weights.managed_weights.reshape(2 * weights.grid.n_bins, weights.n_assets)
     return _phases(t, weights.grid) @ theta
 

@@ -30,6 +30,7 @@ from specport import (
     split_sample,
     synthesize_panel,
 )
+from specport.backtest import _write_table
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_monthly_prices.csv"
 
@@ -561,3 +562,52 @@ class TestProtocol:
         panel = self.make_market()
         with pytest.raises(ValidationError, match=r"\[stage: split\]"):
             run_protocol(ProtocolConfig(data=panel, boundary=0))
+
+
+def reference_write_table(path, header, labels, values):
+    """The row-by-row ``csv.writer`` form that :func:`_write_table` must reproduce byte for byte."""
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(zip(labels, *np.asarray(values, dtype=np.float64).T.tolist()))
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [datetime.date(2015, month, 1) for month in (1, 2, 3, 12)],
+            [0, -7, 12, 10**20],
+            ["A,1", 'B "two"', "line\r\nbreak", ""],
+        ],
+        ids=["dates", "ints", "quoted-strs"],
+    )
+    def test_writes_the_bytes_of_csv_writer(self, tmp_path, labels):
+        rng = np.random.default_rng(5)
+        distinct = rng.standard_normal((2, 5)) * 10.0 ** rng.uniform(-20, 20, size=(2, 5))
+        special = np.array([[-0.0, 0.0, np.nan, np.inf, -np.inf]])
+        cases = {
+            "repeated": np.vstack([distinct[0]] * 4),
+            "distinct": np.vstack([distinct, special, rng.standard_normal((1, 5))]),
+            "periodic": np.vstack([distinct, distinct]),
+            "special": np.vstack([special, -special, special, special[:, ::-1]]),
+            # rows that compare equal but print differently
+            "signed-zeros": np.array([[0.0, -0.0, 0.0, 0.0, 1.0], [-0.0, 0.0, 0.0, 0.0, 1.0]] * 2),
+        }
+        header = ["timestamp", "A,1", 'B "two"', "C", "D", "E"]
+        for name, values in cases.items():
+            written, expected = tmp_path / f"{name}.csv", tmp_path / f"{name}.expected.csv"
+            _write_table(written, header, labels, values)
+            reference_write_table(expected, header, labels, values)
+            assert written.read_bytes() == expected.read_bytes(), name
+
+    def test_backtest_tables_match_csv_writer(self, tmp_path):
+        report = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01"))
+        report.write_outputs(tmp_path)
+        stamps, expected = report.out_timestamps, tmp_path / "expected.csv"
+        cumulative = np.column_stack([s.cumulative for s in report.strategies])
+        reference_write_table(expected, ["timestamp"] + [s.slug for s in report.strategies], stamps, cumulative)
+        assert (tmp_path / "cumulative_returns.csv").read_bytes() == expected.read_bytes()
+        for s in report.strategies:
+            reference_write_table(expected, ["timestamp", *report.asset_names], stamps, s.allocations)
+            assert (tmp_path / f"allocations_{s.slug}.csv").read_bytes() == expected.read_bytes()

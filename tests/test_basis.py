@@ -14,7 +14,6 @@ from specport import (
     build_basis,
     commensurate_length,
     project_spectrum,
-    synthesize_series,
     synthesize_time_value,
 )
 
@@ -168,7 +167,7 @@ class TestSynthesize:
         grid = FrequencyGrid.from_periods((12,))
         spectrum = AugmentedVector.zeros(2)
         with pytest.raises(ValidationError, match=r"spectrum half-size 2 does not match basis \(1\)"):
-            synthesize_series(spectrum, grid, range(4), 1)
+            synthesize_time_value(build_basis(3, grid, 1), spectrum)
         with pytest.raises(ValidationError, match=r"spectrum half-size 2 does not match basis \(3\)"):
             synthesize_time_value(build_basis(0, grid, 3), spectrum)
 
@@ -178,16 +177,6 @@ class TestSynthesize:
         corrupted = AugmentedVector(upper=np.array([1.0 + 1j]), lower=np.array([1.0 + 1j]))
         with pytest.raises(SymmetryViolationError):
             synthesize_time_value(basis, corrupted)
-
-    def test_series_matches_per_t(self):
-        rng = np.random.default_rng(3)
-        grid = FrequencyGrid.from_periods((12, 8, 5))
-        upper = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        spectrum = AugmentedVector.from_upper(upper)
-        series = synthesize_series(spectrum, grid, range(40), 2)
-        for t in range(40):
-            single = synthesize_time_value(build_basis(t, grid, 2), spectrum)
-            assert np.allclose(series[t], single, atol=1e-13)
 
 
 class TestProject:

@@ -1,10 +1,12 @@
 """Moment estimators: calibration, structure, the absolute-moment identity, serialization."""
 
+import csv
 import dataclasses
 import logging
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from specport import (
     FrequencyGrid,
     PsdMatrix,
     SpectralMoments,
+    SpectralWeights,
     ValidationError,
     build_basis,
     compute_psd,
@@ -21,6 +24,7 @@ from specport import (
     read_moments_csv,
     structure_project,
     write_moments_csv,
+    write_weights_csv,
 )
 from specport.basis import _to_augmented
 from specport.moments import _SYMMETRY_BLOCK, _is_exactly_symmetric
@@ -510,6 +514,40 @@ class TestStructureProject:
             structure_project(np.zeros((4, 6)))
 
 
+def reference_write_records(path, format_tag, grid, n_assets, meta, records):
+    """The one-row-at-a-time form of ``specport.moments._write_records``, whose bytes it must reproduce."""
+
+    def layout(kind, size, is_matrix):
+        for i in range(size):
+            if is_matrix:
+                for j in range(i, size):
+                    yield f"{kind},{i},{j}"
+            else:
+                yield f"{kind},{i},"
+
+    periods = ";".join(str(p) for p in grid.periods) if grid.periods else ""
+    meta = [
+        ("format", format_tag),
+        ("omegas", ";".join(repr(float(w)) for w in grid.omegas)),
+        ("periods", periods),
+        ("label", grid.sample_period_label),
+        ("n_assets", str(n_assets)),
+        *meta,
+    ]
+    count = len(meta)
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["record", "i", "j", "re", "im"])
+        writer.writerows(["meta", key, value, "", ""] for key, value in meta)
+        for kind, array in records:
+            keys = layout(kind, array.shape[0], array.ndim == 2)
+            lines = (row[i:].tolist() for i, row in enumerate(array)) if array.ndim == 2 else [array.tolist()]
+            for values in lines:
+                handle.write("".join(f"{key},{value!r},\r\n" for value, key in zip(values, keys)))
+                count += len(values)
+        writer.writerow(["end", count, "", "", ""])
+
+
 class TestSerialization:
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -584,6 +622,40 @@ class TestSerialization:
         loaded = read_moments_csv(path)
         assert loaded.grid == grid
         assert np.array_equal(loaded.managed_covariance, moments.managed_covariance)
+
+    @pytest.mark.parametrize("periods, n_assets", [((12, 6, 3), 2), ((12,), 55)], ids=["2MN=12", "2MN=110"])
+    def test_writers_match_the_row_by_row_loop(self, tmp_path, monkeypatch, periods, n_assets):
+        # the indices cross the digit boundaries 9 | 10 and 99 | 100
+        grid = FrequencyGrid.from_periods(periods, "month, end")
+        dim = 2 * grid.n_bins * n_assets
+        rng = np.random.default_rng(dim)
+        raw = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-20, 20, size=(dim, dim))
+        raw[rng.random((dim, dim)) < 0.05] = -0.0
+        upper = np.arange(dim)[:, np.newaxis] <= np.arange(dim)
+        moments = SpectralMoments(
+            grid=grid,
+            n_assets=n_assets,
+            managed_mean=np.where(np.arange(dim) % 5 == 0, -0.0, rng.standard_normal(dim)),
+            managed_covariance=np.where(upper, raw, raw.T),
+            sample_count=480,
+        )
+        assert np.signbit(moments.managed_covariance[upper & (moments.managed_covariance == 0.0)]).any()
+        weights = SpectralWeights(
+            grid=grid,
+            n_assets=n_assets,
+            managed_weights=rng.standard_normal(dim) * 10.0 ** rng.uniform(-20, 20, size=dim),
+            lagrange_multiplier=0.75,
+            sigma0=0.01,
+            ridge_used=1e-9,
+        )
+        for name, write, artifact in (("moments", write_moments_csv, moments), ("weights", write_weights_csv, weights)):
+            written, expected = tmp_path / f"{name}.csv", tmp_path / f"{name}.expected.csv"
+            write(artifact, written)
+            with monkeypatch.context() as patch:
+                patch.setattr("specport.moments._write_records", reference_write_records)
+                patch.setattr("specport.optimize._write_records", reference_write_records)
+                write(artifact, expected)
+            assert written.read_bytes() == expected.read_bytes(), name
 
     def test_previous_format_version_is_refused(self, tmp_path):
         # a consistent-mode v3 file stored the mean at 2M and K at (2M)^2 times today's scale
