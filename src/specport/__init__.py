@@ -49,7 +49,6 @@ from .moments import (
     estimate_moments,
     estimate_spectral_mean,
     read_moments_csv,
-    structure_project,
     write_moments_csv,
 )
 from .optimize import (
@@ -87,7 +86,6 @@ __all__ = [
     "PsdMatrix",
     "estimate_spectral_mean",
     "estimate_moments",
-    "structure_project",
     "compute_psd",
     "write_moments_csv",
     "read_moments_csv",

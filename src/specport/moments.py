@@ -10,18 +10,19 @@ abs_moment(w) = m(w) m(w)^H + R(w), which is what makes harmonics invisible
 to it at low SNR.
 
 Estimators time-average the projected series over a commensurate window (a
-whole number of least common periods), which removes leakage between bins.
-They work on the equivalent real problem in the managed-asset coordinates
-documented in :mod:`specport.basis`: the augmented vector is U z(t) for the
-unitary U and the real panel z(t) = phi(t) (x) x(t) of 2MN columns, so the
-augmented mean and covariance are U mean(z) and U cov(z) U^H (Brandt and
-Santa-Clara 2006; Schreier and Scharf 2010).  :class:`SpectralMoments` stores
-the real pair (mean(z), cov(z)), which the solver and the moments file use;
-the augmented complex forms are views derived from it.  On a window of 16 or
-more least common periods L the T x 2MN panel z is never formed: its phases
-repeat with period L, so both moments follow from the count, mean and scatter
-of x in each phase class t mod L, at O(N^2 T + L (2MN)^2) instead of
-O(T (2MN)^2).
+whole number of least common periods, the newest samples kept), which removes
+leakage between bins; a grid without integer periods has no such window and
+uses every sample.  There is no option to skip the snap.  The estimators work
+on the equivalent real problem in the managed-asset coordinates documented in
+:mod:`specport.basis`: the augmented vector is U z(t) for the unitary U and
+the real panel z(t) = phi(t) (x) x(t) of 2MN columns, so the augmented mean
+and covariance are U mean(z) and U cov(z) U^H (Brandt and Santa-Clara 2006;
+Schreier and Scharf 2010).  :class:`SpectralMoments` stores the real pair
+(mean(z), cov(z)), which the solver and the moments file use; the augmented
+complex forms are views derived from it.  On a window of 16 or more least
+common periods L the T x 2MN panel z is never formed: its phases repeat with
+period L, so both moments follow from the mean and scatter of x in each phase
+class t mod L, at O(N^2 T + L (2MN)^2) instead of O(T (2MN)^2).
 
 The pair is always stored at the raw, paper-literal scale; a mode sets only
 the scale of the augmented views (``mean``, ``covariance``, the per-bin
@@ -60,7 +61,6 @@ __all__ = [
     "PsdMatrix",
     "estimate_spectral_mean",
     "estimate_moments",
-    "structure_project",
     "compute_psd",
     "write_moments_csv",
     "read_moments_csv",
@@ -138,14 +138,16 @@ def _is_exactly_symmetric(matrix: np.ndarray) -> bool:
     return True
 
 
-def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int, snap: bool):
-    """Trim to a commensurate window, discarding the oldest samples.
+def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int):
+    """Trim to a commensurate window, discarding the oldest samples, when the grid has integer periods.
 
-    The absolute time origin advances with the trim so the basis phase stays
-    aligned with the retained rows.  The snap is logged (kept and discarded
-    counts) and, when it discards samples, also raised as a ``UserWarning``.
+    A grid without integer periods has no commensurate window and keeps every
+    sample.  The absolute time origin advances with the trim so the basis
+    phase stays aligned with the retained rows.  The snap is logged (kept and
+    discarded counts) and, when it discards samples, also raised as a
+    ``UserWarning``.
     """
-    if not snap:
+    if grid.bin_periods() is None:
         return values, t0
     snapped, discarded = commensurate_length(values.shape[0], grid)
     logger.info(
@@ -164,22 +166,23 @@ def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int, snap: bool):
     return values, t0
 
 
-def _managed_moments(x, grid: FrequencyGrid, t0: int, snap: bool, covariance: bool):
-    """Mean and, if ``covariance``, covariance K of the managed panel z on the (snapped) window.
+def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
+    """Mean and, if ``covariance``, covariance K of the managed panel z on the snapped window.
 
     Returns (mean (2MN,), K (2MN, 2MN) or None, T).  Row t of z is
     phi(t) (x) x(t), flattened bin-major, for the phases phi of
     :func:`specport.basis._phases`; the augmented projected
     vector is exactly U z(t) (see :func:`specport.basis._to_augmented`).  phi
-    repeats with the grid's least common period L, so the window splits into
-    the phase classes r = t mod L, read as the strided views ``values[r::L]``.
-    With n_r samples, mean xbar_r and within-class scatter
+    repeats with the grid's least common period L, and the snapped window
+    (see :func:`_snap_window`) splits into the L phase classes r = t mod L of
+    n = T / L samples each, read as the strided views ``values[r::L]``.  With
+    class sum s_r, mean xbar_r = s_r / n and within-class scatter
     D_r = sum (x_t - xbar_r)(x_t - xbar_r)^T in class r,
 
-        mean = (1/T) sum_r n_r phi_r (x) xbar_r,
+        mean = (1/T) sum_r phi_r (x) s_r,
         T K  = sum_r (phi_r phi_r^T) (x) D_r + G^T G,
 
-    where row r of G is sqrt(n_r) (phi_r (x) xbar_r - mean); the cross terms
+    where row r of G is sqrt(n) (phi_r (x) xbar_r - mean); the cross terms
     vanish inside each class, so z is never formed.  A grid without an
     integer least common period, or a window of fewer than
     ``_MIN_CLASS_SIZE`` L samples, makes every sample its own class: every
@@ -192,7 +195,7 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, snap: bool, covariance: bo
     values = _panel_values(x)
     if values.shape[0] < 2:
         raise ValidationError("need at least 2 samples to estimate spectral moments")
-    values, t0 = _snap_window(values, grid, t0, snap)
+    values, t0 = _snap_window(values, grid, t0)
     n_samples, n_assets = values.shape
     periods = grid.bin_periods()
     period = math.lcm(*periods) if periods else None
@@ -202,22 +205,19 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, snap: bool, covariance: bo
         t = t0 + np.arange(n_samples)
     n_classes = t.size
     phases = _phases(t, grid)  # row r is phi_r
-    repeats, extra = divmod(n_samples, n_classes)
+    repeats = n_samples // n_classes  # in every class: the snapped window holds whole periods L
     if repeats == 1:  # one sample per class: the window is its own class sums, read only
         sums = values
     else:
-        sums = values[: repeats * n_classes].reshape(repeats, n_classes, n_assets).sum(axis=0)
-        sums[:extra] += values[repeats * n_classes :]
+        sums = values.reshape(repeats, n_classes, n_assets).sum(axis=0)
     mean = (phases.T @ sums).ravel() / n_samples
     if not covariance:
         return mean, None, n_samples
-    counts = np.full(n_classes, repeats)
-    counts[:extra] += 1
-    class_means = sums if repeats == 1 else np.divide(sums, counts[:, np.newaxis], out=sums)
+    class_means = sums if repeats == 1 else np.divide(sums, repeats, out=sums)
     between = phases[:, :, np.newaxis] * class_means[:, np.newaxis, :]
     between = between.reshape(n_classes, mean.size)
     between -= mean
-    between *= np.sqrt(counts / n_samples)[:, np.newaxis]  # G / sqrt(T)
+    between *= math.sqrt(repeats / n_samples)  # G / sqrt(T)
     if repeats == 1:  # one sample per class: the symmetric rank-k product G^T G is exact
         return mean, between.T @ between, n_samples
     # K right of its diagonal, N rows (one phase a) at a time: first G^T G ...
@@ -248,23 +248,20 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, snap: bool, covariance: bo
     return mean, cov, n_samples
 
 
-def estimate_spectral_mean(
-    x, grid: FrequencyGrid, mode: str = "paper-literal", t0: int = 0, snap: bool = True
-) -> AugmentedVector:
+def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal", t0: int = 0) -> AugmentedVector:
     """Time-average of the projected series: (1/T) sum_t B(t)^H x(t).
 
     Parameters
     ----------
     x : (T, N) array or ReturnsPanel
-        Real panel, T >= 2, no missing values.
+        Real panel, T >= 2, no missing values.  Snapped to whole least
+        common periods when the grid has integer periods.
     grid : FrequencyGrid
     mode : {"paper-literal", "consistent"}
         Output scale (see module docstring).
     t0 : int
         Absolute sample index of the first row; keeps phase aligned when
         estimating on a window that does not start at the series origin.
-    snap : bool
-        Snap the window to a whole number of least common periods (default).
 
     Returns
     -------
@@ -272,14 +269,12 @@ def estimate_spectral_mean(
         Conjugate-symmetric by construction; deterministic given input.
     """
     scale = _mode_scale(grid, mode)
-    mean, _, _ = _managed_moments(x, grid, t0, snap, covariance=False)
+    mean, _, _ = _managed_moments(x, grid, t0, covariance=False)
     return _augmented_view(mean, scale)
 
 
-def estimate_moments(
-    x, grid: FrequencyGrid, mode: str = "paper-literal", t0: int = 0, snap: bool = True
-) -> "SpectralMoments":
-    """Mean and covariance of the projected series on one window, from its phase classes.
+def estimate_moments(x, grid: FrequencyGrid, mode: str = "paper-literal", t0: int = 0) -> "SpectralMoments":
+    """Mean and covariance of the projected series on the snapped window, from its phase classes.
 
     The covariance is the sample covariance (1/T) sum_t (u(t) - mean)(u(t) - mean)^H
     of the augmented vector u(t) = B(t)^H x(t) around the estimated mean.  It
@@ -289,7 +284,7 @@ def estimate_moments(
     every mode; ``mode`` sets the scale of the augmented views.
     """
     _mode_scale(grid, mode)  # rejects an unknown mode before the panel is read
-    managed_mean, covariance, n_samples = _managed_moments(x, grid, t0, snap, covariance=True)
+    managed_mean, covariance, n_samples = _managed_moments(x, grid, t0, covariance=True)
     return SpectralMoments(
         grid=grid,
         n_assets=managed_mean.size // (2 * grid.n_bins),
@@ -298,26 +293,6 @@ def estimate_moments(
         sample_count=n_samples,
         mode=mode,
     )
-
-
-def structure_project(raw: np.ndarray) -> np.ndarray:
-    """Re-impose the augmented block symmetries on a square matrix.
-
-    Orthogonal (Frobenius) projection onto matrices of the form
-    [[R, P], [conj(P), conj(R)]] with R Hermitian and P symmetric.  Idempotent
-    and non-expansive; numerical hygiene after accumulation.  Does not force
-    positive semi-definiteness (a near-PSD input stays near-PSD by Weyl's
-    inequality).
-    """
-    raw = np.asarray(raw, dtype=np.complex128)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] % 2 != 0:
-        raise ValidationError(f"expected a square even-sized matrix, got shape {raw.shape}")
-    half = raw.shape[0] // 2
-    r_avg = 0.5 * (raw[:half, :half] + np.conj(raw[half:, half:]))
-    r_proj = 0.5 * (r_avg + np.conj(r_avg.T))
-    p_avg = 0.5 * (raw[:half, half:] + np.conj(raw[half:, :half]))
-    p_proj = 0.5 * (p_avg + p_avg.T)
-    return np.block([[r_proj, p_proj], [np.conj(p_proj), np.conj(r_proj)]])
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,7 @@ Gaussian noise with a full augmented covariance (covariance + pseudo-covariance,
 including cross-bin blocks).  Nonzero pseudo-covariance makes the time-domain
 variance oscillate (cyclostationarity); cross-bin blocks correlate the bins.
 
-Noise is drawn independently across t by default (the statistics only
-constrain per-sample moments), with an optional AR(1) temporal-correlation
-knob that preserves those moments.
+Noise is drawn independently across t.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _check_spectrum, _phases, _to_managed
 from .errors import FactorizationError, ValidationError, _count
-from .moments import structure_project
 
 __all__ = [
     "SynthSpec",
@@ -42,8 +39,9 @@ class SynthSpec:
 
     ``spectral_mean`` must be conjugate-symmetric (SymmetryViolationError
     otherwise) and ``spectral_cov`` must satisfy the augmented covariance
-    invariants (block structure, Hermitian, PSD up to the documented clipping
-    tolerance).
+    invariants: the blocks [[R, P], [conj(P), conj(R)]] with R Hermitian and
+    P symmetric, each relation to 1e-8 max(1, max |entry|), and PSD up to the
+    documented clipping tolerance.
     Fixed seed implies a bit-identical panel.
     """
 
@@ -53,20 +51,24 @@ class SynthSpec:
     spectral_cov: np.ndarray
     horizon: int
     seed: int
-    ar_coeff: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
         object.__setattr__(self, "horizon", _count("horizon", self.horizon))
-        if not (0.0 <= self.ar_coeff < 1.0):
-            raise ValidationError("ar_coeff must lie in [0, 1)")
         half = self.grid.n_bins * self.n_assets
         _check_spectrum(half, self.spectral_mean)
         cov = np.asarray(self.spectral_cov, dtype=np.complex128)
         if cov.shape != (2 * half, 2 * half):
             raise ValidationError(f"spectral_cov must be {2 * half} x {2 * half}")
+        r_block, p_block = cov[:half, :half], cov[:half, half:]
+        gaps = (
+            r_block - r_block.conj().T,
+            p_block - p_block.T,
+            cov[half:, half:] - r_block.conj(),
+            cov[half:, :half] - p_block.conj(),
+        )
         scale = max(1.0, float(np.max(np.abs(cov))))
-        if np.max(np.abs(cov - structure_project(cov))) > 1e-8 * scale:
+        if max(float(np.max(np.abs(gap))) for gap in gaps) > 1e-8 * scale:
             raise ValidationError("spectral_cov violates the augmented block structure")
         cov.flags.writeable = False
         object.__setattr__(self, "spectral_cov", cov)
@@ -106,19 +108,12 @@ def _composite_noise(spec: SynthSpec, n_samples: int) -> np.ndarray:
     """The real composite noise draws [Re s(t); Im s(t)] for t = 0..n_samples-1, shape (T, 2*M*N).
 
     One sequential RNG stream seeded by ``spec.seed`` defines determinism;
-    each row has the prescribed covariance/pseudo-covariance, rows are
-    independent unless ``ar_coeff`` > 0 (AR(1) filtering, which preserves the
-    per-sample moments).
+    each row has the prescribed covariance/pseudo-covariance and rows are
+    independent.
     """
     factor = _composite_factor(spec)
     rng = np.random.default_rng(spec.seed)
-    composite = rng.standard_normal((n_samples, 2 * spec.half_size)) @ factor.T
-    rho = spec.ar_coeff
-    if rho > 0.0:
-        fresh_scale = math.sqrt(1.0 - rho * rho)
-        for t in range(1, n_samples):
-            composite[t] = rho * composite[t - 1] + fresh_scale * composite[t]
-    return composite
+    return rng.standard_normal((n_samples, 2 * spec.half_size)) @ factor.T
 
 
 def sample_noise_series(spec: SynthSpec, n_samples: int) -> np.ndarray:

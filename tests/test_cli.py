@@ -233,6 +233,18 @@ class TestBacktest:
         )
         assert code == 1
 
+    def test_rho_above_limit_needs_an_explicit_ridge(self, tmp_path, capsys):
+        # 2MN = 300 managed assets on 312 in-sample returns: rho = 2MN / T = 0.96
+        panel = tmp_path / "rho.csv"
+        synth = ["synth", "--out", str(panel), "-T", "552", "--n-assets", "50", "--periods", "12,6,3", "--seed", "3"]
+        assert main(synth) == 0
+        argv = ["backtest", "--data", str(panel), "--grids", "A,S,Q", "--boundary", "2036-02"]
+        capsys.readouterr()
+        assert main(argv + ["--out-dir", str(tmp_path / "bt")]) == 1
+        assert "rho = 2MN / T = 0.962" in capsys.readouterr().err
+        assert main(argv + ["--ridge", "1e-6", "--out-dir", str(tmp_path / "ridge")]) == 0
+        assert "in_sample_returns: 312\n" in (tmp_path / "ridge" / "report.txt").read_text()
+
     @pytest.mark.parametrize("flag, value", [("--sigma0-annual", "inf"), ("--ridge", "nan")])
     def test_non_finite_risk_target_exit_2(self, tmp_path, capsys, flag, value):
         code = main(

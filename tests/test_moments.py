@@ -6,6 +6,7 @@ import logging
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from specport import (
     estimate_moments,
     estimate_spectral_mean,
     read_moments_csv,
-    structure_project,
     write_moments_csv,
     write_weights_csv,
 )
@@ -90,8 +90,24 @@ class TestSpectralMean:
         with pytest.warns(UserWarning, match="snapped"):
             snapped = estimate_spectral_mean(x, grid)
         # equivalent to estimating on rows 6..29 with origin t0=6
-        direct = estimate_spectral_mean(x[6:], grid, t0=6, snap=False)
+        direct = estimate_spectral_mean(x[6:], grid, t0=6)
         assert np.allclose(snapped.upper, direct.upper, atol=1e-15)
+
+    @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
+    def test_grid_without_integer_periods_keeps_every_sample(self, estimator, caplog):
+        grid = FrequencyGrid(omegas=(0.5, 1.3))
+        x = np.random.default_rng(6).standard_normal((29, 2))
+        with caplog.at_level(logging.INFO, logger="specport.moments"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimated = estimator(x, grid)
+        assert not [r for r in caplog.records if r.name == "specport.moments"]
+        if estimator is estimate_moments:
+            assert estimated.sample_count == 29
+
+    @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
+    def test_window_shorter_than_least_common_period_rejected(self, estimator):
+        with pytest.raises(ValidationError, match="shorter than one least common period"):
+            estimator(np.ones((23, 1)), FrequencyGrid.from_periods((12, 8)))
 
     def test_snap_logged_and_warned_once_per_estimate(self, caplog):
         grid = FrequencyGrid.from_periods((12,))
@@ -154,10 +170,11 @@ class TestSpectralCovariance:
     def test_white_noise_monte_carlo(self):
         # for unit-variance white noise the per-bin covariance is variance/2
         rng = np.random.default_rng(11)
-        n_samples = 99996  # snapped multiple of 12
+        n_samples = 99996  # a multiple of 12: the snap keeps every sample
         grid = FrequencyGrid.from_periods((12,))
         x = rng.standard_normal((n_samples, 1))
-        moments = estimate_moments(x, grid, snap=False)
+        moments = estimate_moments(x, grid)
+        assert moments.sample_count == n_samples
         # SE of avg(x^2)/2 is sqrt(Var(x^2)/T)/2 = sqrt(2/T)/2
         se_r = math.sqrt(2.0 / n_samples) / 2
         r_value = float(moments.bin_covariance(0)[0, 0].real)
@@ -175,8 +192,9 @@ class TestSpectralCovariance:
         half = moments.half_size
         assert np.array_equal(cov[half:, half:], np.conj(cov[:half, :half]))
         assert np.array_equal(cov[half:, :half], np.conj(cov[:half, half:]))
-        # residual asymmetry after re-projection is exactly zero
-        assert np.max(np.abs(cov - structure_project(cov))) == 0.0
+        # R is Hermitian and P symmetric, exactly
+        assert np.array_equal(cov[:half, :half], cov[:half, :half].conj().T)
+        assert np.array_equal(cov[:half, half:], cov[:half, half:].T)
 
     def test_dual_frequency_symmetries(self):
         rng = np.random.default_rng(4)
@@ -480,38 +498,6 @@ class TestPsd:
                 direct[m] += np.outer(block, block.conj())
         for m in range(grid.n_bins):
             assert np.max(np.abs(direct[m] / n_samples - psd.matrices[m])) <= 1e-6
-
-
-class TestStructureProject:
-    def test_idempotent_on_valid(self):
-        rng = np.random.default_rng(14)
-        grid = FrequencyGrid.from_periods((12, 6))
-        x = rng.standard_normal((48, 2))
-        cov = estimate_moments(x, grid).covariance
-        assert np.max(np.abs(structure_project(cov) - cov)) <= 1e-15
-
-    def test_idempotent_on_random(self):
-        rng = np.random.default_rng(15)
-        raw = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        once = structure_project(raw)
-        twice = structure_project(once)
-        assert np.max(np.abs(once - twice)) <= 1e-15
-
-    def test_non_expansive_on_perturbation(self):
-        rng = np.random.default_rng(16)
-        grid = FrequencyGrid.from_periods((12, 8))
-        x = rng.standard_normal((48, 1))
-        cov = estimate_moments(x, grid).covariance
-        # entrywise magnitude of the perturbation capped at 1e-9
-        noise = 1e-9 * rng.uniform(0, 1, cov.shape) * np.exp(2j * np.pi * rng.uniform(0, 1, cov.shape))
-        projected = structure_project(cov + noise)
-        assert np.max(np.abs(projected - (cov + noise))) <= 2e-9
-
-    def test_wrong_shape(self):
-        with pytest.raises(ValidationError):
-            structure_project(np.zeros((3, 3)))
-        with pytest.raises(ValidationError):
-            structure_project(np.zeros((4, 6)))
 
 
 def reference_write_records(path, format_tag, grid, n_assets, meta, records):

@@ -22,9 +22,11 @@ from specport import (
     estimate_moments,
     read_weights_csv,
     retrieve_allocation,
+    seasonal_market_spec,
     solve_classical_mvo,
     solve_spectral_mvo,
     synthesize_time_value,
+    synthesize_values,
     write_weights_csv,
 )
 from specport.basis import _to_augmented
@@ -193,6 +195,37 @@ class TestSpectralSolver:
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=1e-4))
         assert solved.ridge_used == 1e-4
         assert constraint_value(solved, moments.covariance) == pytest.approx(1e-4, rel=1e-10)
+
+    def test_nearly_as_many_samples_as_managed_assets_raises(self):
+        # 2MN = 300 managed assets on T = 312 samples: K is not singular, but at
+        # rho = 2MN / T = 0.96 the default ridge would leave the solve wildly levered
+        spec = seasonal_market_spec(n_assets=50, periods=(12, 6, 3), horizon=312)
+        moments = estimate_moments(synthesize_values(spec), spec.grid)
+        assert (moments.sample_count, 2 * moments.half_size) == (312, 300)
+        message = r"T = 312 .* 2MN = 300 .* rho = 2MN / T = 0\.962"
+        for ridge in (None, 0.0):
+            with pytest.raises(SingularCovarianceError, match=message) as caught:
+                solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=ridge))
+            assert "RiskSpec.ridge (--ridge)" in str(caught.value)
+        solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=1e-6))
+        assert solved.ridge_used == 1e-6
+        assert constraint_value(solved, moments.covariance) == pytest.approx(1e-4, rel=1e-10)
+
+    @pytest.mark.parametrize("sample_count, solves", [(20, True), (19, False)])
+    def test_rho_limit_is_inclusive(self, sample_count, solves):
+        # 2MN = 18: rho = 0.9 at T = 20 solves with the default ridge, rho = 0.947 at T = 19 does not
+        moments = SpectralMoments(
+            grid=FrequencyGrid.from_periods((12, 6, 4)),
+            n_assets=3,
+            managed_mean=np.ones(18),
+            managed_covariance=np.eye(18),
+            sample_count=sample_count,
+        )
+        if solves:
+            assert solve_spectral_mvo(moments, RiskSpec(sigma0=0.01)).ridge_used > 0
+        else:
+            with pytest.raises(SingularCovarianceError, match=r"rho = 2MN / T = 0\.947, above 0\.9"):
+                solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
 
 
 class TestRiskSpec:

@@ -29,7 +29,6 @@ from specport import (
     read_weights_csv,
     retrieve_allocation,
     solve_spectral_mvo,
-    structure_project,
     synthesize_time_value,
     write_moments_csv,
     write_weights_csv,
@@ -100,8 +99,13 @@ def test_to_managed_is_bit_identical_to_block_form(seed, half, zero_share):
 @PROPERTY_SETTINGS
 @given(seed=seeds, half=st.integers(min_value=1, max_value=12))
 def test_augmented_form_is_exactly_structured(seed, half):
+    """[[R, P], [conj(P), conj(R)]] with R Hermitian and P symmetric, bit for bit."""
     augmented = _to_augmented(random_symmetric(seed, 2 * half))
-    assert np.array_equal(structure_project(augmented), augmented)
+    r_block, p_block = augmented[:half, :half], augmented[:half, half:]
+    assert np.array_equal(r_block, r_block.conj().T)
+    assert np.array_equal(p_block, p_block.T)
+    assert np.array_equal(augmented[half:, half:], r_block.conj())
+    assert np.array_equal(augmented[half:, :half], p_block.conj())
 
 
 @PROPERTY_SETTINGS
@@ -160,14 +164,21 @@ serial_grids = st.lists(
     seed=seeds,
     grid=serial_grids,
     n_assets=asset_counts,
-    n_samples=st.integers(min_value=2, max_value=60),
+    extra=st.integers(min_value=0, max_value=60),
     mode=st.sampled_from(("paper-literal", "consistent")),
 )
-@example(seed=0, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=3, n_samples=17, mode="consistent")
-def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, n_samples, mode):
-    """The file round trip is bit-exact, and the per-bin blocks read from K equal slices of U K U^H."""
+@example(seed=0, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=3, extra=17, mode="consistent")
+def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra, mode):
+    """The file round trip is bit-exact, and the per-bin blocks read from K equal slices of U K U^H.
+
+    The panel has ``extra`` samples beyond one least common period, so the snap
+    keeps one or more whole periods.
+    """
+    n_samples = grid.least_common_period() + extra
     panel = np.random.default_rng(seed).standard_normal((n_samples, n_assets))
-    moments = estimate_moments(panel, grid, mode=mode, snap=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the snap's warning
+        moments = estimate_moments(panel, grid, mode=mode)
     compute_psd(moments)
     pairs = [(m, n) for m in range(grid.n_bins) for n in range(grid.n_bins)]
     blocks = {pair: (moments.bin_covariance(*pair), moments.bin_pseudo_covariance(*pair)) for pair in pairs}
@@ -208,54 +219,58 @@ free_grids = st.lists(st.floats(min_value=0.05, max_value=3.1), min_size=1, max_
     n_samples=st.integers(min_value=2, max_value=300),
     t0=st.integers(min_value=-1000, max_value=1000),
     mode=st.sampled_from(("paper-literal", "consistent")),
-    snap=st.booleans(),
 )
-@example(  # 16 or 17 samples in each of the L = 12 classes
-    seed=1, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=199, t0=7, mode="paper-literal", snap=False
+@example(  # 17 samples in each of the L = 12 classes, none discarded
+    seed=1, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=204, t0=7, mode="paper-literal"
 )
-@example(  # L < T < 16 L: one class per sample
-    seed=6, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=29, t0=7, mode="consistent", snap=False
+@example(  # L < T < 16 L: the snap keeps 2 L, one class per sample
+    seed=6, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=29, t0=7, mode="consistent"
 )
-@example(  # T < L = 420
-    seed=2, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=2, n_samples=50, t0=-3, mode="consistent", snap=False
+@example(  # T < L = 420: rejected
+    seed=2, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=2, n_samples=50, t0=-3, mode="consistent"
 )
-@example(  # no integer periods
-    seed=3, grid=FrequencyGrid(omegas=(0.5, 1.3)), n_assets=4, n_samples=40, t0=11, mode="paper-literal", snap=False
+@example(  # no integer periods: every sample kept, no warning
+    seed=3, grid=FrequencyGrid(omegas=(0.5, 1.3)), n_assets=4, n_samples=40, t0=11, mode="paper-literal"
 )
-@example(  # the snap discards 4 samples
-    seed=4, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=6, n_samples=196, t0=5, mode="consistent", snap=True
+@example(  # the snap discards 4 samples and keeps 16 L
+    seed=4, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=6, n_samples=196, t0=5, mode="consistent"
 )
-@example(  # L beyond int64
+@example(  # L beyond int64: rejected
     seed=5,
     grid=FrequencyGrid.from_periods((151, 149, 139, 137, 131, 127, 113, 109, 107, 103)),
     n_assets=1,
     n_samples=30,
     t0=-9,
     mode="paper-literal",
-    snap=False,
 )
-def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, t0, mode, snap):
+def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, t0, mode):
     """The phase-class moments equal the mean and z^T z / T of the centred panel z = phi(t) (x) x(t).
 
     Covers both modes, which store the same pair, grids with and without a least
-    common period L, t0 != 0, windows grouped by class and not, and unsnapped
-    windows shorter than L or not a multiple of it.
+    common period L, t0 != 0, and windows grouped by class and not.  A grid with
+    integer periods snaps the window to whole multiples of L, warning exactly
+    when it discards samples, and rejects a window shorter than L; a grid
+    without them keeps every sample.
     """
     periods = grid.bin_periods()
     period = math.lcm(*periods) if periods else None
-    snap = snap and period is not None and n_samples >= period
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
     panel = scale * (rng.standard_normal((n_samples, n_assets)) + 3.0 * rng.standard_normal(n_assets))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the snap's warning
-        moments = estimate_moments(panel, grid, mode=mode, t0=t0, snap=snap)
+    if period is not None and n_samples < period:
+        with pytest.raises(ValidationError, match="shorter than one least common period"):
+            estimate_moments(panel, grid, mode=mode, t0=t0)
+        return
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        moments = estimate_moments(panel, grid, mode=mode, t0=t0)
     kept = moments.sample_count
+    assert kept == (n_samples // period * period if period else n_samples)
+    assert len(caught) == (kept < n_samples)
     t = np.arange(t0 + n_samples - kept, t0 + n_samples)
     z = (_phases(t, grid)[:, :, np.newaxis] * panel[-kept:, np.newaxis, :]).reshape(kept, -1)
     mean = z.mean(axis=0)
     cov = (z - mean).T @ (z - mean) / kept
-    assert kept == (n_samples // period * period if snap else n_samples)
     # phi(t) here carries the rounding of the angle w t, up to eps |w t|; the estimator
     # evaluates phi at t mod L.
     tol = 64 * np.finfo(np.float64).eps * (1.0 + grid.omegas[-1] * float(np.max(np.abs(t))))

@@ -51,6 +51,17 @@ def one_bin_spec(r, p, seed=0, horizon=1):
     )
 
 
+def two_asset_spec():
+    return SynthSpec(
+        grid=FrequencyGrid.from_periods((12,)),
+        n_assets=2,
+        spectral_mean=AugmentedVector.zeros(2),
+        spectral_cov=np.eye(4, dtype=complex),
+        horizon=1,
+        seed=0,
+    )
+
+
 class TestSampling:
     def test_zero_covariance_gives_zero_noise(self):
         spec = one_bin_spec(0.0, 0.0)
@@ -143,8 +154,7 @@ class TestPanels:
             expected = synthesize_time_value(build_basis(t, grid, 2), mean)
             assert np.max(np.abs(panel[t] - expected)) <= 1e-12
 
-    @pytest.mark.parametrize("ar_coeff", [0.0, 0.5])
-    def test_noisy_panel_matches_basis_synthesis_pointwise(self, ar_coeff):
+    def test_noisy_panel_matches_basis_synthesis_pointwise(self):
         rng = np.random.default_rng(17)
         grid = FrequencyGrid.from_periods((12, 8))
         half = grid.n_bins * 2
@@ -157,7 +167,6 @@ class TestPanels:
             spectral_cov=composite_to_augmented(factor @ factor.T),
             horizon=48,
             seed=18,
-            ar_coeff=ar_coeff,
         )
         assert np.max(np.abs(spec.spectral_cov[:half, half:])) > 0.1  # improper noise
         panel = synthesize_values(spec)
@@ -210,45 +219,28 @@ class TestPanels:
         # relative to the peak of the cycle, since the variance touches zero
         assert np.max(np.abs(empirical - theory)) <= 0.10 * theory.max()
 
-    def test_ar_coefficient_preserves_per_t_moments(self):
-        spec = one_bin_spec(1.0, 0.5, seed=12)
-        spec = SynthSpec(
-            grid=spec.grid,
-            n_assets=1,
-            spectral_mean=spec.spectral_mean,
-            spectral_cov=spec.spectral_cov,
-            horizon=1,
-            seed=12,
-            ar_coeff=0.8,
-        )
-        series = sample_noise_series(spec, 10**5)[:, 0]
-        assert abs(np.mean(np.abs(series) ** 2) - 1.0) <= 0.05
-        assert abs(np.mean(series**2) - 0.5) <= 0.05
-        # and actually correlates consecutive draws
-        corr = np.mean(series[1:] * np.conj(series[:-1])).real
-        assert corr >= 0.7
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(0, 1), (2, 3)],  # R not Hermitian; the lower-right block stays conj(R)
+            [(0, 3), (2, 1)],  # P not symmetric; the lower-left block stays conj(P)
+            [(2, 2)],  # lower-right block != conj(R)
+            [(2, 0)],  # lower-left block != conj(P)
+        ],
+        ids=["r-hermitian", "p-symmetric", "lower-right", "lower-left"],
+    )
+    def test_spec_rejects_each_broken_block_relation(self, entries):
+        # one bin, two assets: R = cov[:2, :2], P = cov[:2, 2:]; at scale 1 the tolerance is 1e-8
+        cov = np.eye(4, dtype=complex)
+        for entry in entries:
+            cov[entry] += 1e-6
+        with pytest.raises(ValidationError, match="violates the augmented block structure"):
+            dataclasses.replace(two_asset_spec(), spectral_cov=cov)
 
-    def test_invalid_spec_parameters(self):
-        grid = FrequencyGrid.from_periods((12,))
-        with pytest.raises(ValidationError):
-            SynthSpec(
-                grid=grid,
-                n_assets=1,
-                spectral_mean=AugmentedVector.zeros(1),
-                spectral_cov=np.zeros((2, 2)),
-                horizon=0,
-                seed=0,
-            )
-        unstructured = np.array([[1.0, 0.5], [0.4, 1.0]], dtype=complex)
-        with pytest.raises(ValidationError):
-            SynthSpec(
-                grid=grid,
-                n_assets=1,
-                spectral_mean=AugmentedVector.zeros(1),
-                spectral_cov=unstructured,
-                horizon=4,
-                seed=0,
-            )
+    def test_spec_accepts_block_relations_within_tolerance(self):
+        cov = np.eye(4, dtype=complex)
+        cov[0, 1] += 1e-10
+        assert dataclasses.replace(two_asset_spec(), spectral_cov=cov).spectral_cov[0, 1] == 1e-10
 
     @pytest.mark.parametrize(
         "fields, match",
@@ -259,8 +251,6 @@ class TestPanels:
             ({"horizon": 0}, "^horizon must be >= 1, got 0$"),
             ({"horizon": 24.0}, "^horizon must be an integer, got 24.0$"),
             ({"horizon": True}, "^horizon must be an integer, got True$"),
-            ({"ar_coeff": -0.1}, "ar_coeff must lie in"),
-            ({"ar_coeff": 1.0}, "ar_coeff must lie in"),
             ({"spectral_cov": np.eye(4)}, "spectral_cov must be 2 x 2"),
         ],
     )
