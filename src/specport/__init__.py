@@ -56,11 +56,9 @@ from .optimize import (
     SpectralWeights,
     StaticWeights,
     equal_weight,
-    read_weights_csv,
     retrieve_allocation,
     solve_classical_mvo,
     solve_spectral_mvo,
-    write_weights_csv,
 )
 from .synthesis import (
     SynthSpec,
@@ -104,8 +102,6 @@ __all__ = [
     "solve_classical_mvo",
     "equal_weight",
     "retrieve_allocation",
-    "write_weights_csv",
-    "read_weights_csv",
     # backtest
     "PricePanel",
     "ReturnsPanel",

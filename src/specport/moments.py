@@ -41,8 +41,8 @@ meaning of an explicit ridge depends on the mode.
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import itertools
 import logging
 import math
 import operator
@@ -437,163 +437,125 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
 _FORMAT_TAG = "specport-moments-v4"
 
 
-def _layout(kind: str, size: int, is_matrix: bool):
-    """The keys of one record kind's numeric rows, as (prefix, columns) per line, in file order.
+def _layout(size: int):
+    """The keys of the moments file's numeric rows, as (prefix, columns) per line, in file order.
 
     Entry c of a line is the row whose key is ``prefix + columns[c]``, the
-    ``kind,i,j,`` fields before its value.  A vector of ``size`` is one line,
-    prefix ``kind,`` and columns ``i,,`` for each index; a ``size`` x ``size``
-    matrix has one line per row i, prefix ``kind,i,`` and columns ``j,`` for
-    its upper triangle, diagonal included.  Each column key is formed once,
-    and the lines are yielded one at a time.
+    ``record,i,j,`` fields before its value.  The first line is the managed
+    mean of ``size`` = 2MN, prefix ``mean,`` and columns ``i,,`` for each
+    index; then K has one line per row i, prefix ``cov,i,`` and columns ``j,``
+    for its upper triangle, diagonal included.  Each column key is formed
+    once, and the lines are yielded one at a time.
     """
-    if not is_matrix:
-        yield f"{kind},", [f"{i},," for i in range(size)]
-        return
+    yield "mean,", [f"{i},," for i in range(size)]
     columns = [f"{j}," for j in range(size)]
     for i in range(size):
-        yield f"{kind},{i},", columns[i:]
+        yield f"cov,{i},", columns[i:]
 
 
-def _write_records(path, format_tag: str, grid: FrequencyGrid, n_assets: int, meta, records) -> None:
-    """Write a flat CSV artifact: header, ``meta`` rows, numeric rows, then the ``end`` row.
+def write_moments_csv(moments: SpectralMoments, path) -> None:
+    """Write moments to a flat CSV, the ``specport-moments-v4`` format.
 
-    ``meta`` lists (key, value) string pairs that follow the shared grid rows;
-    ``records`` lists (kind, array) pairs, each a vector or a square matrix,
-    whose rows follow :func:`_layout`: the text of each of its lines (the
-    vector, or one matrix row right of the diagonal) is built in one join of
-    the column keys with the values.  The closing ``end,<count>,,,`` row
-    counts every row between the header and itself, so a reader detects a
-    file cut short anywhere, even inside the last number.  Floats are written
-    with ``repr``, as ``csv`` writes them, so round trips are bit-exact.
+    Layout: a ``record,i,j,re,im`` header; ``meta`` rows (format, grid
+    frequencies/periods, label, n_assets, n_bins, sample_count, mode); the
+    rows of :func:`_layout`, ``mean,index,,value,`` for the real 2MN managed
+    mean and then ``cov,row,col,value,`` for the upper triangle, diagonal
+    included, of the managed covariance K, row by row; and last the
+    ``end,<count>,,,`` row, which counts every row between the header and
+    itself, so a reader detects a file cut short anywhere, even inside the
+    last number.  K is exactly symmetric, so its lower triangle is the
+    mirror.  The text of each line of the layout (the mean, or one row of K
+    right of the diagonal) is built in one join of the column keys with the
+    values.  Floats are written with ``repr``, as ``csv`` writes them, so
+    round trips are bit-exact.
     """
-    periods = ";".join(str(p) for p in grid.periods) if grid.periods else ""
+    grid, cov = moments.grid, moments.managed_covariance
     meta = [
-        ("format", format_tag),
+        ("format", _FORMAT_TAG),
         ("omegas", ";".join(repr(float(w)) for w in grid.omegas)),
-        ("periods", periods),
+        ("periods", ";".join(str(p) for p in grid.periods) if grid.periods else ""),
         ("label", grid.sample_period_label),
-        ("n_assets", str(n_assets)),
-        *meta,
+        ("n_assets", str(moments.n_assets)),
+        ("n_bins", str(grid.n_bins)),
+        ("sample_count", str(moments.sample_count)),
+        ("mode", moments.mode),
     ]
-    count = len(meta)
+    size = cov.shape[0]
+    lines = itertools.chain([moments.managed_mean], (row[i:] for i, row in enumerate(cov)))
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record", "i", "j", "re", "im"])
         writer.writerows(["meta", key, value, "", ""] for key, value in meta)
-        for kind, array in records:
-            lines = (row[i:] for i, row in enumerate(array)) if array.ndim == 2 else [array]
-            for (prefix, columns), values in zip(_layout(kind, array.shape[0], array.ndim == 2), lines):
-                text = f",\r\n{prefix}".join(map(operator.add, columns, map(repr, values.tolist())))
-                handle.write(f"{prefix}{text},\r\n")
-                count += values.size
-        writer.writerow(["end", count, "", "", ""])
-
-
-@contextlib.contextmanager
-def _artifact_errors(path):
-    """Re-raise parse and constructor failures of a flat CSV artifact as ValidationError naming the file."""
-    try:
-        yield
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ValidationError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc
-
-
-def _read_records(path, format_tag: str, kinds):
-    """Stream a flat CSV artifact into (meta, grid, n_assets, arrays).
-
-    ``kinds`` lists the (kind, is_matrix) pairs of the numeric records in file
-    order, each of size 2MN.  After the ``meta`` rows every numeric row must
-    carry the next key of :func:`_layout` and a blank ``im`` field; its value
-    is parsed into a preallocated array.  ``arrays`` holds one array per kind,
-    a matrix mirrored from its stored upper triangle.  The file must close
-    with the ``end`` row written by :func:`_write_records`, carrying the count
-    of rows before it.  Call inside :func:`_artifact_errors`.
-    """
-    meta: dict[str, str] = {}
-    arrays, expected = [], []
-    with Path(path).open(newline="") as handle:
-        rows = csv.reader(handle)
-        header = next(rows, None)
-        if not header or header[0] != "record":
-            raise ValidationError(f"not a {format_tag} CSV (missing header)")
-        count = 0
-        row = next(rows, None)
-        while row and row[0] == "meta":
-            meta[row[1]] = row[2]
-            count += 1
-            row = next(rows, None)
-        if meta.get("format") != format_tag:
-            raise ValidationError(f"unsupported format tag {meta.get('format')!r}")
-        omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
-        periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
-        grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
-        n_assets = int(meta["n_assets"])
-        size = 2 * grid.n_bins * n_assets
-        for kind, is_matrix in kinds:
-            values = np.empty(size * (size + 1) // 2 if is_matrix else size)
-            keys = (prefix + column for prefix, columns in _layout(kind, size, is_matrix) for column in columns)
-            for index, key in enumerate(keys):
-                if row is None:
-                    raise ValidationError("truncated file (no end row)")
-                if f"{row[0]},{row[1]},{row[2]}," != key:
-                    raise ValueError(f"found row {row[:3]} where {key[:-1]!r} belongs")
-                if row[4]:
-                    raise ValueError(f"real {kind} record has an imaginary part {row[4]!r}")
-                values[index] = float(row[3])
-                row = next(rows, None)
-            count += values.size
-            expected.append(f"{values.size} {kind} entries")
-            if is_matrix:  # mirror the upper triangle, one row and column at a time
-                upper, values = values, np.empty((size, size))
-                start = 0
-                for i in range(size):
-                    values[i, i:] = values[i:, i] = upper[start : start + size - i]
-                    start += size - i
-            arrays.append(values)
-        if row is None:
-            raise ValidationError("truncated file (no end row)")
-        if row[0] != "end":
-            raise ValueError(f"expected {' and '.join(expected)}, then the end row; found row {row[:3]}")
-        if row[1:] != [str(count), "", "", ""]:
-            raise ValidationError(f"truncated file (end row {row!r} after {count} rows)")
-        if next(rows, None) is not None:
-            raise ValidationError("rows after the end row")
-    return meta, grid, n_assets, arrays
-
-
-def write_moments_csv(moments: SpectralMoments, path) -> None:
-    """Write moments to a flat CSV.
-
-    Layout: ``meta`` rows (grid frequencies/periods, label, n_assets, n_bins,
-    sample_count, mode), then ``mean,index,,value,`` rows for the real 2MN
-    managed mean, then ``cov,row,col,value,`` rows for the upper triangle,
-    diagonal included, of the managed covariance K, row by row, then the
-    ``end`` row.  K is exactly symmetric, so its lower triangle is the mirror.
-    """
-    meta = [
-        ("n_bins", str(moments.grid.n_bins)),
-        ("sample_count", str(moments.sample_count)),
-        ("mode", moments.mode),
-    ]
-    records = [("mean", moments.managed_mean), ("cov", moments.managed_covariance)]
-    _write_records(path, _FORMAT_TAG, moments.grid, moments.n_assets, meta, records)
+        for (prefix, columns), values in zip(_layout(size), lines):
+            text = f",\r\n{prefix}".join(map(operator.add, columns, map(repr, values.tolist())))
+            handle.write(f"{prefix}{text},\r\n")
+        writer.writerow(["end", len(meta) + size * (size + 3) // 2, "", "", ""])
 
 
 def read_moments_csv(path) -> SpectralMoments:
     """Inverse of :func:`write_moments_csv`, bit-exact.
 
+    Streams the file once: after the ``meta`` rows every numeric row must
+    carry the next key of :func:`_layout` and a blank ``im`` field, and its
+    value is parsed into a preallocated array, the mean's or that of K's
+    upper triangle, which is then mirrored into K.  The ``end`` row must carry
+    the count of rows before it and close the file.
+
     Raises ValidationError naming the file for a foreign, truncated or
     otherwise malformed file, including one whose rows are not exactly the
     mean and then the triangle in the written order or of another format
-    version (a consistent-mode v3 file stored the pair at scale 2M), and for values the
-    :class:`SpectralMoments` constructor rejects (non-finite entries, an
-    unknown mode, a sample count below 1).
+    version (a consistent-mode v3 file stored the pair at scale 2M), and for
+    values the :class:`SpectralMoments` constructor rejects (non-finite
+    entries, an unknown mode, a sample count below 1).
     """
-    with _artifact_errors(path):
-        meta, grid, n_assets, (mean, cov) = _read_records(path, _FORMAT_TAG, (("mean", False), ("cov", True)))
+    try:
+        with Path(path).open(newline="") as handle:
+            rows = csv.reader(handle)
+            header = next(rows, None)
+            if not header or header[0] != "record":
+                raise ValidationError(f"not a {_FORMAT_TAG} CSV (missing header)")
+            meta: dict[str, str] = {}
+            count = 0
+            row = next(rows, None)
+            while row and row[0] == "meta":
+                meta[row[1]] = row[2]
+                count += 1
+                row = next(rows, None)
+            if meta.get("format") != _FORMAT_TAG:
+                raise ValidationError(f"unsupported format tag {meta.get('format')!r}")
+            omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
+            periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
+            grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
+            n_assets = int(meta["n_assets"])
+            size = 2 * grid.n_bins * n_assets
+            mean, upper = np.empty(size), np.empty(size * (size + 1) // 2)
+            keys = (prefix + column for prefix, columns in _layout(size) for column in columns)
+            for values in (mean, upper):
+                for index, key in zip(range(values.size), keys):
+                    if row is None:
+                        raise ValidationError("truncated file (no end row)")
+                    if f"{row[0]},{row[1]},{row[2]}," != key:
+                        raise ValueError(f"found row {row[:3]} where {key[:-1]!r} belongs")
+                    if row[4]:
+                        raise ValueError(f"real {row[0]} record has an imaginary part {row[4]!r}")
+                    values[index] = float(row[3])
+                    row = next(rows, None)
+            count += mean.size + upper.size
+            if row is None:
+                raise ValidationError("truncated file (no end row)")
+            if row[0] != "end":
+                raise ValueError(
+                    f"expected {mean.size} mean entries and {upper.size} cov entries, "
+                    f"then the end row; found row {row[:3]}"
+                )
+            if row[1:] != [str(count), "", "", ""]:
+                raise ValidationError(f"truncated file (end row {row!r} after {count} rows)")
+            if next(rows, None) is not None:
+                raise ValidationError("rows after the end row")
+        cov, start = np.empty((size, size)), 0
+        for i in range(size):  # mirror the upper triangle, one row and column at a time
+            cov[i, i:] = cov[i:, i] = upper[start : start + size - i]
+            start += size - i
         return SpectralMoments(
             grid=grid,
             n_assets=n_assets,
@@ -602,3 +564,7 @@ def read_moments_csv(path) -> SpectralMoments:
             sample_count=int(meta["sample_count"]),
             mode=meta["mode"],
         )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (KeyError, IndexError, ValueError) as exc:
+        raise ValidationError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc

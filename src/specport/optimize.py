@@ -19,6 +19,7 @@ comparisons isolate the change of statistics, not the constraint style.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,7 @@ import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented
 from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError, _count, _finite_real
-from .moments import SpectralMoments, _artifact_errors, _read_records, _write_records
+from .moments import SpectralMoments
 
 __all__ = [
     "RiskSpec",
@@ -37,8 +38,6 @@ __all__ = [
     "solve_classical_mvo",
     "equal_weight",
     "retrieve_allocation",
-    "write_weights_csv",
-    "read_weights_csv",
 ]
 
 _MEAN_EPS = 1e-14
@@ -59,6 +58,8 @@ _BLOCK = 48
 # realizes 36x its volatility target out of sample.  The acceptance checks
 # solve at rho up to 0.75, so the limit sits between the two.
 _MAX_RHO = 0.9
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,10 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     always at the paper-literal scale (see :mod:`specport.moments`), goes
     straight to the classical variance-targeted solver, and its real weights
     theta are stored; the augmented w = U theta is their view.  Multiplier,
-    ridge and the constraint value are the same in both coordinates.
+    ridge and the constraint value are the same in both coordinates.  T, 2MN,
+    rho and the ridge used are logged at INFO on the ``specport.optimize``
+    logger, with the ``extra`` keys ``solve_samples``, ``solve_dim``,
+    ``solve_rho`` and ``solve_ridge``.
 
     Parameters
     ----------
@@ -240,18 +244,30 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     SingularCovarianceError
         If rho = 2MN / T exceeds 0.9 (at rho >= 1 the sample covariance is
         singular, and just below it nearly so) and ``risk.ridge`` is not set
-        to a positive value.
+        to a positive value.  The message gives tr K / 2MN, the scale of a
+        ridge that regularizes: any positive ridge passes this check, but
+        one far below that scale leaves the solution nearly as levered.
     """
     dim = 2 * moments.half_size
     rho = dim / moments.sample_count
     if rho > _MAX_RHO and not risk.ridge:
+        scale = float(np.trace(moments.managed_covariance)) / dim
         raise SingularCovarianceError(
             f"T = {moments.sample_count} samples for 2MN = {dim} managed assets give "
             f"rho = 2MN / T = {rho:.3f}, above {_MAX_RHO}: the sample covariance is singular "
             "or nearly so and the solution would be wildly levered; use a longer window, "
-            "fewer bins or assets, or set a positive RiskSpec.ridge (--ridge)"
+            "fewer bins or assets, or set a positive RiskSpec.ridge (--ridge) on the scale of "
+            f"tr K / 2MN = {scale:.3g}, since a ridge far below it barely regularizes"
         )
     theta, multiplier, ridge = _targeted_solve(moments.managed_covariance, moments.managed_mean, risk)
+    logger.info(
+        "spectral solve: T = %d, 2MN = %d, rho = %.3f, ridge %.3g",
+        moments.sample_count,
+        dim,
+        rho,
+        ridge,
+        extra={"solve_samples": moments.sample_count, "solve_dim": dim, "solve_rho": rho, "solve_ridge": ridge},
+    )
     return SpectralWeights(
         grid=moments.grid,
         n_assets=moments.n_assets,
@@ -305,37 +321,3 @@ def retrieve_allocation(weights: SpectralWeights, t_range) -> np.ndarray:
     theta = weights.managed_weights.reshape(2 * weights.grid.n_bins, weights.n_assets)
     return _phases(t, weights.grid) @ theta
 
-
-# --- serialization (same flat-CSV conventions as the moments) ------------------
-
-_FORMAT_TAG = "specport-weights-v4"
-
-
-def write_weights_csv(weights: SpectralWeights, path) -> None:
-    """Flat CSV: meta rows, ``weight,index,,value,`` rows for theta, the ``end`` row."""
-    meta = [
-        ("lagrange_multiplier", repr(float(weights.lagrange_multiplier))),
-        ("sigma0", repr(float(weights.sigma0))),
-        ("ridge_used", repr(float(weights.ridge_used))),
-    ]
-    records = [("weight", weights.managed_weights)]
-    _write_records(path, _FORMAT_TAG, weights.grid, weights.n_assets, meta, records)
-
-
-def read_weights_csv(path) -> SpectralWeights:
-    """Inverse of :func:`write_weights_csv`, bit-exact.
-
-    Raises ValidationError naming the file for a foreign, truncated or
-    otherwise malformed file, one of another format version (v3 weights could
-    be at scale 1/(2M)), and for values the constructor rejects.
-    """
-    with _artifact_errors(path):
-        meta, grid, n_assets, (theta,) = _read_records(path, _FORMAT_TAG, (("weight", False),))
-        return SpectralWeights(
-            grid=grid,
-            n_assets=n_assets,
-            managed_weights=theta,
-            lagrange_multiplier=float(meta["lagrange_multiplier"]),
-            sigma0=float(meta["sigma0"]),
-            ridge_used=float(meta["ridge_used"]),
-        )

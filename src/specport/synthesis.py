@@ -37,6 +37,8 @@ _EIG_CLIP = 1e-10
 class SynthSpec:
     """Generative description of a synthetic panel.
 
+    Both ``spectral_mean`` and ``spectral_cov`` must be finite
+    (ValidationError naming the field otherwise, checked first).
     ``spectral_mean`` must be conjugate-symmetric (SymmetryViolationError
     otherwise) and ``spectral_cov`` must satisfy the augmented covariance
     invariants: the blocks [[R, P], [conj(P), conj(R)]] with R Hermitian and
@@ -56,8 +58,11 @@ class SynthSpec:
         object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
         object.__setattr__(self, "horizon", _count("horizon", self.horizon))
         half = self.grid.n_bins * self.n_assets
-        _check_spectrum(half, self.spectral_mean)
         cov = np.asarray(self.spectral_cov, dtype=np.complex128)
+        for name, value in (("spectral_mean", self.spectral_mean.full()), ("spectral_cov", cov)):
+            if not np.isfinite(value).all():
+                raise ValidationError(f"{name} has non-finite entries")
+        _check_spectrum(half, self.spectral_mean)
         if cov.shape != (2 * half, 2 * half):
             raise ValidationError(f"spectral_cov must be {2 * half} x {2 * half}")
         r_block, p_block = cov[:half, :half], cov[:half, half:]

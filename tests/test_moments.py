@@ -16,7 +16,6 @@ from specport import (
     FrequencyGrid,
     PsdMatrix,
     SpectralMoments,
-    SpectralWeights,
     ValidationError,
     build_basis,
     compute_psd,
@@ -24,7 +23,6 @@ from specport import (
     estimate_spectral_mean,
     read_moments_csv,
     write_moments_csv,
-    write_weights_csv,
 )
 from specport.basis import _to_augmented
 from specport.moments import _SYMMETRY_BLOCK, _is_exactly_symmetric
@@ -500,38 +498,39 @@ class TestPsd:
             assert np.max(np.abs(direct[m] / n_samples - psd.matrices[m])) <= 1e-6
 
 
-def reference_write_records(path, format_tag, grid, n_assets, meta, records):
-    """The one-row-at-a-time form of ``specport.moments._write_records``, whose bytes it must reproduce."""
-
-    def layout(kind, size, is_matrix):
-        for i in range(size):
-            if is_matrix:
-                for j in range(i, size):
-                    yield f"{kind},{i},{j}"
-            else:
-                yield f"{kind},{i},"
-
-    periods = ";".join(str(p) for p in grid.periods) if grid.periods else ""
-    meta = [
-        ("format", format_tag),
-        ("omegas", ";".join(repr(float(w)) for w in grid.omegas)),
-        ("periods", periods),
-        ("label", grid.sample_period_label),
-        ("n_assets", str(n_assets)),
-        *meta,
+def reference_write_moments(moments, path):
+    """Each row of the moments file written on its own by ``csv.writer``: the bytes ``write_moments_csv`` must give."""
+    grid = moments.grid
+    rows = [
+        ["meta", "format", "specport-moments-v4"],
+        ["meta", "omegas", ";".join(repr(w) for w in grid.omegas)],
+        ["meta", "periods", ";".join(str(p) for p in grid.periods)],
+        ["meta", "label", grid.sample_period_label],
+        ["meta", "n_assets", moments.n_assets],
+        ["meta", "n_bins", grid.n_bins],
+        ["meta", "sample_count", moments.sample_count],
+        ["meta", "mode", moments.mode],
     ]
-    count = len(meta)
+    rows = [[*row, "", ""] for row in rows]
+    rows += [["mean", i, "", value, ""] for i, value in enumerate(moments.managed_mean.tolist())]
+    cov = moments.managed_covariance.tolist()
+    rows += [["cov", i, j, cov[i][j], ""] for i in range(len(cov)) for j in range(i, len(cov))]
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record", "i", "j", "re", "im"])
-        writer.writerows(["meta", key, value, "", ""] for key, value in meta)
-        for kind, array in records:
-            keys = layout(kind, array.shape[0], array.ndim == 2)
-            lines = (row[i:].tolist() for i, row in enumerate(array)) if array.ndim == 2 else [array.tolist()]
-            for values in lines:
-                handle.write("".join(f"{key},{value!r},\r\n" for value, key in zip(values, keys)))
-                count += len(values)
-        writer.writerow(["end", count, "", "", ""])
+        writer.writerows(rows)
+        writer.writerow(["end", len(rows), "", "", ""])
+
+
+def tiny_moments():
+    """One bin of period 4, one asset: 2MN = 2, so the file holds 2 mean and 3 cov rows."""
+    return SpectralMoments(
+        grid=FrequencyGrid.from_periods((4,), "month, end"),
+        n_assets=1,
+        managed_mean=np.array([0.5, -0.25]),
+        managed_covariance=np.array([[2.0, 0.125], [0.125, 1e-3]]),
+        sample_count=8,
+    )
 
 
 class TestSerialization:
@@ -610,7 +609,7 @@ class TestSerialization:
         assert np.array_equal(loaded.managed_covariance, moments.managed_covariance)
 
     @pytest.mark.parametrize("periods, n_assets", [((12, 6, 3), 2), ((12,), 55)], ids=["2MN=12", "2MN=110"])
-    def test_writers_match_the_row_by_row_loop(self, tmp_path, monkeypatch, periods, n_assets):
+    def test_writers_match_the_row_by_row_loop(self, tmp_path, periods, n_assets):
         # the indices cross the digit boundaries 9 | 10 and 99 | 100
         grid = FrequencyGrid.from_periods(periods, "month, end")
         dim = 2 * grid.n_bins * n_assets
@@ -626,22 +625,54 @@ class TestSerialization:
             sample_count=480,
         )
         assert np.signbit(moments.managed_covariance[upper & (moments.managed_covariance == 0.0)]).any()
-        weights = SpectralWeights(
-            grid=grid,
-            n_assets=n_assets,
-            managed_weights=rng.standard_normal(dim) * 10.0 ** rng.uniform(-20, 20, size=dim),
-            lagrange_multiplier=0.75,
-            sigma0=0.01,
-            ridge_used=1e-9,
-        )
-        for name, write, artifact in (("moments", write_moments_csv, moments), ("weights", write_weights_csv, weights)):
-            written, expected = tmp_path / f"{name}.csv", tmp_path / f"{name}.expected.csv"
-            write(artifact, written)
-            with monkeypatch.context() as patch:
-                patch.setattr("specport.moments._write_records", reference_write_records)
-                patch.setattr("specport.optimize._write_records", reference_write_records)
-                write(artifact, expected)
-            assert written.read_bytes() == expected.read_bytes(), name
+        written, expected = tmp_path / "moments.csv", tmp_path / "moments.expected.csv"
+        write_moments_csv(moments, written)
+        reference_write_moments(moments, expected)
+        assert written.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (("record,i,j,re,im\r\n", ""), "not a specport-moments-v4 CSV (missing header)"),
+            (("specport-moments-v4", "specport-moments-v9"), "unsupported format tag 'specport-moments-v9'"),
+            (
+                ("cov,0,1,", "cov,1,0,"),
+                "malformed file (ValueError: found row ['cov', '1', '0'] where 'cov,0,1' belongs)",
+            ),
+            (
+                ("mean,1,,-0.25,", "mean,1,,-0.25,0.5"),
+                "malformed file (ValueError: real mean record has an imaginary part '0.5')",
+            ),
+            (("end,13,,,\r\n", ""), "truncated file (no end row)"),
+            (("end,13,", "end,12,"), "truncated file (end row ['end', '12', '', '', ''] after 13 rows)"),
+            (
+                ("end,13,", "cov,1,2,0.5,\r\nend,14,"),
+                "malformed file (ValueError: expected 2 mean entries and 3 cov entries, "
+                "then the end row; found row ['cov', '1', '2'])",
+            ),
+            (("end,13,,,\r\n", "end,13,,,\r\nend,13,,,\r\n"), "rows after the end row"),
+        ],
+        ids=[
+            "missing-header",
+            "format-tag",
+            "out-of-order",
+            "imaginary-part",
+            "no-end-row",
+            "end-count",
+            "extra-cov-row",
+            "after-end",
+        ],
+    )
+    def test_reader_messages_in_full(self, tmp_path, edit, message):
+        path = tmp_path / "moments.csv"
+        write_moments_csv(tiny_moments(), path)
+        old, new = edit
+        text = path.read_bytes().decode()
+        assert text.count(old) == 1
+        path.write_bytes(text.replace(old, new).encode())
+        with pytest.raises(ValidationError) as caught:
+            read_moments_csv(path)
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_previous_format_version_is_refused(self, tmp_path):
         # a consistent-mode v3 file stored the mean at 2M and K at (2M)^2 times today's scale

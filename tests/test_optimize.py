@@ -1,8 +1,8 @@
 """Closed-form solvers: exactness, equivariance, optimality, baselines, retrieval."""
 
 import dataclasses
+import logging
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -14,25 +14,22 @@ from specport import (
     RiskSpec,
     SingularCovarianceError,
     SpectralMoments,
-    SpectralWeights,
     StaticWeights,
     ValidationError,
     build_basis,
     equal_weight,
     estimate_moments,
-    read_weights_csv,
     retrieve_allocation,
     seasonal_market_spec,
     solve_classical_mvo,
     solve_spectral_mvo,
     synthesize_time_value,
     synthesize_values,
-    write_weights_csv,
 )
 from specport.basis import _to_augmented
 from specport.optimize import _BLOCK, _targeted_solve
 
-from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments, swap_lines
+from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments
 
 
 def constraint_value(weights, covariance):
@@ -224,8 +221,26 @@ class TestSpectralSolver:
         if solves:
             assert solve_spectral_mvo(moments, RiskSpec(sigma0=0.01)).ridge_used > 0
         else:
-            with pytest.raises(SingularCovarianceError, match=r"rho = 2MN / T = 0\.947, above 0\.9"):
+            # the message also gives the scale of a ridge that regularizes, tr K / 2MN = 18 / 18
+            with pytest.raises(SingularCovarianceError, match=r"rho = 2MN / T = 0\.947, above 0\.9: .* tr K / 2MN = 1,"):
                 solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
+
+    @pytest.mark.parametrize("ridge, ridge_used", [(0.5, 0.5), (None, 3e-8)])
+    def test_solve_logs_samples_dimension_rho_and_ridge(self, caplog, ridge, ridge_used):
+        moments = SpectralMoments(
+            grid=FrequencyGrid.from_periods((12, 6, 4)),
+            n_assets=3,
+            managed_mean=np.ones(18),
+            managed_covariance=3.0 * np.eye(18),
+            sample_count=40,
+        )
+        with caplog.at_level(logging.INFO, logger="specport.optimize"):
+            solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=ridge))
+        (record,) = [r for r in caplog.records if r.name == "specport.optimize"]
+        assert solved.ridge_used == pytest.approx(ridge_used, rel=1e-12)
+        assert (record.solve_samples, record.solve_dim, record.solve_rho) == (40, 18, 0.45)
+        assert record.solve_ridge == solved.ridge_used
+        assert record.getMessage() == f"spectral solve: T = 40, 2MN = 18, rho = 0.450, ridge {ridge_used:.3g}"
 
 
 class TestRiskSpec:
@@ -510,122 +525,3 @@ class TestSpectralWeightsType:
         with pytest.raises(ValidationError, match=match):
             dataclasses.replace(self.solved(), **fields)
 
-
-class TestWeightsSerialization:
-    def test_round_trip(self, tmp_path):
-        moments = random_structured_moments(35, grid=FrequencyGrid.from_periods((12, 6)))
-        solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
-        path = tmp_path / "weights.csv"
-        write_weights_csv(solved, path)
-        loaded = read_weights_csv(path)
-        assert np.array_equal(loaded.weights.full(), solved.weights.full())
-        assert loaded.lagrange_multiplier == solved.lagrange_multiplier
-        assert loaded.sigma0 == solved.sigma0
-        assert loaded.ridge_used == solved.ridge_used
-        assert loaded.grid.omegas == solved.grid.omegas
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda text: text[: text.rindex(",")],  # truncated mid-row: a short row
-            lambda text: "\n".join(text.splitlines()[:-1]) + "\n",  # last entry missing
-            lambda text: text.replace("meta,sigma0,", "meta,sigma_zero,"),  # missing meta row
-            lambda text: text.replace("weight,3,", "weight,three,"),  # non-integer index
-            lambda text: text.replace("weight,3,", "weight,99,"),  # index out of range
-            lambda text: text.replace("weight,3,", "weight,2,"),  # duplicate index
-            lambda text: re.sub(r"^(weight,5,,[^,]*,)$", r"\g<1>1", text, flags=re.M),  # imaginary part
-            lambda text: swap_lines(text, "weight,3,"),  # two weight rows swapped
-        ],
-    )
-    def test_malformed_file_raises_validation_error(self, tmp_path, damage):
-        moments = random_structured_moments(36, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
-        path = tmp_path / "weights.csv"
-        write_weights_csv(solve_spectral_mvo(moments, RiskSpec(sigma0=0.01)), path)
-        path.write_text(damage(path.read_text()))
-        with pytest.raises(ValidationError, match="weights.csv"):
-            read_weights_csv(path)
-
-    def test_golden_bytes(self, tmp_path):
-        weights = SpectralWeights(
-            grid=FrequencyGrid.from_periods((4,), "month"),
-            n_assets=1,
-            managed_weights=np.array([0.1, -3.0]),
-            lagrange_multiplier=2.5,
-            sigma0=0.01,
-            ridge_used=0.0,
-        )
-        path = tmp_path / "weights.csv"
-        write_weights_csv(weights, path)
-        assert path.read_bytes() == (
-            b"record,i,j,re,im\r\n"
-            b"meta,format,specport-weights-v4,,\r\n"
-            b"meta,omegas,1.5707963267948966,,\r\n"
-            b"meta,periods,4,,\r\n"
-            b"meta,label,month,,\r\n"
-            b"meta,n_assets,1,,\r\n"
-            b"meta,lagrange_multiplier,2.5,,\r\n"
-            b"meta,sigma0,0.01,,\r\n"
-            b"meta,ridge_used,0.0,,\r\n"
-            b"weight,0,,0.1,\r\n"
-            b"weight,1,,-3.0,\r\n"
-            b"end,10,,,\r\n"
-        )
-        assert np.array_equal(read_weights_csv(path).managed_weights, weights.managed_weights)
-
-    def test_previous_format_version_is_refused(self, tmp_path):
-        # a v3 file carries a mode row; in consistent mode its weights were 1/(2M) of today's
-        path = tmp_path / "weights.csv"
-        path.write_bytes(
-            b"record,i,j,re,im\r\n"
-            b"meta,format,specport-weights-v3,,\r\n"
-            b"meta,omegas,1.5707963267948966,,\r\n"
-            b"meta,periods,4,,\r\n"
-            b"meta,label,month,,\r\n"
-            b"meta,n_assets,1,,\r\n"
-            b"meta,lagrange_multiplier,2.5,,\r\n"
-            b"meta,sigma0,0.01,,\r\n"
-            b"meta,ridge_used,0.0,,\r\n"
-            b"meta,mode,consistent,,\r\n"
-            b"weight,0,,0.1,\r\n"
-            b"weight,1,,-3.0,\r\n"
-            b"end,11,,,\r\n"
-        )
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: unsupported format tag 'specport-weights-v3'")):
-            read_weights_csv(path)
-
-    def test_truncation_inside_last_number_raises(self, tmp_path):
-        moments = random_structured_moments(37, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
-        path = tmp_path / "weights.csv"
-        write_weights_csv(solve_spectral_mvo(moments, RiskSpec(sigma0=0.01)), path)
-        text = path.read_text()
-        last_number_end = text.rindex(",\nend,")  # the last weight row ends in a blank im field
-        assert text[last_number_end - 2 : last_number_end].isdigit()
-        path.write_text(text[: last_number_end - 1])  # cut inside the last weight
-        # the cut row lost its im field, so the reader stops there, before the end-row check
-        with pytest.raises(ValidationError, match="weights.csv: malformed file"):
-            read_weights_csv(path)
-
-    @pytest.mark.parametrize(
-        "edit, match",
-        [
-            ((r"^meta,sigma0,[^,]*,", "meta,sigma0,nan,"), "sigma0"),
-            ((r"^meta,sigma0,[^,]*,", "meta,sigma0,0.0,"), "sigma0"),
-            ((r"^meta,ridge_used,[^,]*,", "meta,ridge_used,-1.0,"), "ridge"),
-            ((r"^meta,ridge_used,[^,]*,", "meta,ridge_used,inf,"), "ridge"),
-            ((r"^meta,ridge_used,[^,]*,", "meta,ridge_used,nan,"), "ridge"),
-            ((r"^weight,3,,[^,]*,", "weight,3,,nan,"), "non-finite"),
-            ((r"^meta,lagrange_multiplier,[^,]*,", "meta,lagrange_multiplier,nan,"), "lagrange_multiplier"),
-            ((r"^meta,lagrange_multiplier,[^,]*,", "meta,lagrange_multiplier,inf,"), "lagrange_multiplier"),
-            ((r"^meta,lagrange_multiplier,[^,]*,", "meta,lagrange_multiplier,-1.0,"), "lagrange_multiplier"),
-        ],
-    )
-    def test_rejected_values_name_the_file(self, tmp_path, edit, match):
-        moments = random_structured_moments(40, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)
-        path = tmp_path / "weights.csv"
-        write_weights_csv(solve_spectral_mvo(moments, RiskSpec(sigma0=0.01)), path)
-        pattern, replacement = edit
-        text, count = re.subn(pattern, replacement, path.read_text(), flags=re.M)
-        assert count == 1
-        path.write_text(text)
-        with pytest.raises(ValidationError, match=f"weights.csv: .*{match}"):
-            read_weights_csv(path)

@@ -1,5 +1,5 @@
 """Property tests: the augmented <-> managed-asset map, the estimator, the real solver,
-the artifact round trips and the allocation path.
+the moments file round trip and the allocation path.
 
 The complex augmented statistics are a unitary change of coordinates of a real
 mean-variance problem on 2MN managed assets.  These properties pin that map
@@ -26,12 +26,10 @@ from specport import (
     estimate_moments,
     project_spectrum,
     read_moments_csv,
-    read_weights_csv,
     retrieve_allocation,
     solve_spectral_mvo,
     synthesize_time_value,
     write_moments_csv,
-    write_weights_csv,
 )
 from specport.basis import _phases, _to_augmented, _to_managed
 from specport.errors import ValidationError, _count
@@ -278,24 +276,6 @@ def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, 
     assert np.max(np.abs(moments.managed_mean - mean)) <= tol * size
     assert np.max(np.abs(moments.managed_covariance - cov)) <= tol * size**2
     assert np.array_equal(moments.managed_covariance, moments.managed_covariance.T)
-
-
-@PROPERTY_SETTINGS
-@given(seed=seeds, grid=serial_grids, n_assets=asset_counts, sigma0=st.floats(min_value=1e-4, max_value=1.0))
-def test_weights_file_round_trip_is_bit_exact(seed, grid, n_assets, sigma0):
-    moments = random_structured_moments(seed, grid=grid, n_assets=n_assets)
-    solved = solve_spectral_mvo(moments, RiskSpec(sigma0=sigma0))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "weights.csv"
-        write_weights_csv(solved, path)
-        loaded = read_weights_csv(path)
-    assert np.array_equal(loaded.weights.full(), solved.weights.full())
-    assert (loaded.lagrange_multiplier, loaded.sigma0, loaded.ridge_used) == (
-        solved.lagrange_multiplier,
-        solved.sigma0,
-        solved.ridge_used,
-    )
-    assert (loaded.grid, loaded.n_assets) == (solved.grid, solved.n_assets)
 
 
 @PROPERTY_SETTINGS

@@ -252,6 +252,10 @@ class TestPanels:
             ({"horizon": 24.0}, "^horizon must be an integer, got 24.0$"),
             ({"horizon": True}, "^horizon must be an integer, got True$"),
             ({"spectral_cov": np.eye(4)}, "spectral_cov must be 2 x 2"),
+            # checked before the structure, whose gaps are NaN and pass a > test
+            ({"spectral_cov": np.diag([math.nan, 1.0])}, "^spectral_cov has non-finite entries$"),
+            # checked before the conjugate symmetry, whose inf - inf gap is NaN
+            ({"spectral_mean": AugmentedVector.from_upper([math.inf])}, "^spectral_mean has non-finite entries$"),
         ],
     )
     def test_spec_rejects_bad_field(self, fields, match):
