@@ -651,6 +651,29 @@ class TestSerialization:
                 "then the end row; found row ['cov', '1', '2'])",
             ),
             (("end,13,,,\r\n", "end,13,,,\r\nend,13,,,\r\n"), "rows after the end row"),
+            (
+                ("meta,omegas,1.5707963267948966,", "meta,omegas,quarter,"),
+                "malformed file (ValueError: could not convert string to float: 'quarter')",
+            ),
+            (
+                ("meta,periods,4,", "meta,periods,4.0,"),
+                "malformed file (ValueError: invalid literal for int() with base 10: '4.0')",
+            ),
+            (("meta,periods,4,", "meta,periods,4;2,"), "periods metadata does not match number of bins"),
+            (
+                ("meta,n_assets,1,", "meta,n_assets,one,"),
+                "malformed file (ValueError: invalid literal for int() with base 10: 'one')",
+            ),
+            (
+                ("meta,sample_count,8,", "meta,sample_count,8.5,"),
+                "malformed file (ValueError: invalid literal for int() with base 10: '8.5')",
+            ),
+            (
+                ("cov,0,1,0.125,", "cov,0,1,1/8,"),
+                "malformed file (ValueError: could not convert string to float: '1/8')",
+            ),
+            (("meta,periods,4,,", "meta,periods"), "malformed file (IndexError: list index out of range)"),
+            (("mean,1,,-0.25,", "mean,1,,-0.25"), "malformed file (IndexError: list index out of range)"),
         ],
         ids=[
             "missing-header",
@@ -661,6 +684,14 @@ class TestSerialization:
             "end-count",
             "extra-cov-row",
             "after-end",
+            "omegas-value",
+            "periods-value",
+            "periods-per-bin",
+            "n_assets-value",
+            "sample_count-value",
+            "cov-value",
+            "short-meta-row",
+            "short-mean-row",
         ],
     )
     def test_reader_messages_in_full(self, tmp_path, edit, message):
@@ -673,6 +704,29 @@ class TestSerialization:
         with pytest.raises(ValidationError) as caught:
             read_moments_csv(path)
         assert str(caught.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "omegas,1.5707963267948966",
+            "periods,4",
+            'label,"month, end"',
+            "n_assets,1",
+            "sample_count,8",
+            "mode,paper-literal",
+        ],
+    )
+    def test_each_required_meta_row_is_named_when_missing(self, tmp_path, row):
+        # the end count is lowered with the row, so the reader reaches the missing key
+        path = tmp_path / "moments.csv"
+        write_moments_csv(tiny_moments(), path)
+        text = path.read_bytes().decode()
+        assert text.count(f"meta,{row},,\r\n") == 1
+        path.write_bytes(text.replace(f"meta,{row},,\r\n", "").replace("end,13,", "end,12,").encode())
+        key = row.split(",")[0]
+        with pytest.raises(ValidationError) as caught:
+            read_moments_csv(path)
+        assert str(caught.value) == f"{path}: malformed file (KeyError: '{key}')"
 
     def test_previous_format_version_is_refused(self, tmp_path):
         # a consistent-mode v3 file stored the mean at 2M and K at (2M)^2 times today's scale
