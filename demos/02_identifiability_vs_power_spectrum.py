@@ -14,7 +14,7 @@ from specport import compute_psd, estimate_moments, example1_scenario, synthesiz
 
 spec = example1_scenario(seed=11, horizon=48000)
 panel = synthesize_values(spec)
-print(f"synthesized {panel.shape[0]} samples, 1 series; grid periods {spec.grid.bin_periods()}")
+print(f"synthesized {panel.shape[0]} samples, 1 series; grid periods {spec.grid.periods}")
 
 moments = estimate_moments(panel, spec.grid)
 psd = compute_psd(moments)
@@ -26,7 +26,7 @@ for m in range(spec.grid.n_bins):
     pseudo_norm = np.linalg.norm(moments.bin_pseudo_covariance(m), 2)
     trace = psd.trace_per_bin()[m]
     print(
-        f"{m:>3} {spec.grid.bin_periods()[m]:>7} {mean_norm:>11.4e} {cov_norm:>11.4e} "
+        f"{m:>3} {spec.grid.periods[m]:>7} {mean_norm:>11.4e} {cov_norm:>11.4e} "
         f"{pseudo_norm:>11.4e} {pseudo_norm / cov_norm:>8.3f} {trace:>11.4e}"
     )
 

@@ -63,7 +63,6 @@ from .optimize import (
 from .synthesis import (
     SynthSpec,
     example1_scenario,
-    sample_noise_series,
     seasonal_market_spec,
     synthesize_panel,
     synthesize_values,
@@ -89,7 +88,6 @@ __all__ = [
     "read_moments_csv",
     # synthesis
     "SynthSpec",
-    "sample_noise_series",
     "synthesize_values",
     "synthesize_panel",
     "example1_scenario",

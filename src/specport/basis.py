@@ -1,7 +1,8 @@
 """Augmented spectral basis: the mapping between time domain and frequency domain.
 
 A signal sample x(t) in R^N is represented on a discrete grid of M angular
-frequencies through the row-orthonormal matrix
+frequencies w_m = 2 pi / p_m, one per integer period p_m >= 2 in samples
+(:class:`FrequencyGrid`), through the row-orthonormal matrix
 
     B(t) = [ C(t) | conj(C(t)) ],   C(t) = (1/sqrt(2M)) [e^{j w_1 t} I_N, ..., e^{j w_M t} I_N]
 
@@ -26,6 +27,12 @@ estimators, the solver's weights, allocation retrieval and the synthesis
 kernels all go through them.  :func:`build_basis`,
 :func:`synthesize_time_value` and :func:`project_spectrum` keep the literal
 complex definition, the reference that the real kernels are tested against.
+
+Integer periods give every grid a least common period L, with
+B(t) = B(t mod L) exactly: :func:`commensurate_length` snaps an estimation
+window to whole multiples of L, on which the bins are orthogonal under time
+averaging, and the estimators and allocation retrieval use that the phases
+repeat with period L.
 """
 
 from __future__ import annotations
@@ -48,91 +55,60 @@ __all__ = [
     "commensurate_length",
 ]
 
-_PERIOD_INT_TOL = 1e-9
-
-
-def _as_period(omega: float) -> int | None:
-    """Integer period 2*pi/omega if it is one to within tolerance, else None."""
-    p = 2.0 * math.pi / omega
-    rounded = round(p)
-    if rounded >= 2 and abs(p - rounded) <= _PERIOD_INT_TOL * p:
-        return rounded
-    return None
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing angular frequencies in (0, pi], radians per sample.
+    """A grid of M bins, each a cycle of an integer period in samples.
 
-    The DC bin (omega = 0) is excluded: it has no conjugate partner and would
-    break the 2M column pairing; handle constant offsets by demeaning instead.
-    Frequencies at exactly pi (Nyquist) are allowed but the conjugate pair is
-    phase-degenerate, so construction warns.
-
-    Prefer :meth:`from_periods`, which takes integer periods in samples and
-    guarantees a commensurate grid (a finite least common period), which the
-    moment estimators rely on.
+    ``periods`` are distinct integers >= 2, stored as a tuple sorted longest
+    first, so the angular frequencies ``omegas`` = 2*pi/period, in radians
+    per sample, come out strictly increasing in (0, pi].  Integer periods
+    give the grid a least common period L, the commensurate window that
+    keeps the bins orthogonal under time averaging and that the moment
+    estimators snap to.  The DC bin (period infinite) is excluded: it has no
+    conjugate partner and would break the 2M column pairing; handle constant
+    offsets by demeaning instead.  Period 2 (Nyquist, omega = pi) is allowed
+    but its conjugate pair is phase-degenerate, so construction warns.
     """
 
-    omegas: tuple[float, ...]
-    periods: tuple[int, ...] | None = None
+    periods: tuple[int, ...]
     sample_period_label: str = "sample"
 
     def __post_init__(self) -> None:
-        if len(self.omegas) < 1:
+        given = tuple(self.periods)
+        if not given:
             raise ValidationError("frequency grid must contain at least one bin")
-        prev = 0.0
-        for w in self.omegas:
-            if not (w > 0.0):
-                raise ValidationError(f"frequency {w} is not strictly positive (DC excluded)")
-            if w > math.pi + 1e-15:
-                raise ValidationError(f"frequency {w} exceeds pi (super-Nyquist)")
-            if w <= prev:
-                raise ValidationError("frequencies must be strictly increasing with no duplicates")
-            prev = w
-        if self.periods is not None and len(self.periods) != len(self.omegas):
-            raise ValidationError("periods metadata does not match number of bins")
-        # the estimators group samples by t mod lcm(periods), so the periods must be the omegas'
-        if self.periods is not None and any(_as_period(w) != p for w, p in zip(self.omegas, self.periods)):
-            raise ValidationError(f"periods {self.periods} do not match the frequencies {self.omegas}")
-        if any(abs(w - math.pi) <= 1e-12 for w in self.omegas):
+        try:
+            periods = [int(p) for p in given]
+            integral = all(p == float(q) for p, q in zip(given, periods))
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf
+            integral = False
+        if not integral:
+            raise ValidationError("periods must be integers (samples per cycle)")
+        if len(set(periods)) != len(periods):
+            raise ValidationError(f"duplicate periods in {periods}")
+        if any(p < 2 for p in periods):
+            raise ValidationError("periods must be >= 2 samples (period 1 would be super-Nyquist)")
+        if 2 in periods:
             warnings.warn(
                 "grid contains the Nyquist frequency pi; its conjugate pair is "
                 "phase-degenerate",
                 stacklevel=2,
             )
+        object.__setattr__(self, "periods", tuple(sorted(periods, reverse=True)))
 
     @classmethod
     def from_periods(cls, periods, sample_period_label: str = "sample") -> "FrequencyGrid":
-        """Build a grid from integer periods in samples (e.g. 12, 6, 3 for monthly data).
+        """Build a grid from integer periods in samples (e.g. 12, 6, 3 for monthly data), in any order."""
+        return cls(periods, sample_period_label)
 
-        Periods must be distinct integers >= 2; they are sorted so frequencies
-        2*pi/period come out strictly increasing.
-        """
-        periods = tuple(periods)
-        plist = [int(p) for p in periods]
-        if any(p != float(q) for p, q in zip(periods, plist)):
-            raise ValidationError("periods must be integers (samples per cycle)")
-        if len(set(plist)) != len(plist):
-            raise ValidationError(f"duplicate periods in {plist}")
-        if any(p < 2 for p in plist):
-            raise ValidationError("periods must be >= 2 samples (period 1 would be super-Nyquist)")
-        plist.sort(reverse=True)
-        omegas = tuple(2.0 * math.pi / p for p in plist)
-        return cls(omegas=omegas, periods=tuple(plist), sample_period_label=sample_period_label)
+    @property
+    def omegas(self) -> tuple[float, ...]:
+        """The angular frequencies 2*pi/period, strictly increasing."""
+        return tuple(2.0 * math.pi / p for p in self.periods)
 
     @property
     def n_bins(self) -> int:
-        return len(self.omegas)
-
-    def bin_periods(self) -> tuple[int, ...] | None:
-        """Integer periods per bin, from metadata or inferred from the frequencies."""
-        if self.periods is not None:
-            return self.periods
-        inferred = tuple(_as_period(w) for w in self.omegas)
-        if any(p is None for p in inferred):
-            return None
-        return inferred  # type: ignore[return-value]
+        return len(self.periods)
 
     def least_common_period(self) -> int:
         """Smallest window over which every bin (and every beat) completes whole cycles.
@@ -140,13 +116,7 @@ class FrequencyGrid:
         For integer periods p_m the LCM also covers all sum/difference beats
         2*pi/(w_m +- w_n), since (p_n +- p_m)/gcd(p_m, p_n) is an integer.
         """
-        periods = self.bin_periods()
-        if periods is None:
-            raise ValidationError(
-                "grid frequencies do not correspond to integer periods; "
-                "no commensurate window exists"
-            )
-        return math.lcm(*periods)
+        return math.lcm(*self.periods)
 
 
 def commensurate_length(n_samples: int, grid: FrequencyGrid) -> tuple[int, int]:

@@ -165,7 +165,6 @@ def _cmd_estimate(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_moments_csv(moments, out_dir / "spectral_moments.csv")
 
-    periods = grid.bin_periods()
     header = f"{'bin':>3} {'period':>7} {'|mean|':>12} {'||R||':>12} {'||P||':>12} {'psd':>12}"
     print(header)
     rows = []
@@ -173,7 +172,7 @@ def _cmd_estimate(args) -> int:
         mean_norm = float(np.linalg.norm(moments.bin_mean(m)))
         r_norm = float(np.linalg.norm(moments.bin_covariance(m), 2))
         p_norm = float(np.linalg.norm(moments.bin_pseudo_covariance(m), 2))
-        rows.append((m, periods[m] if periods else "", mean_norm, r_norm, p_norm, psd_trace))
+        rows.append((m, grid.periods[m], mean_norm, r_norm, p_norm, psd_trace))
         print(f"{m:>3} {rows[-1][1]:>7} {mean_norm:>12.6e} {r_norm:>12.6e} {p_norm:>12.6e} {psd_trace:>12.6e}")
 
     with _writing(out_dir):

@@ -10,14 +10,13 @@ abs_moment(w) = m(w) m(w)^H + R(w), which is what makes harmonics invisible
 to it at low SNR.
 
 Estimators time-average the projected series over a commensurate window (a
-whole number of least common periods, the newest samples kept), which removes
-leakage between bins; a grid without integer periods has no such window and
-uses every sample.  There is no option to skip the snap.  The estimators work
-on the equivalent real problem in the managed-asset coordinates documented in
-:mod:`specport.basis`: the augmented vector is U z(t) for the unitary U and
-the real panel z(t) = phi(t) (x) x(t) of 2MN columns, so the augmented mean
-and covariance are U mean(z) and U cov(z) U^H (Brandt and Santa-Clara 2006;
-Schreier and Scharf 2010).  :class:`SpectralMoments` stores the real pair
+whole number of least common periods L of the grid's integer periods, the
+newest samples kept), which removes leakage between bins.  There is no option
+to skip the snap.  The estimators work on the equivalent real problem in the
+managed-asset coordinates documented in :mod:`specport.basis`: the augmented
+vector is U z(t) for the unitary U and the real panel z(t) = phi(t) (x) x(t)
+of 2MN columns, so the augmented mean and covariance are U mean(z) and
+U cov(z) U^H (Brandt and Santa-Clara 2006; Schreier and Scharf 2010).  :class:`SpectralMoments` stores the real pair
 (mean(z), cov(z)), which the solver and the moments file use; the augmented
 complex forms are views derived from it.  On a window of 16 or more least
 common periods L the T x 2MN panel z is never formed: its phases repeat with
@@ -139,16 +138,13 @@ def _is_exactly_symmetric(matrix: np.ndarray) -> bool:
 
 
 def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int):
-    """Trim to a commensurate window, discarding the oldest samples, when the grid has integer periods.
+    """Trim to a commensurate window, discarding the oldest samples.
 
-    A grid without integer periods has no commensurate window and keeps every
-    sample.  The absolute time origin advances with the trim so the basis
+    The absolute time origin advances with the trim so the basis
     phase stays aligned with the retained rows.  The snap is logged (kept and
     discarded counts) and, when it discards samples, also raised as a
     ``UserWarning``.
     """
-    if grid.bin_periods() is None:
-        return values, t0
     snapped, discarded = commensurate_length(values.shape[0], grid)
     logger.info(
         "window snap: kept %d samples, discarded %d oldest",
@@ -183,9 +179,8 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
         T K  = sum_r (phi_r phi_r^T) (x) D_r + G^T G,
 
     where row r of G is sqrt(n) (phi_r (x) xbar_r - mean); the cross terms
-    vanish inside each class, so z is never formed.  A grid without an
-    integer least common period, or a window of fewer than
-    ``_MIN_CLASS_SIZE`` L samples, makes every sample its own class: every
+    vanish inside each class, so z is never formed.  A window of fewer than
+    ``_MIN_CLASS_SIZE`` L samples makes every sample its own class: every
     D_r is zero, G is the centred panel and K = G^T G / T.  Otherwise K is
     assembled N rows at a time: the blocks right of
     the diagonal come from products, the diagonal block is averaged with its
@@ -197,9 +192,8 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
         raise ValidationError("need at least 2 samples to estimate spectral moments")
     values, t0 = _snap_window(values, grid, t0)
     n_samples, n_assets = values.shape
-    periods = grid.bin_periods()
-    period = math.lcm(*periods) if periods else None
-    if period is not None and n_samples >= _MIN_CLASS_SIZE * period:
+    period = grid.least_common_period()
+    if n_samples >= _MIN_CLASS_SIZE * period:
         t = (t0 + np.arange(period)) % period
     else:  # one class per sample
         t = t0 + np.arange(n_samples)
@@ -255,7 +249,7 @@ def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal", 
     ----------
     x : (T, N) array or ReturnsPanel
         Real panel, T >= 2, no missing values.  Snapped to whole least
-        common periods when the grid has integer periods.
+        common periods of the grid.
     grid : FrequencyGrid
     mode : {"paper-literal", "consistent"}
         Output scale (see module docstring).
@@ -379,23 +373,6 @@ class SpectralMoments:
         start = self._bin_index(m) * self.n_assets
         return self.mean.upper[start : start + self.n_assets]
 
-    def check_invariants(self, tol: float = 1e-10) -> None:
-        """Raise ValidationError if K has an eigenvalue below -tol * max(1, max |K|).
-
-        No other invariant can fail.  The constructor makes K exactly
-        symmetric, so U K U^H has the augmented block structure with R
-        Hermitian and P symmetric exactly, and the mean U mu is
-        conjugate-symmetric by construction.  U is unitary, so U K U^H has K's
-        eigenvalues: a positive semi-definite K makes the R grid and every
-        per-bin [[R, P], [conj(P), conj(R)]] positive semi-definite, which
-        gives ||P(w_m)||_2 <= ||R(w_m)||_2.
-        """
-        cov = self.managed_covariance
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        smallest = float(np.linalg.eigvalsh(cov)[0])
-        if smallest < -tol * scale:
-            raise ValidationError(f"managed covariance has negative eigenvalue {smallest:.3e}")
-
 
 @dataclass(frozen=True)
 class PsdMatrix:
@@ -437,6 +414,15 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
 _FORMAT_TAG = "specport-moments-v4"
 
 
+def _grid_rows(grid: FrequencyGrid) -> dict[str, str]:
+    """The values of the moments file's meta rows that the grid's periods determine, as written."""
+    return {
+        "omegas": ";".join(repr(w) for w in grid.omegas),
+        "periods": ";".join(str(p) for p in grid.periods),
+        "n_bins": str(grid.n_bins),
+    }
+
+
 def _layout(size: int):
     """The keys of the moments file's numeric rows, as (prefix, columns) per line, in file order.
 
@@ -470,13 +456,14 @@ def write_moments_csv(moments: SpectralMoments, path) -> None:
     round trips are bit-exact.
     """
     grid, cov = moments.grid, moments.managed_covariance
+    derived = _grid_rows(grid)
     meta = [
         ("format", _FORMAT_TAG),
-        ("omegas", ";".join(repr(float(w)) for w in grid.omegas)),
-        ("periods", ";".join(str(p) for p in grid.periods) if grid.periods else ""),
+        ("omegas", derived["omegas"]),
+        ("periods", derived["periods"]),
         ("label", grid.sample_period_label),
         ("n_assets", str(moments.n_assets)),
-        ("n_bins", str(grid.n_bins)),
+        ("n_bins", derived["n_bins"]),
         ("sample_count", str(moments.sample_count)),
         ("mode", moments.mode),
     ]
@@ -495,18 +482,22 @@ def write_moments_csv(moments: SpectralMoments, path) -> None:
 def read_moments_csv(path) -> SpectralMoments:
     """Inverse of :func:`write_moments_csv`, bit-exact.
 
-    Streams the file once: after the ``meta`` rows every numeric row must
-    carry the next key of :func:`_layout` and a blank ``im`` field, and its
-    value is parsed into a preallocated array, the mean's or that of K's
-    upper triangle, which is then mirrored into K.  The ``end`` row must carry
-    the count of rows before it and close the file.
+    Builds the grid from the ``periods`` row; the ``omegas``, ``periods``
+    and ``n_bins`` rows must then read exactly as the writer writes them for
+    that grid (the frequencies as ``repr`` text).  Streams the file once:
+    after the ``meta`` rows every numeric row must carry the next key of
+    :func:`_layout` and a blank ``im`` field, and its value is parsed into a
+    preallocated array, the mean's or that of K's upper triangle, which is
+    then mirrored into K.  The ``end`` row must carry the count of rows
+    before it and close the file.
 
     Raises ValidationError naming the file for a foreign, truncated or
-    otherwise malformed file, including one whose rows are not exactly the
-    mean and then the triangle in the written order or of another format
-    version (a consistent-mode v3 file stored the pair at scale 2M), and for
-    values the :class:`SpectralMoments` constructor rejects (non-finite
-    entries, an unknown mode, a sample count below 1).
+    otherwise malformed file, including one whose grid rows disagree or
+    whose rows are not exactly the mean and then the triangle in the
+    written order, or of another format version (a consistent-mode v3 file
+    stored the pair at scale 2M), and for periods that :class:`FrequencyGrid`
+    or values that the :class:`SpectralMoments` constructor rejects
+    (non-finite entries, an unknown mode, a sample count below 1).
     """
     try:
         with Path(path).open(newline="") as handle:
@@ -523,9 +514,11 @@ def read_moments_csv(path) -> SpectralMoments:
                 row = next(rows, None)
             if meta.get("format") != _FORMAT_TAG:
                 raise ValidationError(f"unsupported format tag {meta.get('format')!r}")
-            omegas = tuple(float(tok) for tok in meta["omegas"].split(";"))
-            periods = tuple(int(tok) for tok in meta["periods"].split(";")) if meta["periods"] else None
-            grid = FrequencyGrid(omegas=omegas, periods=periods, sample_period_label=meta["label"])
+            periods = tuple(int(tok) for tok in meta["periods"].split(";"))
+            grid = FrequencyGrid(periods, meta["label"])
+            for key, expected in _grid_rows(grid).items():
+                if meta[key] != expected:
+                    raise ValidationError(f"meta {key} {meta[key]!r} does not match the grid's {expected!r}")
             n_assets = int(meta["n_assets"])
             size = 2 * grid.n_bins * n_assets
             mean, upper = np.empty(size), np.empty(size * (size + 1) // 2)

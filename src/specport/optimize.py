@@ -9,8 +9,9 @@ whose stationary conditions give the multiplier
 lambda = sqrt(m^H R^{-1} m) / (2 sigma0) and the optimal coefficients
 w = sigma0 R^{-1} m / sqrt(m^H R^{-1} m).  It is solved as the equivalent real
 problem on 2MN managed assets, whose weights theta are stored, and the
-time-varying allocation is the real, periodic product w(t) = Phi(t) theta with
-the basis phases (see :func:`retrieve_allocation`).
+time-varying allocation is the real product w(t) = Phi(t) theta with the
+basis phases, periodic with the grid's least common period L (see
+:func:`retrieve_allocation`).
 
 The classical (time-domain) baseline is solved in the same variance-targeted
 form — rather than with a free risk-aversion penalty — so that backtest
@@ -303,20 +304,18 @@ def retrieve_allocation(weights: SpectralWeights, t_range) -> np.ndarray:
 
     Phi(t) are the basis phases of :func:`specport.basis._phases` and theta
     the managed weights as a 2M x N matrix, so this equals the augmented
-    synthesis B(t) @ [v; conj(v)] of the weights v = U theta.  When the grid
-    has integer periods, Phi is evaluated at the reduced index t mod L for
-    their least common period L, where B(t) = B(t mod L) exactly: the path
-    is then periodic with period L bit for bit, and holds at most L distinct
-    rows.  A grid without integer periods, or with an L beyond the int64
-    range, is evaluated at t itself.  Returns a real (len(t_range), n_assets)
-    array.
+    synthesis B(t) @ [v; conj(v)] of the weights v = U theta.  Phi is
+    evaluated at the reduced index t mod L for the grid's least common
+    period L, where B(t) = B(t mod L) exactly: the path is then periodic
+    with period L bit for bit, and holds at most L distinct rows.  A grid
+    whose L is beyond the int64 range is evaluated at t itself.  Returns a
+    real (len(t_range), n_assets) array.
     """
     t = np.asarray(list(t_range) if not isinstance(t_range, np.ndarray) else t_range)
     if t.ndim != 1:
         raise ValidationError("t_range must be one-dimensional")
-    periods = weights.grid.bin_periods()
-    period = math.lcm(*periods) if periods else None
-    if period is not None and period <= np.iinfo(np.int64).max:
+    period = weights.grid.least_common_period()
+    if period <= np.iinfo(np.int64).max:
         t = np.mod(t, period)
     theta = weights.managed_weights.reshape(2 * weights.grid.n_bins, weights.n_assets)
     return _phases(t, weights.grid) @ theta

@@ -23,7 +23,6 @@ from .errors import FactorizationError, ValidationError, _count
 
 __all__ = [
     "SynthSpec",
-    "sample_noise_series",
     "synthesize_values",
     "synthesize_panel",
     "example1_scenario",
@@ -119,17 +118,6 @@ def _composite_noise(spec: SynthSpec, n_samples: int) -> np.ndarray:
     factor = _composite_factor(spec)
     rng = np.random.default_rng(spec.seed)
     return rng.standard_normal((n_samples, 2 * spec.half_size)) @ factor.T
-
-
-def sample_noise_series(spec: SynthSpec, n_samples: int) -> np.ndarray:
-    """Draw the complex noise coefficients s(t) for t = 0..n_samples-1, shape (T, M*N).
-
-    The complex form of the composite draws that :func:`synthesize_values`
-    uses, so both see the same noise.
-    """
-    composite = _composite_noise(spec, n_samples)
-    half = spec.half_size
-    return composite[:, :half] + 1j * composite[:, half:]
 
 
 def synthesize_values(spec: SynthSpec) -> np.ndarray:

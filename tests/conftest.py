@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from specport import FrequencyGrid, SpectralMoments, estimate_moments
+from specport import FrequencyGrid, SpectralMoments, ValidationError, estimate_moments
 
 CANDIDATE_PERIODS = (24, 18, 16, 12, 10, 9, 8, 7, 6, 5, 4, 3)
 
@@ -19,6 +19,24 @@ def swap_lines(text: str, prefix: str) -> str:
     first = next(k for k, line in enumerate(lines) if line.startswith(prefix))
     lines[first], lines[first + 1] = lines[first + 1], lines[first]
     return "".join(lines)
+
+
+def check_invariants(moments: SpectralMoments, tol: float = 1e-10) -> None:
+    """Raise ValidationError if the managed K has an eigenvalue below -tol * max(1, max |K|).
+
+    No other invariant of the moments can fail.  The constructor makes K
+    exactly symmetric, so U K U^H has the augmented block structure with R
+    Hermitian and P symmetric exactly, and the mean U mu is
+    conjugate-symmetric by construction.  U is unitary, so U K U^H has K's
+    eigenvalues: a positive semi-definite K makes the R grid and every
+    per-bin [[R, P], [conj(P), conj(R)]] positive semi-definite, which gives
+    ||P(w_m)||_2 <= ||R(w_m)||_2.
+    """
+    cov = moments.managed_covariance
+    scale = max(1.0, float(np.max(np.abs(cov))))
+    smallest = float(np.linalg.eigvalsh(cov)[0])
+    if smallest < -tol * scale:
+        raise ValidationError(f"managed covariance has negative eigenvalue {smallest:.3e}")
 
 
 def random_structured_moments(seed, grid=None, n_assets=None, mean_scale=1.0, n_samples=None):

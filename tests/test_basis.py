@@ -1,5 +1,6 @@
 """Basis construction, projection, synthesis and their exact identities."""
 
+import dataclasses
 import math
 import re
 
@@ -33,54 +34,43 @@ class TestFrequencyGrid:
             FrequencyGrid.from_periods(as_input((12.5, 6)))
         assert FrequencyGrid.from_periods(as_input((12.0, 6))).periods == (12, 6)
 
-    def test_periods_must_match_frequencies(self):
-        assert FrequencyGrid(omegas=(2 * np.pi / 12,), periods=(12,)).least_common_period() == 12
-        with pytest.raises(ValidationError, match="do not match the frequencies"):
-            FrequencyGrid(omegas=(0.5,), periods=(12,))
-        with pytest.raises(ValidationError, match="do not match the frequencies"):
-            FrequencyGrid(omegas=(2 * np.pi / 12, 2 * np.pi / 6), periods=(6, 12))
-        with pytest.raises(ValidationError, match="periods metadata does not match number of bins"):
-            FrequencyGrid(omegas=(2 * np.pi / 12, 2 * np.pi / 6), periods=(12,))
+    @pytest.mark.parametrize(
+        "periods, message",
+        [
+            ((12.5, 6), "periods must be integers (samples per cycle)"),
+            ((12, math.inf), "periods must be integers (samples per cycle)"),
+            ((math.nan,), "periods must be integers (samples per cycle)"),
+            ((None,), "periods must be integers (samples per cycle)"),
+            ((12, 6, 12), "duplicate periods in [12, 6, 12]"),
+            ((12, 1), "periods must be >= 2 samples (period 1 would be super-Nyquist)"),
+            ((0,), "periods must be >= 2 samples (period 1 would be super-Nyquist)"),
+            ((), "frequency grid must contain at least one bin"),
+        ],
+        ids=["non-integer", "infinite", "nan", "none", "duplicate", "period-1", "period-0", "empty"],
+    )
+    def test_direct_construction_rejects_as_from_periods(self, periods, message):
+        for build in (FrequencyGrid, FrequencyGrid.from_periods):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                build(periods)
 
-    def test_periods_inferred_from_frequencies(self):
-        grid = FrequencyGrid(omegas=(2 * np.pi / 12, 2 * np.pi / 6))
-        assert grid.periods is None
-        assert grid.bin_periods() == (12, 6)
-        assert grid.least_common_period() == 12
-
-    def test_dc_rejected(self):
-        with pytest.raises(ValidationError):
-            FrequencyGrid(omegas=(0.0, 1.0))
-
-    def test_super_nyquist_rejected(self):
-        with pytest.raises(ValidationError):
-            FrequencyGrid(omegas=(3.5,))
-        with pytest.raises(ValidationError):
-            FrequencyGrid.from_periods((1,))
-
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValidationError):
-            FrequencyGrid(omegas=(1.0, 1.0))
-        with pytest.raises(ValidationError):
-            FrequencyGrid.from_periods((12, 12))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            FrequencyGrid(omegas=())
+    def test_direct_construction_normalizes_as_from_periods(self):
+        grid = FrequencyGrid(periods=[6, 12.0, 3], sample_period_label="month")
+        assert grid == FrequencyGrid.from_periods((3, 6, 12), "month")
+        assert grid.periods == (12, 6, 3) and all(type(p) is int for p in grid.periods)
+        assert grid.omegas == (2.0 * math.pi / 12, 2.0 * math.pi / 6, 2.0 * math.pi / 3)
+        assert grid.n_bins == 3
+        assert [f.name for f in dataclasses.fields(FrequencyGrid)] == ["periods", "sample_period_label"]
 
     def test_nyquist_allowed_with_warning(self):
         with pytest.warns(UserWarning, match="Nyquist"):
             grid = FrequencyGrid.from_periods((2,))
         assert grid.omegas[0] == pytest.approx(np.pi)
+        with pytest.warns(UserWarning, match="Nyquist"):
+            FrequencyGrid(periods=(4, 2))
 
     def test_least_common_period(self):
         assert FrequencyGrid.from_periods((12, 6, 3)).least_common_period() == 12
         assert FrequencyGrid.from_periods((12, 8)).least_common_period() == 24
-
-    def test_least_common_period_unavailable_for_irrational(self):
-        grid = FrequencyGrid(omegas=(1.0,))
-        with pytest.raises(ValidationError):
-            grid.least_common_period()
 
     def test_commensurate_length(self):
         grid = FrequencyGrid.from_periods((12, 8))
@@ -92,18 +82,18 @@ class TestFrequencyGrid:
 class TestBuildBasis:
     def test_t0_single_bin_values(self):
         # e^{j*0} = 1 so both halves are 1/sqrt(2)
-        grid = FrequencyGrid(omegas=(np.pi / 6,))
+        grid = FrequencyGrid.from_periods((12,))
         basis = build_basis(0, grid, 1)
         assert np.allclose(basis.values, [[1 / math.sqrt(2), 1 / math.sqrt(2)]], atol=1e-15)
 
     def test_phase_pi_values(self):
         # t=3, w=pi/3 puts both halves at phase pi
-        grid = FrequencyGrid(omegas=(np.pi / 3,))
+        grid = FrequencyGrid.from_periods((6,))
         basis = build_basis(3, grid, 1)
         assert np.allclose(basis.values, [[-1 / math.sqrt(2), -1 / math.sqrt(2)]], atol=1e-12)
 
     def test_row_orthonormality_direct_multiply(self):
-        grid = FrequencyGrid(omegas=(np.pi / 8, np.pi / 4, np.pi / 2))
+        grid = FrequencyGrid.from_periods((16, 8, 4))
         basis = build_basis(7, grid, 2)
         gram = basis.values @ basis.values.conj().T
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
@@ -142,7 +132,7 @@ class TestSynthesize:
 
     def test_cosine_expansion(self):
         # (1/sqrt2) e^{jwt} (sqrt2/2) + c.c. == cos(wt), checked over t=0..99
-        grid = FrequencyGrid(omegas=(2 * np.pi / 12,))
+        grid = FrequencyGrid.from_periods((12,))
         spectrum = AugmentedVector.from_upper([math.sqrt(2) / 2])
         for t in range(100):
             value = synthesize_time_value(build_basis(t, grid, 1), spectrum)
@@ -150,7 +140,7 @@ class TestSynthesize:
 
     def test_sine_expansion(self):
         spectrum = AugmentedVector.from_upper([-1j * math.sqrt(2) / 2])
-        grid = FrequencyGrid(omegas=(2 * np.pi / 12,))
+        grid = FrequencyGrid.from_periods((12,))
         for t in range(100):
             value = synthesize_time_value(build_basis(t, grid, 1), spectrum)
             assert value[0] == pytest.approx(math.sin(grid.omegas[0] * t), abs=1e-12)

@@ -27,7 +27,7 @@ from specport import (
 from specport.basis import _to_augmented
 from specport.moments import _SYMMETRY_BLOCK, _is_exactly_symmetric
 
-from conftest import swap_lines
+from conftest import check_invariants, swap_lines
 
 
 class TestSpectralMean:
@@ -90,17 +90,6 @@ class TestSpectralMean:
         # equivalent to estimating on rows 6..29 with origin t0=6
         direct = estimate_spectral_mean(x[6:], grid, t0=6)
         assert np.allclose(snapped.upper, direct.upper, atol=1e-15)
-
-    @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
-    def test_grid_without_integer_periods_keeps_every_sample(self, estimator, caplog):
-        grid = FrequencyGrid(omegas=(0.5, 1.3))
-        x = np.random.default_rng(6).standard_normal((29, 2))
-        with caplog.at_level(logging.INFO, logger="specport.moments"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            estimated = estimator(x, grid)
-        assert not [r for r in caplog.records if r.name == "specport.moments"]
-        if estimator is estimate_moments:
-            assert estimated.sample_count == 29
 
     @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
     def test_window_shorter_than_least_common_period_rejected(self, estimator):
@@ -257,7 +246,7 @@ class TestSpectralCovariance:
         rng = np.random.default_rng(6)
         grid = FrequencyGrid.from_periods((10, 5, 4))
         x = rng.standard_normal((grid.least_common_period() * 5, 2))
-        estimate_moments(x, grid).check_invariants()
+        check_invariants(estimate_moments(x, grid))
 
 
 class TestSpectralMomentsType:
@@ -383,10 +372,10 @@ class TestSpectralMomentsType:
             sample_count=24,
         )
         if fails:
-            with pytest.raises(ValidationError):
-                moments.check_invariants()
+            with pytest.raises(ValidationError, match="^managed covariance has negative eigenvalue -5.000e-01$"):
+                check_invariants(moments)
         else:
-            moments.check_invariants()
+            check_invariants(moments)
 
     def test_complex_views_are_read_only_and_derived(self):
         moments = self.estimate()
@@ -653,13 +642,22 @@ class TestSerialization:
             (("end,13,,,\r\n", "end,13,,,\r\nend,13,,,\r\n"), "rows after the end row"),
             (
                 ("meta,omegas,1.5707963267948966,", "meta,omegas,quarter,"),
-                "malformed file (ValueError: could not convert string to float: 'quarter')",
+                "meta omegas 'quarter' does not match the grid's '1.5707963267948966'",
             ),
+            (
+                ("meta,omegas,1.5707963267948966,", "meta,omegas,1.57079632679489660,"),
+                "meta omegas '1.57079632679489660' does not match the grid's '1.5707963267948966'",
+            ),
+            (("meta,n_bins,1,", "meta,n_bins,7,"), "meta n_bins '7' does not match the grid's '1'"),
             (
                 ("meta,periods,4,", "meta,periods,4.0,"),
                 "malformed file (ValueError: invalid literal for int() with base 10: '4.0')",
             ),
-            (("meta,periods,4,", "meta,periods,4;2,"), "periods metadata does not match number of bins"),
+            (
+                ("meta,periods,4,", "meta,periods,4;3,"),
+                "meta omegas '1.5707963267948966' does not match the grid's '1.5707963267948966;2.0943951023931953'",
+            ),
+            (("meta,periods,4,", "meta,periods,4;4,"), "duplicate periods in [4, 4]"),
             (
                 ("meta,n_assets,1,", "meta,n_assets,one,"),
                 "malformed file (ValueError: invalid literal for int() with base 10: 'one')",
@@ -685,8 +683,11 @@ class TestSerialization:
             "extra-cov-row",
             "after-end",
             "omegas-value",
+            "omegas-text",
+            "n_bins-value",
             "periods-value",
             "periods-per-bin",
+            "periods-duplicate",
             "n_assets-value",
             "sample_count-value",
             "cov-value",
@@ -712,6 +713,7 @@ class TestSerialization:
             "periods,4",
             'label,"month, end"',
             "n_assets,1",
+            "n_bins,1",
             "sample_count,8",
             "mode,paper-literal",
         ],

@@ -202,17 +202,10 @@ def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra, mode)
     )
 
 
-# Frequencies drawn as floats: their periods are not integers, so such a grid has
-# no least common period and every sample is a phase class of its own.
-free_grids = st.lists(st.floats(min_value=0.05, max_value=3.1), min_size=1, max_size=3, unique=True).map(
-    lambda omegas: FrequencyGrid(omegas=tuple(sorted(omegas)))
-)
-
-
 @PROPERTY_SETTINGS
 @given(
     seed=seeds,
-    grid=st.one_of(serial_grids, free_grids),
+    grid=serial_grids,
     n_assets=st.integers(min_value=1, max_value=6),
     n_samples=st.integers(min_value=2, max_value=300),
     t0=st.integers(min_value=-1000, max_value=1000),
@@ -226,9 +219,6 @@ free_grids = st.lists(st.floats(min_value=0.05, max_value=3.1), min_size=1, max_
 )
 @example(  # T < L = 420: rejected
     seed=2, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=2, n_samples=50, t0=-3, mode="consistent"
-)
-@example(  # no integer periods: every sample kept, no warning
-    seed=3, grid=FrequencyGrid(omegas=(0.5, 1.3)), n_assets=4, n_samples=40, t0=11, mode="paper-literal"
 )
 @example(  # the snap discards 4 samples and keeps 16 L
     seed=4, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=6, n_samples=196, t0=5, mode="consistent"
@@ -244,18 +234,16 @@ free_grids = st.lists(st.floats(min_value=0.05, max_value=3.1), min_size=1, max_
 def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, t0, mode):
     """The phase-class moments equal the mean and z^T z / T of the centred panel z = phi(t) (x) x(t).
 
-    Covers both modes, which store the same pair, grids with and without a least
-    common period L, t0 != 0, and windows grouped by class and not.  A grid with
-    integer periods snaps the window to whole multiples of L, warning exactly
-    when it discards samples, and rejects a window shorter than L; a grid
-    without them keeps every sample.
+    Covers both modes, which store the same pair, t0 != 0, and windows grouped
+    by class and not.  The estimator snaps the window to whole multiples of the
+    grid's least common period L, warning exactly when it discards samples, and
+    rejects a window shorter than L.
     """
-    periods = grid.bin_periods()
-    period = math.lcm(*periods) if periods else None
+    period = grid.least_common_period()
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
     panel = scale * (rng.standard_normal((n_samples, n_assets)) + 3.0 * rng.standard_normal(n_assets))
-    if period is not None and n_samples < period:
+    if n_samples < period:
         with pytest.raises(ValidationError, match="shorter than one least common period"):
             estimate_moments(panel, grid, mode=mode, t0=t0)
         return
@@ -263,7 +251,7 @@ def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, 
         warnings.simplefilter("always")
         moments = estimate_moments(panel, grid, mode=mode, t0=t0)
     kept = moments.sample_count
-    assert kept == (n_samples // period * period if period else n_samples)
+    assert kept == n_samples // period * period
     assert len(caught) == (kept < n_samples)
     t = np.arange(t0 + n_samples - kept, t0 + n_samples)
     z = (_phases(t, grid)[:, :, np.newaxis] * panel[-kept:, np.newaxis, :]).reshape(kept, -1)
@@ -300,19 +288,25 @@ def test_allocation_path_is_real_finite_and_periodic(seed, grid, n_assets, start
 @PROPERTY_SETTINGS
 @given(
     seed=seeds,
-    grid=st.one_of(grids, free_grids),
+    grid=grids,
     n_assets=st.integers(min_value=1, max_value=6),
     start=st.integers(min_value=-(10**7), max_value=10**7),
     length=st.integers(min_value=1, max_value=40),
 )
 @example(seed=0, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=5, start=-(10**7), length=1)
-@example(seed=1, grid=FrequencyGrid(omegas=(0.5, 1.3)), n_assets=2, start=10**7 - 40, length=40)
+@example(  # L beyond int64: evaluated at t itself
+    seed=1,
+    grid=FrequencyGrid.from_periods((151, 149, 139, 137, 131, 127, 113, 109, 107, 103)),
+    n_assets=2,
+    start=10**7 - 40,
+    length=40,
+)
 def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, length):
     """Phi(t) theta equals the complex synthesis B(t) [v; conj(v)] to rounding, at any t.
 
-    A grid with integer periods is evaluated at t mod L for their least common
-    period L, where B(t) = B(t mod L) exactly, so the reference is taken there
-    too; a grid without integer periods is evaluated at t itself.  The error
+    The path is evaluated at t mod L for the grid's least common period L,
+    where B(t) = B(t mod L) exactly, so the reference is taken there too; a
+    grid whose L is beyond the int64 range is evaluated at t itself.  The error
     is measured against |Phi| |theta|, the scale of the terms summed: at a
     single sample the terms can cancel, so |w(t)| alone is no bound on the
     rounding.
@@ -323,8 +317,8 @@ def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, leng
         grid=grid, n_assets=n_assets, managed_weights=theta, lagrange_multiplier=1.0, sigma0=1.0, ridge_used=0.0
     )
     t = np.arange(start, start + length)
-    periods = grid.bin_periods()
-    index = t % math.lcm(*periods) if periods else t
+    period = grid.least_common_period()
+    index = t % period if period <= np.iinfo(np.int64).max else t
     path = retrieve_allocation(weights, t)
     phases = _phases(index, grid)
     assert np.array_equal(path, phases @ theta.reshape(2 * grid.n_bins, n_assets))

@@ -17,11 +17,11 @@ from specport import (
     compute_psd,
     estimate_moments,
     example1_scenario,
-    sample_noise_series,
     synthesize_panel,
     synthesize_time_value,
     synthesize_values,
 )
+from specport.synthesis import _composite_noise
 
 
 def composite_to_augmented(gamma: np.ndarray) -> np.ndarray:
@@ -36,6 +36,12 @@ def composite_to_augmented(gamma: np.ndarray) -> np.ndarray:
     r_grid = g_aa + g_bb + 1j * (g_ab.T - g_ab)
     p_grid = g_aa - g_bb + 1j * (g_ab + g_ab.T)
     return np.block([[r_grid, p_grid], [np.conj(p_grid), np.conj(r_grid)]])
+
+
+def complex_noise(spec, n_samples):
+    """The complex noise s(t) = a(t) + j b(t) of the composite draws [a(t); b(t)] that ``synthesize_values`` uses."""
+    composite = _composite_noise(spec, n_samples)
+    return composite[:, : spec.half_size] + 1j * composite[:, spec.half_size :]
 
 
 def one_bin_spec(r, p, seed=0, horizon=1):
@@ -65,17 +71,17 @@ def two_asset_spec():
 class TestSampling:
     def test_zero_covariance_gives_zero_noise(self):
         spec = one_bin_spec(0.0, 0.0)
-        assert np.array_equal(sample_noise_series(spec, 1), np.zeros((1, 1)))
+        assert np.array_equal(_composite_noise(spec, 1), np.zeros((1, 2)))
 
     def test_proper_monte_carlo_moments(self):
         spec = one_bin_spec(1.0, 0.0, seed=1)
-        series = sample_noise_series(spec, 10**5)[:, 0]
+        series = complex_noise(spec, 10**5)[:, 0]
         assert 0.97 <= np.mean(np.abs(series) ** 2) <= 1.03
         assert abs(np.mean(series**2)) <= 0.03
 
     def test_maximally_improper_monte_carlo_moments(self):
         spec = one_bin_spec(1.0, 1.0, seed=2)
-        series = sample_noise_series(spec, 10**5)[:, 0]
+        series = complex_noise(spec, 10**5)[:, 0]
         pseudo = np.mean(series**2)
         assert 0.97 <= pseudo.real <= 1.03
         assert abs(pseudo.imag) <= 0.03
@@ -94,7 +100,7 @@ class TestSampling:
             horizon=1,
             seed=4,
         )
-        series = sample_noise_series(spec, 10**5)
+        series = complex_noise(spec, 10**5)
         emp_r = series.T.conj() @ series / len(series)
         emp_p = series.T @ series / len(series)
         half = 2
@@ -106,9 +112,9 @@ class TestSampling:
     def test_per_t_draw_matches_series(self):
         # the stream is sequential: a shorter series is a prefix of a longer one
         spec = one_bin_spec(1.0, 0.3, seed=5)
-        series = sample_noise_series(spec, 8)
+        series = _composite_noise(spec, 8)
         for t in range(8):
-            assert np.array_equal(sample_noise_series(spec, t + 1)[t], series[t])
+            assert np.array_equal(_composite_noise(spec, t + 1)[t], series[t])
 
     def test_non_psd_raises_naming_eigenvalue(self):
         spec_cov = np.diag([-1e-3, -1e-3]).astype(complex)
@@ -122,13 +128,13 @@ class TestSampling:
             seed=0,
         )
         with pytest.raises(FactorizationError, match="eigenvalue"):
-            sample_noise_series(spec, 4)
+            _composite_noise(spec, 4)
 
     def test_near_psd_clipped_with_warning(self):
         # pseudo-covariance epsilon above covariance: composite eigenvalue -eps/2
         spec = one_bin_spec(1.0, 1.0 + 1e-11, seed=6)
         with pytest.warns(UserWarning, match="clipping"):
-            sample_noise_series(spec, 4)
+            _composite_noise(spec, 4)
 
 
 class TestPanels:
@@ -172,7 +178,7 @@ class TestPanels:
         panel = synthesize_values(spec)
         scale = np.max(np.abs(panel))
         for t in range(48):
-            noise = AugmentedVector.from_upper(sample_noise_series(spec, t + 1)[t])
+            noise = AugmentedVector.from_upper(complex_noise(spec, t + 1)[t])
             coefficients = AugmentedVector(upper=mean.upper + noise.upper, lower=mean.lower + noise.lower)
             expected = synthesize_time_value(build_basis(t, grid, 2), coefficients)
             assert np.max(np.abs(panel[t] - expected)) <= 1e-12 * scale
@@ -331,7 +337,7 @@ class TestExampleOneScenario:
     def test_spec_is_valid(self):
         spec = example1_scenario()
         assert spec.horizon == 12000
-        assert spec.grid.bin_periods() == (24, 12, 8, 5, 4)
+        assert spec.grid.periods == (24, 12, 8, 5, 4)
         # noise power is 100x harmonic power in coefficient terms
         harmonic = float(np.sum(np.abs(spec.spectral_mean.upper) ** 2))
         noise = float(np.trace(spec.spectral_cov).real) / 2
