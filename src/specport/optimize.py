@@ -59,6 +59,11 @@ _BLOCK = 48
 # realizes 36x its volatility target out of sample.  The acceptance checks
 # solve at rho up to 0.75, so the limit sits between the two.
 _MAX_RHO = 0.9
+# Smallest explicit ridge, as a multiple c of tr K / 2MN, that
+# `solve_spectral_mvo` accepts above `_MAX_RHO` without a warning.  On the
+# rho = 0.962 panel of README's ridge table, c = 0.1 realizes 1.8x the
+# volatility target out of sample and c = 1e-2 realizes 5.3x.
+_MIN_RIDGE_C = 0.1
 
 logger = logging.getLogger(__name__)
 
@@ -227,7 +232,10 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     ridge and the constraint value are the same in both coordinates.  T, 2MN,
     rho and the ridge used are logged at INFO on the ``specport.optimize``
     logger, with the ``extra`` keys ``solve_samples``, ``solve_dim``,
-    ``solve_rho`` and ``solve_ridge``.
+    ``solve_rho`` and ``solve_ridge``.  Above rho = 0.9 an explicit ridge
+    below 0.1 tr K / 2MN is logged there as a WARNING, with the ``extra``
+    keys ``solve_rho``, ``solve_ridge`` and ``solve_ridge_scale``
+    (tr K / 2MN): it passes the check below but barely regularizes.
 
     Parameters
     ----------
@@ -251,15 +259,28 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     """
     dim = 2 * moments.half_size
     rho = dim / moments.sample_count
-    if rho > _MAX_RHO and not risk.ridge:
+    if rho > _MAX_RHO:
         scale = float(np.trace(moments.managed_covariance)) / dim
-        raise SingularCovarianceError(
-            f"T = {moments.sample_count} samples for 2MN = {dim} managed assets give "
-            f"rho = 2MN / T = {rho:.3f}, above {_MAX_RHO}: the sample covariance is singular "
-            "or nearly so and the solution would be wildly levered; use a longer window, "
-            "fewer bins or assets, or set a positive RiskSpec.ridge (--ridge) on the scale of "
-            f"tr K / 2MN = {scale:.3g}, since a ridge far below it barely regularizes"
-        )
+        if not risk.ridge:
+            raise SingularCovarianceError(
+                f"T = {moments.sample_count} samples for 2MN = {dim} managed assets give "
+                f"rho = 2MN / T = {rho:.3f}, above {_MAX_RHO}: the sample covariance is singular "
+                "or nearly so and the solution would be wildly levered; use a longer window, "
+                "fewer bins or assets, or set a positive RiskSpec.ridge (--ridge) on the scale of "
+                f"tr K / 2MN = {scale:.3g}, since a ridge far below it barely regularizes"
+            )
+        if risk.ridge < _MIN_RIDGE_C * scale:
+            logger.warning(
+                "spectral solve: ridge %.3g is c = %.3g times tr K / 2MN = %.3g at rho = 2MN / T = %.3f, "
+                "above %s: a ridge below c = %s barely regularizes and the solution stays levered",
+                risk.ridge,
+                risk.ridge / scale,
+                scale,
+                rho,
+                _MAX_RHO,
+                _MIN_RIDGE_C,
+                extra={"solve_rho": rho, "solve_ridge": risk.ridge, "solve_ridge_scale": scale},
+            )
     theta, multiplier, ridge = _targeted_solve(moments.managed_covariance, moments.managed_mean, risk)
     logger.info(
         "spectral solve: T = %d, 2MN = %d, rho = %.3f, ridge %.3g",

@@ -1,7 +1,9 @@
 """Command-line behavior: file outputs, determinism, exit codes."""
 
 import csv
+import gc
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -22,6 +24,20 @@ REFERENCE = ROOT / "perfbench" / "reference" / "bundled_backtest.json"
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocess runs."""
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+def rho_panel(tmp_path):
+    """A 50-asset panel whose A,S,Q backtest before 2036-02 has 2MN = 300 on 312 returns, rho = 0.962."""
+    panel = tmp_path / "rho.csv"
+    synth = ["synth", "--out", str(panel), "-T", "552", "--n-assets", "50", "--periods", "12,6,3", "--seed", "3"]
+    assert main(synth) == 0
+    return panel
 
 
 class TestSynth:
@@ -200,9 +216,9 @@ class TestBacktest:
             f" '--out-dir', {str(tmp_path / 'bt')!r}]) == 0\n"
             "print(sorted(name for name in ('numpy.ma', 'scipy') if name in sys.modules))\n"
         )
-        paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=source_env(), capture_output=True, text=True, check=True
+        )
         assert result.stdout.splitlines()[-1] == "[]"
 
     def test_boundary_outside_range_exit_2(self, tmp_path, capsys):
@@ -235,14 +251,13 @@ class TestBacktest:
 
     def test_rho_above_limit_needs_an_explicit_ridge(self, tmp_path, capsys):
         # 2MN = 300 managed assets on 312 in-sample returns: rho = 2MN / T = 0.96
-        panel = tmp_path / "rho.csv"
-        synth = ["synth", "--out", str(panel), "-T", "552", "--n-assets", "50", "--periods", "12,6,3", "--seed", "3"]
-        assert main(synth) == 0
-        argv = ["backtest", "--data", str(panel), "--grids", "A,S,Q", "--boundary", "2036-02"]
+        argv = ["backtest", "--data", str(rho_panel(tmp_path)), "--grids", "A,S,Q", "--boundary", "2036-02"]
         capsys.readouterr()
         assert main(argv + ["--out-dir", str(tmp_path / "bt")]) == 1
         assert "rho = 2MN / T = 0.962" in capsys.readouterr().err
         assert main(argv + ["--ridge", "1e-6", "--out-dir", str(tmp_path / "ridge")]) == 0
+        # a ridge far below tr K / 2MN passes the check, with a warning on stderr
+        assert "spectral solve: ridge 1e-06 is c = 0.00863 times tr K / 2MN = 0.000116 " in capsys.readouterr().err
         assert "in_sample_returns: 312\n" in (tmp_path / "ridge" / "report.txt").read_text()
 
     @pytest.mark.parametrize("flag, value", [("--sigma0-annual", "inf"), ("--ridge", "nan")])
@@ -424,3 +439,97 @@ def test_blank_or_repeated_asset_name_exit_2(tmp_path, capsys, header):
     assert err.startswith("error: [stage: ingest] ")
     assert f"{data}: asset names in the header must be distinct and non-blank: " in err
     assert not (tmp_path / "bt").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "estimate", "backtest"])
+def test_every_command_takes_a_log_level(tmp_path, command):
+    argv = output_argv(command, DATA, tmp_path / "out")
+    assert build_parser().parse_args(argv).log_level == "WARNING"
+    assert build_parser().parse_args(argv + ["--log-level", "info"]).log_level == "INFO"
+
+
+class TestLogLevel:
+    def backtest(self, tmp_path, data, *flags):
+        argv = ["backtest", "--data", str(data), "--boundary", "2015-01", "--out-dir", str(tmp_path / "bt"), *flags]
+        package_logger = logging.getLogger("specport")
+        before = (package_logger.level, list(package_logger.handlers))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the window snap
+            assert main(argv) == 0
+        # main's stderr handler and level are gone once it returns
+        assert (package_logger.level, package_logger.handlers) == before
+
+    def test_info_prints_the_snap_and_the_solve(self, tmp_path, capsys):
+        self.backtest(tmp_path, DATA, "--log-level", "INFO")
+        err = capsys.readouterr().err.splitlines()
+        assert err.count("window snap: kept 48 samples, discarded 11 oldest") == 3
+        assert sum(line.startswith("spectral solve: T = 48, 2MN = 30, rho = 0.625, ridge ") for line in err) == 1
+
+    def test_default_prints_only_warnings_as_bare_messages(self, tmp_path, capsys):
+        lines = DATA.read_text().splitlines()
+        cells = lines[10].split(",")
+        cells[1] = ""
+        lines[10] = ",".join(cells)
+        data = tmp_path / "damaged.csv"
+        data.write_text("\n".join(lines) + "\n")
+        self.backtest(tmp_path, data)
+        assert capsys.readouterr().err == f"{data}: dropping unusable row 11\n{data}: dropped 1 unusable row(s)\n"
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "specport.cli", *argv], env=source_env(), capture_output=True, text=True
+    )
+
+
+class TestProcess:
+    """``console_main``, the process entry point of ``specport`` and ``python -m specport.cli``."""
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [([], 0), (["--start-date", "2010-13"], 2), (["--format", "csv"], 2)],
+        ids=["success", "usage-error", "argparse-error"],
+    )
+    def test_console_main_freezes_the_collector_before_exit(self, tmp_path, flags, code):
+        argv = ["synth", "-T", "24", "--out", str(tmp_path / "p.csv"), *flags]
+        script = (
+            "import atexit, gc, sys\n"
+            "from specport.cli import console_main\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            f"sys.argv = ['specport', *{argv!r}]\n"
+            "console_main()\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], env=source_env(), capture_output=True, text=True)
+        assert result.returncode == code
+        label, frozen = result.stdout.splitlines()[-1].split()
+        assert label == "frozen" and int(frozen) > 0
+
+    def test_main_leaves_the_collector_unfrozen(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert main(["synth", "-T", "24", "--out", str(tmp_path / "p.csv")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_run_succeeds(self, tmp_path):
+        out_dir = tmp_path / "bt"
+        result = run_module("backtest", "--data", str(DATA), "--boundary", "2015-01", "--out-dir", str(out_dir))
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == f"report written to {out_dir / 'report.txt'}"
+        assert "UserWarning: window snapped from 59 to 48 samples (11 oldest discarded)" in result.stderr
+
+    def test_module_run_refuses_rho_above_limit(self, tmp_path):
+        argv = ["backtest", "--data", str(rho_panel(tmp_path)), "--grids", "A,S,Q", "--boundary", "2036-02"]
+        result = run_module(*argv, "--out-dir", str(tmp_path / "bt"))
+        assert result.returncode == 1
+        assert result.stderr.splitlines()[-1] == (
+            "computation error: [stage: spectral[A,S,Q]] T = 312 samples for 2MN = 300 managed assets give "
+            "rho = 2MN / T = 0.962, above 0.9: the sample covariance is singular or nearly so and the solution "
+            "would be wildly levered; use a longer window, fewer bins or assets, or set a positive "
+            "RiskSpec.ridge (--ridge) on the scale of tr K / 2MN = 0.000116, since a ridge far below it "
+            "barely regularizes"
+        )
+
+    def test_module_run_rejects_a_bad_boundary(self, tmp_path):
+        result = run_module("backtest", "--data", str(DATA), "--boundary", "garbage", "--out-dir", str(tmp_path / "bt"))
+        assert result.returncode == 2
+        assert result.stderr == "error: boundary: cannot parse timestamp 'garbage' (expected int or ISO date)\n"
+        assert result.stdout == ""

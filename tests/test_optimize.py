@@ -32,6 +32,16 @@ from specport.optimize import _BLOCK, _targeted_solve
 from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments
 
 
+@pytest.fixture(scope="module")
+def rho_096_moments():
+    """2MN = 300 managed assets on T = 312 samples: K is not singular, but at
+    rho = 2MN / T = 0.96 the default ridge would leave the solve wildly levered."""
+    spec = seasonal_market_spec(n_assets=50, periods=(12, 6, 3), horizon=312)
+    moments = estimate_moments(synthesize_values(spec), spec.grid)
+    assert (moments.sample_count, 2 * moments.half_size) == (312, 300)
+    return moments
+
+
 def constraint_value(weights, covariance):
     full = weights.weights.full()
     regularized = covariance + weights.ridge_used * np.eye(covariance.shape[0])
@@ -193,12 +203,8 @@ class TestSpectralSolver:
         assert solved.ridge_used == 1e-4
         assert constraint_value(solved, moments.covariance) == pytest.approx(1e-4, rel=1e-10)
 
-    def test_nearly_as_many_samples_as_managed_assets_raises(self):
-        # 2MN = 300 managed assets on T = 312 samples: K is not singular, but at
-        # rho = 2MN / T = 0.96 the default ridge would leave the solve wildly levered
-        spec = seasonal_market_spec(n_assets=50, periods=(12, 6, 3), horizon=312)
-        moments = estimate_moments(synthesize_values(spec), spec.grid)
-        assert (moments.sample_count, 2 * moments.half_size) == (312, 300)
+    def test_nearly_as_many_samples_as_managed_assets_raises(self, rho_096_moments):
+        moments = rho_096_moments
         message = r"T = 312 .* 2MN = 300 .* rho = 2MN / T = 0\.962"
         for ridge in (None, 0.0):
             with pytest.raises(SingularCovarianceError, match=message) as caught:
@@ -207,6 +213,25 @@ class TestSpectralSolver:
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=1e-6))
         assert solved.ridge_used == 1e-6
         assert constraint_value(solved, moments.covariance) == pytest.approx(1e-4, rel=1e-10)
+
+    def test_ridge_far_below_the_covariance_scale_warns(self, rho_096_moments, caplog):
+        moments = rho_096_moments
+        scale = float(np.trace(moments.managed_covariance)) / 300
+        with caplog.at_level(logging.WARNING, logger="specport.optimize"):
+            solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=1e-6))
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        assert (record.solve_rho, record.solve_ridge, record.solve_ridge_scale) == (300 / 312, 1e-6, scale)
+        assert record.getMessage() == (
+            f"spectral solve: ridge 1e-06 is c = {1e-6 / scale:.3g} times tr K / 2MN = {scale:.3g} "
+            "at rho = 2MN / T = 0.962, above 0.9: a ridge below c = 0.1 barely regularizes "
+            "and the solution stays levered"
+        )
+        # from c = 0.1 up the ridge regularizes and the solve is silent
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="specport.optimize"):
+            solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=0.1 * scale))
+        assert caplog.records == []
 
     @pytest.mark.parametrize("sample_count, solves", [(20, True), (19, False)])
     def test_rho_limit_is_inclusive(self, sample_count, solves):
