@@ -48,7 +48,6 @@ __all__ = [
     "StrategyResult",
     "BacktestReport",
     "run_protocol",
-    "PERIOD_LETTERS",
 ]
 
 logger = logging.getLogger(__name__)

@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=str.upper,
         choices=("DEBUG", "INFO", "WARNING", "ERROR"),
         default="WARNING",
-        help="print the run's log records at this level and above to stderr (INFO adds the window snap and the solve)",
+        help="print the run's log records at this level and above to stderr (WARNING shows the window snaps that discard samples; INFO adds the solve)",
     )
 
     synth = sub.add_parser("synth", parents=[common], help="write a synthetic price or returns panel CSV")

@@ -8,6 +8,16 @@ import operator
 
 import numpy as np
 
+__all__ = [
+    "SpecportError",
+    "ValidationError",
+    "SymmetryViolationError",
+    "FactorizationError",
+    "DegenerateMeanError",
+    "SingularCovarianceError",
+    "IngestionError",
+]
+
 
 class SpecportError(Exception):
     """Base class for all package errors."""

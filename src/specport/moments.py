@@ -45,7 +45,6 @@ import itertools
 import logging
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -141,25 +140,19 @@ def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int):
     """Trim to a commensurate window, discarding the oldest samples.
 
     The absolute time origin advances with the trim so the basis
-    phase stays aligned with the retained rows.  The snap is logged (kept and
-    discarded counts) and, when it discards samples, also raised as a
-    ``UserWarning``.
+    phase stays aligned with the retained rows.  The snap is one record on
+    this module's logger with the kept and discarded counts: a WARNING when it
+    discards samples, INFO otherwise.
     """
     snapped, discarded = commensurate_length(values.shape[0], grid)
-    logger.info(
+    logger.log(
+        logging.WARNING if discarded else logging.INFO,
         "window snap: kept %d samples, discarded %d oldest",
         snapped,
         discarded,
         extra={"snap_kept": snapped, "snap_discarded": discarded},
     )
-    if discarded:
-        warnings.warn(
-            f"window snapped from {values.shape[0]} to {snapped} samples "
-            f"({discarded} oldest discarded) to cover whole grid periods",
-            stacklevel=4,
-        )
-        return values[discarded:], t0 + discarded
-    return values, t0
+    return values[discarded:], t0 + discarded
 
 
 def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):

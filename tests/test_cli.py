@@ -7,7 +7,6 @@ import logging
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,12 +142,10 @@ class TestEstimate:
         from specport import FrequencyGrid, compute_returns, estimate_moments, ingest_csv, read_moments_csv
 
         argv = ["estimate", "--data", str(DATA), "--periods", "12,6", "--demean", "--out-dir", str(tmp_path / "est")]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the window snap
-            assert main(argv) == 0
-            values, grid = compute_returns(ingest_csv(DATA)).returns, FrequencyGrid.from_periods((12, 6))
-            expected = estimate_moments(values - values.mean(axis=0, keepdims=True), grid)
-            plain = estimate_moments(values, grid)
+        assert main(argv) == 0
+        values, grid = compute_returns(ingest_csv(DATA)).returns, FrequencyGrid.from_periods((12, 6))
+        expected = estimate_moments(values - values.mean(axis=0, keepdims=True), grid)
+        plain = estimate_moments(values, grid)
         moments = read_moments_csv(tmp_path / "est" / "spectral_moments.csv")
         assert np.array_equal(moments.managed_mean, expected.managed_mean)
         assert np.array_equal(moments.managed_covariance, expected.managed_covariance)
@@ -377,9 +374,7 @@ def test_config_echo_holds_every_parsed_argument(tmp_path, command):
         ),
     }
     argv, echo_path = runs[command]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the window snap
-        assert main(argv) == 0
+    assert main(argv) == 0
     parsed = vars(build_parser().parse_args(argv))
     del parsed["func"]
     echo = json.loads(echo_path.read_text())
@@ -422,11 +417,16 @@ def test_writer_os_error_is_usage_error_naming_the_file(tmp_path, capsys, comman
     # a directory where the command writes a file: the write raises IsADirectoryError
     (tmp_path / occupied).mkdir(parents=True)
     out = tmp_path / ("p.csv" if command == "synth" else "out")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the window snap
-        assert main(output_argv(command, DATA, out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {tmp_path / occupied}: ")
+    assert main(output_argv(command, DATA, out)) == 2
+    *snaps, error = capsys.readouterr().err.splitlines()
+    assert error.startswith(f"error: cannot write {tmp_path / occupied}: ")
+    # the default level prints the window snap of each estimate before the failing write
+    expected_snaps = {
+        "synth": [],
+        "estimate": ["window snap: kept 120 samples, discarded 4 oldest"],
+        "backtest": 3 * ["window snap: kept 48 samples, discarded 11 oldest"],
+    }
+    assert snaps == expected_snaps[command]
 
 
 @pytest.mark.parametrize("header", ["date,SYN1,SYN1,SYN3,SYN4,SYN5", "date,,SYN2,SYN3,SYN4,SYN5"])
@@ -453,9 +453,7 @@ class TestLogLevel:
         argv = ["backtest", "--data", str(data), "--boundary", "2015-01", "--out-dir", str(tmp_path / "bt"), *flags]
         package_logger = logging.getLogger("specport")
         before = (package_logger.level, list(package_logger.handlers))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the window snap
-            assert main(argv) == 0
+        assert main(argv) == 0
         # main's stderr handler and level are gone once it returns
         assert (package_logger.level, package_logger.handlers) == before
 
@@ -473,7 +471,8 @@ class TestLogLevel:
         data = tmp_path / "damaged.csv"
         data.write_text("\n".join(lines) + "\n")
         self.backtest(tmp_path, data)
-        assert capsys.readouterr().err == f"{data}: dropping unusable row 11\n{data}: dropped 1 unusable row(s)\n"
+        dropped = f"{data}: dropping unusable row 11\n{data}: dropped 1 unusable row(s)\n"
+        assert capsys.readouterr().err == dropped + 3 * "window snap: kept 48 samples, discarded 10 oldest\n"
 
 
 def run_module(*argv):
@@ -514,7 +513,7 @@ class TestProcess:
         result = run_module("backtest", "--data", str(DATA), "--boundary", "2015-01", "--out-dir", str(out_dir))
         assert result.returncode == 0
         assert result.stdout.splitlines()[-1] == f"report written to {out_dir / 'report.txt'}"
-        assert "UserWarning: window snapped from 59 to 48 samples (11 oldest discarded)" in result.stderr
+        assert result.stderr == 3 * "window snap: kept 48 samples, discarded 11 oldest\n"
 
     def test_module_run_refuses_rho_above_limit(self, tmp_path):
         argv = ["backtest", "--data", str(rho_panel(tmp_path)), "--grids", "A,S,Q", "--boundary", "2036-02"]

@@ -81,12 +81,13 @@ class TestSpectralMean:
         with pytest.raises(ValidationError):
             estimate_spectral_mean(np.zeros((1, 1)), grid)
 
-    def test_snap_warns_and_discards_oldest(self):
+    def test_snap_warns_and_discards_oldest(self, caplog):
         grid = FrequencyGrid.from_periods((12,))
         t = np.arange(30)
         x = np.cos(2 * np.pi / 12 * t)[:, None]
-        with pytest.warns(UserWarning, match="snapped"):
+        with caplog.at_level(logging.WARNING, logger="specport.moments"):
             snapped = estimate_spectral_mean(x, grid)
+        assert [r.getMessage() for r in caplog.records] == ["window snap: kept 24 samples, discarded 6 oldest"]
         # equivalent to estimating on rows 6..29 with origin t0=6
         direct = estimate_spectral_mean(x[6:], grid, t0=6)
         assert np.allclose(snapped.upper, direct.upper, atol=1e-15)
@@ -99,12 +100,12 @@ class TestSpectralMean:
     def test_snap_logged_and_warned_once_per_estimate(self, caplog):
         grid = FrequencyGrid.from_periods((12,))
         x = np.random.default_rng(3).standard_normal((30, 2))
-        with caplog.at_level(logging.INFO, logger="specport.moments"):
-            with pytest.warns(UserWarning, match="snapped") as caught:
-                moments = estimate_moments(x, grid)
-        assert len(caught) == 1
+        with caplog.at_level(logging.INFO, logger="specport.moments"), warnings.catch_warnings():
+            warnings.simplefilter("error")  # the snap is a log record, not a warning
+            moments = estimate_moments(x, grid)
         assert moments.sample_count == 24
         (record,) = [r for r in caplog.records if r.name == "specport.moments"]
+        assert record.levelno == logging.WARNING
         assert (record.snap_kept, record.snap_discarded) == (24, 6)
         assert "kept 24" in record.getMessage() and "discarded 6" in record.getMessage()
 
@@ -137,15 +138,18 @@ class TestSpectralMean:
             estimator(panel, FrequencyGrid.from_periods((12,)))
 
     @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
-    def test_snap_warning_names_the_caller_and_log_keeps_counts(self, estimator, caplog):
+    @pytest.mark.parametrize(
+        "n_samples, level", [(40, logging.WARNING), (36, logging.INFO)], ids=["discarding", "keeping-all"]
+    )
+    def test_snap_is_one_record_keeping_counts(self, estimator, n_samples, level, caplog):
         grid = FrequencyGrid.from_periods((12, 4))
-        x = np.random.default_rng(5).standard_normal((40, 2))
+        x = np.random.default_rng(5).standard_normal((n_samples, 2))
         with caplog.at_level(logging.INFO, logger="specport.moments"):
-            with pytest.warns(UserWarning, match="snapped") as caught:
-                estimator(x, grid)
-        assert [record.filename for record in caught] == [__file__]
+            estimator(x, grid)
         (record,) = [r for r in caplog.records if r.name == "specport.moments"]
-        assert (record.snap_kept, record.snap_discarded) == (36, 4)
+        assert record.levelno == level
+        assert record.getMessage() == f"window snap: kept 36 samples, discarded {n_samples - 36} oldest"
+        assert (record.snap_kept, record.snap_discarded) == (36, n_samples - 36)
 
 
 class TestSpectralCovariance:

@@ -6,10 +6,10 @@ mean-variance problem on 2MN managed assets.  These properties pin that map
 and check the real code path against direct complex computations.
 """
 
+import logging.handlers
 import math
 import re
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,9 +174,7 @@ def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra, mode)
     """
     n_samples = grid.least_common_period() + extra
     panel = np.random.default_rng(seed).standard_normal((n_samples, n_assets))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the snap's warning
-        moments = estimate_moments(panel, grid, mode=mode)
+    moments = estimate_moments(panel, grid, mode=mode)
     compute_psd(moments)
     pairs = [(m, n) for m in range(grid.n_bins) for n in range(grid.n_bins)]
     blocks = {pair: (moments.bin_covariance(*pair), moments.bin_pseudo_covariance(*pair)) for pair in pairs}
@@ -236,8 +234,8 @@ def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, 
 
     Covers both modes, which store the same pair, t0 != 0, and windows grouped
     by class and not.  The estimator snaps the window to whole multiples of the
-    grid's least common period L, warning exactly when it discards samples, and
-    rejects a window shorter than L.
+    grid's least common period L, logging a warning exactly when it discards
+    samples, and rejects a window shorter than L.
     """
     period = grid.least_common_period()
     rng = np.random.default_rng(seed)
@@ -247,12 +245,17 @@ def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, 
         with pytest.raises(ValidationError, match="shorter than one least common period"):
             estimate_moments(panel, grid, mode=mode, t0=t0)
         return
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    snap_warnings = logging.handlers.BufferingHandler(capacity=16)
+    snap_warnings.setLevel(logging.WARNING)
+    moments_logger = logging.getLogger("specport.moments")
+    moments_logger.addHandler(snap_warnings)
+    try:
         moments = estimate_moments(panel, grid, mode=mode, t0=t0)
+    finally:
+        moments_logger.removeHandler(snap_warnings)
     kept = moments.sample_count
     assert kept == n_samples // period * period
-    assert len(caught) == (kept < n_samples)
+    assert len(snap_warnings.buffer) == (kept < n_samples)
     t = np.arange(t0 + n_samples - kept, t0 + n_samples)
     z = (_phases(t, grid)[:, :, np.newaxis] * panel[-kept:, np.newaxis, :]).reshape(kept, -1)
     mean = z.mean(axis=0)
