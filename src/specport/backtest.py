@@ -181,14 +181,21 @@ def _read_panel(path, require_positive: bool, min_rows: int):
     row, then a count.  Blank or repeated asset names in the header are an
     error naming their columns; duplicate or non-increasing timestamps among
     the kept rows are an error naming the offending source row, as are fewer
-    than ``min_rows`` kept rows.
+    than ``min_rows`` kept rows.  A file that cannot be read or decoded in
+    the locale's encoding, or a cell over csv's field size limit, is an
+    error naming the file (and, for the cell, its line).
     """
     source = Path(path)
     try:
         with source.open(newline="") as handle:
-            rows = [(line_no, row) for line_no, row in enumerate(csv.reader(handle), start=1) if row]
+            reader = csv.reader(handle)
+            rows = [(line_no, row) for line_no, row in enumerate(reader, start=1) if row]
     except OSError as exc:
         raise IngestionError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{source}: not {exc.encoding} text ({exc.reason})") from exc
+    except csv.Error as exc:
+        raise IngestionError(f"{source}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise IngestionError(f"{source}: empty file")
     header = rows[0][1]

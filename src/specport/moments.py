@@ -40,11 +40,11 @@ meaning of an explicit ridge depends on the mode.
 
 from __future__ import annotations
 
+import binascii
 import csv
 import itertools
 import logging
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -404,7 +404,7 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
 
 # --- flat CSV serialization (lossless at double precision) ---------------------
 
-_FORMAT_TAG = "specport-moments-v4"
+_FORMAT_TAG = "specport-moments-v5"
 
 
 def _grid_rows(grid: FrequencyGrid) -> dict[str, str]:
@@ -416,39 +416,21 @@ def _grid_rows(grid: FrequencyGrid) -> dict[str, str]:
     }
 
 
-def _layout(size: int):
-    """The keys of the moments file's numeric rows, as (prefix, columns) per line, in file order.
-
-    Entry c of a line is the row whose key is ``prefix + columns[c]``, the
-    ``record,i,j,`` fields before its value.  The first line is the managed
-    mean of ``size`` = 2MN, prefix ``mean,`` and columns ``i,,`` for each
-    index; then K has one line per row i, prefix ``cov,i,`` and columns ``j,``
-    for its upper triangle, diagonal included.  Each column key is formed
-    once, and the lines are yielded one at a time.
-    """
-    yield "mean,", [f"{i},," for i in range(size)]
-    columns = [f"{j}," for j in range(size)]
-    for i in range(size):
-        yield f"cov,{i},", columns[i:]
-
-
 def write_moments_csv(moments: SpectralMoments, path) -> None:
-    """Write moments to a flat CSV, the ``specport-moments-v4`` format.
+    """Write moments to a flat CSV, the ``specport-moments-v5`` format.
 
     Layout: a ``record,i,j,re,im`` header; ``meta`` rows (format, grid
-    frequencies/periods, label, n_assets, n_bins, sample_count, mode); the
-    rows of :func:`_layout`, ``mean,index,,value,`` for the real 2MN managed
-    mean and then ``cov,row,col,value,`` for the upper triangle, diagonal
-    included, of the managed covariance K, row by row; and last the
-    ``end,<count>,,,`` row, which counts every row between the header and
-    itself, so a reader detects a file cut short anywhere, even inside the
-    last number.  K is exactly symmetric, so its lower triangle is the
-    mirror.  The text of each line of the layout (the mean, or one row of K
-    right of the diagonal) is built in one join of the column keys with the
-    values.  Floats are written with ``repr``, as ``csv`` writes them, so
-    round trips are bit-exact.
+    frequencies/periods, label, n_assets, n_bins, sample_count, mode); one
+    ``mean,,,<data>,`` record for the real 2MN managed mean; one
+    ``cov,i,i,<data>,`` record per row i of the managed covariance K, holding
+    K[i, i:], its upper triangle with the diagonal; and last the
+    ``end,<count>,<crc>,,`` row.  ``<data>`` is the base64 of the values as
+    little-endian float64, so round trips are bit-exact.  ``<count>`` counts
+    every row between the header and the end row, and ``<crc>`` is the
+    CRC-32 of all the decoded bytes in file order, as 8 hex digits.  K is
+    exactly symmetric, so its lower triangle is the mirror.
     """
-    grid, cov = moments.grid, moments.managed_covariance
+    grid = moments.grid
     derived = _grid_rows(grid)
     meta = [
         ("format", _FORMAT_TAG),
@@ -460,16 +442,44 @@ def write_moments_csv(moments: SpectralMoments, path) -> None:
         ("sample_count", str(moments.sample_count)),
         ("mode", moments.mode),
     ]
-    size = cov.shape[0]
-    lines = itertools.chain([moments.managed_mean], (row[i:] for i, row in enumerate(cov)))
+    mean = np.ascontiguousarray(moments.managed_mean, dtype="<f8")
+    cov = np.ascontiguousarray(moments.managed_covariance, dtype="<f8")
+    records = itertools.chain([("mean,,,", mean)], ((f"cov,{i},{i},", row[i:]) for i, row in enumerate(cov)))
+    crc = 0
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record", "i", "j", "re", "im"])
         writer.writerows(["meta", key, value, "", ""] for key, value in meta)
-        for (prefix, columns), values in zip(_layout(size), lines):
-            text = f",\r\n{prefix}".join(map(operator.add, columns, map(repr, values.tolist())))
-            handle.write(f"{prefix}{text},\r\n")
-        writer.writerow(["end", len(meta) + size * (size + 3) // 2, "", "", ""])
+        for key, values in records:
+            crc = binascii.crc32(values, crc)
+            handle.write(f"{key}{binascii.b2a_base64(values, newline=False).decode()},\r\n")
+        writer.writerow(["end", len(meta) + 1 + cov.shape[0], f"{crc:08x}", "", ""])
+
+
+def _read_record(line, key: list[str], out: np.ndarray, crc: int) -> int:
+    """Decode the numeric record ``line`` into ``out``; return the CRC-32 ``crc`` continued over its bytes.
+
+    ``line`` must be the ``record,i,j`` fields ``key``, the writer's base64 of
+    ``out.size`` little-endian float64 values and a blank ``im`` field.  It is
+    split at commas, not read by ``csv``, whose field size limit it may pass.
+    """
+    if line is None:
+        raise ValidationError("truncated file (no end row)")
+    fields = line.rstrip("\r\n").split(",")
+    if fields[:3] != key:
+        raise ValueError(f"found row {fields[:3]} where {key} belongs")
+    if len(fields) != 5:
+        raise ValueError(f"row {key} has {len(fields)} fields, not 5")
+    if fields[4]:
+        raise ValueError(f"real {key[0]} record has an imaginary part {fields[4]!r}")
+    try:
+        data = binascii.a2b_base64(fields[3])
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        data = b""
+    if len(data) != 8 * out.size or binascii.b2a_base64(data, newline=False) != fields[3].encode():
+        raise ValueError(f"row {key} does not hold the base64 of {out.size} float64 values")
+    out[:] = np.frombuffer(data, "<f8")
+    return binascii.crc32(data, crc)
 
 
 def read_moments_csv(path) -> SpectralMoments:
@@ -477,34 +487,33 @@ def read_moments_csv(path) -> SpectralMoments:
 
     Builds the grid from the ``periods`` row; the ``omegas``, ``periods``
     and ``n_bins`` rows must then read exactly as the writer writes them for
-    that grid (the frequencies as ``repr`` text).  Streams the file once:
-    after the ``meta`` rows every numeric row must carry the next key of
-    :func:`_layout` and a blank ``im`` field, and its value is parsed into a
-    preallocated array, the mean's or that of K's upper triangle, which is
-    then mirrored into K.  The ``end`` row must carry the count of rows
-    before it and close the file.
+    that grid (the frequencies as ``repr`` text).  Streams the file one line
+    at a time: the header and ``meta`` rows through ``csv``, then the mean
+    and each row of K through :func:`_read_record`, straight into the arrays,
+    each row mirrored below the diagonal.  The ``end`` row must carry the
+    count of rows before it and the CRC-32 of every decoded byte, and close
+    the file, so a changed character anywhere in a record is refused.
 
     Raises ValidationError naming the file for a foreign, truncated or
     otherwise malformed file, including one whose grid rows disagree or
-    whose rows are not exactly the mean and then the triangle in the
-    written order, or of another format version (a consistent-mode v3 file
-    stored the pair at scale 2M), and for periods that :class:`FrequencyGrid`
-    or values that the :class:`SpectralMoments` constructor rejects
-    (non-finite entries, an unknown mode, a sample count below 1).
+    whose records are not exactly the mean and then the rows of K in order,
+    or of another format version (a consistent-mode v3 file stored the pair
+    at scale 2M), and for periods that :class:`FrequencyGrid` or values that
+    the :class:`SpectralMoments` constructor rejects (non-finite entries, an
+    unknown mode, a sample count below 1).
     """
     try:
         with Path(path).open(newline="") as handle:
-            rows = csv.reader(handle)
-            header = next(rows, None)
+            lines = iter(handle)
+            header = next(csv.reader(lines), None)
             if not header or header[0] != "record":
                 raise ValidationError(f"not a {_FORMAT_TAG} CSV (missing header)")
             meta: dict[str, str] = {}
-            count = 0
-            row = next(rows, None)
-            while row and row[0] == "meta":
+            line = next(lines, None)
+            while line is not None and line.startswith("meta,"):
+                row = next(csv.reader(itertools.chain([line], lines)))  # a quoted label may span lines
                 meta[row[1]] = row[2]
-                count += 1
-                row = next(rows, None)
+                line = next(lines, None)
             if meta.get("format") != _FORMAT_TAG:
                 raise ValidationError(f"unsupported format tag {meta.get('format')!r}")
             periods = tuple(int(tok) for tok in meta["periods"].split(";"))
@@ -514,34 +523,22 @@ def read_moments_csv(path) -> SpectralMoments:
                     raise ValidationError(f"meta {key} {meta[key]!r} does not match the grid's {expected!r}")
             n_assets = int(meta["n_assets"])
             size = 2 * grid.n_bins * n_assets
-            mean, upper = np.empty(size), np.empty(size * (size + 1) // 2)
-            keys = (prefix + column for prefix, columns in _layout(size) for column in columns)
-            for values in (mean, upper):
-                for index, key in zip(range(values.size), keys):
-                    if row is None:
-                        raise ValidationError("truncated file (no end row)")
-                    if f"{row[0]},{row[1]},{row[2]}," != key:
-                        raise ValueError(f"found row {row[:3]} where {key[:-1]!r} belongs")
-                    if row[4]:
-                        raise ValueError(f"real {row[0]} record has an imaginary part {row[4]!r}")
-                    values[index] = float(row[3])
-                    row = next(rows, None)
-            count += mean.size + upper.size
-            if row is None:
+            mean, cov = np.empty(size), np.empty((size, size))
+            crc = _read_record(line, ["mean", "", ""], mean, 0)
+            for i in range(size):
+                crc = _read_record(next(lines, None), ["cov", str(i), str(i)], cov[i, i:], crc)
+                cov[i + 1 :, i] = cov[i, i + 1 :]
+            count = len(meta) + 1 + size  # so a repeated meta row fails the count
+            line = next(lines, None)
+            if line is None:
                 raise ValidationError("truncated file (no end row)")
-            if row[0] != "end":
-                raise ValueError(
-                    f"expected {mean.size} mean entries and {upper.size} cov entries, "
-                    f"then the end row; found row {row[:3]}"
-                )
-            if row[1:] != [str(count), "", "", ""]:
-                raise ValidationError(f"truncated file (end row {row!r} after {count} rows)")
-            if next(rows, None) is not None:
+            end = line.rstrip("\r\n").split(",")
+            if end[0] != "end":
+                raise ValueError(f"expected the mean and {size} cov records, then the end row; found row {end[:3]}")
+            if end[1:] != [str(count), f"{crc:08x}", "", ""]:
+                raise ValidationError(f"end row {end} does not match the {count} rows and CRC-32 {crc:08x} before it")
+            if next(lines, None) is not None:
                 raise ValidationError("rows after the end row")
-        cov, start = np.empty((size, size)), 0
-        for i in range(size):  # mirror the upper triangle, one row and column at a time
-            cov[i, i:] = cov[i:, i] = upper[start : start + size - i]
-            start += size - i
         return SpectralMoments(
             grid=grid,
             n_assets=n_assets,
@@ -552,5 +549,7 @@ def read_moments_csv(path) -> SpectralMoments:
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: malformed CSV ({exc})") from exc
     except (KeyError, IndexError, ValueError) as exc:
         raise ValidationError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc

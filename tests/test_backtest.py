@@ -1,7 +1,9 @@
 """Ingestion, returns, splitting, strategy evaluation, the full protocol and its artifacts."""
 
+import codecs
 import csv
 import datetime
+import locale
 import logging
 import math
 import re
@@ -185,6 +187,32 @@ class TestIngest:
         for reader in (ingest_csv, read_returns_csv):
             with pytest.raises(IngestionError, match=f"^{re.escape(str(path))}: empty file$"):
                 reader(path)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            pytest.param(
+                b"date,AA\n2020-01-01,100\n2020-02-01,1\xff0\n2020-03-01,102\n",
+                "not utf-8 text (invalid start byte)",
+                marks=pytest.mark.skipif(
+                    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8", reason="a UTF-8 locale decodes"
+                ),
+                id="non-utf-8",
+            ),
+            pytest.param(
+                b"date,AA\n2020-01-01,100\n\n2020-02-01," + b"9" * 131073 + b"\n2020-03-01,102\n",
+                "line 4: field larger than field limit (131072)",
+                id="field-over-limit",
+            ),
+        ],
+    )
+    def test_undecodable_or_oversized_file_is_an_ingestion_error(self, tmp_path, content, message):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(content)
+        for reader in (ingest_csv, read_returns_csv):
+            with pytest.raises(IngestionError) as caught:
+                reader(path)
+            assert str(caught.value) == f"{path}: {message}"
 
     def test_integer_timestamps_accepted(self, tmp_path):
         path = write_csv(tmp_path, "t,AA\n0,100\n1,101\n2,103\n")

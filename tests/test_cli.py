@@ -1,8 +1,10 @@
 """Command-line behavior: file outputs, determinism, exit codes."""
 
+import codecs
 import csv
 import gc
 import json
+import locale
 import logging
 import os
 import subprocess
@@ -439,6 +441,27 @@ def test_blank_or_repeated_asset_name_exit_2(tmp_path, capsys, header):
     assert err.startswith("error: [stage: ingest] ")
     assert f"{data}: asset names in the header must be distinct and non-blank: " in err
     assert not (tmp_path / "bt").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "backtest"])
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        pytest.param(b"1\xff0", "not utf-8 text (invalid start byte)", id="non-utf-8"),
+        pytest.param(b"9" * 131073, "line 11: field larger than field limit (131072)", id="field-over-limit"),
+    ],
+)
+def test_undecodable_or_oversized_data_exit_2(tmp_path, capsys, command, cell, message):
+    if b"\xff" in cell and codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8":
+        pytest.skip("a UTF-8 locale decodes")
+    lines = DATA.read_bytes().splitlines(keepends=True)
+    lines[10] = lines[10].replace(b",", b"," + cell, 1)
+    data = tmp_path / "panel.csv"
+    data.write_bytes(b"".join(lines))
+    assert main(output_argv(command, data, tmp_path / "out")) == 2
+    stage = "[stage: ingest] " if command == "backtest" else ""
+    assert capsys.readouterr().err == f"error: {stage}{data}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "estimate", "backtest"])

@@ -1,12 +1,16 @@
 """Moment estimators: calibration, structure, the absolute-moment identity, serialization."""
 
+import base64
 import csv
 import dataclasses
 import logging
 import math
 import re
+import string
+import struct
 import tracemalloc
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -492,10 +496,10 @@ class TestPsd:
 
 
 def reference_write_moments(moments, path):
-    """Each row of the moments file written on its own by ``csv.writer``: the bytes ``write_moments_csv`` must give."""
+    """The moments file written row by row with ``csv``, ``base64`` and ``zlib``: the bytes ``write_moments_csv`` must give."""
     grid = moments.grid
     rows = [
-        ["meta", "format", "specport-moments-v4"],
+        ["meta", "format", "specport-moments-v5"],
         ["meta", "omegas", ";".join(repr(w) for w in grid.omegas)],
         ["meta", "periods", ";".join(str(p) for p in grid.periods)],
         ["meta", "label", grid.sample_period_label],
@@ -505,18 +509,37 @@ def reference_write_moments(moments, path):
         ["meta", "mode", moments.mode],
     ]
     rows = [[*row, "", ""] for row in rows]
-    rows += [["mean", i, "", value, ""] for i, value in enumerate(moments.managed_mean.tolist())]
-    cov = moments.managed_covariance.tolist()
-    rows += [["cov", i, j, cov[i][j], ""] for i in range(len(cov)) for j in range(i, len(cov))]
+    cov = moments.managed_covariance
+    records = [("mean", "", "", moments.managed_mean.tolist())]
+    records += [("cov", i, i, cov[i, i:].tolist()) for i in range(len(cov))]
+    crc = 0
+    for kind, i, j, values in records:
+        data = struct.pack(f"<{len(values)}d", *values)
+        crc = zlib.crc32(data, crc)
+        rows.append([kind, i, j, base64.b64encode(data).decode(), ""])
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record", "i", "j", "re", "im"])
         writer.writerows(rows)
-        writer.writerow(["end", len(rows), "", "", ""])
+        writer.writerow(["end", len(rows), f"{crc:08x}", "", ""])
+
+
+def replace_record(path, key, values):
+    """Put ``values`` into the record that starts with ``key`` (say ``"cov,1,1,"``) and renew the end row's CRC."""
+    lines = Path(path).read_bytes().decode().split("\r\n")
+    crc = 0
+    for k, line in enumerate(lines):
+        if line.startswith(key):
+            lines[k] = key + base64.b64encode(np.asarray(values, "<f8").tobytes()).decode() + ","
+        if line.startswith(("mean,", "cov,")):
+            crc = zlib.crc32(base64.b64decode(lines[k].split(",")[3]), crc)
+        if line.startswith("end,"):
+            lines[k] = ",".join([*line.split(",")[:2], f"{crc:08x}", "", ""])
+    Path(path).write_bytes("\r\n".join(lines).encode())
 
 
 def tiny_moments():
-    """One bin of period 4, one asset: 2MN = 2, so the file holds 2 mean and 3 cov rows."""
+    """One bin of period 4, one asset: 2MN = 2, so the file holds the mean and 2 cov records."""
     return SpectralMoments(
         grid=FrequencyGrid.from_periods((4,), "month, end"),
         n_assets=1,
@@ -524,6 +547,24 @@ def tiny_moments():
         managed_covariance=np.array([[2.0, 0.125], [0.125, 1e-3]]),
         sample_count=8,
     )
+
+
+# tiny_moments() as written: the records hold [0.5, -0.25], [2.0, 0.125] and [0.001] as little-endian float64
+TINY_FILE = (
+    b"record,i,j,re,im\r\n"
+    b"meta,format,specport-moments-v5,,\r\n"
+    b"meta,omegas,1.5707963267948966,,\r\n"
+    b"meta,periods,4,,\r\n"
+    b'meta,label,"month, end",,\r\n'
+    b"meta,n_assets,1,,\r\n"
+    b"meta,n_bins,1,,\r\n"
+    b"meta,sample_count,8,,\r\n"
+    b"meta,mode,paper-literal,,\r\n"
+    b"mean,,,AAAAAAAA4D8AAAAAAADQvw==,\r\n"
+    b"cov,0,0,AAAAAAAAAEAAAAAAAADAPw==,\r\n"
+    b"cov,1,1,/Knx0k1iUD8=,\r\n"
+    b"end,11,a905eb5b,,\r\n"
+)
 
 
 class TestSerialization:
@@ -548,16 +589,16 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda text: text[: text.rindex(",")],  # truncated mid-row: a short cov row
+            lambda text: text[: text.rindex(",")],  # truncated inside the end row
             lambda text: "\n".join(text.splitlines()[:-3]) + "\n",  # truncated at a row end
             lambda text: text.replace("meta,omegas,", "meta,frequencies,"),  # missing meta row
             lambda text: text.replace("meta,n_assets,", "meta,assets,"),  # missing meta row
-            lambda text: text.replace("cov,0,1,", "cov,0,x,"),  # non-integer index
-            lambda text: text.replace("cov,0,1,", "cov,0,-1,"),  # index out of range
-            lambda text: text.replace("mean,1,,", "mean,0,,"),  # duplicate index
-            lambda text: re.sub(r"^(mean,0,,[^,]*,)$", r"\g<1>0.5", text, flags=re.M),  # imaginary part
-            lambda text: text.replace("cov,0,1,", "cov,1,0,"),  # lower-triangle entry
-            lambda text: swap_lines(text, "cov,0,1,"),  # two adjacent cov rows swapped
+            lambda text: text.replace("cov,0,0,", "cov,0,x,"),  # non-integer index
+            lambda text: text.replace("cov,1,1,", "cov,1,-1,"),  # index out of range
+            lambda text: text.replace("cov,1,1,", "cov,0,0,"),  # duplicate row
+            lambda text: re.sub(r"^(mean,,,[^,]*,)$", r"\g<1>0.5", text, flags=re.M),  # imaginary part
+            lambda text: text.replace("cov,1,1,", "cov,1,0,"),  # a row that does not start at the diagonal
+            lambda text: swap_lines(text, "cov,0,0,"),  # two adjacent cov rows swapped
         ],
     )
     def test_malformed_file_raises_validation_error(self, tmp_path, damage):
@@ -565,40 +606,20 @@ class TestSerialization:
         grid = FrequencyGrid.from_periods((12, 6))
         path = tmp_path / "moments.csv"
         write_moments_csv(estimate_moments(rng.standard_normal((24, 2)), grid), path)
-        path.write_text(damage(path.read_text()))
+        text = path.read_text()
+        assert damage(text) != text
+        path.write_text(damage(text))
         with pytest.raises(ValidationError, match="moments.csv"):
             read_moments_csv(path)
 
     def test_golden_bytes(self, tmp_path):
-        grid = FrequencyGrid.from_periods((4,), "month, end")
-        moments = SpectralMoments(
-            grid=grid,
-            n_assets=1,
-            managed_mean=np.array([0.5, -0.25]),
-            managed_covariance=np.array([[2.0, 0.125], [0.125, 1e-3]]),
-            sample_count=8,
-        )
+        moments = tiny_moments()
         path = tmp_path / "moments.csv"
         write_moments_csv(moments, path)
-        assert path.read_bytes() == (
-            b"record,i,j,re,im\r\n"
-            b"meta,format,specport-moments-v4,,\r\n"
-            b"meta,omegas,1.5707963267948966,,\r\n"
-            b"meta,periods,4,,\r\n"
-            b'meta,label,"month, end",,\r\n'
-            b"meta,n_assets,1,,\r\n"
-            b"meta,n_bins,1,,\r\n"
-            b"meta,sample_count,8,,\r\n"
-            b"meta,mode,paper-literal,,\r\n"
-            b"mean,0,,0.5,\r\n"
-            b"mean,1,,-0.25,\r\n"
-            b"cov,0,0,2.0,\r\n"
-            b"cov,0,1,0.125,\r\n"
-            b"cov,1,1,0.001,\r\n"
-            b"end,13,,,\r\n"
-        )
+        assert path.read_bytes() == TINY_FILE
         loaded = read_moments_csv(path)
-        assert loaded.grid == grid
+        assert loaded.grid == moments.grid
+        assert np.array_equal(loaded.managed_mean, moments.managed_mean)
         assert np.array_equal(loaded.managed_covariance, moments.managed_covariance)
 
     @pytest.mark.parametrize("periods, n_assets", [((12, 6, 3), 2), ((12,), 55)], ids=["2MN=12", "2MN=110"])
@@ -622,28 +643,44 @@ class TestSerialization:
         write_moments_csv(moments, written)
         reference_write_moments(moments, expected)
         assert written.read_bytes() == expected.read_bytes()
+        loaded = read_moments_csv(written)
+        assert loaded.managed_mean.tobytes() == moments.managed_mean.tobytes()
+        assert loaded.managed_covariance.tobytes() == moments.managed_covariance.tobytes()
+
+    def test_writer_takes_a_column_ordered_covariance(self, tmp_path):
+        # the records are rows of a C-ordered copy, not of the column-ordered array's memory
+        moments = tiny_moments()
+        cov = np.asfortranarray(moments.managed_covariance)
+        moments = dataclasses.replace(moments, managed_covariance=cov)
+        assert moments.managed_covariance.flags.f_contiguous and not moments.managed_covariance.flags.c_contiguous
+        path = tmp_path / "moments.csv"
+        write_moments_csv(moments, path)
+        assert path.read_bytes() == TINY_FILE
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (("record,i,j,re,im\r\n", ""), "not a specport-moments-v4 CSV (missing header)"),
-            (("specport-moments-v4", "specport-moments-v9"), "unsupported format tag 'specport-moments-v9'"),
+            (("record,i,j,re,im\r\n", ""), "not a specport-moments-v5 CSV (missing header)"),
+            (("specport-moments-v5", "specport-moments-v9"), "unsupported format tag 'specport-moments-v9'"),
             (
-                ("cov,0,1,", "cov,1,0,"),
-                "malformed file (ValueError: found row ['cov', '1', '0'] where 'cov,0,1' belongs)",
+                ("cov,0,0,", "cov,1,0,"),
+                "malformed file (ValueError: found row ['cov', '1', '0'] where ['cov', '0', '0'] belongs)",
             ),
             (
-                ("mean,1,,-0.25,", "mean,1,,-0.25,0.5"),
-                "malformed file (ValueError: real mean record has an imaginary part '0.5')",
+                ("cov,1,1,/Knx0k1iUD8=,", "cov,1,1,/Knx0k1iUD8=,0.5"),
+                "malformed file (ValueError: real cov record has an imaginary part '0.5')",
             ),
-            (("end,13,,,\r\n", ""), "truncated file (no end row)"),
-            (("end,13,", "end,12,"), "truncated file (end row ['end', '12', '', '', ''] after 13 rows)"),
+            (("end,11,a905eb5b,,\r\n", ""), "truncated file (no end row)"),
             (
-                ("end,13,", "cov,1,2,0.5,\r\nend,14,"),
-                "malformed file (ValueError: expected 2 mean entries and 3 cov entries, "
-                "then the end row; found row ['cov', '1', '2'])",
+                ("end,11,", "end,10,"),
+                "end row ['end', '10', 'a905eb5b', '', ''] does not match the 11 rows and CRC-32 a905eb5b before it",
             ),
-            (("end,13,,,\r\n", "end,13,,,\r\nend,13,,,\r\n"), "rows after the end row"),
+            (
+                ("end,11,", "cov,2,2,AAAAAAAA8D8=,\r\nend,12,"),
+                "malformed file (ValueError: expected the mean and 2 cov records, then the end row; "
+                "found row ['cov', '2', '2'])",
+            ),
+            (("end,11,a905eb5b,,\r\n", "end,11,a905eb5b,,\r\nend,11,a905eb5b,,\r\n"), "rows after the end row"),
             (
                 ("meta,omegas,1.5707963267948966,", "meta,omegas,quarter,"),
                 "meta omegas 'quarter' does not match the grid's '1.5707963267948966'",
@@ -670,12 +707,33 @@ class TestSerialization:
                 ("meta,sample_count,8,", "meta,sample_count,8.5,"),
                 "malformed file (ValueError: invalid literal for int() with base 10: '8.5')",
             ),
+            # 0.125 -> 0.1328125: still canonical base64 of two values, so only the CRC tells
             (
-                ("cov,0,1,0.125,", "cov,0,1,1/8,"),
-                "malformed file (ValueError: could not convert string to float: '1/8')",
+                ("AAAAAAAAAEAAAAAAAADAPw==", "AAAAAAAAAEAAAAAAAADBPw=="),
+                "end row ['end', '11', 'a905eb5b', '', ''] does not match the 11 rows and CRC-32 46c78065 before it",
+            ),
+            (
+                ("cov,0,0,", "cov,0,0,1"),
+                "malformed file (ValueError: row ['cov', '0', '0'] does not hold the base64 of 2 float64 values)",
+            ),
+            # the last character's two spare bits set: the same bytes, but not as the writer encodes them
+            (
+                ("/Knx0k1iUD8=", "/Knx0k1iUD9="),
+                "malformed file (ValueError: row ['cov', '1', '1'] does not hold the base64 of 1 float64 values)",
+            ),
+            (
+                ("AAAAAAAAAEAAAAAAAADAPw==", "AAAAAAAAAEA="),
+                "malformed file (ValueError: row ['cov', '0', '0'] does not hold the base64 of 2 float64 values)",
+            ),
+            (
+                ("/Knx0k1iUD8=", "/Knx0k1iUé8="),
+                "malformed file (ValueError: row ['cov', '1', '1'] does not hold the base64 of 1 float64 values)",
             ),
             (("meta,periods,4,,", "meta,periods"), "malformed file (IndexError: list index out of range)"),
-            (("mean,1,,-0.25,", "mean,1,,-0.25"), "malformed file (IndexError: list index out of range)"),
+            (
+                ("AAAAAAAA4D8AAAAAAADQvw==,\r\n", "AAAAAAAA4D8AAAAAAADQvw==\r\n"),
+                "malformed file (ValueError: row ['mean', '', ''] has 4 fields, not 5)",
+            ),
         ],
         ids=[
             "missing-header",
@@ -695,6 +753,10 @@ class TestSerialization:
             "n_assets-value",
             "sample_count-value",
             "cov-value",
+            "not-base64",
+            "spare-bits",
+            "short-cov-row",
+            "non-ascii",
             "short-meta-row",
             "short-mean-row",
         ],
@@ -728,75 +790,148 @@ class TestSerialization:
         write_moments_csv(tiny_moments(), path)
         text = path.read_bytes().decode()
         assert text.count(f"meta,{row},,\r\n") == 1
-        path.write_bytes(text.replace(f"meta,{row},,\r\n", "").replace("end,13,", "end,12,").encode())
+        path.write_bytes(text.replace(f"meta,{row},,\r\n", "").replace("end,11,", "end,10,").encode())
         key = row.split(",")[0]
         with pytest.raises(ValidationError) as caught:
             read_moments_csv(path)
         assert str(caught.value) == f"{path}: malformed file (KeyError: '{key}')"
 
-    def test_previous_format_version_is_refused(self, tmp_path):
-        # a consistent-mode v3 file stored the mean at 2M and K at (2M)^2 times today's scale
+    def test_repeated_meta_row_fails_the_count(self, tmp_path):
+        path = tmp_path / "moments.csv"
+        path.write_bytes(TINY_FILE.replace(b"meta,n_bins,1,,\r\n", 2 * b"meta,n_bins,1,,\r\n").replace(b"end,11,", b"end,12,"))
+        with pytest.raises(ValidationError) as caught:
+            read_moments_csv(path)
+        assert str(caught.value) == (
+            f"{path}: end row ['end', '12', 'a905eb5b', '', ''] does not match the 11 rows and CRC-32 a905eb5b before it"
+        )
+
+    @pytest.mark.parametrize(
+        "version, records",
+        [
+            # a consistent-mode v3 file stored the mean at 2M and K at (2M)^2 times today's scale
+            ("v3", b"mean,0,,1.0,\r\nmean,1,,-0.5,\r\ncov,0,0,8.0,\r\ncov,0,1,0.5,\r\ncov,1,1,0.004,\r\nend,13,,,\r\n"),
+            # v4 held one decimal value per row
+            ("v4", b"mean,0,,0.5,\r\nmean,1,,-0.25,\r\ncov,0,0,2.0,\r\ncov,0,1,0.125,\r\ncov,1,1,0.001,\r\nend,13,,,\r\n"),
+        ],
+    )
+    def test_previous_format_versions_are_refused(self, tmp_path, version, records):
         path = tmp_path / "moments.csv"
         path.write_bytes(
             b"record,i,j,re,im\r\n"
-            b"meta,format,specport-moments-v3,,\r\n"
+            b"meta,format,specport-moments-" + version.encode() + b",,\r\n"
             b"meta,omegas,1.5707963267948966,,\r\n"
             b"meta,periods,4,,\r\n"
             b"meta,label,month,,\r\n"
             b"meta,n_assets,1,,\r\n"
             b"meta,n_bins,1,,\r\n"
             b"meta,sample_count,8,,\r\n"
-            b"meta,mode,consistent,,\r\n"
-            b"mean,0,,1.0,\r\n"
-            b"mean,1,,-0.5,\r\n"
-            b"cov,0,0,8.0,\r\n"
-            b"cov,0,1,0.5,\r\n"
-            b"cov,1,1,0.004,\r\n"
-            b"end,13,,,\r\n"
+            b"meta,mode,consistent,,\r\n" + records
         )
-        with pytest.raises(ValidationError, match=re.escape(f"{path}: unsupported format tag 'specport-moments-v3'")):
+        with pytest.raises(ValidationError) as caught:
             read_moments_csv(path)
+        assert str(caught.value) == f"{path}: unsupported format tag 'specport-moments-{version}'"
 
     def test_write_and_read_stream_the_rows(self, tmp_path):
-        # 2MN = 300: K is 0.72 MB; a list of every row, or of the triangle's indices, is several times that
+        # 2MN = 300: K is 0.72 MB; the writer makes no copy of it, and the reader only the K it returns
         grid = FrequencyGrid.from_periods((12, 6, 3))
         moments = estimate_moments(np.random.default_rng(22).standard_normal((480, 50)), grid)
-        budget = 4 * moments.managed_covariance.nbytes
         path = tmp_path / "moments.csv"
-        for call in (lambda: write_moments_csv(moments, path), lambda: read_moments_csv(path)):
+        for call, budget in ((lambda: write_moments_csv(moments, path), 0.5), (lambda: read_moments_csv(path), 1.5)):
             tracemalloc.start()
             try:
                 call()
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= budget
+            assert peak <= budget * moments.managed_covariance.nbytes
         assert np.array_equal(read_moments_csv(path).managed_covariance, moments.managed_covariance)
 
-    def test_truncation_inside_last_number_raises(self, tmp_path):
+    def test_truncation_inside_a_record_raises(self, tmp_path):
         rng = np.random.default_rng(19)
         path = tmp_path / "moments.csv"
         grid = FrequencyGrid.from_periods((12, 6))
         write_moments_csv(estimate_moments(rng.standard_normal((24, 2)), grid), path)
-        text = path.read_text()
-        last_number_end = text.rindex(",\nend,")  # the last cov row ends in a blank im field
-        assert text[last_number_end - 2 : last_number_end].isdigit()
-        path.write_text(text[: last_number_end - 1])  # cut inside the last cov number
-        # the cut row lost its im field, so the reader stops there, before the end-row check
-        with pytest.raises(ValidationError, match="moments.csv: malformed file"):
+        text = path.read_bytes().decode()
+        for cut in range(text.rindex("\r\ncov,") + 2, text.rindex("\r\nend,")):  # every cut of the last cov record
+            path.write_bytes(text[:cut].encode())
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: (malformed file|truncated file)"):
+                read_moments_csv(path)
+
+    def test_every_changed_record_character_is_refused(self, tmp_path):
+        # each base64 character of each record replaced by each other one: the CRC or the encoding check refuses it
+        path = tmp_path / "moments.csv"
+        alphabet = string.ascii_letters + string.digits + "+/="
+        lines = TINY_FILE.decode().split("\r\n")
+        for k, line in enumerate(lines):
+            if not line.startswith(("mean,", "cov,")):
+                continue
+            start = line.rindex(",", 0, -1) + 1
+            for position in range(start, len(line) - 1):
+                for char in alphabet.replace(line[position], ""):
+                    lines[k] = line[:position] + char + line[position + 1 :]
+                    path.write_bytes("\r\n".join(lines).encode())
+                    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+                        read_moments_csv(path)
+            lines[k] = line
+
+    def test_benchmark_damage_of_the_first_cov_record_is_refused(self, tmp_path):
+        # the text edit that the benchmark's self-test applies to a written file
+        grid = FrequencyGrid.from_periods((12, 6, 3))
+        moments = estimate_moments(np.random.default_rng(23).standard_normal((120, 5)), grid)
+        path = tmp_path / "spectral_moments.csv"
+        write_moments_csv(moments, path)
+        path.write_text(path.read_text().replace("cov,0,0,", "cov,0,0,1", 1))
+        with pytest.raises(ValidationError) as caught:
             read_moments_csv(path)
+        assert str(caught.value) == (
+            f"{path}: malformed file (ValueError: row ['cov', '0', '0'] does not hold the base64 of 30 float64 values)"
+        )
+
+    def test_records_longer_than_the_csv_field_limit_read_back(self, tmp_path):
+        # the records are split at commas, so no file needs a raised csv.field_size_limit
+        grid = FrequencyGrid.from_periods((12, 6, 3))
+        moments = estimate_moments(np.random.default_rng(24).standard_normal((120, 2)), grid)
+        path = tmp_path / "moments.csv"
+        write_moments_csv(moments, path)
+        limit = 64  # the meta rows stay below it; the mean record alone is 128 characters of base64
+        assert max(len(line) for line in path.read_text().splitlines()) > 2 * limit
+        previous = csv.field_size_limit(limit)
+        try:
+            loaded = read_moments_csv(path)
+            assert csv.field_size_limit() == limit
+        finally:
+            csv.field_size_limit(previous)
+        assert loaded.managed_mean.tobytes() == moments.managed_mean.tobytes()
+        assert loaded.managed_covariance.tobytes() == moments.managed_covariance.tobytes()
+
+    def test_field_over_the_csv_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "moments.csv"
+        path.write_bytes(TINY_FILE.replace(b'"month, end"', b"m" * 131073))
+        with pytest.raises(ValidationError) as caught:
+            read_moments_csv(path)
+        assert str(caught.value) == f"{path}: malformed CSV (field larger than field limit (131072))"
+
+    def test_label_spanning_lines_reads_back(self, tmp_path):
+        moments = tiny_moments()
+        moments = dataclasses.replace(moments, grid=FrequencyGrid.from_periods((4,), 'month\r\nend, "q"'))
+        path = tmp_path / "moments.csv"
+        write_moments_csv(moments, path)
+        assert read_moments_csv(path).grid == moments.grid
 
     @pytest.mark.parametrize(
         "edit, match",
         [
-            ((r"^mean,0,,[^,]*,", "mean,0,,nan,"), "non-finite"),
-            ((r"^cov,1,1,[^,]*,", "cov,1,1,inf,"), "non-finite"),
-            ((r"^meta,mode,[^,]*,", "meta,mode,bogus,"), "unknown estimator mode"),
-            ((r"^meta,sample_count,[^,]*,", "meta,sample_count,-3,"), "sample_count"),
-            # zero assets leave no room for the stored rows, so the entry count fails first
-            ((r"^meta,n_assets,[^,]*,", "meta,n_assets,0,"), "expected 0 mean entries"),
+            (("mean,,,", [np.nan] + 7 * [0.0]), "managed mean has non-finite entries"),
+            (("cov,1,1,", [np.inf] + 6 * [0.0]), "managed covariance has non-finite entries"),
+            ((r"^meta,mode,[^,]*,", "meta,mode,bogus,"), "unknown estimator mode 'bogus'"),
+            ((r"^meta,sample_count,[^,]*,", "meta,sample_count,-3,"), "sample_count must be >= 1, got -3"),
+            # zero assets leave no room for the stored values, so the mean record fails first
+            (
+                (r"^meta,n_assets,[^,]*,", "meta,n_assets,0,"),
+                re.escape("row ['mean', '', ''] does not hold the base64 of 0 float64 values"),
+            ),
             ((r"^meta,format,[^,]*,", "meta,format,specport-moments-v2,"), "unsupported format tag"),
-            ((r"^end,[^,]*,,,$", r"\g<0>\nmean,0,,1.0,"), "rows after the end row"),
+            ((r"^end,[^,]*,[^,]*,,$", r"\g<0>\nmean,,,AAAAAAAA8D8=,"), "rows after the end row"),
         ],
     )
     def test_rejected_values_name_the_file(self, tmp_path, edit, match):
@@ -804,9 +939,12 @@ class TestSerialization:
         path = tmp_path / "moments.csv"
         write_moments_csv(estimate_moments(rng.standard_normal((24, 2)), FrequencyGrid.from_periods((12, 6))), path)
         pattern, replacement = edit
-        text, count = re.subn(pattern, replacement, path.read_text(), flags=re.M)
-        assert count == 1
-        path.write_text(text)
+        if isinstance(replacement, list):  # a record that holds these values, the CRC renewed to match
+            replace_record(path, pattern, replacement)
+        else:
+            text, count = re.subn(pattern, replacement, path.read_text(), flags=re.M)
+            assert count == 1
+            path.write_text(text)
         with pytest.raises(ValidationError, match=f"moments.csv: .*{match}"):
             read_moments_csv(path)
 

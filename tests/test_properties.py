@@ -9,6 +9,7 @@ and check the real code path against direct complex computations.
 import logging.handlers
 import math
 import re
+import string
 import tempfile
 from pathlib import Path
 
@@ -16,10 +17,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from specport import (
     FrequencyGrid,
     RiskSpec,
+    SpectralMoments,
     SpectralWeights,
     build_basis,
     compute_psd,
@@ -198,6 +201,54 @@ def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra, mode)
         moments.sample_count,
         moments.mode,
     )
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), grid=serial_grids, n_assets=asset_counts, mode=st.sampled_from(("paper-literal", "consistent")))
+def test_moments_file_keeps_every_float64_bit_pattern(data, grid, n_assets, mode):
+    """Any finite mean and symmetric K round-trip bit for bit: signed zeros, subnormals and extremes included."""
+    dim = 2 * grid.n_bins * n_assets
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    mean = data.draw(hnp.arrays(np.float64, dim, elements=finite))
+    raw = data.draw(hnp.arrays(np.float64, (dim, dim), elements=finite))
+    moments = SpectralMoments(
+        grid=grid,
+        n_assets=n_assets,
+        managed_mean=mean,
+        managed_covariance=np.where(np.arange(dim)[:, np.newaxis] <= np.arange(dim), raw, raw.T),
+        sample_count=data.draw(st.integers(min_value=1, max_value=10**6)),
+        mode=mode,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "moments.csv"
+        write_moments_csv(moments, path)
+        loaded = read_moments_csv(path)
+    assert loaded.managed_mean.tobytes() == moments.managed_mean.tobytes()
+    assert loaded.managed_covariance.tobytes() == moments.managed_covariance.tobytes()
+    assert (loaded.grid, loaded.sample_count, loaded.mode) == (grid, moments.sample_count, mode)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=seeds,
+    grid=serial_grids,
+    n_assets=asset_counts,
+    where=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    char=st.sampled_from(string.ascii_letters + string.digits + "+/=,-. \r\n"),
+)
+def test_moments_file_refuses_any_changed_record_character(seed, grid, n_assets, where, char):
+    """One character changed anywhere from the mean record to the end of the file is refused, naming the file."""
+    panel = np.random.default_rng(seed).standard_normal((grid.least_common_period(), n_assets))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "moments.csv"
+        write_moments_csv(estimate_moments(panel, grid), path)
+        text = path.read_bytes().decode()
+        start = text.index("\r\nmean,") + 2
+        position = start + int(where * (len(text) - start))
+        assume(text[position] != char)
+        path.write_bytes((text[:position] + char + text[position + 1 :]).encode())
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
+            read_moments_csv(path)
 
 
 @PROPERTY_SETTINGS
