@@ -17,7 +17,7 @@ from specport import (
 
 rng = np.random.default_rng(0)
 
-grid = FrequencyGrid.from_periods((12, 8, 6), sample_period_label="month")
+grid = FrequencyGrid.from_periods((12, 8, 6))
 print("grid periods:", grid.periods, "-> angular frequencies:", np.round(grid.omegas, 4))
 print("least common period:", grid.least_common_period(), "samples")
 print("snap a 100-sample window:", commensurate_length(100, grid))

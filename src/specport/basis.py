@@ -71,7 +71,6 @@ class FrequencyGrid:
     """
 
     periods: tuple[int, ...]
-    sample_period_label: str = "sample"
 
     def __post_init__(self) -> None:
         given = tuple(self.periods)
@@ -97,9 +96,9 @@ class FrequencyGrid:
         object.__setattr__(self, "periods", tuple(sorted(periods, reverse=True)))
 
     @classmethod
-    def from_periods(cls, periods, sample_period_label: str = "sample") -> "FrequencyGrid":
+    def from_periods(cls, periods) -> "FrequencyGrid":
         """Build a grid from integer periods in samples (e.g. 12, 6, 3 for monthly data), in any order."""
-        return cls(periods, sample_period_label)
+        return cls(periods)
 
     @property
     def omegas(self) -> tuple[float, ...]:

@@ -41,8 +41,6 @@ meaning of an explicit ridge depends on the mode.
 from __future__ import annotations
 
 import binascii
-import csv
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -404,152 +402,137 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
 
 # --- flat CSV serialization (lossless at double precision) ---------------------
 
-_FORMAT_TAG = "specport-moments-v5"
+_FORMAT_TAG = "specport-moments-v6"
+_HEADER = "record,i,j,re,im"
+_META_KEYS = ("format", "periods", "n_assets", "sample_count", "mode")
 
 
-def _grid_rows(grid: FrequencyGrid) -> dict[str, str]:
-    """The values of the moments file's meta rows that the grid's periods determine, as written."""
-    return {
-        "omegas": ";".join(repr(w) for w in grid.omegas),
-        "periods": ";".join(str(p) for p in grid.periods),
-        "n_bins": str(grid.n_bins),
-    }
+def _file_rows(moments: SpectralMoments):
+    """The rows of the moments file before its end row, as bytes, each with its CRLF."""
+    periods = ";".join(map(str, moments.grid.periods))
+    meta = (_FORMAT_TAG, periods, moments.n_assets, moments.sample_count, moments.mode)
+    yield f"{_HEADER}\r\n".encode()
+    for key, value in zip(_META_KEYS, meta):
+        yield f"meta,{key},{value},,\r\n".encode()
+    mean = np.ascontiguousarray(moments.managed_mean, dtype="<f8")
+    yield b"mean,,," + binascii.b2a_base64(mean, newline=False) + b",\r\n"
+    cov = np.ascontiguousarray(moments.managed_covariance, dtype="<f8")
+    for i, row in enumerate(cov):
+        yield b"cov,%d,%d,%s,\r\n" % (i, i, binascii.b2a_base64(row[i:], newline=False))
 
 
 def write_moments_csv(moments: SpectralMoments, path) -> None:
-    """Write moments to a flat CSV, the ``specport-moments-v5`` format.
+    """Write moments to a flat CSV, the ``specport-moments-v6`` format.
 
-    Layout: a ``record,i,j,re,im`` header; ``meta`` rows (format, grid
-    frequencies/periods, label, n_assets, n_bins, sample_count, mode); one
-    ``mean,,,<data>,`` record for the real 2MN managed mean; one
-    ``cov,i,i,<data>,`` record per row i of the managed covariance K, holding
-    K[i, i:], its upper triangle with the diagonal; and last the
-    ``end,<count>,<crc>,,`` row.  ``<data>`` is the base64 of the values as
-    little-endian float64, so round trips are bit-exact.  ``<count>`` counts
-    every row between the header and the end row, and ``<crc>`` is the
-    CRC-32 of all the decoded bytes in file order, as 8 hex digits.  K is
-    exactly symmetric, so its lower triangle is the mirror.
+    Every row has five comma-separated fields, ends in CRLF and has a fixed
+    place: the ``record,i,j,re,im`` header; the ``meta,<key>,<value>,,``
+    rows format, periods (longest first, joined by ``;``), n_assets,
+    sample_count and mode, in that order; one ``mean,,,<data>,`` record for
+    the real 2MN managed mean; one ``cov,i,i,<data>,`` record per row i of
+    the managed covariance K, holding K[i, i:], its upper triangle with the
+    diagonal; and last the ``end,crc32,<crc>,,`` row.  ``<data>`` is the
+    base64 of the values as little-endian float64, so round trips are
+    bit-exact, and ``<crc>`` is the CRC-32 of every byte before the end row,
+    as 8 hex digits.  K is exactly symmetric, so its lower triangle is the
+    mirror.
     """
-    grid = moments.grid
-    derived = _grid_rows(grid)
-    meta = [
-        ("format", _FORMAT_TAG),
-        ("omegas", derived["omegas"]),
-        ("periods", derived["periods"]),
-        ("label", grid.sample_period_label),
-        ("n_assets", str(moments.n_assets)),
-        ("n_bins", derived["n_bins"]),
-        ("sample_count", str(moments.sample_count)),
-        ("mode", moments.mode),
-    ]
-    mean = np.ascontiguousarray(moments.managed_mean, dtype="<f8")
-    cov = np.ascontiguousarray(moments.managed_covariance, dtype="<f8")
-    records = itertools.chain([("mean,,,", mean)], ((f"cov,{i},{i},", row[i:]) for i, row in enumerate(cov)))
     crc = 0
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["record", "i", "j", "re", "im"])
-        writer.writerows(["meta", key, value, "", ""] for key, value in meta)
-        for key, values in records:
-            crc = binascii.crc32(values, crc)
-            handle.write(f"{key}{binascii.b2a_base64(values, newline=False).decode()},\r\n")
-        writer.writerow(["end", len(meta) + 1 + cov.shape[0], f"{crc:08x}", "", ""])
+    with Path(path).open("wb") as handle:
+        for row in _file_rows(moments):
+            crc = binascii.crc32(row, crc)
+            handle.write(row)
+        handle.write(b"end,crc32,%08x,,\r\n" % crc)
 
 
-def _read_record(line, key: list[str], out: np.ndarray, crc: int) -> int:
-    """Decode the numeric record ``line`` into ``out``; return the CRC-32 ``crc`` continued over its bytes.
+def _split_rows(handle):
+    """Each line of ``handle`` split at commas, with the CRC-32 of every byte before that line."""
+    crc = 0
+    for line in handle:
+        yield line.rstrip(b"\r\n").decode("ascii").split(","), crc
+        crc = binascii.crc32(line, crc)
 
-    ``line`` must be the ``record,i,j`` fields ``key``, the writer's base64 of
-    ``out.size`` little-endian float64 values and a blank ``im`` field.  It is
-    split at commas, not read by ``csv``, whose field size limit it may pass.
+
+def _field(rows, key: list[str]) -> tuple[str, int]:
+    """The value of the next row of ``rows`` and the CRC-32 before it.
+
+    The row must be the fields ``key``, the value, and blank fields up to
+    five fields in all.
     """
-    if line is None:
+    row = next(rows, None)
+    if row is None:
         raise ValidationError("truncated file (no end row)")
-    fields = line.rstrip("\r\n").split(",")
-    if fields[:3] != key:
+    fields, crc = row
+    at = len(key)
+    if fields[:at] != key:
         raise ValueError(f"found row {fields[:3]} where {key} belongs")
-    if len(fields) != 5:
-        raise ValueError(f"row {key} has {len(fields)} fields, not 5")
-    if fields[4]:
-        raise ValueError(f"real {key[0]} record has an imaginary part {fields[4]!r}")
+    if len(fields) != 5 or any(fields[at + 1 :]):
+        raise ValueError(f"row {key} is not {','.join([*key, '<value>'] + [''] * (4 - at))!r}")
+    return fields[at], crc
+
+
+def _values(rows, key: list[str], size: int) -> np.ndarray:
+    """The ``size`` float64 values of the next record of ``rows``, which must hold the base64 of exactly that many."""
+    text, _ = _field(rows, key)
     try:
-        data = binascii.a2b_base64(fields[3])
-    except ValueError:  # binascii.Error, or a character outside ASCII
+        data = binascii.a2b_base64(text)
+    except ValueError:  # binascii.Error
         data = b""
-    if len(data) != 8 * out.size or binascii.b2a_base64(data, newline=False) != fields[3].encode():
-        raise ValueError(f"row {key} does not hold the base64 of {out.size} float64 values")
-    out[:] = np.frombuffer(data, "<f8")
-    return binascii.crc32(data, crc)
+    if len(data) != 8 * size:
+        raise ValueError(f"row {key} does not hold the base64 of {size} float64 values")
+    return np.frombuffer(data, "<f8")
 
 
 def read_moments_csv(path) -> SpectralMoments:
     """Inverse of :func:`write_moments_csv`, bit-exact.
 
-    Builds the grid from the ``periods`` row; the ``omegas``, ``periods``
-    and ``n_bins`` rows must then read exactly as the writer writes them for
-    that grid (the frequencies as ``repr`` text).  Streams the file one line
-    at a time: the header and ``meta`` rows through ``csv``, then the mean
-    and each row of K through :func:`_read_record`, straight into the arrays,
-    each row mirrored below the diagonal.  The ``end`` row must carry the
-    count of rows before it and the CRC-32 of every decoded byte, and close
-    the file, so a changed character anywhere in a record is refused.
+    Streams the file one line at a time and splits every row at commas: the
+    header, then the meta rows, read by position; then the mean record,
+    which must hold the 2MN values that the periods and n_assets rows give
+    before K is allocated; then each row of K straight into K, mirrored
+    below the diagonal.  The end row must carry the CRC-32 of every byte
+    before it and close the file, so a change to any row is refused.
 
     Raises ValidationError naming the file for a foreign, truncated or
-    otherwise malformed file, including one whose grid rows disagree or
-    whose records are not exactly the mean and then the rows of K in order,
-    or of another format version (a consistent-mode v3 file stored the pair
-    at scale 2M), and for periods that :class:`FrequencyGrid` or values that
-    the :class:`SpectralMoments` constructor rejects (non-finite entries, an
+    otherwise malformed file, including one whose rows are not exactly the
+    header, the meta rows, the mean and the rows of K in order, or of
+    another format version (a v5 file kept its meta rows outside its CRC),
+    and for periods that :class:`FrequencyGrid` or values that the
+    :class:`SpectralMoments` constructor rejects (non-finite entries, an
     unknown mode, a sample count below 1).
     """
     try:
-        with Path(path).open(newline="") as handle:
-            lines = iter(handle)
-            header = next(csv.reader(lines), None)
-            if not header or header[0] != "record":
+        with Path(path).open("rb") as handle:
+            rows = _split_rows(handle)
+            if next(rows, ([],))[0] != _HEADER.split(","):
                 raise ValidationError(f"not a {_FORMAT_TAG} CSV (missing header)")
-            meta: dict[str, str] = {}
-            line = next(lines, None)
-            while line is not None and line.startswith("meta,"):
-                row = next(csv.reader(itertools.chain([line], lines)))  # a quoted label may span lines
-                meta[row[1]] = row[2]
-                line = next(lines, None)
-            if meta.get("format") != _FORMAT_TAG:
-                raise ValidationError(f"unsupported format tag {meta.get('format')!r}")
-            periods = tuple(int(tok) for tok in meta["periods"].split(";"))
-            grid = FrequencyGrid(periods, meta["label"])
-            for key, expected in _grid_rows(grid).items():
-                if meta[key] != expected:
-                    raise ValidationError(f"meta {key} {meta[key]!r} does not match the grid's {expected!r}")
-            n_assets = int(meta["n_assets"])
+            tag, _ = _field(rows, ["meta", "format"])
+            if tag != _FORMAT_TAG:
+                raise ValidationError(f"unsupported format tag {tag!r}")
+            periods, n_assets, sample_count, mode = (_field(rows, ["meta", key])[0] for key in _META_KEYS[1:])
+            grid = FrequencyGrid(tuple(int(p) for p in periods.split(";")))
+            n_assets, sample_count = int(n_assets), int(sample_count)
             size = 2 * grid.n_bins * n_assets
-            mean, cov = np.empty(size), np.empty((size, size))
-            crc = _read_record(line, ["mean", "", ""], mean, 0)
+            mean = _values(rows, ["mean", "", ""], size)
+            cov = np.empty((size, size))  # allocated only once the mean record holds 2MN values
             for i in range(size):
-                crc = _read_record(next(lines, None), ["cov", str(i), str(i)], cov[i, i:], crc)
+                cov[i, i:] = _values(rows, ["cov", str(i), str(i)], size - i)
                 cov[i + 1 :, i] = cov[i, i + 1 :]
-            count = len(meta) + 1 + size  # so a repeated meta row fails the count
-            line = next(lines, None)
-            if line is None:
-                raise ValidationError("truncated file (no end row)")
-            end = line.rstrip("\r\n").split(",")
-            if end[0] != "end":
-                raise ValueError(f"expected the mean and {size} cov records, then the end row; found row {end[:3]}")
-            if end[1:] != [str(count), f"{crc:08x}", "", ""]:
-                raise ValidationError(f"end row {end} does not match the {count} rows and CRC-32 {crc:08x} before it")
-            if next(lines, None) is not None:
+            stored, crc = _field(rows, ["end", "crc32"])
+            if stored != f"{crc:08x}":
+                raise ValidationError(
+                    f"end row CRC-32 {stored!r} does not match {crc:08x}, the CRC-32 of every byte before it"
+                )
+            if next(rows, None) is not None:
                 raise ValidationError("rows after the end row")
         return SpectralMoments(
             grid=grid,
             n_assets=n_assets,
             managed_mean=mean,
             managed_covariance=cov,
-            sample_count=int(meta["sample_count"]),
-            mode=meta["mode"],
+            sample_count=sample_count,
+            mode=mode,
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    except csv.Error as exc:
-        raise ValidationError(f"{path}: malformed CSV ({exc})") from exc
-    except (KeyError, IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"{path}: malformed file ({type(exc).__name__}: {exc})") from exc

@@ -10,7 +10,7 @@ CANDIDATE_PERIODS = (24, 18, 16, 12, 10, 9, 8, 7, 6, 5, 4, 3)
 def random_grid(rng, max_bins=4, candidates=CANDIDATE_PERIODS) -> FrequencyGrid:
     n_bins = int(rng.integers(1, max_bins + 1))
     periods = rng.choice(candidates, size=n_bins, replace=False)
-    return FrequencyGrid.from_periods(sorted(int(p) for p in periods), "month")
+    return FrequencyGrid.from_periods(sorted(int(p) for p in periods))
 
 
 def swap_lines(text: str, prefix: str) -> str:

@@ -54,12 +54,19 @@ class TestFrequencyGrid:
                 build(periods)
 
     def test_direct_construction_normalizes_as_from_periods(self):
-        grid = FrequencyGrid(periods=[6, 12.0, 3], sample_period_label="month")
-        assert grid == FrequencyGrid.from_periods((3, 6, 12), "month")
+        grid = FrequencyGrid(periods=[6, 12.0, 3])
+        assert grid == FrequencyGrid.from_periods((3, 6, 12))
         assert grid.periods == (12, 6, 3) and all(type(p) is int for p in grid.periods)
         assert grid.omegas == (2.0 * math.pi / 12, 2.0 * math.pi / 6, 2.0 * math.pi / 3)
         assert grid.n_bins == 3
-        assert [f.name for f in dataclasses.fields(FrequencyGrid)] == ["periods", "sample_period_label"]
+        assert [f.name for f in dataclasses.fields(FrequencyGrid)] == ["periods"]
+
+    def test_grid_is_its_periods_only(self):
+        grid = FrequencyGrid.from_periods((12, 6))
+        assert vars(grid) == {"periods": (12, 6)}
+        for build in (FrequencyGrid, FrequencyGrid.from_periods):
+            with pytest.raises(TypeError):
+                build((12, 6), "month")
 
     def test_nyquist_allowed_with_warning(self):
         with pytest.warns(UserWarning, match="Nyquist"):

@@ -19,6 +19,8 @@ import pytest
 from specport import (
     FrequencyGrid,
     PsdMatrix,
+    RiskSpec,
+    SingularCovarianceError,
     SpectralMoments,
     ValidationError,
     build_basis,
@@ -26,10 +28,11 @@ from specport import (
     estimate_moments,
     estimate_spectral_mean,
     read_moments_csv,
+    solve_spectral_mvo,
     write_moments_csv,
 )
 from specport.basis import _to_augmented
-from specport.moments import _SYMMETRY_BLOCK, _is_exactly_symmetric
+from specport.moments import _SYMMETRY_BLOCK, MODES, _is_exactly_symmetric
 
 from conftest import check_invariants, swap_lines
 
@@ -496,52 +499,46 @@ class TestPsd:
 
 
 def reference_write_moments(moments, path):
-    """The moments file written row by row with ``csv``, ``base64`` and ``zlib``: the bytes ``write_moments_csv`` must give."""
+    """The moments file written row by row with ``base64``, ``struct`` and ``zlib``: the bytes ``write_moments_csv`` must give."""
     grid = moments.grid
     rows = [
-        ["meta", "format", "specport-moments-v5"],
-        ["meta", "omegas", ";".join(repr(w) for w in grid.omegas)],
-        ["meta", "periods", ";".join(str(p) for p in grid.periods)],
-        ["meta", "label", grid.sample_period_label],
-        ["meta", "n_assets", moments.n_assets],
-        ["meta", "n_bins", grid.n_bins],
-        ["meta", "sample_count", moments.sample_count],
-        ["meta", "mode", moments.mode],
+        "record,i,j,re,im",
+        "meta,format,specport-moments-v6,,",
+        f"meta,periods,{';'.join(str(p) for p in grid.periods)},,",
+        f"meta,n_assets,{moments.n_assets},,",
+        f"meta,sample_count,{moments.sample_count},,",
+        f"meta,mode,{moments.mode},,",
     ]
-    rows = [[*row, "", ""] for row in rows]
     cov = moments.managed_covariance
     records = [("mean", "", "", moments.managed_mean.tolist())]
     records += [("cov", i, i, cov[i, i:].tolist()) for i in range(len(cov))]
-    crc = 0
     for kind, i, j, values in records:
-        data = struct.pack(f"<{len(values)}d", *values)
-        crc = zlib.crc32(data, crc)
-        rows.append([kind, i, j, base64.b64encode(data).decode(), ""])
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["record", "i", "j", "re", "im"])
-        writer.writerows(rows)
-        writer.writerow(["end", len(rows), f"{crc:08x}", "", ""])
+        rows.append(f"{kind},{i},{j},{base64.b64encode(struct.pack(f'<{len(values)}d', *values)).decode()},")
+    data = "".join(row + "\r\n" for row in rows).encode()
+    Path(path).write_bytes(data + f"end,crc32,{zlib.crc32(data):08x},,\r\n".encode())
+
+
+def renew_crc(path):
+    """Put the CRC-32 of every byte before the end row into the end row of the file at ``path``."""
+    data = Path(path).read_bytes()
+    at = data.index(b"\nend,crc32,") + 1
+    Path(path).write_bytes(data[:at] + b"end,crc32,%08x" % zlib.crc32(data[:at]) + data[at + 18 :])
 
 
 def replace_record(path, key, values):
     """Put ``values`` into the record that starts with ``key`` (say ``"cov,1,1,"``) and renew the end row's CRC."""
     lines = Path(path).read_bytes().decode().split("\r\n")
-    crc = 0
     for k, line in enumerate(lines):
         if line.startswith(key):
             lines[k] = key + base64.b64encode(np.asarray(values, "<f8").tobytes()).decode() + ","
-        if line.startswith(("mean,", "cov,")):
-            crc = zlib.crc32(base64.b64decode(lines[k].split(",")[3]), crc)
-        if line.startswith("end,"):
-            lines[k] = ",".join([*line.split(",")[:2], f"{crc:08x}", "", ""])
     Path(path).write_bytes("\r\n".join(lines).encode())
+    renew_crc(path)
 
 
 def tiny_moments():
     """One bin of period 4, one asset: 2MN = 2, so the file holds the mean and 2 cov records."""
     return SpectralMoments(
-        grid=FrequencyGrid.from_periods((4,), "month, end"),
+        grid=FrequencyGrid.from_periods((4,)),
         n_assets=1,
         managed_mean=np.array([0.5, -0.25]),
         managed_covariance=np.array([[2.0, 0.125], [0.125, 1e-3]]),
@@ -552,33 +549,27 @@ def tiny_moments():
 # tiny_moments() as written: the records hold [0.5, -0.25], [2.0, 0.125] and [0.001] as little-endian float64
 TINY_FILE = (
     b"record,i,j,re,im\r\n"
-    b"meta,format,specport-moments-v5,,\r\n"
-    b"meta,omegas,1.5707963267948966,,\r\n"
+    b"meta,format,specport-moments-v6,,\r\n"
     b"meta,periods,4,,\r\n"
-    b'meta,label,"month, end",,\r\n'
     b"meta,n_assets,1,,\r\n"
-    b"meta,n_bins,1,,\r\n"
     b"meta,sample_count,8,,\r\n"
     b"meta,mode,paper-literal,,\r\n"
     b"mean,,,AAAAAAAA4D8AAAAAAADQvw==,\r\n"
     b"cov,0,0,AAAAAAAAAEAAAAAAAADAPw==,\r\n"
     b"cov,1,1,/Knx0k1iUD8=,\r\n"
-    b"end,11,a905eb5b,,\r\n"
+    b"end,crc32,b4944200,,\r\n"
 )
-
 
 class TestSerialization:
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(17)
-        grid = FrequencyGrid.from_periods((12, 7, 5), "month")
+        grid = FrequencyGrid.from_periods((12, 7, 5))
         x = rng.standard_normal((grid.least_common_period(), 3))
         moments = estimate_moments(x, grid, mode="consistent")
         path = tmp_path / "moments.csv"
         write_moments_csv(moments, path)
         loaded = read_moments_csv(path)
-        assert loaded.grid.omegas == moments.grid.omegas
-        assert loaded.grid.periods == moments.grid.periods
-        assert loaded.grid.sample_period_label == "month"
+        assert loaded.grid == moments.grid
         assert loaded.n_assets == moments.n_assets
         assert loaded.sample_count == moments.sample_count
         assert loaded.mode == moments.mode
@@ -591,7 +582,7 @@ class TestSerialization:
         [
             lambda text: text[: text.rindex(",")],  # truncated inside the end row
             lambda text: "\n".join(text.splitlines()[:-3]) + "\n",  # truncated at a row end
-            lambda text: text.replace("meta,omegas,", "meta,frequencies,"),  # missing meta row
+            lambda text: text.replace("meta,periods,", "meta,frequencies,"),  # missing meta row
             lambda text: text.replace("meta,n_assets,", "meta,assets,"),  # missing meta row
             lambda text: text.replace("cov,0,0,", "cov,0,x,"),  # non-integer index
             lambda text: text.replace("cov,1,1,", "cov,1,-1,"),  # index out of range
@@ -625,7 +616,7 @@ class TestSerialization:
     @pytest.mark.parametrize("periods, n_assets", [((12, 6, 3), 2), ((12,), 55)], ids=["2MN=12", "2MN=110"])
     def test_writers_match_the_row_by_row_loop(self, tmp_path, periods, n_assets):
         # the indices cross the digit boundaries 9 | 10 and 99 | 100
-        grid = FrequencyGrid.from_periods(periods, "month, end")
+        grid = FrequencyGrid.from_periods(periods)
         dim = 2 * grid.n_bins * n_assets
         rng = np.random.default_rng(dim)
         raw = rng.standard_normal((dim, dim)) * 10.0 ** rng.uniform(-20, 20, size=(dim, dim))
@@ -660,43 +651,37 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (("record,i,j,re,im\r\n", ""), "not a specport-moments-v5 CSV (missing header)"),
-            (("specport-moments-v5", "specport-moments-v9"), "unsupported format tag 'specport-moments-v9'"),
+            (("record,i,j,re,im\r\n", ""), "not a specport-moments-v6 CSV (missing header)"),
+            (("specport-moments-v6", "specport-moments-v9"), "unsupported format tag 'specport-moments-v9'"),
             (
                 ("cov,0,0,", "cov,1,0,"),
                 "malformed file (ValueError: found row ['cov', '1', '0'] where ['cov', '0', '0'] belongs)",
             ),
             (
                 ("cov,1,1,/Knx0k1iUD8=,", "cov,1,1,/Knx0k1iUD8=,0.5"),
-                "malformed file (ValueError: real cov record has an imaginary part '0.5')",
+                "malformed file (ValueError: row ['cov', '1', '1'] is not 'cov,1,1,<value>,')",
             ),
-            (("end,11,a905eb5b,,\r\n", ""), "truncated file (no end row)"),
+            (("end,crc32,b4944200,,\r\n", ""), "truncated file (no end row)"),
             (
-                ("end,11,", "end,10,"),
-                "end row ['end', '10', 'a905eb5b', '', ''] does not match the 11 rows and CRC-32 a905eb5b before it",
-            ),
-            (
-                ("end,11,", "cov,2,2,AAAAAAAA8D8=,\r\nend,12,"),
-                "malformed file (ValueError: expected the mean and 2 cov records, then the end row; "
-                "found row ['cov', '2', '2'])",
-            ),
-            (("end,11,a905eb5b,,\r\n", "end,11,a905eb5b,,\r\nend,11,a905eb5b,,\r\n"), "rows after the end row"),
-            (
-                ("meta,omegas,1.5707963267948966,", "meta,omegas,quarter,"),
-                "meta omegas 'quarter' does not match the grid's '1.5707963267948966'",
+                ("end,crc32,b4944200,", "end,crc32,b4944201,"),
+                "end row CRC-32 'b4944201' does not match b4944200, the CRC-32 of every byte before it",
             ),
             (
-                ("meta,omegas,1.5707963267948966,", "meta,omegas,1.57079632679489660,"),
-                "meta omegas '1.57079632679489660' does not match the grid's '1.5707963267948966'",
+                ("end,crc32,", "cov,2,2,AAAAAAAA8D8=,\r\nend,crc32,"),
+                "malformed file (ValueError: found row ['cov', '2', '2'] where ['end', 'crc32'] belongs)",
             ),
-            (("meta,n_bins,1,", "meta,n_bins,7,"), "meta n_bins '7' does not match the grid's '1'"),
+            (("end,crc32,b4944200,,\r\n", 2 * "end,crc32,b4944200,,\r\n"), "rows after the end row"),
+            (
+                ("meta,periods,4,,\r\nmeta,n_assets,1,,\r\n", "meta,n_assets,1,,\r\nmeta,periods,4,,\r\n"),
+                "malformed file (ValueError: found row ['meta', 'n_assets', '1'] where ['meta', 'periods'] belongs)",
+            ),
             (
                 ("meta,periods,4,", "meta,periods,4.0,"),
                 "malformed file (ValueError: invalid literal for int() with base 10: '4.0')",
             ),
             (
                 ("meta,periods,4,", "meta,periods,4;3,"),
-                "meta omegas '1.5707963267948966' does not match the grid's '1.5707963267948966;2.0943951023931953'",
+                "malformed file (ValueError: row ['mean', '', ''] does not hold the base64 of 4 float64 values)",
             ),
             (("meta,periods,4,", "meta,periods,4;4,"), "duplicate periods in [4, 4]"),
             (
@@ -707,19 +692,19 @@ class TestSerialization:
                 ("meta,sample_count,8,", "meta,sample_count,8.5,"),
                 "malformed file (ValueError: invalid literal for int() with base 10: '8.5')",
             ),
-            # 0.125 -> 0.1328125: still canonical base64 of two values, so only the CRC tells
+            # 0.125 -> 0.1328125: still the base64 of two values, so only the CRC tells
             (
                 ("AAAAAAAAAEAAAAAAAADAPw==", "AAAAAAAAAEAAAAAAAADBPw=="),
-                "end row ['end', '11', 'a905eb5b', '', ''] does not match the 11 rows and CRC-32 46c78065 before it",
+                "end row CRC-32 'b4944200' does not match a7bc7b73, the CRC-32 of every byte before it",
             ),
             (
                 ("cov,0,0,", "cov,0,0,1"),
                 "malformed file (ValueError: row ['cov', '0', '0'] does not hold the base64 of 2 float64 values)",
             ),
-            # the last character's two spare bits set: the same bytes, but not as the writer encodes them
+            # the last character's two spare bits set: the same bytes decoded, but not the bytes written
             (
                 ("/Knx0k1iUD8=", "/Knx0k1iUD9="),
-                "malformed file (ValueError: row ['cov', '1', '1'] does not hold the base64 of 1 float64 values)",
+                "end row CRC-32 'b4944200' does not match 89f46bb0, the CRC-32 of every byte before it",
             ),
             (
                 ("AAAAAAAAAEAAAAAAAADAPw==", "AAAAAAAAAEA="),
@@ -727,12 +712,20 @@ class TestSerialization:
             ),
             (
                 ("/Knx0k1iUD8=", "/Knx0k1iUé8="),
-                "malformed file (ValueError: row ['cov', '1', '1'] does not hold the base64 of 1 float64 values)",
+                "malformed file (UnicodeDecodeError: 'ascii' codec can't decode byte 0xc3 in position 17: "
+                "ordinal not in range(128))",
             ),
-            (("meta,periods,4,,", "meta,periods"), "malformed file (IndexError: list index out of range)"),
+            (
+                ("meta,periods,4,,", "meta,periods"),
+                "malformed file (ValueError: row ['meta', 'periods'] is not 'meta,periods,<value>,,')",
+            ),
             (
                 ("AAAAAAAA4D8AAAAAAADQvw==,\r\n", "AAAAAAAA4D8AAAAAAADQvw==\r\n"),
-                "malformed file (ValueError: row ['mean', '', ''] has 4 fields, not 5)",
+                "malformed file (ValueError: row ['mean', '', ''] is not 'mean,,,<value>,')",
+            ),
+            (
+                ("end,crc32,b4944200,,", "end,crc32,b4944200,"),
+                "malformed file (ValueError: row ['end', 'crc32'] is not 'end,crc32,<value>,,')",
             ),
         ],
         ids=[
@@ -741,12 +734,10 @@ class TestSerialization:
             "out-of-order",
             "imaginary-part",
             "no-end-row",
-            "end-count",
+            "end-crc",
             "extra-cov-row",
             "after-end",
-            "omegas-value",
-            "omegas-text",
-            "n_bins-value",
+            "meta-order",
             "periods-value",
             "periods-per-bin",
             "periods-duplicate",
@@ -759,6 +750,7 @@ class TestSerialization:
             "non-ascii",
             "short-meta-row",
             "short-mean-row",
+            "short-end-row",
         ],
     )
     def test_reader_messages_in_full(self, tmp_path, edit, message):
@@ -774,36 +766,76 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "row",
-        [
-            "omegas,1.5707963267948966",
-            "periods,4",
-            'label,"month, end"',
-            "n_assets,1",
-            "n_bins,1",
-            "sample_count,8",
-            "mode,paper-literal",
-        ],
+        ["periods,4", "n_assets,1", "sample_count,8", "mode,paper-literal"],
     )
     def test_each_required_meta_row_is_named_when_missing(self, tmp_path, row):
-        # the end count is lowered with the row, so the reader reaches the missing key
+        # the meta rows are read by position: the row after the gap stands where the missing one belongs
         path = tmp_path / "moments.csv"
-        write_moments_csv(tiny_moments(), path)
-        text = path.read_bytes().decode()
-        assert text.count(f"meta,{row},,\r\n") == 1
-        path.write_bytes(text.replace(f"meta,{row},,\r\n", "").replace("end,11,", "end,10,").encode())
+        path.write_bytes(TINY_FILE.replace(f"meta,{row},,\r\n".encode(), b""))
         key = row.split(",")[0]
         with pytest.raises(ValidationError) as caught:
             read_moments_csv(path)
-        assert str(caught.value) == f"{path}: malformed file (KeyError: '{key}')"
+        assert str(caught.value).startswith(f"{path}: malformed file (ValueError: found row ")
+        assert str(caught.value).endswith(f" where ['meta', '{key}'] belongs)")
 
-    def test_repeated_meta_row_fails_the_count(self, tmp_path):
+    def test_repeated_meta_row_is_refused(self, tmp_path):
         path = tmp_path / "moments.csv"
-        path.write_bytes(TINY_FILE.replace(b"meta,n_bins,1,,\r\n", 2 * b"meta,n_bins,1,,\r\n").replace(b"end,11,", b"end,12,"))
+        path.write_bytes(TINY_FILE.replace(b"meta,n_assets,1,,\r\n", 2 * b"meta,n_assets,1,,\r\n"))
         with pytest.raises(ValidationError) as caught:
             read_moments_csv(path)
         assert str(caught.value) == (
-            f"{path}: end row ['end', '12', 'a905eb5b', '', ''] does not match the 11 rows and CRC-32 a905eb5b before it"
+            f"{path}: malformed file (ValueError: found row ['meta', 'n_assets', '1'] where ['meta', 'sample_count'] belongs)"
         )
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("meta,sample_count,8,", "meta,sample_count,800,"),
+            ("meta,mode,paper-literal,", "meta,mode,consistent,"),
+            ("meta,periods,4,", "meta,periods,3,"),  # another grid with the same bin count
+        ],
+        ids=["sample_count", "mode", "periods"],
+    )
+    def test_well_formed_meta_edit_is_refused_by_the_crc(self, tmp_path, old, new):
+        path = tmp_path / "moments.csv"
+        edited = TINY_FILE.replace(old.encode(), new.encode())
+        assert edited.count(new.encode()) == 1
+        path.write_bytes(edited)
+        crc = zlib.crc32(edited[: edited.index(b"end,")])
+        with pytest.raises(ValidationError) as caught:
+            read_moments_csv(path)
+        assert str(caught.value) == (
+            f"{path}: end row CRC-32 'b4944200' does not match {crc:08x}, the CRC-32 of every byte before it"
+        )
+
+    def test_edited_n_assets_is_refused_before_k_is_allocated(self, tmp_path):
+        # two bins, two assets: 2,000,000 assets would make K 8e6 x 8e6 (466 TiB); the mean record holds 8 values
+        rng = np.random.default_rng(25)
+        path = tmp_path / "moments.csv"
+        write_moments_csv(estimate_moments(rng.standard_normal((24, 2)), FrequencyGrid.from_periods((12, 6))), path)
+        text = path.read_bytes()
+        assert text.count(b"\r\nmeta,n_assets,2,,\r\n") == 1
+        path.write_bytes(text.replace(b"meta,n_assets,2,", b"meta,n_assets,2000000,"))
+        with pytest.raises(ValidationError) as caught:
+            read_moments_csv(path)
+        assert str(caught.value) == (
+            f"{path}: malformed file (ValueError: row ['mean', '', ''] does not hold the base64 of 8000000 float64 values)"
+        )
+
+    def test_edited_sample_count_cannot_pass_the_rho_guard(self, tmp_path):
+        # N = 10 on grid (12, 6, 3): 2MN = 60 on T = 36 (rho = 1.67) is refused; as T = 3600 it would solve
+        grid = FrequencyGrid.from_periods((12, 6, 3))
+        moments = estimate_moments(np.random.default_rng(26).standard_normal((36, 10)), grid)
+        assert moments.sample_count == 36
+        path = tmp_path / "moments.csv"
+        write_moments_csv(moments, path)
+        with pytest.raises(SingularCovarianceError):
+            solve_spectral_mvo(read_moments_csv(path), RiskSpec(sigma0=0.01))
+        text = path.read_bytes()
+        assert text.count(b"\r\nmeta,sample_count,36,,\r\n") == 1
+        path.write_bytes(text.replace(b"meta,sample_count,36,", b"meta,sample_count,3600,"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: end row CRC-32 "):
+            read_moments_csv(path)
 
     @pytest.mark.parametrize(
         "version, records",
@@ -812,6 +844,12 @@ class TestSerialization:
             ("v3", b"mean,0,,1.0,\r\nmean,1,,-0.5,\r\ncov,0,0,8.0,\r\ncov,0,1,0.5,\r\ncov,1,1,0.004,\r\nend,13,,,\r\n"),
             # v4 held one decimal value per row
             ("v4", b"mean,0,,0.5,\r\nmean,1,,-0.25,\r\ncov,0,0,2.0,\r\ncov,0,1,0.125,\r\ncov,1,1,0.001,\r\nend,13,,,\r\n"),
+            # v5 held the records of today, but its CRC covered only their decoded bytes, not the meta rows
+            (
+                "v5",
+                b"mean,,,AAAAAAAA4D8AAAAAAADQvw==,\r\ncov,0,0,AAAAAAAAAEAAAAAAAADAPw==,\r\n"
+                b"cov,1,1,/Knx0k1iUD8=,\r\nend,11,a905eb5b,,\r\n",
+            ),
         ],
     )
     def test_previous_format_versions_are_refused(self, tmp_path, version, records):
@@ -874,6 +912,19 @@ class TestSerialization:
                         read_moments_csv(path)
             lines[k] = line
 
+    def test_every_changed_meta_character_is_refused(self, tmp_path):
+        # each character of the header and the meta rows, line ends included, replaced by each of a set
+        path = tmp_path / "moments.csv"
+        alphabet = string.digits + "AZaemrstz,;-_. \r\n"
+        for position in range(TINY_FILE.index(b"\r\nmean,") + 2):
+            for char in alphabet.encode():
+                if TINY_FILE[position] == char:
+                    continue
+                path.write_bytes(TINY_FILE[:position] + bytes([char]) + TINY_FILE[position + 1 :])
+                with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "), warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # periods 4 -> 2 is the Nyquist bin
+                    read_moments_csv(path)
+
     def test_benchmark_damage_of_the_first_cov_record_is_refused(self, tmp_path):
         # the text edit that the benchmark's self-test applies to a written file
         grid = FrequencyGrid.from_periods((12, 6, 3))
@@ -906,17 +957,11 @@ class TestSerialization:
 
     def test_field_over_the_csv_limit_names_the_file(self, tmp_path):
         path = tmp_path / "moments.csv"
-        path.write_bytes(TINY_FILE.replace(b'"month, end"', b"m" * 131073))
+        path.write_bytes(TINY_FILE.replace(b"paper-literal", b"m" * 131073))
+        renew_crc(path)
         with pytest.raises(ValidationError) as caught:
             read_moments_csv(path)
-        assert str(caught.value) == f"{path}: malformed CSV (field larger than field limit (131072))"
-
-    def test_label_spanning_lines_reads_back(self, tmp_path):
-        moments = tiny_moments()
-        moments = dataclasses.replace(moments, grid=FrequencyGrid.from_periods((4,), 'month\r\nend, "q"'))
-        path = tmp_path / "moments.csv"
-        write_moments_csv(moments, path)
-        assert read_moments_csv(path).grid == moments.grid
+        assert str(caught.value) == f"{path}: unknown estimator mode {'m' * 131073!r}; expected one of {MODES}"
 
     @pytest.mark.parametrize(
         "edit, match",
@@ -931,7 +976,7 @@ class TestSerialization:
                 re.escape("row ['mean', '', ''] does not hold the base64 of 0 float64 values"),
             ),
             ((r"^meta,format,[^,]*,", "meta,format,specport-moments-v2,"), "unsupported format tag"),
-            ((r"^end,[^,]*,[^,]*,,$", r"\g<0>\nmean,,,AAAAAAAA8D8=,"), "rows after the end row"),
+            ((r"^end,crc32,[^,]*,,$", r"\g<0>\nmean,,,AAAAAAAA8D8=,"), "rows after the end row"),
         ],
     )
     def test_rejected_values_name_the_file(self, tmp_path, edit, match):
@@ -941,10 +986,11 @@ class TestSerialization:
         pattern, replacement = edit
         if isinstance(replacement, list):  # a record that holds these values, the CRC renewed to match
             replace_record(path, pattern, replacement)
-        else:
+        else:  # a row edited, the CRC renewed to match
             text, count = re.subn(pattern, replacement, path.read_text(), flags=re.M)
             assert count == 1
             path.write_text(text)
+            renew_crc(path)
         with pytest.raises(ValidationError, match=f"moments.csv: .*{match}"):
             read_moments_csv(path)
 
