@@ -403,22 +403,8 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
 # --- flat CSV serialization (lossless at double precision) ---------------------
 
 _FORMAT_TAG = "specport-moments-v6"
-_HEADER = "record,i,j,re,im"
+_HEADER = b"record,i,j,re,im\r\n"
 _META_KEYS = ("format", "periods", "n_assets", "sample_count", "mode")
-
-
-def _file_rows(moments: SpectralMoments):
-    """The rows of the moments file before its end row, as bytes, each with its CRLF."""
-    periods = ";".join(map(str, moments.grid.periods))
-    meta = (_FORMAT_TAG, periods, moments.n_assets, moments.sample_count, moments.mode)
-    yield f"{_HEADER}\r\n".encode()
-    for key, value in zip(_META_KEYS, meta):
-        yield f"meta,{key},{value},,\r\n".encode()
-    mean = np.ascontiguousarray(moments.managed_mean, dtype="<f8")
-    yield b"mean,,," + binascii.b2a_base64(mean, newline=False) + b",\r\n"
-    cov = np.ascontiguousarray(moments.managed_covariance, dtype="<f8")
-    for i, row in enumerate(cov):
-        yield b"cov,%d,%d,%s,\r\n" % (i, i, binascii.b2a_base64(row[i:], newline=False))
 
 
 def write_moments_csv(moments: SpectralMoments, path) -> None:
@@ -436,43 +422,39 @@ def write_moments_csv(moments: SpectralMoments, path) -> None:
     as 8 hex digits.  K is exactly symmetric, so its lower triangle is the
     mirror.
     """
-    crc = 0
+    periods = ";".join(map(str, moments.grid.periods))
+    meta = (_FORMAT_TAG, periods, moments.n_assets, moments.sample_count, moments.mode)
+    mean = np.ascontiguousarray(moments.managed_mean, dtype="<f8")
+    cov = np.ascontiguousarray(moments.managed_covariance, dtype="<f8")
+    head = _HEADER + "".join(f"meta,{key},{value},,\r\n" for key, value in zip(_META_KEYS, meta)).encode()
+    head += b"mean,,," + binascii.b2a_base64(mean, newline=False) + b",\r\n"
+    crc = binascii.crc32(head)
     with Path(path).open("wb") as handle:
-        for row in _file_rows(moments):
-            crc = binascii.crc32(row, crc)
-            handle.write(row)
+        handle.write(head)
+        for i, row in enumerate(cov):
+            line = b"cov,%d,%d,%s,\r\n" % (i, i, binascii.b2a_base64(row[i:], newline=False))
+            crc = binascii.crc32(line, crc)
+            handle.write(line)
         handle.write(b"end,crc32,%08x,,\r\n" % crc)
 
 
-def _split_rows(handle):
-    """Each line of ``handle`` split at commas, with the CRC-32 of every byte before that line."""
-    crc = 0
-    for line in handle:
-        yield line.rstrip(b"\r\n").decode("ascii").split(","), crc
-        crc = binascii.crc32(line, crc)
-
-
-def _field(rows, key: list[str]) -> tuple[str, int]:
-    """The value of the next row of ``rows`` and the CRC-32 before it.
-
-    The row must be the fields ``key``, the value, and blank fields up to
-    five fields in all.
-    """
-    row = next(rows, None)
-    if row is None:
+def _field(line: bytes, key: list[str]) -> str:
+    """The value in ``line``, which must be the fields ``key``, the value and blank fields, five in all, then CRLF."""
+    if not line:
         raise ValidationError("truncated file (no end row)")
-    fields, crc = row
+    fields = line[:-2].decode("ascii").split(",")
     at = len(key)
     if fields[:at] != key:
         raise ValueError(f"found row {fields[:3]} where {key} belongs")
-    if len(fields) != 5 or any(fields[at + 1 :]):
-        raise ValueError(f"row {key} is not {','.join([*key, '<value>'] + [''] * (4 - at))!r}")
-    return fields[at], crc
+    blanks = [""] * (4 - at)
+    if fields[at + 1 :] != blanks or line[-2:] != b"\r\n":
+        layout = ",".join([*key, "<value>", *blanks]) + "\r\n"
+        raise ValueError(f"row {key} is not {layout!r}")
+    return fields[at]
 
 
-def _values(rows, key: list[str], size: int) -> np.ndarray:
-    """The ``size`` float64 values of the next record of ``rows``, which must hold the base64 of exactly that many."""
-    text, _ = _field(rows, key)
+def _values(text: str, key: list[str], size: int) -> np.ndarray:
+    """The ``size`` float64 values in ``text``, the value of row ``key``, which must be the base64 of exactly that many."""
     try:
         data = binascii.a2b_base64(text)
     except ValueError:  # binascii.Error
@@ -489,8 +471,10 @@ def read_moments_csv(path) -> SpectralMoments:
     header, then the meta rows, read by position; then the mean record,
     which must hold the 2MN values that the periods and n_assets rows give
     before K is allocated; then each row of K straight into K, mirrored
-    below the diagonal.  The end row must carry the CRC-32 of every byte
-    before it and close the file, so a change to any row is refused.
+    below the diagonal.  Every row must end in CRLF, and the end row must
+    carry the CRC-32 of every byte before it and close the file, so the
+    reader takes no byte that the writer would not have written: a change
+    to any row, the end row included, is refused.
 
     Raises ValidationError naming the file for a foreign, truncated or
     otherwise malformed file, including one whose rows are not exactly the
@@ -502,27 +486,37 @@ def read_moments_csv(path) -> SpectralMoments:
     """
     try:
         with Path(path).open("rb") as handle:
-            rows = _split_rows(handle)
-            if next(rows, ([],))[0] != _HEADER.split(","):
+            if handle.readline() != _HEADER:
                 raise ValidationError(f"not a {_FORMAT_TAG} CSV (missing header)")
-            tag, _ = _field(rows, ["meta", "format"])
+            crc = binascii.crc32(_HEADER)
+
+            def field(key: list[str]) -> str:
+                """The value of the next row, which must be row ``key``; its bytes go into the running CRC."""
+                nonlocal crc
+                line = handle.readline()
+                crc = binascii.crc32(line, crc)
+                return _field(line, key)
+
+            tag = field(["meta", "format"])
             if tag != _FORMAT_TAG:
                 raise ValidationError(f"unsupported format tag {tag!r}")
-            periods, n_assets, sample_count, mode = (_field(rows, ["meta", key])[0] for key in _META_KEYS[1:])
+            periods, n_assets, sample_count, mode = (field(["meta", key]) for key in _META_KEYS[1:])
             grid = FrequencyGrid(tuple(int(p) for p in periods.split(";")))
             n_assets, sample_count = int(n_assets), int(sample_count)
             size = 2 * grid.n_bins * n_assets
-            mean = _values(rows, ["mean", "", ""], size)
+            key = ["mean", "", ""]
+            mean = _values(field(key), key, size)
             cov = np.empty((size, size))  # allocated only once the mean record holds 2MN values
             for i in range(size):
-                cov[i, i:] = _values(rows, ["cov", str(i), str(i)], size - i)
+                key = ["cov", str(i), str(i)]
+                cov[i, i:] = _values(field(key), key, size - i)
                 cov[i + 1 :, i] = cov[i, i + 1 :]
-            stored, crc = _field(rows, ["end", "crc32"])
+            stored = _field(handle.readline(), ["end", "crc32"])
             if stored != f"{crc:08x}":
                 raise ValidationError(
                     f"end row CRC-32 {stored!r} does not match {crc:08x}, the CRC-32 of every byte before it"
                 )
-            if next(rows, None) is not None:
+            if handle.readline():
                 raise ValidationError("rows after the end row")
         return SpectralMoments(
             grid=grid,

@@ -1,7 +1,6 @@
 """Moment estimators: calibration, structure, the absolute-moment identity, serialization."""
 
 import base64
-import csv
 import dataclasses
 import logging
 import math
@@ -581,13 +580,13 @@ class TestSerialization:
         "damage",
         [
             lambda text: text[: text.rindex(",")],  # truncated inside the end row
-            lambda text: "\n".join(text.splitlines()[:-3]) + "\n",  # truncated at a row end
+            lambda text: "".join(text.splitlines(keepends=True)[:-3]),  # truncated at a row end
             lambda text: text.replace("meta,periods,", "meta,frequencies,"),  # missing meta row
             lambda text: text.replace("meta,n_assets,", "meta,assets,"),  # missing meta row
             lambda text: text.replace("cov,0,0,", "cov,0,x,"),  # non-integer index
             lambda text: text.replace("cov,1,1,", "cov,1,-1,"),  # index out of range
             lambda text: text.replace("cov,1,1,", "cov,0,0,"),  # duplicate row
-            lambda text: re.sub(r"^(mean,,,[^,]*,)$", r"\g<1>0.5", text, flags=re.M),  # imaginary part
+            lambda text: re.sub(r"^(mean,,,[^,]*,)\r$", r"\g<1>0.5\r", text, flags=re.M),  # imaginary part
             lambda text: text.replace("cov,1,1,", "cov,1,0,"),  # a row that does not start at the diagonal
             lambda text: swap_lines(text, "cov,0,0,"),  # two adjacent cov rows swapped
         ],
@@ -597,9 +596,9 @@ class TestSerialization:
         grid = FrequencyGrid.from_periods((12, 6))
         path = tmp_path / "moments.csv"
         write_moments_csv(estimate_moments(rng.standard_normal((24, 2)), grid), path)
-        text = path.read_text()
+        text = path.read_bytes().decode()
         assert damage(text) != text
-        path.write_text(damage(text))
+        path.write_bytes(damage(text).encode())
         with pytest.raises(ValidationError, match="moments.csv"):
             read_moments_csv(path)
 
@@ -659,7 +658,7 @@ class TestSerialization:
             ),
             (
                 ("cov,1,1,/Knx0k1iUD8=,", "cov,1,1,/Knx0k1iUD8=,0.5"),
-                "malformed file (ValueError: row ['cov', '1', '1'] is not 'cov,1,1,<value>,')",
+                "malformed file (ValueError: row ['cov', '1', '1'] is not 'cov,1,1,<value>,\\r\\n')",
             ),
             (("end,crc32,b4944200,,\r\n", ""), "truncated file (no end row)"),
             (
@@ -717,15 +716,24 @@ class TestSerialization:
             ),
             (
                 ("meta,periods,4,,", "meta,periods"),
-                "malformed file (ValueError: row ['meta', 'periods'] is not 'meta,periods,<value>,,')",
+                "malformed file (ValueError: row ['meta', 'periods'] is not 'meta,periods,<value>,,\\r\\n')",
             ),
             (
                 ("AAAAAAAA4D8AAAAAAADQvw==,\r\n", "AAAAAAAA4D8AAAAAAADQvw==\r\n"),
-                "malformed file (ValueError: row ['mean', '', ''] is not 'mean,,,<value>,')",
+                "malformed file (ValueError: row ['mean', '', ''] is not 'mean,,,<value>,\\r\\n')",
             ),
             (
                 ("end,crc32,b4944200,,", "end,crc32,b4944200,"),
-                "malformed file (ValueError: row ['end', 'crc32'] is not 'end,crc32,<value>,,')",
+                "malformed file (ValueError: row ['end', 'crc32'] is not 'end,crc32,<value>,,\\r\\n')",
+            ),
+            # the file's last LF made a CR: still one line, but not the end row as written
+            (
+                ("end,crc32,b4944200,,\r\n", "end,crc32,b4944200,,\r\r"),
+                "malformed file (ValueError: row ['end', 'crc32'] is not 'end,crc32,<value>,,\\r\\n')",
+            ),
+            (
+                ("meta,mode,paper-literal,,\r\n", "meta,mode,paper-literal,,\n"),
+                "malformed file (ValueError: row ['meta', 'mode'] is not 'meta,mode,<value>,,\\r\\n')",
             ),
         ],
         ids=[
@@ -751,6 +759,8 @@ class TestSerialization:
             "short-meta-row",
             "short-mean-row",
             "short-end-row",
+            "end-row-cr",
+            "lf-row-end",
         ],
     )
     def test_reader_messages_in_full(self, tmp_path, edit, message):
@@ -926,7 +936,8 @@ class TestSerialization:
                     read_moments_csv(path)
 
     def test_benchmark_damage_of_the_first_cov_record_is_refused(self, tmp_path):
-        # the text edit that the benchmark's self-test applies to a written file
+        # the text edit that the benchmark's self-test applies to a written file: its text-mode round trip also
+        # turns every CRLF into LF, so the header, no longer the bytes written, is refused first
         grid = FrequencyGrid.from_periods((12, 6, 3))
         moments = estimate_moments(np.random.default_rng(23).standard_normal((120, 5)), grid)
         path = tmp_path / "spectral_moments.csv"
@@ -935,27 +946,22 @@ class TestSerialization:
         with pytest.raises(ValidationError) as caught:
             read_moments_csv(path)
         assert str(caught.value) == (
-            f"{path}: malformed file (ValueError: row ['cov', '0', '0'] does not hold the base64 of 30 float64 values)"
+            f"{path}: not a specport-moments-v6 CSV (missing header)"
         )
 
-    def test_records_longer_than_the_csv_field_limit_read_back(self, tmp_path):
-        # the records are split at commas, so no file needs a raised csv.field_size_limit
+    def test_long_rows_round_trip(self, tmp_path):
+        # 2MN = 12: the mean record alone holds 128 characters of base64, far more than any meta row
         grid = FrequencyGrid.from_periods((12, 6, 3))
         moments = estimate_moments(np.random.default_rng(24).standard_normal((120, 2)), grid)
         path = tmp_path / "moments.csv"
         write_moments_csv(moments, path)
-        limit = 64  # the meta rows stay below it; the mean record alone is 128 characters of base64
-        assert max(len(line) for line in path.read_text().splitlines()) > 2 * limit
-        previous = csv.field_size_limit(limit)
-        try:
-            loaded = read_moments_csv(path)
-            assert csv.field_size_limit() == limit
-        finally:
-            csv.field_size_limit(previous)
+        assert max(len(line) for line in path.read_bytes().splitlines()) > 128
+        loaded = read_moments_csv(path)
         assert loaded.managed_mean.tobytes() == moments.managed_mean.tobytes()
         assert loaded.managed_covariance.tobytes() == moments.managed_covariance.tobytes()
 
-    def test_field_over_the_csv_limit_names_the_file(self, tmp_path):
+    def test_long_mode_value_is_refused_naming_the_file(self, tmp_path):
+        # a mode row of 128 KiB, the CRC renewed to match: the constructor refuses the mode
         path = tmp_path / "moments.csv"
         path.write_bytes(TINY_FILE.replace(b"paper-literal", b"m" * 131073))
         renew_crc(path)
@@ -976,7 +982,7 @@ class TestSerialization:
                 re.escape("row ['mean', '', ''] does not hold the base64 of 0 float64 values"),
             ),
             ((r"^meta,format,[^,]*,", "meta,format,specport-moments-v2,"), "unsupported format tag"),
-            ((r"^end,crc32,[^,]*,,$", r"\g<0>\nmean,,,AAAAAAAA8D8=,"), "rows after the end row"),
+            ((r"^end,crc32,[^,]*,,\r$", r"\g<0>\nmean,,,AAAAAAAA8D8=,\r"), "rows after the end row"),
         ],
     )
     def test_rejected_values_name_the_file(self, tmp_path, edit, match):
@@ -987,9 +993,9 @@ class TestSerialization:
         if isinstance(replacement, list):  # a record that holds these values, the CRC renewed to match
             replace_record(path, pattern, replacement)
         else:  # a row edited, the CRC renewed to match
-            text, count = re.subn(pattern, replacement, path.read_text(), flags=re.M)
+            text, count = re.subn(pattern, replacement, path.read_bytes().decode(), flags=re.M)
             assert count == 1
-            path.write_text(text)
+            path.write_bytes(text.encode())
             renew_crc(path)
         with pytest.raises(ValidationError, match=f"moments.csv: .*{match}"):
             read_moments_csv(path)
