@@ -38,6 +38,7 @@ repeat with period L.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -88,10 +89,16 @@ class FrequencyGrid:
         if any(p < 2 for p in periods):
             raise ValidationError("periods must be >= 2 samples (period 1 would be super-Nyquist)")
         if 2 in periods:
+            # name the first caller outside this module and the dataclass-generated __init__
+            frame, level = sys._getframe(1), 2
+            while frame is not None and (
+                frame.f_code.co_filename == __file__ or frame.f_code is FrequencyGrid.__init__.__code__
+            ):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 "grid contains the Nyquist frequency pi; its conjugate pair is "
                 "phase-degenerate",
-                stacklevel=2,
+                stacklevel=level,
             )
         object.__setattr__(self, "periods", tuple(sorted(periods, reverse=True)))
 
@@ -248,7 +255,7 @@ def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
     R = (K_aa + K_bb + j (K_ba - K_ab)) / 2 and P = (K_aa - K_bb + j (K_ba + K_ab)) / 2.
     For an exactly symmetric K the result has the augmented block structure
     exactly (R Hermitian, P symmetric, conjugate blocks bit-equal).  Trace,
-    eigenvalues and norms carry over unchanged.
+    eigenvalues and norms carry over unchanged.  Both results are read-only.
     """
     managed = np.asarray(managed, dtype=np.float64)
     half = managed.shape[0] // 2
@@ -264,6 +271,7 @@ def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
     p_grid.imag = 0.5 * (k_ba + k_ab)
     np.conjugate(r_grid, out=out[half:, half:])
     np.conjugate(p_grid, out=out[half:, :half])
+    out.flags.writeable = False
     return out
 
 

@@ -47,7 +47,7 @@ from .errors import (
     SpecportError,
     ValidationError,
 )
-from .moments import MODES, compute_psd, estimate_moments, write_moments_csv
+from .moments import compute_psd, estimate_moments, write_moments_csv
 from .synthesis import example1_scenario, seasonal_market_spec, synthesize_values
 
 _LETTER_PERIODS = {letter: period for period, letter in PERIOD_LETTERS.items()}
@@ -188,7 +188,7 @@ def _cmd_estimate(args) -> int:
     values = _load_returns(data, args.input_type).returns
     if args.demean:
         values = values - values.mean(axis=0, keepdims=True)
-    moments = estimate_moments(values, grid, mode=args.mode)
+    moments = estimate_moments(values, grid)
 
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     panel.add_argument("--input-type", choices=["prices", "returns"], default="prices")
 
     estimate = sub.add_parser("estimate", parents=[common, panel], help="estimate spectral moments from a panel CSV")
-    estimate.add_argument("--mode", choices=MODES, default=MODES[0])
     estimate.add_argument("--periods", default="12,6,3", help="comma list of grid periods (or A/S/Q)")
     estimate.add_argument("--out-dir", default="estimate_out")
     estimate.set_defaults(func=_cmd_estimate)

@@ -23,19 +23,13 @@ common periods L the T x 2MN panel z is never formed: its phases repeat with
 period L, so both moments follow from the mean and scatter of x in each phase
 class t mod L, at O(N^2 T + L (2MN)^2) instead of O(T (2MN)^2).
 
-The pair is always stored at the raw, paper-literal scale; a mode sets only
-the scale of the augmented views (``mean``, ``covariance``, the per-bin
-blocks) and of :func:`estimate_spectral_mean`:
-
-* ``"paper-literal"`` (default): the raw projection average.  A pure harmonic
-  a*cos(w_m t) yields |mean(w_m)| = a / (2 sqrt(2M)) — attenuated by 1/(2M)
-  relative to the representation coefficient, because the time average of
-  B^H B is I/(2M).
-* ``"consistent"``: the mean times 2M (recovering coefficient scale exactly
-  for on-grid harmonics) and the covariance times (2M)^2.
-
-The solver reads only the stored pair, so neither the allocation nor the
-meaning of an explicit ridge depends on the mode.
+The augmented statistics determine the moments only up to a presentation
+scale; the stored pair and every view of it use the raw, paper-literal one.
+A pure harmonic a*cos(w_m t) yields |mean(w_m)| = a / (2 sqrt(2M)) —
+attenuated by 1/(2M) relative to the representation coefficient, because
+the time average of B^H B is I/(2M).  Only :func:`estimate_spectral_mean`
+offers the ``"consistent"`` scale, its mean times 2M, which recovers
+coefficient scale exactly for on-grid harmonics.
 """
 
 from __future__ import annotations
@@ -62,8 +56,6 @@ __all__ = [
     "read_moments_csv",
 ]
 
-MODES = ("paper-literal", "consistent")
-
 logger = logging.getLogger(__name__)
 
 
@@ -80,30 +72,6 @@ def _panel_values(x) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValidationError("panel contains non-finite values")
     return values
-
-
-def _mode_scale(grid: FrequencyGrid, mode: str) -> int:
-    """The factor of the mean views in ``mode``, 1 or 2M; the covariance views take its square."""
-    if mode not in MODES:
-        raise ValidationError(f"unknown estimator mode {mode!r}; expected one of {MODES}")
-    return 2 * grid.n_bins if mode == "consistent" else 1
-
-
-def _augmented_view(managed: np.ndarray, factor: int):
-    """The read-only augmented form (see :func:`specport.basis._to_augmented`) of ``managed`` times ``factor``.
-
-    The product is taken on the real and imaginary parts, which keeps signed
-    zeros (a complex product by 1 turns -0.0 into +0.0); a matrix is scaled in
-    place, so no 2MN x 2MN temporary is built.
-    """
-    augmented = _to_augmented(managed)
-    if isinstance(augmented, AugmentedVector):
-        return AugmentedVector.from_upper(np.multiply(augmented.upper.view(np.float64), factor).view(np.complex128))
-    parts = augmented.view(np.float64)
-    if factor != 1:  # skip a pass over a 2MN x 2MN matrix
-        np.multiply(parts, factor, out=parts)
-    augmented.flags.writeable = False
-    return augmented
 
 
 _SYMMETRY_BLOCK = 128
@@ -243,7 +211,8 @@ def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal", 
         common periods of the grid.
     grid : FrequencyGrid
     mode : {"paper-literal", "consistent"}
-        Output scale (see module docstring).
+        Output scale: the raw projection average, or that times 2M (see
+        the module docstring).
     t0 : int
         Absolute sample index of the first row; keeps phase aligned when
         estimating on a window that does not start at the series origin.
@@ -253,22 +222,22 @@ def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal", 
     AugmentedVector
         Conjugate-symmetric by construction; deterministic given input.
     """
-    scale = _mode_scale(grid, mode)
+    modes = ("paper-literal", "consistent")
+    if mode not in modes:
+        raise ValidationError(f"unknown estimator mode {mode!r}; expected one of {modes}")
     mean, _, _ = _managed_moments(x, grid, t0, covariance=False)
-    return _augmented_view(mean, scale)
+    return _to_augmented(mean * (2 * grid.n_bins if mode == "consistent" else 1))
 
 
-def estimate_moments(x, grid: FrequencyGrid, mode: str = "paper-literal", t0: int = 0) -> "SpectralMoments":
+def estimate_moments(x, grid: FrequencyGrid, *, t0: int = 0) -> "SpectralMoments":
     """Mean and covariance of the projected series on the snapped window, from its phase classes.
 
     The covariance is the sample covariance (1/T) sum_t (u(t) - mean)(u(t) - mean)^H
     of the augmented vector u(t) = B(t)^H x(t) around the estimated mean.  It
     is held as the real, exactly symmetric K, the covariance of the managed
     panel z, which is built from the per-class means and scatters of the
-    window without forming z (see :func:`_managed_moments`), the same in
-    every mode; ``mode`` sets the scale of the augmented views.
+    window without forming z (see :func:`_managed_moments`).
     """
-    _mode_scale(grid, mode)  # rejects an unknown mode before the panel is read
     managed_mean, covariance, n_samples = _managed_moments(x, grid, t0, covariance=True)
     return SpectralMoments(
         grid=grid,
@@ -276,7 +245,6 @@ def estimate_moments(x, grid: FrequencyGrid, mode: str = "paper-literal", t0: in
         managed_mean=managed_mean,
         managed_covariance=covariance,
         sample_count=n_samples,
-        mode=mode,
     )
 
 
@@ -286,17 +254,16 @@ class SpectralMoments:
 
     Stored as the real managed-asset pair: ``managed_mean`` (2MN) and
     ``managed_covariance`` K (2MN x 2MN, exactly symmetric), the mean and
-    covariance of the managed panel z(t), at the raw scale in every mode.
-    The augmented complex ``mean`` = s U mu and ``covariance`` = s^2 U K U^H,
-    of block layout [[R, P], [conj(P), conj(R)]], for the mode's scale s (1
-    or 2M), are read-only views built on first access.  The per-bin
-    accessors read the N x N blocks R(w_m, w_n) and P(w_m, w_n) from four
-    N x N blocks of K without building ``covariance``.  The constructor
-    rejects complex, misshapen or non-finite arrays, a K that is not exactly
-    symmetric, an unknown mode and counts that are not integers >= 1.  It
-    freezes the arrays it was given only once they pass.  It reads K once,
-    checking finiteness and symmetry strip by strip; a non-finite K is
-    reported before an asymmetric one.
+    covariance of the managed panel z(t), at the raw, paper-literal scale.
+    The augmented complex ``mean`` = U mu and ``covariance`` = U K U^H, of
+    block layout [[R, P], [conj(P), conj(R)]], are read-only views built on
+    first access.  The per-bin accessors read the N x N blocks R(w_m, w_n)
+    and P(w_m, w_n) from four N x N blocks of K without building
+    ``covariance``.  The constructor rejects complex, misshapen or
+    non-finite arrays, a K that is not exactly symmetric and counts that
+    are not integers >= 1.  It freezes the arrays it was given only once
+    they pass.  It reads K once, checking finiteness and symmetry strip by
+    strip; a non-finite K is reported before an asymmetric one.
     """
 
     grid: FrequencyGrid
@@ -304,12 +271,15 @@ class SpectralMoments:
     managed_mean: np.ndarray
     managed_covariance: np.ndarray
     sample_count: int
-    mode: str = "paper-literal"
+
+    # The scale of every stored pair: a class constant, not a field.  The
+    # benchmark's wide-backtest check still compares it between two estimates
+    # (perfbench/run.py), until its checks stop depending on the file format.
+    mode = "paper-literal"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
         object.__setattr__(self, "sample_count", _count("sample_count", self.sample_count))
-        _mode_scale(self.grid, self.mode)  # rejects an unknown mode
         dim = 2 * self.half_size
         mean = _finite_real("managed mean", self.managed_mean, (dim,))
         cov = _real_array("managed covariance", self.managed_covariance, (dim, dim))
@@ -323,13 +293,13 @@ class SpectralMoments:
 
     @cached_property
     def mean(self) -> AugmentedVector:
-        """The augmented spectral mean s U mu, conjugate-symmetric by construction."""
-        return _augmented_view(self.managed_mean, _mode_scale(self.grid, self.mode))
+        """The augmented spectral mean U mu, conjugate-symmetric by construction."""
+        return _to_augmented(self.managed_mean)
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        """The augmented covariance s^2 U K U^H, exactly structured; read-only."""
-        return _augmented_view(self.managed_covariance, _mode_scale(self.grid, self.mode) ** 2)
+        """The augmented covariance U K U^H, exactly structured; read-only."""
+        return _to_augmented(self.managed_covariance)
 
     @property
     def half_size(self) -> int:
@@ -350,7 +320,7 @@ class SpectralMoments:
         n = m if n is None else self._bin_index(n)
         size, n_bins = self.n_assets, self.grid.n_bins
         sub = self.managed_covariance.reshape(2, n_bins, size, 2, n_bins, size)[:, m, :, :, n]
-        return _augmented_view(sub.reshape(2 * size, 2 * size), _mode_scale(self.grid, self.mode) ** 2)
+        return _to_augmented(sub.reshape(2 * size, 2 * size))
 
     def bin_covariance(self, m: int, n: int | None = None) -> np.ndarray:
         """R(w_m) for n omitted, else the dual-frequency block R(w_m, w_n)."""
@@ -413,14 +383,14 @@ def write_moments_csv(moments: SpectralMoments, path) -> None:
     Every row has five comma-separated fields, ends in CRLF and has a fixed
     place: the ``record,i,j,re,im`` header; the ``meta,<key>,<value>,,``
     rows format, periods (longest first, joined by ``;``), n_assets,
-    sample_count and mode, in that order; one ``mean,,,<data>,`` record for
-    the real 2MN managed mean; one ``cov,i,i,<data>,`` record per row i of
-    the managed covariance K, holding K[i, i:], its upper triangle with the
-    diagonal; and last the ``end,crc32,<crc>,,`` row.  ``<data>`` is the
-    base64 of the values as little-endian float64, so round trips are
-    bit-exact, and ``<crc>`` is the CRC-32 of every byte before the end row,
-    as 8 hex digits.  K is exactly symmetric, so its lower triangle is the
-    mirror.
+    sample_count and mode (always ``paper-literal``), in that order; one
+    ``mean,,,<data>,`` record for the real 2MN managed mean; one
+    ``cov,i,i,<data>,`` record per row i of the managed covariance K,
+    holding K[i, i:], its upper triangle with the diagonal; and last the
+    ``end,crc32,<crc>,,`` row.  ``<data>`` is the base64 of the values as
+    little-endian float64, so round trips are bit-exact, and ``<crc>`` is
+    the CRC-32 of every byte before the end row, as 8 hex digits.  K is
+    exactly symmetric, so its lower triangle is the mirror.
     """
     periods = ";".join(map(str, moments.grid.periods))
     meta = (_FORMAT_TAG, periods, moments.n_assets, moments.sample_count, moments.mode)
@@ -481,8 +451,8 @@ def read_moments_csv(path) -> SpectralMoments:
     header, the meta rows, the mean and the rows of K in order, or of
     another format version (a v5 file kept its meta rows outside its CRC),
     and for periods that :class:`FrequencyGrid` or values that the
-    :class:`SpectralMoments` constructor rejects (non-finite entries, an
-    unknown mode, a sample count below 1).
+    :class:`SpectralMoments` constructor rejects (non-finite entries, a
+    sample count below 1), and for a mode row other than ``paper-literal``.
     """
     try:
         with Path(path).open("rb") as handle:
@@ -518,13 +488,14 @@ def read_moments_csv(path) -> SpectralMoments:
                 )
             if handle.readline():
                 raise ValidationError("rows after the end row")
+            if mode != SpectralMoments.mode:
+                raise ValidationError(f"unsupported mode {mode!r}; expected {SpectralMoments.mode!r}")
         return SpectralMoments(
             grid=grid,
             n_assets=n_assets,
             managed_mean=mean,
             managed_covariance=cov,
             sample_count=sample_count,
-            mode=mode,
         )
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

@@ -1,8 +1,11 @@
-"""Shared test helpers: structured random instances and the numerical optimizer oracle."""
+"""Shared test helpers: structured random instances, the numerical optimizer oracle and population scoring."""
+
+import math
 
 import numpy as np
 
-from specport import FrequencyGrid, SpectralMoments, ValidationError, estimate_moments
+from specport import FrequencyGrid, SpectralMoments, SynthSpec, ValidationError, estimate_moments
+from specport.basis import _phases, _to_managed
 
 CANDIDATE_PERIODS = (24, 18, 16, 12, 10, 9, 8, 7, 6, 5, 4, 3)
 
@@ -58,7 +61,6 @@ def random_structured_moments(seed, grid=None, n_assets=None, mean_scale=1.0, n_
         managed_mean=mean_scale * rng.standard_normal(2 * grid.n_bins * n_assets),
         managed_covariance=estimated.managed_covariance,
         sample_count=estimated.sample_count,
-        mode=estimated.mode,
     )
 
 
@@ -96,3 +98,23 @@ def random_feasible_objectives(mean_full, cov, sigma0, rng, count=1000):
         scale = sigma0 / np.sqrt(float(np.real(np.vdot(v, cov @ v))))
         out[i] = float(np.real(np.vdot(mean_full, v))) * scale
     return out
+
+
+def population_sharpe(spec: SynthSpec, path, periods_per_year: int = 12) -> float:
+    """The noise-free annualized Sharpe ratio of a periodic allocation path on the market ``spec``.
+
+    ``path`` is (L, N): row r is w(t) at every t = r mod L, for the grid's
+    least common period L.  With Phi(t) = phi(t) (x) I_N, theta_m =
+    _to_managed(spectral_mean) and C = _to_managed(spectral_cov), a row of
+    ``synthesize_values(spec)`` has E[x_t] = Phi(t) theta_m and
+    Cov(x_t) = Phi(t) C Phi(t)^T, so the path earns w(t)^T E[x_t] in
+    expectation with variance w(t)^T Cov(x_t) w(t).  The per-period ratio is
+    the mean over one period of the first, over the square root of the mean
+    of the second plus the variance over t of the first.
+    """
+    period = spec.grid.least_common_period()
+    phases = _phases(np.arange(period), spec.grid)
+    exposures = (phases[:, :, np.newaxis] * np.asarray(path)[:, np.newaxis, :]).reshape(period, -1)  # Phi(t)^T w(t)
+    expected = exposures @ _to_managed(spec.spectral_mean)
+    variances = np.einsum("ti,ij,tj->t", exposures, _to_managed(spec.spectral_cov), exposures)
+    return float(expected.mean() / math.sqrt(variances.mean() + expected.var()) * math.sqrt(periods_per_year))

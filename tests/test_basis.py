@@ -75,6 +75,13 @@ class TestFrequencyGrid:
         with pytest.warns(UserWarning, match="Nyquist"):
             FrequencyGrid(periods=(4, 2))
 
+    @pytest.mark.parametrize("build", [FrequencyGrid, FrequencyGrid.from_periods])
+    def test_nyquist_warning_names_the_caller(self, build):
+        # not the dataclass-generated __init__ (<string>), where the default filter would show it once per process
+        with pytest.warns(UserWarning, match="Nyquist") as record:
+            build((4, 2))
+        assert record[0].filename == __file__
+
     def test_least_common_period(self):
         assert FrequencyGrid.from_periods((12, 6, 3)).least_common_period() == 12
         assert FrequencyGrid.from_periods((12, 8)).least_common_period() == 24

@@ -343,9 +343,9 @@ def test_panel_options_shared_by_estimate_and_backtest(capsys, command):
     out = " ".join(capsys.readouterr().out.split())
     assert "--demean subtract the grand mean first" in out
     assert "--input-type {prices,returns}" in out
-    # no output of estimate depends on the periods per year, and no backtest output on the mode
+    # no output of estimate depends on the periods per year, and no output of either on an estimator mode
     assert ("--periods-per-year" in out) == (command == "backtest")
-    assert ("--mode {paper-literal,consistent}" in out) == (command == "estimate")
+    assert "--mode" not in out
 
 
 def test_backtest_mode_is_a_usage_error(capsys):
@@ -353,6 +353,15 @@ def test_backtest_mode_is_a_usage_error(capsys):
         main(["backtest", "--data", str(DATA), "--boundary", "2015-01", "--mode", "consistent"])
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --mode consistent" in capsys.readouterr().err
+
+
+def test_estimate_mode_is_a_usage_error(tmp_path, capsys):
+    # the moments carry one scale, so estimate has no --mode either; nothing is written
+    with pytest.raises(SystemExit) as excinfo:
+        main(["estimate", "--data", str(DATA), "--mode", "consistent", "--out-dir", str(tmp_path / "est")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --mode consistent" in capsys.readouterr().err
+    assert not (tmp_path / "est").exists()
 
 
 def test_usage_error_exits_2():

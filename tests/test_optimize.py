@@ -161,18 +161,6 @@ class TestSpectralSolver:
         full = solved.weights.full()
         assert variance == pytest.approx(np.vdot(full, moments.covariance @ full).real, rel=1e-12)
 
-    @pytest.mark.parametrize("ridge", [None, 1e-5])
-    def test_consistent_mode_solves_to_the_same_weights(self, ridge):
-        # both modes store the same managed pair, so the solve, an explicit ridge included, ignores the mode
-        panel = np.random.default_rng(43).standard_normal((240, 3))
-        grid = FrequencyGrid.from_periods((12, 6, 3))
-        risk = RiskSpec(sigma0=0.01, ridge=ridge)
-        literal = solve_spectral_mvo(estimate_moments(panel, grid), risk)
-        consistent = solve_spectral_mvo(estimate_moments(panel, grid, mode="consistent"), risk)
-        assert literal.managed_weights.tobytes() == consistent.managed_weights.tobytes()
-        assert literal.lagrange_multiplier == consistent.lagrange_multiplier
-        assert literal.ridge_used == consistent.ridge_used
-
     def test_singular_covariance_without_ridge_advises(self):
         grid = FrequencyGrid.from_periods((12,))
         moments = SpectralMoments(

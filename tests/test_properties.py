@@ -167,10 +167,9 @@ serial_grids = st.lists(
     grid=serial_grids,
     n_assets=asset_counts,
     extra=st.integers(min_value=0, max_value=60),
-    mode=st.sampled_from(("paper-literal", "consistent")),
 )
-@example(seed=0, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=3, extra=17, mode="consistent")
-def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra, mode):
+@example(seed=0, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=3, extra=17)
+def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra):
     """The file round trip is bit-exact, and the per-bin blocks read from K equal slices of U K U^H.
 
     The panel has ``extra`` samples beyond one least common period, so the snap
@@ -178,7 +177,7 @@ def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra, mode)
     """
     n_samples = grid.least_common_period() + extra
     panel = np.random.default_rng(seed).standard_normal((n_samples, n_assets))
-    moments = estimate_moments(panel, grid, mode=mode)
+    moments = estimate_moments(panel, grid)
     compute_psd(moments)
     pairs = [(m, n) for m in range(grid.n_bins) for n in range(grid.n_bins)]
     blocks = {pair: (moments.bin_covariance(*pair), moments.bin_pseudo_covariance(*pair)) for pair in pairs}
@@ -196,17 +195,12 @@ def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra, mode)
     assert loaded.managed_covariance.tobytes() == moments.managed_covariance.tobytes()
     assert np.array_equal(loaded.mean.full(), moments.mean.full())
     assert np.array_equal(loaded.covariance, moments.covariance)
-    assert (loaded.grid, loaded.n_assets, loaded.sample_count, loaded.mode) == (
-        moments.grid,
-        moments.n_assets,
-        moments.sample_count,
-        moments.mode,
-    )
+    assert (loaded.grid, loaded.n_assets, loaded.sample_count) == (moments.grid, moments.n_assets, moments.sample_count)
 
 
 @PROPERTY_SETTINGS
-@given(data=st.data(), grid=serial_grids, n_assets=asset_counts, mode=st.sampled_from(("paper-literal", "consistent")))
-def test_moments_file_keeps_every_float64_bit_pattern(data, grid, n_assets, mode):
+@given(data=st.data(), grid=serial_grids, n_assets=asset_counts)
+def test_moments_file_keeps_every_float64_bit_pattern(data, grid, n_assets):
     """Any finite mean and symmetric K round-trip bit for bit: signed zeros, subnormals and extremes included."""
     dim = 2 * grid.n_bins * n_assets
     finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -218,7 +212,6 @@ def test_moments_file_keeps_every_float64_bit_pattern(data, grid, n_assets, mode
         managed_mean=mean,
         managed_covariance=np.where(np.arange(dim)[:, np.newaxis] <= np.arange(dim), raw, raw.T),
         sample_count=data.draw(st.integers(min_value=1, max_value=10**6)),
-        mode=mode,
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "moments.csv"
@@ -226,7 +219,7 @@ def test_moments_file_keeps_every_float64_bit_pattern(data, grid, n_assets, mode
         loaded = read_moments_csv(path)
     assert loaded.managed_mean.tobytes() == moments.managed_mean.tobytes()
     assert loaded.managed_covariance.tobytes() == moments.managed_covariance.tobytes()
-    assert (loaded.grid, loaded.sample_count, loaded.mode) == (grid, moments.sample_count, mode)
+    assert (loaded.grid, loaded.sample_count) == (grid, moments.sample_count)
 
 
 @PROPERTY_SETTINGS
@@ -259,19 +252,18 @@ def test_moments_file_refuses_any_changed_character(seed, grid, n_assets, where,
     n_assets=st.integers(min_value=1, max_value=6),
     n_samples=st.integers(min_value=2, max_value=300),
     t0=st.integers(min_value=-1000, max_value=1000),
-    mode=st.sampled_from(("paper-literal", "consistent")),
 )
 @example(  # 17 samples in each of the L = 12 classes, none discarded
-    seed=1, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=204, t0=7, mode="paper-literal"
+    seed=1, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=204, t0=7
 )
 @example(  # L < T < 16 L: the snap keeps 2 L, one class per sample
-    seed=6, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=29, t0=7, mode="consistent"
+    seed=6, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=29, t0=7
 )
 @example(  # T < L = 420: rejected
-    seed=2, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=2, n_samples=50, t0=-3, mode="consistent"
+    seed=2, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=2, n_samples=50, t0=-3
 )
 @example(  # the snap discards 4 samples and keeps 16 L
-    seed=4, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=6, n_samples=196, t0=5, mode="consistent"
+    seed=4, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=6, n_samples=196, t0=5
 )
 @example(  # L beyond int64: rejected
     seed=5,
@@ -279,13 +271,11 @@ def test_moments_file_refuses_any_changed_character(seed, grid, n_assets, where,
     n_assets=1,
     n_samples=30,
     t0=-9,
-    mode="paper-literal",
 )
-def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, t0, mode):
+def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, t0):
     """The phase-class moments equal the mean and z^T z / T of the centred panel z = phi(t) (x) x(t).
 
-    Covers both modes, which store the same pair, t0 != 0, and windows grouped
-    by class and not.  The estimator snaps the window to whole multiples of the
+    Covers t0 != 0 and windows grouped by class and not.  The estimator snaps the window to whole multiples of the
     grid's least common period L, logging a warning exactly when it discards
     samples, and rejects a window shorter than L.
     """
@@ -295,14 +285,14 @@ def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, 
     panel = scale * (rng.standard_normal((n_samples, n_assets)) + 3.0 * rng.standard_normal(n_assets))
     if n_samples < period:
         with pytest.raises(ValidationError, match="shorter than one least common period"):
-            estimate_moments(panel, grid, mode=mode, t0=t0)
+            estimate_moments(panel, grid, t0=t0)
         return
     snap_warnings = logging.handlers.BufferingHandler(capacity=16)
     snap_warnings.setLevel(logging.WARNING)
     moments_logger = logging.getLogger("specport.moments")
     moments_logger.addHandler(snap_warnings)
     try:
-        moments = estimate_moments(panel, grid, mode=mode, t0=t0)
+        moments = estimate_moments(panel, grid, t0=t0)
     finally:
         moments_logger.removeHandler(snap_warnings)
     kept = moments.sample_count

@@ -10,18 +10,27 @@ from specport import (
     AugmentedVector,
     FactorizationError,
     FrequencyGrid,
+    RiskSpec,
     SymmetryViolationError,
     SynthSpec,
     ValidationError,
     build_basis,
     compute_psd,
     estimate_moments,
+    estimate_spectral_mean,
     example1_scenario,
+    retrieve_allocation,
+    seasonal_market_spec,
+    sharpe_ratio,
+    solve_spectral_mvo,
     synthesize_panel,
     synthesize_time_value,
     synthesize_values,
 )
+from specport.basis import _phases, _to_managed
 from specport.synthesis import _composite_noise
+
+from conftest import population_sharpe
 
 
 def composite_to_augmented(gamma: np.ndarray) -> np.ndarray:
@@ -301,7 +310,7 @@ class TestEstimatorConsistencyLoop:
         )
         panel = synthesize_values(spec)
         literal = estimate_moments(panel, grid)
-        consistent = estimate_moments(panel, grid, mode="consistent")
+        consistent_mean = estimate_spectral_mean(panel, grid, mode="consistent")
 
         scale = 2 * grid.n_bins
         mean_full = mean_true.full()
@@ -322,15 +331,32 @@ class TestEstimatorConsistencyLoop:
             <= 0.10
         )
         assert (
-            np.linalg.norm(consistent.mean.full() - mean_full) / np.linalg.norm(mean_full) <= 0.10
+            np.linalg.norm(consistent_mean.full() - mean_full) / np.linalg.norm(mean_full) <= 0.10
         )
-        # covariance: matches the propagated expectation; consistent mode is (2M)^2 times it
+        # covariance: matches the propagated expectation
         rel = np.linalg.norm(literal.covariance - cov_expected) / np.linalg.norm(cov_expected)
         assert rel <= 0.10
-        rel_consistent = np.linalg.norm(
-            consistent.covariance - scale**2 * cov_expected
-        ) / np.linalg.norm(scale**2 * cov_expected)
-        assert rel_consistent <= 0.10
+
+
+class TestPopulationSharpe:
+    @pytest.mark.parametrize("market", ["seasonal", "example1"])
+    def test_matches_the_realized_sharpe_ratio_of_a_long_panel(self, market):
+        if market == "seasonal":  # the spectral MVO path fitted on 60 months of the market
+            spec = seasonal_market_spec(n_assets=5, periods=(12, 6), seed=3, horizon=60)
+            weights = solve_spectral_mvo(estimate_moments(synthesize_values(spec), spec.grid), RiskSpec(sigma0=0.01))
+            path = retrieve_allocation(weights, range(spec.grid.least_common_period()))
+        else:  # the harmonics' own direction, in noise whose variance cycles through the improper bins
+            spec = example1_scenario()
+            theta = _to_managed(spec.spectral_mean).reshape(2 * spec.grid.n_bins, spec.n_assets)
+            path = _phases(np.arange(spec.grid.least_common_period()), spec.grid) @ theta
+        period = spec.grid.least_common_period()
+        horizon = 144_000
+        panel = synthesize_values(dataclasses.replace(spec, horizon=horizon, seed=99))  # independent of the fit
+        realized = sharpe_ratio(np.einsum("tn,tn->t", np.tile(path, (horizon // period, 1)), panel), 12)
+        expected = population_sharpe(spec, path)
+        per_period = expected / math.sqrt(12)
+        standard_error = math.sqrt(12 * (1 + per_period**2 / 2) / horizon)  # Lo (2002), annualized
+        assert abs(realized - expected) <= 3 * standard_error
 
 
 class TestExampleOneScenario:
