@@ -75,13 +75,11 @@ def parse_timestamp(token: str):
 
 def _validate_timestamps(timestamps) -> tuple:
     timestamps = tuple(timestamps)
-    if len(timestamps) >= 2:
-        kinds = {type(ts) for ts in timestamps}
-        if len(kinds) > 1:
+    for prev, cur in zip(timestamps, timestamps[1:]):
+        if type(cur) is not type(prev):
             raise ValidationError("timestamps mix integer and date types")
-        for prev, cur in zip(timestamps, timestamps[1:]):
-            if not cur > prev:
-                raise ValidationError(f"timestamps not strictly increasing at {cur}")
+        if not cur > prev:
+            raise ValidationError(f"timestamps not strictly increasing at {cur}")
     return timestamps
 
 
@@ -179,11 +177,11 @@ def _read_panel(path, require_positive: bool, min_rows: int):
     timestamp or cell, or a non-finite (or, with ``require_positive``,
     non-positive) value is dropped with a logged warning naming its source
     row, then a count.  Blank or repeated asset names in the header are an
-    error naming their columns; duplicate or non-increasing timestamps among
-    the kept rows are an error naming the offending source row, as are fewer
-    than ``min_rows`` kept rows.  A file that cannot be read or decoded in
-    the locale's encoding, or a cell over csv's field size limit, is an
-    error naming the file (and, for the cell, its line).
+    error naming their columns; duplicate, non-increasing or mixed integer
+    and date timestamps among the kept rows are an error naming the offending
+    source row, as are fewer than ``min_rows`` kept rows.  A file that cannot
+    be read or decoded in the locale's encoding, or a cell over csv's field
+    size limit, is an error naming the file (and, for the cell, its line).
     """
     source = Path(path)
     try:
@@ -229,9 +227,11 @@ def _read_panel(path, require_positive: bool, min_rows: int):
 
     kept = list(compress(parsed, usable))
     for (_, prev, _), (line_no, stamp, _) in zip(kept, kept[1:]):
+        if type(stamp) is not type(prev):
+            raise IngestionError(f"{path}: timestamps mix integer and date types from row {line_no} ({stamp})")
         if stamp == prev:
             raise IngestionError(f"{path}: duplicate timestamp {stamp} at row {line_no}")
-        if type(stamp) is type(prev) and stamp < prev:
+        if stamp < prev:
             raise IngestionError(f"{path}: non-increasing timestamp {stamp} at row {line_no}")
     if len(kept) < min_rows:
         raise IngestionError(f"{path}: only {len(kept)} usable rows; need at least {min_rows}")

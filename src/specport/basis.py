@@ -1,7 +1,7 @@
 """Augmented spectral basis: the mapping between time domain and frequency domain.
 
 A signal sample x(t) in R^N is represented on a discrete grid of M angular
-frequencies w_m = 2 pi / p_m, one per integer period p_m >= 2 in samples
+frequencies w_m = 2 pi / p_m, one per integer period p_m >= 3 in samples
 (:class:`FrequencyGrid`), through the row-orthonormal matrix
 
     B(t) = [ C(t) | conj(C(t)) ],   C(t) = (1/sqrt(2M)) [e^{j w_1 t} I_N, ..., e^{j w_M t} I_N]
@@ -28,23 +28,21 @@ kernels all go through them.  :func:`build_basis`,
 :func:`synthesize_time_value` and :func:`project_spectrum` keep the literal
 complex definition, the reference that the real kernels are tested against.
 
-Integer periods give every grid a least common period L, with
-B(t) = B(t mod L) exactly: :func:`commensurate_length` snaps an estimation
+Sample indices t are integers, and both :func:`_phases` and :func:`build_basis`
+take bin m's angle at t mod p_m, so B(t) = B(t mod L) bit for bit for the
+grid's least common period L.  :func:`commensurate_length` snaps an estimation
 window to whole multiples of L, on which the bins are orthogonal under time
-averaging, and the estimators and allocation retrieval use that the phases
-repeat with period L.
+averaging.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SymmetryViolationError, ValidationError, _count
+from .errors import SymmetryViolationError, ValidationError, _count, _indices
 
 __all__ = [
     "FrequencyGrid",
@@ -60,15 +58,14 @@ __all__ = [
 class FrequencyGrid:
     """A grid of M bins, each a cycle of an integer period in samples.
 
-    ``periods`` are distinct integers >= 2, stored as a tuple sorted longest
-    first, so the angular frequencies ``omegas`` = 2*pi/period, in radians
-    per sample, come out strictly increasing in (0, pi].  Integer periods
-    give the grid a least common period L, the commensurate window that
-    keeps the bins orthogonal under time averaging and that the moment
-    estimators snap to.  The DC bin (period infinite) is excluded: it has no
-    conjugate partner and would break the 2M column pairing; handle constant
-    offsets by demeaning instead.  Period 2 (Nyquist, omega = pi) is allowed
-    but its conjugate pair is phase-degenerate, so construction warns.
+    ``periods`` are distinct integers from 3 to 2**63 - 1, stored as a tuple
+    sorted longest first, so the angular frequencies ``omegas`` = 2*pi/period,
+    in radians per sample, come out strictly increasing in (0, 2 pi / 3].
+    Integer periods give the grid a least common period L, the commensurate
+    window that keeps the bins orthogonal under time averaging and that the
+    moment estimators snap to.  The DC bin (period infinite; demean instead)
+    and the Nyquist bin (period 2) are excluded: the sine of each is zero at
+    every integer sample, which would leave it one real column, not two.
     """
 
     periods: tuple[int, ...]
@@ -86,20 +83,10 @@ class FrequencyGrid:
             raise ValidationError("periods must be integers (samples per cycle)")
         if len(set(periods)) != len(periods):
             raise ValidationError(f"duplicate periods in {periods}")
-        if any(p < 2 for p in periods):
-            raise ValidationError("periods must be >= 2 samples (period 1 would be super-Nyquist)")
-        if 2 in periods:
-            # name the first caller outside this module and the dataclass-generated __init__
-            frame, level = sys._getframe(1), 2
-            while frame is not None and (
-                frame.f_code.co_filename == __file__ or frame.f_code is FrequencyGrid.__init__.__code__
-            ):
-                frame, level = frame.f_back, level + 1
-            warnings.warn(
-                "grid contains the Nyquist frequency pi; its conjugate pair is "
-                "phase-degenerate",
-                stacklevel=level,
-            )
+        if any(p < 3 for p in periods):
+            raise ValidationError("periods must be >= 3 samples (period 2, the Nyquist bin, has a zero sine column)")
+        if max(periods) > 2**63 - 1:  # the phases reduce t mod p in int64
+            raise ValidationError(f"periods must fit in int64, got {max(periods)}")
         object.__setattr__(self, "periods", tuple(sorted(periods, reverse=True)))
 
     @classmethod
@@ -188,10 +175,10 @@ class AugmentedVector:
 
 @dataclass(frozen=True)
 class AugmentedSpectralBasis:
-    """The N x 2MN basis matrix at one sample index.
+    """The N x 2MN basis matrix at one integer sample index ``t``.
 
     ``values`` is partitioned as [C(t) | conj(C(t))] where the m-th block of
-    C(t) is (1/sqrt(2M)) e^{j w_m t} I_N.  Rows are orthonormal:
+    C(t) is (1/sqrt(2M)) e^{j w_m (t mod p_m)} I_N.  Rows are orthonormal:
     values @ values^H == I_N.
     """
 
@@ -216,7 +203,8 @@ def build_basis(t: int, grid: FrequencyGrid, n_assets: int) -> AugmentedSpectral
     Parameters
     ----------
     t : int
-        Sample index (may be negative; the basis is periodic).
+        Sample index in the int64 range, may be negative (a bool, float or
+        string is a ValidationError); the basis is periodic bit for bit.
     grid : FrequencyGrid
     n_assets : int
         N >= 1.
@@ -224,24 +212,26 @@ def build_basis(t: int, grid: FrequencyGrid, n_assets: int) -> AugmentedSpectral
     Returns
     -------
     AugmentedSpectralBasis
-        With entries exactly (1/sqrt(2M)) e^{+-j w_m t} on identity blocks.
+        With entries (1/sqrt(2M)) e^{+-j w_m (t mod p_m)} on identity blocks.
     """
+    t = int(_indices("t", t))
     n_assets = _count("n_assets", n_assets)
     m = grid.n_bins
     scale = 1.0 / math.sqrt(2 * m)
-    phases = np.exp(1j * np.asarray(grid.omegas) * float(t)) * scale
+    phases = np.exp(1j * np.asarray(grid.omegas) * (t % np.asarray(grid.periods))) * scale
     eye = np.eye(n_assets)
     upper = np.kron(phases[np.newaxis, :], eye).reshape(n_assets, m * n_assets)
     values = np.concatenate([upper, np.conj(upper)], axis=1)
-    return AugmentedSpectralBasis(t=int(t), grid=grid, n_assets=n_assets, values=values)
+    return AugmentedSpectralBasis(t=t, grid=grid, n_assets=n_assets, values=values)
 
 
 def _phases(t, grid: FrequencyGrid) -> np.ndarray:
     """The managed-asset phases (1/sqrt M) [cos(w_m t), -sin(w_m t)], shape (T, 2M).
 
-    Row t is the basis in managed coordinates: B(t) U = row (x) I_N.
+    Row t is the basis in managed coordinates: B(t) U = row (x) I_N.  Bin m's
+    angle is w_m (t mod p_m), reduced in int64: its columns repeat bit for bit.
     """
-    angles = np.outer(np.asarray(t, dtype=np.float64), grid.omegas)
+    angles = np.asarray(grid.omegas) * (np.asarray(t)[:, np.newaxis] % np.asarray(grid.periods))
     phases = (1 / math.sqrt(grid.n_bins)) * np.stack([np.cos(angles), -np.sin(angles)], axis=1)
     return phases.reshape(angles.shape[0], 2 * grid.n_bins)
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, and the shared input checks.
 
-Each rule has one definition: :func:`_count` for counts, :func:`_real_array`
-and :func:`_finite_real` for real arrays of a known shape.
+Each rule has one definition: :func:`_count` for counts, :func:`_indices` for sample
+indices, :func:`_real_array` and :func:`_finite_real` for real arrays of a known shape.
 """
 
 import operator
@@ -70,6 +70,18 @@ def _count(name: str, value, minimum: int = 1) -> int:
     if count < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {count!r}")
     return count
+
+
+def _indices(name: str, value) -> np.ndarray:
+    """``value``, an integer or an array of them, as int64; an empty array passes whatever its dtype.
+
+    Bools, floats, strings and integers beyond int64 (a cast would wrap them) are a ValidationError naming ``name``.
+    """
+    array = np.asarray(value)
+    if array.size and not (array.dtype.kind == "i" or array.dtype.kind == "u" and array.max() <= 2**63 - 1):
+        shown = repr(value) if array.ndim == 0 else f"{array.dtype} entries"
+        raise ValidationError(f"{name}: sample indices must be integers in the int64 range, got {shown}")
+    return array.astype(np.int64)
 
 
 def _real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:

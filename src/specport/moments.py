@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented, commensurate_length
-from .errors import ValidationError, _count, _finite_real, _real_array
+from .errors import ValidationError, _count, _finite_real, _indices, _real_array
 
 __all__ = [
     "SpectralMoments",
@@ -128,7 +128,7 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
     phi(t) (x) x(t), flattened bin-major, for the phases phi of
     :func:`specport.basis._phases`; the augmented projected
     vector is exactly U z(t) (see :func:`specport.basis._to_augmented`).  phi
-    repeats with the grid's least common period L, and the snapped window
+    repeats bit for bit with the grid's least common period L, and the snapped window
     (see :func:`_snap_window`) splits into the L phase classes r = t mod L of
     n = T / L samples each, read as the strided views ``values[r::L]``.  With
     class sum s_r, mean xbar_r = s_r / n and within-class scatter
@@ -149,15 +149,13 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
     values = _panel_values(x)
     if values.shape[0] < 2:
         raise ValidationError("need at least 2 samples to estimate spectral moments")
+    t0 = int(_indices("t0", t0))
+    _indices("t0 + T - 1", t0 + values.shape[0] - 1)  # the last row's index
     values, t0 = _snap_window(values, grid, t0)
     n_samples, n_assets = values.shape
     period = grid.least_common_period()
-    if n_samples >= _MIN_CLASS_SIZE * period:
-        t = (t0 + np.arange(period)) % period
-    else:  # one class per sample
-        t = t0 + np.arange(n_samples)
-    n_classes = t.size
-    phases = _phases(t, grid)  # row r is phi_r
+    n_classes = period if n_samples >= _MIN_CLASS_SIZE * period else n_samples  # else one class per sample
+    phases = _phases(t0 + np.arange(n_classes), grid)  # row r is phi_r
     repeats = n_samples // n_classes  # in every class: the snapped window holds whole periods L
     if repeats == 1:  # one sample per class: the window is its own class sums, read only
         sums = values
@@ -216,6 +214,7 @@ def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal", 
     t0 : int
         Absolute sample index of the first row; keeps phase aligned when
         estimating on a window that does not start at the series origin.
+        A bool, float or string is a ValidationError, as is a last row's index beyond int64.
 
     Returns
     -------
@@ -236,7 +235,8 @@ def estimate_moments(x, grid: FrequencyGrid, *, t0: int = 0) -> "SpectralMoments
     of the augmented vector u(t) = B(t)^H x(t) around the estimated mean.  It
     is held as the real, exactly symmetric K, the covariance of the managed
     panel z, which is built from the per-class means and scatters of the
-    window without forming z (see :func:`_managed_moments`).
+    window without forming z (see :func:`_managed_moments`).  ``t0`` is as
+    in :func:`estimate_spectral_mean`.
     """
     managed_mean, covariance, n_samples = _managed_moments(x, grid, t0, covariance=True)
     return SpectralMoments(

@@ -10,7 +10,7 @@ lambda = sqrt(m^H R^{-1} m) / (2 sigma0) and the optimal coefficients
 w = sigma0 R^{-1} m / sqrt(m^H R^{-1} m).  It is solved as the equivalent real
 problem on 2MN managed assets, whose weights theta are stored, and the
 time-varying allocation is the real product w(t) = Phi(t) theta with the
-basis phases, periodic with the grid's least common period L (see
+basis phases, periodic bit for bit with the grid's least common period L (see
 :func:`retrieve_allocation`).
 
 The classical (time-domain) baseline is solved in the same variance-targeted
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented
-from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError, _count, _finite_real
+from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError, _count, _finite_real, _indices
 from .moments import SpectralMoments
 
 __all__ = [
@@ -325,19 +325,16 @@ def retrieve_allocation(weights: SpectralWeights, t_range) -> np.ndarray:
 
     Phi(t) are the basis phases of :func:`specport.basis._phases` and theta
     the managed weights as a 2M x N matrix, so this equals the augmented
-    synthesis B(t) @ [v; conj(v)] of the weights v = U theta.  Phi is
-    evaluated at the reduced index t mod L for the grid's least common
-    period L, where B(t) = B(t mod L) exactly: the path is then periodic
-    with period L bit for bit, and holds at most L distinct rows.  A grid
-    whose L is beyond the int64 range is evaluated at t itself.  Returns a
-    real (len(t_range), n_assets) array.
+    synthesis B(t) @ [v; conj(v)] of the weights v = U theta.  ``t_range``
+    holds integer sample indices in the int64 range; bools, floats and
+    strings are a ValidationError.  Phi takes bin m's phase at t mod p_m, so
+    the path is periodic bit for bit with the grid's least common period L
+    and holds at most L distinct rows.  Returns a real (len(t_range),
+    n_assets) array, (0, n_assets) for an empty ``t_range``.
     """
-    t = np.asarray(list(t_range) if not isinstance(t_range, np.ndarray) else t_range)
+    t = _indices("t_range", t_range if isinstance(t_range, np.ndarray) else list(t_range))
     if t.ndim != 1:
         raise ValidationError("t_range must be one-dimensional")
-    period = weights.grid.least_common_period()
-    if period <= np.iinfo(np.int64).max:
-        t = np.mod(t, period)
     theta = weights.managed_weights.reshape(2 * weights.grid.n_bins, weights.n_assets)
     return _phases(t, weights.grid) @ theta
 

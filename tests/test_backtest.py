@@ -219,6 +219,23 @@ class TestIngest:
         panel = ingest_csv(path)
         assert panel.timestamps == (0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "rows, first",
+        [
+            (["2020-01-01,100", "2020-02-01,101", "7,102", "2020-04-01,103"], "row 4 (7)"),
+            (["0,100", "1,101", "2,102", "2020-04,103", "3,104"], "row 5 (2020-04-01)"),
+            # a dropped row does not count: the first kept row sets the type
+            (["x,100", "2020-01-01,,", "5,101", "6,102", "2020-03-01,103"], "row 6 (2020-03-01)"),
+        ],
+        ids=["integer-after-dates", "date-after-integers", "after-dropped-rows"],
+    )
+    def test_mixed_timestamp_types_name_the_file_and_first_row_of_the_other_type(self, tmp_path, rows, first):
+        path = write_csv(tmp_path, "date,AA\n" + "\n".join(rows) + "\n")
+        message = f"{path}: timestamps mix integer and date types from {first}"
+        for reader in (ingest_csv, read_returns_csv):
+            with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
+                reader(path)
+
 
 CLEAN_ROWS = ["2020-01-01,100,200", "2020-02-01,110,190", "2020-04-01,99,210", "2020-05-01,98,205"]
 HEADER = "date,AA,BB"
@@ -555,7 +572,7 @@ class TestProtocol:
         "fields, match",
         [
             ({"grids": ((12, 12),)}, "grid subset 'A,A': duplicate periods"),
-            ({"grids": ((12,), (0,))}, "grid subset '0': periods must be >= 2"),
+            ({"grids": ((12,), (0,))}, "grid subset '0': periods must be >= 3"),
             ({"ridge": -1.0}, "ridge must be finite and >= 0, got -1.0"),
             ({"periods_per_year": 0}, "periods_per_year must be >= 1, got 0"),
             ({"boundary": "2015-13"}, "boundary: cannot parse timestamp '2015-13'"),
@@ -565,6 +582,7 @@ class TestProtocol:
             ({"periods_per_year": True}, "periods_per_year must be an integer, got True"),
             ({"data": 123}, "data is not a CSV path, PricePanel or ReturnsPanel: int"),
             ({"data": integer_panel(np.zeros(4), ppy=4)}, "data has periods_per_year 4 but config has 12"),
+            ({"grids": ((12,), (6, 2))}, "grid subset 'S,2': periods must be >= 3 samples (period 2, the Nyquist bin, "),
         ],
     )
     def test_bad_fields_rejected_at_construction(self, tmp_path, fields, match):

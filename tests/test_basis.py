@@ -17,8 +17,11 @@ from specport import (
     project_spectrum,
     synthesize_time_value,
 )
+from specport.basis import _phases
 
 from conftest import random_grid
+
+NYQUIST_REFUSAL = "periods must be >= 3 samples (period 2, the Nyquist bin, has a zero sine column)"
 
 
 class TestFrequencyGrid:
@@ -42,11 +45,18 @@ class TestFrequencyGrid:
             ((math.nan,), "periods must be integers (samples per cycle)"),
             ((None,), "periods must be integers (samples per cycle)"),
             ((12, 6, 12), "duplicate periods in [12, 6, 12]"),
-            ((12, 1), "periods must be >= 2 samples (period 1 would be super-Nyquist)"),
-            ((0,), "periods must be >= 2 samples (period 1 would be super-Nyquist)"),
+            ((12, 1), NYQUIST_REFUSAL),
+            ((0,), NYQUIST_REFUSAL),
+            # the Nyquist bin: sin(pi t) is zero at every integer t, so its sine column carries nothing
+            ((2,), NYQUIST_REFUSAL),
+            ((4, 2), NYQUIST_REFUSAL),
+            ((12, 2**63), f"periods must fit in int64, got {2**63}"),
             ((), "frequency grid must contain at least one bin"),
         ],
-        ids=["non-integer", "infinite", "nan", "none", "duplicate", "period-1", "period-0", "empty"],
+        ids=[
+            "non-integer", "infinite", "nan", "none", "duplicate", "period-1", "period-0",
+            "nyquist", "nyquist-in-grid", "beyond-int64", "empty",
+        ],
     )
     def test_direct_construction_rejects_as_from_periods(self, periods, message):
         for build in (FrequencyGrid, FrequencyGrid.from_periods):
@@ -61,26 +71,18 @@ class TestFrequencyGrid:
         assert grid.n_bins == 3
         assert [f.name for f in dataclasses.fields(FrequencyGrid)] == ["periods"]
 
+    def test_largest_period_reduces_in_int64(self):
+        grid = FrequencyGrid.from_periods((2**62, 12))
+        t = np.array([-(2**63), -1, 0, 1, 2**63 - 1])
+        reduced = np.array([0, 2**62 - 1, 0, 1, 2**62 - 1])  # t mod 2^62
+        assert np.array_equal(_phases(t, grid)[:, [0, 2]], _phases(reduced, grid)[:, [0, 2]])
+
     def test_grid_is_its_periods_only(self):
         grid = FrequencyGrid.from_periods((12, 6))
         assert vars(grid) == {"periods": (12, 6)}
         for build in (FrequencyGrid, FrequencyGrid.from_periods):
             with pytest.raises(TypeError):
                 build((12, 6), "month")
-
-    def test_nyquist_allowed_with_warning(self):
-        with pytest.warns(UserWarning, match="Nyquist"):
-            grid = FrequencyGrid.from_periods((2,))
-        assert grid.omegas[0] == pytest.approx(np.pi)
-        with pytest.warns(UserWarning, match="Nyquist"):
-            FrequencyGrid(periods=(4, 2))
-
-    @pytest.mark.parametrize("build", [FrequencyGrid, FrequencyGrid.from_periods])
-    def test_nyquist_warning_names_the_caller(self, build):
-        # not the dataclass-generated __init__ (<string>), where the default filter would show it once per process
-        with pytest.warns(UserWarning, match="Nyquist") as record:
-            build((4, 2))
-        assert record[0].filename == __file__
 
     def test_least_common_period(self):
         assert FrequencyGrid.from_periods((12, 6, 3)).least_common_period() == 12
@@ -135,6 +137,20 @@ class TestBuildBasis:
         for n_assets in (2.0, True, np.float64(1.0)):
             with pytest.raises(ValidationError, match=f"^n_assets must be an integer, got {re.escape(repr(n_assets))}$"):
                 build_basis(0, grid, n_assets)
+
+    @pytest.mark.parametrize("t", [1.5, 1.0, np.float64(3.0), True, "3", 2**63, -(2**63) - 1])
+    def test_t_must_be_an_int64_integer(self, t):
+        message = f"t: sample indices must be integers in the int64 range, got {t!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build_basis(t, FrequencyGrid.from_periods((12,)), 1)
+
+    def test_t_is_where_the_values_were_taken_and_the_basis_is_periodic(self):
+        grid = FrequencyGrid.from_periods((12, 8, 5))
+        for t in (0, 7, -13, np.int64(2**62), np.uint64(2**63 - 1)):
+            basis = build_basis(t, grid, 2)
+            assert basis.t == t and type(basis.t) is int
+            shifted = build_basis(int(t) - grid.least_common_period(), grid, 2)
+            assert np.array_equal(shifted.values, basis.values)
 
 
 class TestSynthesize:
@@ -218,6 +234,22 @@ class TestProject:
         basis = build_basis(0, grid, 2)
         with pytest.raises(ValidationError):
             project_spectrum(basis, np.zeros(3))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_phases_repeat_bit_for_bit_with_each_bins_period(seed):
+    # bin m's columns (cos and -sin) at t and at t + p_m, for |t| up to 1e12
+    rng = np.random.default_rng(seed)
+    grid = random_grid(rng)
+    t = np.concatenate([rng.integers(-10**12, 10**12, size=200), [-(10**12), 10**12 - 24]])
+    phases = _phases(t, grid)
+    for m, period in enumerate(grid.periods):
+        columns = [m, grid.n_bins + m]
+        assert np.array_equal(_phases(t + period, grid)[:, columns], phases[:, columns])
+        # on [0, p_m) the angle is the float product w_m t itself
+        angles = grid.omegas[m] * np.arange(period)
+        expected = (1 / math.sqrt(grid.n_bins)) * np.stack([np.cos(angles), -np.sin(angles)], axis=1)
+        assert np.array_equal(_phases(np.arange(period), grid)[:, columns], expected)
 
 
 def test_time_average_of_gram_converges():

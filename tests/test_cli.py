@@ -9,6 +9,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +109,10 @@ class TestEstimate:
         "flags, message",
         [
             (["--periods", "A,A"], "duplicate periods"),
-            (["--periods", "0"], "periods must be >= 2"),
+            (["--periods", "0"], "periods must be >= 3"),
             (["--periods", "12,x"], "cannot parse grid period 'x'"),
             (["--periods", ","], "no grid periods in ','"),
+            (["--periods", "4,2"], "periods must be >= 3 samples (period 2, the Nyquist bin, has a zero sine column)"),
         ],
     )
     def test_bad_input_named_before_ingest(self, tmp_path, capsys, flags, message):
@@ -293,9 +295,10 @@ class TestBacktest:
         "flags, message",
         [
             (["--grids", "A,A"], "duplicate periods"),
-            (["--grids", "A;0"], "periods must be >= 2"),
+            (["--grids", "A;0"], "periods must be >= 3"),
             (["--periods-per-year", "0"], "periods_per_year must be >= 1"),
             (["--boundary", "2015-13"], "boundary: cannot parse timestamp '2015-13'"),
+            (["--grids", "A;12,2"], "grid subset 'A,2': periods must be >= 3 samples (period 2, the Nyquist bin, "),
         ],
     )
     def test_bad_config_named_before_ingest(self, tmp_path, capsys, flags, message):
@@ -471,6 +474,29 @@ def test_undecodable_or_oversized_data_exit_2(tmp_path, capsys, command, cell, m
     stage = "[stage: ingest] " if command == "backtest" else ""
     assert capsys.readouterr().err == f"error: {stage}{data}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "backtest"])
+def test_mixed_timestamp_types_exit_2_naming_the_file_and_row(tmp_path, capsys, command):
+    lines = DATA.read_text().splitlines()
+    lines[10] = "7" + lines[10][lines[10].index(",") :]  # row 11: an integer timestamp among dates
+    data = tmp_path / "panel.csv"
+    data.write_text("\n".join(lines) + "\n")
+    assert main(output_argv(command, data, tmp_path / "out")) == 2
+    stage = "[stage: ingest] " if command == "backtest" else ""
+    message = "timestamps mix integer and date types from row 11 (7)"
+    assert capsys.readouterr().err == f"error: {stage}{data}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_nyquist_period_is_refused_without_a_warning(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["estimate", "--data", str(DATA), "--periods", "4,2", "--out-dir", str(tmp_path / "est")])
+    assert code == 2
+    message = "periods must be >= 3 samples (period 2, the Nyquist bin, has a zero sine column)"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "est").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "estimate", "backtest"])

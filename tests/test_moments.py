@@ -115,6 +115,34 @@ class TestSpectralMean:
         assert (record.snap_kept, record.snap_discarded) == (24, 6)
         assert "kept 24" in record.getMessage() and "discarded 6" in record.getMessage()
 
+    @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
+    @pytest.mark.parametrize(
+        "t0, message",
+        [
+            (1.5, "t0: sample indices must be integers in the int64 range, got 1.5"),
+            (6.0, "t0: sample indices must be integers in the int64 range, got 6.0"),
+            (True, "t0: sample indices must be integers in the int64 range, got True"),
+            ("6", "t0: sample indices must be integers in the int64 range, got '6'"),
+            (-(2**63) - 1, f"t0: sample indices must be integers in the int64 range, got {-(2**63) - 1}"),
+            # the last of the 24 rows would sit at 2^63, which int64 arithmetic would wrap to -2^63
+            (2**63 - 23, f"t0 + T - 1: sample indices must be integers in the int64 range, got {2**63}"),
+        ],
+        ids=["float", "integral-float", "bool", "string", "below-int64", "last-row-beyond-int64"],
+    )
+    def test_t0_must_be_an_int64_index(self, estimator, t0, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            estimator(np.ones((24, 1)), FrequencyGrid.from_periods((12,)), t0=t0)
+
+    def test_t0_at_the_int64_ends_matches_the_reduced_origin(self):
+        # the phases are taken at t mod p_m, so an origin shifted by whole periods L changes no bit
+        grid = FrequencyGrid.from_periods((12, 8))
+        x = np.random.default_rng(5).standard_normal((30, 2))
+        reference = estimate_moments(x, grid, t0=5)
+        for t0 in (5 - 24 * (2**58), 5 + 24 * ((2**63 - 30) // 24 - 1), np.int64(5 + 24 * 10**9)):
+            shifted = estimate_moments(x, grid, t0=t0)
+            assert shifted.managed_mean.tobytes() == reference.managed_mean.tobytes()
+            assert shifted.managed_covariance.tobytes() == reference.managed_covariance.tobytes()
+
     def test_unknown_mode(self):
         grid = FrequencyGrid.from_periods((12,))
         with pytest.raises(ValidationError, match="^unknown estimator mode 'bogus'; expected one of "):
@@ -339,7 +367,6 @@ class TestSpectralMomentsType:
         [
             ({"managed_mean": np.full(8, np.nan)}, "managed mean has non-finite"),
             ({"managed_covariance": np.full((8, 8), np.inf)}, "managed covariance has non-finite"),
-            ({"sample_count": 0}, "sample_count"),
             ({"sample_count": -3}, "sample_count"),
             ({"n_assets": 0}, "n_assets"),
             ({"n_assets": 2.0}, "^n_assets must be an integer, got 2.0$"),
@@ -926,8 +953,7 @@ class TestSerialization:
                 if TINY_FILE[position] == char:
                     continue
                 path.write_bytes(TINY_FILE[:position] + bytes([char]) + TINY_FILE[position + 1 :])
-                with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "), warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # periods 4 -> 2 is the Nyquist bin
+                with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
                     read_moments_csv(path)
 
     def test_benchmark_damage_of_the_first_cov_record_is_refused(self, tmp_path):
@@ -980,6 +1006,8 @@ class TestSerialization:
             ),
             ((r"^meta,format,[^,]*,", "meta,format,specport-moments-v2,"), "unsupported format tag"),
             ((r"^end,crc32,[^,]*,,\r$", r"\g<0>\nmean,,,AAAAAAAA8D8=,\r"), "rows after the end row"),
+            # the Nyquist bin, in a grid of the same size
+            ((r"^meta,periods,[^,]*,", "meta,periods,12;2,"), re.escape("periods must be >= 3 samples (period 2, ")),
         ],
     )
     def test_rejected_values_name_the_file(self, tmp_path, edit, match):

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -490,6 +491,38 @@ class TestRetrieveAllocation:
         solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
         with pytest.raises(ValidationError, match="t_range must be one-dimensional"):
             retrieve_allocation(solved, np.arange(24).reshape(4, 6))
+
+    @pytest.mark.parametrize(
+        "t_range, shown",
+        [
+            ([0.0, 1.0], "float64 entries"),
+            (np.arange(3) + 0.5, "float64 entries"),
+            ([True, False], "bool entries"),
+            (["0", "1"], "<U1 entries"),
+            (np.array([0, 2**63], dtype=np.uint64), "uint64 entries"),  # a cast would wrap 2^63 to -2^63
+            ([2**64], "object entries"),
+            ([-1, 2**63], "float64 entries"),  # numpy makes these floats, which would truncate
+        ],
+        ids=[
+            "floats", "float-array", "bools", "strings", "uint64-beyond-int64", "beyond-uint64", "mixed-sign-beyond-int64"
+        ],
+    )
+    def test_t_range_must_hold_int64_integers(self, t_range, shown):
+        moments = random_structured_moments(43, grid=FrequencyGrid.from_periods((12,)), n_assets=2)
+        solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
+        message = f"t_range: sample indices must be integers in the int64 range, got {shown}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            retrieve_allocation(solved, t_range)
+
+    def test_t_range_accepts_every_integer_form_and_may_be_empty(self):
+        moments = random_structured_moments(44, grid=FrequencyGrid.from_periods((12, 5)), n_assets=2)
+        solved = solve_spectral_mvo(moments, RiskSpec(sigma0=0.01))
+        path = retrieve_allocation(solved, range(-3, 9))
+        for t_range in (list(range(-3, 9)), np.arange(-3, 9, dtype=np.int32), (t for t in range(-3, 9))):
+            assert np.array_equal(retrieve_allocation(solved, t_range), path)
+        assert np.array_equal(retrieve_allocation(solved, np.arange(9, dtype=np.uint64))[3:], path[6:])
+        for empty in ([], range(0), np.array([])):
+            assert retrieve_allocation(solved, empty).shape == (0, 2)
 
     def test_retrieval_never_builds_the_complex_view(self):
         moments = random_structured_moments(38, grid=FrequencyGrid.from_periods((12, 6)), n_assets=2)

@@ -11,7 +11,6 @@ import math
 import re
 import string
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,8 +239,7 @@ def test_moments_file_refuses_any_changed_character(seed, grid, n_assets, where,
         position = int(where * len(text))
         assume(text[position] != char)
         path.write_bytes((text[:position] + char + text[position + 1 :]).encode())
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "), warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a period edited to 2 is the Nyquist bin
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: "):
             read_moments_csv(path)
 
 
@@ -302,9 +300,8 @@ def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, 
     z = (_phases(t, grid)[:, :, np.newaxis] * panel[-kept:, np.newaxis, :]).reshape(kept, -1)
     mean = z.mean(axis=0)
     cov = (z - mean).T @ (z - mean) / kept
-    # phi(t) here carries the rounding of the angle w t, up to eps |w t|; the estimator
-    # evaluates phi at t mod L.
-    tol = 64 * np.finfo(np.float64).eps * (1.0 + grid.omegas[-1] * float(np.max(np.abs(t))))
+    # both evaluate phi at the same reduced angles w_m (t mod p_m), so only the sums' rounding differs
+    tol = 64 * np.finfo(np.float64).eps
     size = float(np.max(np.abs(z)))
     assert np.max(np.abs(moments.managed_mean - mean)) <= tol * size
     assert np.max(np.abs(moments.managed_covariance - cov)) <= tol * size**2
@@ -339,7 +336,7 @@ def test_allocation_path_is_real_finite_and_periodic(seed, grid, n_assets, start
     length=st.integers(min_value=1, max_value=40),
 )
 @example(seed=0, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=5, start=-(10**7), length=1)
-@example(  # L beyond int64: evaluated at t itself
+@example(  # L beyond int64
     seed=1,
     grid=FrequencyGrid.from_periods((151, 149, 139, 137, 131, 127, 113, 109, 107, 103)),
     n_assets=2,
@@ -349,12 +346,10 @@ def test_allocation_path_is_real_finite_and_periodic(seed, grid, n_assets, start
 def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, length):
     """Phi(t) theta equals the complex synthesis B(t) [v; conj(v)] to rounding, at any t.
 
-    The path is evaluated at t mod L for the grid's least common period L,
-    where B(t) = B(t mod L) exactly, so the reference is taken there too; a
-    grid whose L is beyond the int64 range is evaluated at t itself.  The error
-    is measured against |Phi| |theta|, the scale of the terms summed: at a
-    single sample the terms can cancel, so |w(t)| alone is no bound on the
-    rounding.
+    Both take bin m's phase at t mod p_m, so they agree at any t, whatever
+    the grid's least common period L.  The error is measured against
+    |Phi| |theta|, the scale of the terms summed: at a single sample the
+    terms can cancel, so |w(t)| alone is no bound on the rounding.
     """
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(2 * grid.n_bins * n_assets) * 10.0 ** rng.uniform(-3, 3)
@@ -362,12 +357,10 @@ def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, leng
         grid=grid, n_assets=n_assets, managed_weights=theta, lagrange_multiplier=1.0, sigma0=1.0, ridge_used=0.0
     )
     t = np.arange(start, start + length)
-    period = grid.least_common_period()
-    index = t % period if period <= np.iinfo(np.int64).max else t
     path = retrieve_allocation(weights, t)
-    phases = _phases(index, grid)
+    phases = _phases(t, grid)
     assert np.array_equal(path, phases @ theta.reshape(2 * grid.n_bins, n_assets))
-    expected = np.array([synthesize_time_value(build_basis(s, grid, n_assets), weights.weights) for s in index])
+    expected = np.array([synthesize_time_value(build_basis(s, grid, n_assets), weights.weights) for s in t])
     assert path.shape == expected.shape == (length, n_assets)
     scale = np.abs(phases) @ np.abs(theta.reshape(2 * grid.n_bins, n_assets))
     assert np.max(np.abs(path - expected)) <= 1e-14 * np.max(scale)
