@@ -38,6 +38,7 @@ averaging.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,20 @@ __all__ = [
     "project_spectrum",
     "commensurate_length",
 ]
+
+
+def _period(value) -> int:
+    """A period as an exact int: a float only if integral, anything else by ``operator.index``.
+
+    No integer passes through float64, so one above 2**53 keeps its value.
+    Raises TypeError (None, a string) or ValueError (a fractional float, nan, inf).
+    """
+    if isinstance(value, (float, np.floating)):
+        if not float(value).is_integer():
+            raise ValueError(f"not an integral period: {value!r}")
+        return int(value)
+    return operator.index(value)
+
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -75,12 +90,9 @@ class FrequencyGrid:
         if not given:
             raise ValidationError("frequency grid must contain at least one bin")
         try:
-            periods = [int(p) for p in given]
-            integral = all(p == float(q) for p, q in zip(given, periods))
-        except (TypeError, ValueError, OverflowError):  # None, nan, inf
-            integral = False
-        if not integral:
-            raise ValidationError("periods must be integers (samples per cycle)")
+            periods = [_period(p) for p in given]
+        except (TypeError, ValueError):  # None, a string, a fractional float, nan, inf
+            raise ValidationError("periods must be integers (samples per cycle)") from None
         if len(set(periods)) != len(periods):
             raise ValidationError(f"duplicate periods in {periods}")
         if any(p < 3 for p in periods):

@@ -141,10 +141,13 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
     vanish inside each class, so z is never formed.  A window of fewer than
     ``_MIN_CLASS_SIZE`` L samples makes every sample its own class: every
     D_r is zero, G is the centred panel and K = G^T G / T.  Otherwise K is
-    assembled N rows at a time: the blocks right of
-    the diagonal come from products, the diagonal block is averaged with its
-    transpose and the blocks below are copied from their mirror, so K is
-    exactly symmetric.
+    assembled in N x N blocks (a, b) of phases a, b: G^T G fills the blocks
+    right of the diagonal N rows at a time; each D_r is written straight into
+    its slot of a stack of at most (2M)^2 scatters, and one product of the
+    stack with the weights phi_ra phi_rb / T of every pair b >= a gives all
+    the blocks' within-class terms, added to K block by block.  Last each
+    diagonal block is averaged with its transpose and the blocks below are
+    copied from their mirror, so K is exactly symmetric.
     """
     values = _panel_values(x)
     if values.shape[0] < 2:
@@ -177,20 +180,20 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
     for a in range(dim):
         lo, hi = a * n_assets, (a + 1) * n_assets
         np.matmul(between[:, lo:hi].T, between[:, lo:], out=cov[lo:hi, lo:])
-    # ... then the class scatters, at most (2M)^2 of them (the size of K) at a time ...
+    # ... then the class scatters, at most (2M)^2 of them (the size of K) at a time,
+    # combined for every block (a, b >= a) in one product ...
+    pairs = np.triu_indices(dim)
+    deviations = np.empty((repeats, n_assets))
     for first in range(0, n_classes, dim * dim):
         stop = min(first + dim * dim, n_classes)
         scatter = np.empty((stop - first, n_assets, n_assets))
         for r in range(first, stop):
-            deviations = values[r::n_classes] - class_means[r]
-            scatter[r - first] = deviations.T @ deviations
-        scatter = scatter.reshape(stop - first, n_assets * n_assets)
-        for a in range(dim):
-            lo, hi = a * n_assets, (a + 1) * n_assets
-            products = phases[first:stop, a:] * phases[first:stop, a, np.newaxis] / n_samples
-            within = (products.T @ scatter).reshape(dim - a, n_assets, n_assets)
-            blocks = cov[lo:hi].reshape(n_assets, dim, n_assets)[:, a:]
-            blocks += within.transpose(1, 0, 2)
+            np.subtract(values[r::n_classes], class_means[r], out=deviations)
+            np.matmul(deviations.T, deviations, out=scatter[r - first])
+        products = phases[first:stop, pairs[0]] * phases[first:stop, pairs[1]] / n_samples
+        within = products.T @ scatter.reshape(stop - first, n_assets * n_assets)
+        for a, b, block in zip(*pairs, within.reshape(-1, n_assets, n_assets)):
+            cov[a * n_assets : (a + 1) * n_assets, b * n_assets : (b + 1) * n_assets] += block
     # ... and last the diagonal blocks averaged with their transposes, the rest mirrored.
     for a in range(dim):
         lo, hi = a * n_assets, (a + 1) * n_assets

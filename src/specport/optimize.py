@@ -42,16 +42,21 @@ __all__ = [
 ]
 
 _MEAN_EPS = 1e-14
-# Columns per block of the Cholesky factor in `_factor_solve`: wide enough
-# that the block-row updates are GEMMs, narrow enough that each diagonal
-# block's own Cholesky factor and inverse (an LU of a triangular matrix) stay
-# cheap and the row buffer (48 x 2MN) stays small next to the matrix.  Chosen
-# from a sweep over 32, 48, 64, 96 and 128 on a 2-core x86 VM (OpenBLAS, 2
-# threads).  At 2MN = 1600, 32 to 96 tie at ~49 ms per solve and 128 takes
-# 53 ms: its 13 diagonal blocks spend 13 ms in `cholesky` and `inv`, the 34
-# blocks of 48 spend 5 ms.  At 2MN = 300 narrower is faster: 1.7 ms at 32,
-# 1.9 ms at 48, 2.2 ms at 64 and 3.5 ms at 128.
-_BLOCK = 48
+# Columns per block of the Cholesky factor in `_factor_solve`, chosen from 2MN
+# alone: wide enough that the block-row updates are efficient GEMMs, narrow
+# enough that each diagonal block's own Cholesky factor and inverse stay cheap
+# and the row buffer (width x 2MN) stays small next to the matrix.  From two
+# interleaved sweeps on a 2-core x86 VM (OpenBLAS, 2 threads), as a share of
+# the time of 48-column blocks with LU inverses: at 2MN = 300, 24 and 32
+# columns took 0.89-0.94, 48 0.97, 64 1.02-1.17 and 96 1.26-1.41; at
+# 2MN = 800, 96 took 0.96 and 32 to 64 0.99-1.0; at 2MN = 1600, 96 took
+# 0.86-0.88, 64 and 128 0.94-0.97 and 160 0.99.
+_NARROW_BLOCK = 32
+_WIDE_BLOCK = 96
+_WIDE_FROM = 800  # 2MN at and above which the blocks are wide
+# Columns up to which `_lower_inverse` calls `np.linalg.inv` (a pivoted LU)
+# rather than splitting the triangle in two.
+_INVERSE_BASE = 32
 # Largest rho = 2MN / T that `solve_spectral_mvo` solves without an explicit
 # positive ridge.  The sample covariance is singular at rho >= 1, and just
 # below 1 it is so ill-conditioned that the default ridge does not tame it:
@@ -146,43 +151,73 @@ class StaticWeights:
         object.__setattr__(self, "weights", weights)
 
 
+def _block_width(dim: int) -> int:
+    """Columns per block of the Cholesky factor of a dim x dim matrix (see `_WIDE_FROM`)."""
+    return _WIDE_BLOCK if dim >= _WIDE_FROM else _NARROW_BLOCK
+
+
+def _lower_inverse(lower: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the nonsingular lower-triangular ``lower`` into ``out``.
+
+    By recursive 2 x 2 blocks (Higham 2002, ch. 14): the inverse of
+    [[A, 0], [C, D]] is [[inv(A), 0], [-inv(D) C inv(A), inv(D)]], so a
+    triangle wider than ``_INVERSE_BASE`` columns costs two half-width
+    inverses and two matrix products, and only the base blocks run the
+    pivoted LU of ``np.linalg.inv``.  The part of ``out`` above the diagonal
+    blocks is zero.
+    """
+    size = lower.shape[0]
+    if size <= _INVERSE_BASE:
+        out[...] = np.linalg.inv(lower)
+        return
+    half = size // 2
+    _lower_inverse(lower[:half, :half], out[:half, :half])
+    _lower_inverse(lower[half:, half:], out[half:, half:])
+    out[:half, half:] = 0.0
+    np.matmul(-(out[half:, half:] @ lower[half:, :half]), out[:half, :half], out=out[half:, :half])
+
+
 def _factor_solve(matrix: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (matrix + ridge I) z = rhs by a blocked left-looking Cholesky factorization.
 
-    The factor is held as U = L^T, one block row at a time, so that every
-    read of ``matrix`` and every write of the factor runs along rows.  Block
-    row j is formed in one buffer as ``matrix[j, j:] - U[:j, j]^T U[:j, j:]``
-    from the exactly symmetric ``matrix``'s upper triangle; the ridge goes on
-    its diagonal block, which ``np.linalg.cholesky`` factors as L_jj (a
-    failure there is the positive-definiteness check), and the row right of
-    it is inv(L_jj) times that row.  ``upper`` keeps inv(L_jj) on its
-    diagonal blocks, so the forward substitution U^T y = rhs runs inside the
-    factor loop and the backward one U z = y, overwriting y from the last
-    block up, is matrix-vector products.  ``matrix`` is only read.  Raises
+    The factor is held as U = L^T, one block row of ``_block_width(dim)``
+    rows at a time, so that every read of ``matrix`` and every write of the
+    factor runs along rows.  ``rhs`` rides along as one more column of
+    ``matrix``, so the factor's last column is y = L^{-1} rhs: the forward
+    substitution is done by the factor's own products.  Block row j is formed
+    in one buffer as ``[matrix | rhs][j, j:] - U[:j, j]^T U[:j, j:]`` from the
+    exactly symmetric ``matrix``'s upper triangle; the ridge goes on its
+    diagonal block, which ``np.linalg.cholesky`` factors as L_jj (a failure
+    there is the positive-definiteness check), and the row right of it is
+    inv(L_jj) times that row, with inv(L_jj) from the triangular
+    :func:`_lower_inverse`.  ``upper`` keeps inv(L_jj) on its diagonal blocks,
+    so the backward substitution U z = y, overwriting y from the last block
+    up, is matrix-vector products.  ``matrix`` is only read.  Raises
     np.linalg.LinAlgError when the regularized matrix is not positive
     definite.
     """
     dim = rhs.shape[0]
-    upper = np.empty_like(matrix)
-    row = np.empty(dim * min(_BLOCK, dim))
-    y = np.empty_like(rhs)
-    starts = range(0, dim, _BLOCK)
+    block = _block_width(dim)
+    upper = np.empty((dim, dim + 1))
+    row = np.empty((dim + 1) * min(block, dim))
+    starts = range(0, dim, block)
     for start in starts:
-        stop = min(start + _BLOCK, dim)
+        stop = min(start + block, dim)
         width = stop - start
-        panel = row[: width * (dim - start)].reshape(width, dim - start)
+        panel = row[: width * (dim + 1 - start)].reshape(width, dim + 1 - start)
         np.matmul(upper[:start, start:stop].T, upper[:start, start:], out=panel)
-        np.subtract(matrix[start:stop, start:], panel, out=panel)
+        np.subtract(matrix[start:stop, start:], panel[:, :-1], out=panel[:, :-1])
+        np.subtract(rhs[start:stop], panel[:, -1], out=panel[:, -1])
         diagonal = panel[:, :width]
         diagonal.flat[:: width + 1] += ridge
-        inverse = np.linalg.inv(np.linalg.cholesky(diagonal))
-        upper[start:stop, start:stop] = inverse
-        np.matmul(inverse, panel[:, width:], out=upper[start:stop, stop:])
-        y[start:stop] = inverse @ (rhs[start:stop] - upper[:start, start:stop].T @ y[:start])
-    for start in reversed(starts):
-        stop = min(start + _BLOCK, dim)
         inverse = upper[start:stop, start:stop]
-        y[start:stop] = inverse.T @ (y[start:stop] - upper[start:stop, stop:] @ y[stop:])
+        _lower_inverse(np.linalg.cholesky(diagonal), inverse)
+        np.matmul(inverse, panel[:, width:], out=upper[start:stop, stop:])
+    y = upper[:, dim].copy()
+    for start in reversed(starts):
+        stop = min(start + block, dim)
+        inverse = upper[start:stop, start:stop]
+        y[start:stop] = inverse.T @ (y[start:stop] - upper[start:stop, stop:dim] @ y[stop:])
     return y
 
 
@@ -192,10 +227,10 @@ def _targeted_solve(matrix: np.ndarray, mean: np.ndarray, risk: RiskSpec):
     One blocked left-looking Cholesky factorization L L^T of the regularized
     matrix both checks that it is positive definite and solves (see
     :func:`_factor_solve`): the ridge is added to each diagonal block as that
-    block is factored, so ``matrix`` is neither copied nor written, and the
-    inverses of the diagonal blocks of L, kept from the factorization, serve
-    the forward and the backward substitution.  Returns (weights, multiplier,
-    ridge_used).
+    block is factored, so ``matrix`` is neither copied nor written; the
+    forward substitution is one more column of the factorization, and the
+    inverses of the diagonal blocks of L, kept from it, serve the backward
+    substitution.  Returns (weights, multiplier, ridge_used).
     """
     if float(np.linalg.norm(mean)) <= _MEAN_EPS:
         raise DegenerateMeanError(

@@ -44,6 +44,7 @@ class TestFrequencyGrid:
             ((12, math.inf), "periods must be integers (samples per cycle)"),
             ((math.nan,), "periods must be integers (samples per cycle)"),
             ((None,), "periods must be integers (samples per cycle)"),
+            (("12",), "periods must be integers (samples per cycle)"),
             ((12, 6, 12), "duplicate periods in [12, 6, 12]"),
             ((12, 1), NYQUIST_REFUSAL),
             ((0,), NYQUIST_REFUSAL),
@@ -54,7 +55,7 @@ class TestFrequencyGrid:
             ((), "frequency grid must contain at least one bin"),
         ],
         ids=[
-            "non-integer", "infinite", "nan", "none", "duplicate", "period-1", "period-0",
+            "non-integer", "infinite", "nan", "none", "string", "duplicate", "period-1", "period-0",
             "nyquist", "nyquist-in-grid", "beyond-int64", "empty",
         ],
     )
@@ -70,6 +71,11 @@ class TestFrequencyGrid:
         assert grid.omegas == (2.0 * math.pi / 12, 2.0 * math.pi / 6, 2.0 * math.pi / 3)
         assert grid.n_bins == 3
         assert [f.name for f in dataclasses.fields(FrequencyGrid)] == ["periods"]
+        # an integer period is taken exactly, not through float64, which holds neither of these
+        for period in (2**53 + 1, 2**63 - 1, np.int64(2**63 - 1)):
+            for build in (FrequencyGrid, FrequencyGrid.from_periods):
+                grid = build((12, period))
+                assert grid.periods == (int(period), 12) and type(grid.periods[0]) is int
 
     def test_largest_period_reduces_in_int64(self):
         grid = FrequencyGrid.from_periods((2**62, 12))

@@ -28,7 +28,15 @@ from specport import (
     synthesize_values,
 )
 from specport.basis import _to_augmented
-from specport.optimize import _BLOCK, _targeted_solve
+from specport.optimize import (
+    _INVERSE_BASE,
+    _NARROW_BLOCK,
+    _WIDE_BLOCK,
+    _WIDE_FROM,
+    _block_width,
+    _lower_inverse,
+    _targeted_solve,
+)
 
 from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments
 
@@ -303,8 +311,15 @@ def lu_reference(matrix, mean, sigma0):
 class TestFactorOnceSolve:
     """The blocked Cholesky factor-and-solve core against a dense solve, across block edges."""
 
-    # 3 * _BLOCK + 1 ends in a one-column block; 3 * _BLOCK in a full one
-    @pytest.mark.parametrize("dim", [1, 2, 127, 128, 129, 257, 300, 3 * _BLOCK, 3 * _BLOCK + 1])
+    # 3 * _WIDE_BLOCK + 1 ends in a one-column block and 3 * _WIDE_BLOCK in a full one, both
+    # in narrow blocks; from _WIDE_FROM the blocks are wide, and 9 * _WIDE_BLOCK + 1 ends in one column
+    @pytest.mark.parametrize(
+        "dim",
+        [
+            1, 2, 127, 128, 129, 257, 300, 3 * _WIDE_BLOCK, 3 * _WIDE_BLOCK + 1,
+            _WIDE_FROM - 1, _WIDE_FROM, 9 * _WIDE_BLOCK + 1,
+        ],
+    )
     def test_matches_lu_reference(self, dim):
         rng = np.random.default_rng(dim)
         risk = RiskSpec(sigma0=0.01, ridge=0.0)
@@ -338,16 +353,34 @@ class TestFactorOnceSolve:
         with pytest.raises(SingularCovarianceError):
             _targeted_solve(matrix, np.ones(256), RiskSpec(0.01, ridge=ridge))
 
+    @pytest.mark.parametrize("dim", [5 * _NARROW_BLOCK, _WIDE_FROM])
     @pytest.mark.parametrize("ridge", [None, 0.0])
-    def test_middle_block_not_positive_definite_raises(self, ridge):
-        # five blocks, all I but for [[I, 2I], [2I, I]] on blocks 1 and 2: blocks 0 and 1
-        # factor, block 2's Schur complement I - 4I does not, and blocks 3 and 4 are never reached
-        eye = np.eye(_BLOCK)
-        matrix = np.eye(5 * _BLOCK)
-        matrix[_BLOCK : 2 * _BLOCK, 2 * _BLOCK : 3 * _BLOCK] = 2 * eye
-        matrix[2 * _BLOCK : 3 * _BLOCK, _BLOCK : 2 * _BLOCK] = 2 * eye
+    def test_middle_block_not_positive_definite_raises(self, ridge, dim):
+        # all I but for [[I, 2I], [2I, I]] on blocks 1 and 2 of the factor: blocks 0 and 1
+        # factor, block 2's Schur complement I - 4I does not, and the later blocks are never reached
+        block = _block_width(dim)
+        eye = np.eye(block)
+        matrix = np.eye(dim)
+        matrix[block : 2 * block, 2 * block : 3 * block] = 2 * eye
+        matrix[2 * block : 3 * block, block : 2 * block] = 2 * eye
         with pytest.raises(SingularCovarianceError):
-            _targeted_solve(matrix, np.ones(5 * _BLOCK), RiskSpec(0.01, ridge=ridge))
+            _targeted_solve(matrix, np.ones(dim), RiskSpec(0.01, ridge=ridge))
+
+    # one column, the largest base triangle, the smallest split one, and a wide block with and without a spare column
+    @pytest.mark.parametrize("size", [1, _INVERSE_BASE, _INVERSE_BASE + 1, _WIDE_BLOCK, _WIDE_BLOCK + 1])
+    def test_lower_inverse_matches_lu_inverse(self, size):
+        rng = np.random.default_rng(size)
+        lower = np.linalg.cholesky(spd_matrix(rng, size, 1e4))
+        # a strided view full of NaN, as the factor's diagonal block is: every entry must be written
+        buffer = np.full((size + 3, size + 5), np.nan)
+        out = buffer[1 : size + 1, 2 : size + 2]
+        _lower_inverse(lower, out)
+        expected = np.linalg.inv(lower)
+        # both are inverses of a triangle of condition <= 100: they agree to a multiple of 100 * eps
+        tol = 16 * np.finfo(float).eps * 1e2
+        assert np.linalg.norm(out - expected) <= tol * np.linalg.norm(expected)
+        assert np.isnan(buffer[0]).all() and np.isnan(buffer[size + 1 :]).all()
+        assert np.isnan(buffer[:, :2]).all() and np.isnan(buffer[:, size + 2 :]).all()
 
     def test_ridge_on_every_diagonal_block_input_unchanged(self):
         rng = np.random.default_rng(385)

@@ -263,6 +263,9 @@ def test_moments_file_refuses_any_changed_character(seed, grid, n_assets, where,
 @example(  # the snap discards 4 samples and keeps 16 L
     seed=4, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=6, n_samples=196, t0=5
 )
+@example(  # L = 9 > (2M)^2 = 4 classes on 17 L samples: the scatters are combined in three chunks
+    seed=7, grid=FrequencyGrid.from_periods((9,)), n_assets=3, n_samples=160, t0=2
+)
 @example(  # L beyond int64: rejected
     seed=5,
     grid=FrequencyGrid.from_periods((151, 149, 139, 137, 131, 127, 113, 109, 107, 103)),
