@@ -73,16 +73,6 @@ def parse_timestamp(token: str):
         raise IngestionError(f"cannot parse timestamp {token!r} (expected int or ISO date)")
 
 
-def _validate_timestamps(timestamps) -> tuple:
-    timestamps = tuple(timestamps)
-    for prev, cur in zip(timestamps, timestamps[1:]):
-        if type(cur) is not type(prev):
-            raise ValidationError("timestamps mix integer and date types")
-        if not cur > prev:
-            raise ValidationError(f"timestamps not strictly increasing at {cur}")
-    return timestamps
-
-
 def _name_clashes(names: Sequence[str], unit: str, first: int) -> str:
     """The blank and the repeated names among ``names``, numbered from ``first``; '' if none.
 
@@ -98,12 +88,31 @@ def _name_clashes(names: Sequence[str], unit: str, first: int) -> str:
     )
 
 
-def _validate_asset_names(names) -> tuple[str, ...]:
-    names = tuple(names)
+def _validate_panel(panel, value_field: str, floor: float, message: str, *counts: str) -> None:
+    """Check and store ``panel``'s timestamps, asset names, ``value_field`` array and ``counts`` fields.
+
+    The checks fail in that order.  Each entry of the finite real array must
+    exceed ``floor`` (``message`` otherwise), and each ``counts`` field be an
+    integer >= 1.  The array may be the caller's own, so it is frozen only
+    after every check has passed.
+    """
+    timestamps = tuple(panel.timestamps)
+    for prev, cur in zip(timestamps, timestamps[1:]):
+        if type(cur) is not type(prev):
+            raise ValidationError("timestamps mix integer and date types")
+        if not cur > prev:
+            raise ValidationError(f"timestamps not strictly increasing at {cur}")
+    names = tuple(panel.asset_names)
     clashes = _name_clashes(names, "positions", 0)
     if clashes:
         raise ValidationError(f"asset names must be distinct and non-blank: {clashes}")
-    return names
+    values = _finite_real(value_field, getattr(panel, value_field), (len(timestamps), len(names)))
+    if np.any(values <= floor):
+        raise ValidationError(message)
+    checked = {name: _count(name, getattr(panel, name)) for name in counts}
+    values.flags.writeable = False
+    for name, value in {"timestamps": timestamps, "asset_names": names, value_field: values, **checked}.items():
+        object.__setattr__(panel, name, value)
 
 
 @dataclass(frozen=True)
@@ -115,15 +124,7 @@ class PricePanel:
     asset_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        timestamps = _validate_timestamps(self.timestamps)
-        asset_names = _validate_asset_names(self.asset_names)
-        prices = _finite_real("prices", self.prices, (len(timestamps), len(asset_names)))
-        if np.any(prices <= 0.0):
-            raise ValidationError("prices must be strictly positive")
-        prices.flags.writeable = False
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "timestamps", timestamps)
-        object.__setattr__(self, "asset_names", asset_names)
+        _validate_panel(self, "prices", 0.0, "prices must be strictly positive")
 
     @property
     def n_assets(self) -> int:
@@ -140,16 +141,7 @@ class ReturnsPanel:
     asset_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        timestamps = _validate_timestamps(self.timestamps)
-        asset_names = _validate_asset_names(self.asset_names)
-        returns = _finite_real("returns", self.returns, (len(timestamps), len(asset_names)))
-        if np.any(returns <= -1.0):
-            raise ValidationError("returns must exceed -1 (total loss)")
-        object.__setattr__(self, "periods_per_year", _count("periods_per_year", self.periods_per_year))
-        returns.flags.writeable = False
-        object.__setattr__(self, "returns", returns)
-        object.__setattr__(self, "timestamps", timestamps)
-        object.__setattr__(self, "asset_names", asset_names)
+        _validate_panel(self, "returns", -1.0, "returns must exceed -1 (total loss)", "periods_per_year")
 
     @property
     def n_assets(self) -> int:
@@ -176,12 +168,16 @@ def _read_panel(path, require_positive: bool, min_rows: int):
     ignores padding.  A row with the wrong cell count, an unparseable
     timestamp or cell, or a non-finite (or, with ``require_positive``,
     non-positive) value is dropped with a logged warning naming its source
-    row, then a count.  Blank or repeated asset names in the header are an
-    error naming their columns; duplicate, non-increasing or mixed integer
-    and date timestamps among the kept rows are an error naming the offending
-    source row, as are fewer than ``min_rows`` kept rows.  A file that cannot
-    be read or decoded in the locale's encoding, or a cell over csv's field
-    size limit, is an error naming the file (and, for the cell, its line).
+    row, then a count.  Samples are indexed by their position among the kept
+    rows, so when a dropped row lies between two kept ones a warning before
+    the count names the first such row and their number, in the ``extra``
+    keys ``ingest_interior_first_row`` and ``ingest_interior_dropped``.
+    Blank or repeated asset names in the header are an error naming their
+    columns; duplicate, non-increasing or mixed integer and date timestamps
+    among the kept rows are an error naming the offending source row, as
+    are fewer than ``min_rows`` kept rows.  A file that cannot be read or
+    decoded in the locale's encoding, or a cell over csv's field size limit,
+    is an error naming the file (and, for the cell, its line).
     """
     source = Path(path)
     try:
@@ -220,12 +216,22 @@ def _read_panel(path, require_positive: bool, min_rows: int):
     if require_positive:
         usable &= (values > 0.0).all(axis=1)
     dropped = sorted(dropped + [line_no for line_no, _, _ in compress(parsed, ~usable)])
+    kept = list(compress(parsed, usable))
     for line_no in dropped:
         logger.warning("%s: dropping unusable row %d", path, line_no)
+    interior = [line_no for line_no in dropped if kept and kept[0][0] < line_no < kept[-1][0]]
+    if interior:
+        logger.warning(
+            "%s: %d dropped row(s) lie between kept rows, the first at row %d: "
+            "every later sample moves one step earlier in seasonal phase per such row",
+            path,
+            len(interior),
+            interior[0],
+            extra={"ingest_interior_dropped": len(interior), "ingest_interior_first_row": interior[0]},
+        )
     if dropped:
         logger.warning("%s: dropped %d unusable row(s)", path, len(dropped))
 
-    kept = list(compress(parsed, usable))
     for (_, prev, _), (line_no, stamp, _) in zip(kept, kept[1:]):
         if type(stamp) is not type(prev):
             raise IngestionError(f"{path}: timestamps mix integer and date types from row {line_no} ({stamp})")

@@ -150,8 +150,6 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
     copied from their mirror, so K is exactly symmetric.
     """
     values = _panel_values(x)
-    if values.shape[0] < 2:
-        raise ValidationError("need at least 2 samples to estimate spectral moments")
     t0 = int(_indices("t0", t0))
     _indices("t0 + T - 1", t0 + values.shape[0] - 1)  # the last row's index
     values, t0 = _snap_window(values, grid, t0)
@@ -208,8 +206,9 @@ def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal", 
     Parameters
     ----------
     x : (T, N) array or ReturnsPanel
-        Real panel, T >= 2, no missing values.  Snapped to whole least
-        common periods of the grid.
+        Real panel, no missing values, of at least one least common period
+        L of the grid (a ValidationError naming L otherwise).  Snapped to
+        whole periods L.
     grid : FrequencyGrid
     mode : {"paper-literal", "consistent"}
         Output scale: the raw projection average, or that times 2M (see

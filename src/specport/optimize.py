@@ -267,7 +267,10 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     ridge and the constraint value are the same in both coordinates.  T, 2MN,
     rho and the ridge used are logged at INFO on the ``specport.optimize``
     logger, with the ``extra`` keys ``solve_samples``, ``solve_dim``,
-    ``solve_rho`` and ``solve_ridge``.  Above rho = 0.9 an explicit ridge
+    ``solve_rho``, ``solve_ridge`` and ``solve_overshoot``: 1 / (1 - rho),
+    the factor by which the realized volatility of a plug-in solve is
+    predicted to exceed its target (El Karoui 2010), or None at rho >= 1,
+    which only an explicit ridge reaches.  Above rho = 0.9 an explicit ridge
     below 0.1 tr K / 2MN is logged there as a WARNING, with the ``extra``
     keys ``solve_rho``, ``solve_ridge`` and ``solve_ridge_scale``
     (tr K / 2MN): it passes the check below but barely regularizes.
@@ -323,7 +326,13 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
         dim,
         rho,
         ridge,
-        extra={"solve_samples": moments.sample_count, "solve_dim": dim, "solve_rho": rho, "solve_ridge": ridge},
+        extra={
+            "solve_samples": moments.sample_count,
+            "solve_dim": dim,
+            "solve_rho": rho,
+            "solve_ridge": ridge,
+            "solve_overshoot": 1.0 / (1.0 - rho) if rho < 1.0 else None,
+        },
     )
     return SpectralWeights(
         grid=moments.grid,

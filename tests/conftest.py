@@ -1,4 +1,5 @@
-"""Shared test helpers: structured random instances, the numerical optimizer oracle and population scoring."""
+"""Shared test helpers: structured random instances, the numerical optimizer oracle, population scoring
+and the brute-force protocol oracle."""
 
 import math
 
@@ -118,3 +119,37 @@ def population_sharpe(spec: SynthSpec, path, periods_per_year: int = 12) -> floa
     expected = exposures @ _to_managed(spec.spectral_mean)
     variances = np.einsum("ti,ij,tj->t", exposures, _to_managed(spec.spectral_cov), exposures)
     return float(expected.mean() / math.sqrt(variances.mean() + expected.var()) * math.sqrt(periods_per_year))
+
+
+def reference_protocol(values, split, periods, sigma0_annual, demean=False, periods_per_year=12):
+    """One spectral strategy of ``run_protocol`` by brute force: its out-of-sample path and Sharpe ratio.
+
+    ``values`` is the (T, N) returns panel, estimated on its rows before
+    ``split`` and held on the rest, row t at sample index t.  Nothing here
+    comes from specport: the in-sample rows (less their mean, with
+    ``demean``) lose their oldest to a whole number of least common periods
+    L of ``periods``, each kept row t gives z(t) = phi(t) (x) x(t) for
+    phi(t) = [cos(2 pi t / p) for p in periods] + [sin(2 pi t / p) for p in periods],
+    K = np.cov(z, ddof=0) is ridged by 1e-8 tr K / 2MN, theta solves
+    (K + ridge I) theta = mean(z) by np.linalg.solve and is scaled to the
+    per-period target, and w(t) = phi(t) Theta for Theta = theta as 2M x N.
+    The Sharpe ratio is annualized with the sample standard deviation.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    in_sample, out_sample = values[:split], values[split:]
+    if demean:
+        in_sample = in_sample - in_sample.mean(axis=0)
+    start = split % math.lcm(*periods)  # the oldest samples, dropped
+
+    def phi(t):
+        angles = 2 * np.pi * np.outer(t, 1.0 / np.asarray(periods))
+        return np.hstack([np.cos(angles), np.sin(angles)])
+
+    z = (phi(np.arange(start, split))[:, :, np.newaxis] * in_sample[start:, np.newaxis, :]).reshape(split - start, -1)
+    cov = np.cov(z, rowvar=False, ddof=0)
+    regularized = cov + 1e-8 * np.trace(cov) / cov.shape[0] * np.eye(cov.shape[0])
+    theta = np.linalg.solve(regularized, z.mean(axis=0))
+    theta *= sigma0_annual / math.sqrt(periods_per_year) / math.sqrt(theta @ regularized @ theta)
+    path = phi(np.arange(split, len(values))) @ theta.reshape(2 * len(periods), -1)
+    series = np.sum(path * out_sample, axis=1)
+    return path, series.mean() / series.std(ddof=1) * math.sqrt(periods_per_year)

@@ -177,8 +177,13 @@ class TestIngest:
         ],
     )
     def test_returns_panel_periods_per_year_is_an_integer_count(self, periods_per_year, match):
+        values = np.zeros((3, 1))
         with pytest.raises(ValidationError, match=match):
-            integer_panel(np.zeros(3), ppy=periods_per_year)
+            integer_panel(values, ppy=periods_per_year)
+        assert values.flags.writeable  # the last check still comes before the freeze
+        # and after the checks of the values
+        with pytest.raises(ValidationError, match="returns must exceed -1"):
+            integer_panel(values - 1.0, ppy=periods_per_year)
         assert type(integer_panel(np.zeros(3), ppy=np.int64(4)).periods_per_year) is int
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
@@ -308,6 +313,33 @@ class TestDropPolicy:
         assert dropped_rows(caplog) == ["3", "4", "6", "7"]
         assert caplog.records[-1].getMessage().endswith("dropped 4 unusable row(s)")
         assert panel.prices[:, 0].tolist() == [100.0, 101.0, 102.0, 103.0]
+
+    @pytest.mark.parametrize(
+        "damaged, interior",
+        [((2, 4, 6, 8), (4, 2)), ((5,), (5, 1)), ((2,), None), ((8,), None), ((2, 3, 8), None)],
+        ids=["first-two-inside-last", "one-inside", "first", "last", "first-two-and-last"],
+    )
+    def test_row_dropped_between_kept_rows_warns_of_the_phase_shift(self, tmp_path, caplog, damaged, interior):
+        # source rows 2..8 hold months 1..7; a damaged row is dropped wherever it lies
+        rows = [f"2020-{month:02d}-01,{'nan' if month + 1 in damaged else 100 + month}" for month in range(1, 8)]
+        path = write_csv(tmp_path, "\n".join(["date,AA", *rows]) + "\n")
+        with caplog.at_level(logging.WARNING, logger="specport.backtest"):
+            panel = ingest_csv(path)
+        assert len(panel.timestamps) == 7 - len(damaged)
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[: len(damaged)] == [f"{path}: dropping unusable row {row}" for row in damaged]
+        assert messages[-1] == f"{path}: dropped {len(damaged)} unusable row(s)"
+        if interior is None:
+            assert len(messages) == len(damaged) + 1
+            return
+        first, count = interior
+        record = caplog.records[-2]
+        assert record.getMessage() == (
+            f"{path}: {count} dropped row(s) lie between kept rows, the first at row {first}: "
+            "every later sample moves one step earlier in seasonal phase per such row"
+        )
+        assert (record.ingest_interior_first_row, record.ingest_interior_dropped) == (first, count)
+        assert len(messages) == len(damaged) + 2
 
 
 class TestReturns:
@@ -496,6 +528,20 @@ class TestProtocol:
             assert paths[key].exists()
         month_rows = paths["allocation_by_month"].read_text().strip().splitlines()
         assert len(month_rows) == 13  # header + one row per calendar month
+
+    def test_bundled_report_matches_the_committed_demo_output(self, tmp_path):
+        # the configuration of demos/04_full_backtest.py, which wrote demos/backtest_output
+        report = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01", sigma0_annual=0.01))
+        committed = DATA.parent.parent / "demos" / "backtest_output" / "report.txt"
+        assert report.write_outputs(tmp_path)["report"].read_bytes() == committed.read_bytes()
+
+    def test_bundled_solves_log_their_predicted_overshoot(self, caplog):
+        with caplog.at_level(logging.INFO, logger="specport.optimize"):
+            run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01"))
+        records = [r for r in caplog.records if r.name == "specport.optimize"]
+        # 2MN = 10, 20 and 30 on T = 48 snapped samples: rho = 0.208, 0.417 and 0.625
+        assert [r.solve_overshoot for r in records] == pytest.approx([48 / 38, 48 / 28, 1 / 0.375], rel=1e-15)
+        assert records[-1].solve_overshoot == 1 / 0.375
 
     def test_written_artifacts_read_back_exactly(self, tmp_path):
         names = ["A,1", 'B "two"', "C", "D"]  # names that csv must quote

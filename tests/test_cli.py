@@ -529,7 +529,12 @@ class TestLogLevel:
         data = tmp_path / "damaged.csv"
         data.write_text("\n".join(lines) + "\n")
         self.backtest(tmp_path, data)
-        dropped = f"{data}: dropping unusable row 11\n{data}: dropped 1 unusable row(s)\n"
+        dropped = (
+            f"{data}: dropping unusable row 11\n"
+            f"{data}: 1 dropped row(s) lie between kept rows, the first at row 11: "
+            "every later sample moves one step earlier in seasonal phase per such row\n"
+            f"{data}: dropped 1 unusable row(s)\n"
+        )
         assert capsys.readouterr().err == dropped + 3 * "window snap: kept 48 samples, discarded 10 oldest\n"
 
 

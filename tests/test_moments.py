@@ -82,10 +82,13 @@ class TestSpectralMean:
 
     def test_empty_input_error(self):
         grid = FrequencyGrid.from_periods((12,))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^empty panel: no samples to estimate from$"):
             estimate_spectral_mean(np.zeros((0, 1)), grid)
-        with pytest.raises(ValidationError):
-            estimate_spectral_mean(np.zeros((1, 1)), grid)
+        # one sample is refused by the window snap, like any window shorter than one period L
+        message = "window of 1 samples is shorter than one least common period (12 samples) of the grid"
+        for estimator in (estimate_spectral_mean, estimate_moments):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                estimator(np.zeros((1, 1)), grid)
 
     def test_snap_warns_and_discards_oldest(self, caplog):
         grid = FrequencyGrid.from_periods((12,))

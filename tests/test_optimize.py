@@ -262,7 +262,22 @@ class TestSpectralSolver:
         assert solved.ridge_used == pytest.approx(ridge_used, rel=1e-12)
         assert (record.solve_samples, record.solve_dim, record.solve_rho) == (40, 18, 0.45)
         assert record.solve_ridge == solved.ridge_used
+        assert record.solve_overshoot == pytest.approx(1 / 0.55, rel=1e-15)
         assert record.getMessage() == f"spectral solve: T = 40, 2MN = 18, rho = 0.450, ridge {ridge_used:.3g}"
+
+    @pytest.mark.parametrize("sample_count", [18, 12])
+    def test_overshoot_is_none_from_rho_one(self, caplog, sample_count):
+        # rho >= 1 is reachable only with an explicit ridge; 1 / (1 - rho) predicts nothing there
+        moments = SpectralMoments(
+            grid=FrequencyGrid.from_periods((12, 6, 4)),
+            n_assets=3,
+            managed_mean=np.ones(18),
+            managed_covariance=3.0 * np.eye(18),
+            sample_count=sample_count,
+        )
+        with caplog.at_level(logging.INFO, logger="specport.optimize"):
+            solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=3.0))
+        assert [r.solve_overshoot for r in caplog.records if r.levelno == logging.INFO] == [None]
 
 
 class TestRiskSpec:

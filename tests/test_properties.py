@@ -1,5 +1,5 @@
 """Property tests: the augmented <-> managed-asset map, the estimator, the real solver,
-the moments file round trip and the allocation path.
+the moments file round trip, the allocation path and the whole protocol against a brute-force oracle.
 
 The complex augmented statistics are a unitary change of coordinates of a real
 mean-variance problem on 2MN managed assets.  These properties pin that map
@@ -21,6 +21,8 @@ from hypothesis.extra import numpy as hnp
 
 from specport import (
     FrequencyGrid,
+    ProtocolConfig,
+    ReturnsPanel,
     RiskSpec,
     SpectralMoments,
     SpectralWeights,
@@ -30,6 +32,7 @@ from specport import (
     project_spectrum,
     read_moments_csv,
     retrieve_allocation,
+    run_protocol,
     solve_spectral_mvo,
     synthesize_time_value,
     write_moments_csv,
@@ -37,7 +40,7 @@ from specport import (
 from specport.basis import _phases, _to_augmented, _to_managed
 from specport.errors import ValidationError, _count
 
-from conftest import random_structured_moments
+from conftest import random_structured_moments, reference_protocol
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -406,3 +409,35 @@ def test_count_rejects_integers_below_minimum(minimum, shortfall):
     value = minimum - shortfall
     with pytest.raises(ValidationError, match=f"^n must be >= {minimum}, got {value}$"):
         _count("n", np.int64(value), minimum)
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    seed=seeds,
+    periods=st.lists(st.sampled_from((12, 8, 6, 5, 4, 3)), min_size=1, max_size=3, unique=True),
+    n_assets=st.integers(min_value=1, max_value=4),
+    demean=st.booleans(),
+)
+def test_protocol_matches_the_brute_force_reference(data, seed, periods, n_assets, demean):
+    period = math.lcm(*periods)
+    dim = 2 * len(periods) * n_assets
+    # at least 2 * 2MN snapped samples (rho <= 1/2), then up to two more periods and a snap remainder
+    whole = -(-2 * dim // period) + data.draw(st.integers(min_value=0, max_value=2), label="extra periods")
+    split = whole * period + data.draw(st.integers(min_value=0, max_value=period - 1), label="remainder")
+    n_out = data.draw(st.integers(min_value=2, max_value=3 * period), label="out-of-sample returns")
+    rng = np.random.default_rng(seed)
+    t = np.arange(split + n_out)[:, np.newaxis]
+    values = 0.005 * np.cos(2 * np.pi * t / 12 + rng.uniform(0, 2 * np.pi, n_assets))
+    values += 0.02 * rng.standard_normal((split + n_out, n_assets))
+    panel = ReturnsPanel(
+        timestamps=tuple(range(split + n_out)),
+        returns=values,
+        periods_per_year=12,
+        asset_names=tuple(f"A{n}" for n in range(n_assets)),
+    )
+    report = run_protocol(ProtocolConfig(data=panel, boundary=split, grids=(tuple(periods),), demean=demean))
+    path, sharpe = reference_protocol(values, split, periods, 0.01, demean)
+    spectral = report.strategies[0]
+    assert np.max(np.abs(spectral.allocations - path)) <= 1e-10 * np.max(np.abs(path))
+    assert abs(spectral.sharpe - sharpe) <= 1e-10 * max(1.0, abs(sharpe))
