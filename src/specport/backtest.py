@@ -10,6 +10,7 @@ variance-targeted MVO and equal weight run alongside for comparison.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime
 import logging
@@ -560,8 +561,13 @@ def _load_returns(data, input_type: str, periods_per_year: int = 12) -> ReturnsP
     return compute_returns(ingest_csv(data), periods_per_year)
 
 
-def _stage(name: str, exc: SpecportError) -> SpecportError:
-    return type(exc)(f"[stage: {name}] {exc}")
+@contextlib.contextmanager
+def _stage(name: str):
+    """Re-raise a SpecportError from the body as its own type, prefixed ``[stage: name]``, from the original."""
+    try:
+        yield
+    except SpecportError as exc:
+        raise type(exc)(f"[stage: {name}] {exc}") from exc
 
 
 def run_protocol(config: ProtocolConfig) -> BacktestReport:
@@ -571,15 +577,10 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
     classical MVO + equal weight -> out-of-sample evaluation.  Errors from any
     stage are re-raised with a stage label.
     """
-    try:
+    with _stage("ingest"):
         returns = _load_returns(config.data, config.input_type, config.periods_per_year)
-    except SpecportError as exc:
-        raise _stage("ingest", exc) from exc
-
-    try:
+    with _stage("split"):
         in_panel, out_panel = split_sample(returns, config.boundary)
-    except SpecportError as exc:
-        raise _stage("split", exc) from exc
 
     ppy = returns.periods_per_year
     sigma0_period = config.sigma0_annual / math.sqrt(ppy)
@@ -598,23 +599,19 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
     for periods, grid in zip(config.grids, config.frequency_grids):
         label = grid_label(periods, ppy)
         name = f"Spectral MVO ({label})"
-        try:
+        with _stage(f"spectral[{label}]"):
             moments = estimate_moments(est_values, grid)
             weights: SpectralWeights = solve_spectral_mvo(moments, risk)
             allocation = retrieve_allocation(weights, out_t)
-        except SpecportError as exc:
-            raise _stage(f"spectral[{label}]", exc) from exc
         series = run_strategy(out_panel, allocation)
         strategies.append(_evaluate(name, f"spectral_mvo_{_slugify(label)}", series, allocation, ppy))
         last_moments = moments
 
-    try:
+    with _stage("classical-mvo"):
         mvo_mean = in_panel.returns.mean(axis=0)
         mvo_cov = np.cov(in_panel.returns, rowvar=False, ddof=1)
         mvo_cov = np.atleast_2d(mvo_cov)
         static = solve_classical_mvo(mvo_mean, mvo_cov, risk)
-    except SpecportError as exc:
-        raise _stage("classical-mvo", exc) from exc
     series = run_strategy(out_panel, static)
     strategies.append(
         _evaluate("MVO", "mvo", series, np.tile(static.weights, (n_out, 1)), ppy)

@@ -39,14 +39,7 @@ from .backtest import (
     run_protocol,
 )
 from .basis import FrequencyGrid
-from .errors import (
-    DegenerateMeanError,
-    FactorizationError,
-    IngestionError,
-    SingularCovarianceError,
-    SpecportError,
-    ValidationError,
-)
+from .errors import IngestionError, SpecportError, ValidationError
 from .moments import compute_psd, estimate_moments, write_moments_csv
 from .synthesis import example1_scenario, seasonal_market_spec, synthesize_values
 
@@ -316,24 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INPUT_ERRORS = (ValidationError, IngestionError)
-_COMPUTE_ERRORS = (FactorizationError, DegenerateMeanError, SingularCovarianceError)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     with _logging_to_stderr(args.log_level):
         try:
             return args.func(args)
-        except _INPUT_ERRORS as exc:
+        except (ValidationError, IngestionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except _COMPUTE_ERRORS as exc:
-            print(f"computation error: {exc}", file=sys.stderr)
-            return 1
         except SpecportError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"computation error: {exc}", file=sys.stderr)
             return 1
 
 

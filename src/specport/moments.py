@@ -60,18 +60,11 @@ logger = logging.getLogger(__name__)
 
 
 def _panel_values(x) -> np.ndarray:
-    """Accept a ReturnsPanel-like object (has .returns) or a plain (T, N) array."""
-    values = getattr(x, "returns", x)
-    values = np.asarray(values, dtype=np.float64)
+    """The finite real (T, N) values of a ReturnsPanel-like object (has .returns) or an array; a vector is one asset."""
+    values = np.asarray(getattr(x, "returns", x))  # not yet float64: a cast would drop an imaginary part
     if values.ndim == 1:
         values = values[:, np.newaxis]
-    if values.ndim != 2:
-        raise ValidationError(f"panel must be 2-d (T, N); got shape {values.shape}")
-    if values.shape[0] == 0:
-        raise ValidationError("empty panel: no samples to estimate from")
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("panel contains non-finite values")
-    return values
+    return _finite_real("panel", values, values.shape[:2] if values.ndim else (1, 1))
 
 
 _SYMMETRY_BLOCK = 128

@@ -142,11 +142,7 @@ class StaticWeights:
     scheme: str
 
     def __post_init__(self) -> None:
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.ndim != 1:
-            raise ValidationError("static weights must be a vector")
-        if not np.all(np.isfinite(weights)):
-            raise ValidationError("static weights must be finite")
+        weights = _finite_real("static weights", self.weights, (np.size(self.weights),))
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
@@ -346,13 +342,8 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
 
 def solve_classical_mvo(mean, cov, risk: RiskSpec) -> StaticWeights:
     """Variance-targeted time-domain baseline on sample mean/covariance."""
-    mean = np.asarray(mean, dtype=np.float64)
-    cov = np.asarray(cov, dtype=np.float64)
-    if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-        raise ValidationError("mean must be a vector and cov a matching square matrix")
-    for name, value in (("mean", mean), ("cov", cov)):
-        if not np.all(np.isfinite(value)):
-            raise ValidationError(f"{name} must be finite")
+    mean = _finite_real("mean", mean, (np.size(mean),))
+    cov = _finite_real("cov", cov, (mean.size, mean.size))
     cov = 0.5 * (cov + cov.T)
     weights, _, _ = _targeted_solve(cov, mean, risk)
     return StaticWeights(weights=weights, scheme="classical-mvo")

@@ -11,10 +11,10 @@ Noise is drawn independently across t.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
-import warnings
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
     "example1_scenario",
     "seasonal_market_spec",
 ]
+
+logger = logging.getLogger(__name__)
 
 _EIG_CLIP = 1e-10
 
@@ -88,8 +90,9 @@ def _composite_factor(spec: SynthSpec) -> np.ndarray:
     [Re s; Im s] is the managed-asset vector U^H [s; conj(s)] scaled by
     1/sqrt(2), so its covariance is half the managed-asset covariance of the
     augmented ``spectral_cov``; it is factored by eigendecomposition.
-    Eigenvalues in [-1e-10, 0) are clipped to zero with a warning; anything
-    more negative raises.
+    Eigenvalues in [-1e-10, 0) are clipped to zero with a WARNING on this
+    module's logger (``extra`` key ``clip_eigenvalue``); anything more
+    negative raises.
     """
     composite = 0.5 * _to_managed(spec.spectral_cov)
     eigvals, eigvecs = np.linalg.eigh(composite)
@@ -100,10 +103,10 @@ def _composite_factor(spec: SynthSpec) -> np.ndarray:
             f"eigenvalue {worst:.6e} < -{_EIG_CLIP:g}"
         )
     if worst < 0.0:
-        warnings.warn(
-            f"clipping near-zero negative eigenvalue {worst:.3e} to 0 during "
-            "noise factorization",
-            stacklevel=3,
+        logger.warning(
+            "clipping near-zero negative eigenvalue %.3e to 0 during noise factorization",
+            worst,
+            extra={"clip_eigenvalue": worst},
         )
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 

@@ -101,16 +101,16 @@ def random_feasible_objectives(mean_full, cov, sigma0, rng, count=1000):
     return out
 
 
-def population_sharpe(spec: SynthSpec, path, periods_per_year: int = 12) -> float:
-    """The noise-free annualized Sharpe ratio of a periodic allocation path on the market ``spec``.
+def _population_moments(spec: SynthSpec, path) -> tuple[float, float]:
+    """The noise-free per-period mean and volatility of a periodic allocation path on the market ``spec``.
 
     ``path`` is (L, N): row r is w(t) at every t = r mod L, for the grid's
     least common period L.  With Phi(t) = phi(t) (x) I_N, theta_m =
     _to_managed(spectral_mean) and C = _to_managed(spectral_cov), a row of
     ``synthesize_values(spec)`` has E[x_t] = Phi(t) theta_m and
     Cov(x_t) = Phi(t) C Phi(t)^T, so the path earns w(t)^T E[x_t] in
-    expectation with variance w(t)^T Cov(x_t) w(t).  The per-period ratio is
-    the mean over one period of the first, over the square root of the mean
+    expectation with variance w(t)^T Cov(x_t) w(t).  The mean is the first
+    averaged over one period; the volatility is the square root of the mean
     of the second plus the variance over t of the first.
     """
     period = spec.grid.least_common_period()
@@ -118,7 +118,18 @@ def population_sharpe(spec: SynthSpec, path, periods_per_year: int = 12) -> floa
     exposures = (phases[:, :, np.newaxis] * np.asarray(path)[:, np.newaxis, :]).reshape(period, -1)  # Phi(t)^T w(t)
     expected = exposures @ _to_managed(spec.spectral_mean)
     variances = np.einsum("ti,ij,tj->t", exposures, _to_managed(spec.spectral_cov), exposures)
-    return float(expected.mean() / math.sqrt(variances.mean() + expected.var()) * math.sqrt(periods_per_year))
+    return float(expected.mean()), math.sqrt(variances.mean() + expected.var())
+
+
+def population_sharpe(spec: SynthSpec, path, periods_per_year: int = 12) -> float:
+    """The noise-free annualized Sharpe ratio of a periodic allocation path (see :func:`_population_moments`)."""
+    mean, vol = _population_moments(spec, path)
+    return mean / vol * math.sqrt(periods_per_year)
+
+
+def population_vol(spec: SynthSpec, path) -> float:
+    """The noise-free per-period volatility of a periodic allocation path (see :func:`_population_moments`)."""
+    return _population_moments(spec, path)[1]
 
 
 def reference_protocol(values, split, periods, sigma0_annual, demean=False, periods_per_year=12):

@@ -535,6 +535,16 @@ class TestProtocol:
         committed = DATA.parent.parent / "demos" / "backtest_output" / "report.txt"
         assert report.write_outputs(tmp_path)["report"].read_bytes() == committed.read_bytes()
 
+    def test_a_price_panel_as_data_reports_as_its_csv_path(self):
+        from_panel = run_protocol(ProtocolConfig(data=ingest_csv(DATA), boundary="2015-01"))
+        from_path = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01"))
+        assert from_panel.render_text() == from_path.render_text()
+
+    def test_unknown_strategy_slug_is_a_key_error(self):
+        report = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01", grids=((12,),)))
+        with pytest.raises(KeyError, match="nope"):
+            report.strategy("nope")
+
     def test_bundled_solves_log_their_predicted_overshoot(self, caplog):
         with caplog.at_level(logging.INFO, logger="specport.optimize"):
             run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01"))
@@ -647,8 +657,12 @@ class TestProtocol:
     def test_classical_stage_label(self):
         # a pure annual cosine: the spectral mean is not zero, but the in-sample grand mean is
         values = 0.01 * np.cos(2 * np.pi * np.arange(84) / 12)
-        with pytest.raises(DegenerateMeanError, match=r"^\[stage: classical-mvo\] mean is numerically zero"):
+        with pytest.raises(DegenerateMeanError, match=r"^\[stage: classical-mvo\] mean is numerically zero") as raised:
             run_protocol(ProtocolConfig(data=integer_panel(values), boundary=60, grids=((12,),)))
+        # raised from the solver's own error, which carries the unlabelled message
+        cause = raised.value.__cause__
+        assert type(cause) is DegenerateMeanError
+        assert f"[stage: classical-mvo] {cause}" == str(raised.value)
 
     def test_stage_labels_on_errors(self):
         panel = self.make_market()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from specport import (
+    AugmentedSpectralBasis,
     AugmentedVector,
     FrequencyGrid,
     SymmetryViolationError,
@@ -203,6 +204,14 @@ class TestSynthesize:
         corrupted = AugmentedVector(upper=np.array([1.0 + 1j]), lower=np.array([1.0 + 1j]))
         with pytest.raises(SymmetryViolationError):
             synthesize_time_value(basis, corrupted)
+
+    def test_basis_whose_lower_half_is_not_conjugate_leaves_an_imaginary_residual(self):
+        # [C | C] instead of [C | conj(C)]: a conjugate-symmetric spectrum synthesizes 2 C(1) u, complex at t = 1
+        grid = FrequencyGrid.from_periods((12,))
+        upper = build_basis(1, grid, 1).values[:, :1]
+        basis = AugmentedSpectralBasis(t=1, grid=grid, n_assets=1, values=np.hstack([upper, upper]))
+        with pytest.raises(SymmetryViolationError, match=r"^imaginary residual 7\.071e-01 exceeds tolerance$"):
+            synthesize_time_value(basis, AugmentedVector.from_upper([1.0]))
 
 
 class TestProject:

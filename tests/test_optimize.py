@@ -38,7 +38,7 @@ from specport.optimize import (
     _targeted_solve,
 )
 
-from conftest import pga_max_objective, random_feasible_objectives, random_structured_moments
+from conftest import pga_max_objective, population_vol, random_feasible_objectives, random_structured_moments
 
 
 @pytest.fixture(scope="module")
@@ -279,6 +279,19 @@ class TestSpectralSolver:
             solve_spectral_mvo(moments, RiskSpec(sigma0=0.01, ridge=3.0))
         assert [r.solve_overshoot for r in caplog.records if r.levelno == logging.INFO] == [None]
 
+    @pytest.mark.parametrize("n_assets, n_samples", [(9, 120), (9, 60), (12, 60)], ids=["rho=0.3", "rho=0.6", "rho=0.8"])
+    def test_population_vol_overshoots_its_target_by_one_over_one_minus_rho(self, n_assets, n_samples):
+        # the plug-in solve at rho = 2MN / T underestimates its risk by 1 - rho (El Karoui 2010)
+        sigma0 = 0.01
+        rho = 2 * 2 * n_assets / n_samples
+        ratios = []
+        for seed in range(30):
+            spec = seasonal_market_spec(n_assets, (12, 6), seed, horizon=n_samples)
+            weights = solve_spectral_mvo(estimate_moments(synthesize_values(spec), spec.grid), RiskSpec(sigma0=sigma0))
+            path = retrieve_allocation(weights, range(spec.grid.least_common_period()))
+            ratios.append(population_vol(spec, path) / sigma0)
+        assert 0.85 <= float(np.median(ratios)) * (1 - rho) <= 1.15
+
 
 class TestRiskSpec:
     def test_validation(self):
@@ -456,31 +469,41 @@ class TestClassicalAndEqualWeight:
             solve_classical_mvo([0.0, 0.0], np.eye(2), RiskSpec(sigma0=0.01))
 
     @pytest.mark.parametrize(
-        ("mean", "cov", "name"),
+        ("mean", "cov", "message"),
         [
-            ([math.nan, 1.0], np.eye(2), "mean"),
-            ([1.0, 1.0], np.diag([1.0, math.inf]), "cov"),
-            ([1.0, 1.0], np.full((2, 2), math.nan), "cov"),
+            ([math.nan, 1.0], np.eye(2), "mean has non-finite entries"),
+            ([1.0, 1.0], np.diag([1.0, math.inf]), "cov has non-finite entries"),
+            ([1.0, 1.0], np.full((2, 2), math.nan), "cov has non-finite entries"),
+            ([1.0 + 1.0j, 1.0], np.eye(2), "mean must be real"),
+            ([1.0, 1.0], np.eye(2) + 1.0j * np.eye(2)[::-1], "cov must be real"),
         ],
     )
-    def test_non_finite_inputs_rejected(self, mean, cov, name):
-        with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+    def test_non_finite_or_complex_inputs_rejected(self, mean, cov, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             solve_classical_mvo(mean, cov, RiskSpec(sigma0=0.01))
 
     @pytest.mark.parametrize(
-        ("mean", "cov"),
-        [([1.0, 1.0], np.eye(3)), ([1.0, 1.0], np.ones((2, 3))), ([[1.0], [1.0]], np.eye(2))],
+        ("mean", "cov", "match"),
+        [
+            ([1.0, 1.0], np.eye(3), r"cov shape \(3, 3\) does not match \(2, 2\)"),
+            ([1.0, 1.0], np.ones((2, 3)), r"cov shape \(2, 3\) does not match \(2, 2\)"),
+            ([[1.0], [1.0]], np.eye(2), r"mean shape \(2, 1\) does not match \(2,\)"),
+        ],
     )
-    def test_mismatched_shapes_rejected(self, mean, cov):
-        with pytest.raises(ValidationError, match="mean must be a vector and cov a matching square matrix"):
+    def test_mismatched_shapes_rejected(self, mean, cov, match):
+        with pytest.raises(ValidationError, match=f"^{match}$"):
             solve_classical_mvo(mean, cov, RiskSpec(sigma0=0.01))
 
     @pytest.mark.parametrize(
         "weights, match",
-        [(np.ones((2, 2)), "static weights must be a vector"), ([0.5, math.nan], "static weights must be finite")],
+        [
+            (np.ones((2, 2)), r"static weights shape \(2, 2\) does not match \(4,\)"),
+            ([0.5, math.nan], "static weights has non-finite entries"),
+            ([0.5, 0.5j], "static weights must be real"),
+        ],
     )
-    def test_static_weights_reject_matrix_or_non_finite(self, weights, match):
-        with pytest.raises(ValidationError, match=match):
+    def test_static_weights_reject_matrix_complex_or_non_finite(self, weights, match):
+        with pytest.raises(ValidationError, match=f"^{match}$"):
             StaticWeights(weights=weights, scheme="test")
 
     def test_equal_weight(self):

@@ -1,7 +1,9 @@
 """Generative model: sampling moments, determinism, ensemble statistics, estimator loop."""
 
 import dataclasses
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,11 +141,17 @@ class TestSampling:
         with pytest.raises(FactorizationError, match="eigenvalue"):
             _composite_noise(spec, 4)
 
-    def test_near_psd_clipped_with_warning(self):
+    def test_near_psd_clipped_with_a_logged_warning(self, caplog):
         # pseudo-covariance epsilon above covariance: composite eigenvalue -eps/2
         spec = one_bin_spec(1.0, 1.0 + 1e-11, seed=6)
-        with pytest.warns(UserWarning, match="clipping"):
-            _composite_noise(spec, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a log record, not a Python warning
+            with caplog.at_level(logging.WARNING, logger="specport.synthesis"):
+                _composite_noise(spec, 4)
+        (record,) = caplog.records
+        assert record.name == "specport.synthesis" and record.levelno == logging.WARNING
+        assert record.getMessage().startswith("clipping near-zero negative eigenvalue -")
+        assert -1e-10 <= record.clip_eigenvalue < 0.0
 
 
 class TestPanels:
