@@ -7,7 +7,8 @@ flows from --seed.
 The allocation path is read back as w(t) = Phi(t) theta: the solver's real
 managed-asset weights theta times the phases (1/sqrt M) [cos(w_m t), -sin(w_m t)]
 of the grid, so it is real and periodic by construction.  Grids are specified
-as integer periods in samples, with A/S/Q shortcuts for 12/6/3 on monthly data.
+as integer periods in samples, with A/S/Q shortcuts for 12/6/3 on monthly data
+(a usage error in a backtest whose --periods-per-year is not 12).
 
 While :func:`main` runs, records of the ``specport`` loggers at ``--log-level``
 (default WARNING) and above go to stderr as bare messages.  The process entry
@@ -39,15 +40,15 @@ from .backtest import (
     run_protocol,
 )
 from .basis import FrequencyGrid
-from .errors import IngestionError, SpecportError, ValidationError
+from .errors import IngestionError, SpecportError, ValidationError, _count
 from .moments import compute_psd, estimate_moments, write_moments_csv
 from .synthesis import example1_scenario, seasonal_market_spec, synthesize_values
 
 _LETTER_PERIODS = {letter: period for period, letter in PERIOD_LETTERS.items()}
 
 
-def _parse_periods(token: str) -> tuple[int, ...]:
-    """Parse a comma list of periods; A/S/Q letters map to 12/6/3."""
+def _parse_periods(token: str, periods_per_year: int = 12) -> tuple[int, ...]:
+    """Parse a comma list of periods; A/S/Q letters map to 12/6/3 on monthly data only."""
     periods = []
     for part in token.split(","):
         part = part.strip()
@@ -55,6 +56,11 @@ def _parse_periods(token: str) -> tuple[int, ...]:
             continue
         upper = part.upper()
         if upper in _LETTER_PERIODS:
+            if periods_per_year != 12:
+                raise ValidationError(
+                    f"grid letter {part!r} stands for {_LETTER_PERIODS[upper]} months and needs "
+                    f"--periods-per-year 12, got {periods_per_year}; give the period in samples"
+                )
             periods.append(_LETTER_PERIODS[upper])
         else:
             try:
@@ -66,9 +72,9 @@ def _parse_periods(token: str) -> tuple[int, ...]:
     return tuple(periods)
 
 
-def _parse_grids(token: str) -> tuple[tuple[int, ...], ...]:
+def _parse_grids(token: str, periods_per_year: int) -> tuple[tuple[int, ...], ...]:
     """Semicolon-separated list of grid subsets, e.g. 'A;A,S;A,S,Q' or '12;12,6'."""
-    return tuple(_parse_periods(part) for part in token.split(";") if part.strip())
+    return tuple(_parse_periods(part, periods_per_year) for part in token.split(";") if part.strip())
 
 
 def _check_output(option: str, path: Path, directory: Path) -> None:
@@ -209,14 +215,15 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_backtest(args) -> int:
     data = Path(args.data)
+    periods_per_year = _count("periods_per_year", args.periods_per_year)  # before the letters that need it
     config = ProtocolConfig(
         data=str(data),
         boundary=args.boundary,
-        grids=_parse_grids(args.grids),
+        grids=_parse_grids(args.grids, periods_per_year),
         sigma0_annual=args.sigma0_annual,
         ridge=args.ridge,
         demean=args.demean,
-        periods_per_year=args.periods_per_year,
+        periods_per_year=periods_per_year,
         input_type=args.input_type,
     )
     out_dir = Path(args.out_dir)

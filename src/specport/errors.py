@@ -87,12 +87,15 @@ def _indices(name: str, value) -> np.ndarray:
 def _real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """``value`` as a float64 array of ``shape``.
 
-    Raises ValidationError naming ``name`` when it is complex or has another
-    shape.
+    Raises ValidationError naming ``name`` when it is complex, holds an entry
+    that is not a number (a string, a dict) or has another shape.
     """
     if np.iscomplexobj(value):
         raise ValidationError(f"{name} must be real")
-    array = np.asarray(value, dtype=np.float64)
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must hold real numbers: {exc}") from exc
     if array.shape != shape:
         raise ValidationError(f"{name} shape {array.shape} does not match {shape}")
     return array

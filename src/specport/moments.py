@@ -18,10 +18,10 @@ vector is U z(t) for the unitary U and the real panel z(t) = phi(t) (x) x(t)
 of 2MN columns, so the augmented mean and covariance are U mean(z) and
 U cov(z) U^H (Brandt and Santa-Clara 2006; Schreier and Scharf 2010).  :class:`SpectralMoments` stores the real pair
 (mean(z), cov(z)), which the solver and the moments file use; the augmented
-complex forms are views derived from it.  On a window of 16 or more least
-common periods L the T x 2MN panel z is never formed: its phases repeat with
-period L, so both moments follow from the mean and scatter of x in each phase
-class t mod L, at O(N^2 T + L (2MN)^2) instead of O(T (2MN)^2).
+complex forms are views derived from it.  The T x 2MN panel z is never
+formed: its phases repeat with the least common period L, so both moments
+follow from the mean and scatter of x in each phase class t mod L, at
+O(N^2 T + L (2MN)^2) instead of O(T (2MN)^2).
 
 The augmented statistics determine the moments only up to a presentation
 scale; the stored pair and every view of it use the raw, paper-literal one.
@@ -68,12 +68,6 @@ def _panel_values(x) -> np.ndarray:
 
 
 _SYMMETRY_BLOCK = 128
-
-# Fewest samples per phase class for the estimators to group by class.  Each
-# class costs an N x N scatter and a row of G, so grouping pays only once the
-# classes hold many samples: on a 2-core x86 VM the break-even was about 13
-# per class for the grid (12, 7, 5) with N = 200.
-_MIN_CLASS_SIZE = 16
 
 
 def _is_exactly_symmetric(matrix: np.ndarray) -> bool:
@@ -131,10 +125,8 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
         T K  = sum_r (phi_r phi_r^T) (x) D_r + G^T G,
 
     where row r of G is sqrt(n) (phi_r (x) xbar_r - mean); the cross terms
-    vanish inside each class, so z is never formed.  A window of fewer than
-    ``_MIN_CLASS_SIZE`` L samples makes every sample its own class: every
-    D_r is zero, G is the centred panel and K = G^T G / T.  Otherwise K is
-    assembled in N x N blocks (a, b) of phases a, b: G^T G fills the blocks
+    vanish inside each class, so z is never formed.  K is assembled in
+    N x N blocks (a, b) of phases a, b: G^T G fills the blocks
     right of the diagonal N rows at a time; each D_r is written straight into
     its slot of a stack of at most (2M)^2 scatters, and one product of the
     stack with the weights phi_ra phi_rb / T of every pair b >= a gives all
@@ -148,23 +140,17 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
     values, t0 = _snap_window(values, grid, t0)
     n_samples, n_assets = values.shape
     period = grid.least_common_period()
-    n_classes = period if n_samples >= _MIN_CLASS_SIZE * period else n_samples  # else one class per sample
-    phases = _phases(t0 + np.arange(n_classes), grid)  # row r is phi_r
-    repeats = n_samples // n_classes  # in every class: the snapped window holds whole periods L
-    if repeats == 1:  # one sample per class: the window is its own class sums, read only
-        sums = values
-    else:
-        sums = values.reshape(repeats, n_classes, n_assets).sum(axis=0)
+    phases = _phases(t0 + np.arange(period), grid)  # row r is phi_r
+    repeats = n_samples // period  # in every class: the snapped window holds whole periods L
+    sums = values.reshape(repeats, period, n_assets).sum(axis=0)
     mean = (phases.T @ sums).ravel() / n_samples
     if not covariance:
         return mean, None, n_samples
-    class_means = sums if repeats == 1 else np.divide(sums, repeats, out=sums)
+    class_means = np.divide(sums, repeats, out=sums)
     between = phases[:, :, np.newaxis] * class_means[:, np.newaxis, :]
-    between = between.reshape(n_classes, mean.size)
+    between = between.reshape(period, mean.size)
     between -= mean
     between *= math.sqrt(repeats / n_samples)  # G / sqrt(T)
-    if repeats == 1:  # one sample per class: the symmetric rank-k product G^T G is exact
-        return mean, between.T @ between, n_samples
     # K right of its diagonal, N rows (one phase a) at a time: first G^T G ...
     dim = 2 * grid.n_bins
     cov = np.empty((mean.size, mean.size))
@@ -175,11 +161,11 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
     # combined for every block (a, b >= a) in one product ...
     pairs = np.triu_indices(dim)
     deviations = np.empty((repeats, n_assets))
-    for first in range(0, n_classes, dim * dim):
-        stop = min(first + dim * dim, n_classes)
+    for first in range(0, period, dim * dim):
+        stop = min(first + dim * dim, period)
         scatter = np.empty((stop - first, n_assets, n_assets))
         for r in range(first, stop):
-            np.subtract(values[r::n_classes], class_means[r], out=deviations)
+            np.subtract(values[r::period], class_means[r], out=deviations)
             np.matmul(deviations.T, deviations, out=scatter[r - first])
         products = phases[first:stop, pairs[0]] * phases[first:stop, pairs[1]] / n_samples
         within = products.T @ scatter.reshape(stop - first, n_assets * n_assets)

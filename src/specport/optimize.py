@@ -42,18 +42,15 @@ __all__ = [
 ]
 
 _MEAN_EPS = 1e-14
-# Columns per block of the Cholesky factor in `_factor_solve`, chosen from 2MN
-# alone: wide enough that the block-row updates are efficient GEMMs, narrow
-# enough that each diagonal block's own Cholesky factor and inverse stay cheap
-# and the row buffer (width x 2MN) stays small next to the matrix.  From two
-# interleaved sweeps on a 2-core x86 VM (OpenBLAS, 2 threads), as a share of
-# the time of 48-column blocks with LU inverses: at 2MN = 300, 24 and 32
-# columns took 0.89-0.94, 48 0.97, 64 1.02-1.17 and 96 1.26-1.41; at
-# 2MN = 800, 96 took 0.96 and 32 to 64 0.99-1.0; at 2MN = 1600, 96 took
-# 0.86-0.88, 64 and 128 0.94-0.97 and 160 0.99.
-_NARROW_BLOCK = 32
-_WIDE_BLOCK = 96
-_WIDE_FROM = 800  # 2MN at and above which the blocks are wide
+# Columns per block of the Cholesky factor in `_factor_solve`: wide enough
+# that the block-row updates are efficient GEMMs, narrow enough that each
+# diagonal block's own Cholesky factor and inverse stay cheap and the row
+# buffer (width x 2MN) stays small next to the matrix.  One width serves
+# every 2MN.  From an interleaved sweep on a 2-core x86 VM (OpenBLAS, 2
+# threads), as a share of the time of 32-column blocks: at 2MN = 1600, 96
+# columns took 0.83, 64 0.94 and 128 0.89; at 2MN = 800, 96 took 0.95; at
+# 2MN = 100 to 300, where a solve takes 0.2-1.1 ms, 96 took 1.06-1.17.
+_BLOCK = 96
 # Columns up to which `_lower_inverse` calls `np.linalg.inv` (a pivoted LU)
 # rather than splitting the triangle in two.
 _INVERSE_BASE = 32
@@ -147,11 +144,6 @@ class StaticWeights:
         object.__setattr__(self, "weights", weights)
 
 
-def _block_width(dim: int) -> int:
-    """Columns per block of the Cholesky factor of a dim x dim matrix (see `_WIDE_FROM`)."""
-    return _WIDE_BLOCK if dim >= _WIDE_FROM else _NARROW_BLOCK
-
-
 def _lower_inverse(lower: np.ndarray, out: np.ndarray) -> None:
     """Write the inverse of the nonsingular lower-triangular ``lower`` into ``out``.
 
@@ -176,7 +168,7 @@ def _lower_inverse(lower: np.ndarray, out: np.ndarray) -> None:
 def _factor_solve(matrix: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (matrix + ridge I) z = rhs by a blocked left-looking Cholesky factorization.
 
-    The factor is held as U = L^T, one block row of ``_block_width(dim)``
+    The factor is held as U = L^T, one block row of ``_BLOCK``
     rows at a time, so that every read of ``matrix`` and every write of the
     factor runs along rows.  ``rhs`` rides along as one more column of
     ``matrix``, so the factor's last column is y = L^{-1} rhs: the forward
@@ -193,12 +185,11 @@ def _factor_solve(matrix: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarr
     definite.
     """
     dim = rhs.shape[0]
-    block = _block_width(dim)
     upper = np.empty((dim, dim + 1))
-    row = np.empty((dim + 1) * min(block, dim))
-    starts = range(0, dim, block)
+    row = np.empty((dim + 1) * min(_BLOCK, dim))
+    starts = range(0, dim, _BLOCK)
     for start in starts:
-        stop = min(start + block, dim)
+        stop = min(start + _BLOCK, dim)
         width = stop - start
         panel = row[: width * (dim + 1 - start)].reshape(width, dim + 1 - start)
         np.matmul(upper[:start, start:stop].T, upper[:start, start:], out=panel)
@@ -211,7 +202,7 @@ def _factor_solve(matrix: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarr
         np.matmul(inverse, panel[:, width:], out=upper[start:stop, stop:])
     y = upper[:, dim].copy()
     for start in reversed(starts):
-        stop = min(start + block, dim)
+        stop = min(start + _BLOCK, dim)
         inverse = upper[start:stop, start:stop]
         y[start:stop] = inverse.T @ (y[start:stop] - upper[start:stop, stop:dim] @ y[stop:])
     return y

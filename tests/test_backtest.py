@@ -529,12 +529,6 @@ class TestProtocol:
         month_rows = paths["allocation_by_month"].read_text().strip().splitlines()
         assert len(month_rows) == 13  # header + one row per calendar month
 
-    def test_bundled_report_matches_the_committed_demo_output(self, tmp_path):
-        # the configuration of demos/04_full_backtest.py, which wrote demos/backtest_output
-        report = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01", sigma0_annual=0.01))
-        committed = DATA.parent.parent / "demos" / "backtest_output" / "report.txt"
-        assert report.write_outputs(tmp_path)["report"].read_bytes() == committed.read_bytes()
-
     def test_a_price_panel_as_data_reports_as_its_csv_path(self):
         from_panel = run_protocol(ProtocolConfig(data=ingest_csv(DATA), boundary="2015-01"))
         from_path = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01"))

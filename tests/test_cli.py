@@ -15,12 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specport import read_moments_csv
 from specport.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "synthetic_monthly_prices.csv"
 # Sharpe table and cumulative returns of the bundled backtest, shared with the benchmark's check
 REFERENCE = ROOT / "perfbench" / "reference" / "bundled_backtest.json"
+# the artifacts of demos/04_full_backtest.py, the bundled backtest at the CLI's defaults
+DEMO_OUTPUT = ROOT / "demos" / "backtest_output"
 
 
 def read_rows(path):
@@ -208,6 +211,36 @@ class TestBacktest:
         cumulative = np.array([[float(v) for v in row[1:]] for row in cumulative_rows[1:]])
         assert np.allclose(cumulative, expected["values"], rtol=0, atol=1e-10)
 
+    def test_bundled_artifacts_match_the_committed_demo_output(self, tmp_path):
+        # demos/04_full_backtest.py wrote demos/backtest_output with the CLI's default configuration:
+        # the report matches byte for byte, every other artifact to 1e-10 relative
+        out_dir = tmp_path / "bt"
+        assert main(["backtest", "--data", str(DATA), "--boundary", "2015-01", "--out-dir", str(out_dir)]) == 0
+        committed = sorted(DEMO_OUTPUT.iterdir())
+        assert [path.name for path in committed] == sorted(p.name for p in out_dir.iterdir() if p.suffix != ".json")
+
+        def close(fresh, expected):
+            # entry by entry to 1e-10 relative, or to 1e-10 of the largest entry for one near zero
+            expected = np.asarray(expected)
+            return np.allclose(fresh, expected, rtol=1e-10, atol=1e-10 * np.max(np.abs(expected)))
+
+        def values(rows):
+            return [[float(v) for v in row[1:]] for row in rows[1:]]
+
+        for path in committed:
+            fresh = out_dir / path.name
+            if path.name == "report.txt":
+                assert fresh.read_bytes() == path.read_bytes()
+            elif path.name == "spectral_moments.csv":
+                new, old = read_moments_csv(fresh), read_moments_csv(path)
+                assert (new.grid, new.n_assets, new.sample_count) == (old.grid, old.n_assets, old.sample_count)
+                assert close(new.managed_mean, old.managed_mean), path.name
+                assert close(new.managed_covariance, old.managed_covariance), path.name
+            else:
+                new, old = read_rows(fresh), read_rows(path)
+                assert new[0] == old[0] and [row[0] for row in new] == [row[0] for row in old], path.name
+                assert close(values(new), values(old)), path.name
+
     def test_bundled_backtest_imports_neither_numpy_ma_nor_scipy(self, tmp_path):
         # numpy.ma costs about 19 ms of import on every CLI run; scipy far more
         script = (
@@ -299,6 +332,10 @@ class TestBacktest:
             (["--periods-per-year", "0"], "periods_per_year must be >= 1"),
             (["--boundary", "2015-13"], "boundary: cannot parse timestamp '2015-13'"),
             (["--grids", "A;12,2"], "grid subset 'A,2': periods must be >= 3 samples (period 2, the Nyquist bin, "),
+            # A/S/Q abbreviate periods in months: on other data they are refused, the default grids too
+            (["--periods-per-year", "4", "--grids", "12;S"], "grid letter 'S' stands for 6 months and needs "),
+            (["--periods-per-year", "52", "--grids", "13;q"], "needs --periods-per-year 12, got 52; give the period"),
+            (["--periods-per-year", "4"], "grid letter 'A' stands for 12 months and needs --periods-per-year 12, got 4"),
         ],
     )
     def test_bad_config_named_before_ingest(self, tmp_path, capsys, flags, message):
@@ -307,6 +344,11 @@ class TestBacktest:
         assert main(argv + ["--out-dir", str(tmp_path / "bt")]) == 2
         err = capsys.readouterr().err
         assert message in err and str(missing) not in err and "stage" not in err
+
+    def test_grid_periods_in_samples_run_off_monthly_data(self, tmp_path):
+        argv = ["backtest", "--data", str(DATA), "--boundary", "2015-01", "--periods-per-year", "4"]
+        assert main(argv + ["--grids", "12;12,6", "--out-dir", str(tmp_path / "bt")]) == 0
+        assert "grids: 12;12,6\n" in (tmp_path / "bt" / "report.txt").read_text()
 
     def test_missing_data_exit_2(self, tmp_path):
         code = main(

@@ -29,11 +29,8 @@ from specport import (
 )
 from specport.basis import _to_augmented
 from specport.optimize import (
+    _BLOCK,
     _INVERSE_BASE,
-    _NARROW_BLOCK,
-    _WIDE_BLOCK,
-    _WIDE_FROM,
-    _block_width,
     _lower_inverse,
     _targeted_solve,
 )
@@ -339,14 +336,11 @@ def lu_reference(matrix, mean, sigma0):
 class TestFactorOnceSolve:
     """The blocked Cholesky factor-and-solve core against a dense solve, across block edges."""
 
-    # 3 * _WIDE_BLOCK + 1 ends in a one-column block and 3 * _WIDE_BLOCK in a full one, both
-    # in narrow blocks; from _WIDE_FROM the blocks are wide, and 9 * _WIDE_BLOCK + 1 ends in one column
+    # below one block, one block and one column short or over, a full last block, and one-column
+    # last blocks after three and nine full ones; 300 is the benchmark's wide-backtest size
     @pytest.mark.parametrize(
         "dim",
-        [
-            1, 2, 127, 128, 129, 257, 300, 3 * _WIDE_BLOCK, 3 * _WIDE_BLOCK + 1,
-            _WIDE_FROM - 1, _WIDE_FROM, 9 * _WIDE_BLOCK + 1,
-        ],
+        [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 257, 300, 3 * _BLOCK, 3 * _BLOCK + 1, 9 * _BLOCK + 1],
     )
     def test_matches_lu_reference(self, dim):
         rng = np.random.default_rng(dim)
@@ -381,21 +375,20 @@ class TestFactorOnceSolve:
         with pytest.raises(SingularCovarianceError):
             _targeted_solve(matrix, np.ones(256), RiskSpec(0.01, ridge=ridge))
 
-    @pytest.mark.parametrize("dim", [5 * _NARROW_BLOCK, _WIDE_FROM])
     @pytest.mark.parametrize("ridge", [None, 0.0])
-    def test_middle_block_not_positive_definite_raises(self, ridge, dim):
+    def test_middle_block_not_positive_definite_raises(self, ridge):
         # all I but for [[I, 2I], [2I, I]] on blocks 1 and 2 of the factor: blocks 0 and 1
         # factor, block 2's Schur complement I - 4I does not, and the later blocks are never reached
-        block = _block_width(dim)
-        eye = np.eye(block)
+        dim = 5 * _BLOCK
+        eye = np.eye(_BLOCK)
         matrix = np.eye(dim)
-        matrix[block : 2 * block, 2 * block : 3 * block] = 2 * eye
-        matrix[2 * block : 3 * block, block : 2 * block] = 2 * eye
+        matrix[_BLOCK : 2 * _BLOCK, 2 * _BLOCK : 3 * _BLOCK] = 2 * eye
+        matrix[2 * _BLOCK : 3 * _BLOCK, _BLOCK : 2 * _BLOCK] = 2 * eye
         with pytest.raises(SingularCovarianceError):
             _targeted_solve(matrix, np.ones(dim), RiskSpec(0.01, ridge=ridge))
 
-    # one column, the largest base triangle, the smallest split one, and a wide block with and without a spare column
-    @pytest.mark.parametrize("size", [1, _INVERSE_BASE, _INVERSE_BASE + 1, _WIDE_BLOCK, _WIDE_BLOCK + 1])
+    # one column, the largest base triangle, the smallest split one, and a block with and without a spare column
+    @pytest.mark.parametrize("size", [1, _INVERSE_BASE, _INVERSE_BASE + 1, _BLOCK, _BLOCK + 1])
     def test_lower_inverse_matches_lu_inverse(self, size):
         rng = np.random.default_rng(size)
         lower = np.linalg.cholesky(spd_matrix(rng, size, 1e4))
@@ -476,10 +469,16 @@ class TestClassicalAndEqualWeight:
             ([1.0, 1.0], np.full((2, 2), math.nan), "cov has non-finite entries"),
             ([1.0 + 1.0j, 1.0], np.eye(2), "mean must be real"),
             ([1.0, 1.0], np.eye(2) + 1.0j * np.eye(2)[::-1], "cov must be real"),
+            (["a", "b"], np.eye(2), "mean must hold real numbers: could not convert string to float: 'a'"),
+            (
+                [1.0, 1.0],
+                [[1.0, {}], [{}, 1.0]],
+                "cov must hold real numbers: float() argument must be a string or a real number, not 'dict'",
+            ),
         ],
     )
-    def test_non_finite_or_complex_inputs_rejected(self, mean, cov, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+    def test_non_finite_complex_or_non_numeric_inputs_rejected(self, mean, cov, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             solve_classical_mvo(mean, cov, RiskSpec(sigma0=0.01))
 
     @pytest.mark.parametrize(

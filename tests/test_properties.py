@@ -257,7 +257,10 @@ def test_moments_file_refuses_any_changed_character(seed, grid, n_assets, where,
 @example(  # 17 samples in each of the L = 12 classes, none discarded
     seed=1, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=204, t0=7
 )
-@example(  # L < T < 16 L: the snap keeps 2 L, one class per sample
+@example(  # T = L: one sample per class, so every within-class scatter is zero and K = G^T G / T
+    seed=3, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=12, t0=7
+)
+@example(  # the snap discards 5 samples and keeps 2 L: two samples per class
     seed=6, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=29, t0=7
 )
 @example(  # T < L = 420: rejected
@@ -279,9 +282,9 @@ def test_moments_file_refuses_any_changed_character(seed, grid, n_assets, where,
 def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, t0):
     """The phase-class moments equal the mean and z^T z / T of the centred panel z = phi(t) (x) x(t).
 
-    Covers t0 != 0 and windows grouped by class and not.  The estimator snaps the window to whole multiples of the
-    grid's least common period L, logging a warning exactly when it discards
-    samples, and rejects a window shorter than L.
+    Covers t0 != 0 and windows of one to many samples per class.  The estimator snaps the
+    window to whole multiples of the grid's least common period L, logging a warning exactly
+    when it discards samples, and rejects a window shorter than L.
     """
     period = grid.least_common_period()
     rng = np.random.default_rng(seed)
