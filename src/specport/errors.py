@@ -84,19 +84,21 @@ def _indices(name: str, value) -> np.ndarray:
     return array.astype(np.int64)
 
 
-def _real_array(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a float64 array of ``shape``.
+def _real_array(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``value`` as a float64 array of ``shape`` (of any shape when it is None).
 
     Raises ValidationError naming ``name`` when it is complex, holds an entry
-    that is not a number (a string, a dict) or has another shape.
+    that is not a number (a string, a dict), has rows of unequal length or
+    has another shape.  A float64 array passes without a copy.
     """
-    if np.iscomplexobj(value):
-        raise ValidationError(f"{name} must be real")
     try:
-        array = np.asarray(value, dtype=np.float64)
+        real = not np.iscomplexobj(value)  # rows of unequal length fail here
+        array = np.asarray(value, dtype=np.float64) if real else None  # strings and other non-numbers here
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must hold real numbers: {exc}") from exc
-    if array.shape != shape:
+    if not real:
+        raise ValidationError(f"{name} must be real")
+    if shape is not None and array.shape != shape:
         raise ValidationError(f"{name} shape {array.shape} does not match {shape}")
     return array
 

@@ -61,7 +61,7 @@ logger = logging.getLogger(__name__)
 
 def _panel_values(x) -> np.ndarray:
     """The finite real (T, N) values of a ReturnsPanel-like object (has .returns) or an array; a vector is one asset."""
-    values = np.asarray(getattr(x, "returns", x))  # not yet float64: a cast would drop an imaginary part
+    values = _real_array("panel", getattr(x, "returns", x))
     if values.ndim == 1:
         values = values[:, np.newaxis]
     return _finite_real("panel", values, values.shape[:2] if values.ndim else (1, 1))

@@ -28,7 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented
-from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError, _count, _finite_real, _indices
+from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError
+from .errors import _count, _finite_real, _indices, _real_array
 from .moments import SpectralMoments
 
 __all__ = [
@@ -139,7 +140,8 @@ class StaticWeights:
     scheme: str
 
     def __post_init__(self) -> None:
-        weights = _finite_real("static weights", self.weights, (np.size(self.weights),))
+        weights = _real_array("static weights", self.weights)
+        weights = _finite_real("static weights", weights, (weights.size,))
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
 
@@ -333,7 +335,8 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
 
 def solve_classical_mvo(mean, cov, risk: RiskSpec) -> StaticWeights:
     """Variance-targeted time-domain baseline on sample mean/covariance."""
-    mean = _finite_real("mean", mean, (np.size(mean),))
+    mean = _real_array("mean", mean)
+    mean = _finite_real("mean", mean, (mean.size,))
     cov = _finite_real("cov", cov, (mean.size, mean.size))
     cov = 0.5 * (cov + cov.T)
     weights, _, _ = _targeted_solve(cov, mean, risk)

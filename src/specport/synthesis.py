@@ -212,8 +212,12 @@ def seasonal_market_spec(
     across bins and assets, sized so per-asset return volatility is
     ``noise_vol`` per sample.  The grand mean of every asset is zero, so
     time-averaging estimators see no return signal while the seasonal
-    structure is fully predictable.
+    structure is fully predictable.  ``mean_amp`` and ``noise_vol`` must be
+    finite and >= 0 (ValidationError naming the parameter otherwise).
     """
+    for name, value in (("mean_amp", mean_amp), ("noise_vol", noise_vol)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
     grid = FrequencyGrid.from_periods(periods)
     n_bins = grid.n_bins
     rng = np.random.default_rng(seed)

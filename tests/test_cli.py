@@ -75,6 +75,13 @@ class TestSynth:
         assert capsys.readouterr().err == "error: horizon must be >= 1, got 0\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["-0.02", "inf"])
+    def test_negative_or_non_finite_noise_vol_usage_error(self, tmp_path, capsys, value):
+        code = main(["synth", "--noise-vol", value, "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: noise_vol must be finite and >= 0, got {float(value)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_price_format_is_positive(self, tmp_path):
         out = tmp_path / "prices.csv"
         assert main(["synth", "--seed", "1", "-T", "24", "--out", str(out)]) == 0
@@ -143,6 +150,9 @@ class TestEstimate:
         rows = read_rows(out_dir / "moments_summary.csv")
         by_mean = sorted(rows[1:], key=lambda row: float(row[2]), reverse=True)
         assert {by_mean[0][1], by_mean[1][1]} == {"24", "8"}
+        # period 12 carries the cyclostationary noise: its pseudo-covariance is most of its covariance
+        period_12 = dict(zip(rows[0], next(row for row in rows[1:] if row[1] == "12")))
+        assert float(period_12["pseudo_norm"]) / float(period_12["cov_norm"]) > 0.5
         assert (out_dir / "spectral_moments.csv").exists()
 
     def test_demean_estimates_on_demeaned_returns(self, tmp_path):
@@ -195,6 +205,12 @@ class TestBacktest:
             "EW",
         ]
         assert (out_dir / "backtest_config.json").exists()
+        # each spectral allocation path repeats bit for bit with the least common period, 12 months
+        paths = sorted(out_dir.glob("allocations_spectral_mvo_*.csv"))
+        assert len(paths) == 3
+        for path in paths:
+            weights = [row[1:] for row in read_rows(path)[1:]]
+            assert len(weights) > 12 and weights[12:] == weights[:-12], path.name
 
     def test_bundled_report_matches_reference_to_1e_10(self, tmp_path):
         out_dir = tmp_path / "bt"
@@ -417,27 +433,37 @@ def test_usage_error_exits_2():
 
 @pytest.mark.parametrize("command", ["synth", "estimate", "backtest"])
 def test_config_echo_holds_every_parsed_argument(tmp_path, command):
-    """The echo is written from the parsed arguments, so a new flag is echoed without another edit."""
-    runs = {
-        "synth": (["synth", "--out", str(tmp_path / "p.csv"), "-T", "24"], tmp_path / "p.csv.config.json"),
-        "estimate": (
-            ["estimate", "--data", str(DATA), "--out-dir", str(tmp_path / "est")],
-            tmp_path / "est" / "estimate_config.json",
-        ),
-        "backtest": (
-            ["backtest", "--data", str(DATA), "--boundary", "2015-01", "--out-dir", str(tmp_path / "bt")],
-            tmp_path / "bt" / "backtest_config.json",
-        ),
-    }
-    argv, echo_path = runs[command]
+    """The echo is written from the parsed arguments, so a new flag is echoed without another edit.
+
+    The argv rebuilt from the echo reruns the command: every output but the echo is the same, byte for byte.
+    """
+    # synth writes its table and echo into the directory; --seed and --demean are not the defaults
+    target = {"synth": lambda directory: directory / "p.csv"}.get(command, lambda directory: directory)
+    echo_name = {"synth": "p.csv.config.json"}.get(command, f"{command}_config.json")
+    flags = {"synth": ["--seed", "9"], "estimate": ["--demean"], "backtest": []}[command]
+    argv = output_argv(command, DATA, target(tmp_path / "run")) + flags
     assert main(argv) == 0
     parsed = vars(build_parser().parse_args(argv))
     del parsed["func"]
-    echo = json.loads(echo_path.read_text())
+    echo = json.loads((tmp_path / "run" / echo_name).read_text())
     assert set(parsed) <= set(echo)
     # synth resolves --format from --example1; every other value is echoed as parsed
     resolved = {"format": "prices"} if command == "synth" else {}
     assert {key: echo[key] for key in parsed} == {**parsed, **resolved}
+    # the command, then --key value for each value and --key for True; None and False are the defaults
+    output_key = "out" if command == "synth" else "out_dir"
+    rerun = [echo.pop("command")]
+    for key in ("tool", "version", output_key):
+        del echo[key]
+    for key, value in echo.items():
+        if value is not None and value is not False:
+            rerun += ["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+    assert main([*rerun, "--" + output_key.replace("_", "-"), str(target(tmp_path / "rerun"))]) == 0
+
+    def outputs(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir() if path.name != echo_name}
+
+    assert outputs(tmp_path / "rerun") == outputs(tmp_path / "run")
 
 
 def output_argv(command, data, out):

@@ -176,6 +176,7 @@ class TestSpectralMean:
             (np.full((24, 1), 1.0 + 1.0j), "panel must be real"),
             (np.array([["a"]] * 24), "panel must hold real numbers: could not convert string to float: .*"),
             (np.array([[{}]] * 24), r"panel must hold real numbers: float\(\) argument must be .*, not 'dict'"),
+            ([[1.0], [1.0, 2.0]], r"panel must hold real numbers: setting an array element with a sequence\..*"),
         ],
     )
     def test_panel_that_is_not_2d_real_or_finite_rejected(self, estimator, panel, match):

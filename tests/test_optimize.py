@@ -37,6 +37,12 @@ from specport.optimize import (
 
 from conftest import pga_max_objective, population_vol, random_feasible_objectives, random_structured_moments
 
+# numpy's reason for refusing the ragged nesting [[1.0], [1.0, 2.0]]
+RAGGED = (
+    "setting an array element with a sequence. The requested array has an inhomogeneous shape after 1 dimensions. "
+    "The detected shape was (2,) + inhomogeneous part."
+)
+
 
 @pytest.fixture(scope="module")
 def rho_096_moments():
@@ -475,6 +481,8 @@ class TestClassicalAndEqualWeight:
                 [[1.0, {}], [{}, 1.0]],
                 "cov must hold real numbers: float() argument must be a string or a real number, not 'dict'",
             ),
+            ([[1.0], [1.0, 2.0]], np.eye(2), f"mean must hold real numbers: {RAGGED}"),
+            ([1.0, 1.0], [[1.0], [1.0, 2.0]], f"cov must hold real numbers: {RAGGED}"),
         ],
     )
     def test_non_finite_complex_or_non_numeric_inputs_rejected(self, mean, cov, message):
@@ -499,6 +507,7 @@ class TestClassicalAndEqualWeight:
             (np.ones((2, 2)), r"static weights shape \(2, 2\) does not match \(4,\)"),
             ([0.5, math.nan], "static weights has non-finite entries"),
             ([0.5, 0.5j], "static weights must be real"),
+            ([[1.0], [1.0, 2.0]], rf"static weights must hold real numbers: {re.escape(RAGGED)}"),
         ],
     )
     def test_static_weights_reject_matrix_complex_or_non_finite(self, weights, match):

@@ -175,7 +175,7 @@ def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra):
     """The file round trip is bit-exact, and the per-bin blocks read from K equal slices of U K U^H.
 
     The panel has ``extra`` samples beyond one least common period, so the snap
-    keeps one or more whole periods.
+    keeps one or more whole periods.  The moments read back write the same bytes.
     """
     n_samples = grid.least_common_period() + extra
     panel = np.random.default_rng(seed).standard_normal((n_samples, n_assets))
@@ -193,6 +193,8 @@ def test_moments_file_round_trip_is_bit_exact(seed, grid, n_assets, extra):
         path = Path(tmp) / "moments.csv"
         write_moments_csv(moments, path)
         loaded = read_moments_csv(path)
+        write_moments_csv(loaded, Path(tmp) / "rewritten.csv")
+        assert (Path(tmp) / "rewritten.csv").read_bytes() == path.read_bytes()
     assert loaded.managed_mean.tobytes() == moments.managed_mean.tobytes()
     assert loaded.managed_covariance.tobytes() == moments.managed_covariance.tobytes()
     assert np.array_equal(loaded.mean.full(), moments.mean.full())

@@ -290,6 +290,15 @@ class TestPanels:
         assert (type(spec.n_assets), type(spec.horizon)) == (int, int)
         assert synthesize_values(spec).shape == (24, 1)
 
+    @pytest.mark.parametrize("value", [-0.02, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["mean_amp", "noise_vol"])
+    def test_seasonal_spec_refuses_a_negative_or_non_finite_scale(self, name, value):
+        # refused before any arithmetic, so numpy warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{name} must be finite and >= 0, got {value!r}$"):
+                seasonal_market_spec(**{name: value})
+
 
 class TestEstimatorConsistencyLoop:
     def test_recovery_against_expectation_oracle(self):
