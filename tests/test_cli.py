@@ -437,9 +437,12 @@ def test_config_echo_holds_every_parsed_argument(tmp_path, command):
 
     The argv rebuilt from the echo reruns the command: every output but the echo is the same, byte for byte.
     """
-    # synth writes its table and echo into the directory; --seed and --demean are not the defaults
-    target = {"synth": lambda directory: directory / "p.csv"}.get(command, lambda directory: directory)
-    echo_name = {"synth": "p.csv.config.json"}.get(command, f"{command}_config.json")
+
+    def target(directory):  # synth writes its table and echo into the directory
+        return directory / "p.csv" if command == "synth" else directory
+
+    echo_name = "p.csv.config.json" if command == "synth" else f"{command}_config.json"
+    # not the defaults, so an echo that lost --seed or --demean reruns into other bytes
     flags = {"synth": ["--seed", "9"], "estimate": ["--demean"], "backtest": []}[command]
     argv = output_argv(command, DATA, target(tmp_path / "run")) + flags
     assert main(argv) == 0
