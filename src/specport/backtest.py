@@ -24,17 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FrequencyGrid
-from .errors import IngestionError, SpecportError, ValidationError, _count, _finite_real
+from .errors import IngestionError, SpecportError, ValidationError, _count, _finite_real, _real_array
 from .moments import SpectralMoments, estimate_moments, write_moments_csv
-from .optimize import (
-    RiskSpec,
-    SpectralWeights,
-    StaticWeights,
-    equal_weight,
-    retrieve_allocation,
-    solve_classical_mvo,
-    solve_spectral_mvo,
-)
+from .optimize import RiskSpec, equal_weight, retrieve_allocation, solve_classical_mvo, solve_spectral_mvo
 
 __all__ = [
     "PricePanel",
@@ -300,26 +292,27 @@ def split_sample(returns: ReturnsPanel, boundary) -> tuple[ReturnsPanel, Returns
     return returns.slice(0, split_at), returns.slice(split_at, returns.n_samples)
 
 
+def _as_path(allocation, shape: tuple[int, int]) -> np.ndarray:
+    """The finite real ``allocation`` as a (T, N) path of ``shape``: a length-N vector is broadcast, not copied."""
+    array = _real_array("allocation", allocation)
+    if array.shape not in (shape, shape[1:]):
+        raise ValidationError(
+            f"allocation shape {array.shape} matches neither the returns {shape} nor one row {shape[1:]}"
+        )
+    return np.broadcast_to(_finite_real("allocation", array, array.shape), shape)
+
+
 def run_strategy(returns_out: ReturnsPanel, allocation) -> np.ndarray:
     """Portfolio return series r_p(t) = w(t)^T x(t).
 
-    ``allocation`` is either a StaticWeights or a (T, N) path aligned with the
-    out-sample rows (w(t) is the allocation held over the interval ending at t).
+    ``allocation`` is a length-N weight vector, held every period, or a
+    (T, N) path aligned with the out-sample rows (w(t) is the allocation
+    held over the interval ending at t).  Any other shape is a
+    ValidationError naming both shapes; so is a complex, non-numeric or
+    non-finite allocation.
     """
     values = returns_out.returns
-    if isinstance(allocation, StaticWeights):
-        weights = allocation.weights
-        if weights.shape[0] != values.shape[1]:
-            raise ValidationError(
-                f"static weights ({weights.shape[0]}) do not match assets ({values.shape[1]})"
-            )
-        return values @ weights
-    path = np.asarray(allocation, dtype=np.float64)
-    if path.shape != values.shape:
-        raise ValidationError(
-            f"allocation path shape {path.shape} misaligned with returns {values.shape}"
-        )
-    return np.sum(path * values, axis=1)
+    return np.sum(_as_path(allocation, values.shape) * values, axis=1)
 
 
 def sharpe_ratio(series, periods_per_year: int) -> float:
@@ -593,33 +586,20 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
     if config.demean:
         est_values = est_values - est_values.mean(axis=0, keepdims=True)
 
-    strategies: list[StrategyResult] = []
+    allocations = []  # (name, slug, allocation): a (T, N) path or a length-N vector
     last_moments: SpectralMoments | None = None
-
     for periods, grid in zip(config.grids, config.frequency_grids):
         label = grid_label(periods, ppy)
-        name = f"Spectral MVO ({label})"
         with _stage(f"spectral[{label}]"):
-            moments = estimate_moments(est_values, grid)
-            weights: SpectralWeights = solve_spectral_mvo(moments, risk)
-            allocation = retrieve_allocation(weights, out_t)
-        series = run_strategy(out_panel, allocation)
-        strategies.append(_evaluate(name, f"spectral_mvo_{_slugify(label)}", series, allocation, ppy))
-        last_moments = moments
-
+            last_moments = estimate_moments(est_values, grid)
+            weights = solve_spectral_mvo(last_moments, risk)
+            path = retrieve_allocation(weights, out_t)
+        allocations.append((f"Spectral MVO ({label})", f"spectral_mvo_{_slugify(label)}", path))
     with _stage("classical-mvo"):
-        mvo_mean = in_panel.returns.mean(axis=0)
-        mvo_cov = np.cov(in_panel.returns, rowvar=False, ddof=1)
-        mvo_cov = np.atleast_2d(mvo_cov)
-        static = solve_classical_mvo(mvo_mean, mvo_cov, risk)
-    series = run_strategy(out_panel, static)
-    strategies.append(
-        _evaluate("MVO", "mvo", series, np.tile(static.weights, (n_out, 1)), ppy)
-    )
-
-    ew = equal_weight(returns.n_assets)
-    series = run_strategy(out_panel, ew)
-    strategies.append(_evaluate("EW", "ew", series, np.tile(ew.weights, (n_out, 1)), ppy))
+        mvo_cov = np.atleast_2d(np.cov(in_panel.returns, rowvar=False, ddof=1))
+        allocations.append(("MVO", "mvo", solve_classical_mvo(in_panel.returns.mean(axis=0), mvo_cov, risk)))
+    allocations.append(("EW", "ew", equal_weight(returns.n_assets)))
+    strategies = tuple(_evaluate(name, slug, out_panel, allocation, ppy) for name, slug, allocation in allocations)
 
     metadata = {
         "boundary": str(config.boundary),
@@ -633,7 +613,7 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
         "out_sample_returns": str(n_out),
     }
     return BacktestReport(
-        strategies=tuple(strategies),
+        strategies=strategies,
         out_timestamps=out_panel.timestamps,
         asset_names=returns.asset_names,
         metadata=metadata,
@@ -641,7 +621,8 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
     )
 
 
-def _evaluate(name, slug, series, allocations, ppy) -> StrategyResult:
+def _evaluate(name, slug, out_panel: ReturnsPanel, allocation, ppy) -> StrategyResult:
+    series = run_strategy(out_panel, allocation)
     cumulative = np.cumprod(1.0 + series) - 1.0
     return StrategyResult(
         name=name,
@@ -651,5 +632,5 @@ def _evaluate(name, slug, series, allocations, ppy) -> StrategyResult:
         total_return=float(cumulative[-1]),
         portfolio_returns=series,
         cumulative=cumulative,
-        allocations=np.asarray(allocations, dtype=np.float64),
+        allocations=_as_path(allocation, out_panel.returns.shape),
     )

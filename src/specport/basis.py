@@ -267,10 +267,14 @@ def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
     k_ba, k_bb = managed[half:, :half], managed[half:, half:]
     out = np.empty(managed.shape, dtype=np.complex128)
     r_grid, p_grid = out[:half, :half], out[:half, half:]
-    r_grid.real = 0.5 * (k_aa + k_bb)
-    r_grid.imag = 0.5 * (k_ba - k_ab)
-    p_grid.real = 0.5 * (k_aa - k_bb)
-    p_grid.imag = 0.5 * (k_ba + k_ab)
+    np.add(k_aa, k_bb, out=r_grid.real)
+    np.subtract(k_ba, k_ab, out=r_grid.imag)
+    np.subtract(k_aa, k_bb, out=p_grid.real)
+    np.add(k_ba, k_ab, out=p_grid.imag)
+    # halve R and P in place as real numbers: x 0.5 is exact on each part, where a complex
+    # product could flip the sign of a zero
+    parts = out[:half].view(np.float64)
+    parts *= 0.5
     np.conjugate(r_grid, out=out[half:, half:])
     np.conjugate(p_grid, out=out[half:, :half])
     out.flags.writeable = False

@@ -35,7 +35,6 @@ from .moments import SpectralMoments
 __all__ = [
     "RiskSpec",
     "SpectralWeights",
-    "StaticWeights",
     "solve_spectral_mvo",
     "solve_classical_mvo",
     "equal_weight",
@@ -130,20 +129,6 @@ class SpectralWeights:
     def weights(self) -> AugmentedVector:
         """The augmented spectral weights U theta, conjugate-symmetric by construction."""
         return _to_augmented(self.managed_weights)
-
-
-@dataclass(frozen=True)
-class StaticWeights:
-    """A constant time-domain allocation (classical baseline or equal weight)."""
-
-    weights: np.ndarray
-    scheme: str
-
-    def __post_init__(self) -> None:
-        weights = _real_array("static weights", self.weights)
-        weights = _finite_real("static weights", weights, (weights.size,))
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
 
 
 def _lower_inverse(lower: np.ndarray, out: np.ndarray) -> None:
@@ -333,20 +318,26 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     )
 
 
-def solve_classical_mvo(mean, cov, risk: RiskSpec) -> StaticWeights:
-    """Variance-targeted time-domain baseline on sample mean/covariance."""
+def solve_classical_mvo(mean, cov, risk: RiskSpec) -> np.ndarray:
+    """Variance-targeted time-domain baseline on sample mean/covariance.
+
+    Returns the read-only float64 weight vector, held every period.
+    """
     mean = _real_array("mean", mean)
     mean = _finite_real("mean", mean, (mean.size,))
     cov = _finite_real("cov", cov, (mean.size, mean.size))
     cov = 0.5 * (cov + cov.T)
     weights, _, _ = _targeted_solve(cov, mean, risk)
-    return StaticWeights(weights=weights, scheme="classical-mvo")
+    weights.flags.writeable = False
+    return weights
 
 
-def equal_weight(n_assets: int) -> StaticWeights:
-    """The 1/N allocation."""
+def equal_weight(n_assets: int) -> np.ndarray:
+    """The 1/N allocation as a read-only float64 weight vector, held every period."""
     n_assets = _count("n_assets", n_assets)
-    return StaticWeights(weights=np.full(n_assets, 1.0 / n_assets), scheme="equal-weight")
+    weights = np.full(n_assets, 1.0 / n_assets)
+    weights.flags.writeable = False
+    return weights
 
 
 def retrieve_allocation(weights: SpectralWeights, t_range) -> np.ndarray:

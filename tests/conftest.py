@@ -1,5 +1,5 @@
 """Shared test helpers: structured random instances, the numerical optimizer oracle, population scoring
-and the brute-force protocol oracle."""
+and the brute-force protocol oracles."""
 
 import math
 
@@ -164,3 +164,29 @@ def reference_protocol(values, split, periods, sigma0_annual, demean=False, peri
     path = phi(np.arange(split, len(values))) @ theta.reshape(2 * len(periods), -1)
     series = np.sum(path * out_sample, axis=1)
     return path, series.mean() / series.std(ddof=1) * math.sqrt(periods_per_year)
+
+
+def reference_baselines(values, split, sigma0_annual, periods_per_year=12):
+    """The MVO and EW strategies of ``run_protocol`` by brute force: {slug: (series, cumulative, Sharpe ratio)}.
+
+    ``values`` and ``split`` are as in :func:`reference_protocol`, and nothing
+    here comes from specport either.  MVO solves (C + ridge I) w = mean by
+    np.linalg.solve for the raw in-sample rows' mean and C = np.cov(ddof=1),
+    ridged by 1e-8 tr C / N, and scales w to the per-period target; EW is
+    1/N.  Each vector is held on every out-of-sample row, its returns
+    compound into the cumulative return, and the Sharpe ratio is annualized
+    with the sample standard deviation.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    in_sample, out_sample = values[:split], values[split:]
+    n_assets = values.shape[1]
+    cov = np.atleast_2d(np.cov(in_sample, rowvar=False, ddof=1))
+    regularized = cov + 1e-8 * np.trace(cov) / n_assets * np.eye(n_assets)
+    mvo = np.linalg.solve(regularized, in_sample.mean(axis=0))
+    mvo *= sigma0_annual / math.sqrt(periods_per_year) / math.sqrt(mvo @ regularized @ mvo)
+    results = {}
+    for slug, weights in (("mvo", mvo), ("ew", np.full(n_assets, 1.0 / n_assets))):
+        series = out_sample @ weights
+        sharpe = series.mean() / series.std(ddof=1) * math.sqrt(periods_per_year)
+        results[slug] = series, np.cumprod(1.0 + series) - 1.0, sharpe
+    return results

@@ -19,7 +19,6 @@ from specport import (
     PricePanel,
     ProtocolConfig,
     ReturnsPanel,
-    StaticWeights,
     ValidationError,
     compute_returns,
     equal_weight,
@@ -434,15 +433,45 @@ class TestRunStrategy:
         rng = np.random.default_rng(1)
         values = rng.standard_normal(8) * 0.01
         panel = integer_panel(values)
-        series = run_strategy(panel, StaticWeights(weights=np.array([1.0]), scheme="x"))
+        series = run_strategy(panel, np.array([1.0]))
         assert np.allclose(series, values, atol=1e-18)
 
-    def test_misalignment_errors(self):
-        panel = integer_panel(np.zeros((6, 2)))
-        with pytest.raises(ValidationError):
-            run_strategy(panel, np.zeros((5, 2)))
-        with pytest.raises(ValidationError):
-            run_strategy(panel, StaticWeights(weights=np.zeros(3), scheme="x"))
+    def test_vector_is_held_every_period(self):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((40, 4)) * 0.05
+        weights = rng.standard_normal(4)
+        panel = integer_panel(values)
+        series = run_strategy(panel, weights)
+        assert np.array_equal(series, run_strategy(panel, np.tile(weights, (40, 1))))
+        assert np.array_equal(series, run_strategy(panel, list(weights)))
+        # any order of summing N = 4 products lies within N u max|r| sum|w| of the exact dot product
+        # (to first order, u = eps / 2), so two orders differ by at most N eps max|r| sum|w|
+        bound = 4 * np.finfo(np.float64).eps * np.max(np.abs(values)) * np.sum(np.abs(weights))
+        assert np.max(np.abs(series - values @ weights)) <= bound
+
+    @pytest.mark.parametrize(
+        "allocation",
+        [np.zeros(3), np.zeros(1), np.zeros((6, 3)), np.zeros((6, 1)), np.zeros((5, 2)), np.zeros((6, 2, 1))],
+        ids=["long-vector", "short-vector", "extra-column", "one-column", "missing-row", "3-d"],
+    )
+    def test_misaligned_allocation_names_both_shapes(self, allocation):
+        message = f"allocation shape {allocation.shape} matches neither the returns (6, 2) nor one row (2,)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            run_strategy(integer_panel(np.zeros((6, 2))), allocation)
+
+    @pytest.mark.parametrize(
+        "allocation, message",
+        [
+            ([0.5, math.nan], "allocation has non-finite entries"),
+            (np.full((6, 2), math.inf), "allocation has non-finite entries"),
+            ([0.5, 0.5j], "allocation must be real"),
+            ([[1.0], [1.0, 2.0]], "allocation must hold real numbers: setting an array element with a sequence."),
+            (["a", "b"], "allocation must hold real numbers: could not convert string to float: 'a'"),
+        ],
+    )
+    def test_complex_non_numeric_or_non_finite_allocation_rejected(self, allocation, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            run_strategy(integer_panel(np.zeros((6, 2))), allocation)
 
 
 class TestSharpe:

@@ -15,7 +15,6 @@ from specport import (
     RiskSpec,
     SingularCovarianceError,
     SpectralMoments,
-    StaticWeights,
     ValidationError,
     build_basis,
     equal_weight,
@@ -444,7 +443,7 @@ class TestFactorOnceSolve:
         cov = factors @ factors.T + np.diag(rng.uniform(1e-4, 4e-4, 200))
         mean = rng.standard_normal(200) * 1e-3
         risk = RiskSpec(sigma0=0.01)
-        weights = solve_classical_mvo(mean, cov, risk).weights
+        weights = solve_classical_mvo(mean, cov, risk)
         regularized = cov + risk.ridge_for(cov) * np.eye(200)
         assert float(weights @ regularized @ weights) == pytest.approx(risk.sigma0**2, rel=1e-10)
 
@@ -452,16 +451,17 @@ class TestFactorOnceSolve:
 class TestClassicalAndEqualWeight:
     def test_identity_covariance_unit_mean(self):
         solved = solve_classical_mvo([1.0, 0.0], np.eye(2), RiskSpec(sigma0=0.03, ridge=0.0))
-        assert np.allclose(solved.weights, [0.03, 0.0], atol=1e-12)
-        assert solved.scheme == "classical-mvo"
+        assert np.allclose(solved, [0.03, 0.0], atol=1e-12)
+        assert solved.dtype == np.float64 and solved.shape == (2,)
+        assert not solved.flags.writeable
 
     def test_diagonal_covariance_hand_oracle(self):
         # R = diag(1,4), m = (1,1): z = (1, 1/4), m.z = 5/4, w = sigma0 z / sqrt(5/4)
         sigma0 = 0.02
         solved = solve_classical_mvo([1.0, 1.0], np.diag([1.0, 4.0]), RiskSpec(sigma0=sigma0, ridge=0.0))
         expected = sigma0 * np.array([1.0, 0.25]) / math.sqrt(1.25)
-        assert np.allclose(solved.weights, expected, atol=1e-12)
-        assert solved.weights @ np.diag([1.0, 4.0]) @ solved.weights == pytest.approx(sigma0**2, abs=1e-10)
+        assert np.allclose(solved, expected, atol=1e-12)
+        assert solved @ np.diag([1.0, 4.0]) @ solved == pytest.approx(sigma0**2, abs=1e-10)
 
     def test_degenerate_mean(self):
         with pytest.raises(DegenerateMeanError):
@@ -501,30 +501,18 @@ class TestClassicalAndEqualWeight:
         with pytest.raises(ValidationError, match=f"^{match}$"):
             solve_classical_mvo(mean, cov, RiskSpec(sigma0=0.01))
 
-    @pytest.mark.parametrize(
-        "weights, match",
-        [
-            (np.ones((2, 2)), r"static weights shape \(2, 2\) does not match \(4,\)"),
-            ([0.5, math.nan], "static weights has non-finite entries"),
-            ([0.5, 0.5j], "static weights must be real"),
-            ([[1.0], [1.0, 2.0]], rf"static weights must hold real numbers: {re.escape(RAGGED)}"),
-        ],
-    )
-    def test_static_weights_reject_matrix_complex_or_non_finite(self, weights, match):
-        with pytest.raises(ValidationError, match=f"^{match}$"):
-            StaticWeights(weights=weights, scheme="test")
-
     def test_equal_weight(self):
-        assert np.allclose(equal_weight(4).weights, [0.25, 0.25, 0.25, 0.25])
-        assert np.allclose(equal_weight(1).weights, [1.0])
+        assert np.allclose(equal_weight(4), [0.25, 0.25, 0.25, 0.25])
+        assert np.allclose(equal_weight(1), [1.0])
         for n in (1, 3, 9):
-            assert equal_weight(n).weights.sum() == pytest.approx(1.0)
+            assert equal_weight(n).sum() == pytest.approx(1.0)
+            assert equal_weight(n).dtype == np.float64 and not equal_weight(n).flags.writeable
         with pytest.raises(ValidationError):
             equal_weight(0)
         for n_assets in (2.5, 2.0, True):
             with pytest.raises(ValidationError, match=f"^n_assets must be an integer, got {n_assets}$"):
                 equal_weight(n_assets)
-        assert np.array_equal(equal_weight(np.int64(4)).weights, equal_weight(4).weights)
+        assert np.array_equal(equal_weight(np.int64(4)), equal_weight(4))
 
 
 class TestRetrieveAllocation:

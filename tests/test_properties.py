@@ -11,6 +11,7 @@ import math
 import re
 import string
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from specport import (
 from specport.basis import _phases, _to_augmented, _to_managed
 from specport.errors import ValidationError, _count
 
-from conftest import random_structured_moments, reference_protocol
+from conftest import random_structured_moments, reference_baselines, reference_protocol
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -110,6 +111,28 @@ def test_augmented_form_is_exactly_structured(seed, half):
     assert np.array_equal(p_block, p_block.T)
     assert np.array_equal(augmented[half:, half:], r_block.conj())
     assert np.array_equal(augmented[half:, :half], p_block.conj())
+
+
+def test_augmented_form_builds_no_half_size_temporaries():
+    """R and P are summed straight into the output and halved there, bit for bit the halved sums."""
+    # at 2MN = 600 a half-size block (300 x 300 float64) is 0.72 MB, well above numpy's fixed ufunc buffers
+    managed = random_symmetric(600, 600)
+    tracemalloc.start()
+    try:
+        augmented = _to_augmented(managed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    half = 300
+    assert peak - augmented.nbytes < half * half * 8, peak - augmented.nbytes
+    k_aa, k_ab, k_ba, k_bb = managed[:half, :half], managed[:half, half:], managed[half:, :half], managed[half:, half:]
+    for got, expected in (
+        (augmented[:half, :half].real, 0.5 * (k_aa + k_bb)),
+        (augmented[:half, :half].imag, 0.5 * (k_ba - k_ab)),
+        (augmented[:half, half:].real, 0.5 * (k_aa - k_bb)),
+        (augmented[:half, half:].imag, 0.5 * (k_ba + k_ab)),
+    ):
+        assert got.tobytes() == expected.tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -446,3 +469,8 @@ def test_protocol_matches_the_brute_force_reference(data, seed, periods, n_asset
     spectral = report.strategies[0]
     assert np.max(np.abs(spectral.allocations - path)) <= 1e-10 * np.max(np.abs(path))
     assert abs(spectral.sharpe - sharpe) <= 1e-10 * max(1.0, abs(sharpe))
+    for slug, (series, cumulative, sharpe) in reference_baselines(values, split, 0.01).items():
+        baseline = report.strategy(slug)
+        assert np.max(np.abs(baseline.portfolio_returns - series)) <= 1e-10 * np.max(np.abs(series))
+        assert np.max(np.abs(baseline.cumulative - cumulative)) <= 1e-10 * np.max(np.abs(cumulative))
+        assert abs(baseline.sharpe - sharpe) <= 1e-10 * max(1.0, abs(sharpe))
