@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FrequencyGrid
-from .errors import IngestionError, SpecportError, ValidationError, _count, _finite_real, _real_array
+from .errors import IngestionError, SpecportError, ValidationError, _count, _finite_real, _real_array, _store
 from .moments import SpectralMoments, estimate_moments, write_moments_csv
 from .optimize import RiskSpec, equal_weight, retrieve_allocation, solve_classical_mvo, solve_spectral_mvo
 
@@ -103,12 +103,10 @@ def _validate_panel(panel, value_field: str, floor: float, message: str, *counts
     if np.any(values <= floor):
         raise ValidationError(message)
     checked = {name: _count(name, getattr(panel, name)) for name in counts}
-    values.flags.writeable = False
-    for name, value in {"timestamps": timestamps, "asset_names": names, value_field: values, **checked}.items():
-        object.__setattr__(panel, name, value)
+    _store(panel, timestamps=timestamps, asset_names=names, **{value_field: values}, **checked)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PricePanel:
     """Strictly positive prices on strictly increasing timestamps, one distinct non-blank name per asset."""
 
@@ -124,7 +122,7 @@ class PricePanel:
         return len(self.asset_names)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReturnsPanel:
     """Simple returns per period; each entry > -1 (prices are positive); names as in :class:`PricePanel`."""
 
@@ -368,7 +366,6 @@ class ProtocolConfig:
             except IngestionError as exc:
                 raise ValidationError(f"boundary: {exc}") from exc
         ppy = _count("periods_per_year", self.periods_per_year)
-        object.__setattr__(self, "periods_per_year", ppy)
         data = self.data
         if not isinstance(data, (str, Path, PricePanel, ReturnsPanel)):
             raise ValidationError(f"data is not a CSV path, PricePanel or ReturnsPanel: {type(data).__name__}")
@@ -388,10 +385,10 @@ class ProtocolConfig:
             if key in seen:
                 raise ValidationError(f"grid subsets {seen[key]!r} and {label!r} hold the same periods")
             seen[key] = label
-        object.__setattr__(self, "frequency_grids", tuple(grids))
+        _store(self, periods_per_year=ppy, frequency_grids=tuple(grids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyResult:
     name: str
     slug: str
@@ -402,12 +399,15 @@ class StrategyResult:
     cumulative: np.ndarray
     allocations: np.ndarray
 
+    def __post_init__(self) -> None:
+        _store(self)
+
     @property
     def sharpe_defined(self) -> bool:
         return not math.isnan(self.sharpe)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BacktestReport:
     strategies: tuple[StrategyResult, ...]
     out_timestamps: tuple

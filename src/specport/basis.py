@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SymmetryViolationError, ValidationError, _count, _indices
+from .errors import SymmetryViolationError, ValidationError, _count, _indices, _store
 
 __all__ = [
     "FrequencyGrid",
@@ -99,7 +99,7 @@ class FrequencyGrid:
             raise ValidationError("periods must be >= 3 samples (period 2, the Nyquist bin, has a zero sine column)")
         if max(periods) > 2**63 - 1:  # the phases reduce t mod p in int64
             raise ValidationError(f"periods must fit in int64, got {max(periods)}")
-        object.__setattr__(self, "periods", tuple(sorted(periods, reverse=True)))
+        _store(self, periods=tuple(sorted(periods, reverse=True)))
 
     @classmethod
     def from_periods(cls, periods) -> "FrequencyGrid":
@@ -140,7 +140,7 @@ def commensurate_length(n_samples: int, grid: FrequencyGrid) -> tuple[int, int]:
     return snapped, n_samples - snapped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedVector:
     """A frequency-domain vector stacked with its conjugate half.
 
@@ -158,10 +158,7 @@ class AugmentedVector:
         lower = np.asarray(self.lower, dtype=np.complex128)
         if upper.ndim != 1 or lower.shape != upper.shape:
             raise ValidationError("upper and lower halves must be 1-d and equally long")
-        upper.flags.writeable = False
-        lower.flags.writeable = False
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
+        _store(self, upper=upper, lower=lower)
 
     @classmethod
     def from_upper(cls, upper) -> "AugmentedVector":
@@ -185,7 +182,7 @@ class AugmentedVector:
         return bool(np.max(np.abs(self.lower - np.conj(self.upper)), initial=0.0) <= tol * scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedSpectralBasis:
     """The N x 2MN basis matrix at one integer sample index ``t``.
 
@@ -200,9 +197,7 @@ class AugmentedSpectralBasis:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        _store(self, values=np.asarray(self.values, dtype=np.complex128))
 
     @property
     def half_columns(self) -> int:

@@ -1,9 +1,11 @@
 """Exception hierarchy shared across the package, and the shared input checks.
 
 Each rule has one definition: :func:`_count` for counts, :func:`_indices` for sample
-indices, :func:`_real_array` and :func:`_finite_real` for real arrays of a known shape.
+indices, :func:`_real_array` and :func:`_finite_real` for real arrays of a known shape,
+and :func:`_store` for what a frozen dataclass holds.
 """
 
+import dataclasses
 import operator
 
 import numpy as np
@@ -114,3 +116,17 @@ def _finite_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     if not np.isfinite(array).all():
         raise ValidationError(f"{name} has non-finite entries")
     return array
+
+
+def _store(instance, **checked) -> None:
+    """Set frozen ``instance``'s ``checked`` fields, then make every ndarray in a field or a tuple field read-only.
+
+    A field may hold the caller's own array, so a constructor calls this last, once every check has passed.
+    """
+    for name, value in checked.items():
+        object.__setattr__(instance, name, value)
+    for item in dataclasses.fields(instance):
+        value = getattr(instance, item.name)
+        for array in value if isinstance(value, tuple) else (value,):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False

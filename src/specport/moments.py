@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented, commensurate_length
-from .errors import ValidationError, _count, _finite_real, _indices, _real_array
+from .errors import ValidationError, _count, _finite_real, _indices, _real_array, _store
 
 __all__ = [
     "SpectralMoments",
@@ -229,7 +229,7 @@ def estimate_moments(x, grid: FrequencyGrid, *, t0: int = 0) -> "SpectralMoments
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralMoments:
     """Estimated spectral mean and covariance on one grid.
 
@@ -259,18 +259,15 @@ class SpectralMoments:
     mode = "paper-literal"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
-        object.__setattr__(self, "sample_count", _count("sample_count", self.sample_count))
-        dim = 2 * self.half_size
+        n_assets, sample_count = _count("n_assets", self.n_assets), _count("sample_count", self.sample_count)
+        dim = 2 * self.grid.n_bins * n_assets
         mean = _finite_real("managed mean", self.managed_mean, (dim,))
         cov = _real_array("managed covariance", self.managed_covariance, (dim, dim))
         if not _is_exactly_symmetric(cov):  # one pass over K checks finiteness and symmetry
             if not np.isfinite(cov).all():
                 raise ValidationError("managed covariance has non-finite entries")
             raise ValidationError("managed covariance is not exactly symmetric")
-        mean.flags.writeable = cov.flags.writeable = False
-        object.__setattr__(self, "managed_mean", mean)
-        object.__setattr__(self, "managed_covariance", cov)
+        _store(self, n_assets=n_assets, sample_count=sample_count, managed_mean=mean, managed_covariance=cov)
 
     @cached_property
     def mean(self) -> AugmentedVector:
@@ -316,7 +313,7 @@ class SpectralMoments:
         return self.mean.upper[start : start + self.n_assets]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsdMatrix:
     """Per-bin absolute (non-centred) second spectral moment, N x N per bin."""
 
@@ -326,12 +323,7 @@ class PsdMatrix:
     def __post_init__(self) -> None:
         if len(self.matrices) != self.grid.n_bins:
             raise ValidationError("one matrix per grid bin expected")
-        frozen = []
-        for mat in self.matrices:
-            mat = np.asarray(mat, dtype=np.complex128)
-            mat.flags.writeable = False
-            frozen.append(mat)
-        object.__setattr__(self, "matrices", tuple(frozen))
+        _store(self, matrices=tuple(np.asarray(mat, dtype=np.complex128) for mat in self.matrices))
 
     def trace_per_bin(self) -> np.ndarray:
         return np.array([float(np.trace(m).real) for m in self.matrices])

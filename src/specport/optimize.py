@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented
 from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError
-from .errors import _count, _finite_real, _indices, _real_array
+from .errors import _count, _finite_real, _indices, _real_array, _store
 from .moments import SpectralMoments
 
 __all__ = [
@@ -95,7 +95,7 @@ class RiskSpec:
         return 1e-8 * float(np.trace(covariance).real) / dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralWeights:
     """Optimal frequency-domain portfolio coefficients.
 
@@ -116,14 +116,13 @@ class SpectralWeights:
     ridge_used: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
+        n_assets = _count("n_assets", self.n_assets)
         multiplier = self.lagrange_multiplier
         if not (math.isfinite(multiplier) and multiplier > 0.0):
             raise ValidationError(f"lagrange_multiplier must be positive and finite, got {multiplier!r}")
         RiskSpec(sigma0=self.sigma0, ridge=self.ridge_used)
-        theta = _finite_real("managed weights", self.managed_weights, (2 * self.grid.n_bins * self.n_assets,))
-        theta.flags.writeable = False
-        object.__setattr__(self, "managed_weights", theta)
+        theta = _finite_real("managed weights", self.managed_weights, (2 * self.grid.n_bins * n_assets,))
+        _store(self, n_assets=n_assets, managed_weights=theta)
 
     @cached_property
     def weights(self) -> AugmentedVector:

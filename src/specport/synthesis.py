@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _check_spectrum, _phases, _to_managed
-from .errors import FactorizationError, ValidationError, _count
+from .errors import FactorizationError, ValidationError, _count, _store
 
 __all__ = [
     "SynthSpec",
@@ -34,7 +34,7 @@ logger = logging.getLogger(__name__)
 _EIG_CLIP = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthSpec:
     """Generative description of a synthetic panel.
 
@@ -56,9 +56,8 @@ class SynthSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_assets", _count("n_assets", self.n_assets))
-        object.__setattr__(self, "horizon", _count("horizon", self.horizon))
-        half = self.grid.n_bins * self.n_assets
+        n_assets, horizon = _count("n_assets", self.n_assets), _count("horizon", self.horizon)
+        half = self.grid.n_bins * n_assets
         cov = np.asarray(self.spectral_cov, dtype=np.complex128)
         for name, value in (("spectral_mean", self.spectral_mean.full()), ("spectral_cov", cov)):
             if not np.isfinite(value).all():
@@ -76,8 +75,7 @@ class SynthSpec:
         scale = max(1.0, float(np.max(np.abs(cov))))
         if max(float(np.max(np.abs(gap))) for gap in gaps) > 1e-8 * scale:
             raise ValidationError("spectral_cov violates the augmented block structure")
-        cov.flags.writeable = False
-        object.__setattr__(self, "spectral_cov", cov)
+        _store(self, n_assets=n_assets, horizon=horizon, spectral_cov=cov)
 
     @property
     def half_size(self) -> int:
