@@ -86,8 +86,9 @@ def _validate_panel(panel, value_field: str, floor: float, message: str, *counts
 
     The checks fail in that order.  Each entry of the finite real array must
     exceed ``floor`` (``message`` otherwise), and each ``counts`` field be an
-    integer >= 1.  The array may be the caller's own, so it is frozen only
-    after every check has passed.
+    integer >= 1.  A non-finite entry or one at or below the floor is named by
+    the timestamp and the asset of the first such entry.  The array may be the
+    caller's own, so it is frozen only after every check has passed.
     """
     timestamps = tuple(panel.timestamps)
     for prev, cur in zip(timestamps, timestamps[1:]):
@@ -99,9 +100,16 @@ def _validate_panel(panel, value_field: str, floor: float, message: str, *counts
     clashes = _name_clashes(names, "positions", 0)
     if clashes:
         raise ValidationError(f"asset names must be distinct and non-blank: {clashes}")
-    values = _finite_real(value_field, getattr(panel, value_field), (len(timestamps), len(names)))
+    values = _real_array(value_field, getattr(panel, value_field), (len(timestamps), len(names)))
+
+    def first(bad: np.ndarray) -> str:  # only on the error path: a passing panel builds one mask per check
+        row, column = np.argwhere(bad)[0]
+        return f"the first at {timestamps[row]}, asset {names[column]!r}"
+
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{value_field} has non-finite entries: {first(~np.isfinite(values))}")
     if np.any(values <= floor):
-        raise ValidationError(message)
+        raise ValidationError(f"{message}: {first(values <= floor)}")
     checked = {name: _count(name, getattr(panel, name)) for name in counts}
     _store(panel, timestamps=timestamps, asset_names=names, **{value_field: values}, **checked)
 
@@ -256,9 +264,13 @@ def read_returns_csv(path, periods_per_year: int = 12) -> ReturnsPanel:
 
 
 def compute_returns(panel: PricePanel, periods_per_year: int = 12) -> ReturnsPanel:
-    """Simple returns (p(t) - p(t-1)) / p(t-1); timestamps follow the later price."""
+    """Simple returns (p(t) - p(t-1)) / p(t-1); timestamps follow the later price.
+
+    A return that overflows float64 is refused by :class:`ReturnsPanel`, which names its row and asset.
+    """
     prices = panel.prices
-    returns = prices[1:] / prices[:-1] - 1.0
+    with np.errstate(over="ignore"):
+        returns = prices[1:] / prices[:-1] - 1.0
     return ReturnsPanel(
         timestamps=panel.timestamps[1:],
         returns=returns,
@@ -556,11 +568,18 @@ def _load_returns(data, input_type: str, periods_per_year: int = 12) -> ReturnsP
 
 @contextlib.contextmanager
 def _stage(name: str):
-    """Re-raise a SpecportError from the body as its own type, prefixed ``[stage: name]``, from the original."""
+    """Re-raise a SpecportError from the body as its own type, prefixed ``[stage: name]``, from the original.
+
+    A float64 overflow in the body, which data too large for its statistics
+    cause, is raised, not warned, and re-raised as a ValidationError so prefixed.
+    """
     try:
-        yield
+        with np.errstate(over="raise"):
+            yield
     except SpecportError as exc:
         raise type(exc)(f"[stage: {name}] {exc}") from exc
+    except FloatingPointError as exc:
+        raise ValidationError(f"[stage: {name}] the data overflow float64: {exc}") from exc
 
 
 def run_protocol(config: ProtocolConfig) -> BacktestReport:
@@ -568,12 +587,17 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
 
     Stages: ingest -> split -> spectral estimation + solve per grid subset ->
     classical MVO + equal weight -> out-of-sample evaluation.  Errors from any
-    stage are re-raised with a stage label.
+    stage are re-raised with a stage label.  The split refuses an
+    out-of-sample window of fewer than 2 returns, before any fit.
     """
     with _stage("ingest"):
         returns = _load_returns(config.data, config.input_type, config.periods_per_year)
     with _stage("split"):
         in_panel, out_panel = split_sample(returns, config.boundary)
+        if out_panel.n_samples < 2:  # the out-of-sample Sharpe ratio needs two returns
+            raise ValidationError(
+                f"boundary {config.boundary} leaves {out_panel.n_samples} out-of-sample return; need at least 2"
+            )
 
     ppy = returns.periods_per_year
     sigma0_period = config.sigma0_annual / math.sqrt(ppy)
@@ -599,7 +623,8 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
         mvo_cov = np.atleast_2d(np.cov(in_panel.returns, rowvar=False, ddof=1))
         allocations.append(("MVO", "mvo", solve_classical_mvo(in_panel.returns.mean(axis=0), mvo_cov, risk)))
     allocations.append(("EW", "ew", equal_weight(returns.n_assets)))
-    strategies = tuple(_evaluate(name, slug, out_panel, allocation, ppy) for name, slug, allocation in allocations)
+    with _stage("evaluate"):
+        strategies = tuple(_evaluate(name, slug, out_panel, allocation, ppy) for name, slug, allocation in allocations)
 
     metadata = {
         "boundary": str(config.boundary),

@@ -297,8 +297,9 @@ class TestDropPolicy:
             returns = read_returns_csv(path)
         assert returns.returns[:, 0].tolist() == [0.1, -0.5, 0.2]
         assert dropped_rows(caplog) == ["4"]
-        path = write_csv(tmp_path, "t,AA\n0,0.1\n1,-1.5\n2,0.2\n", "loss.csv")
-        with pytest.raises(ValidationError, match="exceed -1"):
+        path = write_csv(tmp_path, "t,AA,BB\n0,0.1,0.1\n1,0.1,-1.5\n2,-1.0,0.2\n", "loss.csv")
+        message = "returns must exceed -1 (total loss): the first at 1, asset 'BB'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             read_returns_csv(path)
 
     def test_warnings_in_source_order(self, tmp_path, caplog):
@@ -363,6 +364,18 @@ class TestReturns:
         path = write_csv(tmp_path, "date,AA\n2020-01-01,100\n2020-02-01,110\n2020-03-01,99\n")
         returns = compute_returns(ingest_csv(path), 12)
         assert returns.timestamps[0] == datetime.date(2020, 2, 1)
+
+    @pytest.mark.parametrize(
+        "price, problem",
+        [("1e-320", "returns has non-finite entries"), ("1e308", "returns must exceed -1 (total loss)")],
+        ids=["overflow", "total-loss"],
+    )
+    def test_float64_edge_prices_name_the_return_they_break(self, tmp_path, price, problem):
+        # BB's 2020-02 price makes its 2020-03 return overflow to inf, or round to exactly -1, with no numpy warning
+        text = f"date,AA,BB\n2020-01-01,100,200\n2020-02-01,110,{price}\n2020-03-01,99,210\n"
+        message = f"{problem}: the first at 2020-03-01, asset 'BB'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            compute_returns(ingest_csv(write_csv(tmp_path, text)), 12)
 
 
 def integer_panel(values, ppy=12):

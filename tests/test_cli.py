@@ -1,19 +1,25 @@
 """Command-line behavior: file outputs, determinism, exit codes."""
 
 import codecs
+import contextlib
 import csv
 import gc
+import io
 import json
 import locale
 import logging
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specport import read_moments_csv
 from specport.cli import build_parser, main
@@ -282,6 +288,25 @@ class TestBacktest:
         )
         assert code == 2
         assert "2050-01" in capsys.readouterr().err
+
+    def test_one_return_out_of_sample_is_refused_before_any_fit(self, tmp_path, capsys):
+        code = main(["backtest", "--data", str(DATA), "--boundary", "2020-05", "--out-dir", str(tmp_path / "bt")])
+        assert code == 2
+        # no strategy is estimated: stderr holds no window snap line
+        assert capsys.readouterr().err == (
+            "error: [stage: split] boundary 2020-05 leaves 1 out-of-sample return; need at least 2\n"
+        )
+
+    def test_return_too_large_for_the_statistics_is_a_staged_error(self, tmp_path, capsys):
+        # a price of 1e308 on the last row leaves an out-of-sample return of ~1e306, whose square overflows
+        lines = DATA.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1e308"
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code = main(["backtest", "--data", str(data), "--boundary", "2015-01", "--out-dir", str(tmp_path / "bt")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: [stage: evaluate] the data overflow float64: overflow encountered in square"
 
     def test_degenerate_panel_computation_error_exit_1(self, tmp_path):
         panel = tmp_path / "zeros.csv"
@@ -666,3 +691,70 @@ class TestProcess:
         assert result.returncode == 2
         assert result.stderr == "error: boundary: cannot parse timestamp 'garbage' (expected int or ISO date)\n"
         assert result.stdout == ""
+
+
+# the fixed vocabulary of damage to the bundled price file: line 0 is its header, column 0 its dates
+BAD_CELLS = ("", "nan", "inf", "-1", "0", "1e308", "1e-320", "0x10")
+BAD_DATES = ("", "2013-13-01", "2012-02-30", "x", "12")
+HEADER_NAMES = ("", " ", "date", "SYN1", "SYN5")
+data_lines = st.integers(min_value=1, max_value=125)
+asset_columns = st.integers(min_value=1, max_value=5)
+line_edits = st.one_of(
+    st.tuples(st.sampled_from(("delete", "repeat", "swap")), data_lines),
+    st.tuples(st.just("cell"), data_lines, asset_columns, st.sampled_from(BAD_CELLS)),
+    st.tuples(st.just("cell"), data_lines, st.just(0), st.sampled_from(BAD_DATES)),
+    st.tuples(st.just("cell"), st.just(0), asset_columns, st.sampled_from(HEADER_NAMES)),
+)
+
+
+def damage(edits, crlf, bom, kept_percent) -> str:
+    """The bundled price file's text after ``edits`` to its lines, then the text edits."""
+    lines = DATA.read_text().splitlines()
+    for kind, line, *cell in edits:
+        line = min(line, len(lines) - 1 - (kind == "swap"))  # earlier deletions may have shortened the file
+        if kind == "delete":
+            del lines[line]
+        elif kind == "repeat":
+            lines.insert(line, lines[line])
+        elif kind == "swap":
+            lines[line], lines[line + 1] = lines[line + 1], lines[line]
+        else:
+            column, value = cell
+            cells = lines[line].split(",")
+            cells[column] = value
+            lines[line] = ",".join(cells)
+    text = "".join(line + ("\r\n" if crlf else "\n") for line in lines)
+    if kept_percent is not None:
+        text = text[: len(text) * kept_percent // 100]
+    return "\ufeff" + text if bom else text
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    edits=st.lists(line_edits, max_size=3),
+    crlf=st.booleans(),
+    bom=st.booleans(),
+    kept_percent=st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
+    boundary=st.sampled_from(("2010-03", "2015-01", "2020-05")),
+)
+# the float64 edges, which few random edits reach: a price of 1e-320 makes the next return overflow, and one of
+# 1e308 makes it -1 (on the last row, test_return_too_large_for_the_statistics_is_a_staged_error)
+@example(edits=[("cell", 30, 2, "1e-320")], crlf=False, bom=False, kept_percent=None, boundary="2015-01")
+@example(edits=[("cell", 30, 2, "1e308")], crlf=False, bom=False, kept_percent=None, boundary="2015-01")
+def test_a_damaged_price_file_exits_0_or_2_with_a_staged_error(edits, crlf, bom, kept_percent, boundary):
+    with tempfile.TemporaryDirectory() as scratch:
+        data, out_dir = Path(scratch) / "damaged.csv", Path(scratch) / "bt"
+        data.write_bytes(damage(edits, crlf, bom, kept_percent).encode("utf-8"))
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["backtest", "--data", str(data), "--boundary", boundary, "--out-dir", str(out_dir)])
+        err = stderr.getvalue()
+        assert code in (0, 2), err
+        assert "Traceback" not in err and not re.search(r"Warning: ", err), err
+        assert all("[stage: " in line for line in err.splitlines() if line.startswith("error:")), err
+        if code == 0:
+            artifacts = {path.name for path in DEMO_OUTPUT.iterdir()} | {"backtest_config.json"}
+            assert {path.name for path in out_dir.iterdir()} == artifacts
+            for path in out_dir.glob("allocations_spectral_mvo_*.csv"):
+                weights = [row[1:] for row in read_rows(path)[1:]]
+                assert weights[12:] == weights[:-12], path.name
