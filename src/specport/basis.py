@@ -22,9 +22,9 @@ So a synthesis is the real product x(t) = phi(t) theta.reshape(2M, N) with
 theta = U^H [u; conj(u)] = sqrt 2 [Re u; Im u], and a projection is
 B(t)^H x(t) = U z(t) with the managed panel row z(t) = phi(t) (x) x(t)
 (Schreier and Scharf 2010).  :func:`_phases` evaluates phi(t) for many t, and
-:func:`_to_augmented` and :func:`_to_managed` apply U and U^H; the
-estimators, the solver's weights, allocation retrieval and the synthesis
-kernels all go through them.  :func:`build_basis`,
+:func:`_to_augmented` applies U; the estimators, the solver's weights,
+allocation retrieval and the synthesis kernels all work on the real managed
+vectors, and the complex forms are views built by it.  :func:`build_basis`,
 :func:`synthesize_time_value` and :func:`project_spectrum` keep the literal
 complex definition, the reference that the real kernels are tested against.
 
@@ -165,10 +165,6 @@ class AugmentedVector:
         upper = np.asarray(upper, dtype=np.complex128)
         return cls(upper=upper, lower=np.conj(upper))
 
-    @classmethod
-    def zeros(cls, half_size: int) -> "AugmentedVector":
-        return cls.from_upper(np.zeros(half_size, dtype=np.complex128))
-
     @property
     def half_size(self) -> int:
         return self.upper.shape[0]
@@ -276,40 +272,6 @@ def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
     return out
 
 
-def _to_managed(augmented: AugmentedVector | np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_to_augmented`: the real U^H [u; conj(u)] or U^H Sigma U.
-
-    An AugmentedVector maps to theta = sqrt 2 [Re u; Im u] from its upper
-    half.  A matrix is read only in its upper block row [R, P], which
-    determines an augmented covariance completely.  The blocks
-    [[Re(R + P), Im(P - R)], [Im(R + P), Re(R - P)]] are summed part by part
-    straight into one real array, with the same roundings as the complex sums.
-    """
-    if isinstance(augmented, AugmentedVector):
-        return math.sqrt(2) * np.concatenate([augmented.upper.real, augmented.upper.imag])
-    augmented = np.asarray(augmented, dtype=np.complex128)
-    half = augmented.shape[0] // 2
-    r_grid, p_grid = augmented[:half, :half], augmented[:half, half:]
-    out = np.empty(augmented.shape, dtype=np.float64)
-    np.add(r_grid.real, p_grid.real, out=out[:half, :half])
-    np.subtract(p_grid.imag, r_grid.imag, out=out[:half, half:])
-    np.add(r_grid.imag, p_grid.imag, out=out[half:, :half])
-    np.subtract(r_grid.real, p_grid.real, out=out[half:, half:])
-    return out
-
-
-def _check_spectrum(basis_half: int, spectrum: AugmentedVector) -> None:
-    if spectrum.half_size != basis_half:
-        raise ValidationError(
-            f"spectrum half-size {spectrum.half_size} does not match basis ({basis_half})"
-        )
-    if not spectrum.is_conjugate_symmetric():
-        raise SymmetryViolationError(
-            "spectrum is not conjugate-symmetric (lower != conj(upper)); "
-            "synthesis would not be real-valued"
-        )
-
-
 def synthesize_time_value(basis: AugmentedSpectralBasis, spectrum: AugmentedVector) -> np.ndarray:
     """Evaluate the time-domain value B(t) @ [u; conj(u)] and return its real part.
 
@@ -317,7 +279,15 @@ def synthesize_time_value(basis: AugmentedSpectralBasis, spectrum: AugmentedVect
     imaginary residual of the product is checked against 1e-12 (relative)
     before it is discarded.
     """
-    _check_spectrum(basis.half_columns, spectrum)
+    if spectrum.half_size != basis.half_columns:
+        raise ValidationError(
+            f"spectrum half-size {spectrum.half_size} does not match basis ({basis.half_columns})"
+        )
+    if not spectrum.is_conjugate_symmetric():
+        raise SymmetryViolationError(
+            "spectrum is not conjugate-symmetric (lower != conj(upper)); "
+            "synthesis would not be real-valued"
+        )
     value = basis.values @ spectrum.full()
     scale = max(1.0, float(np.max(np.abs(value), initial=0.0)))
     residual = float(np.max(np.abs(value.imag), initial=0.0))

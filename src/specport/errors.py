@@ -119,7 +119,7 @@ def _finite_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _store(instance, **checked) -> None:
-    """Set frozen ``instance``'s ``checked`` fields, then make every ndarray in a field or a tuple field read-only.
+    """Set frozen ``instance``'s ``checked`` fields, then make every ndarray field read-only.
 
     A field may hold the caller's own array, so a constructor calls this last, once every check has passed.
     """
@@ -127,6 +127,5 @@ def _store(instance, **checked) -> None:
         object.__setattr__(instance, name, value)
     for item in dataclasses.fields(instance):
         value = getattr(instance, item.name)
-        for array in value if isinstance(value, tuple) else (value,):
-            if isinstance(array, np.ndarray):
-                array.flags.writeable = False
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False

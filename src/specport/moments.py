@@ -89,6 +89,24 @@ def _is_exactly_symmetric(matrix: np.ndarray) -> bool:
     return True
 
 
+def _managed_pair(grid: FrequencyGrid, n_assets, mean, covariance) -> tuple[int, np.ndarray, np.ndarray]:
+    """The checked ``n_assets`` (an integer >= 1), managed mean (2MN) and K (2MN x 2MN) of a pair on ``grid``.
+
+    The mean must be real and finite, and K real, finite and exactly symmetric
+    (ValidationError otherwise).  One pass reads K; a non-finite K is reported
+    before an asymmetric one.  The caller freezes the arrays once all its checks pass.
+    """
+    n_assets = _count("n_assets", n_assets)
+    dim = 2 * grid.n_bins * n_assets
+    mean = _finite_real("managed mean", mean, (dim,))
+    cov = _real_array("managed covariance", covariance, (dim, dim))
+    if not _is_exactly_symmetric(cov):
+        if not np.isfinite(cov).all():
+            raise ValidationError("managed covariance has non-finite entries")
+        raise ValidationError("managed covariance is not exactly symmetric")
+    return n_assets, mean, cov
+
+
 def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int):
     """Trim to a commensurate window, discarding the oldest samples.
 
@@ -240,11 +258,10 @@ class SpectralMoments:
     block layout [[R, P], [conj(P), conj(R)]], are read-only views built on
     first access.  The per-bin accessors read the N x N blocks R(w_m, w_n)
     and P(w_m, w_n) from four N x N blocks of K without building
-    ``covariance``.  The constructor rejects complex, misshapen or
-    non-finite arrays, a K that is not exactly symmetric and counts that
-    are not integers >= 1.  It freezes the arrays it was given only once
-    they pass.  It reads K once, checking finiteness and symmetry strip by
-    strip; a non-finite K is reported before an asymmetric one.
+    ``covariance``.  The constructor checks the pair as :class:`SynthSpec`
+    does, with the same messages (see :func:`_managed_pair`), and
+    ``sample_count`` as an integer >= 1.  It freezes the arrays it was
+    given only once they pass.
     """
 
     grid: FrequencyGrid
@@ -259,14 +276,8 @@ class SpectralMoments:
     mode = "paper-literal"
 
     def __post_init__(self) -> None:
-        n_assets, sample_count = _count("n_assets", self.n_assets), _count("sample_count", self.sample_count)
-        dim = 2 * self.grid.n_bins * n_assets
-        mean = _finite_real("managed mean", self.managed_mean, (dim,))
-        cov = _real_array("managed covariance", self.managed_covariance, (dim, dim))
-        if not _is_exactly_symmetric(cov):  # one pass over K checks finiteness and symmetry
-            if not np.isfinite(cov).all():
-                raise ValidationError("managed covariance has non-finite entries")
-            raise ValidationError("managed covariance is not exactly symmetric")
+        n_assets, mean, cov = _managed_pair(self.grid, self.n_assets, self.managed_mean, self.managed_covariance)
+        sample_count = _count("sample_count", self.sample_count)
         _store(self, n_assets=n_assets, sample_count=sample_count, managed_mean=mean, managed_covariance=cov)
 
     @cached_property
@@ -315,18 +326,30 @@ class SpectralMoments:
 
 @dataclass(frozen=True, eq=False)
 class PsdMatrix:
-    """Per-bin absolute (non-centred) second spectral moment, N x N per bin."""
+    """Per-bin absolute (non-centred) second spectral moment, N x N per bin.
+
+    ``matrices`` is one read-only complex (M, N, N) array; ``matrices[m]`` is
+    bin m's matrix.  A sequence of M square matrices of one size is accepted
+    too.  A wrong count, a ragged sequence, non-numbers or non-square
+    matrices are a ValidationError.
+    """
 
     grid: FrequencyGrid
-    matrices: tuple[np.ndarray, ...]
+    matrices: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.matrices) != self.grid.n_bins:
-            raise ValidationError("one matrix per grid bin expected")
-        _store(self, matrices=tuple(np.asarray(mat, dtype=np.complex128) for mat in self.matrices))
+        try:
+            matrices = np.asarray(self.matrices, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:  # ragged rows, strings and other non-numbers
+            raise ValidationError(f"matrices must be square matrices of one size: {exc}") from exc
+        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+            raise ValidationError(f"matrices must be square matrices of one size, got shape {matrices.shape}")
+        if matrices.shape[0] != self.grid.n_bins:
+            raise ValidationError(f"one matrix per grid bin expected: {self.grid.n_bins}, got {matrices.shape[0]}")
+        _store(self, matrices=matrices)
 
     def trace_per_bin(self) -> np.ndarray:
-        return np.array([float(np.trace(m).real) for m in self.matrices])
+        return np.trace(self.matrices, axis1=1, axis2=2).real
 
 
 def compute_psd(moments: SpectralMoments) -> PsdMatrix:
@@ -340,7 +363,7 @@ def compute_psd(moments: SpectralMoments) -> PsdMatrix:
     for m in range(moments.grid.n_bins):
         mean_m = moments.bin_mean(m)
         mats.append(np.outer(mean_m, np.conj(mean_m)) + moments.bin_covariance(m))
-    return PsdMatrix(grid=moments.grid, matrices=tuple(mats))
+    return PsdMatrix(grid=moments.grid, matrices=np.stack(mats))
 
 
 # --- flat CSV serialization (lossless at double precision) ---------------------

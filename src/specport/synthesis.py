@@ -1,12 +1,17 @@
-"""Synthetic nonstationary panels: harmonic mean plus improper Gaussian spectral noise.
+"""Synthetic nonstationary panels: a harmonic mean plus Gaussian noise, in managed coordinates.
 
-A panel row is x(t) = B(t) @ (m + s(t)) where m is a fixed conjugate-symmetric
-coefficient vector (time-domain harmonics) and s(t) is zero-mean complex
-Gaussian noise with a full augmented covariance (covariance + pseudo-covariance,
-including cross-bin blocks).  Nonzero pseudo-covariance makes the time-domain
-variance oscillate (cyclostationarity); cross-bin blocks correlate the bins.
-
-Noise is drawn independently across t.
+A panel row is x(t) = phi(t) (theta_m + theta_s(t)), the 2MN weights taken as
+2M x N, for the managed-asset phases phi(t) of :mod:`specport.basis`.  The
+fixed real vector theta_m = sqrt 2 [Re m; Im m] holds the harmonics (cosine
+weights, then sine weights), and theta_s(t) is zero-mean real Gaussian noise
+of covariance K, drawn independently across t.  Through the unitary U of
+:mod:`specport.basis` this is exactly the augmented model
+x(t) = B(t) (m + s(t)) with spectral mean [m; conj(m)] = U theta_m and
+augmented covariance U K U^H = [[R, P], [conj(P), conj(R)]]: every real
+symmetric K maps to a valid augmented covariance, so no block structure needs
+checking.  Improper noise (P != 0), cosine and sine columns of unequal or
+correlated weights, makes the time-domain variance oscillate
+(cyclostationarity); entries of K that couple two bins correlate them.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import AugmentedVector, FrequencyGrid, _check_spectrum, _phases, _to_managed
+from .basis import FrequencyGrid, _phases
 from .errors import FactorizationError, ValidationError, _count, _store
+from .moments import _managed_pair
 
 __all__ = [
     "SynthSpec",
@@ -36,63 +42,45 @@ _EIG_CLIP = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SynthSpec:
-    """Generative description of a synthetic panel.
+    """Generative description of a synthetic panel, in managed coordinates.
 
-    Both ``spectral_mean`` and ``spectral_cov`` must be finite
-    (ValidationError naming the field otherwise, checked first).
-    ``spectral_mean`` must be conjugate-symmetric (SymmetryViolationError
-    otherwise) and ``spectral_cov`` must satisfy the augmented covariance
-    invariants: the blocks [[R, P], [conj(P), conj(R)]] with R Hermitian and
-    P symmetric, each relation to 1e-8 max(1, max |entry|), and PSD up to the
-    documented clipping tolerance.
+    ``managed_mean`` is theta_m = sqrt 2 [Re m; Im m] (2MN), the harmonics of
+    the augmented spectral mean m, and ``managed_covariance`` is
+    K = U^H Sigma U (2MN x 2MN), the covariance of the noise weights
+    theta_s(t); the map back to the augmented covariance
+    Sigma = U K U^H = [[R, P], [conj(P), conj(R)]] is exact.  The constructor
+    checks the pair as :class:`specport.SpectralMoments` does, with the same
+    messages: a real, finite mean and a real, finite, exactly symmetric K, and
+    ``n_assets`` and ``horizon`` as integers >= 1.  K must also be positive
+    semi-definite up to the clipping tolerance, which is checked when the
+    noise is factored (see :func:`_composite_factor`).
     Fixed seed implies a bit-identical panel.
     """
 
     grid: FrequencyGrid
     n_assets: int
-    spectral_mean: AugmentedVector
-    spectral_cov: np.ndarray
+    managed_mean: np.ndarray
+    managed_covariance: np.ndarray
     horizon: int
     seed: int
 
     def __post_init__(self) -> None:
-        n_assets, horizon = _count("n_assets", self.n_assets), _count("horizon", self.horizon)
-        half = self.grid.n_bins * n_assets
-        cov = np.asarray(self.spectral_cov, dtype=np.complex128)
-        for name, value in (("spectral_mean", self.spectral_mean.full()), ("spectral_cov", cov)):
-            if not np.isfinite(value).all():
-                raise ValidationError(f"{name} has non-finite entries")
-        _check_spectrum(half, self.spectral_mean)
-        if cov.shape != (2 * half, 2 * half):
-            raise ValidationError(f"spectral_cov must be {2 * half} x {2 * half}")
-        r_block, p_block = cov[:half, :half], cov[:half, half:]
-        gaps = (
-            r_block - r_block.conj().T,
-            p_block - p_block.T,
-            cov[half:, half:] - r_block.conj(),
-            cov[half:, :half] - p_block.conj(),
-        )
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if max(float(np.max(np.abs(gap))) for gap in gaps) > 1e-8 * scale:
-            raise ValidationError("spectral_cov violates the augmented block structure")
-        _store(self, n_assets=n_assets, horizon=horizon, spectral_cov=cov)
-
-    @property
-    def half_size(self) -> int:
-        return self.grid.n_bins * self.n_assets
+        n_assets, mean, cov = _managed_pair(self.grid, self.n_assets, self.managed_mean, self.managed_covariance)
+        horizon = _count("horizon", self.horizon)
+        _store(self, n_assets=n_assets, managed_mean=mean, managed_covariance=cov, horizon=horizon)
 
 
 def _composite_factor(spec: SynthSpec) -> np.ndarray:
     """Factor F of the real-composite covariance: cov([Re s; Im s]) = F F^T.
 
-    [Re s; Im s] is the managed-asset vector U^H [s; conj(s)] scaled by
-    1/sqrt(2), so its covariance is half the managed-asset covariance of the
-    augmented ``spectral_cov``; it is factored by eigendecomposition.
+    [Re s; Im s] is the noise weights theta_s = U^H [s; conj(s)] scaled by
+    1/sqrt(2), so its covariance is half of ``managed_covariance``; it is
+    factored by eigendecomposition.
     Eigenvalues in [-1e-10, 0) are clipped to zero with a WARNING on this
     module's logger (``extra`` key ``clip_eigenvalue``); anything more
     negative raises.
     """
-    composite = 0.5 * _to_managed(spec.spectral_cov)
+    composite = 0.5 * spec.managed_covariance
     eigvals, eigvecs = np.linalg.eigh(composite)
     worst = float(eigvals.min()) if eigvals.size else 0.0
     if worst < -_EIG_CLIP:
@@ -118,18 +106,17 @@ def _composite_noise(spec: SynthSpec, n_samples: int) -> np.ndarray:
     """
     factor = _composite_factor(spec)
     rng = np.random.default_rng(spec.seed)
-    return rng.standard_normal((n_samples, 2 * spec.half_size)) @ factor.T
+    return rng.standard_normal((n_samples, spec.managed_mean.size)) @ factor.T
 
 
 def synthesize_values(spec: SynthSpec) -> np.ndarray:
     """Real (horizon, n_assets) panel values for the generative description.
 
-    Row t is x(t) = B(t) (m + s(t)), computed in managed coordinates (see
-    :mod:`specport.basis`) as the one real product phi(t) (theta_m + theta_s(t))
-    with theta_m = sqrt 2 [Re m; Im m] and theta_s(t) = sqrt 2 [Re s(t); Im s(t)]
-    from the composite noise draw.
+    Row t is the one real product phi(t) (theta_m + theta_s(t)) of the
+    module docstring, with theta_m = ``managed_mean`` and the noise weights
+    theta_s(t) = sqrt 2 [Re s(t); Im s(t)] from the composite noise draw.
     """
-    theta = _to_managed(spec.spectral_mean) + math.sqrt(2) * _composite_noise(spec, spec.horizon)
+    theta = spec.managed_mean + math.sqrt(2) * _composite_noise(spec, spec.horizon)
     theta = theta.reshape(spec.horizon, 2 * spec.grid.n_bins, spec.n_assets)
     return np.einsum("tk,tkn->tn", _phases(np.arange(spec.horizon), spec.grid), theta)
 
@@ -178,18 +165,24 @@ def example1_scenario(seed: int = 11, horizon: int = 12000) -> SynthSpec:
     alpha = math.sqrt(improper_total / (1.0 + weight))
     beta = math.sqrt(improper_total * weight / (1.0 + weight))
 
-    envelope = np.zeros(n_bins, dtype=np.complex128)
+    envelope = np.zeros(n_bins)
     envelope[1] = alpha  # period 12
     envelope[4] = beta  # period 4 (= one third of period 12)
-    env_full = np.concatenate([envelope, np.conj(envelope)])
-    cov = np.outer(env_full, np.conj(env_full))
-    cov += np.eye(2 * n_bins) * (proper_total / n_bins)
+    # The envelope drives the cosine columns only: with the augmented blocks
+    # R = e e^T + c I and P = e e^T, K = [[R + P, 0], [0, R - P]].  R - P is not
+    # written as c I: K has the eigenvalue c eight times over, and a one-ulp
+    # change in its entries rotates eigh's eigenvectors, so another panel.
+    r_block = np.outer(envelope, envelope) + np.eye(n_bins) * (proper_total / n_bins)
+    p_block = np.outer(envelope, envelope)
+    cov = np.zeros((2 * n_bins, 2 * n_bins))
+    cov[:n_bins, :n_bins] = r_block + p_block
+    cov[n_bins:, n_bins:] = r_block - p_block
 
     return SynthSpec(
         grid=grid,
         n_assets=1,
-        spectral_mean=AugmentedVector.from_upper(mean_upper),
-        spectral_cov=cov,
+        managed_mean=math.sqrt(2) * np.concatenate([mean_upper.real, mean_upper.imag]),
+        managed_covariance=cov,
         horizon=horizon,
         seed=seed,
     )
@@ -224,14 +217,11 @@ def seasonal_market_spec(
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_bins * n_assets)
     mean_upper = amplitudes * np.exp(1j * phases)
 
-    half = n_bins * n_assets
-    cov = np.eye(2 * half, dtype=np.complex128) * noise_vol**2
-
     return SynthSpec(
         grid=grid,
         n_assets=n_assets,
-        spectral_mean=AugmentedVector.from_upper(mean_upper),
-        spectral_cov=cov,
+        managed_mean=math.sqrt(2) * np.concatenate([mean_upper.real, mean_upper.imag]),
+        managed_covariance=np.eye(2 * n_bins * n_assets) * noise_vol**2,
         horizon=horizon,
         seed=seed + 1,
     )

@@ -2,13 +2,33 @@
 and the brute-force protocol oracles."""
 
 import math
+import re
+import warnings
 
 import numpy as np
+import pytest
 
 from specport import FrequencyGrid, SpectralMoments, SynthSpec, ValidationError, estimate_moments
-from specport.basis import _phases, _to_managed
+from specport.basis import _phases
 
 CANDIDATE_PERIODS = (24, 18, 16, 12, 10, 9, 8, 7, 6, 5, 4, 3)
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Let a failing hypothesis test print its falsifying example under ``-W error``.
+
+    On a failure, hypothesis's own report hook imports ``hypothesis.extra._patching``,
+    whose import warns that ``mypy_extensions.TypedDict`` is deprecated; as an
+    error, that warning ends the run in an INTERNALERROR instead.  This outermost
+    wrapper ignores that one message and category while the report is made, and
+    nothing else.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message=re.escape("mypy_extensions.TypedDict is deprecated"), category=DeprecationWarning
+        )
+        yield
 
 
 def random_grid(rng, max_bins=4, candidates=CANDIDATE_PERIODS) -> FrequencyGrid:
@@ -106,9 +126,9 @@ def _population_moments(spec: SynthSpec, path) -> tuple[float, float]:
 
     ``path`` is (L, N): row r is w(t) at every t = r mod L, for the grid's
     least common period L.  With Phi(t) = phi(t) (x) I_N, theta_m =
-    _to_managed(spectral_mean) and C = _to_managed(spectral_cov), a row of
+    ``spec.managed_mean`` and K = ``spec.managed_covariance``, a row of
     ``synthesize_values(spec)`` has E[x_t] = Phi(t) theta_m and
-    Cov(x_t) = Phi(t) C Phi(t)^T, so the path earns w(t)^T E[x_t] in
+    Cov(x_t) = Phi(t) K Phi(t)^T, so the path earns w(t)^T E[x_t] in
     expectation with variance w(t)^T Cov(x_t) w(t).  The mean is the first
     averaged over one period; the volatility is the square root of the mean
     of the second plus the variance over t of the first.
@@ -116,8 +136,8 @@ def _population_moments(spec: SynthSpec, path) -> tuple[float, float]:
     period = spec.grid.least_common_period()
     phases = _phases(np.arange(period), spec.grid)
     exposures = (phases[:, :, np.newaxis] * np.asarray(path)[:, np.newaxis, :]).reshape(period, -1)  # Phi(t)^T w(t)
-    expected = exposures @ _to_managed(spec.spectral_mean)
-    variances = np.einsum("ti,ij,tj->t", exposures, _to_managed(spec.spectral_cov), exposures)
+    expected = exposures @ spec.managed_mean
+    variances = np.einsum("ti,ij,tj->t", exposures, spec.managed_covariance, exposures)
     return float(expected.mean()), math.sqrt(variances.mean() + expected.var())
 
 

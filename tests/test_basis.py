@@ -164,7 +164,7 @@ class TestSynthesize:
     def test_zero_spectrum(self):
         grid = FrequencyGrid.from_periods((12, 6))
         basis = build_basis(5, grid, 2)
-        out = synthesize_time_value(basis, AugmentedVector.zeros(4))
+        out = synthesize_time_value(basis, AugmentedVector.from_upper(np.zeros(4)))
         assert np.array_equal(out, np.zeros(2))
 
     def test_cosine_expansion(self):
@@ -192,7 +192,7 @@ class TestSynthesize:
 
     def test_spectrum_size_must_match_the_basis(self):
         grid = FrequencyGrid.from_periods((12,))
-        spectrum = AugmentedVector.zeros(2)
+        spectrum = AugmentedVector.from_upper(np.zeros(2))
         with pytest.raises(ValidationError, match=r"spectrum half-size 2 does not match basis \(1\)"):
             synthesize_time_value(build_basis(3, grid, 1), spectrum)
         with pytest.raises(ValidationError, match=r"spectrum half-size 2 does not match basis \(3\)"):

@@ -467,10 +467,28 @@ class TestSpectralMomentsType:
 
 
 class TestPsd:
-    def test_one_matrix_per_bin(self):
+    @pytest.mark.parametrize(
+        "matrices, match",
+        [
+            ((np.eye(2),), "^one matrix per grid bin expected: 2, got 1$"),
+            (np.ones((3, 2, 2)), "^one matrix per grid bin expected: 2, got 3$"),
+            ((np.eye(2), np.eye(3)), "^matrices must be square matrices of one size: setting an array element"),
+            (np.ones((2, 2, 3)), r"^matrices must be square matrices of one size, got shape \(2, 2, 3\)$"),
+            (np.eye(2), r"^matrices must be square matrices of one size, got shape \(2, 2\)$"),
+            ([[["a"]], [["b"]]], "^matrices must be square matrices of one size: complex"),
+        ],
+        ids=["too-few", "too-many", "ragged", "non-square", "one-matrix", "strings"],
+    )
+    def test_one_matrix_per_bin(self, matrices, match):
         grid = FrequencyGrid.from_periods((12, 6))
-        with pytest.raises(ValidationError, match="one matrix per grid bin expected"):
-            PsdMatrix(grid=grid, matrices=(np.eye(2),))
+        with pytest.raises(ValidationError, match=match):
+            PsdMatrix(grid=grid, matrices=matrices)
+
+    def test_holds_one_read_only_array(self):
+        psd = PsdMatrix(grid=FrequencyGrid.from_periods((12, 6)), matrices=[np.eye(2), np.diag([2.0, 3.0])])
+        assert psd.matrices.dtype == np.complex128 and psd.matrices.shape == (2, 2, 2)
+        assert not psd.matrices.flags.writeable
+        assert np.array_equal(psd.trace_per_bin(), [2.0, 5.0])
 
     def test_zero_mean_reduces_to_covariance(self):
         rng = np.random.default_rng(9)

@@ -38,7 +38,7 @@ from specport import (
     synthesize_time_value,
     write_moments_csv,
 )
-from specport.basis import _phases, _to_augmented, _to_managed
+from specport.basis import _phases, _to_augmented
 from specport.errors import ValidationError, _count
 
 from conftest import random_structured_moments, reference_baselines, reference_protocol
@@ -50,6 +50,18 @@ grids = st.lists(
     st.sampled_from((24, 12, 10, 8, 6, 5, 4, 3)), min_size=1, max_size=3, unique=True
 ).map(FrequencyGrid.from_periods)
 asset_counts = st.integers(min_value=1, max_value=3)
+
+
+def block_to_managed(augmented):
+    """The inverse of :func:`_to_augmented`, U^H Sigma U, read from the upper block row [R, P] with ``np.block``."""
+    half = augmented.shape[0] // 2
+    r_grid, p_grid = augmented[:half, :half], augmented[:half, half:]
+    return np.block(
+        [
+            [(r_grid + p_grid).real, (p_grid - r_grid).imag],
+            [(r_grid + p_grid).imag, (r_grid - p_grid).real],
+        ]
+    )
 
 
 def random_symmetric(seed, dim):
@@ -65,7 +77,7 @@ def test_managed_augmented_round_trip(seed, half):
     managed = random_symmetric(seed, 2 * half)
     augmented = _to_augmented(managed)
     scale = np.max(np.abs(managed))
-    assert np.max(np.abs(_to_managed(augmented) - managed)) <= 4e-16 * scale
+    assert np.max(np.abs(block_to_managed(augmented) - managed)) <= 4e-16 * scale
     # unitary: trace and eigenvalues carry over
     assert abs(np.trace(augmented) - np.trace(managed)) <= 1e-13 * scale * half
     assert np.allclose(
@@ -75,30 +87,6 @@ def test_managed_augmented_round_trip(seed, half):
     vector = _to_augmented(theta)
     assert np.array_equal(vector.lower, np.conj(vector.upper))
     assert np.array_equal(vector.upper, (theta[:half] + 1j * theta[half:]) / math.sqrt(2))
-
-
-def block_to_managed(augmented):
-    """The earlier ``np.block`` form of :func:`_to_managed`, kept as the bit-exact reference."""
-    half = augmented.shape[0] // 2
-    r_grid, p_grid = augmented[:half, :half], augmented[:half, half:]
-    return np.block(
-        [
-            [(r_grid + p_grid).real, (p_grid - r_grid).imag],
-            [(r_grid + p_grid).imag, (r_grid - p_grid).real],
-        ]
-    )
-
-
-@PROPERTY_SETTINGS
-@given(seed=seeds, half=st.integers(min_value=1, max_value=40), zero_share=st.sampled_from((0.0, 0.5)))
-def test_to_managed_is_bit_identical_to_block_form(seed, half, zero_share):
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((2 * half, 2 * half)) * 10.0 ** rng.uniform(-3, 3)
-    raw[rng.random(raw.shape) < zero_share] = 0.0  # exact zeros give R, P parts that cancel
-    augmented = _to_augmented(raw + raw.T)
-    expected, got = block_to_managed(augmented), _to_managed(augmented)
-    assert np.array_equal(got, expected)
-    assert got.tobytes() == expected.tobytes()  # signed zeros included
 
 
 @PROPERTY_SETTINGS

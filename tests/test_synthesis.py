@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from specport import (
     FactorizationError,
     FrequencyGrid,
     RiskSpec,
-    SymmetryViolationError,
+    SpectralMoments,
     SynthSpec,
     ValidationError,
     build_basis,
@@ -29,53 +30,37 @@ from specport import (
     synthesize_time_value,
     synthesize_values,
 )
-from specport.basis import _phases, _to_managed
+from specport.basis import _phases, _to_augmented
 from specport.synthesis import _composite_noise
 
 from conftest import population_sharpe
 
 
-def composite_to_augmented(gamma: np.ndarray) -> np.ndarray:
-    """Map a real composite covariance ([Re s; Im s]) to the augmented complex form.
-
-    Used to construct exactly-valid augmented covariances for tests.
-    """
-    half = gamma.shape[0] // 2
-    g_aa = gamma[:half, :half]
-    g_ab = gamma[:half, half:]
-    g_bb = gamma[half:, half:]
-    r_grid = g_aa + g_bb + 1j * (g_ab.T - g_ab)
-    p_grid = g_aa - g_bb + 1j * (g_ab + g_ab.T)
-    return np.block([[r_grid, p_grid], [np.conj(p_grid), np.conj(r_grid)]])
+def covariance_from(factor: np.ndarray) -> np.ndarray:
+    """factor @ factor.T, made exactly symmetric as the constructors require."""
+    product = factor @ factor.T
+    return (product + product.T) / 2
 
 
 def complex_noise(spec, n_samples):
     """The complex noise s(t) = a(t) + j b(t) of the composite draws [a(t); b(t)] that ``synthesize_values`` uses."""
     composite = _composite_noise(spec, n_samples)
-    return composite[:, : spec.half_size] + 1j * composite[:, spec.half_size :]
+    half = spec.managed_mean.size // 2
+    return composite[:, :half] + 1j * composite[:, half:]
 
 
 def one_bin_spec(r, p, seed=0, horizon=1):
-    grid = FrequencyGrid.from_periods((12,))
-    cov = np.array([[r, p], [np.conj(p), r]], dtype=complex)
-    return SynthSpec(
-        grid=grid,
-        n_assets=1,
-        spectral_mean=AugmentedVector.zeros(1),
-        spectral_cov=cov,
-        horizon=horizon,
-        seed=seed,
-    )
+    """One bin, one asset, zero mean, and noise of real augmented covariance r and pseudo-covariance p.
 
-
-def two_asset_spec():
+    In managed coordinates the cosine weight has variance r + p and the sine weight r - p.
+    """
     return SynthSpec(
         grid=FrequencyGrid.from_periods((12,)),
-        n_assets=2,
-        spectral_mean=AugmentedVector.zeros(2),
-        spectral_cov=np.eye(4, dtype=complex),
-        horizon=1,
-        seed=0,
+        n_assets=1,
+        managed_mean=np.zeros(2),
+        managed_covariance=np.diag([r + p, r - p]),
+        horizon=horizon,
+        seed=seed,
     )
 
 
@@ -100,17 +85,16 @@ class TestSampling:
     def test_general_composite_covariance_recovered(self):
         rng = np.random.default_rng(3)
         factor = rng.standard_normal((4, 4)) * 0.5
-        gamma = factor @ factor.T
-        cov = composite_to_augmented(gamma)
         grid = FrequencyGrid.from_periods((12, 6))
         spec = SynthSpec(
             grid=grid,
             n_assets=1,
-            spectral_mean=AugmentedVector.zeros(2),
-            spectral_cov=cov,
+            managed_mean=np.zeros(4),
+            managed_covariance=covariance_from(factor),
             horizon=1,
             seed=4,
         )
+        cov = _to_augmented(spec.managed_covariance)
         series = complex_noise(spec, 10**5)
         emp_r = series.T.conj() @ series / len(series)
         emp_p = series.T @ series / len(series)
@@ -128,16 +112,7 @@ class TestSampling:
             assert np.array_equal(_composite_noise(spec, t + 1)[t], series[t])
 
     def test_non_psd_raises_naming_eigenvalue(self):
-        spec_cov = np.diag([-1e-3, -1e-3]).astype(complex)
-        grid = FrequencyGrid.from_periods((12,))
-        spec = SynthSpec(
-            grid=grid,
-            n_assets=1,
-            spectral_mean=AugmentedVector.zeros(1),
-            spectral_cov=spec_cov,
-            horizon=4,
-            seed=0,
-        )
+        spec = one_bin_spec(-1e-3, 0.0, horizon=4)
         with pytest.raises(FactorizationError, match="eigenvalue"):
             _composite_noise(spec, 4)
 
@@ -162,16 +137,15 @@ class TestPanels:
     def test_pure_mean_matches_basis_synthesis_pointwise(self):
         rng = np.random.default_rng(7)
         grid = FrequencyGrid.from_periods((12, 8))
-        upper = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        mean = AugmentedVector.from_upper(upper)
         spec = SynthSpec(
             grid=grid,
             n_assets=2,
-            spectral_mean=mean,
-            spectral_cov=np.zeros((8, 8)),
+            managed_mean=rng.standard_normal(8),
+            managed_covariance=np.zeros((8, 8)),
             horizon=48,
             seed=8,
         )
+        mean = _to_augmented(spec.managed_mean)
         panel = synthesize_values(spec)
         for t in range(48):
             expected = synthesize_time_value(build_basis(t, grid, 2), mean)
@@ -182,16 +156,16 @@ class TestPanels:
         grid = FrequencyGrid.from_periods((12, 8))
         half = grid.n_bins * 2
         factor = rng.standard_normal((2 * half, 2 * half)) * 0.4
-        mean = AugmentedVector.from_upper(rng.standard_normal(half) + 1j * rng.standard_normal(half))
         spec = SynthSpec(
             grid=grid,
             n_assets=2,
-            spectral_mean=mean,
-            spectral_cov=composite_to_augmented(factor @ factor.T),
+            managed_mean=rng.standard_normal(2 * half),
+            managed_covariance=covariance_from(factor),
             horizon=48,
             seed=18,
         )
-        assert np.max(np.abs(spec.spectral_cov[:half, half:])) > 0.1  # improper noise
+        mean = _to_augmented(spec.managed_mean)
+        assert np.max(np.abs(_to_augmented(spec.managed_covariance)[:half, half:])) > 0.1  # improper noise
         panel = synthesize_values(spec)
         scale = np.max(np.abs(panel))
         for t in range(48):
@@ -199,17 +173,6 @@ class TestPanels:
             coefficients = AugmentedVector(upper=mean.upper + noise.upper, lower=mean.lower + noise.lower)
             expected = synthesize_time_value(build_basis(t, grid, 2), coefficients)
             assert np.max(np.abs(panel[t] - expected)) <= 1e-12 * scale
-
-    def test_rejects_non_conjugate_symmetric_mean(self):
-        with pytest.raises(SymmetryViolationError):
-            SynthSpec(
-                grid=FrequencyGrid.from_periods((12,)),
-                n_assets=1,
-                spectral_mean=AugmentedVector(upper=[1 + 1j], lower=[1 + 1j]),
-                spectral_cov=np.zeros((2, 2)),
-                horizon=4,
-                seed=0,
-            )
 
     def test_determinism_bit_identical(self):
         spec = example1_scenario(seed=11, horizon=600)
@@ -242,43 +205,58 @@ class TestPanels:
         # relative to the peak of the cycle, since the variance touches zero
         assert np.max(np.abs(empirical - theory)) <= 0.10 * theory.max()
 
+    @pytest.mark.parametrize("kind", [SpectralMoments, SynthSpec], ids=lambda kind: kind.__name__)
     @pytest.mark.parametrize(
-        "entries",
+        "fields, message",
         [
-            [(0, 1), (2, 3)],  # R not Hermitian; the lower-right block stays conj(R)
-            [(0, 3), (2, 1)],  # P not symmetric; the lower-left block stays conj(P)
-            [(2, 2)],  # lower-right block != conj(R)
-            [(2, 0)],  # lower-left block != conj(P)
+            ({"managed_mean": np.zeros(3)}, "managed mean shape (3,) does not match (2,)"),
+            ({"managed_mean": np.array([math.inf, 0.0])}, "managed mean has non-finite entries"),
+            # asymmetric too: a non-finite K is reported first
+            (
+                {"managed_covariance": np.array([[2.0, math.nan], [0.5, 1.0]])},
+                "managed covariance has non-finite entries",
+            ),
+            (
+                {"managed_covariance": np.array([[2.0, 0.5], [np.nextafter(0.5, 1.0), 1.0]])},
+                "managed covariance is not exactly symmetric",
+            ),
+            ({"managed_covariance": np.eye(2, dtype=complex)}, "managed covariance must be real"),
+            ({"managed_covariance": np.eye(4)}, "managed covariance shape (4, 4) does not match (2, 2)"),
+            ({"n_assets": 0}, "n_assets must be >= 1, got 0"),
+            ({"n_assets": 1.0}, "n_assets must be an integer, got 1.0"),
+            ({"n_assets": True}, "n_assets must be an integer, got True"),
         ],
-        ids=["r-hermitian", "p-symmetric", "lower-right", "lower-left"],
+        ids=[
+            "mean-length",
+            "mean-non-finite",
+            "cov-non-finite",
+            "cov-one-ulp-asymmetric",
+            "cov-complex",
+            "cov-shape",
+            "n-assets-zero",
+            "n-assets-float",
+            "n-assets-bool",
+        ],
     )
-    def test_spec_rejects_each_broken_block_relation(self, entries):
-        # one bin, two assets: R = cov[:2, :2], P = cov[:2, 2:]; at scale 1 the tolerance is 1e-8
-        cov = np.eye(4, dtype=complex)
-        for entry in entries:
-            cov[entry] += 1e-6
-        with pytest.raises(ValidationError, match="violates the augmented block structure"):
-            dataclasses.replace(two_asset_spec(), spectral_cov=cov)
-
-    def test_spec_accepts_block_relations_within_tolerance(self):
-        cov = np.eye(4, dtype=complex)
-        cov[0, 1] += 1e-10
-        assert dataclasses.replace(two_asset_spec(), spectral_cov=cov).spectral_cov[0, 1] == 1e-10
+    def test_spec_and_moments_refuse_a_bad_managed_pair_alike(self, kind, fields, message):
+        own = {"sample_count": 12} if kind is SpectralMoments else {"horizon": 12, "seed": 0}
+        valid = dict(
+            grid=FrequencyGrid.from_periods((12,)),
+            n_assets=1,
+            managed_mean=np.zeros(2),
+            managed_covariance=np.array([[2.0, 0.5], [0.5, 1.0]]),
+            **own,
+        )
+        kind(**valid)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            kind(**{**valid, **fields})
 
     @pytest.mark.parametrize(
         "fields, match",
         [
-            ({"n_assets": 0}, "^n_assets must be >= 1, got 0$"),
-            ({"n_assets": 1.0}, "^n_assets must be an integer, got 1.0$"),
-            ({"n_assets": True}, "^n_assets must be an integer, got True$"),
             ({"horizon": 0}, "^horizon must be >= 1, got 0$"),
             ({"horizon": 24.0}, "^horizon must be an integer, got 24.0$"),
             ({"horizon": True}, "^horizon must be an integer, got True$"),
-            ({"spectral_cov": np.eye(4)}, "spectral_cov must be 2 x 2"),
-            # checked before the structure, whose gaps are NaN and pass a > test
-            ({"spectral_cov": np.diag([math.nan, 1.0])}, "^spectral_cov has non-finite entries$"),
-            # checked before the conjugate symmetry, whose inf - inf gap is NaN
-            ({"spectral_mean": AugmentedVector.from_upper([math.inf])}, "^spectral_mean has non-finite entries$"),
         ],
     )
     def test_spec_rejects_bad_field(self, fields, match):
@@ -313,18 +291,16 @@ class TestEstimatorConsistencyLoop:
         n_assets = 2
         half = grid.n_bins * n_assets
         factor = rng.standard_normal((2 * half, 2 * half)) * 0.4
-        cov_true = composite_to_augmented(factor @ factor.T)
-        mean_upper = rng.standard_normal(half) + 1j * rng.standard_normal(half)
-        mean_true = AugmentedVector.from_upper(mean_upper)
         lcm = grid.least_common_period()
         spec = SynthSpec(
             grid=grid,
             n_assets=n_assets,
-            spectral_mean=mean_true,
-            spectral_cov=cov_true,
+            managed_mean=rng.standard_normal(2 * half),
+            managed_covariance=covariance_from(factor),
             horizon=200 * lcm,
             seed=14,
         )
+        mean_true, cov_true = _to_augmented(spec.managed_mean), _to_augmented(spec.managed_covariance)
         panel = synthesize_values(spec)
         literal = estimate_moments(panel, grid)
         consistent_mean = estimate_spectral_mean(panel, grid, mode="consistent")
@@ -364,7 +340,7 @@ class TestPopulationSharpe:
             path = retrieve_allocation(weights, range(spec.grid.least_common_period()))
         else:  # the harmonics' own direction, in noise whose variance cycles through the improper bins
             spec = example1_scenario()
-            theta = _to_managed(spec.spectral_mean).reshape(2 * spec.grid.n_bins, spec.n_assets)
+            theta = spec.managed_mean.reshape(2 * spec.grid.n_bins, spec.n_assets)
             path = _phases(np.arange(spec.grid.least_common_period()), spec.grid) @ theta
         period = spec.grid.least_common_period()
         horizon = 144_000
@@ -382,8 +358,8 @@ class TestExampleOneScenario:
         assert spec.horizon == 12000
         assert spec.grid.periods == (24, 12, 8, 5, 4)
         # noise power is 100x harmonic power in coefficient terms
-        harmonic = float(np.sum(np.abs(spec.spectral_mean.upper) ** 2))
-        noise = float(np.trace(spec.spectral_cov).real) / 2
+        harmonic = float(np.sum(spec.managed_mean**2)) / 2  # |m|^2 over the upper half
+        noise = float(np.trace(spec.managed_covariance)) / 2  # U is unitary: the trace carries over
         assert noise / harmonic == pytest.approx(100.0, rel=1e-12)
 
     def test_mean_peaks_localize_at_harmonic_bins(self):
