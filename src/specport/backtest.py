@@ -50,20 +50,23 @@ PERIOD_LETTERS = {12: "A", 6: "S", 3: "Q"}
 
 
 def parse_timestamp(token: str):
-    """Parse an integer index or ISO date (YYYY-MM-DD or YYYY-MM)."""
+    """Parse an integer index or ISO date (YYYY-MM-DD, or YYYY-MM for the first of the month).
+
+    No other ISO form is read: from Python 3.11 on, ``date.fromisoformat``
+    also reads week dates such as ``2015-W01``, so it is handed only ``YYYY-MM-DD``.
+    """
     token = token.strip()
     try:
         return int(token)
     except ValueError:
         pass
-    try:
-        return datetime.date.fromisoformat(token)
-    except ValueError:
-        pass
-    try:
-        return datetime.date.fromisoformat(token + "-01")
-    except ValueError:
-        raise IngestionError(f"cannot parse timestamp {token!r} (expected int or ISO date)")
+    day = token if len(token) == 10 else token + "-01"
+    if len(day) == 10 and day[4] == "-" and day[7] == "-":
+        try:
+            return datetime.date.fromisoformat(day)
+        except ValueError:
+            pass
+    raise IngestionError(f"cannot parse timestamp {token!r} (expected int or ISO date)")
 
 
 def _name_clashes(names: Sequence[str], unit: str, first: int) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import datetime
 import gc
 import json
 import logging
@@ -34,15 +35,17 @@ import numpy as np
 from . import __version__
 from .backtest import (
     PERIOD_LETTERS,
+    PricePanel,
     ProtocolConfig,
     _load_returns,
+    _stage,
     _write_table,
     run_protocol,
 )
 from .basis import FrequencyGrid
 from .errors import IngestionError, SpecportError, ValidationError, _count
 from .moments import compute_psd, estimate_moments, write_moments_csv
-from .synthesis import example1_scenario, seasonal_market_spec, synthesize_values
+from .synthesis import example1_scenario, seasonal_market_spec, synthesize_panel
 
 _LETTER_PERIODS = {letter: period for period, letter in PERIOD_LETTERS.items()}
 
@@ -128,20 +131,16 @@ def _write_config_echo(path: Path, args, **resolved) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _month_sequence(start: str, count: int) -> list[str]:
-    """ISO first-of-month dates starting at ``start``, an ISO month ``YYYY-MM``."""
+def _month_sequence(start: str, count: int) -> list[datetime.date]:
+    """``count`` first-of-month dates starting at ``start``, an ISO month ``YYYY-MM``."""
     match = re.fullmatch(r"(\d{4})-(\d{2})", start)
     if match is None or not 1 <= int(match[2]) <= 12:
         raise ValidationError(f"--start-date must be an ISO month YYYY-MM, got {start!r}")
-    year, month = int(match[1]), int(match[2])
-    out = []
-    for _ in range(count):
-        out.append(f"{year:04d}-{month:02d}-01")
-        month += 1
-        if month > 12:
-            month = 1
-            year += 1
-    return out
+    first = 12 * int(match[1]) + int(match[2]) - 1
+    try:
+        return [datetime.date(month // 12, month % 12 + 1, 1) for month in range(first, first + count)]
+    except ValueError as exc:  # a year outside 1..9999, which no ISO date reader takes
+        raise ValidationError(f"--start-date {start}: {count} monthly prices from it leave the years 1..9999") from exc
 
 
 def _cmd_synth(args) -> int:
@@ -161,21 +160,19 @@ def _cmd_synth(args) -> int:
         )
         default_format = "prices"
     out_format = args.format or default_format
-
-    values = synthesize_values(spec)
-    names = [f"SYN{i + 1}" for i in range(spec.n_assets)]
     if out_format == "prices":
-        table = 100.0 * np.cumprod(1.0 + values, axis=0)
-        table = np.vstack([np.full((1, spec.n_assets), 100.0), table])
-        timestamps = _month_sequence(args.start_date, table.shape[0])
-    else:
-        table = values
-        timestamps = list(range(values.shape[0]))
+        dates = _month_sequence(args.start_date, spec.horizon + 1)
+
+    with _stage("synth"):
+        panel = synthesize_panel(spec, asset_names=[f"SYN{i + 1}" for i in range(spec.n_assets)])
+        if out_format == "prices":
+            prices = [np.full((1, spec.n_assets), 100.0), 100.0 * np.cumprod(1.0 + panel.returns, axis=0)]
+            panel = PricePanel(timestamps=dates, prices=np.vstack(prices), asset_names=panel.asset_names)
     with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_table(out, ["date"] + names, timestamps, table)
+        _write_table(out, ["date", *panel.asset_names], panel.timestamps, getattr(panel, out_format))
         _write_config_echo(out.with_name(out.name + ".config.json"), args, out=str(out), format=out_format)
-    print(f"wrote {values.shape[0]} samples x {spec.n_assets} assets to {out}")
+    print(f"wrote {spec.horizon} samples x {spec.n_assets} assets to {out}")
     return 0
 
 
@@ -184,24 +181,31 @@ def _cmd_estimate(args) -> int:
     grid = FrequencyGrid.from_periods(_parse_periods(args.periods))
     out_dir = Path(args.out_dir)
     _check_output("--out-dir", out_dir, out_dir)
-    values = _load_returns(data, args.input_type).returns
-    if args.demean:
-        values = values - values.mean(axis=0, keepdims=True)
-    moments = estimate_moments(values, grid)
+    with _stage("ingest"):
+        values = _load_returns(data, args.input_type).returns
+    with _stage("estimate"):
+        if args.demean:
+            values = values - values.mean(axis=0, keepdims=True)
+        moments = estimate_moments(values, grid)
+        rows = [
+            (
+                m,
+                grid.periods[m],
+                float(np.linalg.norm(moments.bin_mean(m))),
+                float(np.linalg.norm(moments.bin_covariance(m), 2)),
+                float(np.linalg.norm(moments.bin_pseudo_covariance(m), 2)),
+                psd_trace,
+            )
+            for m, psd_trace in enumerate(compute_psd(moments).trace_per_bin().tolist())
+        ]
 
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         write_moments_csv(moments, out_dir / "spectral_moments.csv")
 
-    header = f"{'bin':>3} {'period':>7} {'|mean|':>12} {'||R||':>12} {'||P||':>12} {'psd':>12}"
-    print(header)
-    rows = []
-    for m, psd_trace in enumerate(compute_psd(moments).trace_per_bin().tolist()):
-        mean_norm = float(np.linalg.norm(moments.bin_mean(m)))
-        r_norm = float(np.linalg.norm(moments.bin_covariance(m), 2))
-        p_norm = float(np.linalg.norm(moments.bin_pseudo_covariance(m), 2))
-        rows.append((m, grid.periods[m], mean_norm, r_norm, p_norm, psd_trace))
-        print(f"{m:>3} {rows[-1][1]:>7} {mean_norm:>12.6e} {r_norm:>12.6e} {p_norm:>12.6e} {psd_trace:>12.6e}")
+    print(f"{'bin':>3} {'period':>7} {'|mean|':>12} {'||R||':>12} {'||P||':>12} {'psd':>12}")
+    for m, period, *norms in rows:
+        print(f"{m:>3} {period:>7} " + " ".join(f"{norm:>12.6e}" for norm in norms))
 
     with _writing(out_dir):
         with (out_dir / "moments_summary.csv").open("w", newline="") as handle:

@@ -50,10 +50,10 @@ class SynthSpec:
     theta_s(t); the map back to the augmented covariance
     Sigma = U K U^H = [[R, P], [conj(P), conj(R)]] is exact.  The constructor
     checks the pair as :class:`specport.SpectralMoments` does, with the same
-    messages: a real, finite mean and a real, finite, exactly symmetric K, and
-    ``n_assets`` and ``horizon`` as integers >= 1.  K must also be positive
-    semi-definite up to the clipping tolerance, which is checked when the
-    noise is factored (see :func:`_composite_factor`).
+    messages: a real, finite mean and a real, finite, exactly symmetric K,
+    ``n_assets`` and ``horizon`` as integers >= 1, and ``seed`` as an integer
+    >= 0.  K must also be positive semi-definite up to the clipping tolerance,
+    which is checked when the noise is factored (see :func:`_composite_factor`).
     Fixed seed implies a bit-identical panel.
     """
 
@@ -67,7 +67,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         n_assets, mean, cov = _managed_pair(self.grid, self.n_assets, self.managed_mean, self.managed_covariance)
         horizon = _count("horizon", self.horizon)
-        _store(self, n_assets=n_assets, managed_mean=mean, managed_covariance=cov, horizon=horizon)
+        seed = _count("seed", self.seed, minimum=0)
+        _store(self, n_assets=n_assets, managed_mean=mean, managed_covariance=cov, horizon=horizon, seed=seed)
 
 
 def _composite_factor(spec: SynthSpec) -> np.ndarray:
@@ -204,11 +205,19 @@ def seasonal_market_spec(
     ``noise_vol`` per sample.  The grand mean of every asset is zero, so
     time-averaging estimators see no return signal while the seasonal
     structure is fully predictable.  ``mean_amp`` and ``noise_vol`` must be
-    finite and >= 0 (ValidationError naming the parameter otherwise).
+    finite and >= 0, and the noise variance ``noise_vol**2`` finite; ``n_assets``
+    must be an integer >= 1 and ``seed`` one >= 0.  Each is checked before the
+    first draw (ValidationError naming the parameter otherwise).
     """
     for name, value in (("mean_amp", mean_amp), ("noise_vol", noise_vol)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    try:
+        variance = noise_vol**2
+    except OverflowError:
+        raise ValidationError(f"noise_vol {noise_vol!r} is too large: its square overflows float64") from None
+    n_assets = _count("n_assets", n_assets)
+    seed = _count("seed", seed, minimum=0)
     grid = FrequencyGrid.from_periods(periods)
     n_bins = grid.n_bins
     rng = np.random.default_rng(seed)
@@ -221,7 +230,7 @@ def seasonal_market_spec(
         grid=grid,
         n_assets=n_assets,
         managed_mean=math.sqrt(2) * np.concatenate([mean_upper.real, mean_upper.imag]),
-        managed_covariance=np.eye(2 * n_bins * n_assets) * noise_vol**2,
+        managed_covariance=np.eye(2 * n_bins * n_assets) * variance,
         horizon=horizon,
         seed=seed + 1,
     )

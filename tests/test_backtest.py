@@ -31,7 +31,7 @@ from specport import (
     split_sample,
     synthesize_panel,
 )
-from specport.backtest import _write_table
+from specport.backtest import _write_table, parse_timestamp
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "synthetic_monthly_prices.csv"
 
@@ -222,6 +222,12 @@ class TestIngest:
         path = write_csv(tmp_path, "t,AA\n0,100\n1,101\n2,103\n")
         panel = ingest_csv(path)
         assert panel.timestamps == (0, 1, 2)
+
+    # ISO week dates: date.fromisoformat reads them from Python 3.11 on, as 2014-12-29
+    @pytest.mark.parametrize("token", ["2015-W01", "2015-W01-1", "2015W011", "2015W01"])
+    def test_week_dates_are_not_timestamps_on_any_python(self, token):
+        with pytest.raises(IngestionError, match=f"^cannot parse timestamp {re.escape(repr(token))} "):
+            parse_timestamp(token)
 
     @pytest.mark.parametrize(
         "rows, first",

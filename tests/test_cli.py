@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specport import read_moments_csv
+from specport import ingest_csv, read_moments_csv, read_returns_csv
 from specport.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +108,57 @@ class TestSynth:
         out = tmp_path / "p.csv"
         assert main(["synth", "--seed", "1", "-T", "2", "--start-date", "2010-12", "--out", str(out)]) == 0
         assert [row[0] for row in read_rows(out)[1:]] == ["2010-12-01", "2011-01-01", "2011-02-01"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--noise-vol", "0.5", "-T", "60"], "[stage: synth] returns must exceed -1 (total loss): the first at 4, "
+             "asset 'SYN1'"),
+            (["--mean-amp", "1e200"], "[stage: synth] returns must exceed -1 (total loss): the first at 0, asset 'SYN3'"),
+            # every return exceeds -1, but the prices cumulated from them overflow
+            (
+                ["--mean-amp", "1e200", "--noise-vol", "0", "--n-assets", "1", "-T", "3", "--seed", "2"],
+                "[stage: synth] the data overflow float64: overflow encountered in accumulate",
+            ),
+            (["--noise-vol", "1e200"], "noise_vol 1e+200 is too large: its square overflows float64"),
+            (["--n-assets", "-1"], "n_assets must be >= 1, got -1"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+            (["--example1", "--seed", "-1"], "seed must be >= 0, got -1"),
+            # the last of the 25 prices would fall in the year 10001, which no reader of ISO dates takes
+            (["--start-date", "9999-01", "-T", "24"], "--start-date 9999-01: 25 monthly prices from it leave the years "
+             "1..9999"),
+        ],
+        ids=[
+            "noise-vol-0.5",
+            "mean-amp-1e200",
+            "prices-overflow",
+            "noise-vol-1e200",
+            "n-assets-negative",
+            "seed-negative",
+            "example1-seed-negative",
+            "start-date-past-9999",
+        ],
+    )
+    def test_a_bad_parameter_or_an_invalid_draw_exits_2_writing_nothing(self, tmp_path, capsys, flags, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["synth", *flags, "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, read, rows",
+        [([], ingest_csv, 121), (["--example1", "--format", "returns", "-T", "600"], read_returns_csv, 600)],
+        ids=["default", "example1-returns"],
+    )
+    def test_output_reads_back_with_no_dropped_row(self, tmp_path, caplog, flags, read, rows):
+        out = tmp_path / "p.csv"
+        assert main(["synth", *flags, "--out", str(out)]) == 0
+        with caplog.at_level(logging.WARNING, logger="specport"):
+            panel = read(out)
+        assert caplog.records == []
+        assert len(panel.timestamps) == rows
 
     def test_config_echo_reproduces(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -567,8 +618,7 @@ def test_undecodable_or_oversized_data_exit_2(tmp_path, capsys, command, cell, m
     data = tmp_path / "panel.csv"
     data.write_bytes(b"".join(lines))
     assert main(output_argv(command, data, tmp_path / "out")) == 2
-    stage = "[stage: ingest] " if command == "backtest" else ""
-    assert capsys.readouterr().err == f"error: {stage}{data}: {message}\n"
+    assert capsys.readouterr().err == f"error: [stage: ingest] {data}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -579,9 +629,8 @@ def test_mixed_timestamp_types_exit_2_naming_the_file_and_row(tmp_path, capsys, 
     data = tmp_path / "panel.csv"
     data.write_text("\n".join(lines) + "\n")
     assert main(output_argv(command, data, tmp_path / "out")) == 2
-    stage = "[stage: ingest] " if command == "backtest" else ""
     message = "timestamps mix integer and date types from row 11 (7)"
-    assert capsys.readouterr().err == f"error: {stage}{data}: {message}\n"
+    assert capsys.readouterr().err == f"error: [stage: ingest] {data}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -742,19 +791,24 @@ def damage(edits, crlf, bom, kept_percent) -> str:
 @example(edits=[("cell", 30, 2, "1e-320")], crlf=False, bom=False, kept_percent=None, boundary="2015-01")
 @example(edits=[("cell", 30, 2, "1e308")], crlf=False, bom=False, kept_percent=None, boundary="2015-01")
 def test_a_damaged_price_file_exits_0_or_2_with_a_staged_error(edits, crlf, bom, kept_percent, boundary):
+    commands = {
+        "backtest": (["--boundary", boundary], {path.name for path in DEMO_OUTPUT.iterdir()} | {"backtest_config.json"}),
+        "estimate": ([], {"spectral_moments.csv", "moments_summary.csv", "estimate_config.json"}),
+    }
     with tempfile.TemporaryDirectory() as scratch:
-        data, out_dir = Path(scratch) / "damaged.csv", Path(scratch) / "bt"
+        data = Path(scratch) / "damaged.csv"
         data.write_bytes(damage(edits, crlf, bom, kept_percent).encode("utf-8"))
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = main(["backtest", "--data", str(data), "--boundary", boundary, "--out-dir", str(out_dir)])
-        err = stderr.getvalue()
-        assert code in (0, 2), err
-        assert "Traceback" not in err and not re.search(r"Warning: ", err), err
-        assert all("[stage: " in line for line in err.splitlines() if line.startswith("error:")), err
-        if code == 0:
-            artifacts = {path.name for path in DEMO_OUTPUT.iterdir()} | {"backtest_config.json"}
-            assert {path.name for path in out_dir.iterdir()} == artifacts
-            for path in out_dir.glob("allocations_spectral_mvo_*.csv"):
-                weights = [row[1:] for row in read_rows(path)[1:]]
-                assert weights[12:] == weights[:-12], path.name
+        for command, (flags, artifacts) in commands.items():
+            out_dir = Path(scratch) / command
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main([command, "--data", str(data), *flags, "--out-dir", str(out_dir)])
+            err = stderr.getvalue()
+            assert code in (0, 2), (command, err)
+            assert "Traceback" not in err and not re.search(r"Warning: ", err), (command, err)
+            assert all("[stage: " in line for line in err.splitlines() if line.startswith("error:")), (command, err)
+            if code == 0:
+                assert {path.name for path in out_dir.iterdir()} == artifacts, command
+                for path in out_dir.glob("allocations_spectral_mvo_*.csv"):
+                    weights = [row[1:] for row in read_rows(path)[1:]]
+                    assert weights[12:] == weights[:-12], path.name

@@ -257,6 +257,8 @@ class TestPanels:
             ({"horizon": 0}, "^horizon must be >= 1, got 0$"),
             ({"horizon": 24.0}, "^horizon must be an integer, got 24.0$"),
             ({"horizon": True}, "^horizon must be an integer, got True$"),
+            ({"seed": -1}, "^seed must be >= 0, got -1$"),
+            ({"seed": 1.5}, "^seed must be an integer, got 1.5$"),
         ],
     )
     def test_spec_rejects_bad_field(self, fields, match):
@@ -276,6 +278,23 @@ class TestPanels:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=f"^{name} must be finite and >= 0, got {value!r}$"):
                 seasonal_market_spec(**{name: value})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_assets": -1}, "n_assets must be >= 1, got -1"),
+            ({"n_assets": 1.0}, "n_assets must be an integer, got 1.0"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"noise_vol": 1e200}, "noise_vol 1e+200 is too large: its square overflows float64"),
+        ],
+    )
+    def test_seasonal_spec_refuses_bad_parameters_before_any_draw(self, monkeypatch, fields, message):
+        def no_draw(*args):
+            raise AssertionError("drew before checking")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            seasonal_market_spec(**fields)
 
 
 class TestEstimatorConsistencyLoop:
