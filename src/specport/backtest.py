@@ -24,7 +24,17 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FrequencyGrid
-from .errors import IngestionError, SpecportError, ValidationError, _count, _finite_real, _real_array, _store
+from .errors import (
+    IngestionError,
+    SpecportError,
+    ValidationError,
+    _count,
+    _date_token,
+    _finite_real,
+    _integer_token,
+    _real_array,
+    _store,
+)
 from .moments import SpectralMoments, estimate_moments, write_moments_csv
 from .optimize import RiskSpec, equal_weight, retrieve_allocation, solve_classical_mvo, solve_spectral_mvo
 
@@ -50,23 +60,20 @@ PERIOD_LETTERS = {12: "A", 6: "S", 3: "Q"}
 
 
 def parse_timestamp(token: str):
-    """Parse an integer index or ISO date (YYYY-MM-DD, or YYYY-MM for the first of the month).
+    """Parse a timestamp: an integer index or an ISO date, once surrounding whitespace is stripped.
 
-    No other ISO form is read: from Python 3.11 on, ``date.fromisoformat``
-    also reads week dates such as ``2015-W01``, so it is handed only ``YYYY-MM-DD``.
+    An integer is ASCII ``[+-]?[0-9]+`` and a date is ASCII ``YYYY-MM-DD``, or
+    ``YYYY-MM`` for the first of the month, checked by ``datetime.date``: the
+    rules of :func:`errors._integer_token` and :func:`errors._date_token`.
+    No other form is read, so ``1_000``, non-ASCII digits (fullwidth, Arabic-Indic)
+    and ISO week dates (``2015-W01``) are IngestionErrors on every Python.
     """
     token = token.strip()
+    rule = _date_token if "-" in token[1:] else _integer_token  # only a date has a dash past its first character
     try:
-        return int(token)
+        return rule(token)
     except ValueError:
-        pass
-    day = token if len(token) == 10 else token + "-01"
-    if len(day) == 10 and day[4] == "-" and day[7] == "-":
-        try:
-            return datetime.date.fromisoformat(day)
-        except ValueError:
-            pass
-    raise IngestionError(f"cannot parse timestamp {token!r} (expected int or ISO date)")
+        raise IngestionError(f"cannot parse timestamp {token!r} (expected int or ISO date)") from None
 
 
 def _name_clashes(names: Sequence[str], unit: str, first: int) -> str:

@@ -26,7 +26,6 @@ import datetime
 import gc
 import json
 import logging
-import re
 import sys
 from pathlib import Path
 
@@ -43,7 +42,7 @@ from .backtest import (
     run_protocol,
 )
 from .basis import FrequencyGrid
-from .errors import IngestionError, SpecportError, ValidationError, _count
+from .errors import IngestionError, SpecportError, ValidationError, _count, _date_token, _integer_token
 from .moments import compute_psd, estimate_moments, write_moments_csv
 from .synthesis import example1_scenario, seasonal_market_spec, synthesize_panel
 
@@ -67,12 +66,20 @@ def _parse_periods(token: str, periods_per_year: int = 12) -> tuple[int, ...]:
             periods.append(_LETTER_PERIODS[upper])
         else:
             try:
-                periods.append(int(part))
+                periods.append(_integer_token(part))
             except ValueError:
                 raise ValidationError(f"cannot parse grid period {part!r}")
     if not periods:
         raise ValidationError(f"no grid periods in {token!r}")
     return tuple(periods)
+
+
+def _int_option(token: str) -> int:
+    """The argparse type of the integer options: the shared integer rule, refused in argparse's words for ``int``."""
+    try:
+        return _integer_token(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
 def _parse_grids(token: str, periods_per_year: int) -> tuple[tuple[int, ...], ...]:
@@ -133,10 +140,11 @@ def _write_config_echo(path: Path, args, **resolved) -> None:
 
 def _month_sequence(start: str, count: int) -> list[datetime.date]:
     """``count`` first-of-month dates starting at ``start``, an ISO month ``YYYY-MM``."""
-    match = re.fullmatch(r"(\d{4})-(\d{2})", start)
-    if match is None or not 1 <= int(match[2]) <= 12:
-        raise ValidationError(f"--start-date must be an ISO month YYYY-MM, got {start!r}")
-    first = 12 * int(match[1]) + int(match[2]) - 1
+    try:
+        month = _date_token(start, month_only=True)
+    except ValueError:
+        raise ValidationError(f"--start-date must be an ISO month YYYY-MM, got {start!r}") from None
+    first = 12 * month.year + month.month - 1
     try:
         return [datetime.date(month // 12, month % 12 + 1, 1) for month in range(first, first + count)]
     except ValueError as exc:  # a year outside 1..9999, which no ISO date reader takes
@@ -264,15 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", parents=[common], help="write a synthetic price or returns panel CSV")
     synth.add_argument("--out", required=True, help="output CSV path")
-    synth.add_argument("-T", "--horizon", type=int, default=120, help="number of samples")
-    synth.add_argument("--seed", type=int, default=0, help="RNG seed (single source of randomness)")
+    synth.add_argument("-T", "--horizon", type=_int_option, default=120, help="number of samples")
+    synth.add_argument("--seed", type=_int_option, default=0, help="RNG seed (single source of randomness)")
     synth.add_argument(
         "--example1",
         action="store_true",
         help="canned identifiability scenario: two harmonics in strong cyclostationary noise",
     )
     synth.add_argument("--periods", default="12,6", help="comma list of grid periods (or A/S/Q)")
-    synth.add_argument("--n-assets", type=int, default=5)
+    synth.add_argument("--n-assets", type=_int_option, default=5)
     synth.add_argument("--mean-amp", type=float, default=0.015, help="seasonal mean amplitude")
     synth.add_argument("--noise-vol", type=float, default=0.02, help="per-period noise volatility")
     synth.add_argument(
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     backtest.add_argument("--sigma0-annual", type=float, default=0.01, help="annual vol target")
     backtest.add_argument("--ridge", type=float, default=None)
-    backtest.add_argument("--periods-per-year", type=int, default=12)
+    backtest.add_argument("--periods-per-year", type=_int_option, default=12)
     backtest.add_argument("--out-dir", default="backtest_out")
     backtest.set_defaults(func=_cmd_backtest)
 

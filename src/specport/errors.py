@@ -1,12 +1,16 @@
 """Exception hierarchy shared across the package, and the shared input checks.
 
 Each rule has one definition: :func:`_count` for counts, :func:`_indices` for sample
-indices, :func:`_real_array` and :func:`_finite_real` for real arrays of a known shape,
+indices, :func:`_integer_token` and :func:`_date_token` for the integers and dates
+read from text (options, file timestamps, the moments file's meta rows),
+:func:`_real_array` and :func:`_finite_real` for real arrays of a known shape,
 and :func:`_store` for what a frozen dataclass holds.
 """
 
 import dataclasses
+import datetime
 import operator
+import re
 
 import numpy as np
 
@@ -84,6 +88,34 @@ def _indices(name: str, value) -> np.ndarray:
         shown = repr(value) if array.ndim == 0 else f"{array.dtype} entries"
         raise ValidationError(f"{name}: sample indices must be integers in the int64 range, got {shown}")
     return array.astype(np.int64)
+
+
+# ASCII digits only: int() also reads 1_000 and non-ASCII digits, and re's \d matches any Unicode digit
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DATE = re.compile(r"([0-9]{4})-([0-9]{2})(?:-([0-9]{2}))?")
+
+
+def _integer_token(token: str) -> int:
+    """The integer that ``token`` spells: ASCII ``[+-]?[0-9]+`` once surrounding whitespace is stripped.
+
+    Raises ValueError for any other text.
+    """
+    if _INTEGER.fullmatch(token.strip()) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
+def _date_token(token: str, month_only: bool = False) -> datetime.date:
+    """The date that the whole of ``token`` spells: ASCII ``YYYY-MM-DD``, or ``YYYY-MM`` for the first of the month.
+
+    Only the ``YYYY-MM`` form when ``month_only``.  Raises ValueError for other
+    text (the week date ``2015-W01``) or a date that ``datetime.date`` refuses
+    (``2015-13``, ``2015-02-30``).
+    """
+    match = _DATE.fullmatch(token)
+    if match is None or month_only and match[3] is not None:
+        raise ValueError(f"not an ISO date: {token!r}")
+    return datetime.date(int(match[1]), int(match[2]), int(match[3] or 1))
 
 
 def _real_array(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:

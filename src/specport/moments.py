@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented, commensurate_length
-from .errors import ValidationError, _count, _finite_real, _indices, _real_array, _store
+from .errors import ValidationError, _count, _finite_real, _indices, _integer_token, _real_array, _store
 
 __all__ = [
     "SpectralMoments",
@@ -446,9 +446,11 @@ def read_moments_csv(path) -> SpectralMoments:
     otherwise malformed file, including one whose rows are not exactly the
     header, the meta rows, the mean and the rows of K in order, or of
     another format version (a v5 file kept its meta rows outside its CRC),
-    and for periods that :class:`FrequencyGrid` or values that the
-    :class:`SpectralMoments` constructor rejects (non-finite entries, a
-    sample count below 1), and for a mode row other than ``paper-literal``.
+    for a period, n_assets or sample_count that is not ASCII ``[+-]?[0-9]+``
+    (``0_5`` and non-ASCII digits are refused), and for periods that
+    :class:`FrequencyGrid` or values that the :class:`SpectralMoments`
+    constructor rejects (non-finite entries, a sample count below 1), and
+    for a mode row other than ``paper-literal``.
     """
     try:
         with Path(path).open("rb") as handle:
@@ -467,8 +469,8 @@ def read_moments_csv(path) -> SpectralMoments:
             if tag != _FORMAT_TAG:
                 raise ValidationError(f"unsupported format tag {tag!r}")
             periods, n_assets, sample_count, mode = (field(["meta", key]) for key in _META_KEYS[1:])
-            grid = FrequencyGrid(tuple(int(p) for p in periods.split(";")))
-            n_assets, sample_count = int(n_assets), int(sample_count)
+            grid = FrequencyGrid(tuple(_integer_token(p) for p in periods.split(";")))
+            n_assets, sample_count = _integer_token(n_assets), _integer_token(sample_count)
             size = 2 * grid.n_bins * n_assets
             key = ["mean", "", ""]
             mean = _values(field(key), key, size)

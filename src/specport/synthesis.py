@@ -205,13 +205,17 @@ def seasonal_market_spec(
     ``noise_vol`` per sample.  The grand mean of every asset is zero, so
     time-averaging estimators see no return signal while the seasonal
     structure is fully predictable.  ``mean_amp`` and ``noise_vol`` must be
-    finite and >= 0, and the noise variance ``noise_vol**2`` finite; ``n_assets``
-    must be an integer >= 1 and ``seed`` one >= 0.  Each is checked before the
-    first draw (ValidationError naming the parameter otherwise).
+    finite and >= 0, the noise variance ``noise_vol**2`` finite, and so must
+    every managed-mean entry the draw can give, up to 1.4 sqrt(M) ``mean_amp``
+    on M bins; ``n_assets`` must be an integer >= 1 and ``seed`` one >= 0.
+    Each is checked before the first draw (ValidationError naming the
+    parameter otherwise).
     """
     for name, value in (("mean_amp", mean_amp), ("noise_vol", noise_vol)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    # as Python floats, an overflow below is inf or an OverflowError, never a numpy warning
+    mean_amp, noise_vol = float(mean_amp), float(noise_vol)
     try:
         variance = noise_vol**2
     except OverflowError:
@@ -220,8 +224,10 @@ def seasonal_market_spec(
     seed = _count("seed", seed, minimum=0)
     grid = FrequencyGrid.from_periods(periods)
     n_bins = grid.n_bins
-    rng = np.random.default_rng(seed)
     coeff_scale = mean_amp * math.sqrt(2 * n_bins) / 2.0
+    if not math.isfinite(math.sqrt(2) * (1.4 * coeff_scale)):  # the largest managed-mean entry the draw can give
+        raise ValidationError(f"mean_amp {mean_amp!r} is too large: the managed mean it scales can overflow float64")
+    rng = np.random.default_rng(seed)
     amplitudes = coeff_scale * rng.uniform(0.6, 1.4, size=n_bins * n_assets)
     phases = rng.uniform(0.0, 2.0 * math.pi, size=n_bins * n_assets)
     mean_upper = amplitudes * np.exp(1j * phases)

@@ -223,8 +223,9 @@ class TestIngest:
         panel = ingest_csv(path)
         assert panel.timestamps == (0, 1, 2)
 
-    # ISO week dates: date.fromisoformat reads them from Python 3.11 on, as 2014-12-29
-    @pytest.mark.parametrize("token", ["2015-W01", "2015-W01-1", "2015W011", "2015W01"])
+    # ISO week dates: date.fromisoformat reads them from Python 3.11 on, as 2014-12-29; and int() reads
+    # underscores and non-ASCII digits (fullwidth, Arabic-Indic), which are no documented form either
+    @pytest.mark.parametrize("token", ["2015-W01", "2015-W01-1", "2015W011", "2015W01", "1_000", "２０１５", "٣"])
     def test_week_dates_are_not_timestamps_on_any_python(self, token):
         with pytest.raises(IngestionError, match=f"^cannot parse timestamp {re.escape(repr(token))} "):
             parse_timestamp(token)
@@ -274,9 +275,11 @@ class TestDropPolicy:
             "2020-03-01,100",
             "2020-03-01,100,190,5",
             "2020-13-01,100,190",
+            "1_0,100,190",
         ],
         ids=[
-            "blank", "whitespace", "abc", "nan", "inf", "-inf", "zero", "negative", "short", "long", "timestamp"
+            "blank", "whitespace", "abc", "nan", "inf", "-inf", "zero", "negative", "short", "long", "timestamp",
+            "underscore-timestamp",
         ],
     )
     def test_one_damaged_row(self, tmp_path, caplog, damaged):

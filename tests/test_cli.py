@@ -3,6 +3,7 @@
 import codecs
 import contextlib
 import csv
+import datetime
 import gc
 import io
 import json
@@ -22,7 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specport import ingest_csv, read_moments_csv, read_returns_csv
-from specport.cli import build_parser, main
+from specport.backtest import parse_timestamp
+from specport.cli import _parse_grids, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "synthetic_monthly_prices.csv"
@@ -41,6 +43,16 @@ def source_env():
     """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocess runs."""
     paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
+def exit_and_error(argv, capsys):
+    """main(argv)'s exit status and stderr; for a refusal by argparse, which exits, the stderr after its usage lines."""
+    try:
+        return main(argv), capsys.readouterr().err
+    except SystemExit as exc:
+        usage, _, err = capsys.readouterr().err.partition(f"specport {argv[0]}: ")
+        assert usage.startswith("usage: specport ")
+        return exc.code, err
 
 
 def rho_panel(tmp_path):
@@ -95,7 +107,7 @@ class TestSynth:
         assert rows[1][0] == "2010-01-01"
         assert all(float(cell) > 0 for row in rows[1:] for cell in row[1:])
 
-    @pytest.mark.parametrize("start", ["foo", "2010-13", "2010-1", "2010-01-15"])
+    @pytest.mark.parametrize("start", ["foo", "2010-13", "2010-1", "2010-01-15", "２０１０-０１"])
     def test_bad_start_date_exit_2(self, tmp_path, capsys, start):
         out = tmp_path / "p.csv"
         code = main(["synth", "--seed", "1", "-T", "24", "--start-date", start, "--out", str(out)])
@@ -121,30 +133,41 @@ class TestSynth:
                 "[stage: synth] the data overflow float64: overflow encountered in accumulate",
             ),
             (["--noise-vol", "1e200"], "noise_vol 1e+200 is too large: its square overflows float64"),
+            # refused before the draw: up to 1.4 sqrt(4) = 2.8 times 1e308 is beyond float64
+            (
+                ["--mean-amp", "1e308", "--periods", "12,6,4,3"],
+                "mean_amp 1e+308 is too large: the managed mean it scales can overflow float64",
+            ),
             (["--n-assets", "-1"], "n_assets must be >= 1, got -1"),
             (["--seed", "-1"], "seed must be >= 0, got -1"),
             (["--example1", "--seed", "-1"], "seed must be >= 0, got -1"),
             # the last of the 25 prices would fall in the year 10001, which no reader of ISO dates takes
             (["--start-date", "9999-01", "-T", "24"], "--start-date 9999-01: 25 monthly prices from it leave the years "
              "1..9999"),
+            # argparse refuses what is not ASCII [+-]?[0-9]+, as int() alone would not
+            (["-T", "1_2"], "argument -T/--horizon: invalid int value: '1_2'"),
+            (["--seed", "٣"], "argument --seed: invalid int value: '٣'"),
         ],
         ids=[
             "noise-vol-0.5",
             "mean-amp-1e200",
             "prices-overflow",
             "noise-vol-1e200",
+            "mean-amp-1e308",
             "n-assets-negative",
             "seed-negative",
             "example1-seed-negative",
             "start-date-past-9999",
+            "horizon-underscore",
+            "seed-arabic-indic",
         ],
     )
     def test_a_bad_parameter_or_an_invalid_draw_exits_2_writing_nothing(self, tmp_path, capsys, flags, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["synth", *flags, "--out", str(tmp_path / "p.csv")])
+            code, err = exit_and_error(["synth", *flags, "--out", str(tmp_path / "p.csv")], capsys)
         assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -178,6 +201,7 @@ class TestEstimate:
             (["--periods", "A,A"], "duplicate periods"),
             (["--periods", "0"], "periods must be >= 3"),
             (["--periods", "12,x"], "cannot parse grid period 'x'"),
+            (["--periods", "1_2"], "cannot parse grid period '1_2'"),
             (["--periods", ","], "no grid periods in ','"),
             (["--periods", "4,2"], "periods must be >= 3 samples (period 2, the Nyquist bin, has a zero sine column)"),
         ],
@@ -422,6 +446,9 @@ class TestBacktest:
             (["--grids", "A,A"], "duplicate periods"),
             (["--grids", "A;0"], "periods must be >= 3"),
             (["--periods-per-year", "0"], "periods_per_year must be >= 1"),
+            (["--periods-per-year", "１２"], "argument --periods-per-year: invalid int value: '１２'"),
+            (["--grids", "1_2"], "cannot parse grid period '1_2'"),
+            (["--grids", "１２"], "cannot parse grid period '１２'"),
             (["--boundary", "2015-13"], "boundary: cannot parse timestamp '2015-13'"),
             (["--grids", "A;12,2"], "grid subset 'A,2': periods must be >= 3 samples (period 2, the Nyquist bin, "),
             # A/S/Q abbreviate periods in months: on other data they are refused, the default grids too
@@ -433,8 +460,8 @@ class TestBacktest:
     def test_bad_config_named_before_ingest(self, tmp_path, capsys, flags, message):
         missing = tmp_path / "missing.csv"
         argv = ["backtest", "--data", str(missing), "--boundary", "2015-01", *flags]
-        assert main(argv + ["--out-dir", str(tmp_path / "bt")]) == 2
-        err = capsys.readouterr().err
+        code, err = exit_and_error(argv + ["--out-dir", str(tmp_path / "bt")], capsys)
+        assert code == 2
         assert message in err and str(missing) not in err and "stage" not in err
 
     def test_grid_periods_in_samples_run_off_monthly_data(self, tmp_path):
@@ -499,6 +526,26 @@ def test_estimate_mode_is_a_usage_error(tmp_path, capsys):
     assert excinfo.value.code == 2
     assert "unrecognized arguments: --mode consistent" in capsys.readouterr().err
     assert not (tmp_path / "est").exists()
+
+
+@pytest.mark.parametrize(
+    "read, token, value",
+    [
+        (parse_timestamp, " 7 ", 7),
+        (parse_timestamp, "-3", -3),
+        (parse_timestamp, "+5", 5),
+        (parse_timestamp, "0012", 12),
+        (parse_timestamp, "2015-01", datetime.date(2015, 1, 1)),
+        (parse_timestamp, " 2015-01-01 ", datetime.date(2015, 1, 1)),
+        (lambda token: _parse_grids(token, 12), "12,6,3", ((12, 6, 3),)),
+        (lambda token: _parse_grids(token, 12), "A;A,S", ((12,), (12, 6))),
+        (lambda token: build_parser().parse_args(["synth", "--out", "p.csv", "-T", token]).horizon, "0120", 120),
+    ],
+)
+def test_every_documented_token_keeps_its_value(read, token, value):
+    # padding, a sign and leading zeros are part of the integer grammar; YYYY-MM is the first of the month
+    parsed = read(token)
+    assert parsed == value and type(parsed) is type(value)
 
 
 def test_usage_error_exits_2():
@@ -744,7 +791,7 @@ class TestProcess:
 
 # the fixed vocabulary of damage to the bundled price file: line 0 is its header, column 0 its dates
 BAD_CELLS = ("", "nan", "inf", "-1", "0", "1e308", "1e-320", "0x10")
-BAD_DATES = ("", "2013-13-01", "2012-02-30", "x", "12")
+BAD_DATES = ("", "2013-13-01", "2012-02-30", "x", "12", "1_0", "２０１３-01-01")
 HEADER_NAMES = ("", " ", "date", "SYN1", "SYN5")
 data_lines = st.integers(min_value=1, max_value=125)
 asset_columns = st.integers(min_value=1, max_value=5)

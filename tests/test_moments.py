@@ -720,7 +720,7 @@ class TestSerialization:
             ),
             (
                 ("meta,periods,4,", "meta,periods,4.0,"),
-                "malformed file (ValueError: invalid literal for int() with base 10: '4.0')",
+                "malformed file (ValueError: not an integer: '4.0')",
             ),
             (
                 ("meta,periods,4,", "meta,periods,4;3,"),
@@ -729,11 +729,11 @@ class TestSerialization:
             (("meta,periods,4,", "meta,periods,4;4,"), "duplicate periods in [4, 4]"),
             (
                 ("meta,n_assets,1,", "meta,n_assets,one,"),
-                "malformed file (ValueError: invalid literal for int() with base 10: 'one')",
+                "malformed file (ValueError: not an integer: 'one')",
             ),
             (
                 ("meta,sample_count,8,", "meta,sample_count,8.5,"),
-                "malformed file (ValueError: invalid literal for int() with base 10: '8.5')",
+                "malformed file (ValueError: not an integer: '8.5')",
             ),
             # 0.125 -> 0.1328125: still the base64 of two values, so only the CRC tells
             (
@@ -1025,6 +1025,11 @@ class TestSerialization:
             (
                 (r"^meta,n_assets,[^,]*,", "meta,n_assets,0,"),
                 re.escape("row ['mean', '', ''] does not hold the base64 of 0 float64 values"),
+            ),
+            # int() alone reads it as 5
+            (
+                (r"^meta,n_assets,[^,]*,", "meta,n_assets,0_5,"),
+                re.escape("malformed file (ValueError: not an integer: '0_5')"),
             ),
             ((r"^meta,format,[^,]*,", "meta,format,specport-moments-v2,"), "unsupported format tag"),
             ((r"^end,crc32,[^,]*,,\r$", r"\g<0>\nmean,,,AAAAAAAA8D8=,\r"), "rows after the end row"),

@@ -286,6 +286,13 @@ class TestPanels:
             ({"n_assets": 1.0}, "n_assets must be an integer, got 1.0"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"noise_vol": 1e200}, "noise_vol 1e+200 is too large: its square overflows float64"),
+            # a numpy scalar too: numpy would warn of the overflow and SynthSpec name no parameter
+            ({"noise_vol": np.float64(1e200)}, "noise_vol 1e+200 is too large: its square overflows float64"),
+            # the managed mean reaches 1.4 sqrt(M) mean_amp, here 2.8e308
+            (
+                {"mean_amp": 1e308, "periods": (12, 6, 4, 3)},
+                "mean_amp 1e+308 is too large: the managed mean it scales can overflow float64",
+            ),
         ],
     )
     def test_seasonal_spec_refuses_bad_parameters_before_any_draw(self, monkeypatch, fields, message):
@@ -293,8 +300,10 @@ class TestPanels:
             raise AssertionError("drew before checking")
 
         monkeypatch.setattr(np.random, "default_rng", no_draw)
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            seasonal_market_spec(**fields)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                seasonal_market_spec(**fields)
 
 
 class TestEstimatorConsistencyLoop:
