@@ -339,8 +339,9 @@ def sharpe_ratio(series, periods_per_year: int) -> float:
     """Annualized mean-to-standard-deviation ratio; NaN when the variance is zero.
 
     Sample standard deviation (denominator T-1), annualization by
-    sqrt(periods_per_year).
+    sqrt(periods_per_year), an integer >= 1.
     """
+    periods_per_year = _count("periods_per_year", periods_per_year)
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 1 or series.size < 2:
         raise ValidationError("need a series of at least 2 returns")
@@ -364,9 +365,9 @@ class ProtocolConfig:
     ``sigma0_annual`` obeys :class:`RiskSpec`'s rules and is converted to a
     per-period target by dividing by sqrt(periods_per_year).  A string
     ``boundary`` must parse as an integer index or an ISO date; it is kept as
-    given.  Every field is checked here, before any data is read;
-    ``frequency_grids`` holds the :class:`FrequencyGrid` of each subset of
-    ``grids``, in order.
+    given.  ``demean`` must be a bool.  Every field is checked here, before
+    any data is read; ``frequency_grids`` holds the :class:`FrequencyGrid`
+    of each subset of ``grids``, in order.
     """
 
     data: object
@@ -388,6 +389,8 @@ class ProtocolConfig:
             except IngestionError as exc:
                 raise ValidationError(f"boundary: {exc}") from exc
         ppy = _count("periods_per_year", self.periods_per_year)
+        if not isinstance(self.demean, (bool, np.bool_)):
+            raise ValidationError(f"demean must be a bool, got {self.demean!r}")
         data = self.data
         if not isinstance(data, (str, Path, PricePanel, ReturnsPanel)):
             raise ValidationError(f"data is not a CSV path, PricePanel or ReturnsPanel: {type(data).__name__}")
@@ -416,13 +419,17 @@ class StrategyResult:
     slug: str
     sharpe: float
     annualized_vol: float
-    total_return: float
     portfolio_returns: np.ndarray
     cumulative: np.ndarray
     allocations: np.ndarray
 
     def __post_init__(self) -> None:
         _store(self)
+
+    @property
+    def total_return(self) -> float:
+        """The compounded return over the whole window: the last entry of ``cumulative``."""
+        return float(self.cumulative[-1])
 
     @property
     def sharpe_defined(self) -> bool:
@@ -664,7 +671,6 @@ def _evaluate(name, slug, out_panel: ReturnsPanel, allocation, ppy) -> StrategyR
         slug=slug,
         sharpe=sharpe_ratio(series, ppy),
         annualized_vol=float(np.std(series, ddof=1)) * math.sqrt(ppy),
-        total_return=float(cumulative[-1]),
         portfolio_returns=series,
         cumulative=cumulative,
         allocations=_as_path(allocation, out_panel.returns.shape),

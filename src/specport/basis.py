@@ -184,20 +184,29 @@ class AugmentedSpectralBasis:
 
     ``values`` is partitioned as [C(t) | conj(C(t))] where the m-th block of
     C(t) is (1/sqrt(2M)) e^{j w_m (t mod p_m)} I_N.  Rows are orthonormal:
-    values @ values^H == I_N.
+    values @ values^H == I_N.  Its shape gives the number of assets N
+    (``n_assets``); any shape other than (N, 2MN) for an N >= 1 is a ValidationError.
     """
 
     t: int
     grid: FrequencyGrid
-    n_assets: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        _store(self, values=np.asarray(self.values, dtype=np.complex128))
+        values = np.asarray(self.values, dtype=np.complex128)
+        if values.ndim != 2 or not values.size or values.shape[1] != 2 * self.grid.n_bins * values.shape[0]:
+            raise ValidationError(
+                f"basis values shape {values.shape} is not (N, 2MN) for 2M = {2 * self.grid.n_bins} and an N >= 1"
+            )
+        _store(self, values=values)
+
+    @property
+    def n_assets(self) -> int:
+        return self.values.shape[0]
 
     @property
     def half_columns(self) -> int:
-        return self.grid.n_bins * self.n_assets
+        return self.values.shape[1] // 2
 
 
 def build_basis(t: int, grid: FrequencyGrid, n_assets: int) -> AugmentedSpectralBasis:
@@ -225,7 +234,7 @@ def build_basis(t: int, grid: FrequencyGrid, n_assets: int) -> AugmentedSpectral
     eye = np.eye(n_assets)
     upper = np.kron(phases[np.newaxis, :], eye).reshape(n_assets, m * n_assets)
     values = np.concatenate([upper, np.conj(upper)], axis=1)
-    return AugmentedSpectralBasis(t=t, grid=grid, n_assets=n_assets, values=values)
+    return AugmentedSpectralBasis(t=t, grid=grid, values=values)
 
 
 def _phases(t, grid: FrequencyGrid) -> np.ndarray:

@@ -82,6 +82,19 @@ def _int_option(token: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
 
 
+def _float_option(token: str) -> float:
+    """The argparse type of the float options: ``float`` of an ASCII token with no ``_``, else argparse's refusal.
+
+    ``float`` alone would also read ``1_0e-9`` and non-ASCII digits (``０.０２``).
+    """
+    if token.isascii() and "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {token!r}")
+
+
 def _parse_grids(token: str, periods_per_year: int) -> tuple[tuple[int, ...], ...]:
     """Semicolon-separated list of grid subsets, e.g. 'A;A,S;A,S,Q' or '12;12,6'."""
     return tuple(_parse_periods(part, periods_per_year) for part in token.split(";") if part.strip())
@@ -281,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     synth.add_argument("--periods", default="12,6", help="comma list of grid periods (or A/S/Q)")
     synth.add_argument("--n-assets", type=_int_option, default=5)
-    synth.add_argument("--mean-amp", type=float, default=0.015, help="seasonal mean amplitude")
-    synth.add_argument("--noise-vol", type=float, default=0.02, help="per-period noise volatility")
+    synth.add_argument("--mean-amp", type=_float_option, default=0.015, help="seasonal mean amplitude")
+    synth.add_argument("--noise-vol", type=_float_option, default=0.02, help="per-period noise volatility")
     synth.add_argument(
         "--format",
         choices=["prices", "returns"],
@@ -319,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="A;A,S;A,S,Q",
         help="semicolon list of grid subsets, each a comma list of periods or A/S/Q letters",
     )
-    backtest.add_argument("--sigma0-annual", type=float, default=0.01, help="annual vol target")
-    backtest.add_argument("--ridge", type=float, default=None)
+    backtest.add_argument("--sigma0-annual", type=_float_option, default=0.01, help="annual vol target")
+    backtest.add_argument("--ridge", type=_float_option, default=None)
     backtest.add_argument("--periods-per-year", type=_int_option, default=12)
     backtest.add_argument("--out-dir", default="backtest_out")
     backtest.set_defaults(func=_cmd_backtest)

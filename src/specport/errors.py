@@ -1,14 +1,17 @@
 """Exception hierarchy shared across the package, and the shared input checks.
 
-Each rule has one definition: :func:`_count` for counts, :func:`_indices` for sample
-indices, :func:`_integer_token` and :func:`_date_token` for the integers and dates
-read from text (options, file timestamps, the moments file's meta rows),
-:func:`_real_array` and :func:`_finite_real` for real arrays of a known shape,
-and :func:`_store` for what a frozen dataclass holds.
+Each rule has one definition: :func:`_count` for counts, :func:`_finite_scalar` for
+real parameters, :func:`_indices` for sample indices, :func:`_integer_token` and
+:func:`_date_token` for the integers and dates read from text (options, file
+timestamps, the moments file's meta rows), :func:`_real_array` and
+:func:`_finite_real` for real arrays of a known shape, and :func:`_store` for
+what a frozen dataclass holds.
 """
 
 import dataclasses
 import datetime
+import math
+import numbers
 import operator
 import re
 
@@ -76,6 +79,27 @@ def _count(name: str, value, minimum: int = 1) -> int:
     if count < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {count!r}")
     return count
+
+
+def _finite_scalar(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite ``float``, > 0 when ``positive`` and >= 0 otherwise.
+
+    Raises ValidationError naming ``name`` otherwise.  A real number is
+    accepted: ``int``, ``float`` and numpy integers and floats.  ``bool``,
+    strings, None and complex numbers are not, even where ``float()`` would
+    read them.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float64
+        number = math.inf
+    if positive and not (math.isfinite(number) and number > 0.0):
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    if not (math.isfinite(number) and number >= 0.0):
+        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    return number
 
 
 def _indices(name: str, value) -> np.ndarray:

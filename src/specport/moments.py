@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented, commensurate_length
-from .errors import ValidationError, _count, _finite_real, _indices, _integer_token, _real_array, _store
+from .errors import ValidationError, _count, _finite_real, _integer_token, _real_array, _store
 
 __all__ = [
     "SpectralMoments",
@@ -89,29 +89,43 @@ def _is_exactly_symmetric(matrix: np.ndarray) -> bool:
     return True
 
 
-def _managed_pair(grid: FrequencyGrid, n_assets, mean, covariance) -> tuple[int, np.ndarray, np.ndarray]:
-    """The checked ``n_assets`` (an integer >= 1), managed mean (2MN) and K (2MN x 2MN) of a pair on ``grid``.
+def _managed_vector(name: str, value, grid: FrequencyGrid) -> np.ndarray:
+    """``value`` as a finite real float64 vector of 2MN managed entries on ``grid``, for some N >= 1.
 
-    The mean must be real and finite, and K real, finite and exactly symmetric
-    (ValidationError otherwise).  One pass reads K; a non-finite K is reported
-    before an asymmetric one.  The caller freezes the arrays once all its checks pass.
+    Its length is N's one source: one-dimensional, and a positive multiple of
+    2M long (ValidationError naming ``name`` otherwise), so N = length / 2M.
+    It may be the caller's own array, frozen by the caller once all its checks pass.
     """
-    n_assets = _count("n_assets", n_assets)
-    dim = 2 * grid.n_bins * n_assets
-    mean = _finite_real("managed mean", mean, (dim,))
-    cov = _real_array("managed covariance", covariance, (dim, dim))
+    vector = _real_array(name, value)
+    dim = 2 * grid.n_bins
+    if vector.ndim != 1 or not vector.size or vector.size % dim:
+        raise ValidationError(
+            f"{name} must be one-dimensional with a positive multiple of 2M = {dim} entries, got shape {vector.shape}"
+        )
+    return _finite_real(name, vector, vector.shape)
+
+
+def _managed_pair(grid: FrequencyGrid, mean, covariance) -> tuple[np.ndarray, np.ndarray]:
+    """The checked managed mean (2MN, see :func:`_managed_vector`) and K (2MN x 2MN) of a pair on ``grid``.
+
+    K must be real, finite and exactly symmetric (ValidationError otherwise).
+    One pass reads K; a non-finite K is reported before an asymmetric one.
+    The caller freezes the arrays once all its checks pass.
+    """
+    mean = _managed_vector("managed mean", mean, grid)
+    cov = _real_array("managed covariance", covariance, (mean.size, mean.size))
     if not _is_exactly_symmetric(cov):
         if not np.isfinite(cov).all():
             raise ValidationError("managed covariance has non-finite entries")
         raise ValidationError("managed covariance is not exactly symmetric")
-    return n_assets, mean, cov
+    return mean, cov
 
 
-def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int):
-    """Trim to a commensurate window, discarding the oldest samples.
+def _snap_window(values: np.ndarray, grid: FrequencyGrid):
+    """Trim to a commensurate window, discarding the oldest samples; returns (kept rows, discarded count).
 
-    The absolute time origin advances with the trim so the basis
-    phase stays aligned with the retained rows.  The snap is one record on
+    The window's first row is sample 0, so the first kept row is sample
+    ``discarded`` and the basis phase stays aligned with it.  The snap is one record on
     this module's logger with the kept and discarded counts: a WARNING when it
     discards samples, INFO otherwise.
     """
@@ -123,10 +137,10 @@ def _snap_window(values: np.ndarray, grid: FrequencyGrid, t0: int):
         discarded,
         extra={"snap_kept": snapped, "snap_discarded": discarded},
     )
-    return values[discarded:], t0 + discarded
+    return values[discarded:], discarded
 
 
-def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
+def _managed_moments(x, grid: FrequencyGrid, covariance: bool):
     """Mean and, if ``covariance``, covariance K of the managed panel z on the snapped window.
 
     Returns (mean (2MN,), K (2MN, 2MN) or None, T).  Row t of z is
@@ -152,13 +166,10 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
     diagonal block is averaged with its transpose and the blocks below are
     copied from their mirror, so K is exactly symmetric.
     """
-    values = _panel_values(x)
-    t0 = int(_indices("t0", t0))
-    _indices("t0 + T - 1", t0 + values.shape[0] - 1)  # the last row's index
-    values, t0 = _snap_window(values, grid, t0)
+    values, origin = _snap_window(_panel_values(x), grid)
     n_samples, n_assets = values.shape
     period = grid.least_common_period()
-    phases = _phases(t0 + np.arange(period), grid)  # row r is phi_r
+    phases = _phases(origin + np.arange(period), grid)  # row r is phi_r
     repeats = n_samples // period  # in every class: the snapped window holds whole periods L
     sums = values.reshape(repeats, period, n_assets).sum(axis=0)
     mean = (phases.T @ sums).ravel() / n_samples
@@ -197,8 +208,8 @@ def _managed_moments(x, grid: FrequencyGrid, t0: int, covariance: bool):
     return mean, cov, n_samples
 
 
-def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal", t0: int = 0) -> AugmentedVector:
-    """Time-average of the projected series: (1/T) sum_t B(t)^H x(t).
+def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal") -> AugmentedVector:
+    """Time-average of the projected series: (1/T) sum_t B(t)^H x(t), row t of ``x`` at sample index t.
 
     Parameters
     ----------
@@ -210,10 +221,6 @@ def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal", 
     mode : {"paper-literal", "consistent"}
         Output scale: the raw projection average, or that times 2M (see
         the module docstring).
-    t0 : int
-        Absolute sample index of the first row; keeps phase aligned when
-        estimating on a window that does not start at the series origin.
-        A bool, float or string is a ValidationError, as is a last row's index beyond int64.
 
     Returns
     -------
@@ -223,24 +230,23 @@ def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal", 
     modes = ("paper-literal", "consistent")
     if mode not in modes:
         raise ValidationError(f"unknown estimator mode {mode!r}; expected one of {modes}")
-    mean, _, _ = _managed_moments(x, grid, t0, covariance=False)
+    mean, _, _ = _managed_moments(x, grid, covariance=False)
     return _to_augmented(mean * (2 * grid.n_bins if mode == "consistent" else 1))
 
 
-def estimate_moments(x, grid: FrequencyGrid, *, t0: int = 0) -> "SpectralMoments":
+def estimate_moments(x, grid: FrequencyGrid) -> "SpectralMoments":
     """Mean and covariance of the projected series on the snapped window, from its phase classes.
 
     The covariance is the sample covariance (1/T) sum_t (u(t) - mean)(u(t) - mean)^H
     of the augmented vector u(t) = B(t)^H x(t) around the estimated mean.  It
     is held as the real, exactly symmetric K, the covariance of the managed
     panel z, which is built from the per-class means and scatters of the
-    window without forming z (see :func:`_managed_moments`).  ``t0`` is as
-    in :func:`estimate_spectral_mean`.
+    window without forming z (see :func:`_managed_moments`).  Row t of
+    ``x`` is sample index t, as in :func:`estimate_spectral_mean`.
     """
-    managed_mean, covariance, n_samples = _managed_moments(x, grid, t0, covariance=True)
+    managed_mean, covariance, n_samples = _managed_moments(x, grid, covariance=True)
     return SpectralMoments(
         grid=grid,
-        n_assets=managed_mean.size // (2 * grid.n_bins),
         managed_mean=managed_mean,
         managed_covariance=covariance,
         sample_count=n_samples,
@@ -258,14 +264,14 @@ class SpectralMoments:
     block layout [[R, P], [conj(P), conj(R)]], are read-only views built on
     first access.  The per-bin accessors read the N x N blocks R(w_m, w_n)
     and P(w_m, w_n) from four N x N blocks of K without building
-    ``covariance``.  The constructor checks the pair as :class:`SynthSpec`
+    ``covariance``.  The number of assets N, ``n_assets``, is read from the
+    mean's length 2MN.  The constructor checks the pair as :class:`SynthSpec`
     does, with the same messages (see :func:`_managed_pair`), and
     ``sample_count`` as an integer >= 1.  It freezes the arrays it was
     given only once they pass.
     """
 
     grid: FrequencyGrid
-    n_assets: int
     managed_mean: np.ndarray
     managed_covariance: np.ndarray
     sample_count: int
@@ -276,9 +282,13 @@ class SpectralMoments:
     mode = "paper-literal"
 
     def __post_init__(self) -> None:
-        n_assets, mean, cov = _managed_pair(self.grid, self.n_assets, self.managed_mean, self.managed_covariance)
+        mean, cov = _managed_pair(self.grid, self.managed_mean, self.managed_covariance)
         sample_count = _count("sample_count", self.sample_count)
-        _store(self, n_assets=n_assets, sample_count=sample_count, managed_mean=mean, managed_covariance=cov)
+        _store(self, sample_count=sample_count, managed_mean=mean, managed_covariance=cov)
+
+    @property
+    def n_assets(self) -> int:
+        return self.managed_mean.size // (2 * self.grid.n_bins)
 
     @cached_property
     def mean(self) -> AugmentedVector:
@@ -292,7 +302,7 @@ class SpectralMoments:
 
     @property
     def half_size(self) -> int:
-        return self.grid.n_bins * self.n_assets
+        return self.managed_mean.size // 2
 
     def _bin_index(self, m: int) -> int:
         if not 0 <= m < self.grid.n_bins:
@@ -490,7 +500,6 @@ def read_moments_csv(path) -> SpectralMoments:
                 raise ValidationError(f"unsupported mode {mode!r}; expected {SpectralMoments.mode!r}")
         return SpectralMoments(
             grid=grid,
-            n_assets=n_assets,
             managed_mean=mean,
             managed_covariance=cov,
             sample_count=sample_count,

@@ -29,8 +29,8 @@ import numpy as np
 
 from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented
 from .errors import DegenerateMeanError, SingularCovarianceError, ValidationError
-from .errors import _count, _finite_real, _indices, _real_array, _store
-from .moments import SpectralMoments
+from .errors import _count, _finite_real, _finite_scalar, _indices, _real_array, _store
+from .moments import SpectralMoments, _managed_vector
 
 __all__ = [
     "RiskSpec",
@@ -76,17 +76,16 @@ class RiskSpec:
 
     ``ridge`` is added to the covariance diagonal before inversion; None picks
     the scale-invariant default 1e-8 * trace / dim, 0.0 disables regularization
-    entirely.
+    entirely.  Each must be a real number (a bool or a string is a ValidationError).
     """
 
     sigma0: float
     ridge: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
-            raise ValidationError(f"sigma0 must be positive and finite, got {self.sigma0!r}")
-        if self.ridge is not None and not (math.isfinite(self.ridge) and self.ridge >= 0.0):
-            raise ValidationError(f"ridge must be finite and >= 0, got {self.ridge!r}")
+        _finite_scalar("sigma0", self.sigma0, positive=True)
+        if self.ridge is not None:
+            _finite_scalar("ridge", self.ridge)
 
     def ridge_for(self, covariance: np.ndarray) -> float:
         if self.ridge is not None:
@@ -105,24 +104,25 @@ class SpectralWeights:
     multiplier, positive and finite; ``ridge_used`` the diagonal
     regularization actually applied, so the constraint
     theta^T (K + ridge I) theta = sigma0^2 can be re-checked.  ``sigma0`` and
-    ``ridge_used`` obey :class:`RiskSpec`'s rules.
+    ``ridge_used`` obey :class:`RiskSpec`'s rules.  The number of assets N,
+    ``n_assets``, is read from the weights' length 2MN, checked as the
+    managed mean of :class:`SpectralMoments` is.
     """
 
     grid: FrequencyGrid
-    n_assets: int
     managed_weights: np.ndarray
     lagrange_multiplier: float
     sigma0: float
     ridge_used: float
 
     def __post_init__(self) -> None:
-        n_assets = _count("n_assets", self.n_assets)
-        multiplier = self.lagrange_multiplier
-        if not (math.isfinite(multiplier) and multiplier > 0.0):
-            raise ValidationError(f"lagrange_multiplier must be positive and finite, got {multiplier!r}")
+        _finite_scalar("lagrange_multiplier", self.lagrange_multiplier, positive=True)
         RiskSpec(sigma0=self.sigma0, ridge=self.ridge_used)
-        theta = _finite_real("managed weights", self.managed_weights, (2 * self.grid.n_bins * n_assets,))
-        _store(self, n_assets=n_assets, managed_weights=theta)
+        _store(self, managed_weights=_managed_vector("managed weights", self.managed_weights, self.grid))
+
+    @property
+    def n_assets(self) -> int:
+        return self.managed_weights.size // (2 * self.grid.n_bins)
 
     @cached_property
     def weights(self) -> AugmentedVector:
@@ -309,7 +309,6 @@ def solve_spectral_mvo(moments: SpectralMoments, risk: RiskSpec) -> SpectralWeig
     )
     return SpectralWeights(
         grid=moments.grid,
-        n_assets=moments.n_assets,
         managed_weights=theta,
         lagrange_multiplier=multiplier,
         sigma0=risk.sigma0,

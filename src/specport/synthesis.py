@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import FrequencyGrid, _phases
-from .errors import FactorizationError, ValidationError, _count, _store
+from .errors import FactorizationError, ValidationError, _count, _finite_scalar, _store
 from .moments import _managed_pair
 
 __all__ = [
@@ -50,25 +50,29 @@ class SynthSpec:
     theta_s(t); the map back to the augmented covariance
     Sigma = U K U^H = [[R, P], [conj(P), conj(R)]] is exact.  The constructor
     checks the pair as :class:`specport.SpectralMoments` does, with the same
-    messages: a real, finite mean and a real, finite, exactly symmetric K,
-    ``n_assets`` and ``horizon`` as integers >= 1, and ``seed`` as an integer
-    >= 0.  K must also be positive semi-definite up to the clipping tolerance,
-    which is checked when the noise is factored (see :func:`_composite_factor`).
+    messages: a real, finite mean of 2MN entries, whose length gives the
+    number of assets N (``n_assets``), and a real, finite, exactly symmetric
+    K; ``horizon`` as an integer >= 1, and ``seed`` as an integer >= 0.  K
+    must also be positive semi-definite up to the clipping tolerance, which
+    is checked when the noise is factored (see :func:`_composite_factor`).
     Fixed seed implies a bit-identical panel.
     """
 
     grid: FrequencyGrid
-    n_assets: int
     managed_mean: np.ndarray
     managed_covariance: np.ndarray
     horizon: int
     seed: int
 
     def __post_init__(self) -> None:
-        n_assets, mean, cov = _managed_pair(self.grid, self.n_assets, self.managed_mean, self.managed_covariance)
+        mean, cov = _managed_pair(self.grid, self.managed_mean, self.managed_covariance)
         horizon = _count("horizon", self.horizon)
         seed = _count("seed", self.seed, minimum=0)
-        _store(self, n_assets=n_assets, managed_mean=mean, managed_covariance=cov, horizon=horizon, seed=seed)
+        _store(self, managed_mean=mean, managed_covariance=cov, horizon=horizon, seed=seed)
+
+    @property
+    def n_assets(self) -> int:
+        return self.managed_mean.size // (2 * self.grid.n_bins)
 
 
 def _composite_factor(spec: SynthSpec) -> np.ndarray:
@@ -122,8 +126,8 @@ def synthesize_values(spec: SynthSpec) -> np.ndarray:
     return np.einsum("tk,tkn->tn", _phases(np.arange(spec.horizon), spec.grid), theta)
 
 
-def synthesize_panel(spec: SynthSpec, periods_per_year: int = 12, asset_names=None):
-    """Synthesize a ReturnsPanel (integer timestamps 0..T-1)."""
+def synthesize_panel(spec: SynthSpec, asset_names=None):
+    """Synthesize a monthly ReturnsPanel (``periods_per_year`` 12, integer timestamps 0..T-1)."""
     from .backtest import ReturnsPanel
 
     values = synthesize_values(spec)
@@ -132,7 +136,7 @@ def synthesize_panel(spec: SynthSpec, periods_per_year: int = 12, asset_names=No
     return ReturnsPanel(
         timestamps=tuple(range(spec.horizon)),
         returns=values,
-        periods_per_year=periods_per_year,
+        periods_per_year=12,
         asset_names=tuple(asset_names),
     )
 
@@ -181,7 +185,6 @@ def example1_scenario(seed: int = 11, horizon: int = 12000) -> SynthSpec:
 
     return SynthSpec(
         grid=grid,
-        n_assets=1,
         managed_mean=math.sqrt(2) * np.concatenate([mean_upper.real, mean_upper.imag]),
         managed_covariance=cov,
         horizon=horizon,
@@ -205,17 +208,15 @@ def seasonal_market_spec(
     ``noise_vol`` per sample.  The grand mean of every asset is zero, so
     time-averaging estimators see no return signal while the seasonal
     structure is fully predictable.  ``mean_amp`` and ``noise_vol`` must be
-    finite and >= 0, the noise variance ``noise_vol**2`` finite, and so must
-    every managed-mean entry the draw can give, up to 1.4 sqrt(M) ``mean_amp``
-    on M bins; ``n_assets`` must be an integer >= 1 and ``seed`` one >= 0.
+    real numbers (not a bool, string or complex), finite and >= 0, the noise
+    variance ``noise_vol**2`` finite, and so must every managed-mean entry the
+    draw can give, up to 1.4 sqrt(M) ``mean_amp`` on M bins; ``n_assets``
+    must be an integer >= 1 and ``seed`` one >= 0.
     Each is checked before the first draw (ValidationError naming the
     parameter otherwise).
     """
-    for name, value in (("mean_amp", mean_amp), ("noise_vol", noise_vol)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
     # as Python floats, an overflow below is inf or an OverflowError, never a numpy warning
-    mean_amp, noise_vol = float(mean_amp), float(noise_vol)
+    mean_amp, noise_vol = _finite_scalar("mean_amp", mean_amp), _finite_scalar("noise_vol", noise_vol)
     try:
         variance = noise_vol**2
     except OverflowError:
@@ -234,7 +235,6 @@ def seasonal_market_spec(
 
     return SynthSpec(
         grid=grid,
-        n_assets=n_assets,
         managed_mean=math.sqrt(2) * np.concatenate([mean_upper.real, mean_upper.imag]),
         managed_covariance=np.eye(2 * n_bins * n_assets) * variance,
         horizon=horizon,

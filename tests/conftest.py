@@ -78,7 +78,6 @@ def random_structured_moments(seed, grid=None, n_assets=None, mean_scale=1.0, n_
     estimated = estimate_moments(panel, grid)
     return SpectralMoments(
         grid=grid,
-        n_assets=n_assets,
         managed_mean=mean_scale * rng.standard_normal(2 * grid.n_bins * n_assets),
         managed_covariance=estimated.managed_covariance,
         sample_count=estimated.sample_count,

@@ -145,6 +145,13 @@ class TestBuildBasis:
             with pytest.raises(ValidationError, match=f"^n_assets must be an integer, got {re.escape(repr(n_assets))}$"):
                 build_basis(0, grid, n_assets)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (2,), (0, 0)])
+    def test_values_must_be_n_by_2mn(self, shape):
+        # N is read from the values, so they must be N x 2MN for some N >= 1: 1 x 2 or 2 x 4 on one bin
+        message = f"basis values shape {shape} is not (N, 2MN) for 2M = 2 and an N >= 1"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            AugmentedSpectralBasis(t=0, grid=FrequencyGrid.from_periods((12,)), values=np.zeros(shape))
+
     @pytest.mark.parametrize("t", [1.5, 1.0, np.float64(3.0), True, "3", 2**63, -(2**63) - 1])
     def test_t_must_be_an_int64_integer(self, t):
         message = f"t: sample indices must be integers in the int64 range, got {t!r}"
@@ -209,7 +216,7 @@ class TestSynthesize:
         # [C | C] instead of [C | conj(C)]: a conjugate-symmetric spectrum synthesizes 2 C(1) u, complex at t = 1
         grid = FrequencyGrid.from_periods((12,))
         upper = build_basis(1, grid, 1).values[:, :1]
-        basis = AugmentedSpectralBasis(t=1, grid=grid, n_assets=1, values=np.hstack([upper, upper]))
+        basis = AugmentedSpectralBasis(t=1, grid=grid, values=np.hstack([upper, upper]))
         with pytest.raises(SymmetryViolationError, match=r"^imaginary residual 7\.071e-01 exceeds tolerance$"):
             synthesize_time_value(basis, AugmentedVector.from_upper([1.0]))
 

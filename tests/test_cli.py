@@ -5,6 +5,7 @@ import contextlib
 import csv
 import datetime
 import gc
+import hashlib
 import io
 import json
 import locale
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from specport import ingest_csv, read_moments_csv, read_returns_csv
 from specport.backtest import parse_timestamp
-from specport.cli import _parse_grids, build_parser, main
+from specport.cli import _float_option, _parse_grids, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "synthetic_monthly_prices.csv"
@@ -147,6 +148,9 @@ class TestSynth:
             # argparse refuses what is not ASCII [+-]?[0-9]+, as int() alone would not
             (["-T", "1_2"], "argument -T/--horizon: invalid int value: '1_2'"),
             (["--seed", "٣"], "argument --seed: invalid int value: '٣'"),
+            # and what is not an ASCII float without '_', which float() alone reads
+            (["--mean-amp", "0.0_15"], "argument --mean-amp: invalid float value: '0.0_15'"),
+            (["--noise-vol", "０.０２"], "argument --noise-vol: invalid float value: '０.０２'"),
         ],
         ids=[
             "noise-vol-0.5",
@@ -160,6 +164,8 @@ class TestSynth:
             "start-date-past-9999",
             "horizon-underscore",
             "seed-arabic-indic",
+            "mean-amp-underscore",
+            "noise-vol-fullwidth",
         ],
     )
     def test_a_bad_parameter_or_an_invalid_draw_exits_2_writing_nothing(self, tmp_path, capsys, flags, message):
@@ -182,6 +188,22 @@ class TestSynth:
             panel = read(out)
         assert caplog.records == []
         assert len(panel.timestamps) == rows
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "2a8a0ff1317ed2d9524a27a16dcab996500533de6b96195832d6bc33008e0cdb"),
+            (["--format", "returns"], "3d548fa0997211aa268641ddd3e14360379caa6dfb3a7796e817ccd2b91c1a63"),
+            (["--example1", "-T", "240"], "e092674800a023db11d0034d763c490445033ccebc5d34db4e881c945a60b1ed"),
+        ],
+        ids=["prices", "returns", "example1"],
+    )
+    def test_outputs_keep_their_bytes(self, tmp_path, flags, digest):
+        # SHA-256 of each file as synth wrote it while SynthSpec still took N as a field:
+        # reading N from the managed arrays changed no byte
+        out = tmp_path / "p.csv"
+        assert main(["synth", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_config_echo_reproduces(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -449,6 +471,8 @@ class TestBacktest:
             (["--periods-per-year", "１２"], "argument --periods-per-year: invalid int value: '１２'"),
             (["--grids", "1_2"], "cannot parse grid period '1_2'"),
             (["--grids", "１２"], "cannot parse grid period '１２'"),
+            (["--sigma0-annual", "０.０1"], "argument --sigma0-annual: invalid float value: '０.０1'"),
+            (["--ridge", "1_0e-9"], "argument --ridge: invalid float value: '1_0e-9'"),
             (["--boundary", "2015-13"], "boundary: cannot parse timestamp '2015-13'"),
             (["--grids", "A;12,2"], "grid subset 'A,2': periods must be >= 3 samples (period 2, the Nyquist bin, "),
             # A/S/Q abbreviate periods in months: on other data they are refused, the default grids too
@@ -540,6 +564,7 @@ def test_estimate_mode_is_a_usage_error(tmp_path, capsys):
         (lambda token: _parse_grids(token, 12), "12,6,3", ((12, 6, 3),)),
         (lambda token: _parse_grids(token, 12), "A;A,S", ((12,), (12, 6))),
         (lambda token: build_parser().parse_args(["synth", "--out", "p.csv", "-T", token]).horizon, "0120", 120),
+        (_float_option, " 2e-2", 0.02),
     ],
 )
 def test_every_documented_token_keeps_its_value(read, token, value):

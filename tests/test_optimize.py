@@ -59,13 +59,11 @@ def constraint_value(weights, covariance):
     return float(np.real(np.vdot(full, regularized @ full)))
 
 
-def identity_moments(grid, n_assets, managed_mean):
-    dim = 2 * grid.n_bins * n_assets
+def identity_moments(grid, managed_mean):
     return SpectralMoments(
         grid=grid,
-        n_assets=n_assets,
         managed_mean=managed_mean,
-        managed_covariance=np.eye(dim),
+        managed_covariance=np.eye(len(managed_mean)),
         sample_count=100,
     )
 
@@ -75,7 +73,7 @@ class TestSpectralSolver:
         # with C = I the solution is sigma0 * m / ||m||
         grid = FrequencyGrid.from_periods((12, 6))
         rng = np.random.default_rng(0)
-        moments = identity_moments(grid, 2, rng.standard_normal(8))
+        moments = identity_moments(grid, rng.standard_normal(8))
         risk = RiskSpec(sigma0=0.05, ridge=0.0)
         solved = solve_spectral_mvo(moments, risk)
         full_mean = moments.mean.full()
@@ -111,7 +109,6 @@ class TestSpectralSolver:
         # scaling the mean leaves the solution unchanged
         scaled_mean = SpectralMoments(
             grid=moments.grid,
-            n_assets=moments.n_assets,
             managed_mean=3.7 * moments.managed_mean,
             managed_covariance=moments.managed_covariance,
             sample_count=moments.sample_count,
@@ -122,7 +119,6 @@ class TestSpectralSolver:
         factor = 2.5
         scaled_cov = SpectralMoments(
             grid=moments.grid,
-            n_assets=moments.n_assets,
             managed_mean=moments.managed_mean,
             managed_covariance=factor * moments.managed_covariance,
             sample_count=moments.sample_count,
@@ -176,7 +172,6 @@ class TestSpectralSolver:
         grid = FrequencyGrid.from_periods((12,))
         moments = SpectralMoments(
             grid=grid,
-            n_assets=1,
             managed_mean=np.array([1.0, 0.5]),
             managed_covariance=np.diag([2.0, 0.0]),  # rank one
             sample_count=10,
@@ -237,7 +232,6 @@ class TestSpectralSolver:
         # 2MN = 18: rho = 0.9 at T = 20 solves with the default ridge, rho = 0.947 at T = 19 does not
         moments = SpectralMoments(
             grid=FrequencyGrid.from_periods((12, 6, 4)),
-            n_assets=3,
             managed_mean=np.ones(18),
             managed_covariance=np.eye(18),
             sample_count=sample_count,
@@ -253,7 +247,6 @@ class TestSpectralSolver:
     def test_solve_logs_samples_dimension_rho_and_ridge(self, caplog, ridge, ridge_used):
         moments = SpectralMoments(
             grid=FrequencyGrid.from_periods((12, 6, 4)),
-            n_assets=3,
             managed_mean=np.ones(18),
             managed_covariance=3.0 * np.eye(18),
             sample_count=40,
@@ -272,7 +265,6 @@ class TestSpectralSolver:
         # rho >= 1 is reachable only with an explicit ridge; 1 / (1 - rho) predicts nothing there
         moments = SpectralMoments(
             grid=FrequencyGrid.from_periods((12, 6, 4)),
-            n_assets=3,
             managed_mean=np.ones(18),
             managed_covariance=3.0 * np.eye(18),
             sample_count=sample_count,
@@ -613,7 +605,11 @@ class TestSpectralWeightsType:
     @pytest.mark.parametrize(
         "fields, match",
         [
-            ({"managed_weights": np.zeros(6)}, "managed weights shape"),
+            # 2M = 4 on this grid: the length gives N, so it must be a positive multiple of 4
+            ({"managed_weights": np.zeros(6)}, r"^managed weights must be one-dimensional with a positive multiple "
+             r"of 2M = 4 entries, got shape \(6,\)$"),
+            ({"managed_weights": np.zeros(0)}, r"positive multiple of 2M = 4 entries, got shape \(0,\)$"),
+            ({"managed_weights": np.zeros((8, 1))}, r"positive multiple of 2M = 4 entries, got shape \(8, 1\)$"),
             ({"managed_weights": np.zeros(8, dtype=complex)}, "managed weights must be real"),
             ({"managed_weights": np.full(8, np.nan)}, "managed weights has non-finite"),
             ({"sigma0": 0.0}, "sigma0"),
@@ -622,9 +618,6 @@ class TestSpectralWeightsType:
             ({"ridge_used": -1.0}, "ridge"),
             ({"ridge_used": math.nan}, "ridge"),
             ({"ridge_used": math.inf}, "ridge"),
-            ({"n_assets": 0}, "n_assets"),
-            ({"n_assets": 2.0}, "^n_assets must be an integer, got 2.0$"),
-            ({"n_assets": True}, "^n_assets must be an integer, got True$"),
             ({"lagrange_multiplier": math.nan}, "^lagrange_multiplier must be positive and finite, got nan$"),
             ({"lagrange_multiplier": math.inf}, "^lagrange_multiplier must be positive and finite, got inf$"),
             ({"lagrange_multiplier": -math.inf}, "^lagrange_multiplier must be positive and finite, got -inf$"),

@@ -1,7 +1,8 @@
-"""The package's public names: each is declared once, in its own module's ``__all__``; and one value rule for
-every public type."""
+"""The package's public names: each is declared once, in its own module's ``__all__``; one value rule for
+every public type, whose N is read from its arrays; and one rule for scalar parameters."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -101,3 +102,100 @@ def test_a_config_holding_a_panel_is_hashable():
     config = specport.ProtocolConfig(data=panel, boundary=30)
     assert hash(config) == hash(specport.ProtocolConfig(data=panel, boundary=30))
     assert config != specport.ProtocolConfig(data=returns_panel(), boundary=30)
+
+
+# the N of each public type that exposes n_assets, read from its arrays
+ARRAY_ASSETS = {
+    specport.AugmentedSpectralBasis: lambda basis: basis.values.shape[0],
+    specport.SpectralMoments: lambda moments: moments.managed_covariance.shape[0] // (2 * moments.grid.n_bins),
+    specport.SynthSpec: lambda spec: spec.managed_covariance.shape[0] // (2 * spec.grid.n_bins),
+    specport.SpectralWeights: lambda weights: weights.managed_weights.size // (2 * weights.grid.n_bins),
+    specport.PricePanel: lambda panel: panel.prices.shape[1],
+    specport.ReturnsPanel: lambda panel: panel.returns.shape[1],
+}
+
+
+@pytest.mark.parametrize("kind", PUBLIC_DATACLASSES, ids=lambda kind: kind.__name__)
+def test_n_assets_is_read_from_the_arrays_never_set(kind):
+    # a settable N could only disagree with the data it counts
+    instance = FACTORIES[kind]()
+    assert hasattr(instance, "n_assets") == (kind in ARRAY_ASSETS)
+    assert "n_assets" not in [field.name for field in dataclasses.fields(kind)]
+    if kind in ARRAY_ASSETS:
+        assert type(instance.n_assets) is int and instance.n_assets == ARRAY_ASSETS[kind](instance) >= 1
+
+
+def solved_weights(**fields):
+    return dataclasses.replace(FACTORIES[specport.SpectralWeights](), **fields)
+
+
+def config(**fields):
+    return specport.ProtocolConfig(data="prices.csv", boundary="2015-01", **fields)
+
+
+SERIES = [0.01, -0.02, 0.03]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: specport.RiskSpec(sigma0="0.01"), "sigma0 must be a real number, got '0.01'"),
+        (lambda: specport.RiskSpec(sigma0=True), "sigma0 must be a real number, got True"),
+        (lambda: specport.RiskSpec(sigma0=None), "sigma0 must be a real number, got None"),
+        (lambda: specport.RiskSpec(sigma0=0.01, ridge="0"), "ridge must be a real number, got '0'"),
+        (lambda: specport.RiskSpec(sigma0=0.01, ridge=1e-6 + 0j), "ridge must be a real number, got (1e-06+0j)"),
+        (lambda: specport.RiskSpec(sigma0=10**400), f"sigma0 must be positive and finite, got {10**400}"),
+        (lambda: config(sigma0_annual="0.01"), "sigma0 must be a real number, got '0.01'"),
+        (lambda: config(demean="no"), "demean must be a bool, got 'no'"),
+        (lambda: config(demean=1), "demean must be a bool, got 1"),
+        (lambda: solved_weights(lagrange_multiplier="2"), "lagrange_multiplier must be a real number, got '2'"),
+        (lambda: solved_weights(lagrange_multiplier=True), "lagrange_multiplier must be a real number, got True"),
+        (lambda: specport.seasonal_market_spec(noise_vol=None), "noise_vol must be a real number, got None"),
+        (lambda: specport.seasonal_market_spec(mean_amp=True), "mean_amp must be a real number, got True"),
+        (
+            lambda: specport.seasonal_market_spec(mean_amp=np.complex128(0.015)),
+            "mean_amp must be a real number, got np.complex128(0.015+0j)",
+        ),
+        (lambda: specport.sharpe_ratio(SERIES, 0), "periods_per_year must be >= 1, got 0"),
+        (lambda: specport.sharpe_ratio(SERIES, -1), "periods_per_year must be >= 1, got -1"),
+        (lambda: specport.sharpe_ratio(SERIES, 12.0), "periods_per_year must be an integer, got 12.0"),
+        # accepted: int and numpy numbers
+        (lambda: specport.RiskSpec(sigma0=1, ridge=0), None),
+        (lambda: specport.RiskSpec(sigma0=np.float32(0.01), ridge=np.float64(1e-6)), None),
+        (lambda: config(sigma0_annual=np.float64(0.01), demean=np.bool_(True)), None),
+        (lambda: solved_weights(lagrange_multiplier=np.float64(2.0)), None),
+        (lambda: specport.seasonal_market_spec(mean_amp=np.float32(0.015), noise_vol=1), None),
+        (lambda: specport.sharpe_ratio(SERIES, np.int64(12)), None),
+    ],
+    ids=[
+        "sigma0-str",
+        "sigma0-bool",
+        "sigma0-none",
+        "ridge-str",
+        "ridge-complex",
+        "sigma0-int-beyond-float64",
+        "sigma0-annual-str",
+        "demean-str",
+        "demean-int",
+        "multiplier-str",
+        "multiplier-bool",
+        "noise-vol-none",
+        "mean-amp-bool",
+        "mean-amp-complex",
+        "ppy-zero",
+        "ppy-negative",
+        "ppy-float",
+        "int",
+        "numpy-floats",
+        "config-numpy",
+        "multiplier-numpy",
+        "spec-numpy-and-int",
+        "ppy-numpy",
+    ],
+)
+def test_scalar_parameters_are_real_numbers_named_when_refused(build, message):
+    if message is None:
+        build()
+        return
+    with pytest.raises(specport.ValidationError, match=f"^{re.escape(message)}$"):
+        build()

@@ -223,7 +223,6 @@ def test_moments_file_keeps_every_float64_bit_pattern(data, grid, n_assets):
     raw = data.draw(hnp.arrays(np.float64, (dim, dim), elements=finite))
     moments = SpectralMoments(
         grid=grid,
-        n_assets=n_assets,
         managed_mean=mean,
         managed_covariance=np.where(np.arange(dim)[:, np.newaxis] <= np.arange(dim), raw, raw.T),
         sample_count=data.draw(st.integers(min_value=1, max_value=10**6)),
@@ -265,39 +264,37 @@ def test_moments_file_refuses_any_changed_character(seed, grid, n_assets, where,
     grid=serial_grids,
     n_assets=st.integers(min_value=1, max_value=6),
     n_samples=st.integers(min_value=2, max_value=300),
-    t0=st.integers(min_value=-1000, max_value=1000),
 )
 @example(  # 17 samples in each of the L = 12 classes, none discarded
-    seed=1, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=204, t0=7
+    seed=1, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=204
 )
 @example(  # T = L: one sample per class, so every within-class scatter is zero and K = G^T G / T
-    seed=3, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=12, t0=7
+    seed=3, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=12
 )
 @example(  # the snap discards 5 samples and keeps 2 L: two samples per class
-    seed=6, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=29, t0=7
+    seed=6, grid=FrequencyGrid.from_periods((12, 4)), n_assets=3, n_samples=29
 )
 @example(  # T < L = 420: rejected
-    seed=2, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=2, n_samples=50, t0=-3
+    seed=2, grid=FrequencyGrid.from_periods((12, 7, 5)), n_assets=2, n_samples=50
 )
 @example(  # the snap discards 4 samples and keeps 16 L
-    seed=4, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=6, n_samples=196, t0=5
+    seed=4, grid=FrequencyGrid.from_periods((12, 6, 3)), n_assets=6, n_samples=196
 )
 @example(  # L = 9 > (2M)^2 = 4 classes on 17 L samples: the scatters are combined in three chunks
-    seed=7, grid=FrequencyGrid.from_periods((9,)), n_assets=3, n_samples=160, t0=2
+    seed=7, grid=FrequencyGrid.from_periods((9,)), n_assets=3, n_samples=160
 )
 @example(  # L beyond int64: rejected
     seed=5,
     grid=FrequencyGrid.from_periods((151, 149, 139, 137, 131, 127, 113, 109, 107, 103)),
     n_assets=1,
     n_samples=30,
-    t0=-9,
 )
-def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, t0):
+def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples):
     """The phase-class moments equal the mean and z^T z / T of the centred panel z = phi(t) (x) x(t).
 
-    Covers t0 != 0 and windows of one to many samples per class.  The estimator snaps the
-    window to whole multiples of the grid's least common period L, logging a warning exactly
-    when it discards samples, and rejects a window shorter than L.
+    Row t of the panel is sample t.  Covers windows of one to many samples per class.  The
+    estimator snaps the window to whole multiples of the grid's least common period L,
+    logging a warning exactly when it discards samples, and rejects a window shorter than L.
     """
     period = grid.least_common_period()
     rng = np.random.default_rng(seed)
@@ -305,20 +302,20 @@ def test_class_estimator_matches_managed_panel(seed, grid, n_assets, n_samples, 
     panel = scale * (rng.standard_normal((n_samples, n_assets)) + 3.0 * rng.standard_normal(n_assets))
     if n_samples < period:
         with pytest.raises(ValidationError, match="shorter than one least common period"):
-            estimate_moments(panel, grid, t0=t0)
+            estimate_moments(panel, grid)
         return
     snap_warnings = logging.handlers.BufferingHandler(capacity=16)
     snap_warnings.setLevel(logging.WARNING)
     moments_logger = logging.getLogger("specport.moments")
     moments_logger.addHandler(snap_warnings)
     try:
-        moments = estimate_moments(panel, grid, t0=t0)
+        moments = estimate_moments(panel, grid)
     finally:
         moments_logger.removeHandler(snap_warnings)
     kept = moments.sample_count
     assert kept == n_samples // period * period
     assert len(snap_warnings.buffer) == (kept < n_samples)
-    t = np.arange(t0 + n_samples - kept, t0 + n_samples)
+    t = np.arange(n_samples - kept, n_samples)
     z = (_phases(t, grid)[:, :, np.newaxis] * panel[-kept:, np.newaxis, :]).reshape(kept, -1)
     mean = z.mean(axis=0)
     cov = (z - mean).T @ (z - mean) / kept
@@ -376,7 +373,7 @@ def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, leng
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(2 * grid.n_bins * n_assets) * 10.0 ** rng.uniform(-3, 3)
     weights = SpectralWeights(
-        grid=grid, n_assets=n_assets, managed_weights=theta, lagrange_multiplier=1.0, sigma0=1.0, ridge_used=0.0
+        grid=grid, managed_weights=theta, lagrange_multiplier=1.0, sigma0=1.0, ridge_used=0.0
     )
     t = np.arange(start, start + length)
     path = retrieve_allocation(weights, t)

@@ -56,7 +56,6 @@ def one_bin_spec(r, p, seed=0, horizon=1):
     """
     return SynthSpec(
         grid=FrequencyGrid.from_periods((12,)),
-        n_assets=1,
         managed_mean=np.zeros(2),
         managed_covariance=np.diag([r + p, r - p]),
         horizon=horizon,
@@ -88,7 +87,6 @@ class TestSampling:
         grid = FrequencyGrid.from_periods((12, 6))
         spec = SynthSpec(
             grid=grid,
-            n_assets=1,
             managed_mean=np.zeros(4),
             managed_covariance=covariance_from(factor),
             horizon=1,
@@ -139,7 +137,6 @@ class TestPanels:
         grid = FrequencyGrid.from_periods((12, 8))
         spec = SynthSpec(
             grid=grid,
-            n_assets=2,
             managed_mean=rng.standard_normal(8),
             managed_covariance=np.zeros((8, 8)),
             horizon=48,
@@ -158,7 +155,6 @@ class TestPanels:
         factor = rng.standard_normal((2 * half, 2 * half)) * 0.4
         spec = SynthSpec(
             grid=grid,
-            n_assets=2,
             managed_mean=rng.standard_normal(2 * half),
             managed_covariance=covariance_from(factor),
             horizon=48,
@@ -209,7 +205,19 @@ class TestPanels:
     @pytest.mark.parametrize(
         "fields, message",
         [
-            ({"managed_mean": np.zeros(3)}, "managed mean shape (3,) does not match (2,)"),
+            # 2M = 2 on this grid: the mean's length gives N, so it must be a positive multiple of 2
+            (
+                {"managed_mean": np.zeros(3)},
+                "managed mean must be one-dimensional with a positive multiple of 2M = 2 entries, got shape (3,)",
+            ),
+            (
+                {"managed_mean": np.zeros(0)},
+                "managed mean must be one-dimensional with a positive multiple of 2M = 2 entries, got shape (0,)",
+            ),
+            (
+                {"managed_mean": np.zeros((2, 1))},
+                "managed mean must be one-dimensional with a positive multiple of 2M = 2 entries, got shape (2, 1)",
+            ),
             ({"managed_mean": np.array([math.inf, 0.0])}, "managed mean has non-finite entries"),
             # asymmetric too: a non-finite K is reported first
             (
@@ -222,27 +230,25 @@ class TestPanels:
             ),
             ({"managed_covariance": np.eye(2, dtype=complex)}, "managed covariance must be real"),
             ({"managed_covariance": np.eye(4)}, "managed covariance shape (4, 4) does not match (2, 2)"),
-            ({"n_assets": 0}, "n_assets must be >= 1, got 0"),
-            ({"n_assets": 1.0}, "n_assets must be an integer, got 1.0"),
-            ({"n_assets": True}, "n_assets must be an integer, got True"),
+            # a mean for N = 2 needs K of 4 x 4
+            ({"managed_mean": np.zeros(4)}, "managed covariance shape (2, 2) does not match (4, 4)"),
         ],
         ids=[
             "mean-length",
+            "mean-empty",
+            "mean-2d",
             "mean-non-finite",
             "cov-non-finite",
             "cov-one-ulp-asymmetric",
             "cov-complex",
             "cov-shape",
-            "n-assets-zero",
-            "n-assets-float",
-            "n-assets-bool",
+            "cov-shape-for-the-mean",
         ],
     )
     def test_spec_and_moments_refuse_a_bad_managed_pair_alike(self, kind, fields, message):
         own = {"sample_count": 12} if kind is SpectralMoments else {"horizon": 12, "seed": 0}
         valid = dict(
             grid=FrequencyGrid.from_periods((12,)),
-            n_assets=1,
             managed_mean=np.zeros(2),
             managed_covariance=np.array([[2.0, 0.5], [0.5, 1.0]]),
             **own,
@@ -266,7 +272,7 @@ class TestPanels:
             dataclasses.replace(one_bin_spec(1.0, 0.0, horizon=4), **fields)
 
     def test_spec_stores_counts_as_int(self):
-        spec = dataclasses.replace(one_bin_spec(1.0, 0.0), n_assets=np.int64(1), horizon=np.int32(24))
+        spec = dataclasses.replace(one_bin_spec(1.0, 0.0), horizon=np.int32(24))
         assert (type(spec.n_assets), type(spec.horizon)) == (int, int)
         assert synthesize_values(spec).shape == (24, 1)
 
@@ -322,7 +328,6 @@ class TestEstimatorConsistencyLoop:
         lcm = grid.least_common_period()
         spec = SynthSpec(
             grid=grid,
-            n_assets=n_assets,
             managed_mean=rng.standard_normal(2 * half),
             managed_covariance=covariance_from(factor),
             horizon=200 * lcm,
