@@ -31,6 +31,7 @@ from .errors import (
     _count,
     _date_token,
     _finite_real,
+    _finite_scalar,
     _integer_token,
     _real_array,
     _store,
@@ -362,12 +363,14 @@ class ProtocolConfig:
     ReturnsPanel with the config's ``periods_per_year`` (an integer >= 1).
     ``grids`` lists the period subsets to solve, one spectral strategy each;
     it must be non-empty and no two subsets may hold the same set of periods.
-    ``sigma0_annual`` obeys :class:`RiskSpec`'s rules and is converted to a
-    per-period target by dividing by sqrt(periods_per_year).  A string
-    ``boundary`` must parse as an integer index or an ISO date; it is kept as
-    given.  ``demean`` must be a bool.  Every field is checked here, before
-    any data is read; ``frequency_grids`` holds the :class:`FrequencyGrid`
-    of each subset of ``grids``, in order.
+    ``sigma0_annual`` must be a positive finite real number and ``ridge``
+    None or a finite real number >= 0, each named as itself when refused;
+    the target is converted to a per-period one by dividing by
+    sqrt(periods_per_year).  A string ``boundary`` must parse as an integer
+    index or an ISO date; it is kept as given.  ``demean`` must be a bool.
+    Every field is checked here, before any data is read;
+    ``frequency_grids`` holds the :class:`FrequencyGrid` of each subset of
+    ``grids``, in order.
     """
 
     data: object
@@ -396,7 +399,9 @@ class ProtocolConfig:
             raise ValidationError(f"data is not a CSV path, PricePanel or ReturnsPanel: {type(data).__name__}")
         if isinstance(data, ReturnsPanel) and data.periods_per_year != ppy:
             raise ValidationError(f"data has periods_per_year {data.periods_per_year} but config has {ppy}")
-        RiskSpec(sigma0=self.sigma0_annual, ridge=self.ridge)
+        _finite_scalar("sigma0_annual", self.sigma0_annual, positive=True)
+        if self.ridge is not None:
+            _finite_scalar("ridge", self.ridge)
         if not self.grids:
             raise ValidationError("grids must list at least one period subset")
         seen, grids = {}, []

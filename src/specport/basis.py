@@ -39,11 +39,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import SymmetryViolationError, ValidationError, _count, _indices, _store
+from .errors import ValidationError, _count, _indices, _store
 
 __all__ = [
     "FrequencyGrid",
@@ -142,28 +143,29 @@ def commensurate_length(n_samples: int, grid: FrequencyGrid) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class AugmentedVector:
-    """A frequency-domain vector stacked with its conjugate half.
+    """A frequency-domain vector u stacked with its conjugate: [u; conj(u)].
 
-    ``upper`` holds the M*N coefficients (bin-major: bin 0 assets, bin 1
-    assets, ...), ``lower`` the second half.  The vector is conjugate-symmetric
-    iff lower == conj(upper), which is what makes the synthesized time-domain
-    value real.
+    ``upper`` holds the M*N coefficients u (bin-major: bin 0 assets, bin 1
+    assets, ...), a one-dimensional array; any other shape is a
+    ValidationError.  ``lower`` is conj(upper), computed on first access and
+    read-only, so the vector is conjugate-symmetric by construction, which
+    is what makes the synthesized time-domain value real.
     """
 
     upper: np.ndarray
-    lower: np.ndarray
 
     def __post_init__(self) -> None:
         upper = np.asarray(self.upper, dtype=np.complex128)
-        lower = np.asarray(self.lower, dtype=np.complex128)
-        if upper.ndim != 1 or lower.shape != upper.shape:
-            raise ValidationError("upper and lower halves must be 1-d and equally long")
-        _store(self, upper=upper, lower=lower)
+        if upper.ndim != 1:
+            raise ValidationError(f"upper must be one-dimensional, got shape {upper.shape}")
+        _store(self, upper=upper)
 
-    @classmethod
-    def from_upper(cls, upper) -> "AugmentedVector":
-        upper = np.asarray(upper, dtype=np.complex128)
-        return cls(upper=upper, lower=np.conj(upper))
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """The second half, conj(upper); read-only."""
+        lower = np.conj(self.upper)
+        lower.flags.writeable = False
+        return lower
 
     @property
     def half_size(self) -> int:
@@ -174,67 +176,49 @@ class AugmentedVector:
         return np.concatenate([self.upper, self.lower])
 
     def is_conjugate_symmetric(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.upper), initial=0.0)))
-        return bool(np.max(np.abs(self.lower - np.conj(self.upper)), initial=0.0) <= tol * scale)
+        """Always True: ``lower`` is conj(upper) by construction, whatever ``tol``."""
+        return True
 
 
 @dataclass(frozen=True, eq=False)
 class AugmentedSpectralBasis:
-    """The N x 2MN basis matrix at one integer sample index ``t``.
+    """The N x 2MN basis matrix B(t) at one integer sample index ``t``, for ``n_assets`` = N.
 
-    ``values`` is partitioned as [C(t) | conj(C(t))] where the m-th block of
-    C(t) is (1/sqrt(2M)) e^{j w_m (t mod p_m)} I_N.  Rows are orthonormal:
-    values @ values^H == I_N.  Its shape gives the number of assets N
-    (``n_assets``); any shape other than (N, 2MN) for an N >= 1 is a ValidationError.
+    ``t`` must be an integer in the int64 range, may be negative (a bool,
+    float or string is a ValidationError), and N an integer >= 1.  ``values``
+    is computed from them and read-only: [C(t) | conj(C(t))], where the m-th
+    block of C(t) is (1/sqrt(2M)) e^{j w_m (t mod p_m)} I_N, so the basis is
+    periodic bit for bit and its rows are orthonormal: values @ values^H ==
+    I_N.  ``n_assets`` is read from the rows of ``values``.
     """
 
     t: int
     grid: FrequencyGrid
-    values: np.ndarray
+    n_assets: InitVar[int]
+    values: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.complex128)
-        if values.ndim != 2 or not values.size or values.shape[1] != 2 * self.grid.n_bins * values.shape[0]:
-            raise ValidationError(
-                f"basis values shape {values.shape} is not (N, 2MN) for 2M = {2 * self.grid.n_bins} and an N >= 1"
-            )
-        _store(self, values=values)
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[0]
+    def __post_init__(self, n_assets: int) -> None:
+        t = int(_indices("t", self.t))
+        n_assets = _count("n_assets", n_assets)
+        m = self.grid.n_bins
+        scale = 1.0 / math.sqrt(2 * m)
+        phases = np.exp(1j * np.asarray(self.grid.omegas) * (t % np.asarray(self.grid.periods))) * scale
+        eye = np.eye(n_assets)
+        upper = np.kron(phases[np.newaxis, :], eye).reshape(n_assets, m * n_assets)
+        _store(self, t=t, values=np.concatenate([upper, np.conj(upper)], axis=1))
 
     @property
     def half_columns(self) -> int:
         return self.values.shape[1] // 2
 
 
+# Set after the class body: there, a property named like the InitVar would become its default.
+AugmentedSpectralBasis.n_assets = property(lambda basis: basis.values.shape[0], doc="N, the rows of ``values``.")
+
+
 def build_basis(t: int, grid: FrequencyGrid, n_assets: int) -> AugmentedSpectralBasis:
-    """Construct the augmented basis at sample index t.
-
-    Parameters
-    ----------
-    t : int
-        Sample index in the int64 range, may be negative (a bool, float or
-        string is a ValidationError); the basis is periodic bit for bit.
-    grid : FrequencyGrid
-    n_assets : int
-        N >= 1.
-
-    Returns
-    -------
-    AugmentedSpectralBasis
-        With entries (1/sqrt(2M)) e^{+-j w_m (t mod p_m)} on identity blocks.
-    """
-    t = int(_indices("t", t))
-    n_assets = _count("n_assets", n_assets)
-    m = grid.n_bins
-    scale = 1.0 / math.sqrt(2 * m)
-    phases = np.exp(1j * np.asarray(grid.omegas) * (t % np.asarray(grid.periods))) * scale
-    eye = np.eye(n_assets)
-    upper = np.kron(phases[np.newaxis, :], eye).reshape(n_assets, m * n_assets)
-    values = np.concatenate([upper, np.conj(upper)], axis=1)
-    return AugmentedSpectralBasis(t=t, grid=grid, values=values)
+    """The augmented basis B(t) at sample index ``t`` for ``n_assets`` = N (see :class:`AugmentedSpectralBasis`)."""
+    return AugmentedSpectralBasis(t, grid, n_assets)
 
 
 def _phases(t, grid: FrequencyGrid) -> np.ndarray:
@@ -262,7 +246,7 @@ def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
     managed = np.asarray(managed, dtype=np.float64)
     half = managed.shape[0] // 2
     if managed.ndim == 1:
-        return AugmentedVector.from_upper((managed[:half] + 1j * managed[half:]) / math.sqrt(2))
+        return AugmentedVector((managed[:half] + 1j * managed[half:]) / math.sqrt(2))
     k_aa, k_ab = managed[:half, :half], managed[:half, half:]
     k_ba, k_bb = managed[half:, :half], managed[half:, half:]
     out = np.empty(managed.shape, dtype=np.complex128)
@@ -282,27 +266,17 @@ def _to_augmented(managed: np.ndarray) -> AugmentedVector | np.ndarray:
 
 
 def synthesize_time_value(basis: AugmentedSpectralBasis, spectrum: AugmentedVector) -> np.ndarray:
-    """Evaluate the time-domain value B(t) @ [u; conj(u)] and return its real part.
+    """Evaluate the time-domain value B(t) @ [u; conj(u)], real up to rounding, and return its real part.
 
-    Raises SymmetryViolationError for a non-conjugate-symmetric spectrum.  The
-    imaginary residual of the product is checked against 1e-12 (relative)
-    before it is discarded.
+    Both the basis and the spectrum hold their conjugate halves by
+    construction, so the imaginary part of the product is rounding only and
+    is discarded.  A spectrum whose half-size is not MN is a ValidationError.
     """
     if spectrum.half_size != basis.half_columns:
         raise ValidationError(
             f"spectrum half-size {spectrum.half_size} does not match basis ({basis.half_columns})"
         )
-    if not spectrum.is_conjugate_symmetric():
-        raise SymmetryViolationError(
-            "spectrum is not conjugate-symmetric (lower != conj(upper)); "
-            "synthesis would not be real-valued"
-        )
-    value = basis.values @ spectrum.full()
-    scale = max(1.0, float(np.max(np.abs(value), initial=0.0)))
-    residual = float(np.max(np.abs(value.imag), initial=0.0))
-    if residual > 1e-12 * scale:
-        raise SymmetryViolationError(f"imaginary residual {residual:.3e} exceeds tolerance")
-    return value.real.copy()
+    return (basis.values @ spectrum.full()).real.copy()
 
 
 def project_spectrum(basis: AugmentedSpectralBasis, x) -> AugmentedVector:
@@ -314,4 +288,4 @@ def project_spectrum(basis: AugmentedSpectralBasis, x) -> AugmentedVector:
     if x.shape != (basis.n_assets,):
         raise ValidationError(f"expected real vector of length {basis.n_assets}, got {x.shape}")
     upper = np.conj(basis.values[:, : basis.half_columns]).T @ x
-    return AugmentedVector.from_upper(upper)
+    return AugmentedVector(upper)

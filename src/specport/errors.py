@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "SpecportError",
     "ValidationError",
-    "SymmetryViolationError",
     "FactorizationError",
     "DegenerateMeanError",
     "SingularCovarianceError",
@@ -34,14 +33,6 @@ class SpecportError(Exception):
 
 class ValidationError(SpecportError, ValueError):
     """Invalid input: bad shapes, empty data, out-of-range parameters."""
-
-
-class SymmetryViolationError(ValidationError):
-    """An augmented vector that should be conjugate-symmetric is not.
-
-    Signals a corrupted spectrum: synthesizing from it would produce a
-    complex time-domain value.
-    """
 
 
 class FactorizationError(SpecportError):

@@ -336,44 +336,46 @@ class SpectralMoments:
 
 @dataclass(frozen=True, eq=False)
 class PsdMatrix:
-    """Per-bin absolute (non-centred) second spectral moment, N x N per bin.
+    """Per-bin absolute (non-centred) second spectral moment of ``moments``, N x N per bin.
 
-    ``matrices`` is one read-only complex (M, N, N) array; ``matrices[m]`` is
-    bin m's matrix.  A sequence of M square matrices of one size is accepted
-    too.  A wrong count, a ragged sequence, non-numbers or non-square
-    matrices are a ValidationError.
+    A view of the :class:`SpectralMoments` it holds: ``grid`` is theirs, and
+    ``matrices`` is one read-only complex (M, N, N) array, computed on first
+    access, whose entry m is bin m's mean(w_m) mean(w_m)^H + R(w_m).
     """
 
-    grid: FrequencyGrid
-    matrices: np.ndarray
+    moments: SpectralMoments
 
     def __post_init__(self) -> None:
-        try:
-            matrices = np.asarray(self.matrices, dtype=np.complex128)
-        except (TypeError, ValueError) as exc:  # ragged rows, strings and other non-numbers
-            raise ValidationError(f"matrices must be square matrices of one size: {exc}") from exc
-        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-            raise ValidationError(f"matrices must be square matrices of one size, got shape {matrices.shape}")
-        if matrices.shape[0] != self.grid.n_bins:
-            raise ValidationError(f"one matrix per grid bin expected: {self.grid.n_bins}, got {matrices.shape[0]}")
-        _store(self, matrices=matrices)
+        if not isinstance(self.moments, SpectralMoments):
+            raise ValidationError(f"moments must be SpectralMoments, got {type(self.moments).__name__}")
+
+    @property
+    def grid(self) -> FrequencyGrid:
+        return self.moments.grid
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The (M, N, N) absolute moments, one bin per entry; read-only."""
+        mats = []
+        for m in range(self.grid.n_bins):
+            mean_m = self.moments.bin_mean(m)
+            mats.append(np.outer(mean_m, np.conj(mean_m)) + self.moments.bin_covariance(m))
+        matrices = np.stack(mats)
+        matrices.flags.writeable = False
+        return matrices
 
     def trace_per_bin(self) -> np.ndarray:
         return np.trace(self.matrices, axis1=1, axis2=2).real
 
 
 def compute_psd(moments: SpectralMoments) -> PsdMatrix:
-    """Absolute second moment per bin: mean(w_m) mean(w_m)^H + R(w_m).
+    """Absolute second moment per bin: mean(w_m) mean(w_m)^H + R(w_m) (see :class:`PsdMatrix`).
 
     Mean and covariance information are entangled here, which is exactly why
     the centred moments are kept separate: a harmonic sitting in strong noise
     moves the absolute moment by ~|mean|^2, invisible next to R.
     """
-    mats = []
-    for m in range(moments.grid.n_bins):
-        mean_m = moments.bin_mean(m)
-        mats.append(np.outer(mean_m, np.conj(mean_m)) + moments.bin_covariance(m))
-    return PsdMatrix(grid=moments.grid, matrices=np.stack(mats))
+    return PsdMatrix(moments)
 
 
 # --- flat CSV serialization (lossless at double precision) ---------------------

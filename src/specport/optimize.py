@@ -103,8 +103,9 @@ class SpectralWeights:
     built on first access.  ``lagrange_multiplier`` is the realized
     multiplier, positive and finite; ``ridge_used`` the diagonal
     regularization actually applied, so the constraint
-    theta^T (K + ridge I) theta = sigma0^2 can be re-checked.  ``sigma0`` and
-    ``ridge_used`` obey :class:`RiskSpec`'s rules.  The number of assets N,
+    theta^T (K + ridge I) theta = sigma0^2 can be re-checked: ``sigma0``
+    must be positive and finite, ``ridge_used`` finite and >= 0, each a
+    real number named as itself when refused.  The number of assets N,
     ``n_assets``, is read from the weights' length 2MN, checked as the
     managed mean of :class:`SpectralMoments` is.
     """
@@ -117,7 +118,8 @@ class SpectralWeights:
 
     def __post_init__(self) -> None:
         _finite_scalar("lagrange_multiplier", self.lagrange_multiplier, positive=True)
-        RiskSpec(sigma0=self.sigma0, ridge=self.ridge_used)
+        _finite_scalar("sigma0", self.sigma0, positive=True)
+        _finite_scalar("ridge_used", self.ridge_used)
         _store(self, managed_weights=_managed_vector("managed weights", self.managed_weights, self.grid))
 
     @property

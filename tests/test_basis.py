@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from specport import (
-    AugmentedSpectralBasis,
     AugmentedVector,
     FrequencyGrid,
-    SymmetryViolationError,
     ValidationError,
     build_basis,
     commensurate_length,
@@ -145,13 +143,6 @@ class TestBuildBasis:
             with pytest.raises(ValidationError, match=f"^n_assets must be an integer, got {re.escape(repr(n_assets))}$"):
                 build_basis(0, grid, n_assets)
 
-    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (2,), (0, 0)])
-    def test_values_must_be_n_by_2mn(self, shape):
-        # N is read from the values, so they must be N x 2MN for some N >= 1: 1 x 2 or 2 x 4 on one bin
-        message = f"basis values shape {shape} is not (N, 2MN) for 2M = 2 and an N >= 1"
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            AugmentedSpectralBasis(t=0, grid=FrequencyGrid.from_periods((12,)), values=np.zeros(shape))
-
     @pytest.mark.parametrize("t", [1.5, 1.0, np.float64(3.0), True, "3", 2**63, -(2**63) - 1])
     def test_t_must_be_an_int64_integer(self, t):
         message = f"t: sample indices must be integers in the int64 range, got {t!r}"
@@ -171,54 +162,35 @@ class TestSynthesize:
     def test_zero_spectrum(self):
         grid = FrequencyGrid.from_periods((12, 6))
         basis = build_basis(5, grid, 2)
-        out = synthesize_time_value(basis, AugmentedVector.from_upper(np.zeros(4)))
+        out = synthesize_time_value(basis, AugmentedVector(np.zeros(4)))
         assert np.array_equal(out, np.zeros(2))
 
     def test_cosine_expansion(self):
         # (1/sqrt2) e^{jwt} (sqrt2/2) + c.c. == cos(wt), checked over t=0..99
         grid = FrequencyGrid.from_periods((12,))
-        spectrum = AugmentedVector.from_upper([math.sqrt(2) / 2])
+        spectrum = AugmentedVector([math.sqrt(2) / 2])
         for t in range(100):
             value = synthesize_time_value(build_basis(t, grid, 1), spectrum)
             assert value[0] == pytest.approx(math.cos(grid.omegas[0] * t), abs=1e-12)
 
     def test_sine_expansion(self):
-        spectrum = AugmentedVector.from_upper([-1j * math.sqrt(2) / 2])
+        spectrum = AugmentedVector([-1j * math.sqrt(2) / 2])
         grid = FrequencyGrid.from_periods((12,))
         for t in range(100):
             value = synthesize_time_value(build_basis(t, grid, 1), spectrum)
             assert value[0] == pytest.approx(math.sin(grid.omegas[0] * t), abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "upper, lower",
-        [(np.zeros(2), np.zeros(3)), (np.zeros((2, 1)), np.zeros((2, 1)))],
-    )
-    def test_halves_must_be_equally_long_vectors(self, upper, lower):
-        with pytest.raises(ValidationError, match="upper and lower halves must be 1-d and equally long"):
-            AugmentedVector(upper=upper, lower=lower)
+    def test_upper_must_be_a_vector(self):
+        with pytest.raises(ValidationError, match=r"^upper must be one-dimensional, got shape \(2, 1\)$"):
+            AugmentedVector(np.zeros((2, 1)))
 
     def test_spectrum_size_must_match_the_basis(self):
         grid = FrequencyGrid.from_periods((12,))
-        spectrum = AugmentedVector.from_upper(np.zeros(2))
+        spectrum = AugmentedVector(np.zeros(2))
         with pytest.raises(ValidationError, match=r"spectrum half-size 2 does not match basis \(1\)"):
             synthesize_time_value(build_basis(3, grid, 1), spectrum)
         with pytest.raises(ValidationError, match=r"spectrum half-size 2 does not match basis \(3\)"):
             synthesize_time_value(build_basis(0, grid, 3), spectrum)
-
-    def test_symmetry_violation_raises(self):
-        grid = FrequencyGrid.from_periods((12,))
-        basis = build_basis(0, grid, 1)
-        corrupted = AugmentedVector(upper=np.array([1.0 + 1j]), lower=np.array([1.0 + 1j]))
-        with pytest.raises(SymmetryViolationError):
-            synthesize_time_value(basis, corrupted)
-
-    def test_basis_whose_lower_half_is_not_conjugate_leaves_an_imaginary_residual(self):
-        # [C | C] instead of [C | conj(C)]: a conjugate-symmetric spectrum synthesizes 2 C(1) u, complex at t = 1
-        grid = FrequencyGrid.from_periods((12,))
-        upper = build_basis(1, grid, 1).values[:, :1]
-        basis = AugmentedSpectralBasis(t=1, grid=grid, values=np.hstack([upper, upper]))
-        with pytest.raises(SymmetryViolationError, match=r"^imaginary residual 7\.071e-01 exceeds tolerance$"):
-            synthesize_time_value(basis, AugmentedVector.from_upper([1.0]))
 
 
 class TestProject:

@@ -459,8 +459,7 @@ class TestBacktest:
         missing = tmp_path / "missing.csv"
         argv = ["backtest", "--data", str(missing), "--boundary", "2015-01", "--sigma0-annual", "-1"]
         assert main(argv + ["--out-dir", str(tmp_path / "bt")]) == 2
-        err = capsys.readouterr().err
-        assert "got -1.0" in err and str(missing) not in err
+        assert capsys.readouterr().err == "error: sigma0_annual must be positive and finite, got -1.0\n"
 
     @pytest.mark.parametrize(
         "flags, message",

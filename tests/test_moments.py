@@ -433,28 +433,21 @@ class TestSpectralMomentsType:
 
 
 class TestPsd:
-    @pytest.mark.parametrize(
-        "matrices, match",
-        [
-            ((np.eye(2),), "^one matrix per grid bin expected: 2, got 1$"),
-            (np.ones((3, 2, 2)), "^one matrix per grid bin expected: 2, got 3$"),
-            ((np.eye(2), np.eye(3)), "^matrices must be square matrices of one size: setting an array element"),
-            (np.ones((2, 2, 3)), r"^matrices must be square matrices of one size, got shape \(2, 2, 3\)$"),
-            (np.eye(2), r"^matrices must be square matrices of one size, got shape \(2, 2\)$"),
-            ([[["a"]], [["b"]]], "^matrices must be square matrices of one size: complex"),
-        ],
-        ids=["too-few", "too-many", "ragged", "non-square", "one-matrix", "strings"],
-    )
-    def test_one_matrix_per_bin(self, matrices, match):
-        grid = FrequencyGrid.from_periods((12, 6))
-        with pytest.raises(ValidationError, match=match):
-            PsdMatrix(grid=grid, matrices=matrices)
-
     def test_holds_one_read_only_array(self):
-        psd = PsdMatrix(grid=FrequencyGrid.from_periods((12, 6)), matrices=[np.eye(2), np.diag([2.0, 3.0])])
+        # K's cosine and sine diagonals are 1, 1 on bin 0 and 2, 3 on bin 1, so R(w_0) = I and R(w_1) = diag(2, 3)
+        grid = FrequencyGrid.from_periods((12, 6))
+        moments = SpectralMoments(
+            grid=grid, managed_mean=np.zeros(8), managed_covariance=np.diag([1.0, 1, 2, 3] * 2), sample_count=12
+        )
+        psd = compute_psd(moments)
+        assert psd.moments is moments and psd.grid is grid
         assert psd.matrices.dtype == np.complex128 and psd.matrices.shape == (2, 2, 2)
         assert not psd.matrices.flags.writeable
         assert np.array_equal(psd.trace_per_bin(), [2.0, 5.0])
+
+    def test_is_built_from_spectral_moments_only(self):
+        with pytest.raises(ValidationError, match="^moments must be SpectralMoments, got FrequencyGrid$"):
+            PsdMatrix(FrequencyGrid.from_periods((12, 6)))
 
     def test_zero_mean_reduces_to_covariance(self):
         rng = np.random.default_rng(9)

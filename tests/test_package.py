@@ -2,6 +2,8 @@
 every public type, whose N is read from its arrays; and one rule for scalar parameters."""
 
 import dataclasses
+import inspect
+import math
 import re
 
 import numpy as np
@@ -55,7 +57,7 @@ def report():
 # one factory per public dataclass: each call builds a new instance from equal, freshly allocated inputs
 FACTORIES = {
     specport.FrequencyGrid: grid,
-    specport.AugmentedVector: lambda: specport.AugmentedVector.from_upper(np.array([1.0 + 2.0j, -3.0j])),
+    specport.AugmentedVector: lambda: specport.AugmentedVector(np.array([1.0 + 2.0j, -3.0j])),
     specport.AugmentedSpectralBasis: lambda: specport.build_basis(5, grid(), 2),
     specport.SpectralMoments: estimated,
     specport.PsdMatrix: lambda: specport.compute_psd(estimated()),
@@ -125,6 +127,56 @@ def test_n_assets_is_read_from_the_arrays_never_set(kind):
         assert type(instance.n_assets) is int and instance.n_assets == ARRAY_ASSETS[kind](instance) >= 1
 
 
+def test_augmented_types_take_only_their_defining_data():
+    # each complex array is computed from the data that defines it and read-only, so it cannot disagree with them
+    parameters = {
+        specport.AugmentedVector: ["upper"],
+        specport.AugmentedSpectralBasis: ["t", "grid", "n_assets"],
+        specport.PsdMatrix: ["moments"],
+    }
+    for kind, names in parameters.items():
+        assert list(inspect.signature(kind).parameters) == names, kind.__name__
+    vector = FACTORIES[specport.AugmentedVector]()
+    basis = FACTORIES[specport.AugmentedSpectralBasis]()
+    psd = FACTORIES[specport.PsdMatrix]()
+    grid, n_assets, size = basis.grid, basis.n_assets, psd.moments.n_assets
+    scale = 1.0 / math.sqrt(2 * grid.n_bins)
+    phases = [np.exp(1j * omega * (basis.t % period)) * scale for omega, period in zip(grid.omegas, grid.periods)]
+    upper = np.hstack([phase * np.eye(n_assets) for phase in phases])
+    blocks = [slice(m * size, (m + 1) * size) for m in range(grid.n_bins)]
+    means = [psd.moments.mean.upper[block] for block in blocks]
+    derived = {
+        "lower": (vector.lower, np.conj(vector.upper)),
+        "values": (basis.values, np.hstack([upper, np.conj(upper)])),
+        "matrices": (
+            psd.matrices,
+            [np.outer(mean, np.conj(mean)) + psd.moments.covariance[block, block] for mean, block in zip(means, blocks)],
+        ),
+    }
+    for name, (value, definition) in derived.items():
+        assert not value.flags.writeable and np.array_equal(value, definition), name
+    # no error is left for a spectrum or basis that is not conjugate-symmetric: none can be built
+    assert errors.__all__ == [
+        "SpecportError",
+        "ValidationError",
+        "FactorizationError",
+        "DegenerateMeanError",
+        "SingularCovarianceError",
+        "IngestionError",
+    ]
+
+
+def test_settable_values_are_counted():
+    # The values a caller can set: the parameters of every public callable, a dataclass's init fields
+    # included.  A change that alters this number updates it here and states both counts in CHANGES.md.
+    callables = [
+        obj
+        for obj in map(vars(specport).get, specport.__all__)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    ]
+    assert sum(len(inspect.signature(obj).parameters) for obj in callables) == 98
+
+
 def solved_weights(**fields):
     return dataclasses.replace(FACTORIES[specport.SpectralWeights](), **fields)
 
@@ -145,11 +197,13 @@ SERIES = [0.01, -0.02, 0.03]
         (lambda: specport.RiskSpec(sigma0=0.01, ridge="0"), "ridge must be a real number, got '0'"),
         (lambda: specport.RiskSpec(sigma0=0.01, ridge=1e-6 + 0j), "ridge must be a real number, got (1e-06+0j)"),
         (lambda: specport.RiskSpec(sigma0=10**400), f"sigma0 must be positive and finite, got {10**400}"),
-        (lambda: config(sigma0_annual="0.01"), "sigma0 must be a real number, got '0.01'"),
+        (lambda: config(sigma0_annual="0.01"), "sigma0_annual must be a real number, got '0.01'"),
         (lambda: config(demean="no"), "demean must be a bool, got 'no'"),
         (lambda: config(demean=1), "demean must be a bool, got 1"),
         (lambda: solved_weights(lagrange_multiplier="2"), "lagrange_multiplier must be a real number, got '2'"),
         (lambda: solved_weights(lagrange_multiplier=True), "lagrange_multiplier must be a real number, got True"),
+        (lambda: solved_weights(ridge_used=None), "ridge_used must be a real number, got None"),
+        (lambda: solved_weights(ridge_used=-1.0), "ridge_used must be finite and >= 0, got -1.0"),
         (lambda: specport.seasonal_market_spec(noise_vol=None), "noise_vol must be a real number, got None"),
         (lambda: specport.seasonal_market_spec(mean_amp=True), "mean_amp must be a real number, got True"),
         (
@@ -179,6 +233,8 @@ SERIES = [0.01, -0.02, 0.03]
         "demean-int",
         "multiplier-str",
         "multiplier-bool",
+        "ridge-used-none",
+        "ridge-used-negative",
         "noise-vol-none",
         "mean-amp-bool",
         "mean-amp-complex",

@@ -368,7 +368,9 @@ def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, leng
     Both take bin m's phase at t mod p_m, so they agree at any t, whatever
     the grid's least common period L.  The error is measured against
     |Phi| |theta|, the scale of the terms summed: at a single sample the
-    terms can cancel, so |w(t)| alone is no bound on the rounding.
+    terms can cancel, so |w(t)| alone is no bound on the rounding.  The
+    complex product's imaginary part, which the synthesis discards, is
+    rounding only, within the same bound.
     """
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal(2 * grid.n_bins * n_assets) * 10.0 ** rng.uniform(-3, 3)
@@ -383,6 +385,9 @@ def test_retrieval_matches_augmented_synthesis(seed, grid, n_assets, start, leng
     assert path.shape == expected.shape == (length, n_assets)
     scale = np.abs(phases) @ np.abs(theta.reshape(2 * grid.n_bins, n_assets))
     assert np.max(np.abs(path - expected)) <= 1e-14 * np.max(scale)
+    full = weights.weights.full()
+    residual = np.array([(build_basis(s, grid, n_assets).values @ full).imag for s in t])
+    assert np.max(np.abs(residual)) <= 1e-14 * np.max(scale)
 
 
 _INT_TYPES = (int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)

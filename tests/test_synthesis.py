@@ -165,8 +165,7 @@ class TestPanels:
         panel = synthesize_values(spec)
         scale = np.max(np.abs(panel))
         for t in range(48):
-            noise = AugmentedVector.from_upper(complex_noise(spec, t + 1)[t])
-            coefficients = AugmentedVector(upper=mean.upper + noise.upper, lower=mean.lower + noise.lower)
+            coefficients = AugmentedVector(mean.upper + complex_noise(spec, t + 1)[t])
             expected = synthesize_time_value(build_basis(t, grid, 2), coefficients)
             assert np.max(np.abs(panel[t] - expected)) <= 1e-12 * scale
 
