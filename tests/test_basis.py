@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from specport import (
+    AugmentedSpectralBasis,
     AugmentedVector,
     FrequencyGrid,
     ValidationError,
@@ -143,6 +144,15 @@ class TestBuildBasis:
             with pytest.raises(ValidationError, match=f"^n_assets must be an integer, got {re.escape(repr(n_assets))}$"):
                 build_basis(0, grid, n_assets)
 
+    @pytest.mark.parametrize("periods, n_assets", [((12,), 1), ((12,), 2), ((12, 6, 4), 1), ((12, 6), 3)])
+    def test_values_are_n_by_2mn(self, periods, n_assets):
+        # the values are computed from (t, grid, N), so they are N x 2MN and N is read back from their rows
+        grid = FrequencyGrid.from_periods(periods)
+        basis = AugmentedSpectralBasis(t=5, grid=grid, n_assets=n_assets)
+        assert basis.values.shape == (n_assets, 2 * grid.n_bins * n_assets)
+        assert basis.n_assets == n_assets and basis.half_columns == grid.n_bins * n_assets
+        assert not basis.values.flags.writeable
+
     @pytest.mark.parametrize("t", [1.5, 1.0, np.float64(3.0), True, "3", 2**63, -(2**63) - 1])
     def test_t_must_be_an_int64_integer(self, t):
         message = f"t: sample indices must be integers in the int64 range, got {t!r}"
@@ -180,9 +190,38 @@ class TestSynthesize:
             value = synthesize_time_value(build_basis(t, grid, 1), spectrum)
             assert value[0] == pytest.approx(math.sin(grid.omegas[0] * t), abs=1e-12)
 
-    def test_upper_must_be_a_vector(self):
-        with pytest.raises(ValidationError, match=r"^upper must be one-dimensional, got shape \(2, 1\)$"):
-            AugmentedVector(np.zeros((2, 1)))
+    @pytest.mark.parametrize("shape", [(2, 1), (), (1, 2, 1)])
+    def test_upper_must_be_a_vector(self, shape):
+        message = f"upper must be one-dimensional, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            AugmentedVector(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda grid: AugmentedVector(upper=np.ones(1), lower=np.ones(1)),
+            lambda grid: AugmentedSpectralBasis(t=0, grid=grid, n_assets=1, values=np.ones((1, 2))),
+        ],
+        ids=["vector-lower", "basis-values"],
+    )
+    def test_the_conjugate_half_is_not_a_parameter(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build(FrequencyGrid.from_periods((12,)))
+
+    @pytest.mark.parametrize(
+        "derived",
+        [lambda grid: (AugmentedVector(np.ones(1)), "lower"), lambda grid: (build_basis(1, grid, 1), "values")],
+        ids=["vector-lower", "basis-values"],
+    )
+    def test_the_conjugate_half_cannot_be_changed(self, derived):
+        # neither replaced on the instance nor written into: a conjugate-asymmetric spectrum or basis cannot be made
+        instance, name = derived(FrequencyGrid.from_periods((12,)))
+        value = getattr(instance, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, name, np.conj(value))
+        with pytest.raises(ValueError, match="read-only"):
+            value[..., -1] = 1.0 + 1.0j
+        assert getattr(instance, name) is value
 
     def test_spectrum_size_must_match_the_basis(self):
         grid = FrequencyGrid.from_periods((12,))

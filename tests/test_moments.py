@@ -445,9 +445,20 @@ class TestPsd:
         assert not psd.matrices.flags.writeable
         assert np.array_equal(psd.trace_per_bin(), [2.0, 5.0])
 
-    def test_is_built_from_spectral_moments_only(self):
-        with pytest.raises(ValidationError, match="^moments must be SpectralMoments, got FrequencyGrid$"):
-            PsdMatrix(FrequencyGrid.from_periods((12, 6)))
+    @pytest.mark.parametrize(
+        "moments, name",
+        [
+            (FrequencyGrid.from_periods((12, 6)), "FrequencyGrid"),
+            ((np.eye(2), np.eye(2)), "tuple"),
+            (np.ones((2, 2, 2)), "ndarray"),
+            (None, "NoneType"),
+        ],
+        ids=["grid", "matrices-tuple", "matrices-array", "none"],
+    )
+    def test_is_built_from_spectral_moments_only(self, moments, name):
+        # the per-bin matrices are computed from the moments, never given
+        with pytest.raises(ValidationError, match=f"^moments must be SpectralMoments, got {name}$"):
+            PsdMatrix(moments)
 
     def test_zero_mean_reduces_to_covariance(self):
         rng = np.random.default_rng(9)
