@@ -1,4 +1,7 @@
-"""Price ingestion, return computation, sample splitting, and the backtest protocol.
+"""Price ingestion into returns, sample splitting, and the backtest protocol.
+
+Prices are only a file format: :func:`ingest_csv` reads a price CSV straight
+into the :class:`ReturnsPanel` of its simple returns, the one panel type.
 
 The protocol: estimate spectral moments on the in-sample window, solve the
 frequency-domain allocation once, then hold the resulting deterministic
@@ -40,11 +43,9 @@ from .moments import SpectralMoments, estimate_moments, write_moments_csv
 from .optimize import RiskSpec, equal_weight, retrieve_allocation, solve_classical_mvo, solve_spectral_mvo
 
 __all__ = [
-    "PricePanel",
     "ReturnsPanel",
     "ingest_csv",
     "read_returns_csv",
-    "compute_returns",
     "split_sample",
     "run_strategy",
     "sharpe_ratio",
@@ -92,58 +93,23 @@ def _name_clashes(names: Sequence[str], unit: str, first: int) -> str:
     )
 
 
-def _validate_panel(panel, value_field: str, floor: float, message: str, *counts: str) -> None:
-    """Check and store ``panel``'s timestamps, asset names, ``value_field`` array and ``counts`` fields.
-
-    The checks fail in that order.  Each entry of the finite real array must
-    exceed ``floor`` (``message`` otherwise), and each ``counts`` field be an
-    integer >= 1.  A non-finite entry or one at or below the floor is named by
-    the timestamp and the asset of the first such entry.  The array may be the
-    caller's own, so it is frozen only after every check has passed.
-    """
-    timestamps = tuple(panel.timestamps)
-    for prev, cur in zip(timestamps, timestamps[1:]):
-        if type(cur) is not type(prev):
-            raise ValidationError("timestamps mix integer and date types")
-        if not cur > prev:
-            raise ValidationError(f"timestamps not strictly increasing at {cur}")
-    names = tuple(panel.asset_names)
-    clashes = _name_clashes(names, "positions", 0)
-    if clashes:
-        raise ValidationError(f"asset names must be distinct and non-blank: {clashes}")
-    values = _real_array(value_field, getattr(panel, value_field), (len(timestamps), len(names)))
-
-    def first(bad: np.ndarray) -> str:  # only on the error path: a passing panel builds one mask per check
-        row, column = np.argwhere(bad)[0]
-        return f"the first at {timestamps[row]}, asset {names[column]!r}"
-
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{value_field} has non-finite entries: {first(~np.isfinite(values))}")
-    if np.any(values <= floor):
-        raise ValidationError(f"{message}: {first(values <= floor)}")
-    checked = {name: _count(name, getattr(panel, name)) for name in counts}
-    _store(panel, timestamps=timestamps, asset_names=names, **{value_field: values}, **checked)
-
-
-@dataclass(frozen=True, eq=False)
-class PricePanel:
-    """Strictly positive prices on strictly increasing timestamps, one distinct non-blank name per asset."""
-
-    timestamps: tuple
-    prices: np.ndarray
-    asset_names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        _validate_panel(self, "prices", 0.0, "prices must be strictly positive")
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.asset_names)
+def _first_at(bad: np.ndarray, timestamps: Sequence, names: Sequence[str]) -> str:
+    """Name the first true entry of the (T, N) mask ``bad``: "the first at <timestamp>, asset '<name>'"."""
+    row, column = np.argwhere(bad)[0]
+    return f"the first at {timestamps[row]}, asset {names[column]!r}"
 
 
 @dataclass(frozen=True, eq=False)
 class ReturnsPanel:
-    """Simple returns per period; each entry > -1 (prices are positive); names as in :class:`PricePanel`."""
+    """Simple returns per period on strictly increasing timestamps, one distinct non-blank name per asset.
+
+    Each return is finite and exceeds -1 (a price stays positive), and
+    ``periods_per_year`` is an integer >= 1.  The checks fail in the order
+    timestamps, asset names, returns, ``periods_per_year``; a non-finite
+    return, or one at or below -1, is named by the timestamp and the asset of
+    the first such entry.  The array may be the caller's own, so it is frozen
+    only after every check has passed.
+    """
 
     timestamps: tuple
     returns: np.ndarray
@@ -151,7 +117,25 @@ class ReturnsPanel:
     asset_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        _validate_panel(self, "returns", -1.0, "returns must exceed -1 (total loss)", "periods_per_year")
+        timestamps = tuple(self.timestamps)
+        for prev, cur in zip(timestamps, timestamps[1:]):
+            if type(cur) is not type(prev):
+                raise ValidationError("timestamps mix integer and date types")
+            if not cur > prev:
+                raise ValidationError(f"timestamps not strictly increasing at {cur}")
+        names = tuple(self.asset_names)
+        clashes = _name_clashes(names, "positions", 0)
+        if clashes:
+            raise ValidationError(f"asset names must be distinct and non-blank: {clashes}")
+        returns = _real_array("returns", self.returns, (len(timestamps), len(names)))
+        finite = np.isfinite(returns)
+        if not finite.all():
+            raise ValidationError(f"returns has non-finite entries: {_first_at(~finite, timestamps, names)}")
+        total_loss = returns <= -1.0
+        if total_loss.any():
+            raise ValidationError(f"returns must exceed -1 (total loss): {_first_at(total_loss, timestamps, names)}")
+        periods_per_year = _count("periods_per_year", self.periods_per_year)
+        _store(self, timestamps=timestamps, asset_names=names, returns=returns, periods_per_year=periods_per_year)
 
     @property
     def n_assets(self) -> int:
@@ -255,15 +239,25 @@ def _read_panel(path, require_positive: bool, min_rows: int):
     return timestamps, values[usable], names
 
 
-def ingest_csv(path) -> PricePanel:
-    """Read a price panel CSV: header ``date,ASSET1,...``, ISO dates, decimal prices.
+def ingest_csv(path, periods_per_year: int = 12) -> ReturnsPanel:
+    """Read a price panel CSV into the ReturnsPanel of its simple returns.
 
-    Rows with missing or non-positive cells are dropped with a logged warning
-    and count; fewer than 3 usable rows, duplicate timestamps or non-increasing
-    dates are errors with row context.
+    The file has a header ``date,ASSET1,...``, then one row of decimal prices
+    per timestamp (an ISO date or an integer index).  Rows with missing or
+    non-positive cells are dropped with a logged warning and count; fewer
+    than 3 usable rows, duplicate timestamps or non-increasing dates are
+    errors with row context.  Each return is (p(t) - p(t-1)) / p(t-1) of two
+    consecutive kept rows and carries the later row's timestamp, so a row
+    dropped between kept rows leaves a return that spans two periods at one
+    sample index.  A return that overflows float64 is refused by
+    :class:`ReturnsPanel`, which names its row and asset.
     """
     timestamps, prices, names = _read_panel(path, require_positive=True, min_rows=3)
-    return PricePanel(timestamps=timestamps, prices=prices, asset_names=names)
+    with np.errstate(over="ignore"):
+        returns = prices[1:] / prices[:-1] - 1.0
+    return ReturnsPanel(
+        timestamps=timestamps[1:], returns=returns, periods_per_year=periods_per_year, asset_names=names
+    )
 
 
 def read_returns_csv(path, periods_per_year: int = 12) -> ReturnsPanel:
@@ -271,22 +265,6 @@ def read_returns_csv(path, periods_per_year: int = 12) -> ReturnsPanel:
     timestamps, returns, names = _read_panel(path, require_positive=False, min_rows=2)
     return ReturnsPanel(
         timestamps=timestamps, returns=returns, periods_per_year=periods_per_year, asset_names=names
-    )
-
-
-def compute_returns(panel: PricePanel, periods_per_year: int = 12) -> ReturnsPanel:
-    """Simple returns (p(t) - p(t-1)) / p(t-1); timestamps follow the later price.
-
-    A return that overflows float64 is refused by :class:`ReturnsPanel`, which names its row and asset.
-    """
-    prices = panel.prices
-    with np.errstate(over="ignore"):
-        returns = prices[1:] / prices[:-1] - 1.0
-    return ReturnsPanel(
-        timestamps=panel.timestamps[1:],
-        returns=returns,
-        periods_per_year=periods_per_year,
-        asset_names=panel.asset_names,
     )
 
 
@@ -359,8 +337,8 @@ def sharpe_ratio(series, periods_per_year: int) -> float:
 class ProtocolConfig:
     """Configuration for one full backtest run.
 
-    ``data`` is a CSV path read as ``input_type``, a PricePanel, or a
-    ReturnsPanel with the config's ``periods_per_year`` (an integer >= 1).
+    ``data`` is a CSV path read as ``input_type``, or a ReturnsPanel with
+    the config's ``periods_per_year`` (an integer >= 1).
     ``grids`` lists the period subsets to solve, one spectral strategy each;
     it must be non-empty and no two subsets may hold the same set of periods.
     ``sigma0_annual`` must be a positive finite real number and ``ridge``
@@ -395,8 +373,8 @@ class ProtocolConfig:
         if not isinstance(self.demean, (bool, np.bool_)):
             raise ValidationError(f"demean must be a bool, got {self.demean!r}")
         data = self.data
-        if not isinstance(data, (str, Path, PricePanel, ReturnsPanel)):
-            raise ValidationError(f"data is not a CSV path, PricePanel or ReturnsPanel: {type(data).__name__}")
+        if not isinstance(data, (str, Path, ReturnsPanel)):
+            raise ValidationError(f"data is not a CSV path or ReturnsPanel: {type(data).__name__}")
         if isinstance(data, ReturnsPanel) and data.periods_per_year != ppy:
             raise ValidationError(f"data has periods_per_year {data.periods_per_year} but config has {ppy}")
         _finite_scalar("sigma0_annual", self.sigma0_annual, positive=True)
@@ -578,14 +556,11 @@ def _slugify(label: str) -> str:
 
 
 def _load_returns(data, input_type: str, periods_per_year: int = 12) -> ReturnsPanel:
-    """The returns behind ``data``: a ReturnsPanel, a PricePanel, or a CSV path of ``input_type``."""
+    """The returns behind ``data``: a ReturnsPanel, or a CSV path read as ``input_type``."""
     if isinstance(data, ReturnsPanel):
         return data
-    if isinstance(data, PricePanel):
-        return compute_returns(data, periods_per_year)
-    if input_type == "returns":
-        return read_returns_csv(data, periods_per_year)
-    return compute_returns(ingest_csv(data), periods_per_year)
+    reader = read_returns_csv if input_type == "returns" else ingest_csv
+    return reader(data, periods_per_year)
 
 
 @contextlib.contextmanager

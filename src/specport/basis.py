@@ -146,8 +146,9 @@ class AugmentedVector:
     """A frequency-domain vector u stacked with its conjugate: [u; conj(u)].
 
     ``upper`` holds the M*N coefficients u (bin-major: bin 0 assets, bin 1
-    assets, ...), a one-dimensional array; any other shape is a
-    ValidationError.  ``lower`` is conj(upper), computed on first access and
+    assets, ...), a one-dimensional array of finite numbers; a non-number,
+    ragged rows, another shape or a non-finite entry is a ValidationError
+    naming ``upper``.  ``lower`` is conj(upper), computed on first access and
     read-only, so the vector is conjugate-symmetric by construction, which
     is what makes the synthesized time-domain value real.
     """
@@ -155,9 +156,14 @@ class AugmentedVector:
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        upper = np.asarray(self.upper, dtype=np.complex128)
+        try:
+            upper = np.asarray(self.upper, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"upper must hold numbers: {exc}") from exc
         if upper.ndim != 1:
             raise ValidationError(f"upper must be one-dimensional, got shape {upper.shape}")
+        if not np.isfinite(upper).all():
+            raise ValidationError("upper has non-finite entries")
         _store(self, upper=upper)
 
     @cached_property

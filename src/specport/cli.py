@@ -34,8 +34,8 @@ import numpy as np
 from . import __version__
 from .backtest import (
     PERIOD_LETTERS,
-    PricePanel,
     ProtocolConfig,
+    _first_at,
     _load_returns,
     _stage,
     _write_table,
@@ -186,12 +186,18 @@ def _cmd_synth(args) -> int:
 
     with _stage("synth"):
         panel = synthesize_panel(spec, asset_names=[f"SYN{i + 1}" for i in range(spec.n_assets)])
+        timestamps, values = panel.timestamps, panel.returns
         if out_format == "prices":
-            prices = [np.full((1, spec.n_assets), 100.0), 100.0 * np.cumprod(1.0 + panel.returns, axis=0)]
-            panel = PricePanel(timestamps=dates, prices=np.vstack(prices), asset_names=panel.asset_names)
+            # every return exceeds -1, but a long run of them can underflow a price to 0
+            timestamps = dates
+            values = np.vstack([np.full((1, spec.n_assets), 100.0), 100.0 * np.cumprod(1.0 + values, axis=0)])
+            if not (values > 0.0).all():
+                raise ValidationError(
+                    f"prices must be strictly positive: {_first_at(values <= 0.0, dates, panel.asset_names)}"
+                )
     with _writing(out):
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_table(out, ["date", *panel.asset_names], panel.timestamps, getattr(panel, out_format))
+        _write_table(out, ["date", *panel.asset_names], timestamps, values)
         _write_config_echo(out.with_name(out.name + ".config.json"), args, out=str(out), format=out_format)
     print(f"wrote {spec.horizon} samples x {spec.n_assets} assets to {out}")
     return 0

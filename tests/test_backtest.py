@@ -16,11 +16,9 @@ from specport import (
     DegenerateMeanError,
     FrequencyGrid,
     IngestionError,
-    PricePanel,
     ProtocolConfig,
     ReturnsPanel,
     ValidationError,
-    compute_returns,
     equal_weight,
     ingest_csv,
     read_returns_csv,
@@ -46,9 +44,9 @@ class TestIngest:
     def test_well_formed(self, tmp_path):
         path = write_csv(tmp_path, "date,AA,BB\n2020-01-01,100,200\n2020-02-01,110,190\n2020-03-01,99,210\n")
         panel = ingest_csv(path)
-        assert panel.prices.shape == (3, 2)
+        assert panel.returns.shape == (2, 2)
         assert panel.asset_names == ("AA", "BB")
-        assert panel.timestamps[0] == datetime.date(2020, 1, 1)
+        assert panel.timestamps == (datetime.date(2020, 2, 1), datetime.date(2020, 3, 1))
 
     def test_blank_cell_dropped_with_warning(self, tmp_path, caplog):
         path = write_csv(
@@ -57,7 +55,7 @@ class TestIngest:
         )
         with caplog.at_level(logging.WARNING, logger="specport.backtest"):
             panel = ingest_csv(path)
-        assert panel.prices.shape == (3, 2)
+        assert panel.returns.shape == (2, 2)
         assert sum("dropping unusable row" in r.message for r in caplog.records) == 1
 
     def test_non_positive_price_dropped(self, tmp_path, caplog):
@@ -67,7 +65,7 @@ class TestIngest:
         )
         with caplog.at_level(logging.WARNING, logger="specport.backtest"):
             panel = ingest_csv(path)
-        assert panel.prices.shape == (3, 1)
+        assert panel.returns.shape == (2, 1)
 
     def test_non_increasing_dates_error_names_row(self, tmp_path):
         path = write_csv(
@@ -112,20 +110,15 @@ class TestIngest:
             with pytest.raises(IngestionError, match=f"^{re.escape(message)}$"):
                 reader(path)
 
-    @pytest.mark.parametrize("panel_type", ["prices", "returns"])
     @pytest.mark.parametrize(
         "names, named", [(("AA", "AA"), "'AA' at positions 0, 1"), (("AA", " "), "blank at positions 1")]
     )
-    def test_panels_reject_blank_or_repeated_asset_names(self, panel_type, names, named):
+    def test_panels_reject_blank_or_repeated_asset_names(self, names, named):
         timestamps, values = (0, 1, 2), np.full((3, 2), 0.5)
         message = f"asset names must be distinct and non-blank: {named}"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            if panel_type == "prices":
-                PricePanel(timestamps=timestamps, prices=values, asset_names=names)
-            else:
-                ReturnsPanel(timestamps=timestamps, returns=values, periods_per_year=12, asset_names=names)
+            ReturnsPanel(timestamps=timestamps, returns=values, periods_per_year=12, asset_names=names)
 
-    @pytest.mark.parametrize("panel_type", ["prices", "returns"])
     @pytest.mark.parametrize(
         "timestamps, values, match",
         [
@@ -133,38 +126,30 @@ class TestIngest:
             ((0, 2, 1), np.full((3, 2), 0.5), "timestamps not strictly increasing at 1"),
             ((0, 1, 2), np.full((2, 2), 0.5), r"shape \(2, 2\) does not match \(3, 2\)"),
             ((0, 1, 2), np.full(3, 0.5), r"shape \(3,\) does not match \(3, 2\)"),
-            ((0, 1, 2), np.where(np.eye(3, 2) == 1.0, np.inf, 0.5), "has non-finite entries"),
+            (
+                (0, 1, 2),
+                np.where(np.eye(3, 2) == 1.0, np.inf, 0.5),
+                "^returns has non-finite entries: the first at 0, asset 'AA'$",
+            ),
             ((0, 1, 2), np.full((3, 2), 0.5 + 0.5j), "must be real"),
         ],
     )
-    def test_panels_reject_bad_timestamps_or_values(self, panel_type, timestamps, values, match):
+    def test_panels_reject_bad_timestamps_or_values(self, timestamps, values, match):
         with pytest.raises(ValidationError, match=match):
-            if panel_type == "prices":
-                PricePanel(timestamps=timestamps, prices=values, asset_names=("AA", "BB"))
-            else:
-                ReturnsPanel(timestamps=timestamps, returns=values, periods_per_year=12, asset_names=("AA", "BB"))
+            ReturnsPanel(timestamps=timestamps, returns=values, periods_per_year=12, asset_names=("AA", "BB"))
 
-    def test_prices_must_be_positive(self):
-        with pytest.raises(ValidationError, match="prices must be strictly positive"):
-            PricePanel(timestamps=(0, 1), prices=[[1.0], [0.0]], asset_names=("AA",))
-
-    @pytest.mark.parametrize(
-        "panel_type, match", [("prices", "prices must be strictly positive"), ("returns", "returns must exceed -1")]
-    )
-    def test_rejected_panel_leaves_the_callers_array_writeable(self, panel_type, match):
+    def test_rejected_panel_leaves_the_callers_array_writeable(self):
         # the constructor freezes the caller's own float64 array only once every check has passed
         def build(values):
-            if panel_type == "prices":
-                return PricePanel(timestamps=(0, 1, 2), prices=values, asset_names=("AA",))
             return ReturnsPanel(timestamps=(0, 1, 2), returns=values, periods_per_year=12, asset_names=("AA",))
 
         values = np.full((3, 1), -2.0)
-        with pytest.raises(ValidationError, match=re.escape(match)):
+        with pytest.raises(ValidationError, match=re.escape("returns must exceed -1")):
             build(values)
         assert values.flags.writeable
         values[:] = 0.5
         panel = build(values)
-        assert getattr(panel, panel_type) is values and not values.flags.writeable
+        assert panel.returns is values and not values.flags.writeable
 
     @pytest.mark.parametrize(
         "periods_per_year, match",
@@ -221,7 +206,7 @@ class TestIngest:
     def test_integer_timestamps_accepted(self, tmp_path):
         path = write_csv(tmp_path, "t,AA\n0,100\n1,101\n2,103\n")
         panel = ingest_csv(path)
-        assert panel.timestamps == (0, 1, 2)
+        assert panel.timestamps == (1, 2)
 
     # ISO week dates: date.fromisoformat reads them from Python 3.11 on, as 2014-12-29; and int() reads
     # underscores and non-ASCII digits (fullwidth, Arabic-Indic), which are no documented form either
@@ -291,13 +276,13 @@ class TestDropPolicy:
         assert sum("dropped 1 unusable row(s)" in r.getMessage() for r in caplog.records) == 1
         clean = ingest_csv(write_csv(tmp_path, "\n".join([HEADER, *CLEAN_ROWS]) + "\n", "clean.csv"))
         assert panel.timestamps == clean.timestamps
-        assert np.array_equal(panel.prices, clean.prices)
+        assert np.array_equal(panel.returns, clean.returns)
 
     def test_padded_cell_kept(self, tmp_path, caplog):
         path = write_csv(tmp_path, "date,AA\n2020-01-01,100\n2020-02-01, 101.5 \n2020-03-01,99\n")
         with caplog.at_level(logging.WARNING, logger="specport.backtest"):
             panel = ingest_csv(path)
-        assert panel.prices[:, 0].tolist() == [100.0, 101.5, 99.0]
+        assert panel.returns[:, 0].tolist() == [101.5 / 100.0 - 1.0, 99.0 / 101.5 - 1.0]
         assert caplog.records == []
 
     def test_returns_keep_negative_drop_nan_reject_total_loss(self, tmp_path, caplog):
@@ -321,7 +306,7 @@ class TestDropPolicy:
             panel = ingest_csv(write_csv(tmp_path, text))
         assert dropped_rows(caplog) == ["3", "4", "6", "7"]
         assert caplog.records[-1].getMessage().endswith("dropped 4 unusable row(s)")
-        assert panel.prices[:, 0].tolist() == [100.0, 101.0, 102.0, 103.0]
+        assert panel.returns[:, 0].tolist() == [101.0 / 100.0 - 1.0, 102.0 / 101.0 - 1.0, 103.0 / 102.0 - 1.0]
 
     @pytest.mark.parametrize(
         "damaged, interior",
@@ -334,7 +319,7 @@ class TestDropPolicy:
         path = write_csv(tmp_path, "\n".join(["date,AA", *rows]) + "\n")
         with caplog.at_level(logging.WARNING, logger="specport.backtest"):
             panel = ingest_csv(path)
-        assert len(panel.timestamps) == 7 - len(damaged)
+        assert len(panel.timestamps) == 6 - len(damaged)
         messages = [r.getMessage() for r in caplog.records]
         assert messages[: len(damaged)] == [f"{path}: dropping unusable row {row}" for row in damaged]
         assert messages[-1] == f"{path}: dropped {len(damaged)} unusable row(s)"
@@ -352,27 +337,49 @@ class TestDropPolicy:
 
 
 class TestReturns:
+    """ingest_csv returns the simple returns of the prices in its file."""
+
+    def test_bundled_returns_are_the_price_ratios_bit_for_bit(self):
+        with DATA.open(newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        prices = np.array([[float(cell) for cell in row[1:]] for row in rows])
+        returns = ingest_csv(DATA, 4)
+        assert np.array_equal(returns.returns, prices[1:] / prices[:-1] - 1.0)
+        assert returns.timestamps == tuple(parse_timestamp(row[0]) for row in rows[1:])
+        assert returns.periods_per_year == 4
+
+    def test_periods_per_year_is_an_integer_count(self):
+        with pytest.raises(ValidationError, match="^periods_per_year must be >= 1, got 0$"):
+            ingest_csv(DATA, 0)
+
     def test_single_step(self, tmp_path):
         path = write_csv(tmp_path, "date,AA\n2020-01-01,100\n2020-02-01,110\n2020-03-01,110\n")
-        returns = compute_returns(ingest_csv(path), 12)
+        returns = ingest_csv(path)
         assert returns.returns[0, 0] == pytest.approx(0.10)
         assert returns.returns[1, 0] == pytest.approx(0.0)
 
     def test_constant_prices_zero_returns(self, tmp_path):
         path = write_csv(tmp_path, "date,AA\n2020-01-01,50\n2020-02-01,50\n2020-03-01,50\n")
-        returns = compute_returns(ingest_csv(path), 12)
+        returns = ingest_csv(path)
         assert np.array_equal(returns.returns, np.zeros((2, 1)))
 
     def test_hand_arithmetic(self, tmp_path):
         # (100, 110, 99) -> (0.10, -0.10)
         path = write_csv(tmp_path, "date,AA\n2020-01-01,100\n2020-02-01,110\n2020-03-01,99\n")
-        returns = compute_returns(ingest_csv(path), 12)
+        returns = ingest_csv(path)
         assert np.allclose(returns.returns[:, 0], [0.10, -0.10], atol=1e-15)
 
     def test_timestamps_follow_later_price(self, tmp_path):
         path = write_csv(tmp_path, "date,AA\n2020-01-01,100\n2020-02-01,110\n2020-03-01,99\n")
-        returns = compute_returns(ingest_csv(path), 12)
+        returns = ingest_csv(path)
         assert returns.timestamps[0] == datetime.date(2020, 2, 1)
+
+    def test_a_row_dropped_between_kept_rows_leaves_a_two_period_return(self, tmp_path):
+        # the 2020-02 price is unusable, so the 2020-03 return runs from January and is held at one sample index
+        path = write_csv(tmp_path, "date,AA\n2020-01-01,100\n2020-02-01,nan\n2020-03-01,121\n2020-04-01,121\n")
+        returns = ingest_csv(path)
+        assert returns.timestamps == (datetime.date(2020, 3, 1), datetime.date(2020, 4, 1))
+        assert returns.returns[:, 0].tolist() == [121.0 / 100.0 - 1.0, 0.0]
 
     @pytest.mark.parametrize(
         "price, problem",
@@ -384,7 +391,7 @@ class TestReturns:
         text = f"date,AA,BB\n2020-01-01,100,200\n2020-02-01,110,{price}\n2020-03-01,99,210\n"
         message = f"{problem}: the first at 2020-03-01, asset 'BB'"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            compute_returns(ingest_csv(write_csv(tmp_path, text)), 12)
+            ingest_csv(write_csv(tmp_path, text))
 
 
 def integer_panel(values, ppy=12):
@@ -416,12 +423,12 @@ class TestSplit:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             split_sample(integer_panel(np.zeros(10)), "2015-01")
         with pytest.raises(ValidationError, match=r"^boundary 60 does not match the panel's timestamp type \(date\)$"):
-            split_sample(compute_returns(ingest_csv(DATA)), 60)
+            split_sample(ingest_csv(DATA), 60)
 
     def test_monthly_protocol_split(self):
         # monthly 2010-01..2020-05 prices, boundary 2015-01:
         # 59 in-sample returns (2010-02..2014-12), 65 out (2015-01..2020-05)
-        returns = compute_returns(ingest_csv(DATA), 12)
+        returns = ingest_csv(DATA)
         in_panel, out_panel = split_sample(returns, "2015-01")
         assert in_panel.n_samples == 59
         assert out_panel.n_samples == 65
@@ -580,7 +587,7 @@ class TestProtocol:
         month_rows = paths["allocation_by_month"].read_text().strip().splitlines()
         assert len(month_rows) == 13  # header + one row per calendar month
 
-    def test_a_price_panel_as_data_reports_as_its_csv_path(self):
+    def test_an_ingested_panel_as_data_reports_as_its_csv_path(self):
         from_panel = run_protocol(ProtocolConfig(data=ingest_csv(DATA), boundary="2015-01"))
         from_path = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01"))
         assert from_panel.render_text() == from_path.render_text()
@@ -681,9 +688,10 @@ class TestProtocol:
             ({"periods_per_year": 12.5}, "periods_per_year must be an integer, got 12.5"),
             ({"periods_per_year": 12.0}, "periods_per_year must be an integer, got 12.0"),
             ({"periods_per_year": True}, "periods_per_year must be an integer, got True"),
-            ({"data": 123}, "data is not a CSV path, PricePanel or ReturnsPanel: int"),
+            ({"data": 123}, "data is not a CSV path or ReturnsPanel: int"),
             ({"data": integer_panel(np.zeros(4), ppy=4)}, "data has periods_per_year 4 but config has 12"),
             ({"grids": ((12,), (6, 2))}, "grid subset 'S,2': periods must be >= 3 samples (period 2, the Nyquist bin, "),
+            ({"data": None}, "data is not a CSV path or ReturnsPanel: NoneType"),
         ],
     )
     def test_bad_fields_rejected_at_construction(self, tmp_path, fields, match):

@@ -197,6 +197,27 @@ class TestSynthesize:
             AugmentedVector(np.zeros(shape))
 
     @pytest.mark.parametrize(
+        "upper, message",
+        [
+            ([np.nan], "^upper has non-finite entries$"),
+            ([np.inf], "^upper has non-finite entries$"),
+            ([1.0, complex(0.0, -np.inf)], "^upper has non-finite entries$"),
+            ([None], "^upper has non-finite entries$"),  # numpy reads None as nan
+            (["a"], "^upper must hold numbers: "),
+            ([[1.0], [1.0, 2.0]], "^upper must hold numbers: "),
+        ],
+        ids=["nan", "inf", "complex-inf", "none", "string", "ragged"],
+    )
+    def test_upper_must_hold_finite_numbers(self, upper, message):
+        with pytest.raises(ValidationError, match=message):
+            AugmentedVector(upper)
+
+    def test_upper_takes_finite_numbers_of_any_kind(self):
+        vector = AugmentedVector([1, 2.5, 3j, np.float32(0.5)])
+        assert vector.upper.dtype == np.complex128
+        assert vector.upper.tolist() == [1.0, 2.5, 3j, 0.5]
+
+    @pytest.mark.parametrize(
         "build",
         [
             lambda grid: AugmentedVector(upper=np.ones(1), lower=np.ones(1)),

@@ -133,6 +133,11 @@ class TestSynth:
                 ["--mean-amp", "1e200", "--noise-vol", "0", "--n-assets", "1", "-T", "3", "--seed", "2"],
                 "[stage: synth] the data overflow float64: overflow encountered in accumulate",
             ),
+            # every return exceeds -1, but the prices cumulated from them underflow to 0
+            (
+                ["--mean-amp", "0.69", "--noise-vol", "0.001", "-T", "6000", "--periods", "12", "--n-assets", "2"],
+                "[stage: synth] prices must be strictly positive: the first at 2325-09-01, asset 'SYN1'",
+            ),
             (["--noise-vol", "1e200"], "noise_vol 1e+200 is too large: its square overflows float64"),
             # refused before the draw: up to 1.4 sqrt(4) = 2.8 times 1e308 is beyond float64
             (
@@ -156,6 +161,7 @@ class TestSynth:
             "noise-vol-0.5",
             "mean-amp-1e200",
             "prices-overflow",
+            "prices-underflow",
             "noise-vol-1e200",
             "mean-amp-1e308",
             "n-assets-negative",
@@ -178,7 +184,7 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "flags, read, rows",
-        [([], ingest_csv, 121), (["--example1", "--format", "returns", "-T", "600"], read_returns_csv, 600)],
+        [([], ingest_csv, 120), (["--example1", "--format", "returns", "-T", "600"], read_returns_csv, 600)],
         ids=["default", "example1-returns"],
     )
     def test_output_reads_back_with_no_dropped_row(self, tmp_path, caplog, flags, read, rows):
@@ -259,11 +265,11 @@ class TestEstimate:
         assert (out_dir / "spectral_moments.csv").exists()
 
     def test_demean_estimates_on_demeaned_returns(self, tmp_path):
-        from specport import FrequencyGrid, compute_returns, estimate_moments, ingest_csv, read_moments_csv
+        from specport import FrequencyGrid, estimate_moments, ingest_csv, read_moments_csv
 
         argv = ["estimate", "--data", str(DATA), "--periods", "12,6", "--demean", "--out-dir", str(tmp_path / "est")]
         assert main(argv) == 0
-        values, grid = compute_returns(ingest_csv(DATA)).returns, FrequencyGrid.from_periods((12, 6))
+        values, grid = ingest_csv(DATA).returns, FrequencyGrid.from_periods((12, 6))
         expected = estimate_moments(values - values.mean(axis=0, keepdims=True), grid)
         plain = estimate_moments(values, grid)
         moments = read_moments_csv(tmp_path / "est" / "spectral_moments.csv")

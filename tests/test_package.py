@@ -64,9 +64,6 @@ FACTORIES = {
     specport.SynthSpec: lambda: specport.seasonal_market_spec(2, horizon=24),
     specport.RiskSpec: lambda: specport.RiskSpec(sigma0=0.01, ridge=1e-6),
     specport.SpectralWeights: lambda: specport.solve_spectral_mvo(estimated(), specport.RiskSpec(sigma0=0.01)),
-    specport.PricePanel: lambda: specport.PricePanel(
-        timestamps=(0, 1, 2), prices=np.array([[1.0], [1.5], [2.0]]), asset_names=("A",)
-    ),
     specport.ReturnsPanel: returns_panel,
     specport.ProtocolConfig: lambda: specport.ProtocolConfig(data="prices.csv", boundary="2015-01"),
     specport.StrategyResult: lambda: report().strategies[0],
@@ -80,7 +77,7 @@ PUBLIC_DATACLASSES = [
 
 
 def test_every_public_dataclass_has_a_factory():
-    assert len(PUBLIC_DATACLASSES) == 13
+    assert len(PUBLIC_DATACLASSES) == 12
     assert set(FACTORIES) == set(PUBLIC_DATACLASSES)
 
 
@@ -112,7 +109,6 @@ ARRAY_ASSETS = {
     specport.SpectralMoments: lambda moments: moments.managed_covariance.shape[0] // (2 * moments.grid.n_bins),
     specport.SynthSpec: lambda spec: spec.managed_covariance.shape[0] // (2 * spec.grid.n_bins),
     specport.SpectralWeights: lambda weights: weights.managed_weights.size // (2 * weights.grid.n_bins),
-    specport.PricePanel: lambda panel: panel.prices.shape[1],
     specport.ReturnsPanel: lambda panel: panel.returns.shape[1],
 }
 
@@ -174,7 +170,7 @@ def test_settable_values_are_counted():
         for obj in map(vars(specport).get, specport.__all__)
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException))
     ]
-    assert sum(len(inspect.signature(obj).parameters) for obj in callables) == 98
+    assert sum(len(inspect.signature(obj).parameters) for obj in callables) == 94
 
 
 def solved_weights(**fields):
