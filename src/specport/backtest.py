@@ -18,6 +18,8 @@ import csv
 import datetime
 import logging
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
@@ -76,6 +78,27 @@ def parse_timestamp(token: str):
         return rule(token)
     except ValueError:
         raise IngestionError(f"cannot parse timestamp {token!r} (expected int or ISO date)") from None
+
+
+def _boundary(value):
+    """The split boundary that ``value`` names: an integer index or a date.
+
+    An integer is an ``int`` or a numpy integer, not a bool or a float; a date
+    is a ``datetime.date`` that is not a ``datetime``; text is read by
+    :func:`parse_timestamp`.  Anything else, or text that does not parse, is a
+    ValidationError naming the boundary.
+    """
+    if isinstance(value, str):
+        try:
+            return parse_timestamp(value)
+        except IngestionError as exc:
+            raise ValidationError(f"boundary: {exc}") from exc
+    if isinstance(value, datetime.date) and not isinstance(value, datetime.datetime):
+        return value
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValidationError(f"boundary must be an integer index, a date or the text of either, got {value!r}")
 
 
 def _name_clashes(names: Sequence[str], unit: str, first: int) -> str:
@@ -271,11 +294,11 @@ def read_returns_csv(path, periods_per_year: int = 12) -> ReturnsPanel:
 def split_sample(returns: ReturnsPanel, boundary) -> tuple[ReturnsPanel, ReturnsPanel]:
     """Split into (strictly before boundary, at/after boundary).
 
-    The boundary must fall strictly inside the timestamp range so both sides
-    are non-empty; the union is the original panel.
+    The boundary is an integer index or a date, or the text of either, of the
+    panel's timestamp type.  It must fall strictly inside the timestamp range
+    so both sides are non-empty; the union is the original panel.
     """
-    if isinstance(boundary, str):
-        boundary = parse_timestamp(boundary)
+    boundary = _boundary(boundary)
     first = returns.timestamps[0]
     if isinstance(boundary, datetime.date) != isinstance(first, datetime.date):
         raise ValidationError(
@@ -298,7 +321,7 @@ def _as_path(allocation, shape: tuple[int, int]) -> np.ndarray:
         raise ValidationError(
             f"allocation shape {array.shape} matches neither the returns {shape} nor one row {shape[1:]}"
         )
-    return np.broadcast_to(_finite_real("allocation", array, array.shape), shape)
+    return np.broadcast_to(_finite_real("allocation", array), shape)
 
 
 def run_strategy(returns_out: ReturnsPanel, allocation) -> np.ndarray:
@@ -318,10 +341,11 @@ def sharpe_ratio(series, periods_per_year: int) -> float:
     """Annualized mean-to-standard-deviation ratio; NaN when the variance is zero.
 
     Sample standard deviation (denominator T-1), annualization by
-    sqrt(periods_per_year), an integer >= 1.
+    sqrt(periods_per_year), an integer >= 1.  ``series`` is a finite real
+    array of at least 2 returns, checked as every real array is.
     """
     periods_per_year = _count("periods_per_year", periods_per_year)
-    series = np.asarray(series, dtype=np.float64)
+    series = _finite_real("series", series)
     if series.ndim != 1 or series.size < 2:
         raise ValidationError("need a series of at least 2 returns")
     std = float(np.std(series, ddof=1))
@@ -344,8 +368,9 @@ class ProtocolConfig:
     ``sigma0_annual`` must be a positive finite real number and ``ridge``
     None or a finite real number >= 0, each named as itself when refused;
     the target is converted to a per-period one by dividing by
-    sqrt(periods_per_year).  A string ``boundary`` must parse as an integer
-    index or an ISO date; it is kept as given.  ``demean`` must be a bool.
+    sqrt(periods_per_year).  ``boundary`` must be an integer index or a
+    date, or the text of either (the rule of :func:`split_sample`); it is
+    kept as given.  ``demean`` must be a bool.
     Every field is checked here, before any data is read;
     ``frequency_grids`` holds the :class:`FrequencyGrid` of each subset of
     ``grids``, in order.
@@ -364,11 +389,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.input_type not in ("prices", "returns"):
             raise ValidationError(f"input_type must be 'prices' or 'returns', got {self.input_type!r}")
-        if isinstance(self.boundary, str):
-            try:
-                parse_timestamp(self.boundary)
-            except IngestionError as exc:
-                raise ValidationError(f"boundary: {exc}") from exc
+        _boundary(self.boundary)
         ppy = _count("periods_per_year", self.periods_per_year)
         if not isinstance(self.demean, (bool, np.bool_)):
             raise ValidationError(f"demean must be a bool, got {self.demean!r}")
@@ -398,16 +419,49 @@ class ProtocolConfig:
 
 @dataclass(frozen=True, eq=False)
 class StrategyResult:
+    """The allocation ``name`` held over the out-of-sample ``panel``, and the statistics of its returns there.
+
+    ``allocations`` is a length-N vector held every period or a (T, N) path
+    aligned with the panel's rows, checked as :func:`run_strategy` checks it
+    and stored as the read-only (T, N) path.  Every other field is derived:
+    ``slug`` is ``name`` in lower case with each run of characters other than
+    ASCII letters and digits turned into ``_`` and none at either end
+    (``Spectral MVO (A,S)`` -> ``spectral_mvo_a_s``); ``portfolio_returns``
+    is :func:`run_strategy` of the path, ``cumulative`` its compounded return
+    to each period, and ``sharpe`` and ``annualized_vol`` its Sharpe ratio and
+    sample volatility at the panel's ``periods_per_year``.  A ``name`` that is
+    not text holding a letter or digit, or a ``panel`` that is not a
+    ReturnsPanel, is a ValidationError.
+    """
+
     name: str
-    slug: str
-    sharpe: float
-    annualized_vol: float
-    portfolio_returns: np.ndarray
-    cumulative: np.ndarray
     allocations: np.ndarray
+    panel: ReturnsPanel
+    slug: str = field(init=False)
+    portfolio_returns: np.ndarray = field(init=False, repr=False)
+    cumulative: np.ndarray = field(init=False, repr=False)
+    sharpe: float = field(init=False)
+    annualized_vol: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _store(self)
+        slug = re.sub("[^a-z0-9]+", "_", self.name.lower()).strip("_") if isinstance(self.name, str) else ""
+        if not slug:
+            raise ValidationError(f"name must be text holding a letter or digit, got {self.name!r}")
+        if not isinstance(self.panel, ReturnsPanel):
+            raise ValidationError(f"panel is not a ReturnsPanel: {type(self.panel).__name__}")
+        ppy = self.panel.periods_per_year
+        path = _as_path(self.allocations, self.panel.returns.shape)
+        series = run_strategy(self.panel, path)
+        cumulative = np.cumprod(1.0 + series) - 1.0
+        _store(
+            self,
+            slug=slug,
+            allocations=path,
+            portfolio_returns=series,
+            cumulative=cumulative,
+            sharpe=sharpe_ratio(series, ppy),
+            annualized_vol=float(np.std(series, ddof=1)) * math.sqrt(ppy),
+        )
 
     @property
     def total_return(self) -> float:
@@ -421,11 +475,27 @@ class StrategyResult:
 
 @dataclass(frozen=True, eq=False)
 class BacktestReport:
+    """The strategies held over one out-of-sample ``panel``, the run's settings and its last spectral moments.
+
+    ``metadata`` holds the run's settings as text; the report's timestamps,
+    asset names and ``periods_per_year`` are the panel's.  Each strategy must
+    be held over ``panel`` itself, and no two may share a slug (each names
+    its allocation file); either is a ValidationError.
+    """
+
     strategies: tuple[StrategyResult, ...]
-    out_timestamps: tuple
-    asset_names: tuple[str, ...]
+    panel: ReturnsPanel
     metadata: dict = field(default_factory=dict)
     moments: SpectralMoments | None = None
+
+    def __post_init__(self) -> None:
+        strategies = tuple(self.strategies)
+        if any(s.panel is not self.panel for s in strategies):
+            raise ValidationError("every strategy must be held over the report's panel")
+        clashes = _name_clashes([s.slug for s in strategies], "positions", 0)
+        if clashes:
+            raise ValidationError(f"strategy slugs must be distinct: {clashes}")
+        _store(self, strategies=strategies)
 
     def strategy(self, slug: str) -> StrategyResult:
         for result in self.strategies:
@@ -435,7 +505,13 @@ class BacktestReport:
 
     def render_text(self) -> str:
         lines = ["backtest report", "=" * 15, ""]
-        header = {**self.metadata, "assets": ",".join(self.asset_names)}
+        panel = self.panel
+        header = {
+            **self.metadata,
+            "assets": ",".join(panel.asset_names),
+            "periods_per_year": str(panel.periods_per_year),
+            "out_sample_returns": str(panel.n_samples),
+        }
         for key in sorted(header):
             lines.append(f"{key}: {header[key]}")
         lines.append("")
@@ -460,9 +536,10 @@ class BacktestReport:
     def write_outputs(self, out_dir) -> dict[str, Path]:
         """Write report.txt plus the CSV artifacts; returns the paths written.
 
-        The allocation tables have one column per name in ``asset_names``.
+        The allocation tables have one column per asset of the panel.
         """
         out_dir = Path(out_dir)
+        stamps, names = self.panel.timestamps, self.panel.asset_names
         out_dir.mkdir(parents=True, exist_ok=True)
         paths: dict[str, Path] = {}
 
@@ -473,7 +550,7 @@ class BacktestReport:
         cum_path = out_dir / "cumulative_returns.csv"
         cumulative = np.column_stack([s.cumulative for s in self.strategies])
         slugs = [s.slug for s in self.strategies]
-        _write_table(cum_path, ["timestamp"] + slugs, self.out_timestamps, cumulative)
+        _write_table(cum_path, ["timestamp"] + slugs, stamps, cumulative)
         paths["cumulative_returns"] = cum_path
 
         sharpe_path = out_dir / "plot_sharpe.csv"
@@ -483,18 +560,17 @@ class BacktestReport:
 
         for s in self.strategies:
             alloc_path = out_dir / f"allocations_{s.slug}.csv"
-            _write_table(alloc_path, ["timestamp", *self.asset_names], self.out_timestamps, s.allocations)
+            _write_table(alloc_path, ["timestamp", *names], stamps, s.allocations)
             paths[f"allocations_{s.slug}"] = alloc_path
 
         spectral = [s for s in self.strategies if s.slug.startswith("spectral")]
         if spectral:
             month_path = out_dir / "allocation_by_month.csv"
-            ppy = int(self.metadata.get("periods_per_year", 12))
             target = spectral[-1]
-            months = np.array([_month_of_year(ts, ppy) for ts in self.out_timestamps])
+            months = np.array([_month_of_year(ts, self.panel.periods_per_year) for ts in stamps])
             present = sorted(set(months.tolist()))  # np.unique would import numpy.ma on every CLI run
             means = np.array([target.allocations[months == month].mean(axis=0) for month in present])
-            _write_table(month_path, ["month", *self.asset_names], present, means)
+            _write_table(month_path, ["month", *names], present, means)
             paths["allocation_by_month"] = month_path
 
         if self.moments is not None:
@@ -551,10 +627,6 @@ def grid_label(periods: Sequence[int], periods_per_year: int = 12) -> str:
     return ",".join(tokens)
 
 
-def _slugify(label: str) -> str:
-    return label.lower().replace(",", "_").replace(" ", "")
-
-
 def _load_returns(data, input_type: str, periods_per_year: int = 12) -> ReturnsPanel:
     """The returns behind ``data``: a ReturnsPanel, or a CSV path read as ``input_type``."""
     if isinstance(data, ReturnsPanel):
@@ -607,7 +679,7 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
     if config.demean:
         est_values = est_values - est_values.mean(axis=0, keepdims=True)
 
-    allocations = []  # (name, slug, allocation): a (T, N) path or a length-N vector
+    allocations = []  # (name, allocation): a (T, N) path or a length-N vector
     last_moments: SpectralMoments | None = None
     for periods, grid in zip(config.grids, config.frequency_grids):
         label = grid_label(periods, ppy)
@@ -615,13 +687,13 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
             last_moments = estimate_moments(est_values, grid)
             weights = solve_spectral_mvo(last_moments, risk)
             path = retrieve_allocation(weights, out_t)
-        allocations.append((f"Spectral MVO ({label})", f"spectral_mvo_{_slugify(label)}", path))
+        allocations.append((f"Spectral MVO ({label})", path))
     with _stage("classical-mvo"):
         mvo_cov = np.atleast_2d(np.cov(in_panel.returns, rowvar=False, ddof=1))
-        allocations.append(("MVO", "mvo", solve_classical_mvo(in_panel.returns.mean(axis=0), mvo_cov, risk)))
-    allocations.append(("EW", "ew", equal_weight(returns.n_assets)))
+        allocations.append(("MVO", solve_classical_mvo(in_panel.returns.mean(axis=0), mvo_cov, risk)))
+    allocations.append(("EW", equal_weight(returns.n_assets)))
     with _stage("evaluate"):
-        strategies = tuple(_evaluate(name, slug, out_panel, allocation, ppy) for name, slug, allocation in allocations)
+        strategies = tuple(StrategyResult(name, allocation, out_panel) for name, allocation in allocations)
 
     metadata = {
         "boundary": str(config.boundary),
@@ -630,28 +702,7 @@ def run_protocol(config: ProtocolConfig) -> BacktestReport:
         "sigma0_per_period": repr(float(sigma0_period)),
         "ridge": "auto" if config.ridge is None else repr(float(config.ridge)),
         "demean": str(config.demean),
-        "periods_per_year": str(ppy),
         "in_sample_returns": str(n_in),
-        "out_sample_returns": str(n_out),
     }
-    return BacktestReport(
-        strategies=strategies,
-        out_timestamps=out_panel.timestamps,
-        asset_names=returns.asset_names,
-        metadata=metadata,
-        moments=last_moments,
-    )
+    return BacktestReport(strategies=strategies, panel=out_panel, metadata=metadata, moments=last_moments)
 
-
-def _evaluate(name, slug, out_panel: ReturnsPanel, allocation, ppy) -> StrategyResult:
-    series = run_strategy(out_panel, allocation)
-    cumulative = np.cumprod(1.0 + series) - 1.0
-    return StrategyResult(
-        name=name,
-        slug=slug,
-        sharpe=sharpe_ratio(series, ppy),
-        annualized_vol=float(np.std(series, ddof=1)) * math.sqrt(ppy),
-        portfolio_returns=series,
-        cumulative=cumulative,
-        allocations=_as_path(allocation, out_panel.returns.shape),
-    )

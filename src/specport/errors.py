@@ -4,7 +4,7 @@ Each rule has one definition: :func:`_count` for counts, :func:`_finite_scalar` 
 real parameters, :func:`_indices` for sample indices, :func:`_integer_token` and
 :func:`_date_token` for the integers and dates read from text (options, file
 timestamps, the moments file's meta rows), :func:`_real_array` and
-:func:`_finite_real` for real arrays of a known shape, and :func:`_store` for
+:func:`_finite_real` for real arrays, and :func:`_store` for
 what a frozen dataclass holds.
 """
 
@@ -133,17 +133,26 @@ def _date_token(token: str, month_only: bool = False) -> datetime.date:
     return datetime.date(int(match[1]), int(match[2]), int(match[3] or 1))
 
 
+# the array kinds that hold no numbers, though a cast to float64 would read them
+_NOT_NUMBERS = {"U": "str", "S": "bytes", "b": "bool"}
+
+
 def _real_array(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
     """``value`` as a float64 array of ``shape`` (of any shape when it is None).
 
     Raises ValidationError naming ``name`` when it is complex, holds an entry
-    that is not a number (a string, a dict), has rows of unequal length or
-    has another shape.  A float64 array passes without a copy.
+    that is not a number (a string, bytes, a bool, a dict) or an integer
+    beyond float64, has rows of unequal length or has another shape.  Text is
+    refused before the cast, which would parse ``"0.5"``.  A float64 array
+    passes without a copy.
     """
     try:
-        real = not np.iscomplexobj(value)  # rows of unequal length fail here
-        array = np.asarray(value, dtype=np.float64) if real else None  # strings and other non-numbers here
-    except (TypeError, ValueError) as exc:
+        array = np.asarray(value)  # rows of unequal length fail here
+        if array.dtype.kind in _NOT_NUMBERS:
+            raise TypeError(f"got {_NOT_NUMBERS[array.dtype.kind]} entries")
+        real = not np.iscomplexobj(array)
+        array = array.astype(np.float64, copy=False) if real else None  # other non-numbers here
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must hold real numbers: {exc}") from exc
     if not real:
         raise ValidationError(f"{name} must be real")
@@ -152,11 +161,11 @@ def _real_array(name: str, value, shape: tuple[int, ...] | None = None) -> np.nd
     return array
 
 
-def _finite_real(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a finite float64 array of ``shape``.
+def _finite_real(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``value`` as a finite float64 array of ``shape`` (of any shape when it is None).
 
-    Raises ValidationError naming ``name`` when it is complex, has another
-    shape or holds a non-finite entry.  It may be the caller's own array, so
+    Raises ValidationError naming ``name`` when :func:`_real_array` refuses it
+    or it holds a non-finite entry.  It may be the caller's own array, so
     a constructor freezes it only after all of its checks have passed.
     """
     array = _real_array(name, value, shape)

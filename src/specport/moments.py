@@ -102,7 +102,7 @@ def _managed_vector(name: str, value, grid: FrequencyGrid) -> np.ndarray:
         raise ValidationError(
             f"{name} must be one-dimensional with a positive multiple of 2M = {dim} entries, got shape {vector.shape}"
         )
-    return _finite_real(name, vector, vector.shape)
+    return _finite_real(name, vector)
 
 
 def _managed_pair(grid: FrequencyGrid, mean, covariance) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@
 import codecs
 import csv
 import datetime
+import inspect
 import locale
 import logging
 import math
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 
 from specport import (
+    BacktestReport,
     DegenerateMeanError,
     FrequencyGrid,
     IngestionError,
     ProtocolConfig,
     ReturnsPanel,
+    StrategyResult,
     ValidationError,
     equal_weight,
     ingest_csv,
@@ -132,6 +135,8 @@ class TestIngest:
                 "^returns has non-finite entries: the first at 0, asset 'AA'$",
             ),
             ((0, 1, 2), np.full((3, 2), 0.5 + 0.5j), "must be real"),
+            # numeric text is not a number, though a cast to float64 would read it
+            ((0, 1, 2), [["0.01", "0.02"]] * 3, "^returns must hold real numbers: got str entries$"),
         ],
     )
     def test_panels_reject_bad_timestamps_or_values(self, timestamps, values, match):
@@ -425,11 +430,35 @@ class TestSplit:
         with pytest.raises(ValidationError, match=r"^boundary 60 does not match the panel's timestamp type \(date\)$"):
             split_sample(ingest_csv(DATA), 60)
 
+    @pytest.mark.parametrize(
+        "boundary, message",
+        [
+            (True, "boundary must be an integer index, a date or the text of either, got True"),
+            (5.5, "boundary must be an integer index, a date or the text of either, got 5.5"),
+            (None, "boundary must be an integer index, a date or the text of either, got None"),
+            (
+                datetime.datetime(2015, 1, 1),
+                "boundary must be an integer index, a date or the text of either, got datetime.datetime(2015, 1, 1, 0, 0)",
+            ),
+            ("garbage", "boundary: cannot parse timestamp 'garbage' (expected int or ISO date)"),
+        ],
+    )
+    def test_boundary_is_an_index_a_date_or_their_text(self, boundary, message):
+        panel = integer_panel(np.zeros(48))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            split_sample(panel, boundary)
+        for accepted in (np.int64(5), " 5 "):
+            assert [side.n_samples for side in split_sample(panel, accepted)] == [5, 43]
+
     def test_monthly_protocol_split(self):
         # monthly 2010-01..2020-05 prices, boundary 2015-01:
         # 59 in-sample returns (2010-02..2014-12), 65 out (2015-01..2020-05)
         returns = ingest_csv(DATA)
         in_panel, out_panel = split_sample(returns, "2015-01")
+        assert [side.timestamps for side in split_sample(returns, datetime.date(2015, 1, 1))] == [
+            in_panel.timestamps,
+            out_panel.timestamps,
+        ]
         assert in_panel.n_samples == 59
         assert out_panel.n_samples == 65
         assert in_panel.timestamps[-1] == datetime.date(2014, 12, 1)
@@ -495,7 +524,12 @@ class TestRunStrategy:
             (np.full((6, 2), math.inf), "allocation has non-finite entries"),
             ([0.5, 0.5j], "allocation must be real"),
             ([[1.0], [1.0, 2.0]], "allocation must hold real numbers: setting an array element with a sequence."),
-            (["a", "b"], "allocation must hold real numbers: could not convert string to float: 'a'"),
+            (["a", "b"], "allocation must hold real numbers: got str entries"),
+            # refused before the cast to float64, which would read them
+            (["0.5", "0.5"], "allocation must hold real numbers: got str entries"),
+            ([b"0.5", b"0.5"], "allocation must hold real numbers: got bytes entries"),
+            ([True, False], "allocation must hold real numbers: got bool entries"),
+            ([10**400, 0.5], "allocation must hold real numbers: int too large to convert to float"),
         ],
     )
     def test_complex_non_numeric_or_non_finite_allocation_rejected(self, allocation, message):
@@ -518,6 +552,91 @@ class TestSharpe:
     def test_too_short(self):
         with pytest.raises(ValidationError):
             sharpe_ratio([0.01], 12)
+
+    @pytest.mark.parametrize(
+        "series, message",
+        [
+            ([math.nan, 0.01, 0.02], "series has non-finite entries"),
+            ([math.inf, 0.01, 0.02], "series has non-finite entries"),
+            ([0.01 + 0.01j, 0.02], "series must be real"),
+            (["0.01", "0.02"], "series must hold real numbers: got str entries"),
+        ],
+        ids=["nan", "inf", "complex", "text"],
+    )
+    def test_series_is_checked_as_every_real_array(self, series, message):
+        # a NaN is not the zero variance that NaN reports, and no warning precedes the refusal
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sharpe_ratio(series, 12)
+
+
+class TestResults:
+    def test_a_result_is_its_allocation_on_its_panel(self):
+        # every statistic is derived from the allocation and the panel, so none can disagree with them
+        assert list(inspect.signature(StrategyResult).parameters) == ["name", "allocations", "panel"]
+        assert list(inspect.signature(BacktestReport).parameters) == ["strategies", "panel", "metadata", "moments"]
+        panel = integer_panel(np.random.default_rng(3).standard_normal((24, 3)) * 0.01)
+        weights = np.array([0.5, -0.25, 1.0])
+        result = StrategyResult("Spectral MVO (A,S)", weights, panel)
+        series = run_strategy(panel, weights)
+        derived = {
+            "allocations": (result.allocations, np.tile(weights, (24, 1))),
+            "portfolio_returns": (result.portfolio_returns, series),
+            "cumulative": (result.cumulative, np.cumprod(1.0 + series) - 1.0),
+        }
+        for name, (value, definition) in derived.items():
+            assert not value.flags.writeable and np.array_equal(value, definition), name
+        assert result.panel is panel and result.slug == "spectral_mvo_a_s"
+        assert result.sharpe == sharpe_ratio(series, 12)
+        assert result.annualized_vol == float(np.std(series, ddof=1)) * math.sqrt(12)
+        assert result.total_return == result.cumulative[-1]
+
+    @pytest.mark.parametrize(
+        "name, slug",
+        [
+            ("Spectral MVO (A,S)", "spectral_mvo_a_s"),
+            ("Spectral MVO (12,6)", "spectral_mvo_12_6"),
+            ("MVO", "mvo"),
+            ("EW", "ew"),
+            (" -- Équal  weight! ", "qual_weight"),
+        ],
+    )
+    def test_slug_is_the_lower_case_name_with_runs_of_other_characters_as_underscores(self, name, slug):
+        assert StrategyResult(name, [1.0], integer_panel(np.zeros(3))).slug == slug
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda panel: StrategyResult(None, [1.0], panel), "name must be text holding a letter or digit, got None"),
+            (lambda panel: StrategyResult("()", [1.0], panel), "name must be text holding a letter or digit, got '()'"),
+            (lambda panel: StrategyResult("EW", [1.0], panel.returns), "panel is not a ReturnsPanel: ndarray"),
+            (
+                lambda panel: StrategyResult("EW", [1.0, 0.0], panel),
+                "allocation shape (2,) matches neither the returns (3, 1) nor one row (1,)",
+            ),
+            (
+                lambda panel: BacktestReport((StrategyResult("EW", [1.0], panel),), panel.slice(0, 2)),
+                "every strategy must be held over the report's panel",
+            ),
+            (
+                lambda panel: BacktestReport(
+                    (StrategyResult("EW", [1.0], panel), StrategyResult("(EW)", [0.5], panel)), panel
+                ),
+                "strategy slugs must be distinct: 'ew' at positions 0, 1",
+            ),
+        ],
+        ids=["name-none", "name-without-slug", "panel-array", "misaligned", "other-panel", "same-slug"],
+    )
+    def test_results_refuse_what_they_cannot_derive_from(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(integer_panel(np.full(3, 0.01)))
+
+    def test_the_report_reads_its_window_from_the_panel(self):
+        report = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01", periods_per_year=4, grids=((12,),)))
+        assert report.panel.n_samples == 65 and report.panel.periods_per_year == 4
+        assert all(s.panel is report.panel for s in report.strategies)
+        assert "periods_per_year" not in report.metadata and "out_sample_returns" not in report.metadata
+        text = report.render_text()
+        assert "\nout_sample_returns: 65\nperiods_per_year: 4\nridge: auto\n" in text
 
 
 class TestProtocol:
@@ -617,7 +736,7 @@ class TestProtocol:
             values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
             return rows[0], [row[0] for row in rows[1:]], values
 
-        stamps = [str(ts) for ts in report.out_timestamps]
+        stamps = [str(ts) for ts in report.panel.timestamps]
         header, labels, values = read("cumulative_returns")
         assert header == ["timestamp"] + [s.slug for s in report.strategies]
         assert labels == stamps
@@ -632,7 +751,7 @@ class TestProtocol:
         assert np.array_equal(values[:, 0], [s.sharpe for s in report.strategies])
         header, labels, values = read("allocation_by_month")
         assert header == ["month"] + names
-        months = (np.array(report.out_timestamps) % 12) + 1
+        months = (np.array(report.panel.timestamps) % 12) + 1
         target = report.strategies[1].allocations
         assert labels == [str(m) for m in range(1, 13)]
         assert np.array_equal(values, [target[months == m].mean(axis=0) for m in range(1, 13)])
@@ -642,7 +761,7 @@ class TestProtocol:
         report = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01", periods_per_year=4))
         paths = report.write_outputs(tmp_path)
         rows = list(csv.reader(paths["allocation_by_month"].read_text().splitlines()))
-        months = np.array([ts.month for ts in report.out_timestamps])
+        months = np.array([ts.month for ts in report.panel.timestamps])
         target = report.strategy("spectral_mvo_12_6_3").allocations  # the last spectral grid
         assert [row[0] for row in rows[1:]] == [str(m) for m in range(1, 13)]
         values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
@@ -692,6 +811,13 @@ class TestProtocol:
             ({"data": integer_panel(np.zeros(4), ppy=4)}, "data has periods_per_year 4 but config has 12"),
             ({"grids": ((12,), (6, 2))}, "grid subset 'S,2': periods must be >= 3 samples (period 2, the Nyquist bin, "),
             ({"data": None}, "data is not a CSV path or ReturnsPanel: NoneType"),
+            ({"boundary": True}, "boundary must be an integer index, a date or the text of either, got True"),
+            ({"boundary": 5.5}, "boundary must be an integer index, a date or the text of either, got 5.5"),
+            ({"boundary": None}, "boundary must be an integer index, a date or the text of either, got None"),
+            (
+                {"boundary": datetime.datetime(2015, 1, 1)},
+                "boundary must be an integer index, a date or the text of either, got datetime.datetime(2015, 1, 1, ",
+            ),
         ],
     )
     def test_bad_fields_rejected_at_construction(self, tmp_path, fields, match):
@@ -763,10 +889,10 @@ class TestWriteTable:
     def test_backtest_tables_match_csv_writer(self, tmp_path):
         report = run_protocol(ProtocolConfig(data=str(DATA), boundary="2015-01"))
         report.write_outputs(tmp_path)
-        stamps, expected = report.out_timestamps, tmp_path / "expected.csv"
+        stamps, expected = report.panel.timestamps, tmp_path / "expected.csv"
         cumulative = np.column_stack([s.cumulative for s in report.strategies])
         reference_write_table(expected, ["timestamp"] + [s.slug for s in report.strategies], stamps, cumulative)
         assert (tmp_path / "cumulative_returns.csv").read_bytes() == expected.read_bytes()
         for s in report.strategies:
-            reference_write_table(expected, ["timestamp", *report.asset_names], stamps, s.allocations)
+            reference_write_table(expected, ["timestamp", *report.panel.asset_names], stamps, s.allocations)
             assert (tmp_path / f"allocations_{s.slug}.csv").read_bytes() == expected.read_bytes()

@@ -478,6 +478,7 @@ class TestBacktest:
             (["--grids", "１２"], "cannot parse grid period '１２'"),
             (["--sigma0-annual", "０.０1"], "argument --sigma0-annual: invalid float value: '０.０1'"),
             (["--ridge", "1_0e-9"], "argument --ridge: invalid float value: '1_0e-9'"),
+            (["--ridge", "abc"], "argument --ridge: invalid float value: 'abc'"),  # ASCII text that float() refuses
             (["--boundary", "2015-13"], "boundary: cannot parse timestamp '2015-13'"),
             (["--grids", "A;12,2"], "grid subset 'A,2': periods must be >= 3 samples (period 2, the Nyquist bin, "),
             # A/S/Q abbreviate periods in months: on other data they are refused, the default grids too
