@@ -10,7 +10,7 @@ import numpy as np
 from specport import (
     FrequencyGrid,
     build_basis,
-    commensurate_length,
+    estimate_moments,
     project_spectrum,
     synthesize_time_value,
 )
@@ -20,7 +20,9 @@ rng = np.random.default_rng(0)
 grid = FrequencyGrid.from_periods((12, 8, 6))
 print("grid periods:", grid.periods, "-> angular frequencies:", np.round(grid.omegas, 4))
 print("least common period:", grid.least_common_period(), "samples")
-print("snap a 100-sample window:", commensurate_length(100, grid))
+# the estimators snap their window to whole least common periods, discarding the oldest samples
+moments = estimate_moments(rng.standard_normal((100, 2)), grid)
+print("estimate on 100 samples: sample_count", moments.sample_count, "with", 100 - moments.sample_count, "discarded")
 
 basis = build_basis(t=7, grid=grid, n_assets=2)
 gram = basis.values @ basis.values.conj().T

@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Sequence
+from types import MappingProxyType, SimpleNamespace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -477,7 +477,8 @@ class StrategyResult:
 class BacktestReport:
     """The strategies held over one out-of-sample ``panel``, the run's settings and its last spectral moments.
 
-    ``metadata`` holds the run's settings as text; the report's timestamps,
+    ``metadata`` holds the run's settings as text, in a read-only copy of the
+    mapping given, so what the report prints cannot change; the report's timestamps,
     asset names and ``periods_per_year`` are the panel's.  Each strategy must
     be held over ``panel`` itself, and no two may share a slug (each names
     its allocation file); either is a ValidationError.
@@ -485,7 +486,7 @@ class BacktestReport:
 
     strategies: tuple[StrategyResult, ...]
     panel: ReturnsPanel
-    metadata: dict = field(default_factory=dict)
+    metadata: Mapping[str, str] = field(default_factory=dict)
     moments: SpectralMoments | None = None
 
     def __post_init__(self) -> None:
@@ -495,7 +496,7 @@ class BacktestReport:
         clashes = _name_clashes([s.slug for s in strategies], "positions", 0)
         if clashes:
             raise ValidationError(f"strategy slugs must be distinct: {clashes}")
-        _store(self, strategies=strategies)
+        _store(self, strategies=strategies, metadata=MappingProxyType(dict(self.metadata)))
 
     def strategy(self, slug: str) -> StrategyResult:
         for result in self.strategies:

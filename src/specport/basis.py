@@ -30,9 +30,9 @@ complex definition, the reference that the real kernels are tested against.
 
 Sample indices t are integers, and both :func:`_phases` and :func:`build_basis`
 take bin m's angle at t mod p_m, so B(t) = B(t mod L) bit for bit for the
-grid's least common period L.  :func:`commensurate_length` snaps an estimation
-window to whole multiples of L, on which the bins are orthogonal under time
-averaging.
+grid's least common period L.  The estimators of :mod:`specport.moments`
+snap their window to whole multiples of L, on which the bins are orthogonal
+under time averaging.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError, _count, _indices, _store
+from .errors import ValidationError, _count, _finite_real, _indices, _refuse_non_numbers, _store
 
 __all__ = [
     "FrequencyGrid",
@@ -53,7 +53,6 @@ __all__ = [
     "build_basis",
     "synthesize_time_value",
     "project_spectrum",
-    "commensurate_length",
 ]
 
 
@@ -125,31 +124,15 @@ class FrequencyGrid:
         return math.lcm(*self.periods)
 
 
-def commensurate_length(n_samples: int, grid: FrequencyGrid) -> tuple[int, int]:
-    """Snap a window length down to a whole number of least common periods.
-
-    Returns (snapped_length, discarded_count).  Raises if the window does not
-    cover a single full least common period.
-    """
-    lcm = grid.least_common_period()
-    snapped = (n_samples // lcm) * lcm
-    if snapped == 0:
-        raise ValidationError(
-            f"window of {n_samples} samples is shorter than one least common "
-            f"period ({lcm} samples) of the grid"
-        )
-    return snapped, n_samples - snapped
-
-
 @dataclass(frozen=True, eq=False)
 class AugmentedVector:
     """A frequency-domain vector u stacked with its conjugate: [u; conj(u)].
 
     ``upper`` holds the M*N coefficients u (bin-major: bin 0 assets, bin 1
-    assets, ...), a one-dimensional array of finite numbers; a non-number,
-    ragged rows, another shape or a non-finite entry is a ValidationError
-    naming ``upper``.  ``lower`` is conj(upper), computed on first access and
-    read-only, so the vector is conjugate-symmetric by construction, which
+    assets, ...), a one-dimensional array of finite numbers; a non-number
+    (text, bytes and bools included), ragged rows, another shape or a
+    non-finite entry is a ValidationError naming ``upper``.  ``lower`` is
+    conj(upper), computed on first access and read-only, so the vector is conjugate-symmetric by construction, which
     is what makes the synthesized time-domain value real.
     """
 
@@ -157,7 +140,9 @@ class AugmentedVector:
 
     def __post_init__(self) -> None:
         try:
-            upper = np.asarray(self.upper, dtype=np.complex128)
+            upper = np.asarray(self.upper)  # rows of unequal length fail here
+            _refuse_non_numbers(upper)  # before the cast, which would parse "0.5"
+            upper = upper.astype(np.complex128, copy=False)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"upper must hold numbers: {exc}") from exc
         if upper.ndim != 1:
@@ -288,10 +273,9 @@ def synthesize_time_value(basis: AugmentedSpectralBasis, spectrum: AugmentedVect
 def project_spectrum(basis: AugmentedSpectralBasis, x) -> AugmentedVector:
     """Per-sample least-squares projection B(t)^H x, conjugate-symmetric by construction.
 
-    Because the basis has orthonormal rows, synthesize(project(x)) == x exactly.
+    ``x`` must be N finite real numbers.  Because the basis has orthonormal
+    rows, synthesize(project(x)) == x exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (basis.n_assets,):
-        raise ValidationError(f"expected real vector of length {basis.n_assets}, got {x.shape}")
+    x = _finite_real("x", x, (basis.n_assets,))
     upper = np.conj(basis.values[:, : basis.half_columns]).T @ x
     return AugmentedVector(upper)

@@ -4,8 +4,9 @@ Each rule has one definition: :func:`_count` for counts, :func:`_finite_scalar` 
 real parameters, :func:`_indices` for sample indices, :func:`_integer_token` and
 :func:`_date_token` for the integers and dates read from text (options, file
 timestamps, the moments file's meta rows), :func:`_real_array` and
-:func:`_finite_real` for real arrays, and :func:`_store` for
-what a frozen dataclass holds.
+:func:`_finite_real` for real arrays (:func:`_refuse_non_numbers` for the text,
+bytes and bools a cast would read), and :func:`_store` for what a frozen
+dataclass holds.
 """
 
 import dataclasses
@@ -133,8 +134,16 @@ def _date_token(token: str, month_only: bool = False) -> datetime.date:
     return datetime.date(int(match[1]), int(match[2]), int(match[3] or 1))
 
 
-# the array kinds that hold no numbers, though a cast to float64 would read them
+# the array kinds that hold no numbers, though a cast to float64 or complex128 would read them
 _NOT_NUMBERS = {"U": "str", "S": "bytes", "b": "bool"}
+
+
+def _refuse_non_numbers(array: np.ndarray) -> None:
+    """Raise TypeError if ``array`` holds text, bytes or bools, by its dtype or, in an object array, by its first such entry."""
+    if array.dtype.kind == "O":  # only an object array is scanned entry by entry
+        array = np.asarray(next((item for item in array.flat if isinstance(item, (str, bytes, bool, np.bool_))), 0.0))
+    if array.dtype.kind in _NOT_NUMBERS:
+        raise TypeError(f"got {_NOT_NUMBERS[array.dtype.kind]} entries")
 
 
 def _real_array(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -142,14 +151,13 @@ def _real_array(name: str, value, shape: tuple[int, ...] | None = None) -> np.nd
 
     Raises ValidationError naming ``name`` when it is complex, holds an entry
     that is not a number (a string, bytes, a bool, a dict) or an integer
-    beyond float64, has rows of unequal length or has another shape.  Text is
-    refused before the cast, which would parse ``"0.5"``.  A float64 array
-    passes without a copy.
+    beyond float64, has rows of unequal length or has another shape.  Text and
+    bools are refused before the cast, which would parse ``"0.5"``, also as
+    entries of an object array.  A float64 array passes without a copy.
     """
     try:
         array = np.asarray(value)  # rows of unequal length fail here
-        if array.dtype.kind in _NOT_NUMBERS:
-            raise TypeError(f"got {_NOT_NUMBERS[array.dtype.kind]} entries")
+        _refuse_non_numbers(array)
         real = not np.iscomplexobj(array)
         array = array.astype(np.float64, copy=False) if real else None  # other non-numbers here
     except (TypeError, ValueError, OverflowError) as exc:

@@ -11,12 +11,14 @@ to it at low SNR.
 
 Estimators time-average the projected series over a commensurate window (a
 whole number of least common periods L of the grid's integer periods, the
-newest samples kept), which removes leakage between bins.  There is no option
-to skip the snap.  The estimators work on the equivalent real problem in the
-managed-asset coordinates documented in :mod:`specport.basis`: the augmented
-vector is U z(t) for the unitary U and the real panel z(t) = phi(t) (x) x(t)
-of 2MN columns, so the augmented mean and covariance are U mean(z) and
-U cov(z) U^H (Brandt and Santa-Clara 2006; Schreier and Scharf 2010).  :class:`SpectralMoments` stores the real pair
+newest samples kept), which removes leakage between bins.  Both estimators
+are one pass, :func:`_managed_moments`, which also snaps the window; there is
+no option to skip the snap.  The pass works on the equivalent real problem in
+the managed-asset coordinates documented in :mod:`specport.basis`: the
+augmented vector is U z(t) for the unitary U and the real panel
+z(t) = phi(t) (x) x(t) of 2MN columns, so the augmented mean and covariance
+are U mean(z) and U cov(z) U^H (Brandt and Santa-Clara 2006; Schreier and
+Scharf 2010).  :class:`SpectralMoments` stores the real pair
 (mean(z), cov(z)), which the solver and the moments file use; the augmented
 complex forms are views derived from it.  The T x 2MN panel z is never
 formed: its phases repeat with the least common period L, so both moments
@@ -43,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented, commensurate_length
+from .basis import AugmentedVector, FrequencyGrid, _phases, _to_augmented
 from .errors import ValidationError, _count, _finite_real, _integer_token, _real_array, _store
 
 __all__ = [
@@ -121,37 +123,22 @@ def _managed_pair(grid: FrequencyGrid, mean, covariance) -> tuple[np.ndarray, np
     return mean, cov
 
 
-def _snap_window(values: np.ndarray, grid: FrequencyGrid):
-    """Trim to a commensurate window, discarding the oldest samples; returns (kept rows, discarded count).
+def _managed_moments(x, grid: FrequencyGrid):
+    """Mean and covariance K of the managed panel z on the snapped window: the one estimator pass.
 
-    The window's first row is sample 0, so the first kept row is sample
-    ``discarded`` and the basis phase stays aligned with it.  The snap is one record on
-    this module's logger with the kept and discarded counts: a WARNING when it
-    discards samples, INFO otherwise.
-    """
-    snapped, discarded = commensurate_length(values.shape[0], grid)
-    logger.log(
-        logging.WARNING if discarded else logging.INFO,
-        "window snap: kept %d samples, discarded %d oldest",
-        snapped,
-        discarded,
-        extra={"snap_kept": snapped, "snap_discarded": discarded},
-    )
-    return values[discarded:], discarded
-
-
-def _managed_moments(x, grid: FrequencyGrid, covariance: bool):
-    """Mean and, if ``covariance``, covariance K of the managed panel z on the snapped window.
-
-    Returns (mean (2MN,), K (2MN, 2MN) or None, T).  Row t of z is
+    Returns (mean (2MN,), K (2MN, 2MN), T).  The snap keeps the newest
+    T = T0 - T0 mod L of the T0 rows for the grid's least common period L; a
+    window shorter than L is a ValidationError naming L.  Its first row is
+    sample 0, so the first kept row is sample T0 mod L.  The snap is one
+    record on this module's logger with the kept and discarded counts: a
+    WARNING when it discards samples, INFO otherwise.  Row t of z is
     phi(t) (x) x(t), flattened bin-major, for the phases phi of
-    :func:`specport.basis._phases`; the augmented projected
-    vector is exactly U z(t) (see :func:`specport.basis._to_augmented`).  phi
-    repeats bit for bit with the grid's least common period L, and the snapped window
-    (see :func:`_snap_window`) splits into the L phase classes r = t mod L of
-    n = T / L samples each, read as the strided views ``values[r::L]``.  With
-    class sum s_r, mean xbar_r = s_r / n and within-class scatter
-    D_r = sum (x_t - xbar_r)(x_t - xbar_r)^T in class r,
+    :func:`specport.basis._phases`; the augmented projected vector is exactly
+    U z(t) (see :func:`specport.basis._to_augmented`).  phi repeats bit for
+    bit with L, and the snapped window splits into the L phase classes
+    r = t mod L of n = T / L samples each, read as the strided views
+    ``values[r::L]``.  With class sum s_r, mean xbar_r = s_r / n and
+    within-class scatter D_r = sum (x_t - xbar_r)(x_t - xbar_r)^T in class r,
 
         mean = (1/T) sum_r phi_r (x) s_r,
         T K  = sum_r (phi_r phi_r^T) (x) D_r + G^T G,
@@ -166,15 +153,25 @@ def _managed_moments(x, grid: FrequencyGrid, covariance: bool):
     diagonal block is averaged with its transpose and the blocks below are
     copied from their mirror, so K is exactly symmetric.
     """
-    values, origin = _snap_window(_panel_values(x), grid)
+    values, period = _panel_values(x), grid.least_common_period()
+    if values.shape[0] < period:
+        raise ValidationError(
+            f"window of {values.shape[0]} samples is shorter than one least common period ({period} samples) of the grid"
+        )
+    origin = values.shape[0] % period  # the oldest samples, discarded
+    values = values[origin:]
     n_samples, n_assets = values.shape
-    period = grid.least_common_period()
+    logger.log(
+        logging.WARNING if origin else logging.INFO,
+        "window snap: kept %d samples, discarded %d oldest",
+        n_samples,
+        origin,
+        extra={"snap_kept": n_samples, "snap_discarded": origin},
+    )
     phases = _phases(origin + np.arange(period), grid)  # row r is phi_r
     repeats = n_samples // period  # in every class: the snapped window holds whole periods L
     sums = values.reshape(repeats, period, n_assets).sum(axis=0)
     mean = (phases.T @ sums).ravel() / n_samples
-    if not covariance:
-        return mean, None, n_samples
     class_means = np.divide(sums, repeats, out=sums)
     between = phases[:, :, np.newaxis] * class_means[:, np.newaxis, :]
     between = between.reshape(period, mean.size)
@@ -214,9 +211,8 @@ def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal") 
     Parameters
     ----------
     x : (T, N) array or ReturnsPanel
-        Real panel, no missing values, of at least one least common period
-        L of the grid (a ValidationError naming L otherwise).  Snapped to
-        whole periods L.
+        As for :func:`estimate_moments`, whose mean this is: the same panels
+        are refused, and the same one snap is logged.
     grid : FrequencyGrid
     mode : {"paper-literal", "consistent"}
         Output scale: the raw projection average, or that times 2M (see
@@ -230,7 +226,7 @@ def estimate_spectral_mean(x, grid: FrequencyGrid, mode: str = "paper-literal") 
     modes = ("paper-literal", "consistent")
     if mode not in modes:
         raise ValidationError(f"unknown estimator mode {mode!r}; expected one of {modes}")
-    mean, _, _ = _managed_moments(x, grid, covariance=False)
+    mean = estimate_moments(x, grid).managed_mean
     return _to_augmented(mean * (2 * grid.n_bins if mode == "consistent" else 1))
 
 
@@ -241,10 +237,13 @@ def estimate_moments(x, grid: FrequencyGrid) -> "SpectralMoments":
     of the augmented vector u(t) = B(t)^H x(t) around the estimated mean.  It
     is held as the real, exactly symmetric K, the covariance of the managed
     panel z, which is built from the per-class means and scatters of the
-    window without forming z (see :func:`_managed_moments`).  Row t of
-    ``x`` is sample index t, as in :func:`estimate_spectral_mean`.
+    window without forming z (see :func:`_managed_moments`).  ``x`` is a
+    real (T, N) array or ReturnsPanel with no missing values (a vector is
+    one asset), of at least one least common period L of the grid (a
+    ValidationError naming L otherwise), snapped to whole periods L.  Row t
+    of ``x`` is sample index t.
     """
-    managed_mean, covariance, n_samples = _managed_moments(x, grid, covariance=True)
+    managed_mean, covariance, n_samples = _managed_moments(x, grid)
     return SpectralMoments(
         grid=grid,
         managed_mean=managed_mean,

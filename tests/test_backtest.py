@@ -137,6 +137,12 @@ class TestIngest:
             ((0, 1, 2), np.full((3, 2), 0.5 + 0.5j), "must be real"),
             # numeric text is not a number, though a cast to float64 would read it
             ((0, 1, 2), [["0.01", "0.02"]] * 3, "^returns must hold real numbers: got str entries$"),
+            # also as an entry of an object array, whose dtype does not show it
+            (
+                (0, 1, 2),
+                np.array([["0.01", 0.5], [0.02, 0.5], [0.03, 0.5]], dtype=object),
+                "^returns must hold real numbers: got str entries$",
+            ),
         ],
     )
     def test_panels_reject_bad_timestamps_or_values(self, timestamps, values, match):
@@ -529,6 +535,7 @@ class TestRunStrategy:
             (["0.5", "0.5"], "allocation must hold real numbers: got str entries"),
             ([b"0.5", b"0.5"], "allocation must hold real numbers: got bytes entries"),
             ([True, False], "allocation must hold real numbers: got bool entries"),
+            (np.array([True, 0.5], dtype=object), "allocation must hold real numbers: got bool entries"),
             ([10**400, 0.5], "allocation must hold real numbers: int too large to convert to float"),
         ],
     )
@@ -637,6 +644,20 @@ class TestResults:
         assert "periods_per_year" not in report.metadata and "out_sample_returns" not in report.metadata
         text = report.render_text()
         assert "\nout_sample_returns: 65\nperiods_per_year: 4\nridge: auto\n" in text
+
+    def test_the_report_metadata_is_read_only(self, tmp_path):
+        # a read-only copy of the mapping given: neither the report nor the caller's dict can change what it prints
+        settings = {"boundary": "2", "in_sample_returns": "2"}
+        panel = integer_panel(np.full(3, 0.01))
+        report = BacktestReport((StrategyResult("EW", [1.0], panel),), panel, settings)
+        report.write_outputs(tmp_path)
+        written = (tmp_path / "report.txt").read_bytes()
+        with pytest.raises(TypeError):
+            report.metadata["in_sample_returns"] = "999"
+        settings["in_sample_returns"] = "999"
+        assert dict(report.metadata) == {"boundary": "2", "in_sample_returns": "2"}
+        report.write_outputs(tmp_path)
+        assert (tmp_path / "report.txt").read_bytes() == written
 
 
 class TestProtocol:

@@ -13,7 +13,6 @@ from specport import (
     FrequencyGrid,
     ValidationError,
     build_basis,
-    commensurate_length,
     project_spectrum,
     synthesize_time_value,
 )
@@ -93,12 +92,6 @@ class TestFrequencyGrid:
     def test_least_common_period(self):
         assert FrequencyGrid.from_periods((12, 6, 3)).least_common_period() == 12
         assert FrequencyGrid.from_periods((12, 8)).least_common_period() == 24
-
-    def test_commensurate_length(self):
-        grid = FrequencyGrid.from_periods((12, 8))
-        assert commensurate_length(100, grid) == (96, 4)
-        with pytest.raises(ValidationError):
-            commensurate_length(10, grid)
 
 
 class TestBuildBasis:
@@ -205,8 +198,12 @@ class TestSynthesize:
             ([None], "^upper has non-finite entries$"),  # numpy reads None as nan
             (["a"], "^upper must hold numbers: "),
             ([[1.0], [1.0, 2.0]], "^upper must hold numbers: "),
+            # refused before the cast to complex128, which would read them
+            (["0.5", "0.25"], "^upper must hold numbers: got str entries$"),
+            ([b"0.5"], "^upper must hold numbers: got bytes entries$"),
+            ([True, False], "^upper must hold numbers: got bool entries$"),
         ],
-        ids=["nan", "inf", "complex-inf", "none", "string", "ragged"],
+        ids=["nan", "inf", "complex-inf", "none", "string", "ragged", "numeric-string", "bytes", "bool"],
     )
     def test_upper_must_hold_finite_numbers(self, upper, message):
         with pytest.raises(ValidationError, match=message):
@@ -288,6 +285,24 @@ class TestProject:
         basis = build_basis(0, grid, 2)
         with pytest.raises(ValidationError):
             project_spectrum(basis, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.zeros(3), "x shape (3,) does not match (2,)"),
+            ([math.nan, 1.0], "x has non-finite entries"),
+            # refused before the cast to float64, which would read them
+            (["0.5", "0.25"], "x must hold real numbers: got str entries"),
+            ([b"0.5", b"0.25"], "x must hold real numbers: got bytes entries"),
+            ([True, False], "x must hold real numbers: got bool entries"),
+            ([0.5, 0.5j], "x must be real"),
+        ],
+        ids=["long", "nan", "numeric-string", "bytes", "bool", "complex"],
+    )
+    def test_x_is_checked_as_every_real_array(self, x, message):
+        basis = build_basis(0, FrequencyGrid.from_periods((12,)), 2)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            project_spectrum(basis, x)
 
 
 @pytest.mark.parametrize("seed", range(5))

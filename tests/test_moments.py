@@ -63,12 +63,17 @@ class TestSpectralMean:
         assert abs(mean.upper[1]) <= 1e-10
 
     def test_modes_scale_by_2m(self):
+        # the spectral mean is the mean of estimate_moments, bit for bit, at scale 1 or 2M = 6;
+        # 50 samples: the snap discards the oldest 2 of L = 24
         grid = FrequencyGrid.from_periods((12, 8, 6))
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((48, 2))
+        x = rng.standard_normal((50, 2))
         literal = estimate_spectral_mean(x, grid)
         consistent = estimate_spectral_mean(x, grid, mode="consistent")
-        assert np.allclose(consistent.upper, 6 * literal.upper, atol=1e-15)
+        moments = estimate_moments(x, grid)
+        assert moments.sample_count == 48
+        assert np.array_equal(literal.upper, moments.mean.upper)
+        assert np.array_equal(consistent.upper, _to_augmented(6 * moments.managed_mean).upper)
 
     def test_calibration_both_modes(self):
         # pure harmonic a cos(w_m t): literal a/(2 sqrt(2M)), consistent a sqrt(2M)/2
@@ -100,6 +105,21 @@ class TestSpectralMean:
         # the mean of B(t)^H x(t) over the kept rows, each at its own sample index t = 6..29
         direct = np.mean([project_spectrum(build_basis(t, grid, 1), x[t]).upper for t in range(6, 30)], axis=0)
         assert np.allclose(snapped.upper, direct, atol=1e-15)
+
+    @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
+    def test_snap_keeps_whole_least_common_periods(self, estimator, caplog):
+        # L = lcm(12, 8) = 24: of 100 samples the newest 96 are kept, and 10 are not one period
+        grid = FrequencyGrid.from_periods((12, 8))
+        x = np.random.default_rng(6).standard_normal((100, 2))
+        with caplog.at_level(logging.INFO, logger="specport.moments"):
+            estimate = estimator(x, grid)
+        (record,) = [r for r in caplog.records if r.name == "specport.moments"]
+        assert (record.snap_kept, record.snap_discarded) == (96, 4)
+        if estimator is estimate_moments:
+            assert estimate.sample_count == 96
+        message = "window of 10 samples is shorter than one least common period (24 samples) of the grid"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            estimator(x[:10], grid)
 
     @pytest.mark.parametrize("estimator", [estimate_moments, estimate_spectral_mean])
     def test_window_shorter_than_least_common_period_rejected(self, estimator):

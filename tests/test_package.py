@@ -170,7 +170,7 @@ def test_settable_values_are_counted():
         for obj in map(vars(specport).get, specport.__all__)
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException))
     ]
-    assert sum(len(inspect.signature(obj).parameters) for obj in callables) == 89
+    assert sum(len(inspect.signature(obj).parameters) for obj in callables) == 87
 
 
 def solved_weights(**fields):
